@@ -20,7 +20,7 @@ import numpy as np
 
 from . import motion
 from .assignment import solve_assignment
-from .geometry import Box, Box2D, Box3D, Metric, similarity_matrix
+from .geometry import Box, Box2D, Box3D, Metric, box3d_array, giou_3d_pairs, similarity_matrix
 from .motion import (
     KalmanState,
     MissingVelocityError,
@@ -282,58 +282,11 @@ def predict_tracks(
     )
 
 
-def _similarity_values(
-    raw_boxes: Sequence[Box],
-    backward_boxes: Sequence[Box],
-    prediction: TrackPrediction,
-    columns: Sequence[int],
-    metric: Metric,
-) -> np.ndarray:
-    """Similarity of the given detections against the selected track columns."""
-    col_boxes = [prediction.match_boxes[j] for j in columns]
-    backward_cols = [prediction.wants_backward[j] for j in columns]
-    if not any(backward_cols):
-        return similarity_matrix(raw_boxes, col_boxes, metric).values
-    values = similarity_matrix(backward_boxes, col_boxes, metric).values
-    if not all(backward_cols):
-        raw_values = similarity_matrix(raw_boxes, col_boxes, metric).values
-        forward_cols = [k for k, b in enumerate(backward_cols) if not b]
-        values[:, forward_cols] = raw_values[:, forward_cols]
-    return values
-
-
-def _gate_matrix(
-    detections: Sequence[Detection],
-    tracklets: Sequence[Tracklet],
-    gate: float | Mapping[int, float],
-) -> np.ndarray:
-    """Per-pair admission thresholds; cross-class pairs are gated out at +inf."""
-    det_cls = np.array([d.class_id for d in detections])
-    trk_cls = np.array([t.class_id for t in tracklets])
+def _row_gates(detections: Sequence[Detection], gate: float | Mapping[int, float]) -> np.ndarray:
+    """Admission threshold of each detection row, resolved by its class."""
     if isinstance(gate, Mapping):
-        row_gates = np.array([resolve_gate(gate, d.class_id) for d in detections])
-    else:
-        row_gates = np.full(len(detections), float(gate))
-    return np.where(
-        det_cls[:, None] == trk_cls[None, :], row_gates[:, None], np.inf
-    )
-
-
-def _associate(
-    detections: Sequence[Detection],
-    tracklets: Sequence[Tracklet],
-    values: np.ndarray,
-    gate: float | Mapping[int, float],
-    metric: Metric,
-):
-    if len(detections) == 0 or len(tracklets) == 0:
-        return solve_assignment(np.zeros((len(detections), len(tracklets))), 1.0)
-    gates = _gate_matrix(detections, tracklets, gate)
-    if metric is Metric.GIOU_3D:
-        # GIoU gates may be negative; shift so every admissible pair is worth
-        # matching over leaving both sides unmatched.
-        return solve_assignment(values + 1.0, gates + 1.0)
-    return solve_assignment(values, gates)
+        return np.array([resolve_gate(gate, d.class_id) for d in detections])
+    return np.full(len(detections), float(gate))
 
 
 def step(
@@ -368,23 +321,50 @@ def step(
     for tracklet, state in zip(pool.tracklets, prediction.states):
         tracklet.state = state
     raw_boxes = [det.box for det in detections]
+    det_classes = np.array([d.class_id for d in detections], dtype=np.intp)
+    trk_classes = np.array([t.class_id for t in pool.tracklets], dtype=np.intp)
+    if config.metric is Metric.GIOU_3D:
+        # Box parameters of both sides, built once and shared by both passes.
+        raw_params = box3d_array(raw_boxes)
+        trk_params = box3d_array(prediction.match_boxes)
+        wants_backward = np.array(prediction.wants_backward, dtype=bool)
+        back_params = (box3d_array(backward_boxes) if wants_backward.any()
+                       else raw_params)
+
+    def same_class_giou(rows: np.ndarray, cols: np.ndarray, same_class: np.ndarray) -> np.ndarray:
+        # Score each same-class pair once, against backward-shifted
+        # detections for the columns that want them and raw ones otherwise;
+        # cross-class entries are gated out and keep a placeholder 0.
+        r, c = np.nonzero(same_class)
+        det, trk = rows[r], cols[c]
+        source = np.where(wants_backward[trk][:, None], back_params[det], raw_params[det])
+        values = np.zeros(same_class.shape)
+        values[r, c] = giou_3d_pairs(source, trk_params[trk])
+        return values
 
     def run_pass(det_indices, col_indices, gate):
+        rows = np.array(det_indices, dtype=np.intp)
+        cols = np.array(col_indices, dtype=np.intp)
         dets = [detections[i] for i in det_indices]
-        cols = [pool.tracklets[j] for j in col_indices]
-        values = _similarity_values(
-            [raw_boxes[i] for i in det_indices],
-            [backward_boxes[i] for i in det_indices],
-            prediction,
-            col_indices,
-            config.metric,
-        )
-        assign = _associate(dets, cols, values, gate, config.metric)
+        same_class = det_classes[rows][:, None] == trk_classes[cols][None, :]
+        gates = np.where(same_class, _row_gates(dets, gate)[:, None], np.inf)
+        if config.metric is Metric.GIOU_3D:
+            # GIoU gates may be negative; shift so every admissible pair is
+            # worth matching over leaving both sides unmatched.
+            values = same_class_giou(rows, cols, same_class)
+            assign = solve_assignment(values + 1.0, gates + 1.0)
+        else:
+            values = similarity_matrix(
+                [raw_boxes[i] for i in det_indices],
+                [prediction.match_boxes[j] for j in col_indices],
+                config.metric,
+            ).values
+            assign = solve_assignment(values, gates)
         matched = []
         if assign.matches:
             # Matched tracks still hold rows of the prediction batch, so the
             # update can slice them out instead of restacking.
-            sel = np.array([col_indices[c] for _, c in assign.matches])
+            sel = cols[[c for _, c in assign.matches]]
             boxes = [dets[r].box for r, _ in assign.matches]
             scores = [dets[r].score for r, _ in assign.matches]
             new_means, new_covs = motion.update_arrays(
@@ -394,7 +374,7 @@ def step(
             new_states = motion.states_from_arrays(new_means, new_covs)
             for (r, c), state in zip(assign.matches, new_states):
                 det = dets[r]
-                tracklet = cols[c]
+                tracklet = pool.tracklets[col_indices[c]]
                 tracklet.state = state
                 tracklet.status = TrackStatus.ACTIVE
                 tracklet.frames_since_match = 0

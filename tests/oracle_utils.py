@@ -1,6 +1,7 @@
 """Independent oracles used by the tests: sampling/rasterization-based geometry
-checks and an exhaustive gated-matching optimizer. These deliberately avoid the
-polygon-clipping and Hungarian code paths they verify."""
+checks, a scalar polygon-clipping GIoU, and an exhaustive gated-matching
+optimizer. These deliberately avoid the batched clipping kernel and the
+Hungarian code paths they verify."""
 
 from __future__ import annotations
 
@@ -67,6 +68,85 @@ def giou_3d_voxel(a: Box3D, b: Box3D, cell: float = 0.02) -> float:
     spans = corners.max(axis=0) - corners.min(axis=0)
     enclosing = spans[0] * spans[1] * (max(za1, zb1) - min(za0, zb0))
     return inter / union - (enclosing - union) / enclosing
+
+
+# On-edge classification tolerance for polygon clipping (as in the kernel).
+_CLIP_EPS = 1e-9
+
+
+def polygon_area(points) -> float:
+    """Shoelace area of a simple polygon given as a vertex list."""
+    if len(points) < 3:
+        return 0.0
+    total = 0.0
+    n = len(points)
+    for i in range(n):
+        x1, y1 = points[i]
+        x2, y2 = points[(i + 1) % n]
+        total += x1 * y2 - x2 * y1
+    return abs(total) / 2.0
+
+
+def clip_convex(subject, clip):
+    """Sutherland-Hodgman clip of a convex subject polygon by a CCW convex clip polygon."""
+    output = subject
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            return []
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        input_pts = output
+        output = []
+        px, py = input_pts[-1]
+        prev_inside = ex * (py - ay) - ey * (px - ax) >= -_CLIP_EPS
+        for cx, cy in input_pts:
+            cur_inside = ex * (cy - ay) - ey * (cx - ax) >= -_CLIP_EPS
+            if cur_inside != prev_inside:
+                dx, dy = cx - px, cy - py
+                denom = ex * dy - ey * dx
+                if abs(denom) > _CLIP_EPS * _CLIP_EPS:
+                    t = -(ex * (py - ay) - ey * (px - ax)) / denom
+                    output.append((px + t * dx, py + t * dy))
+                else:
+                    # Grazing segment along the clip edge; keep the endpoint.
+                    output.append((cx, cy))
+            if cur_inside:
+                output.append((cx, cy))
+            px, py, prev_inside = cx, cy, cur_inside
+    return output
+
+
+def bev_intersection_area_clip(a: Box3D, b: Box3D) -> float:
+    """Footprint intersection area by scalar Sutherland-Hodgman clipping."""
+    corners_a = [tuple(p) for p in a.bev_corners()]
+    corners_b = [tuple(p) for p in b.bev_corners()]
+    return polygon_area(clip_convex(corners_a, corners_b))
+
+
+def giou_3d_clip(a: Box3D, b: Box3D) -> float:
+    """Scalar reference GIoU: one Python clip per pair, with the same
+    axis-aligned BEV enclosure as the kernel."""
+    za0, za1 = a.z_interval
+    zb0, zb1 = b.z_interval
+    overlap_h = min(za1, zb1) - max(za0, zb0)
+    inter = bev_intersection_area_clip(a, b) * overlap_h if overlap_h > 0.0 else 0.0
+    union = a.volume + b.volume - inter
+
+    corners = np.vstack((a.bev_corners(), b.bev_corners()))
+    spans = corners.max(axis=0) - corners.min(axis=0)
+    enclosing = spans[0] * spans[1] * (max(za1, zb1) - min(za0, zb0))
+
+    return inter / union - (enclosing - union) / enclosing
+
+
+def giou_3d_pairs_clip(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """giou_3d_clip over (P, 7) parameter rows: a drop-in for the batched kernel."""
+    return np.array(
+        [giou_3d_clip(Box3D(*p), Box3D(*q)) for p, q in zip(a.tolist(), b.tolist())],
+        dtype=float,
+    )
 
 
 def giou_3d_axis_aligned(a: Box3D, b: Box3D) -> float:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from motrack import association
 from motrack.association import (
     Detection,
     Mode,
@@ -15,9 +16,18 @@ from motrack.association import (
     split_detections,
     step,
 )
-from motrack.geometry import Box2D, Box3D, giou_3d
+from motrack.geometry import Box2D, Box3D, box3d_array, giou_3d, giou_3d_pairs
 from motrack.motion import state_to_box
-from motrack.tracker import default_config
+from motrack.simulate import (
+    DropoutSpan,
+    MotionSegment,
+    ObjectSpec,
+    OcclusionEvent,
+    ScenarioSpec,
+    generate_scenario,
+)
+from motrack.tracker import CLASS_IDS, default_config
+from oracle_utils import giou_3d_pairs_clip
 
 
 def det2d(x, y, w=50.0, h=100.0, score=0.9, class_id=0):
@@ -336,3 +346,115 @@ class TestDeterminism:
             assert [(t.track_id, t.box, t.score) for t in a.tracks] == [
                 (t.track_id, t.box, t.score) for t in b.tracks
             ]
+
+
+def mixed_class_frames(seed: int, n_objects: int = 12, duration: int = 30):
+    """Seeded 3D scene of several classes packed close together, with turns,
+    score dips, dropouts and clutter, so passes mix classes, low boxes, and
+    active and lost tracks."""
+    rng = np.random.default_rng(seed)
+    classes = [CLASS_IDS[name] for name in ("car", "pedestrian", "bicycle", "truck")]
+    sizes = {CLASS_IDS["car"]: (4.5, 1.9, 1.6), CLASS_IDS["pedestrian"]: (0.8, 0.7, 1.8),
+             CLASS_IDS["bicycle"]: (1.8, 0.7, 1.4), CLASS_IDS["truck"]: (8.0, 2.6, 3.2)}
+    objects = []
+    for k in range(n_objects):
+        class_id = classes[k % len(classes)]
+        turn = int(rng.integers(5, duration - 5))
+        objects.append(ObjectSpec(
+            start=(*rng.uniform(-12.0, 12.0, 2), 0.8),
+            size=sizes[class_id],
+            segments=(MotionSegment(turn, *rng.uniform(-1.0, 1.0, 2)),
+                      MotionSegment(duration - turn, *rng.uniform(-1.0, 1.0, 2))),
+            class_id=class_id,
+        ))
+    spec = ScenarioSpec(
+        mode=Mode.BOX_3D,
+        duration=duration,
+        world=(-20.0, -20.0, 20.0, 20.0),
+        objects=tuple(objects),
+        occlusions=(OcclusionEvent(0, 8, 12, 0.15), OcclusionEvent(3, 15, 18, 0.1)),
+        dropouts=(DropoutSpan(1, 10, 14), DropoutSpan(5, 18, 20)),
+        base_score=0.8,
+        position_noise=0.1,
+        score_noise=0.05,
+        clutter_rate=2.0,
+        clutter_scores=(0.05, 0.3),
+        miss_rate=0.05,
+        velocity_noise=0.05,
+    )
+    return generate_scenario(spec, seed)[1]
+
+
+def run_frames(frames, config):
+    pool = TrackPool()
+    return [step(pool, f, dets, config) for f, dets in enumerate(frames, 1)]
+
+
+class TestPairKernelScoring:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tracker_matches_scalar_oracle(self, seed, monkeypatch):
+        frames = mixed_class_frames(seed)
+        fast = run_frames(frames, CFG_3D)
+        monkeypatch.setattr(association, "giou_3d_pairs", giou_3d_pairs_clip)
+        slow = run_frames(frames, CFG_3D)
+        assert sum(len(r.tracks) for r in fast) > 0
+        for a, b in zip(fast, slow):
+            assert a.diagnostics == b.diagnostics
+            assert [(t.track_id, t.class_id) for t in a.tracks] == [
+                (t.track_id, t.class_id) for t in b.tracks
+            ]
+            for ta, tb in zip(a.tracks, b.tracks):
+                assert np.allclose(box3d_array([ta.box]), box3d_array([tb.box]),
+                                   rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_kernel_scores_each_same_class_pair_once(self, seed, monkeypatch):
+        scored = []
+        predicted = []
+
+        def kernel_spy(a, b):
+            scored.extend(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+            return giou_3d_pairs(a, b)
+
+        def predict_spy(tracklets, config, detections):
+            out = predict_tracks(tracklets, config, detections)
+            predicted.append(([(t.track_id, t.class_id) for t in tracklets], out))
+            return out
+
+        monkeypatch.setattr(association, "giou_3d_pairs", kernel_spy)
+        monkeypatch.setattr(association, "predict_tracks", predict_spy)
+        pool = TrackPool()
+        for frame, dets in enumerate(mixed_class_frames(seed), 1):
+            scored.clear()
+            predicted.clear()
+            diag = step(pool, frame, dets, CFG_3D).diagnostics
+            (tracks, (prediction, backward)), = predicted
+
+            def key(box):
+                return tuple(box3d_array([box])[0].tolist())
+
+            det_of = {}
+            for i, det in enumerate(dets):
+                for box in (det.box, backward[i]):
+                    det_of.setdefault(key(box), set()).add(i)
+            track_of = {key(box): j for j, box in enumerate(prediction.match_boxes)}
+
+            seen = []
+            for det_row, track_row in scored:
+                (i,) = det_of[det_row]
+                j = track_of[track_row]
+                assert dets[i].class_id == tracks[j][1], "cross-class pair scored"
+                source = backward[i] if prediction.wants_backward[j] else dets[i].box
+                assert det_row == key(source)
+                seen.append((i, j))
+            assert len(seen) == len(set(seen)), "a pair was scored twice"
+
+            first_matched = {track_id for _, track_id in diag.first_matches}
+            expected = set()
+            for i, det in enumerate(dets):
+                for j, (track_id, class_id) in enumerate(tracks):
+                    if class_id != det.class_id:
+                        continue
+                    if det.score > CFG_3D.tau or track_id not in first_matched:
+                        expected.add((i, j))
+            assert set(seen) == expected

@@ -2,18 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motrack.geometry import (
     Box2D,
     Box3D,
     Metric,
     bev_intersection_area,
+    box3d_array,
     giou_3d,
+    giou_3d_pairs,
     iou_2d,
     similarity_matrix,
     wrap_angle,
 )
-from oracle_utils import giou_3d_voxel, iou_2d_monte_carlo
+from oracle_utils import (
+    bev_intersection_area_clip,
+    giou_3d_clip,
+    giou_3d_voxel,
+    iou_2d_monte_carlo,
+)
 
 
 def random_box3d(rng) -> Box3D:
@@ -218,3 +227,147 @@ class TestSimilarityMatrix:
             similarity_matrix([box3d], [box3d], Metric.IOU_2D)
         with pytest.raises(ValueError):
             similarity_matrix([box2d], [box3d], Metric.GIOU_3D)
+
+
+# --- batched kernel against the scalar Sutherland-Hodgman oracle --------------
+
+ORACLE_TOL = 1e-9
+
+
+@st.composite
+def random_boxes(draw):
+    return Box3D(
+        x=draw(st.floats(-5.0, 5.0)),
+        y=draw(st.floats(-5.0, 5.0)),
+        z=draw(st.floats(-1.0, 1.0)),
+        theta=draw(st.floats(-math.pi, math.pi)),
+        l=draw(st.floats(0.2, 5.0)),
+        w=draw(st.floats(0.2, 5.0)),
+        h=draw(st.floats(0.2, 3.0)),
+    )
+
+
+@st.composite
+def snapped_boxes(draw):
+    # Half-meter grid, eighth-turn yaws: collinear edges and shared vertices.
+    return Box3D(
+        x=draw(st.integers(-6, 6)) / 2.0,
+        y=draw(st.integers(-6, 6)) / 2.0,
+        z=draw(st.integers(-2, 2)) / 2.0,
+        theta=draw(st.integers(-3, 4)) * math.pi / 4.0,
+        l=draw(st.integers(1, 8)) / 2.0,
+        w=draw(st.integers(1, 8)) / 2.0,
+        h=draw(st.integers(1, 4)) / 2.0,
+    )
+
+
+def _along(box: Box3D, forward: float, left: float) -> tuple[float, float]:
+    """World offset of a displacement given in the box's heading frame."""
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    return c * forward - s * left, s * forward + c * left
+
+
+def _moved(box: Box3D, forward: float = 0.0, left: float = 0.0, **fields) -> Box3D:
+    dx, dy = _along(box, forward, left)
+    params = {"x": box.x + dx, "y": box.y + dy, "z": box.z, "theta": box.theta,
+              "l": box.l, "w": box.w, "h": box.h}
+    params.update(fields)
+    return Box3D(**params)
+
+
+@st.composite
+def degenerate_pairs(draw):
+    a = draw(random_boxes() | snapped_boxes())
+    kind = draw(st.sampled_from((
+        "identical", "quarter_turn_same_footprint", "quarter_turn", "half_turn",
+        "shared_edge", "half_overlap_collinear", "touching_corner", "contained",
+        "far_apart", "nearly_parallel",
+    )))
+    if kind == "identical":
+        b = a
+    elif kind == "quarter_turn_same_footprint":
+        b = _moved(a, theta=a.theta + math.pi / 2.0, l=a.w, w=a.l)
+    elif kind == "quarter_turn":
+        b = _moved(a, theta=a.theta + math.pi / 2.0)
+    elif kind == "half_turn":
+        b = _moved(a, theta=a.theta + math.pi)
+    elif kind == "shared_edge":
+        b = _moved(a, forward=a.l, w=draw(st.sampled_from((a.w, a.w / 2.0, 2.0 * a.w))))
+    elif kind == "half_overlap_collinear":
+        b = _moved(a, forward=a.l / 2.0)
+    elif kind == "touching_corner":
+        b = _moved(a, forward=a.l, left=a.w)
+    elif kind == "contained":
+        scale = draw(st.floats(0.1, 1.0))
+        b = _moved(a, forward=draw(st.floats(-0.4, 0.4)) * a.l * (1.0 - scale),
+                   l=a.l * scale, w=a.w * scale)
+    elif kind == "far_apart":
+        b = _moved(a, forward=draw(st.floats(20.0, 1000.0)),
+                   left=draw(st.floats(-1000.0, 1000.0)))
+    else:
+        b = _moved(a, forward=draw(st.floats(-1.0, 1.0)),
+                   theta=a.theta + draw(st.floats(1e-12, 1e-6)))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def _assert_matches_oracle(a: Box3D, b: Box3D) -> None:
+    assert abs(giou_3d(a, b) - giou_3d_clip(a, b)) <= ORACLE_TOL
+    assert abs(bev_intersection_area(a, b) - bev_intersection_area_clip(a, b)) <= ORACLE_TOL
+
+
+class TestKernelAgainstClipOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(random_boxes(), random_boxes())
+    def test_random_boxes(self, a, b):
+        _assert_matches_oracle(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(snapped_boxes(), snapped_boxes())
+    def test_snapped_boxes(self, a, b):
+        _assert_matches_oracle(a, b)
+
+    @settings(max_examples=500, deadline=None)
+    @given(degenerate_pairs())
+    def test_degenerate_pairs(self, pair):
+        _assert_matches_oracle(*pair)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(degenerate_pairs(), min_size=1, max_size=12))
+    def test_batch_equals_single_pairs(self, pairs):
+        # Each row of a batch is computed exactly as it would be alone.
+        values = giou_3d_pairs(box3d_array([a for a, _ in pairs]),
+                               box3d_array([b for _, b in pairs]))
+        assert values.tolist() == [giou_3d(a, b) for a, b in pairs]
+
+    def test_exact_cases(self):
+        a = Box3D(0.0, 0.0, 0.0, 0.0, 4.0, 2.0, 1.0)
+        assert bev_intersection_area(a, _moved(a, forward=4.0)) == 0.0  # shared edge
+        assert bev_intersection_area(a, _moved(a, forward=2.0)) == pytest.approx(4.0, abs=1e-12)
+        inner = _moved(a, l=1.0, w=1.0)
+        assert bev_intersection_area(a, inner) == pytest.approx(1.0, abs=1e-12)
+        assert bev_intersection_area(inner, a) == pytest.approx(1.0, abs=1e-12)
+
+    def test_empty_and_mismatched_batches(self):
+        assert giou_3d_pairs(np.zeros((0, 7)), np.zeros((0, 7))).shape == (0,)
+        with pytest.raises(ValueError):
+            giou_3d_pairs(np.zeros((2, 7)), np.zeros((3, 7)))
+        with pytest.raises(ValueError):
+            giou_3d_pairs(np.zeros(14), np.zeros(14))
+
+
+class TestGiouEnclosure:
+    """The enclosure is the axis-aligned BEV box, not the convex hull; changing
+    that changes every 3D matching score and the recorded benchmark outputs."""
+
+    def test_identical_rotated_box_scores_below_one(self):
+        theta = 0.3
+        box = Box3D(0.0, 0.0, 0.0, theta, 4.0, 2.0, 1.5)
+        c, s = math.cos(theta), math.sin(theta)
+        aabb_area = (4.0 * c + 2.0 * s) * (4.0 * s + 2.0 * c)
+        assert giou_3d(box, box) == pytest.approx(8.0 / aabb_area, abs=1e-12)
+        assert giou_3d(box, box) == pytest.approx(0.586, abs=5e-4)
+
+    def test_identical_box_at_quarter_turns_scores_one(self):
+        for theta in (0.0, math.pi / 2.0, math.pi, -math.pi / 2.0):
+            box = Box3D(1.0, 2.0, 0.5, theta, 4.0, 2.0, 1.5)
+            assert giou_3d(box, box) == pytest.approx(1.0, abs=1e-12)

@@ -13,34 +13,21 @@ from .association import (
     Mode,
     MotionStrategy,
     TrackerConfig,
-    Tracklet,
     TrackPool,
-    TrackStatus,
     predict_tracks,
-    split_detections,
     step,
 )
 from .geometry import (
     Box2D,
     Box3D,
     Metric,
-    SimilarityMatrix,
     bev_intersection_area,
     giou_3d,
     iou_2d,
     similarity_matrix,
 )
 from .metrics import AmotaReport, ClearReport, amota, clear_mot, idf1, smota_r
-from .motion import (
-    KalmanState,
-    MissingVelocityError,
-    NoiseConfig,
-    backward_predict,
-    kf_init,
-    kf_predict,
-    kf_update,
-    state_to_box,
-)
+from .motion import NoiseConfig
 from .simulate import (
     ScenarioSpec,
     baseline_single_association,
@@ -65,23 +52,17 @@ __all__ = [
     "ClearReport",
     "Detection",
     "FrameResult",
-    "KalmanState",
     "Metric",
-    "MissingVelocityError",
     "Mode",
     "MotionStrategy",
     "NoiseConfig",
     "ScenarioSpec",
-    "SimilarityMatrix",
     "TrackOutput",
     "TrackPool",
     "TrackRecord",
-    "TrackStatus",
     "Tracker",
     "TrackerConfig",
-    "Tracklet",
     "amota",
-    "backward_predict",
     "baseline_single_association",
     "bev_intersection_area",
     "clear_mot",
@@ -90,16 +71,11 @@ __all__ = [
     "giou_3d",
     "idf1",
     "iou_2d",
-    "kf_init",
-    "kf_predict",
-    "kf_update",
     "predict_tracks",
     "run_sequence",
     "similarity_matrix",
     "smota_r",
     "solve_assignment",
-    "split_detections",
-    "state_to_box",
     "step",
     "validate_config",
 ]

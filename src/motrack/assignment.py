@@ -7,8 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import SimilarityMatrix
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -28,9 +26,7 @@ def _empty_assignment(n_rows: int, n_cols: int) -> Assignment:
     return Assignment((), tuple(range(n_rows)), tuple(range(n_cols)))
 
 
-def solve_assignment(
-    sim: SimilarityMatrix | np.ndarray, gate: float | np.ndarray
-) -> Assignment:
+def solve_assignment(sim: np.ndarray, gate: float | np.ndarray) -> Assignment:
     """Maximize total similarity over matchings whose pairs all reach the gate.
 
     Args:
@@ -43,7 +39,7 @@ def solve_assignment(
         zero, so only pairs that raise the total are matched; ties resolve
         deterministically for fixed inputs. An empty matrix matches nothing.
     """
-    values = sim.values if isinstance(sim, SimilarityMatrix) else np.asarray(sim, float)
+    values = np.asarray(sim, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"similarity matrix must be 2-D, got shape {values.shape}")
     n_rows, n_cols = values.shape

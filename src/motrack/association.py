@@ -6,6 +6,10 @@ matched second against whatever is left, recovering occluded objects while
 unmatched low boxes are discarded as background. Tracks unmatched by both
 passes turn Lost and are dropped once they exceed the rebirth buffer; leftover
 high-score boxes start new tracks.
+
+Tracks live in one struct-of-arrays pool, one row per track. Each frame turns
+its detections into parameter rows once, runs every stage on arrays, and
+builds boxes only for the tracks it outputs.
 """
 
 from __future__ import annotations
@@ -20,15 +24,17 @@ import numpy as np
 
 from . import motion
 from .assignment import solve_assignment
-from .geometry import Box, Box2D, Box3D, Metric, box3d_array, giou_3d_pairs, similarity_matrix
-from .motion import (
-    KalmanState,
-    MissingVelocityError,
-    NoiseConfig,
-    backward_predict,
-    kf_init,
-    state_to_box,
+from .geometry import (
+    Box,
+    Box2D,
+    Box3D,
+    Metric,
+    box2d_array,
+    box3d_array,
+    giou_3d_pairs,
+    iou_matrix_2d,
 )
+from .motion import NoiseConfig
 
 # Fallback key in per-class gate maps.
 DEFAULT_GATE_KEY = -1
@@ -43,11 +49,6 @@ class MotionStrategy(enum.Enum):
     KALMAN = "kf"
     DETECTED_VELOCITY = "dv"
     COMPLEMENTARY = "complementary"
-
-
-class TrackStatus(enum.Enum):
-    ACTIVE = "active"
-    LOST = "lost"
 
 
 @dataclass(frozen=True)
@@ -129,50 +130,41 @@ def resolve_gate(gate: float | Mapping[int, float], class_id: int) -> float:
     return float(gate)
 
 
-@dataclass
-class Tracklet:
-    """One tracked identity and its bookkeeping."""
-
-    track_id: int
-    state: KalmanState
-    class_id: int
-    status: TrackStatus
-    last_matched_frame: int
-    frames_since_match: int = 0
-    last_score: float = 0.0
-
-    @classmethod
-    def spawn(cls, detection: Detection, track_id: int, frame: int,
-              noise: NoiseConfig) -> "Tracklet":
-        return cls(
-            track_id=track_id,
-            state=kf_init(detection.box, noise),
-            class_id=detection.class_id,
-            status=TrackStatus.ACTIVE,
-            last_matched_frame=frame,
-            last_score=detection.score,
-        )
-
-    @property
-    def box(self) -> Box:
-        return state_to_box(self.state)
+def _empty(*shape, dtype=float):
+    return field(default_factory=lambda: np.zeros(shape, dtype=dtype))
 
 
 @dataclass
 class TrackPool:
-    """Mutable per-sequence track store; ids are never reused."""
+    """Mutable per-sequence track store: row k of every array is one track.
 
-    tracklets: list[Tracklet] = field(default_factory=list)
+    Rows stay in id order and ids are never reused. means (K, D) and covs
+    (K, D, D) hold the Kalman states; active marks the tracks matched or
+    started in the last frame, the others are lost and wait out the rebirth
+    buffer. A fresh pool has zero rows and takes its state size from the first
+    frame.
+    """
+
+    means: np.ndarray = _empty(0, 0)
+    covs: np.ndarray = _empty(0, 0, 0)
+    ids: np.ndarray = _empty(0, dtype=np.int64)
+    class_ids: np.ndarray = _empty(0, dtype=np.int64)
+    active: np.ndarray = _empty(0, dtype=bool)
+    frames_since_match: np.ndarray = _empty(0, dtype=np.int64)
+    last_score: np.ndarray = _empty(0)
     next_id: int = 1
     last_frame: int = 0
 
 
 @dataclass(frozen=True)
-class TrackView:
+class TrackRecord:
+    """One confirmed box: frame, identity, geometry, confidence, class."""
+
+    frame: int
     track_id: int
     box: Box
     score: float
-    class_id: int
+    class_id: int = 0
 
 
 @dataclass(frozen=True)
@@ -192,101 +184,47 @@ class FrameResult:
     """Confirmed boxes and identities emitted for one frame."""
 
     frame: int
-    tracks: tuple[TrackView, ...]
+    tracks: tuple[TrackRecord, ...]
     diagnostics: FrameDiagnostics
 
 
-def split_detections(
-    detections: Sequence[Detection], tau: float
-) -> tuple[list[Detection], list[Detection]]:
-    """Partition detections into high (score > tau) and low lists, order kept."""
-    high = [d for d in detections if d.score > tau]
-    low = [d for d in detections if d.score <= tau]
-    return high, low
-
-
-@dataclass(frozen=True)
-class TrackPrediction:
-    """Motion-prediction output for one frame.
-
-    states are the advanced Kalman states (one per track, applied by the
-    caller). match_boxes is the box each track exposes to similarity scoring;
-    wants_backward marks tracks scored against backward-shifted detections
-    instead of raw ones. means/covs alias the states in batch layout so the
-    update step can slice matched rows without restacking.
-    """
-
-    states: tuple[KalmanState, ...]
-    match_boxes: tuple[Box, ...]
-    wants_backward: tuple[bool, ...]
-    means: np.ndarray | None = None
-    covs: np.ndarray | None = None
-
-
 def predict_tracks(
-    tracklets: Sequence[Tracklet],
-    config: TrackerConfig,
-    detections: Sequence[Detection],
-) -> tuple[TrackPrediction, list[Box]]:
-    """Advance track states and pick the boxes both sides expose to matching.
+    pool: TrackPool, config: TrackerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Advance the pool's states and pick the box each track exposes to matching.
 
-    Kalman-only scores raw detections against forward-predicted boxes.
-    Detected-velocity-only holds tracks at their last box (random-walk
-    covariance growth) and scores backward-shifted detections against them.
-    The complementary strategy shifts detections backward for active tracks
-    and forward-predicts lost tracks for rebirth. Detections without a
-    velocity fall back to their raw box.
+    Returns the advanced means and covariances, the match boxes as parameter
+    rows, and a mask of the tracks scored against backward-shifted detections
+    instead of raw ones. Kalman-only scores raw detections against
+    forward-predicted boxes. Detected-velocity-only holds tracks at their last
+    box (random-walk covariance growth) and scores backward-shifted detections
+    against them. The complementary strategy shifts detections backward for
+    active tracks and forward-predicts lost tracks for rebirth.
     """
     noise = config.effective_noise()
     strategy = config.motion_strategy
     is_3d = config.mode is Mode.BOX_3D
-
-    if tracklets:
-        means = np.stack([t.state.mean for t in tracklets])
-        covs = np.stack([t.state.covariance for t in tracklets])
-        if strategy is MotionStrategy.DETECTED_VELOCITY:
-            means, covs = motion.inflate_arrays(means, covs, noise, is_3d)
-        else:
-            means, covs = motion.predict_arrays(means, covs, noise, is_3d)
-        states = tuple(motion.states_from_arrays(means, covs))
-    else:
-        means = covs = None
-        states = ()
+    means, covs = pool.means, pool.covs
+    if not len(means):
+        dim = motion.STATE_DIM_3D if is_3d else motion.STATE_DIM_2D
+        means, covs = np.zeros((0, dim)), np.zeros((0, dim, dim))
 
     if strategy is MotionStrategy.DETECTED_VELOCITY:
-        match_boxes = tuple(t.box for t in tracklets)
-        wants_backward = tuple(True for _ in tracklets)
-    elif strategy is MotionStrategy.COMPLEMENTARY:
-        match_boxes = tuple(
-            t.box if t.status is TrackStatus.ACTIVE else state_to_box(states[j])
-            for j, t in enumerate(tracklets)
-        )
-        wants_backward = tuple(t.status is TrackStatus.ACTIVE for t in tracklets)
+        wants_backward = np.ones(len(means), dtype=bool)
+        new_means, new_covs = motion.inflate_arrays(means, covs, noise, is_3d)
     else:
-        match_boxes = tuple(state_to_box(s) for s in states)
-        wants_backward = tuple(False for _ in tracklets)
-
-    if any(wants_backward):
-        backward_boxes: list[Box] = []
-        for det in detections:
-            try:
-                backward_boxes.append(backward_predict(det.box, det.velocity))
-            except MissingVelocityError:
-                backward_boxes.append(det.box)
-    else:
-        backward_boxes = [det.box for det in detections]
-
-    return (
-        TrackPrediction(states, match_boxes, wants_backward, means, covs),
-        backward_boxes,
-    )
+        wants_backward = (pool.active.copy() if strategy is MotionStrategy.COMPLEMENTARY
+                          else np.zeros(len(means), dtype=bool))
+        new_means, new_covs = motion.predict_arrays(means, covs, noise, is_3d)
+    match_means = np.where(wants_backward[:, None], means, new_means)
+    return new_means, new_covs, motion.box_rows(match_means, is_3d), wants_backward
 
 
-def _row_gates(detections: Sequence[Detection], gate: float | Mapping[int, float]) -> np.ndarray:
+def _row_gates(class_ids: np.ndarray, gate: float | Mapping[int, float]) -> np.ndarray:
     """Admission threshold of each detection row, resolved by its class."""
     if isinstance(gate, Mapping):
-        return np.array([resolve_gate(gate, d.class_id) for d in detections])
-    return np.full(len(detections), float(gate))
+        return np.array([resolve_gate(gate, c) for c in class_ids.tolist()])
+    return np.full(len(class_ids), float(gate))
 
 
 def step(
@@ -297,16 +235,17 @@ def step(
 ) -> FrameResult:
     """Run one frame of the two-stage association over the track pool.
 
-    The pool is mutated in place: states advance exactly once, matched tracks
-    are updated and set active, leftover tracks turn lost (and are removed past
-    the buffer), and unmatched high-score detections spawn new tracks. Returns
-    the active tracks for the frame.
+    The pool advances exactly once per frame: matched tracks are updated and
+    set active, leftover tracks turn lost (and are removed past the buffer),
+    and unmatched high-score detections spawn new tracks. Returns the active
+    tracks for the frame.
     """
     if frame <= pool.last_frame:
         raise ValueError(
             f"frame index must increase, got {frame} after {pool.last_frame}"
         )
-    box_type = Box2D if config.mode is Mode.BOX_2D else Box3D
+    is_3d = config.mode is Mode.BOX_3D
+    box_type = Box3D if is_3d else Box2D
     for det in detections:
         if not isinstance(det.box, box_type):
             raise ValueError(
@@ -314,123 +253,104 @@ def step(
             )
 
     noise = config.effective_noise()
-    high_idx = [i for i, d in enumerate(detections) if d.score > config.tau]
-    low_idx = [i for i, d in enumerate(detections) if d.score <= config.tau]
+    boxes = [det.box for det in detections]
+    raw = box3d_array(boxes) if is_3d else box2d_array(boxes)
+    scores = np.array([det.score for det in detections], dtype=float)
+    det_classes = np.array([det.class_id for det in detections], dtype=np.int64)
+    high_idx = np.nonzero(scores > config.tau)[0]
+    low_idx = np.nonzero(scores <= config.tau)[0]
 
-    prediction, backward_boxes = predict_tracks(pool.tracklets, config, detections)
-    for tracklet, state in zip(pool.tracklets, prediction.states):
-        tracklet.state = state
-    raw_boxes = [det.box for det in detections]
-    det_classes = np.array([d.class_id for d in detections], dtype=np.intp)
-    trk_classes = np.array([t.class_id for t in pool.tracklets], dtype=np.intp)
-    if config.metric is Metric.GIOU_3D:
-        # Box parameters of both sides, built once and shared by both passes.
-        raw_params = box3d_array(raw_boxes)
-        trk_params = box3d_array(prediction.match_boxes)
-        wants_backward = np.array(prediction.wants_backward, dtype=bool)
-        back_params = (box3d_array(backward_boxes) if wants_backward.any()
-                       else raw_params)
+    means, covs, match_rows, wants_backward = predict_tracks(pool, config)
+    back = raw
+    if wants_backward.any():
+        # Shift detections back one frame by their detected planar velocity;
+        # those without one keep their raw box.
+        velocities = np.array([det.velocity or (0.0, 0.0) for det in detections])
+        back = raw.copy()
+        back[:, :2] -= velocities.reshape(-1, 2)
 
-    def same_class_giou(rows: np.ndarray, cols: np.ndarray, same_class: np.ndarray) -> np.ndarray:
-        # Score each same-class pair once, against backward-shifted
-        # detections for the columns that want them and raw ones otherwise;
-        # cross-class entries are gated out and keep a placeholder 0.
-        r, c = np.nonzero(same_class)
-        det, trk = rows[r], cols[c]
-        source = np.where(wants_backward[trk][:, None], back_params[det], raw_params[det])
-        values = np.zeros(same_class.shape)
-        values[r, c] = giou_3d_pairs(source, trk_params[trk])
-        return values
-
-    def run_pass(det_indices, col_indices, gate):
-        rows = np.array(det_indices, dtype=np.intp)
-        cols = np.array(col_indices, dtype=np.intp)
-        dets = [detections[i] for i in det_indices]
-        same_class = det_classes[rows][:, None] == trk_classes[cols][None, :]
-        gates = np.where(same_class, _row_gates(dets, gate)[:, None], np.inf)
-        if config.metric is Metric.GIOU_3D:
-            # GIoU gates may be negative; shift so every admissible pair is
-            # worth matching over leaving both sides unmatched.
-            values = same_class_giou(rows, cols, same_class)
+    def run_pass(rows, cols, gate):
+        same_class = det_classes[rows][:, None] == pool.class_ids[cols][None, :]
+        gates = np.where(same_class, _row_gates(det_classes[rows], gate)[:, None], np.inf)
+        if is_3d:
+            # Score each same-class pair once, against backward-shifted
+            # detections for the columns that want them and raw ones
+            # otherwise; cross-class entries are gated out and keep a
+            # placeholder 0. GIoU gates may be negative, so both are shifted
+            # until every admissible pair is worth matching over leaving both
+            # sides unmatched.
+            r, c = np.nonzero(same_class)
+            det, trk = rows[r], cols[c]
+            source = np.where(wants_backward[trk][:, None], back[det], raw[det])
+            values = np.zeros(same_class.shape)
+            values[r, c] = giou_3d_pairs(source, match_rows[trk])
             assign = solve_assignment(values + 1.0, gates + 1.0)
         else:
-            values = similarity_matrix(
-                [raw_boxes[i] for i in det_indices],
-                [prediction.match_boxes[j] for j in col_indices],
-                config.metric,
-            ).values
-            assign = solve_assignment(values, gates)
-        matched = []
-        if assign.matches:
-            # Matched tracks still hold rows of the prediction batch, so the
-            # update can slice them out instead of restacking.
-            sel = cols[[c for _, c in assign.matches]]
-            boxes = [dets[r].box for r, _ in assign.matches]
-            scores = [dets[r].score for r, _ in assign.matches]
-            new_means, new_covs = motion.update_arrays(
-                prediction.means[sel], prediction.covs[sel], boxes, scores, noise,
-                config.mode is Mode.BOX_3D,
+            assign = solve_assignment(iou_matrix_2d(raw[rows], match_rows[cols]), gates)
+        pairs = np.array(assign.matches, dtype=np.intp).reshape(-1, 2)
+        det, trk = rows[pairs[:, 0]], cols[pairs[:, 1]]
+        if len(pairs):
+            zs = motion._measurement_stack(raw[det], is_3d)
+            means[trk], covs[trk] = motion.update_arrays(
+                means[trk], covs[trk], zs, scores[det], noise, is_3d
             )
-            new_states = motion.states_from_arrays(new_means, new_covs)
-            for (r, c), state in zip(assign.matches, new_states):
-                det = dets[r]
-                tracklet = pool.tracklets[col_indices[c]]
-                tracklet.state = state
-                tracklet.status = TrackStatus.ACTIVE
-                tracklet.frames_since_match = 0
-                tracklet.last_matched_frame = frame
-                tracklet.last_score = det.score
-                matched.append((det_indices[r], tracklet.track_id))
-        rem_dets = [det_indices[r] for r in assign.unmatched_detections]
-        rem_cols = [col_indices[c] for c in assign.unmatched_tracklets]
-        return matched, rem_dets, rem_cols
+        rows_left = rows[list(assign.unmatched_detections)]
+        cols_left = cols[list(assign.unmatched_tracklets)]
+        return det, trk, rows_left, cols_left
 
-    all_cols = list(range(len(pool.tracklets)))
-    first_matches, high_remaining, cols_remaining = run_pass(
-        high_idx, all_cols, config.gate_first
+    first_det, first_trk, high_left, cols_left = run_pass(
+        high_idx, np.arange(len(means)), config.gate_first
     )
-
     if config.second_pass:
-        second_matches, low_remaining, cols_remaining = run_pass(
-            low_idx, cols_remaining, config.gate_second
+        second_det, second_trk, low_left, cols_left = run_pass(
+            low_idx, cols_left, config.gate_second
         )
     else:
-        second_matches, low_remaining = [], list(low_idx)
+        second_det = second_trk = np.zeros(0, dtype=np.intp)
+        low_left = low_idx
 
-    lost_ids = []
-    removed_ids = []
-    surviving = []
-    remaining_set = set(cols_remaining)
-    for j, tracklet in enumerate(pool.tracklets):
-        if j in remaining_set:
-            tracklet.status = TrackStatus.LOST
-            tracklet.frames_since_match += 1
-            if tracklet.frames_since_match > config.track_buffer:
-                removed_ids.append(tracklet.track_id)
-                continue
-            lost_ids.append(tracklet.track_id)
-        surviving.append(tracklet)
-    pool.tracklets = surviving
+    lost = np.zeros(len(means), dtype=bool)
+    lost[cols_left] = True
+    since_match = np.where(lost, pool.frames_since_match + 1, 0)
+    removed = since_match > config.track_buffer
+    keep = ~removed
+    last_score = pool.last_score.copy()
+    last_score[first_trk] = scores[first_det]
+    last_score[second_trk] = scores[second_det]
 
-    new_tracks = []
-    for i in high_remaining:
-        tracklet = Tracklet.spawn(detections[i], pool.next_id, frame, noise)
-        pool.next_id += 1
-        pool.tracklets.append(tracklet)
-        new_tracks.append((i, tracklet.track_id))
-
-    pool.last_frame = frame
-    views = tuple(
-        TrackView(t.track_id, t.box, t.last_score, t.class_id)
-        for t in pool.tracklets
-        if t.status is TrackStatus.ACTIVE
+    spawn_means, spawn_covs = motion.init_arrays(
+        motion._measurement_stack(raw[high_left], is_3d), noise, is_3d
     )
+    spawn_ids = np.arange(pool.next_id, pool.next_id + len(high_left))
     diagnostics = FrameDiagnostics(
-        first_matches=tuple(first_matches),
-        second_matches=tuple(second_matches),
-        new_tracks=tuple(new_tracks),
-        discarded_low=tuple(low_remaining),
-        lost_track_ids=tuple(lost_ids),
-        removed_track_ids=tuple(removed_ids),
+        first_matches=tuple(zip(first_det.tolist(), pool.ids[first_trk].tolist())),
+        second_matches=tuple(zip(second_det.tolist(), pool.ids[second_trk].tolist())),
+        new_tracks=tuple(zip(high_left.tolist(), spawn_ids.tolist())),
+        discarded_low=tuple(low_left.tolist()),
+        lost_track_ids=tuple(pool.ids[lost & keep].tolist()),
+        removed_track_ids=tuple(pool.ids[removed].tolist()),
     )
-    return FrameResult(frame=frame, tracks=views, diagnostics=diagnostics)
+
+    pool.means = np.concatenate((means[keep], spawn_means))
+    pool.covs = np.concatenate((covs[keep], spawn_covs))
+    pool.ids = np.concatenate((pool.ids[keep], spawn_ids))
+    pool.class_ids = np.concatenate((pool.class_ids[keep], det_classes[high_left]))
+    pool.active = np.concatenate((~lost[keep], np.ones(len(high_left), dtype=bool)))
+    pool.frames_since_match = np.concatenate(
+        (since_match[keep], np.zeros(len(high_left), dtype=np.int64))
+    )
+    pool.last_score = np.concatenate((last_score[keep], scores[high_left]))
+    pool.next_id += len(high_left)
+    pool.last_frame = frame
+
+    out = np.nonzero(pool.active)[0]
+    tracks = tuple(
+        TrackRecord(frame, track_id, box_type(*row), score, class_id)
+        for track_id, row, score, class_id in zip(
+            pool.ids[out].tolist(),
+            motion.box_rows(pool.means[out], is_3d).tolist(),
+            pool.last_score[out].tolist(),
+            pool.class_ids[out].tolist(),
+        )
+    )
+    return FrameResult(frame=frame, tracks=tracks, diagnostics=diagnostics)

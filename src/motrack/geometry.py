@@ -3,8 +3,10 @@
 2D boxes are axis-aligned image rectangles (pixels); 3D boxes are yaw-rotated
 cuboids in world coordinates (meters / radians). Overlap of rotated 3D boxes is
 computed in bird's-eye view (BEV): footprint intersection via convex polygon
-clipping, times the vertical interval overlap. All 3D scoring goes through one
-array kernel, giou_3d_pairs, over flat arrays of box pairs.
+clipping, times the vertical interval overlap. Scoring runs on parameter rows
+(box2d_array, box3d_array): all 2D scoring goes through iou_matrix_2d and all
+3D scoring through one array kernel, giou_3d_pairs, over flat arrays of box
+pairs.
 """
 
 from __future__ import annotations
@@ -135,41 +137,6 @@ class Box3D:
 Box = Union[Box2D, Box3D]
 
 
-def _unchecked_box2d(x1: float, y1: float, x2: float, y2: float) -> Box2D:
-    # Constructor bypass for coordinates produced by the filter math, which
-    # are finite and ordered by construction (hot path).
-    box = object.__new__(Box2D)
-    object.__setattr__(box, "x1", x1)
-    object.__setattr__(box, "y1", y1)
-    object.__setattr__(box, "x2", x2)
-    object.__setattr__(box, "y2", y2)
-    return box
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Pairwise similarity scores between detections (rows) and tracklets (columns)."""
-
-    values: np.ndarray
-    row_ids: tuple[int, ...]
-    col_ids: tuple[int, ...]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError(f"similarity values must be 2-D, got shape {values.shape}")
-        if values.shape != (len(self.row_ids), len(self.col_ids)):
-            raise ValueError(
-                f"shape {values.shape} does not match id lists "
-                f"({len(self.row_ids)} x {len(self.col_ids)})"
-            )
-        object.__setattr__(self, "values", values)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
 def iou_2d(a: Box2D, b: Box2D) -> float:
     """Intersection over union of two 2D boxes; 0 for disjoint or zero-area unions."""
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)
@@ -181,6 +148,11 @@ def iou_2d(a: Box2D, b: Box2D) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def box2d_array(boxes: Sequence[Box2D]) -> np.ndarray:
+    """Box corners as one (K, 4) array of (x1, y1, x2, y2) rows."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def box3d_array(boxes: Sequence[Box3D]) -> np.ndarray:
@@ -339,14 +311,15 @@ def giou_3d(a: Box3D, b: Box3D) -> float:
     return float(giou_3d_pairs(box3d_array((a,)), box3d_array((b,)))[0])
 
 
-def _iou_matrix_2d(rows: Sequence[Box2D], cols: Sequence[Box2D]) -> np.ndarray:
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)))
-    a = np.array([(box.x1, box.y1, box.x2, box.y2) for box in rows])
-    b = np.array([(box.x1, box.y1, box.x2, box.y2) for box in cols])
+def iou_matrix_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every (M, 4) corner row against every (N, 4) row; returns (M, N).
+
+    Row layout is that of box2d_array. Disjoint pairs and zero-area unions
+    score 0.
+    """
     iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
     ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter
@@ -363,33 +336,18 @@ def _check_dimensionality(boxes: Sequence[Box], metric: Metric, kind: str) -> No
 
 
 def similarity_matrix(
-    detections: Sequence[Box],
-    tracklets: Sequence[Box],
-    metric: Metric,
-    row_ids: Sequence[int] | None = None,
-    col_ids: Sequence[int] | None = None,
-) -> SimilarityMatrix:
-    """Score every detection box against every tracklet box.
+    detections: Sequence[Box], tracklets: Sequence[Box], metric: Metric
+) -> np.ndarray:
+    """Score every detection box (rows) against every tracklet box (columns).
 
-    Args:
-        detections: boxes forming the matrix rows.
-        tracklets: boxes forming the matrix columns.
-        metric: which geometric similarity to apply; its dimensionality must
-            match the boxes or a ValueError is raised.
-        row_ids / col_ids: optional external indices; default to positions.
-
-    Returns:
-        An M x N SimilarityMatrix (possibly empty when either side is empty).
+    The metric's dimensionality must match the boxes or a ValueError is
+    raised. Returns an (M, N) array, empty when either side is empty.
     """
     _check_dimensionality(detections, metric, "detection")
     _check_dimensionality(tracklets, metric, "tracklet")
     if metric is Metric.IOU_2D:
-        values = _iou_matrix_2d(detections, tracklets)
-    else:
-        rows, cols = box3d_array(detections), box3d_array(tracklets)
-        values = giou_3d_pairs(
-            np.repeat(rows, len(cols), axis=0), np.tile(cols, (len(rows), 1))
-        ).reshape(len(rows), len(cols))
-    rows = tuple(row_ids) if row_ids is not None else tuple(range(len(detections)))
-    cols = tuple(col_ids) if col_ids is not None else tuple(range(len(tracklets)))
-    return SimilarityMatrix(values, rows, cols)
+        return iou_matrix_2d(box2d_array(detections), box2d_array(tracklets))
+    rows, cols = box3d_array(detections), box3d_array(tracklets)
+    return giou_3d_pairs(
+        np.repeat(rows, len(cols), axis=0), np.tile(cols, (len(rows), 1))
+    ).reshape(len(rows), len(cols))

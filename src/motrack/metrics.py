@@ -81,10 +81,8 @@ def _frame_similarity(
 ) -> tuple[np.ndarray, float]:
     """Similarity values plus the admission gate for one frame's matching."""
     if mode is Mode.BOX_2D:
-        values = similarity_matrix(
-            [r.box for r in gt_recs], [r.box for r in pr_recs], Metric.IOU_2D
-        ).values
-        return values, threshold
+        boxes_gt, boxes_pr = [r.box for r in gt_recs], [r.box for r in pr_recs]
+        return similarity_matrix(boxes_gt, boxes_pr, Metric.IOU_2D), threshold
     g = np.array([(r.box.x, r.box.y) for r in gt_recs]).reshape(len(gt_recs), 2)
     p = np.array([(r.box.x, r.box.y) for r in pr_recs]).reshape(len(pr_recs), 2)
     dist = np.linalg.norm(g[:, None, :] - p[None, :, :], axis=2)

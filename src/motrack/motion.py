@@ -7,20 +7,19 @@ center velocities) with fixed metric noise scales. Measurement uncertainty can
 be scaled by detection confidence: R_hat = alpha * (1 - score)^2 * R, floored
 elementwise to keep the innovation covariance invertible at score 1.
 
-The filter math lives in batched kernels (one association step updates every
-matched track at once); the single-state operations are thin wrappers over
-batches of one.
+Every operation works on a batch of K tracks, one row each: means (K, D) and
+covariances (K, D, D), so one association step predicts, updates or starts
+every track it touches at once. Boxes enter as measurement rows
+(_measurement_stack) and leave as box parameter rows (box_rows), in the
+layouts of geometry.box2d_array and geometry.box3d_array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from .geometry import Box2D, Box3D, _unchecked_box2d
 
 STATE_DIM_2D = 8
 OBS_DIM_2D = 4
@@ -35,10 +34,6 @@ _ASPECT_VEL_INIT_STD = 1e-5
 _ASPECT_VEL_Q_STD = 1e-5
 
 _THETA_INDEX = 3  # yaw position in the 3D state and measurement vectors
-
-
-class MissingVelocityError(ValueError):
-    """Backward prediction was requested for a detection without a velocity."""
 
 
 def _transition_2d() -> np.ndarray:
@@ -88,81 +83,33 @@ class NoiseConfig:
             raise ValueError("NoiseConfig.alpha must be non-negative")
 
 
-@dataclass(frozen=True, eq=False)
-class KalmanState:
-    """Gaussian track state: mean vector plus symmetric PSD covariance.
+def _measurement_stack(rows: np.ndarray, is_3d: bool) -> np.ndarray:
+    """Measurement rows (K, obs_dim) of box parameter rows.
 
-    Treated as a value object; predict/update return new states.
+    3D rows are measured as they are. 2D corner rows become (center x,
+    center y, w/h, h) and must have positive area.
     """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        if mean.shape not in ((STATE_DIM_2D,), (STATE_DIM_3D,)):
-            raise ValueError(f"unsupported state dimension {mean.shape}")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"covariance shape {cov.shape} does not match state")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-
-    @property
-    def is_3d(self) -> bool:
-        return self.mean.size == STATE_DIM_3D
-
-
-def _measurement_2d(box: Box2D) -> np.ndarray:
-    if box.width <= 0 or box.height <= 0:
-        raise ValueError("2D Kalman measurements require a positive-area box")
-    cx, cy = box.center
-    return np.array([cx, cy, box.width / box.height, box.height])
-
-
-def _measurement_3d(box: Box3D) -> np.ndarray:
-    return np.array([box.x, box.y, box.z, box.theta, box.l, box.w, box.h])
-
-
-def _measurement_stack(measurements, is_3d: bool) -> np.ndarray:
-    """Measurement vectors as one (K, obs_dim) array."""
     if is_3d:
-        try:
-            return np.array(
-                [(b.x, b.y, b.z, b.theta, b.l, b.w, b.h) for b in measurements]
-            )
-        except AttributeError:
-            raise ValueError("measurement dimensionality does not match the states") from None
-    try:
-        corners = np.array([(b.x1, b.y1, b.x2, b.y2) for b in measurements])
-    except AttributeError:
-        raise ValueError("measurement dimensionality does not match the states") from None
-    w = corners[:, 2] - corners[:, 0]
-    h = corners[:, 3] - corners[:, 1]
-    if np.any(w <= 0) or np.any(h <= 0):
+        return rows
+    size = rows[:, 2:] - rows[:, :2]
+    if np.any(size <= 0):
         raise ValueError("2D Kalman measurements require a positive-area box")
-    return np.column_stack(
-        [(corners[:, 0] + corners[:, 2]) / 2.0, (corners[:, 1] + corners[:, 3]) / 2.0,
-         w / h, h]
-    )
+    centers = (rows[:, :2] + rows[:, 2:]) / 2.0
+    return np.concatenate((centers, size[:, :1] / size[:, 1:], size[:, 1:]), axis=1)
 
 
-def state_to_box(state: KalmanState) -> Box2D | Box3D:
-    """Current box estimate of a state; degenerate sizes are clamped tiny."""
-    if state.is_3d:
-        x, y, z, theta, l, w, h = state.mean[:7].tolist()
-        return Box3D(x, y, z, theta,
-                     l if l > 1e-6 else 1e-6,
-                     w if w > 1e-6 else 1e-6,
-                     h if h > 1e-6 else 1e-6)
-    cx, cy, aspect, height = state.mean[:4].tolist()
-    if height < 1e-6:
-        height = 1e-6
-    width = aspect * height
-    if width < 1e-6:
-        width = 1e-6
-    return _unchecked_box2d(cx - width / 2.0, cy - height / 2.0,
-                            cx + width / 2.0, cy + height / 2.0)
+def box_rows(means: np.ndarray, is_3d: bool) -> np.ndarray:
+    """Box parameter rows of the states' estimates; degenerate sizes are clamped tiny."""
+    if is_3d:
+        rows = means[:, :7].copy()
+        size = rows[:, 4:]
+        rows[:, 4:] = np.where(size > 1e-6, size, 1e-6)
+        return rows
+    height = np.where(means[:, 3:4] < 1e-6, 1e-6, means[:, 3:4])
+    width = means[:, 2:3] * height
+    width = np.where(width < 1e-6, 1e-6, width)
+    half = np.concatenate((width, height), axis=1) / 2.0
+    return np.concatenate((means[:, :2] - half, means[:, :2] + half), axis=1)
 
 
 def _q_diags(means: np.ndarray, noise: NoiseConfig, is_3d: bool) -> np.ndarray:
@@ -194,7 +141,31 @@ def _r_diags(zs: np.ndarray, noise: NoiseConfig, is_3d: bool) -> np.ndarray:
     return stds**2
 
 
-def _predict_batch(means, covs, noise: NoiseConfig, is_3d: bool):
+def init_arrays(zs: np.ndarray, noise: NoiseConfig, is_3d: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Start one track per measurement row: observed block set, velocities zero."""
+    k = zs.shape[0]
+    if is_3d:
+        means = np.concatenate((zs, np.zeros((k, 3))), axis=1)
+        obs_stds = np.array([noise.pos_std] * 3 + [noise.yaw_std] + [noise.size_std] * 3)
+        stds = np.concatenate([2.0 * obs_stds, [10.0 * noise.vel_std] * 3])[None, :]
+    else:
+        means = np.concatenate((zs, np.zeros((k, 4))), axis=1)
+        p = 2.0 * noise.pos_weight
+        v = 10.0 * noise.vel_weight
+        stds = zs[:, 3:4] * np.array([p, p, 0.0, p, v, v, 0.0, v])
+        stds[:, 2] = _ASPECT_INIT_STD
+        stds[:, 6] = _ASPECT_VEL_INIT_STD
+    dim = means.shape[1]
+    idx = np.arange(dim)
+    covs = np.zeros((k, dim, dim))
+    covs[:, idx, idx] = stds**2
+    return means, covs
+
+
+def predict_arrays(
+    means: np.ndarray, covs: np.ndarray, noise: NoiseConfig, is_3d: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One constant-velocity step: positions advance by velocities, covariances grow."""
     f = _F_3D if is_3d else _F_2D
     new_means = means @ f.T
     new_covs = np.matmul(f, np.matmul(covs, f.T))
@@ -205,8 +176,38 @@ def _predict_batch(means, covs, noise: NoiseConfig, is_3d: bool):
     return new_means, new_covs
 
 
-def _update_batch(means, covs, zs, scores, noise: NoiseConfig, is_3d: bool):
+def inflate_arrays(
+    means: np.ndarray, covs: np.ndarray, noise: NoiseConfig, is_3d: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random-walk step used when no motion model applies: means copied, covariances grown."""
+    covs = covs.copy()
+    dim = means.shape[1]
+    idx = np.arange(dim)
+    covs[:, idx, idx] += _q_diags(means, noise, is_3d)
+    return means.copy(), covs
+
+
+def update_arrays(
+    means: np.ndarray,
+    covs: np.ndarray,
+    zs: np.ndarray,
+    scores: np.ndarray,
+    noise: NoiseConfig,
+    is_3d: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kalman measurement update of K states by K measurement rows.
+
+    When adaptive scaling is enabled the base measurement covariance R becomes
+    alpha * (1 - score)^2 * R, floored elementwise at min_noise_floor. The yaw
+    innovation (3D) is wrapped to (-pi, pi] before applying the gain; the
+    posterior covariance uses the Joseph form to stay PSD.
+    """
     obs = OBS_DIM_3D if is_3d else OBS_DIM_2D
+    if zs.shape != (means.shape[0], obs):
+        raise ValueError("measurement dimensionality does not match the states")
+    scores = np.asarray(scores, dtype=float)
+    if np.any(scores < 0.0) or np.any(scores > 1.0):
+        raise ValueError("scores must be in [0, 1]")
     dim = means.shape[1]
     k = means.shape[0]
 
@@ -240,148 +241,3 @@ def _update_batch(means, covs, zs, scores, noise: NoiseConfig, is_3d: bool):
     new_covs += np.matmul(gain * r[:, None, :], gain.transpose(0, 2, 1))
     new_covs = (new_covs + new_covs.transpose(0, 2, 1)) / 2.0
     return new_means, new_covs
-
-
-def _stack(states: Sequence[KalmanState]):
-    means = np.stack([s.mean for s in states])
-    covs = np.stack([s.covariance for s in states])
-    return means, covs
-
-
-def _new_state(mean: np.ndarray, cov: np.ndarray) -> KalmanState:
-    # Constructor bypass for batch outputs whose shapes are known-good.
-    state = object.__new__(KalmanState)
-    object.__setattr__(state, "mean", mean)
-    object.__setattr__(state, "covariance", cov)
-    return state
-
-
-def states_from_arrays(means: np.ndarray, covs: np.ndarray) -> list[KalmanState]:
-    """View batch-layout means/covariances as per-track states."""
-    return [_new_state(m, c) for m, c in zip(means, covs)]
-
-
-def kf_init(measurement: Box2D | Box3D, noise: NoiseConfig) -> KalmanState:
-    """Start a track from a detection: observed block set, velocities zero."""
-    if isinstance(measurement, Box3D):
-        z = _measurement_3d(measurement)
-        mean = np.concatenate([z, np.zeros(3)])
-        obs_stds = np.array([noise.pos_std] * 3 + [noise.yaw_std] + [noise.size_std] * 3)
-        stds = np.concatenate([2.0 * obs_stds, [10.0 * noise.vel_std] * 3])
-    else:
-        z = _measurement_2d(measurement)
-        mean = np.concatenate([z, np.zeros(4)])
-        p = 2.0 * noise.pos_weight * z[3]
-        v = 10.0 * noise.vel_weight * z[3]
-        stds = np.array([p, p, _ASPECT_INIT_STD, p, v, v, _ASPECT_VEL_INIT_STD, v])
-    return KalmanState(mean, np.diag(stds**2))
-
-
-def predict_arrays(
-    means: np.ndarray, covs: np.ndarray, noise: NoiseConfig, is_3d: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array-level constant-velocity predict; shapes (K, D) and (K, D, D)."""
-    return _predict_batch(means, covs, noise, is_3d)
-
-
-def inflate_arrays(
-    means: np.ndarray, covs: np.ndarray, noise: NoiseConfig, is_3d: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array-level random-walk step: means copied through, covariances grown."""
-    covs = covs.copy()
-    dim = means.shape[1]
-    idx = np.arange(dim)
-    covs[:, idx, idx] += _q_diags(means, noise, is_3d)
-    return means.copy(), covs
-
-
-def update_arrays(
-    means: np.ndarray,
-    covs: np.ndarray,
-    measurements: Sequence[Box2D | Box3D],
-    scores: Sequence[float],
-    noise: NoiseConfig,
-    is_3d: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array-level measurement update; see kf_update for the contract."""
-    zs = _measurement_stack(measurements, is_3d)
-    score_arr = np.asarray(scores, dtype=float)
-    if np.any(score_arr < 0.0) or np.any(score_arr > 1.0):
-        raise ValueError("scores must be in [0, 1]")
-    return _update_batch(means, covs, zs, score_arr, noise, is_3d)
-
-
-def predict_states(states: Sequence[KalmanState], noise: NoiseConfig) -> list[KalmanState]:
-    """Constant-velocity predict for a batch of same-dimension states."""
-    if not states:
-        return []
-    means, covs = _stack(states)
-    new_means, new_covs = _predict_batch(means, covs, noise, states[0].is_3d)
-    return states_from_arrays(new_means, new_covs)
-
-
-def inflate_states(states: Sequence[KalmanState], noise: NoiseConfig) -> list[KalmanState]:
-    """Random-walk step for motionless prediction: means held, covariances grow."""
-    if not states:
-        return []
-    means, covs = _stack(states)
-    new_means, new_covs = inflate_arrays(means, covs, noise, states[0].is_3d)
-    return states_from_arrays(new_means, new_covs)
-
-
-def update_states(
-    states: Sequence[KalmanState],
-    measurements: Sequence[Box2D | Box3D],
-    scores: Sequence[float],
-    noise: NoiseConfig,
-) -> list[KalmanState]:
-    """Batched measurement update; see kf_update for the single-state contract."""
-    if not states:
-        return []
-    means, covs = _stack(states)
-    new_means, new_covs = update_arrays(
-        means, covs, measurements, scores, noise, states[0].is_3d
-    )
-    return states_from_arrays(new_means, new_covs)
-
-
-def kf_predict(state: KalmanState, noise: NoiseConfig) -> KalmanState:
-    """One constant-velocity step: positions advance by velocities, covariance grows."""
-    return predict_states([state], noise)[0]
-
-
-def kf_inflate(state: KalmanState, noise: NoiseConfig) -> KalmanState:
-    """Random-walk step used when no motion model applies."""
-    return inflate_states([state], noise)[0]
-
-
-def kf_update(
-    state: KalmanState, measurement: Box2D | Box3D, score: float, noise: NoiseConfig
-) -> KalmanState:
-    """Kalman measurement update with confidence-scaled measurement noise.
-
-    When adaptive scaling is enabled the base measurement covariance R becomes
-    alpha * (1 - score)^2 * R, floored elementwise at min_noise_floor. The yaw
-    innovation (3D) is wrapped to (-pi, pi] before applying the gain; the
-    posterior covariance uses the Joseph form to stay PSD.
-    """
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score must be in [0, 1], got {score}")
-    if state.is_3d != isinstance(measurement, Box3D):
-        raise ValueError("measurement dimensionality does not match the state")
-    return update_states([state], [measurement], [score], noise)[0]
-
-
-def backward_predict(box: Box3D, velocity: tuple[float, float] | None) -> Box3D:
-    """Shift a detection back one frame using its detected planar velocity.
-
-    Only the x/y center moves; z, yaw, and dimensions are kept. Raises
-    MissingVelocityError when no velocity is available so callers can fall
-    back to the raw box.
-    """
-    if velocity is None:
-        raise MissingVelocityError("detection carries no planar velocity")
-    vx, vy = velocity
-    if not (math.isfinite(vx) and math.isfinite(vy)):
-        raise MissingVelocityError(f"detection velocity is not finite: {velocity!r}")
-    return Box3D(box.x - vx, box.y - vy, box.z, box.theta, box.l, box.w, box.h)

@@ -15,9 +15,9 @@ from .association import (
     MotionStrategy,
     TrackerConfig,
     TrackPool,
+    TrackRecord,
     step,
 )
-from .geometry import Box
 from .motion import NoiseConfig
 
 # Class vocabulary for per-class 3D association gates. Ids follow list order.
@@ -39,17 +39,6 @@ DEFAULT_GIOU_GATE = -0.5
 
 _TAU_3D_DEFAULTS = {"lidar": 0.2, "camera": 0.25}
 _ALPHA_DEFAULTS = {"lidar": 10.0, "camera": 100.0}
-
-
-@dataclass(frozen=True)
-class TrackRecord:
-    """One confirmed box: frame, identity, geometry, confidence, class."""
-
-    frame: int
-    track_id: int
-    box: Box
-    score: float
-    class_id: int = 0
 
 
 @dataclass(frozen=True)
@@ -172,24 +161,20 @@ class Tracker:
     def __init__(self, config: TrackerConfig | Mapping[str, object] | None = None):
         self.config = validate_config(config if config is not None else {})
         self.pool = TrackPool()
-        self.results: list[FrameResult] = []
+        self.records: list[TrackRecord] = []
 
     def step(self, detections: Sequence[Detection], frame: int | None = None) -> FrameResult:
         """Process one frame; frame index defaults to the next in sequence."""
         if frame is None:
             frame = self.pool.last_frame + 1
         result = step(self.pool, frame, detections, self.config)
-        self.results.append(result)
+        self.records.extend(result.tracks)
         return result
 
     def output(self) -> TrackOutput:
-        """Assemble the per-frame results emitted so far."""
-        records = tuple(
-            TrackRecord(res.frame, view.track_id, view.box, view.score, view.class_id)
-            for res in self.results
-            for view in res.tracks
-        )
-        return TrackOutput(records, self.config.mode, self.pool.last_frame, self.config)
+        """Assemble the records emitted so far."""
+        return TrackOutput(tuple(self.records), self.config.mode, self.pool.last_frame,
+                           self.config)
 
 
 def run_sequence(

@@ -18,7 +18,7 @@ from motrack.assignment import solve_assignment
 from motrack.association import Mode
 from motrack.geometry import Box2D, Box3D, giou_3d
 from motrack.metrics import amota, clear_mot, idf1, smota_r
-from motrack.motion import NoiseConfig, kf_init, kf_predict, kf_update
+from motrack.motion import NoiseConfig
 from motrack.simulate import (
     MotionSegment,
     ObjectSpec,
@@ -30,6 +30,7 @@ from motrack.simulate import (
     motion_ablation_suite,
 )
 from motrack.tracker import TrackOutput, TrackRecord, run_sequence, validate_config
+from kalman_utils import kf_init, kf_predict, kf_update
 from oracle_utils import best_gated_matching, giou_3d_axis_aligned, giou_3d_voxel
 
 TAUS = (0.3, 0.4, 0.5, 0.6, 0.7)

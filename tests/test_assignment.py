@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from motrack.assignment import solve_assignment
-from motrack.geometry import SimilarityMatrix
 from oracle_utils import best_gated_matching
 
 
@@ -33,14 +32,17 @@ def test_empty_matrix():
     assert result.unmatched_detections == (0, 1)
 
 
-def test_accepts_similarity_matrix_wrapper():
-    sim = SimilarityMatrix(np.array([[0.8]]), (0,), (0,))
-    assert solve_assignment(sim, gate=0.5).matches == ((0, 0),)
-
-
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         solve_assignment(np.array([[np.inf]]), gate=0.0)
+    with pytest.raises(ValueError):
+        solve_assignment(np.array([[0.5, np.nan]]), gate=0.0)
+
+
+def test_non_2d_rejected():
+    with pytest.raises(ValueError, match="2-D"):
+        solve_assignment(np.array([0.8]), gate=0.5)
+    assert solve_assignment([[0.8]], gate=0.5).matches == ((0, 0),)
 
 
 def test_prefers_total_over_cardinality():

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motrack import association
 from motrack.association import (
@@ -10,14 +12,12 @@ from motrack.association import (
     MotionStrategy,
     TrackerConfig,
     TrackPool,
-    TrackStatus,
     predict_tracks,
     resolve_gate,
-    split_detections,
     step,
 )
 from motrack.geometry import Box2D, Box3D, box3d_array, giou_3d, giou_3d_pairs
-from motrack.motion import state_to_box
+from motrack.motion import box_rows, inflate_arrays, predict_arrays
 from motrack.simulate import (
     DropoutSpan,
     MotionSegment,
@@ -40,6 +40,21 @@ def det3d(x, y, score=0.9, velocity=None, theta=0.0, class_id=2):
 
 CFG_2D = TrackerConfig()
 CFG_3D = default_config(Mode.BOX_3D)
+CFG_DV = dataclasses.replace(CFG_3D, motion_strategy=MotionStrategy.DETECTED_VELOCITY)
+
+
+def scored_detection_rows(monkeypatch, pool, frame, detections, config):
+    """Step one 3D frame and return the detection rows the GIoU kernel scored."""
+    scored = []
+
+    def kernel_spy(a, b):
+        scored.extend(map(tuple, a.tolist()))
+        return giou_3d_pairs(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(association, "giou_3d_pairs", kernel_spy)
+        step(pool, frame, detections, config)
+    return scored
 
 
 class TestDetection:
@@ -77,24 +92,28 @@ class TestConfig:
 
 
 class TestSplit:
+    """The split at tau, read from step diagnostics: on a first frame every
+    high box spawns a track and every low box is discarded."""
+
+    @staticmethod
+    def split(detections, tau):
+        config = dataclasses.replace(CFG_2D, tau=tau)
+        diag = step(TrackPool(), 1, detections, config).diagnostics
+        return [i for i, _ in diag.new_tracks], list(diag.discarded_low)
+
     def test_paper_defaults(self):
-        high, low = split_detections([det2d(0, 0, score=0.9), det2d(5, 5, score=0.3)], 0.6)
-        assert [d.score for d in high] == [0.9]
-        assert [d.score for d in low] == [0.3]
+        high, low = self.split([det2d(0, 0, score=0.9), det2d(500, 500, score=0.3)], 0.6)
+        assert (high, low) == ([0], [1])
 
     def test_all_high(self):
-        high, low = split_detections([det2d(0, 0, score=0.8)], 0.6)
-        assert len(high) == 1 and low == []
+        assert self.split([det2d(0, 0, score=0.8)], 0.6) == ([0], [])
 
     def test_exact_threshold_goes_low(self):
-        high, low = split_detections([det2d(0, 0, score=0.6)], 0.6)
-        assert high == [] and len(low) == 1
+        assert self.split([det2d(0, 0, score=0.6)], 0.6) == ([], [0])
 
     def test_order_preserved(self):
-        dets = [det2d(i, 0, score=s) for i, s in enumerate((0.9, 0.2, 0.8, 0.1))]
-        high, low = split_detections(dets, 0.6)
-        assert [d.box.x1 for d in high] == [0.0, 2.0]
-        assert [d.box.x1 for d in low] == [1.0, 3.0]
+        dets = [det2d(100 * i, 0, score=s) for i, s in enumerate((0.9, 0.2, 0.8, 0.1))]
+        assert self.split(dets, 0.6) == ([0, 2], [1, 3])
 
 
 class TestStepLifecycle:
@@ -104,7 +123,7 @@ class TestStepLifecycle:
             result = step(pool, frame, [det2d(100, 100)], CFG_2D)
             assert len(result.tracks) == 1
             assert result.tracks[0].track_id == 1
-        assert pool.tracklets[0].status is TrackStatus.ACTIVE
+        assert pool.active.tolist() == [True]
 
     def test_occlusion_recovered_in_second_pass(self):
         pool = TrackPool()
@@ -122,7 +141,7 @@ class TestStepLifecycle:
         result = step(pool, 1, [det2d(100, 100, score=0.3)], CFG_2D)
         assert result.tracks == ()
         assert result.diagnostics.discarded_low == (0,)
-        assert pool.tracklets == []
+        assert len(pool.ids) == 0
 
     def test_first_frame_spawns_all_high(self):
         pool = TrackPool()
@@ -138,7 +157,7 @@ class TestStepLifecycle:
         for frame in (2, 3, 4):  # unmatched for buffer + 1 frames
             result = step(pool, frame, [], config)
         assert result.diagnostics.removed_track_ids == (1,)
-        assert pool.tracklets == []
+        assert len(pool.ids) == 0
         result = step(pool, 5, [det2d(100, 100)], config)
         assert result.tracks[0].track_id == 2
 
@@ -148,18 +167,17 @@ class TestStepLifecycle:
         for frame in (2, 3, 4):
             result = step(pool, frame, [], CFG_2D)
             assert result.tracks == ()
-            assert pool.tracklets[0].status is TrackStatus.LOST
+            assert pool.active.tolist() == [False]
         result = step(pool, 5, [det2d(100, 100)], CFG_2D)
         assert result.tracks[0].track_id == 1
-        assert pool.tracklets[0].status is TrackStatus.ACTIVE
+        assert pool.active.tolist() == [True]
 
     def test_lost_invariant_frames_since_match(self):
         pool = TrackPool()
         step(pool, 1, [det2d(100, 100)], CFG_2D)
         step(pool, 2, [], CFG_2D)
-        tracklet = pool.tracklets[0]
-        assert tracklet.status is TrackStatus.LOST
-        assert 0 < tracklet.frames_since_match <= CFG_2D.track_buffer
+        assert pool.active.tolist() == [False]
+        assert 0 < pool.frames_since_match[0] <= CFG_2D.track_buffer
 
     def test_frame_must_increase(self):
         pool = TrackPool()
@@ -216,14 +234,14 @@ class TestStepLifecycle:
         result = step(pool, 2, [det2d(100, 100, score=0.3)], config)
         assert result.diagnostics.second_matches == ()
         assert result.diagnostics.discarded_low == (0,)
-        assert pool.tracklets[0].status is TrackStatus.LOST
+        assert pool.active.tolist() == [False]
 
     def test_negative_giou_above_gate_still_matches(self):
         pool = TrackPool()
         step(pool, 1, [det3d(0.0, 0.0, velocity=(0.0, 0.0))], CFG_3D)
         # Offset enough that GIoU is negative but above the car gate of -0.1.
         shifted = det3d(0.0, 2.0, velocity=(0.0, 0.0))
-        track_box = state_to_box(pool.tracklets[0].state)
+        track_box = Box3D(*box_rows(pool.means, True)[0])
         assert -0.1 < giou_3d(shifted.box, track_box) < 0.0
         result = step(pool, 2, [shifted], CFG_3D)
         assert result.diagnostics.first_matches == ((0, 1),)
@@ -234,7 +252,7 @@ class TestStepLifecycle:
         pool = TrackPool()
         step(pool, 1, [det2d(100, 100)], CFG_2D)
         step(pool, 2, [], CFG_2D)
-        assert pool.tracklets[0].status is TrackStatus.LOST
+        assert pool.active.tolist() == [False]
         result = step(pool, 3, [det2d(100, 100, score=0.4)], CFG_2D)
         assert result.diagnostics.second_matches == ((0, 1),)
         assert [t.track_id for t in result.tracks] == [1]
@@ -251,9 +269,9 @@ class TestStepLifecycle:
             result = step(pool, frame, [], CFG_3D)
             assert result.tracks == ()
         reappeared = det3d(speed * 16, 0.0, velocity=(speed, 0.0))
-        forward_box = state_to_box(
-            predict_tracks(pool.tracklets, CFG_3D, [reappeared])[0].states[0]
-        )
+        means, _, match_rows, _ = predict_tracks(pool, CFG_3D)
+        forward_box = Box3D(*box_rows(means, True)[0])
+        assert np.array_equal(match_rows[0], box_rows(means, True)[0])
         gate = resolve_gate(CFG_3D.gate_first, reappeared.class_id)
         assert giou_3d(reappeared.box, forward_box) > gate
         result = step(pool, 16, [reappeared], CFG_3D)
@@ -266,6 +284,80 @@ class TestStepLifecycle:
         assert result.tracks[0].score == 0.35
 
 
+@st.composite
+def detection_streams(draw):
+    """A config plus a short stream of random 2D or 3D detections, packed into a
+    small area so that matches, second-pass recoveries, losses and removals
+    all occur."""
+    is_3d = draw(st.booleans())
+    buffer = draw(st.integers(1, 3))
+    tau = draw(st.sampled_from([0.3, 0.5, 0.6]))
+    if is_3d:
+        strategy = draw(st.sampled_from(list(MotionStrategy)))
+        config = dataclasses.replace(CFG_3D, motion_strategy=strategy, tau=tau,
+                                     track_buffer=buffer)
+    else:
+        config = TrackerConfig(tau=tau, track_buffer=buffer)
+    coord = st.floats(0.0, 6.0) if is_3d else st.floats(0.0, 120.0)
+    frames = []
+    for _ in range(draw(st.integers(1, 10))):
+        dets = []
+        for _ in range(draw(st.integers(0, 5))):
+            x, y = draw(coord), draw(coord)
+            score = draw(st.floats(0.0, 1.0))
+            class_id = draw(st.sampled_from([2, 4]))
+            if is_3d:
+                velocity = draw(st.none() | st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
+                dets.append(Detection(Box3D(x, y, 0.8, draw(st.floats(-3.0, 3.0)),
+                                            4.5, 1.9, 1.6), score, class_id, velocity))
+            else:
+                dets.append(Detection(Box2D(x, y, x + 50.0, y + 100.0), score, class_id))
+        frames.append(dets)
+    return config, frames
+
+
+@settings(max_examples=80, deadline=None)
+@given(detection_streams())
+def test_step_invariants(stream):
+    config, frames = stream
+    pool = TrackPool()
+    removed, seen = set(), set()
+    for frame, dets in enumerate(frames, 1):
+        result = step(pool, frame, dets, config)
+        diag = result.diagnostics
+        # Every detection is consumed exactly once.
+        consumed = sorted(
+            [i for i, _ in diag.first_matches]
+            + [i for i, _ in diag.second_matches]
+            + [i for i, _ in diag.new_tracks]
+            + list(diag.discarded_low)
+        )
+        assert consumed == list(range(len(dets)))
+        # Low-score boxes never spawn, and ids never repeat after removal:
+        # every new id is larger than any id handed out before.
+        for i, track_id in diag.new_tracks:
+            assert dets[i].score > config.tau
+            assert track_id > max(seen, default=0)
+            seen.add(track_id)
+        removed.update(diag.removed_track_ids)
+        ids = [t.track_id for t in result.tracks]
+        assert len(ids) == len(set(ids))
+        assert not removed & set(pool.ids.tolist())
+        # Every pool array has one row per track, in strictly increasing id order.
+        rows = len(pool.ids)
+        assert pool.means.shape[0] == pool.covs.shape[0] == rows
+        for name in ("class_ids", "active", "frames_since_match", "last_score"):
+            assert getattr(pool, name).shape == (rows,)
+        assert np.all(np.diff(pool.ids) > 0)
+        assert np.all((pool.frames_since_match >= 0)
+                      & (pool.frames_since_match <= config.track_buffer))
+        assert np.array_equal(pool.active, pool.frames_since_match == 0)
+        # The output is exactly the active rows.
+        assert ids == pool.ids[pool.active].tolist()
+        assert [t.class_id for t in result.tracks] == pool.class_ids[pool.active].tolist()
+        assert [t.score for t in result.tracks] == pool.last_score[pool.active].tolist()
+
+
 class TestPredictTracks:
     def _pool_with_track(self, config, detection, frames=3):
         pool = TrackPool()
@@ -275,52 +367,60 @@ class TestPredictTracks:
 
     def test_kalman_only_uses_forward_boxes(self):
         pool = self._pool_with_track(CFG_2D, det2d(100, 100))
-        prediction, backward = predict_tracks(pool.tracklets, CFG_2D, [det2d(100, 100)])
-        assert prediction.wants_backward == (False,)
-        assert backward[0] == det2d(100, 100).box
-        assert prediction.match_boxes[0] == state_to_box(prediction.states[0])
+        means, covs, match_rows, wants_backward = predict_tracks(pool, CFG_2D)
+        assert wants_backward.tolist() == [False]
+        forward = predict_arrays(pool.means, pool.covs, CFG_2D.effective_noise(), False)
+        assert np.array_equal(means, forward[0]) and np.array_equal(covs, forward[1])
+        assert np.array_equal(match_rows, box_rows(means, False))
 
-    def test_detected_velocity_holds_last_box(self):
-        config = dataclasses.replace(
-            CFG_3D, motion_strategy=MotionStrategy.DETECTED_VELOCITY
-        )
-        pool = self._pool_with_track(config, det3d(0, 0, velocity=(1.0, 0.0)))
-        last_box = pool.tracklets[0].box
+    def test_detected_velocity_holds_last_box(self, monkeypatch):
+        pool = self._pool_with_track(CFG_DV, det3d(0, 0, velocity=(1.0, 0.0)))
+        last_rows = box_rows(pool.means, True)
+        means, covs, match_rows, wants_backward = predict_tracks(pool, CFG_DV)
+        assert wants_backward.tolist() == [True]
+        assert np.array_equal(match_rows, last_rows)
+        assert np.array_equal(means, pool.means)
+        inflated = inflate_arrays(pool.means, pool.covs, CFG_DV.effective_noise(), True)
+        assert np.array_equal(covs, inflated[1])
         detection = det3d(3.0, 0.0, velocity=(1.0, 0.0))
-        prediction, backward = predict_tracks(pool.tracklets, config, [detection])
-        assert prediction.wants_backward == (True,)
-        assert prediction.match_boxes[0] == last_box
-        assert backward[0].x == 2.0  # current position minus detected velocity
-        assert np.array_equal(prediction.states[0].mean, pool.tracklets[0].state.mean)
+        (row,) = scored_detection_rows(monkeypatch, pool, 4, [detection], CFG_DV)
+        assert row[0] == 2.0  # current position minus detected velocity
 
-    def test_complementary_active_matches_detected_velocity(self):
-        config_dv = dataclasses.replace(
-            CFG_3D, motion_strategy=MotionStrategy.DETECTED_VELOCITY
-        )
+    def test_complementary_active_matches_detected_velocity(self, monkeypatch):
         detection = det3d(1.0, 0.0, velocity=(1.0, 0.0))
         pool_a = self._pool_with_track(CFG_3D, detection)
-        pool_b = self._pool_with_track(config_dv, detection)
-        next_det = det3d(2.0, 0.0, velocity=(1.0, 0.0))
-        pred_comp, back_comp = predict_tracks(pool_a.tracklets, CFG_3D, [next_det])
-        pred_dv, back_dv = predict_tracks(pool_b.tracklets, config_dv, [next_det])
+        pool_b = self._pool_with_track(CFG_DV, detection)
         # All tracks active: the complementary strategy reduces to backward
         # prediction against last boxes, exactly like detected-velocity-only.
-        assert pred_comp.wants_backward == pred_dv.wants_backward == (True,)
-        assert back_comp[0] == back_dv[0]
+        assert predict_tracks(pool_a, CFG_3D)[3].tolist() == [True]
+        assert predict_tracks(pool_b, CFG_DV)[3].tolist() == [True]
+        assert np.array_equal(predict_tracks(pool_a, CFG_3D)[2], box_rows(pool_a.means, True))
+        next_det = det3d(2.0, 0.0, velocity=(1.0, 0.0))
+        rows_comp = scored_detection_rows(monkeypatch, pool_a, 4, [next_det], CFG_3D)
+        rows_dv = scored_detection_rows(monkeypatch, pool_b, 4, [next_det], CFG_DV)
+        assert rows_comp == rows_dv and rows_comp[0][0] == 1.0
 
     def test_complementary_lost_track_uses_forward_prediction(self):
         pool = self._pool_with_track(CFG_3D, det3d(0, 0, velocity=(1.0, 0.0)), frames=1)
         step(pool, 2, [], CFG_3D)  # track becomes lost
-        prediction, _ = predict_tracks(pool.tracklets, CFG_3D, [])
-        assert pool.tracklets[0].status is TrackStatus.LOST
-        assert prediction.wants_backward == (False,)
-        assert prediction.match_boxes[0] == state_to_box(prediction.states[0])
+        means, _, match_rows, wants_backward = predict_tracks(pool, CFG_3D)
+        assert pool.active.tolist() == [False]
+        assert wants_backward.tolist() == [False]
+        assert np.array_equal(match_rows, box_rows(means, True))
 
-    def test_missing_velocity_falls_back_to_raw_box(self):
+    def test_missing_velocity_falls_back_to_raw_box(self, monkeypatch):
         pool = self._pool_with_track(CFG_3D, det3d(0, 0, velocity=(0.0, 0.0)))
-        detection = det3d(5.0, 5.0, velocity=None)
-        _, backward = predict_tracks(pool.tracklets, CFG_3D, [detection])
-        assert backward[0] == detection.box
+        detection = det3d(1.0, 1.0, velocity=None)
+        (row,) = scored_detection_rows(monkeypatch, pool, 4, [detection], CFG_3D)
+        assert row == tuple(box3d_array([detection.box])[0])
+
+    def test_outputs_do_not_alias_the_pool(self):
+        pool = self._pool_with_track(CFG_3D, det3d(0, 0, velocity=(1.0, 0.0)))
+        before = {name: getattr(pool, name).copy() for name in ("means", "covs", "active")}
+        for array in predict_tracks(pool, CFG_3D):
+            array[...] = 0
+        for name, value in before.items():
+            assert np.array_equal(getattr(pool, name), value)
 
 
 class TestDeterminism:
@@ -416,9 +516,9 @@ class TestPairKernelScoring:
             scored.extend(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
             return giou_3d_pairs(a, b)
 
-        def predict_spy(tracklets, config, detections):
-            out = predict_tracks(tracklets, config, detections)
-            predicted.append(([(t.track_id, t.class_id) for t in tracklets], out))
+        def predict_spy(pool, config):
+            out = predict_tracks(pool, config)
+            predicted.append((pool.class_ids.tolist(), pool.ids.tolist(), out))
             return out
 
         monkeypatch.setattr(association, "giou_3d_pairs", kernel_spy)
@@ -428,31 +528,35 @@ class TestPairKernelScoring:
             scored.clear()
             predicted.clear()
             diag = step(pool, frame, dets, CFG_3D).diagnostics
-            (tracks, (prediction, backward)), = predicted
+            (classes, ids, (_, _, match_rows, wants_backward)), = predicted
 
-            def key(box):
-                return tuple(box3d_array([box])[0].tolist())
-
-            det_of = {}
+            # Raw and backward-shifted rows of each detection, shifted here
+            # independently of step.
+            raw = box3d_array([det.box for det in dets])
+            back = raw.copy()
             for i, det in enumerate(dets):
-                for box in (det.box, backward[i]):
-                    det_of.setdefault(key(box), set()).add(i)
-            track_of = {key(box): j for j, box in enumerate(prediction.match_boxes)}
+                if det.velocity is not None:
+                    back[i, :2] -= det.velocity
+            det_of = {}
+            for i in range(len(dets)):
+                for row in (raw[i], back[i]):
+                    det_of.setdefault(tuple(row.tolist()), set()).add(i)
+            track_of = {tuple(row): j for j, row in enumerate(match_rows.tolist())}
 
             seen = []
             for det_row, track_row in scored:
                 (i,) = det_of[det_row]
                 j = track_of[track_row]
-                assert dets[i].class_id == tracks[j][1], "cross-class pair scored"
-                source = backward[i] if prediction.wants_backward[j] else dets[i].box
-                assert det_row == key(source)
+                assert dets[i].class_id == classes[j], "cross-class pair scored"
+                source = back[i] if wants_backward[j] else raw[i]
+                assert det_row == tuple(source.tolist())
                 seen.append((i, j))
             assert len(seen) == len(set(seen)), "a pair was scored twice"
 
             first_matched = {track_id for _, track_id in diag.first_matches}
             expected = set()
             for i, det in enumerate(dets):
-                for j, (track_id, class_id) in enumerate(tracks):
+                for j, (track_id, class_id) in enumerate(zip(ids, classes)):
                     if class_id != det.class_id:
                         continue
                     if det.score > CFG_3D.tau or track_id not in first_matched:

@@ -10,10 +10,12 @@ from motrack.geometry import (
     Box3D,
     Metric,
     bev_intersection_area,
+    box2d_array,
     box3d_array,
     giou_3d,
     giou_3d_pairs,
     iou_2d,
+    iou_matrix_2d,
     similarity_matrix,
     wrap_angle,
 )
@@ -190,15 +192,14 @@ class TestSimilarityMatrix:
     def test_single_identical_pair(self):
         box = Box2D(0, 0, 10, 10)
         sim = similarity_matrix([box], [box], Metric.IOU_2D)
-        assert sim.values.shape == (1, 1)
-        assert sim.values[0, 0] == 1.0
+        assert sim.shape == (1, 1)
+        assert sim[0, 0] == 1.0
 
     def test_empty_rows(self):
         boxes = [Box2D(0, 0, 1, 1), Box2D(1, 1, 2, 2), Box2D(2, 2, 3, 3)]
-        sim = similarity_matrix([], boxes, Metric.IOU_2D)
-        assert sim.values.shape == (0, 3)
-        assert sim.row_ids == ()
-        assert sim.col_ids == (0, 1, 2)
+        assert similarity_matrix([], boxes, Metric.IOU_2D).shape == (0, 3)
+        assert similarity_matrix(boxes, [], Metric.IOU_2D).shape == (3, 0)
+        assert iou_matrix_2d(box2d_array([]), box2d_array(boxes)).shape == (0, 3)
 
     def test_matches_elementwise_iou(self):
         rng = np.random.default_rng(1)
@@ -207,9 +208,10 @@ class TestSimilarityMatrix:
         trks = [Box2D(x, y, x + w, y + h)
                 for x, y, w, h in rng.uniform(1, 30, (3, 4))]
         sim = similarity_matrix(dets, trks, Metric.IOU_2D)
+        assert np.array_equal(sim, iou_matrix_2d(box2d_array(dets), box2d_array(trks)))
         for i, det in enumerate(dets):
             for j, trk in enumerate(trks):
-                assert sim.values[i, j] == pytest.approx(iou_2d(det, trk), abs=1e-12)
+                assert sim[i, j] == pytest.approx(iou_2d(det, trk), abs=1e-12)
 
     def test_matches_elementwise_giou(self):
         rng = np.random.default_rng(2)
@@ -218,7 +220,7 @@ class TestSimilarityMatrix:
         sim = similarity_matrix(dets, trks, Metric.GIOU_3D)
         for i, det in enumerate(dets):
             for j, trk in enumerate(trks):
-                assert sim.values[i, j] == giou_3d(det, trk)
+                assert sim[i, j] == giou_3d(det, trk)
 
     def test_dimension_mismatch_rejected(self):
         box2d = Box2D(0, 0, 1, 1)
@@ -227,6 +229,11 @@ class TestSimilarityMatrix:
             similarity_matrix([box3d], [box3d], Metric.IOU_2D)
         with pytest.raises(ValueError):
             similarity_matrix([box2d], [box3d], Metric.GIOU_3D)
+
+    def test_box2d_array_rows_are_corners(self):
+        boxes = [Box2D(0, 1, 2, 3), Box2D.from_xywh(5, 6, 7, 8)]
+        assert box2d_array(boxes).tolist() == [[0, 1, 2, 3], [5, 6, 12, 14]]
+        assert box2d_array([]).shape == (0, 4)
 
 
 # --- batched kernel against the scalar Sutherland-Hodgman oracle --------------

@@ -1,32 +1,31 @@
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
-from motrack.geometry import Box2D, Box3D
+from kalman_utils import State, kf_init, kf_predict, kf_update, measure
+from motrack import association
+from motrack.association import Detection, Mode, MotionStrategy, TrackPool, step
+from motrack.geometry import Box2D, Box3D, box3d_array, giou_3d_pairs
 from motrack.motion import (
-    KalmanState,
-    MissingVelocityError,
     NoiseConfig,
-    backward_predict,
-    kf_inflate,
-    kf_init,
-    kf_predict,
-    kf_update,
-    predict_states,
-    state_to_box,
-    update_states,
+    box_rows,
+    inflate_arrays,
+    init_arrays,
+    predict_arrays,
+    update_arrays,
 )
+from motrack.tracker import default_config
 
 NOISE = NoiseConfig()
 NOISE_PLAIN = NoiseConfig(adaptive=False)
 
 
-def min_eigenvalue(state: KalmanState) -> float:
+def min_eigenvalue(state: State) -> float:
     return float(np.linalg.eigvalsh(state.covariance).min())
 
 
-def assert_valid_covariance(state: KalmanState):
+def assert_valid_covariance(state: State):
     assert np.allclose(state.covariance, state.covariance.T, atol=1e-9)
     assert min_eigenvalue(state) >= -1e-8
 
@@ -45,6 +44,8 @@ class TestInit:
     def test_degenerate_2d_box_rejected(self):
         with pytest.raises(ValueError):
             kf_init(Box2D(0, 0, 0, 10), NOISE)
+        with pytest.raises(ValueError):
+            kf_init(Box2D(0, 0, 10, 0), NOISE)
 
     def test_noise_config_validation(self):
         with pytest.raises(ValueError):
@@ -58,7 +59,7 @@ class TestPredict:
         state = kf_init(Box3D(0, 0, 0, 0, 4, 2, 1.5), NOISE)
         mean = state.mean.copy()
         mean[7:] = [1.0, -2.0, 0.0]
-        state = KalmanState(mean, state.covariance)
+        state = State(mean, state.covariance)
         predicted = kf_predict(state, NOISE)
         assert np.allclose(predicted.mean[:3], [1.0, -2.0, 0.0])
         assert np.allclose(predicted.mean[7:], [1.0, -2.0, 0.0])
@@ -73,16 +74,16 @@ class TestPredict:
         state = kf_init(Box3D(0, 0, 0, 0, 4, 2, 1.5), NOISE)
         mean = state.mean.copy()
         mean[7] = 1.0
-        state = KalmanState(mean, state.covariance)
+        state = State(mean, state.covariance)
         for k in range(1, 25):
             state = kf_predict(state, NOISE)
             assert state.mean[0] == float(k)
 
     def test_inflate_holds_mean(self):
-        state = kf_init(Box2D(0, 0, 50, 100), NOISE)
-        held = kf_inflate(state, NOISE)
-        assert np.array_equal(held.mean, state.mean)
-        assert np.all(np.diag(held.covariance) > np.diag(state.covariance))
+        means, covs = init_arrays(measure(Box2D(0, 0, 50, 100)), NOISE, False)
+        held_means, held_covs = inflate_arrays(means, covs, NOISE, False)
+        assert np.array_equal(held_means, means)
+        assert np.all(np.diag(held_covs[0]) > np.diag(covs[0]))
 
 
 class TestUpdate:
@@ -128,9 +129,10 @@ class TestUpdate:
         state = kf_init(Box2D(5, 5, 55, 105), NOISE_PLAIN)
         mean = state.mean.copy()
         mean[4:6] = [2.0, 1.0]
-        state = KalmanState(mean, state.covariance)
+        state = State(mean, state.covariance)
         predicted = kf_predict(state, NOISE_PLAIN)
-        posterior = kf_update(predicted, state_to_box(predicted), 0.9, NOISE_PLAIN)
+        predicted_box = Box2D(*box_rows(predicted.mean[None], False)[0])
+        posterior = kf_update(predicted, predicted_box, 0.9, NOISE_PLAIN)
         assert np.allclose(posterior.mean[:4], predicted.mean[:4], atol=1e-9)
 
     def test_noiseless_track_error_vanishes(self):
@@ -174,6 +176,10 @@ class TestUpdate:
         state = kf_init(Box2D(0, 0, 10, 10), NOISE)
         with pytest.raises(ValueError):
             kf_update(state, Box3D(0, 0, 0, 0, 1, 1, 1), 0.5, NOISE)
+        means, covs = init_arrays(measure(Box2D(0, 0, 10, 10)), NOISE, False)
+        with pytest.raises(ValueError):  # one measurement row for two states
+            update_arrays(np.repeat(means, 2, axis=0), np.repeat(covs, 2, axis=0),
+                          measure(Box2D(0, 0, 10, 10)), [0.5, 0.5], NOISE, False)
 
     def test_score_out_of_range_rejected(self):
         state = kf_init(Box2D(0, 0, 10, 10), NOISE)
@@ -184,46 +190,64 @@ class TestUpdate:
 class TestBatchConsistency:
     def test_batch_matches_scalar_ops(self):
         rng = np.random.default_rng(8)
-        states = [
-            kf_init(Box3D(*rng.uniform(-5, 5, 3), 0.2, 4, 2, 1.5), NOISE)
-            for _ in range(7)
-        ]
-        predicted = predict_states(states, NOISE)
-        for single, batched in zip(states, predicted):
+        starts = [Box3D(*rng.uniform(-5, 5, 3), 0.2, 4, 2, 1.5) for _ in range(7)]
+        states = [kf_init(box, NOISE) for box in starts]
+        means, covs = init_arrays(np.concatenate([measure(b) for b in starts]), NOISE, True)
+        for single, mean, cov in zip(states, means, covs):
+            assert np.array_equal(single.mean, mean)
+            assert np.array_equal(single.covariance, cov)
+        means, covs = predict_arrays(means, covs, NOISE, True)
+        for single, mean, cov in zip(states, means, covs):
             expect = kf_predict(single, NOISE)
-            assert np.array_equal(expect.mean, batched.mean)
-            assert np.array_equal(expect.covariance, batched.covariance)
+            assert np.array_equal(expect.mean, mean)
+            assert np.array_equal(expect.covariance, cov)
         boxes = [Box3D(*rng.uniform(-5, 5, 3), 0.1, 4, 2, 1.5) for _ in range(7)]
         scores = rng.uniform(0, 1, 7).tolist()
-        updated = update_states(predicted, boxes, scores, NOISE)
-        for state, box, score, batched in zip(predicted, boxes, scores, updated):
-            expect = kf_update(state, box, score, NOISE)
-            assert np.array_equal(expect.mean, batched.mean)
+        zs = np.concatenate([measure(b) for b in boxes])
+        new_means, _ = update_arrays(means, covs, zs, scores, NOISE, True)
+        for mean, cov, box, score, batched in zip(means, covs, boxes, scores, new_means):
+            expect = kf_update(State(mean, cov), box, score, NOISE)
+            assert np.array_equal(expect.mean, batched)
 
 
 class TestBackwardPredict:
-    def test_planar_shift(self):
+    """The detected-velocity backward shift, watched through the detection
+    rows association.step hands to the GIoU kernel."""
+
+    CONFIG = dataclasses.replace(
+        default_config(Mode.BOX_3D), motion_strategy=MotionStrategy.DETECTED_VELOCITY
+    )
+
+    def scored_rows(self, monkeypatch, box, velocity):
+        """Detection rows scored when box arrives next to a track at its position."""
+        scored = []
+
+        def kernel_spy(a, b):
+            scored.extend(map(tuple, a.tolist()))
+            return giou_3d_pairs(a, b)
+
+        pool = TrackPool()
+        step(pool, 1, [Detection(box, 0.9, 2, (0.0, 0.0))], self.CONFIG)
+        monkeypatch.setattr(association, "giou_3d_pairs", kernel_spy)
+        step(pool, 2, [Detection(box, 0.9, 2, velocity)], self.CONFIG)
+        return scored
+
+    def test_planar_shift(self, monkeypatch):
         box = Box3D(10, 5, 0, 0.3, 4, 2, 1.5)
-        shifted = backward_predict(box, (1.0, -2.0))
-        assert (shifted.x, shifted.y) == (9.0, 7.0)
-        assert (shifted.z, shifted.theta, shifted.l) == (box.z, box.theta, box.l)
+        (row,) = self.scored_rows(monkeypatch, box, (1.0, -2.0))
+        assert row[:2] == (9.0, 7.0)
+        assert row[2:] == tuple(box3d_array([box])[0, 2:])
 
-    def test_zero_velocity_identity(self):
+    def test_zero_velocity_identity(self, monkeypatch):
         box = Box3D(10, 5, 0, 0.3, 4, 2, 1.5)
-        assert backward_predict(box, (0.0, 0.0)) == box
+        (row,) = self.scored_rows(monkeypatch, box, (0.0, 0.0))
+        assert row == tuple(box3d_array([box])[0])
 
-    def test_missing_velocity_raises(self):
-        box = Box3D(0, 0, 0, 0, 1, 1, 1)
-        with pytest.raises(MissingVelocityError):
-            backward_predict(box, None)
-        with pytest.raises(MissingVelocityError):
-            backward_predict(box, (math.nan, 0.0))
-
-    def test_two_frame_scenario_recovers_previous_box(self):
+    def test_two_frame_scenario_recovers_previous_box(self, monkeypatch):
         previous = Box3D(3.0, -1.0, 0.4, 0.7, 4, 2, 1.5)
         velocity = (0.8, 0.5)
         current = Box3D(previous.x + velocity[0], previous.y + velocity[1],
                         previous.z, previous.theta, previous.l, previous.w, previous.h)
-        recovered = backward_predict(current, velocity)
-        assert abs(recovered.x - previous.x) < 1e-9
-        assert abs(recovered.y - previous.y) < 1e-9
+        (row,) = self.scored_rows(monkeypatch, current, velocity)
+        assert abs(row[0] - previous.x) < 1e-9
+        assert abs(row[1] - previous.y) < 1e-9

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from pathlib import Path
 
@@ -17,8 +18,10 @@ from motrack.tracker import (
     run_sequence,
     validate_config,
 )
+from test_association import mixed_class_frames
 
-GOLDEN = Path(__file__).parent / "data" / "golden_crossing.txt"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_crossing.txt"
 
 
 def det(x, y, score=0.9):
@@ -51,6 +54,15 @@ class TestRunSequence:
         formats.write_mot_results(output, buf)
         assert buf.getvalue() == GOLDEN.read_text()
 
+    @pytest.mark.parametrize("strategy", list(MotionStrategy), ids=lambda s: s.value)
+    def test_golden_mixed_3d_trace(self, strategy):
+        config = dataclasses.replace(default_config(Mode.BOX_3D), motion_strategy=strategy)
+        output = run_sequence(mixed_class_frames(1), config)
+        buf = io.StringIO()
+        formats.write_3d_results(output, buf)
+        golden = DATA / f"golden_mixed_3d_{strategy.value}.txt"
+        assert buf.getvalue() == golden.read_text()
+
     def test_config_snapshot_replays_exactly(self):
         spec, seed = crossing_scenario()
         _, frames = generate_scenario(spec, seed)
@@ -65,6 +77,7 @@ class TestRunSequence:
         output = tracker.output()
         assert output.n_frames == 2
         assert output.mode is Mode.BOX_2D
+        assert [(r.frame, r.track_id) for r in output.records] == [(1, 1), (2, 1)]
 
 
 class TestTrackOutput:

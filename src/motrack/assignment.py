@@ -12,18 +12,20 @@ from scipy.optimize import linear_sum_assignment
 class Assignment:
     """Result of a gated matching: matched index pairs plus leftovers.
 
-    Each detection/tracklet index appears in at most one match; matches and the
-    unmatched sets partition both index ranges, and every matched pair scored
-    at least the gate.
+    ``matches`` is a (k, 2) array of (row, column) pairs in row order; the
+    unmatched fields are ascending index arrays. Each detection/tracklet index
+    appears in at most one match; matches and the unmatched sets partition both
+    index ranges, and every matched pair scored at least the gate.
     """
 
-    matches: tuple[tuple[int, int], ...]
-    unmatched_detections: tuple[int, ...]
-    unmatched_tracklets: tuple[int, ...]
+    matches: np.ndarray
+    unmatched_detections: np.ndarray
+    unmatched_tracklets: np.ndarray
 
 
 def _empty_assignment(n_rows: int, n_cols: int) -> Assignment:
-    return Assignment((), tuple(range(n_rows)), tuple(range(n_cols)))
+    return Assignment(np.zeros((0, 2), dtype=np.intp), np.arange(n_rows, dtype=np.intp),
+                      np.arange(n_cols, dtype=np.intp))
 
 
 def solve_assignment(sim: np.ndarray, gate: float | np.ndarray) -> Assignment:
@@ -54,22 +56,20 @@ def solve_assignment(sim: np.ndarray, gate: float | np.ndarray) -> Assignment:
         return _empty_assignment(n_rows, n_cols)
 
     # Augment with one private zero-value dummy column per row, so the solver
-    # can leave anything unmatched and never takes a sub-gate pair.
+    # can leave anything unmatched and never takes a sub-gate pair: a -big
+    # entry always loses to the row's own dummy. Every row is assigned, so rows
+    # come back as 0..n_rows-1 and the unmatched ones are those sent to a dummy.
     big = (min(n_rows, n_cols) + 1.0) * (float(np.abs(values[admissible]).max()) + 1.0)
     aug = np.full((n_rows, n_cols + n_rows), -big)
     aug[:, :n_cols] = np.where(admissible, values, -big)
     aug[np.arange(n_rows), n_cols + np.arange(n_rows)] = 0.0
 
     rows, cols = linear_sum_assignment(aug, maximize=True)
-    matches = tuple(
-        (int(r), int(c))
-        for r, c in zip(rows, cols)
-        if c < n_cols and admissible[r, c]
-    )
-    matched_rows = {r for r, _ in matches}
-    matched_cols = {c for _, c in matches}
+    matched = cols < n_cols
+    free_cols = np.ones(n_cols, dtype=bool)
+    free_cols[cols[matched]] = False
     return Assignment(
-        matches,
-        tuple(r for r in range(n_rows) if r not in matched_rows),
-        tuple(c for c in range(n_cols) if c not in matched_cols),
+        np.array((rows[matched], cols[matched])).T,
+        rows[~matched],
+        free_cols.nonzero()[0],
     )

@@ -28,7 +28,6 @@ from .geometry import (
     Box,
     Box2D,
     Box3D,
-    Metric,
     box2d_array,
     box3d_array,
     giou_3d_pairs,
@@ -109,10 +108,6 @@ class TrackerConfig:
                 object.__setattr__(self, name, dict(gate))
             elif not math.isfinite(gate):
                 raise ValueError(f"{name} must be finite")
-
-    @property
-    def metric(self) -> Metric:
-        return Metric.IOU_2D if self.mode is Mode.BOX_2D else Metric.GIOU_3D
 
     def effective_noise(self) -> NoiseConfig:
         base = self.noise if self.noise is not None else NoiseConfig()
@@ -287,15 +282,14 @@ def step(
             assign = solve_assignment(values + 1.0, gates + 1.0)
         else:
             assign = solve_assignment(iou_matrix_2d(raw[rows], match_rows[cols]), gates)
-        pairs = np.array(assign.matches, dtype=np.intp).reshape(-1, 2)
-        det, trk = rows[pairs[:, 0]], cols[pairs[:, 1]]
-        if len(pairs):
+        det, trk = rows[assign.matches[:, 0]], cols[assign.matches[:, 1]]
+        if len(det):
             zs = motion._measurement_stack(raw[det], is_3d)
             means[trk], covs[trk] = motion.update_arrays(
                 means[trk], covs[trk], zs, scores[det], noise, is_3d
             )
-        rows_left = rows[list(assign.unmatched_detections)]
-        cols_left = cols[list(assign.unmatched_tracklets)]
+        rows_left = rows[assign.unmatched_detections]
+        cols_left = cols[assign.unmatched_tracklets]
         return det, trk, rows_left, cols_left
 
     first_det, first_trk, high_left, cols_left = run_pass(

@@ -56,6 +56,22 @@ def _iter_lines(text: str) -> Iterable[tuple[int, str]]:
             yield line_no, line
 
 
+def _dense_frames(parsed: list[tuple[int, Detection]]) -> list[list[Detection]]:
+    """Group (frame, detection) pairs into dense 1-based frames."""
+    n_frames = max((frame for frame, _ in parsed), default=0)
+    frames: list[list[Detection]] = [[] for _ in range(n_frames)]
+    for frame, det in parsed:
+        frames[frame - 1].append(det)
+    return frames
+
+
+def _results_output(records: list[TrackRecord], mode: Mode) -> TrackOutput:
+    """Order parsed result records by frame and wrap them as a TrackOutput."""
+    records.sort(key=lambda r: r.frame)
+    n_frames = max((r.frame for r in records), default=0)
+    return TrackOutput(tuple(records), mode, n_frames)
+
+
 # --- 2D MOT records --------------------------------------------------------------
 
 
@@ -86,14 +102,9 @@ def mot_line(frame: int, track_id: int, box: Box2D, score: float) -> str:
 
 def parse_mot_detections(text: str) -> list[list[Detection]]:
     """Read raw detections grouped into dense 1-based frames."""
-    parsed = [(frame, Detection(box, score))
-              for line_no, line in _iter_lines(text)
-              for frame, _, box, score in [_parse_mot_line(line, line_no)]]
-    n_frames = max((frame for frame, _ in parsed), default=0)
-    frames: list[list[Detection]] = [[] for _ in range(n_frames)]
-    for frame, det in parsed:
-        frames[frame - 1].append(det)
-    return frames
+    return _dense_frames([(frame, Detection(box, score))
+                          for line_no, line in _iter_lines(text)
+                          for frame, _, box, score in [_parse_mot_line(line, line_no)]])
 
 
 def parse_mot_results(text: str) -> TrackOutput:
@@ -104,9 +115,7 @@ def parse_mot_results(text: str) -> TrackOutput:
         if track_id < 1:
             raise _fail(line_no, f"result id must be >= 1, got {track_id}")
         records.append(TrackRecord(frame, track_id, box, score))
-    records.sort(key=lambda r: r.frame)
-    n_frames = max((r.frame for r in records), default=0)
-    return TrackOutput(tuple(records), Mode.BOX_2D, n_frames)
+    return _results_output(records, Mode.BOX_2D)
 
 
 def write_mot_results(output: TrackOutput, sink: IO[str]) -> None:
@@ -183,11 +192,7 @@ def parse_3d_detections(text: str) -> list[list[Detection]]:
     for line_no, line in _iter_lines(text):
         frame, _, class_id, box, velocity, score = _parse_3d_line(line, line_no)
         parsed.append((frame, Detection(box, score, class_id, velocity)))
-    n_frames = max((frame for frame, _ in parsed), default=0)
-    frames: list[list[Detection]] = [[] for _ in range(n_frames)]
-    for frame, det in parsed:
-        frames[frame - 1].append(det)
-    return frames
+    return _dense_frames(parsed)
 
 
 def parse_3d_results(text: str) -> TrackOutput:
@@ -197,9 +202,7 @@ def parse_3d_results(text: str) -> TrackOutput:
         if track_id < 1:
             raise _fail(line_no, f"result id must be >= 1, got {track_id}")
         records.append(TrackRecord(frame, track_id, box, score, class_id))
-    records.sort(key=lambda r: r.frame)
-    n_frames = max((r.frame for r in records), default=0)
-    return TrackOutput(tuple(records), Mode.BOX_3D, n_frames)
+    return _results_output(records, Mode.BOX_3D)
 
 
 def write_3d_results(output: TrackOutput, sink: IO[str]) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -67,7 +68,9 @@ class AmotaReport:
         return "\n".join(lines)
 
 
-def _default_threshold(mode: Mode) -> float:
+def _threshold(mode: Mode, match_threshold: float | None) -> float:
+    if match_threshold is not None:
+        return match_threshold
     return DEFAULT_IOU_MATCH if mode is Mode.BOX_2D else DEFAULT_DIST_MATCH
 
 
@@ -89,39 +92,59 @@ def _frame_similarity(
     return threshold - dist, 0.0
 
 
-@dataclass
-class _ClearCounts:
-    fp: int = 0
-    fn: int = 0
-    ids: int = 0
-    gt: int = 0
-    matched: int = 0
+# One frame's evaluation table: gt ids, prediction ids, prediction scores, and
+# the gt x prediction similarity with its gate (None when either side is empty).
+_FrameTable = tuple[list[int], list[int], list[float], np.ndarray | None, float]
 
 
-def _accumulate_clear(gt: TrackOutput, pred: TrackOutput, threshold: float) -> _ClearCounts:
+def _frame_tables(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Iterator[_FrameTable]:
+    """Score each frame that has records once, in frame order.
+
+    Yields lazily, so a single pass holds one frame's similarity at a time.
+    """
     gt_frames = gt.frames()
     pr_frames = pred.frames()
-    counts = _ClearCounts()
+    for frame in sorted(gt_frames.keys() | pr_frames.keys()):
+        gt_recs = gt_frames.get(frame, [])
+        pr_recs = pr_frames.get(frame, [])
+        values, gate = None, 0.0
+        if gt_recs and pr_recs:
+            values, gate = _frame_similarity(gt_recs, pr_recs, gt.mode, threshold)
+        yield ([r.track_id for r in gt_recs], [r.track_id for r in pr_recs],
+               [r.score for r in pr_recs], values, gate)
+
+
+def _clear(tables: Iterable[_FrameTable], min_score: float | None = None) -> ClearReport:
+    """CLEAR counts over frame tables, keeping predictions scored >= min_score.
+
+    A frame left with neither gt nor kept predictions is skipped, so match
+    persistence carries across it, as if those predictions were never there.
+    """
+    fp = fn = ids = total_gt = 0
     persisting: dict[int, int] = {}
     last_match: dict[int, int] = {}
 
-    for frame in sorted(set(gt_frames) | set(pr_frames)):
-        gt_recs = gt_frames.get(frame, [])
-        pr_recs = pr_frames.get(frame, [])
-        counts.gt += len(gt_recs)
-        if not gt_recs or not pr_recs:
-            counts.fp += len(pr_recs)
-            counts.fn += len(gt_recs)
+    for gt_ids, pr_ids, scores, values, gate in tables:
+        if min_score is not None:
+            keep = [j for j, score in enumerate(scores) if score >= min_score]
+            if len(keep) < len(pr_ids):
+                if not gt_ids and not keep:
+                    continue
+                pr_ids = [pr_ids[j] for j in keep]
+                values = values[:, keep] if values is not None else None
+        total_gt += len(gt_ids)
+        if not gt_ids or not pr_ids:
+            fp += len(pr_ids)
+            fn += len(gt_ids)
             persisting = {}
             continue
 
-        values, gate = _frame_similarity(gt_recs, pr_recs, gt.mode, threshold)
         matches: dict[int, int] = {}
         used_cols: set[int] = set()
 
-        pid_to_col = {rec.track_id: j for j, rec in enumerate(pr_recs)}
-        for i, rec in enumerate(gt_recs):
-            pid = persisting.get(rec.track_id)
+        pid_to_col = {pid: j for j, pid in enumerate(pr_ids)}
+        for i, gid in enumerate(gt_ids):
+            pid = persisting.get(gid)
             if pid is None:
                 continue
             j = pid_to_col.get(pid)
@@ -131,25 +154,25 @@ def _accumulate_clear(gt: TrackOutput, pred: TrackOutput, threshold: float) -> _
                 matches[i] = j
                 used_cols.add(j)
 
-        free_rows = [i for i in range(len(gt_recs)) if i not in matches]
-        free_cols = [j for j in range(len(pr_recs)) if j not in used_cols]
+        free_rows = [i for i in range(len(gt_ids)) if i not in matches]
+        free_cols = [j for j in range(len(pr_ids)) if j not in used_cols]
         if free_rows and free_cols:
-            assign = solve_assignment(values[np.ix_(free_rows, free_cols)], gate)
-            for r, c in assign.matches:
+            assign = solve_assignment(values[free_rows][:, free_cols], gate)
+            for r, c in assign.matches.tolist():
                 matches[free_rows[r]] = free_cols[c]
 
         for i, j in matches.items():
-            gid = gt_recs[i].track_id
-            pid = pr_recs[j].track_id
+            gid = gt_ids[i]
+            pid = pr_ids[j]
             if gid in last_match and last_match[gid] != pid:
-                counts.ids += 1
+                ids += 1
             last_match[gid] = pid
-        counts.matched += len(matches)
-        counts.fp += len(pr_recs) - len(matches)
-        counts.fn += len(gt_recs) - len(matches)
-        persisting = {gt_recs[i].track_id: pr_recs[j].track_id for i, j in matches.items()}
+        fp += len(pr_ids) - len(matches)
+        fn += len(gt_ids) - len(matches)
+        persisting = {gt_ids[i]: pr_ids[j] for i, j in matches.items()}
 
-    return counts
+    mota = 1.0 - (ids + fp + fn) / total_gt if total_gt else float("nan")
+    return ClearReport(mota=mota, fp=fp, fn=fn, ids=ids, gt=total_gt)
 
 
 def clear_mot(
@@ -167,13 +190,7 @@ def clear_mot(
         flagged undefined.
     """
     _check_modes(gt, pred)
-    threshold = match_threshold if match_threshold is not None else _default_threshold(gt.mode)
-    counts = _accumulate_clear(gt, pred, threshold)
-    if counts.gt == 0:
-        mota = float("nan")
-    else:
-        mota = 1.0 - (counts.ids + counts.fp + counts.fn) / counts.gt
-    return ClearReport(mota=mota, fp=counts.fp, fn=counts.fn, ids=counts.ids, gt=counts.gt)
+    return _clear(_frame_tables(gt, pred, _threshold(gt.mode, match_threshold)))
 
 
 def idf1(gt: TrackOutput, pred: TrackOutput, match_threshold: float | None = None) -> float:
@@ -184,39 +201,24 @@ def idf1(gt: TrackOutput, pred: TrackOutput, match_threshold: float | None = Non
     optimal assignment, and IDF1 = 2*IDTP / (2*IDTP + IDFP + IDFN).
     """
     _check_modes(gt, pred)
-    threshold = match_threshold if match_threshold is not None else _default_threshold(gt.mode)
-    gt_traj = gt.trajectories()
-    pr_traj = pred.trajectories()
-    total_gt = len(gt.records)
-    total_pred = len(pred.records)
-    if total_gt + total_pred == 0:
-        return 0.0
-    if not gt_traj or not pr_traj:
+    if not gt.records or not pred.records:
         return 0.0
 
-    gt_ids = sorted(gt_traj)
-    pr_ids = sorted(pr_traj)
-    overlap = np.zeros((len(gt_ids), len(pr_ids)))
-    for i, gid in enumerate(gt_ids):
-        frames_g = gt_traj[gid]
-        for j, pid in enumerate(pr_ids):
-            frames_p = pr_traj[pid]
-            shared = frames_g.keys() & frames_p.keys()
-            if not shared:
-                continue
-            count = 0
-            for frame in shared:
-                values, gate = _frame_similarity(
-                    [frames_g[frame]], [frames_p[frame]], gt.mode, threshold
-                )
-                if values[0, 0] >= gate:
-                    count += 1
-            overlap[i, j] = count
+    gt_index = {gid: i for i, gid in enumerate(sorted({r.track_id for r in gt.records}))}
+    pr_index = {pid: j for j, pid in enumerate(sorted({r.track_id for r in pred.records}))}
+    overlap = np.zeros((len(gt_index), len(pr_index)))
+    for gt_ids, pr_ids, _, values, gate in _frame_tables(
+        gt, pred, _threshold(gt.mode, match_threshold)
+    ):
+        if values is not None:
+            rows = [gt_index[gid] for gid in gt_ids]
+            cols = [pr_index[pid] for pid in pr_ids]
+            overlap[np.ix_(rows, cols)] += values >= gate
 
-    assign = solve_assignment(overlap, gate=0.5)
-    idtp = int(sum(overlap[r, c] for r, c in assign.matches))
-    idfp = total_pred - idtp
-    idfn = total_gt - idtp
+    matches = solve_assignment(overlap, gate=0.5).matches
+    idtp = int(overlap[matches[:, 0], matches[:, 1]].sum())
+    idfp = len(pred.records) - idtp
+    idfn = len(gt.records) - idtp
     return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
 
 
@@ -264,10 +266,10 @@ def amota(
         raise ValueError("AMOTA requires finite prediction confidences")
 
     total_gt = len(gt.records)
+    tables = list(_frame_tables(gt, pred, _threshold(gt.mode, match_threshold)))
     sweeps = []
     for threshold in sorted({rec.score for rec in pred.records}, reverse=True):
-        subset = pred.filter_scores(threshold)
-        report = clear_mot(gt, subset, match_threshold)
+        report = _clear(tables, threshold)
         recall = (total_gt - report.fn) / total_gt
         sweeps.append((threshold, recall, report))
 

@@ -76,11 +76,6 @@ class TrackOutput:
             grouped.setdefault(rec.track_id, {})[rec.frame] = rec
         return grouped
 
-    def filter_scores(self, threshold: float) -> "TrackOutput":
-        """Keep records with score >= threshold (used for recall sweeps)."""
-        kept = tuple(r for r in self.records if r.score >= threshold)
-        return TrackOutput(kept, self.mode, self.n_frames, self.config)
-
     def slice_frames(self, first: int, last: int) -> "TrackOutput":
         """Restrict to frames in [first, last]."""
         kept = tuple(r for r in self.records if first <= r.frame <= last)

@@ -5,6 +5,7 @@ Hungarian code paths they verify."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -165,11 +166,29 @@ def giou_3d_axis_aligned(a: Box3D, b: Box3D) -> float:
     return inter / union - (enclosing - union) / enclosing
 
 
-def clear_counts_reference(gt, pred, threshold: float = 0.5):
-    """From-scratch CLEAR counter for 2D outputs: persistence plus exhaustive
-    optimal per-frame matching. Returns (mota, fp, fn, ids)."""
+def _reference_similarity(gt, threshold):
+    """(similarity, gate) for one gt/prediction record pair: 2D IoU against
+    the IoU threshold, or 3D threshold minus BEV centre distance against 0
+    (admissible iff the distance is at most the threshold)."""
+    from motrack.association import Mode
     from motrack.geometry import iou_2d
 
+    if gt.mode is Mode.BOX_2D:
+        threshold = 0.5 if threshold is None else threshold
+        return (lambda g, p: iou_2d(g.box, p.box)), threshold
+    threshold = 2.0 if threshold is None else threshold
+
+    def closeness(g, p):
+        dx, dy = g.box.x - p.box.x, g.box.y - p.box.y
+        return threshold - math.sqrt(dx * dx + dy * dy)
+
+    return closeness, 0.0
+
+
+def clear_counts_reference(gt, pred, threshold: float | None = None):
+    """From-scratch CLEAR counter for 2D or 3D outputs: persistence plus
+    exhaustive optimal per-frame matching. Returns (mota, fp, fn, ids)."""
+    similarity, gate = _reference_similarity(gt, threshold)
     gt_frames, pred_frames = gt.frames(), pred.frames()
     fp = fn = ids = 0
     persisting: dict[int, int] = {}
@@ -182,7 +201,7 @@ def clear_counts_reference(gt, pred, threshold: float = 0.5):
         pid_idx = {rec.track_id: j for j, rec in enumerate(p)}
         for i, rec in enumerate(g):
             j = pid_idx.get(persisting.get(rec.track_id))
-            if j is not None and j not in used and iou_2d(rec.box, p[j].box) >= threshold:
+            if j is not None and j not in used and similarity(rec, p[j]) >= gate:
                 matches[i] = j
                 used.add(j)
 
@@ -198,8 +217,8 @@ def clear_counts_reference(gt, pred, threshold: float = 0.5):
                 return
             search(k + 1, free, total, chosen)
             for j in free:
-                value = iou_2d(g[rows[k]].box, p[j].box)
-                if value >= threshold:
+                value = similarity(g[rows[k]], p[j])
+                if value >= gate:
                     chosen.append((rows[k], j))
                     search(k + 1, free - {j}, total + value, chosen)
                     chosen.pop()
@@ -220,12 +239,11 @@ def clear_counts_reference(gt, pred, threshold: float = 0.5):
     return mota, fp, fn, ids
 
 
-def idf1_reference(gt, pred, threshold: float = 0.5) -> float:
+def idf1_reference(gt, pred, threshold: float | None = None) -> float:
     """IDF1 by enumerating every one-to-one trajectory mapping (small inputs)."""
     from itertools import permutations
 
-    from motrack.geometry import iou_2d
-
+    similarity, gate = _reference_similarity(gt, threshold)
     gt_traj, pred_traj = gt.trajectories(), pred.trajectories()
     if not gt_traj or not pred_traj:
         return 0.0
@@ -236,7 +254,7 @@ def idf1_reference(gt, pred, threshold: float = 0.5) -> float:
             shared = gt_traj[gid].keys() & pred_traj[pid].keys()
             overlap[(gid, pid)] = sum(
                 1 for f in shared
-                if iou_2d(gt_traj[gid][f].box, pred_traj[pid][f].box) >= threshold
+                if similarity(gt_traj[gid][f], pred_traj[pid][f]) >= gate
             )
     short, long_, flip = (gt_ids, pred_ids, False) if len(gt_ids) <= len(pred_ids) \
         else (pred_ids, gt_ids, True)
@@ -248,6 +266,35 @@ def idf1_reference(gt, pred, threshold: float = 0.5) -> float:
         )
         best = max(best, total)
     return 2.0 * best / (2.0 * best + (len(pred.records) - best) + (len(gt.records) - best))
+
+
+def amota_reference(gt, pred, threshold: float | None = None, n_points: int = 40):
+    """The exhaustive AMOTA sweep: for every unique score, drop the records
+    scored below it, rebuild the output and recount CLEAR from scratch; then
+    pick, per recall point, the highest score among those with the lowest
+    recall that still reaches it. Returns (amota, smota values, recalls)."""
+    from motrack.tracker import TrackOutput
+
+    total_gt = len(gt.records)
+    sweeps = []
+    for score in sorted({rec.score for rec in pred.records}, reverse=True):
+        kept = tuple(rec for rec in pred.records if rec.score >= score)
+        subset = TrackOutput(kept, pred.mode, pred.n_frames, pred.config)
+        _, fp, fn, ids = clear_counts_reference(gt, subset, threshold)
+        sweeps.append((score, (total_gt - fn) / total_gt, fp + fn + ids))
+
+    recalls = tuple(k / n_points for k in range(1, n_points + 1))
+    values = []
+    for r in recalls:
+        reachable = [entry for entry in sweeps if entry[1] >= r]
+        if not reachable:
+            values.append(0.0)
+            continue
+        lowest = min(recall for _, recall, _ in reachable)
+        _, _, errors = max((e for e in reachable if e[1] == lowest), key=lambda e: e[0])
+        penalty = errors - (1.0 - r) * total_gt
+        values.append(max(0.0, min(1.0, 1.0 - penalty / (r * total_gt))))
+    return float(np.mean(values)), tuple(values), recalls
 
 
 def best_gated_matching(values: np.ndarray, gate) -> float:

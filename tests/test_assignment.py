@@ -9,27 +9,48 @@ def objective(values, assignment) -> float:
     return float(sum(values[r, c] for r, c in assignment.matches))
 
 
+def pairs(assignment) -> set[tuple[int, int]]:
+    return {(r, c) for r, c in assignment.matches.tolist()}
+
+
 def test_dominant_diagonal():
     sim = np.array([[0.9, 0.1], [0.1, 0.9]])
     result = solve_assignment(sim, gate=0.2)
-    assert set(result.matches) == {(0, 0), (1, 1)}
-    assert result.unmatched_detections == ()
-    assert result.unmatched_tracklets == ()
+    assert pairs(result) == {(0, 0), (1, 1)}
+    assert result.unmatched_detections.tolist() == []
+    assert result.unmatched_tracklets.tolist() == []
 
 
 def test_single_pair_below_gate_rejected():
     result = solve_assignment(np.array([[0.15]]), gate=0.2)
-    assert result.matches == ()
-    assert result.unmatched_detections == (0,)
-    assert result.unmatched_tracklets == (0,)
+    assert result.matches.tolist() == []
+    assert result.unmatched_detections.tolist() == [0]
+    assert result.unmatched_tracklets.tolist() == [0]
 
 
 def test_empty_matrix():
     result = solve_assignment(np.zeros((0, 3)), gate=0.2)
-    assert result.matches == ()
-    assert result.unmatched_tracklets == (0, 1, 2)
+    assert result.matches.shape == (0, 2)
+    assert result.unmatched_tracklets.tolist() == [0, 1, 2]
     result = solve_assignment(np.zeros((2, 0)), gate=0.2)
-    assert result.unmatched_detections == (0, 1)
+    assert result.unmatched_detections.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("values, gate", [
+    (np.zeros((0, 3)), 0.2),                       # empty
+    (np.array([[0.1, 0.1]]), 0.5),                 # nothing admissible
+    (np.array([[0.9, 0.2], [0.3, 0.8]]), 0.5),     # solver path
+])
+def test_index_arrays(values, gate):
+    # Callers index with the result directly: (k, 2) matches in row order and
+    # ascending unmatched index arrays, all intp.
+    result = solve_assignment(values, gate)
+    assert result.matches.ndim == 2 and result.matches.shape[1] == 2
+    for field in (result.matches, result.unmatched_detections, result.unmatched_tracklets):
+        assert field.dtype == np.intp
+    assert result.matches[:, 0].tolist() == sorted(result.matches[:, 0].tolist())
+    for field in (result.unmatched_detections, result.unmatched_tracklets):
+        assert field.tolist() == sorted(set(field.tolist()))
 
 
 def test_non_finite_rejected():
@@ -42,14 +63,14 @@ def test_non_finite_rejected():
 def test_non_2d_rejected():
     with pytest.raises(ValueError, match="2-D"):
         solve_assignment(np.array([0.8]), gate=0.5)
-    assert solve_assignment([[0.8]], gate=0.5).matches == ((0, 0),)
+    assert solve_assignment([[0.8]], gate=0.5).matches.tolist() == [[0, 0]]
 
 
 def test_prefers_total_over_cardinality():
     # One strong pair beats two weak ones when the sums say so.
     sim = np.array([[0.9, 0.25], [0.25, 0.0]])
     result = solve_assignment(sim, gate=0.2)
-    assert result.matches == ((0, 0),)
+    assert result.matches.tolist() == [[0, 0]]
 
 
 def test_matches_respect_gate_partition():
@@ -59,12 +80,12 @@ def test_matches_respect_gate_partition():
         values = rng.uniform(0.0, 1.0, (m, n))
         gate = rng.uniform(0.0, 1.0)
         result = solve_assignment(values, gate)
-        rows = [r for r, _ in result.matches]
-        cols = [c for _, c in result.matches]
+        rows = result.matches[:, 0].tolist()
+        cols = result.matches[:, 1].tolist()
         assert len(set(rows)) == len(rows)
         assert len(set(cols)) == len(cols)
-        assert sorted(rows + list(result.unmatched_detections)) == list(range(m))
-        assert sorted(cols + list(result.unmatched_tracklets)) == list(range(n))
+        assert sorted(rows + result.unmatched_detections.tolist()) == list(range(m))
+        assert sorted(cols + result.unmatched_tracklets.tolist()) == list(range(n))
         for r, c in result.matches:
             assert values[r, c] >= gate
 
@@ -93,7 +114,7 @@ def test_optimal_with_negative_values_and_gates():
         assert objective(values, result) == pytest.approx(
             best_gated_matching(values, gate), abs=1e-12
         )
-    assert solve_assignment(np.array([[-0.3]]), gate=-0.7).matches == ()
+    assert solve_assignment(np.array([[-0.3]]), gate=-0.7).matches.tolist() == []
 
 
 def test_gate_monotonicity():
@@ -124,7 +145,7 @@ def test_per_entry_gate_array():
     values = np.array([[0.9, 0.8], [0.7, 0.6]])
     gates = np.array([[np.inf, 0.5], [0.5, np.inf]])
     result = solve_assignment(values, gates)
-    assert set(result.matches) == {(0, 1), (1, 0)}
+    assert pairs(result) == {(0, 1), (1, 0)}
 
 
 def test_per_entry_gates_against_exhaustive_search():
@@ -145,4 +166,7 @@ def test_deterministic():
     values = rng.uniform(0.0, 1.0, (7, 7))
     first = solve_assignment(values, 0.3)
     for _ in range(5):
-        assert solve_assignment(values, 0.3) == first
+        again = solve_assignment(values, 0.3)
+        assert again.matches.tolist() == first.matches.tolist()
+        assert again.unmatched_detections.tolist() == first.unmatched_detections.tolist()
+        assert again.unmatched_tracklets.tolist() == first.unmatched_tracklets.tolist()

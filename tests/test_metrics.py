@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motrack import metrics
 from motrack.association import Mode
 from motrack.geometry import Box2D, Box3D
 from motrack.metrics import amota, clear_mot, idf1, smota_r
 from motrack.tracker import TrackOutput, TrackRecord
-from oracle_utils import clear_counts_reference, idf1_reference
+from oracle_utils import amota_reference, clear_counts_reference, idf1_reference
 
 
 def output_2d(rows, n_frames=None):
@@ -164,6 +167,95 @@ def test_idf1_against_exhaustive_reference():
     for _ in range(15):
         gt, pred = _random_tracking_case(rng, n_frames=8)
         assert idf1(gt, pred) == pytest.approx(idf1_reference(gt, pred), abs=1e-12)
+
+
+@st.composite
+def eval_suites(draw):
+    """A small random gt/prediction pair in 2D or 3D.
+
+    Structure comes from hypothesis: which ids appear in each frame, which
+    object each prediction follows (so identities switch), one frame with
+    predictions but no gt, and scores drawn from a pool of at most three
+    values, so scores repeat and some frames keep no prediction under the
+    higher thresholds. Positions come from a drawn seed and are continuous, so
+    no two matchings tie.
+    """
+    is_3d = draw(st.booleans())
+    n_frames = draw(st.integers(1, 8))
+    gt_free = draw(st.integers(1 + (n_frames > 2), max(1, n_frames - 1)))
+    pool = draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+                         min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale, jitter = (1.5, 1.6) if is_3d else (40.0, 18.0)
+    start = rng.uniform(0.0, 6.0 * scale, (3, 2))
+    velocity = rng.uniform(-0.5 * scale, 0.5 * scale, (3, 2))
+    gt_rows, pred_rows = [], []
+    for f in range(1, n_frames + 1):
+        centre = start + f * velocity
+        gt_ids = [] if f == gt_free else draw(
+            st.lists(st.integers(1, 3), max_size=3, unique=True))
+        for gid in sorted(gt_ids):
+            gt_rows.append((f, gid, *centre[gid - 1], 1.0))
+        pred_ids = draw(st.lists(st.integers(1, 5), min_size=int(f == gt_free),
+                                 max_size=4, unique=True))
+        for pid in sorted(pred_ids):
+            # Each prediction follows a drawn object, offset so some pairs
+            # clear the gate and some do not.
+            target = draw(st.integers(1, 3))
+            x, y = centre[target - 1] + rng.uniform(-jitter, jitter, 2)
+            score = min(pool) if f == gt_free else draw(st.sampled_from(pool))
+            pred_rows.append((f, pid, x, y, score))
+    build = output_3d if is_3d else output_2d
+    return build(gt_rows, n_frames), build(pred_rows, n_frames)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eval_suites())
+def test_metrics_match_exhaustive_references(suite):
+    gt, pred = suite
+    report = clear_mot(gt, pred)
+    mota, fp, fn, ids = clear_counts_reference(gt, pred)
+    assert (report.fp, report.fn, report.ids, report.gt) == (fp, fn, ids, len(gt.records))
+    if gt.records:
+        assert report.mota == pytest.approx(mota, abs=1e-12)
+    assert idf1(gt, pred) == pytest.approx(idf1_reference(gt, pred), abs=1e-12)
+    # Every point of the sweep, before AMOTA picks a few of them.
+    tables = list(metrics._frame_tables(gt, pred, metrics._threshold(gt.mode, None)))
+    for score in {rec.score for rec in pred.records}:
+        kept = tuple(rec for rec in pred.records if rec.score >= score)
+        _, fp, fn, ids = clear_counts_reference(
+            gt, TrackOutput(kept, pred.mode, pred.n_frames))
+        swept = metrics._clear(tables, score)
+        assert (swept.fp, swept.fn, swept.ids) == (fp, fn, ids)
+    if gt.records:
+        got = amota(gt, pred)
+        want, values, recalls = amota_reference(gt, pred)
+        assert got.recalls == recalls
+        assert got.amota == pytest.approx(want, abs=1e-12)
+        assert got.smota_values == pytest.approx(values, abs=1e-12)
+
+
+def test_amota_threshold_skips_emptied_gt_free_frame():
+    # One object, absent from the gt at frame 3. Prediction 10 follows it
+    # (shifted at frame 4); prediction 11 sits exactly on it at frame 4; and
+    # prediction 20 is a low-score box at frame 3.
+    gt = output_2d(steady(1, (1, 2, 4)))
+    pred = output_2d([
+        (1, 10, 100.0, 100.0, 0.9), (2, 10, 100.0, 100.0, 0.9),
+        (3, 20, 900.0, 900.0, 0.1),
+        (4, 10, 110.0, 100.0, 0.9), (4, 11, 100.0, 100.0, 0.9),
+    ])
+    # Kept, prediction 20 makes frame 3 a frame without gt, which resets
+    # persistence: frame 4 re-matches to the better box 11, an id switch.
+    assert clear_mot(gt, pred).ids == 1
+    # At threshold 0.9 frame 3 has no records at all, so the pair (1, 10)
+    # persists into frame 4: no switch, and box 11 is a false positive.
+    report = amota(gt, pred)
+    # Both thresholds reach recall 1; the higher one wins, with ids=0, fp=1,
+    # fn=0 out of 3 gt: sMOTA(r) = 1 - (1 - 3(1 - r)) / 3r = 2 / 3r.
+    expected = [min(1.0, 2.0 / (3.0 * r)) for r in report.recalls]
+    assert report.smota_values == pytest.approx(expected, abs=1e-12)
+    assert report.amota == pytest.approx(amota_reference(gt, pred)[0], abs=1e-12)
 
 
 class TestIdf1:

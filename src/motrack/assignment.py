@@ -50,8 +50,9 @@ def solve_assignment(sim: np.ndarray, gate: float | np.ndarray) -> Assignment:
     if not np.all(np.isfinite(values)):
         raise ValueError("similarity matrix entries must be finite")
 
-    gate_arr = np.broadcast_to(np.asarray(gate, dtype=float), values.shape)
-    admissible = values >= gate_arr
+    admissible = values >= np.asarray(gate, dtype=float)
+    if admissible.shape != values.shape:
+        raise ValueError(f"gate of shape {np.shape(gate)} does not broadcast to {values.shape}")
     if not admissible.any():
         return _empty_assignment(n_rows, n_cols)
 

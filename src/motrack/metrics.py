@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -114,65 +114,127 @@ def _frame_tables(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Itera
                [r.score for r in pr_recs], values, gate)
 
 
-def _clear(tables: Iterable[_FrameTable], min_score: float | None = None) -> ClearReport:
-    """CLEAR counts over frame tables, keeping predictions scored >= min_score.
+def _frame_step(
+    gt_ids: list[int],
+    pr_ids: list[int],
+    values: np.ndarray | None,
+    gate: float,
+    persisting: dict[int, int],
+    last_match: dict[int, int],
+) -> tuple[int, int, int, dict[int, int]]:
+    """CLEAR counts of one frame: (fp, fn, ids, matches as gt id -> pred id).
+
+    A pair from ``persisting`` (the previous frame's matches) is kept while it
+    still clears the gate; the rest is re-matched optimally. A match whose gt id
+    was last matched to another prediction (``last_match``) is an identity
+    switch. Neither dict is modified: the returned matches are the next frame's
+    ``persisting`` and the update to ``last_match``.
+    """
+    if not gt_ids or not pr_ids:
+        return len(pr_ids), len(gt_ids), 0, {}
+
+    matches: dict[int, int] = {}
+    used_cols: set[int] = set()
+    pid_to_col = {pid: j for j, pid in enumerate(pr_ids)}
+    for i, gid in enumerate(gt_ids):
+        pid = persisting.get(gid)
+        if pid is None:
+            continue
+        j = pid_to_col.get(pid)
+        if j is None or j in used_cols:
+            continue
+        if values[i, j] >= gate:
+            matches[i] = j
+            used_cols.add(j)
+
+    free_rows = [i for i in range(len(gt_ids)) if i not in matches]
+    free_cols = [j for j in range(len(pr_ids)) if j not in used_cols]
+    if free_rows and free_cols:
+        assign = solve_assignment(values[free_rows][:, free_cols], gate)
+        for r, c in assign.matches.tolist():
+            matches[free_rows[r]] = free_cols[c]
+
+    ids = 0
+    matched: dict[int, int] = {}
+    for i, j in matches.items():
+        gid, pid = gt_ids[i], pr_ids[j]
+        if gid in last_match and last_match[gid] != pid:
+            ids += 1
+        matched[gid] = pid
+    return len(pr_ids) - len(matches), len(gt_ids) - len(matches), ids, matched
+
+
+# Match state entering a frame: (persisting pairs, last matched pred per gt id).
+_State = tuple[dict[int, int], dict[int, int]]
+
+
+def _kept_frame_step(
+    table: _FrameTable, min_score: float, state: _State
+) -> tuple[tuple[int, int, int], _State]:
+    """One frame's (fp, fn, ids) and leaving state, keeping predictions scored
+    >= min_score.
 
     A frame left with neither gt nor kept predictions is skipped, so match
     persistence carries across it, as if those predictions were never there.
     """
-    fp = fn = ids = total_gt = 0
-    persisting: dict[int, int] = {}
-    last_match: dict[int, int] = {}
+    gt_ids, pr_ids, scores, values, gate = table
+    keep = [j for j, score in enumerate(scores) if score >= min_score]
+    if not gt_ids and not keep:
+        return (0, 0, 0), state
+    if len(keep) < len(pr_ids):
+        pr_ids = [pr_ids[j] for j in keep]
+        values = values[:, keep] if values is not None else None
+    persisting, last_match = state
+    fp, fn, ids, matched = _frame_step(gt_ids, pr_ids, values, gate, persisting, last_match)
+    if matched:
+        last_match = {**last_match, **matched}
+    return (fp, fn, ids), (matched, last_match)
 
-    for gt_ids, pr_ids, scores, values, gate in tables:
-        if min_score is not None:
-            keep = [j for j, score in enumerate(scores) if score >= min_score]
-            if len(keep) < len(pr_ids):
-                if not gt_ids and not keep:
-                    continue
-                pr_ids = [pr_ids[j] for j in keep]
-                values = values[:, keep] if values is not None else None
-        total_gt += len(gt_ids)
-        if not gt_ids or not pr_ids:
-            fp += len(pr_ids)
-            fn += len(gt_ids)
-            persisting = {}
-            continue
 
-        matches: dict[int, int] = {}
-        used_cols: set[int] = set()
+def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
+    """CLEAR counts (score, fp, fn, ids) keeping the predictions scored at
+    least each unique score, in descending score order.
 
-        pid_to_col = {pid: j for j, pid in enumerate(pr_ids)}
-        for i, gid in enumerate(gt_ids):
-            pid = persisting.get(gid)
-            if pid is None:
-                continue
-            j = pid_to_col.get(pid)
-            if j is None or j in used_cols:
-                continue
-            if values[i, j] >= gate:
-                matches[i] = j
-                used_cols.add(j)
+    One incremental pass. It starts from no prediction kept, where every frame
+    enters with empty state and misses all its gt. Lowering the threshold to a
+    score changes the kept columns only in the frames holding that score, so a
+    frame is recounted only if it holds the score or the state entering it
+    changed. Once a recounted frame hands on the state the next frame entered
+    with at the previous score, nothing changes until the next frame holding
+    the score. Totals move by the difference between a frame's new and old
+    counts.
+    """
+    n = len(tables)
+    frames_at: dict[float, list[int]] = {}
+    for i, table in enumerate(tables):
+        for score in dict.fromkeys(table[2]):
+            frames_at.setdefault(score, []).append(i)
+    entering: list[_State] = [({}, {})] * n
+    counts = [(0, len(table[0]), 0) for table in tables]
+    fp, fn, ids = 0, sum(c[1] for c in counts), 0
 
-        free_rows = [i for i in range(len(gt_ids)) if i not in matches]
-        free_cols = [j for j in range(len(pr_ids)) if j not in used_cols]
-        if free_rows and free_cols:
-            assign = solve_assignment(values[free_rows][:, free_cols], gate)
-            for r, c in assign.matches.tolist():
-                matches[free_rows[r]] = free_cols[c]
-
-        for i, j in matches.items():
-            gid = gt_ids[i]
-            pid = pr_ids[j]
-            if gid in last_match and last_match[gid] != pid:
-                ids += 1
-            last_match[gid] = pid
-        fp += len(pr_ids) - len(matches)
-        fn += len(gt_ids) - len(matches)
-        persisting = {gt_ids[i]: pr_ids[j] for i, j in matches.items()}
-
-    mota = 1.0 - (ids + fp + fn) / total_gt if total_gt else float("nan")
-    return ClearReport(mota=mota, fp=fp, fn=fn, ids=ids, gt=total_gt)
+    for score in sorted(frames_at, reverse=True):
+        changed = frames_at[score] + [n]
+        k, i = 0, changed[0]
+        state = entering[i]
+        while i < n:
+            entering[i] = state
+            new, state = _kept_frame_step(tables[i], score, state)
+            old = counts[i]
+            counts[i] = new
+            fp += new[0] - old[0]
+            fn += new[1] - old[1]
+            ids += new[2] - old[2]
+            i += 1
+            if i == changed[k + 1]:
+                k += 1
+            elif state == entering[i]:
+                # Nothing differs until the next frame holding this score.
+                k += 1
+                i = changed[k]
+                if i < n:
+                    state = entering[i]
+        yield score, fp, fn, ids
 
 
 def clear_mot(
@@ -190,7 +252,22 @@ def clear_mot(
         flagged undefined.
     """
     _check_modes(gt, pred)
-    return _clear(_frame_tables(gt, pred, _threshold(gt.mode, match_threshold)))
+    fp = fn = ids = 0
+    persisting: dict[int, int] = {}
+    last_match: dict[int, int] = {}
+    for gt_ids, pr_ids, _, values, gate in _frame_tables(
+        gt, pred, _threshold(gt.mode, match_threshold)
+    ):
+        frame_fp, frame_fn, frame_ids, persisting = _frame_step(
+            gt_ids, pr_ids, values, gate, persisting, last_match
+        )
+        last_match.update(persisting)
+        fp += frame_fp
+        fn += frame_fn
+        ids += frame_ids
+    total_gt = len(gt.records)
+    mota = 1.0 - (ids + fp + fn) / total_gt if total_gt else float("nan")
+    return ClearReport(mota=mota, fp=fp, fn=fn, ids=ids, gt=total_gt)
 
 
 def idf1(gt: TrackOutput, pred: TrackOutput, match_threshold: float | None = None) -> float:
@@ -267,27 +344,26 @@ def amota(
 
     total_gt = len(gt.records)
     tables = list(_frame_tables(gt, pred, _threshold(gt.mode, match_threshold)))
-    sweeps = []
-    for threshold in sorted({rec.score for rec in pred.records}, reverse=True):
-        report = _clear(tables, threshold)
-        recall = (total_gt - report.fn) / total_gt
-        sweeps.append((threshold, recall, report))
+    sweeps = [
+        (threshold, (total_gt - fn) / total_gt, fp + fn + ids)
+        for threshold, fp, fn, ids in _sweep(tables)
+    ]
 
     recalls = tuple(
         k / n_points for k in range(1, n_points + 1) if k / n_points >= min_recall
     )
     values = []
     for r in recalls:
-        reachable = [(t, rec, rep) for t, rec, rep in sweeps if rec >= r]
+        reachable = [entry for entry in sweeps if entry[1] >= r]
         if not reachable:
             values.append(0.0)
             continue
         best_recall = min(rec for _, rec, _ in reachable)
-        threshold, _, report = max(
+        _, _, errors = max(
             (entry for entry in reachable if entry[1] == best_recall),
             key=lambda entry: entry[0],
         )
-        penalty = report.ids + report.fp + report.fn - (1.0 - r) * total_gt
+        penalty = errors - (1.0 - r) * total_gt
         values.append(max(0.0, min(1.0, 1.0 - penalty / (r * total_gt))))
 
     return AmotaReport(

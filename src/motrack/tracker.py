@@ -69,13 +69,6 @@ class TrackOutput:
             grouped.setdefault(rec.frame, []).append(rec)
         return grouped
 
-    def trajectories(self) -> dict[int, dict[int, TrackRecord]]:
-        """Records grouped by identity, then frame."""
-        grouped: dict[int, dict[int, TrackRecord]] = {}
-        for rec in self.records:
-            grouped.setdefault(rec.track_id, {})[rec.frame] = rec
-        return grouped
-
     def slice_frames(self, first: int, last: int) -> "TrackOutput":
         """Restrict to frames in [first, last]."""
         kept = tuple(r for r in self.records if first <= r.frame <= last)

@@ -239,12 +239,20 @@ def clear_counts_reference(gt, pred, threshold: float | None = None):
     return mota, fp, fn, ids
 
 
+def trajectories(output) -> dict[int, dict[int, object]]:
+    """A TrackOutput's records grouped by identity, then frame."""
+    grouped: dict[int, dict[int, object]] = {}
+    for rec in output.records:
+        grouped.setdefault(rec.track_id, {})[rec.frame] = rec
+    return grouped
+
+
 def idf1_reference(gt, pred, threshold: float | None = None) -> float:
     """IDF1 by enumerating every one-to-one trajectory mapping (small inputs)."""
     from itertools import permutations
 
     similarity, gate = _reference_similarity(gt, threshold)
-    gt_traj, pred_traj = gt.trajectories(), pred.trajectories()
+    gt_traj, pred_traj = trajectories(gt), trajectories(pred)
     if not gt_traj or not pred_traj:
         return 0.0
     gt_ids, pred_ids = sorted(gt_traj), sorted(pred_traj)

@@ -148,6 +148,22 @@ def test_per_entry_gate_array():
     assert pairs(result) == {(0, 1), (1, 0)}
 
 
+def test_scalar_gate_equals_full_gate_array():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        m, n = rng.integers(1, 7, 2)
+        values = rng.uniform(-1.0, 1.0, (m, n))
+        gate = float(rng.uniform(-0.5, 0.8))
+        scalar = solve_assignment(values, gate)
+        full = solve_assignment(values, np.full((m, n), gate))
+        assert scalar.matches.tolist() == full.matches.tolist()
+        assert scalar.unmatched_detections.tolist() == full.unmatched_detections.tolist()
+    with pytest.raises(ValueError):
+        solve_assignment(np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        solve_assignment(np.ones((2, 3)), np.ones((1, 2, 3)))
+
+
 def test_per_entry_gates_against_exhaustive_search():
     rng = np.random.default_rng(21)
     for _ in range(30):

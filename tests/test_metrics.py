@@ -219,20 +219,101 @@ def test_metrics_match_exhaustive_references(suite):
     if gt.records:
         assert report.mota == pytest.approx(mota, abs=1e-12)
     assert idf1(gt, pred) == pytest.approx(idf1_reference(gt, pred), abs=1e-12)
-    # Every point of the sweep, before AMOTA picks a few of them.
+    check_sweep_and_amota(gt, pred)
+
+
+def sweep_points(gt, pred):
+    """(score, fp, fn, ids) at every unique score, from the incremental sweep."""
     tables = list(metrics._frame_tables(gt, pred, metrics._threshold(gt.mode, None)))
-    for score in {rec.score for rec in pred.records}:
+    return list(metrics._sweep(tables))
+
+
+def check_sweep_and_amota(gt, pred):
+    """Every sweep point against an exhaustive recount of the filtered output,
+    and AMOTA against the exhaustive sweep."""
+    points = sweep_points(gt, pred)
+    assert [p[0] for p in points] == sorted({r.score for r in pred.records}, reverse=True)
+    for score, fp, fn, ids in points:
         kept = tuple(rec for rec in pred.records if rec.score >= score)
-        _, fp, fn, ids = clear_counts_reference(
-            gt, TrackOutput(kept, pred.mode, pred.n_frames))
-        swept = metrics._clear(tables, score)
-        assert (swept.fp, swept.fn, swept.ids) == (fp, fn, ids)
+        _, *want = clear_counts_reference(gt, TrackOutput(kept, pred.mode, pred.n_frames))
+        assert (fp, fn, ids) == tuple(want), score
     if gt.records:
         got = amota(gt, pred)
         want, values, recalls = amota_reference(gt, pred)
         assert got.recalls == recalls
         assert got.amota == pytest.approx(want, abs=1e-12)
         assert got.smota_values == pytest.approx(values, abs=1e-12)
+
+
+@st.composite
+def long_eval_suites(draw):
+    """A 10-40 frame gt/prediction pair in 2D or 3D, long enough for the
+    incremental sweep to recount some frames and jump over others.
+
+    One to four objects move on crossing straight lines. Each prediction id
+    follows one object, and two objects swap prediction ids at drawn frames,
+    so identities switch. Drawn frames have no gt, only the predictions. Gt
+    boxes and predictions drop out at random, and a clutter prediction
+    sometimes competes for an object. Scores come from a pool of 3-6 rounded
+    values, so each threshold changes several frames at once.
+    """
+    is_3d = draw(st.booleans())
+    n_frames = draw(st.integers(10, 40))
+    n_obj = draw(st.integers(1, 4))
+    gt_free = draw(st.sets(st.integers(1, n_frames), max_size=n_frames // 4))
+    swaps = draw(st.sets(st.integers(2, n_frames), max_size=4))
+    pool = draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+                         min_size=3, max_size=6, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale, jitter = (1.5, 1.6) if is_3d else (40.0, 18.0)
+    start = rng.uniform(0.0, 4.0 * scale, (n_obj, 2))
+    velocity = rng.uniform(-0.25 * scale, 0.25 * scale, (n_obj, 2))
+    pred_of = list(range(1, n_obj + 1))
+    gt_rows, pred_rows = [], []
+    for f in range(1, n_frames + 1):
+        centre = start + f * velocity
+        if f in swaps and n_obj >= 2:
+            a, b = rng.choice(n_obj, 2, replace=False)
+            pred_of[a], pred_of[b] = pred_of[b], pred_of[a]
+        if f not in gt_free:
+            for o in range(n_obj):
+                if rng.uniform() < 0.85:
+                    gt_rows.append((f, o + 1, *centre[o], 1.0))
+        rows = []
+        for o in range(n_obj):
+            if rng.uniform() < 0.8:
+                rows.append((pred_of[o], o))
+        if rng.uniform() < 0.25:
+            rows.append((9, int(rng.integers(n_obj))))
+        for pid, o in sorted(rows):
+            x, y = centre[o] + rng.uniform(-jitter, jitter, 2)
+            pred_rows.append((f, pid, x, y, float(rng.choice(pool))))
+    build = output_3d if is_3d else output_2d
+    return build(gt_rows, n_frames), build(pred_rows, n_frames)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_eval_suites())
+def test_sweep_matches_exhaustive_references_on_long_suites(suite):
+    check_sweep_and_amota(*suite)
+
+
+def test_recall_can_fall_as_the_threshold_falls():
+    # Under CLEAR persistence, keeping more predictions can cost a match
+    # later, so recall is not monotone in the threshold and a bisection over
+    # thresholds would be unsound. Frame 1: prediction 6 (score 0.5) sits
+    # exactly on gt 1 and beats prediction 5 (0.9), 5 px off. Frame 2: gt 2
+    # appears 20 px right of gt 1; prediction 6 (now 0.9) sits between them,
+    # and prediction 5 is out of gt 2's gate.
+    gt = output_2d([(1, 1, 100.0, 100.0, 1.0),
+                    (2, 1, 100.0, 100.0, 1.0), (2, 2, 120.0, 100.0, 1.0)])
+    pred = output_2d([(1, 5, 95.0, 100.0, 0.9), (1, 6, 100.0, 100.0, 0.5),
+                      (2, 5, 95.0, 100.0, 0.9), (2, 6, 110.0, 100.0, 0.9)])
+    # At 0.9 the pair (1, 5) persists into frame 2, and 6 takes gt 2: no miss.
+    # At 0.5 frame 1 matches (1, 6) instead; that pair persists, and nothing
+    # is left for gt 2: one miss more at the lower threshold.
+    assert sweep_points(gt, pred) == [(0.9, 0, 0, 0), (0.5, 2, 1, 0)]
+    check_sweep_and_amota(gt, pred)
 
 
 def test_amota_threshold_skips_emptied_gt_free_frame():

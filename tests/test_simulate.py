@@ -21,6 +21,7 @@ from motrack.simulate import (
 )
 from motrack.geometry import iou_2d
 from motrack.tracker import run_sequence, validate_config
+from oracle_utils import trajectories
 
 
 def simple_spec(**overrides):
@@ -103,7 +104,7 @@ class TestGeneration:
     def test_gt_velocity_consistent_with_motion(self):
         spec = simple_spec()
         gt, _ = generate_scenario(spec, seed=0)
-        traj = gt.trajectories()[1]
+        traj = trajectories(gt)[1]
         for frame in range(2, 13):
             assert traj[frame].box.x1 - traj[frame - 1].box.x1 == pytest.approx(5.0)
 
@@ -232,7 +233,7 @@ class TestSuites:
     def test_crossing_scenario_paths_cross(self):
         spec, seed = crossing_scenario()
         gt, _ = generate_scenario(spec, seed)
-        traj = gt.trajectories()
+        traj = trajectories(gt)
         first = traj[1][1].box.x1 - traj[2][1].box.x1
         last = traj[1][spec.duration].box.x1 - traj[2][spec.duration].box.x1
         assert first < 0 < last

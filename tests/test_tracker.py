@@ -102,7 +102,6 @@ class TestTrackOutput:
         )
         output = TrackOutput(records, Mode.BOX_2D, 2)
         assert {f: len(v) for f, v in output.frames().items()} == {1: 2, 2: 1}
-        assert sorted(output.trajectories()) == [1, 2]
         assert output.slice_frames(2, 2).records == records[2:]
 
 

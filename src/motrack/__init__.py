@@ -9,6 +9,7 @@ harness.
 from .assignment import Assignment, solve_assignment
 from .association import (
     Detection,
+    DetectionFrame,
     FrameResult,
     Mode,
     MotionStrategy,
@@ -20,11 +21,9 @@ from .association import (
 from .geometry import (
     Box2D,
     Box3D,
-    Metric,
     bev_intersection_area,
     giou_3d,
     iou_2d,
-    similarity_matrix,
 )
 from .metrics import AmotaReport, ClearReport, amota, clear_mot, idf1, smota_r
 from .motion import NoiseConfig
@@ -51,8 +50,8 @@ __all__ = [
     "Box3D",
     "ClearReport",
     "Detection",
+    "DetectionFrame",
     "FrameResult",
-    "Metric",
     "Mode",
     "MotionStrategy",
     "NoiseConfig",
@@ -73,7 +72,6 @@ __all__ = [
     "iou_2d",
     "predict_tracks",
     "run_sequence",
-    "similarity_matrix",
     "smota_r",
     "solve_assignment",
     "step",

@@ -7,9 +7,11 @@ unmatched low boxes are discarded as background. Tracks unmatched by both
 passes turn Lost and are dropped once they exceed the rebirth buffer; leftover
 high-score boxes start new tracks.
 
-Tracks live in one struct-of-arrays pool, one row per track. Each frame turns
-its detections into parameter rows once, runs every stage on arrays, and
-builds boxes only for the tracks it outputs.
+Tracks live in one struct-of-arrays pool, one row per track. A frame's
+detections arrive as columns (DetectionFrame: parameter rows, scores, class
+ids, velocities), every stage runs on arrays, and the frame's output is the
+active rows as columns too (FrameResult). Detection and TrackRecord objects
+are built only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,6 +70,70 @@ class Detection:
             if not (math.isfinite(vx) and math.isfinite(vy)):
                 raise ValueError(f"detection velocity must be finite, got {self.velocity}")
             object.__setattr__(self, "velocity", (float(vx), float(vy)))
+
+
+def box_width(mode: Mode) -> int:
+    """Columns of a parameter row: box2d_array's 4 or box3d_array's 7."""
+    return 7 if mode is Mode.BOX_3D else 4
+
+
+def _box_type(rows: np.ndarray) -> type:
+    return Box3D if rows.shape[1] == 7 else Box2D
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionFrame:
+    """One frame's detections as columns, row k being detection k.
+
+    boxes holds parameter rows in the box2d_array / box3d_array layout, scores
+    and class_ids one value per row, and velocities the planar (vx, vy) of the
+    rows where has_velocity is set (0 elsewhere). Iterating or indexing yields
+    Detection objects, built on first use.
+    """
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    class_ids: np.ndarray
+    velocities: np.ndarray
+    has_velocity: np.ndarray
+
+    @classmethod
+    def from_detections(cls, detections: Sequence[Detection], mode: Mode) -> "DetectionFrame":
+        """Columns of a detection list; every box must be of the mode's type."""
+        box_type = Box3D if mode is Mode.BOX_3D else Box2D
+        for det in detections:
+            if not isinstance(det.box, box_type):
+                raise ValueError(f"{type(det.box).__name__} detection in {mode.value} mode")
+        boxes = [det.box for det in detections]
+        frame = cls(
+            boxes=box3d_array(boxes) if box_type is Box3D else box2d_array(boxes),
+            scores=np.array([det.score for det in detections], dtype=float),
+            class_ids=np.array([det.class_id for det in detections], dtype=np.int64),
+            velocities=np.array([det.velocity or (0.0, 0.0) for det in detections],
+                                dtype=float).reshape(-1, 2),
+            has_velocity=np.array([det.velocity is not None for det in detections], dtype=bool),
+        )
+        frame.__dict__["detections"] = tuple(detections)
+        return frame
+
+    @cached_property
+    def detections(self) -> tuple[Detection, ...]:
+        box_type = _box_type(self.boxes)
+        return tuple(
+            Detection(box_type(*row), score, class_id, (vx, vy) if has else None)
+            for row, score, class_id, (vx, vy), has in zip(
+                self.boxes.tolist(), self.scores.tolist(), self.class_ids.tolist(),
+                self.velocities.tolist(), self.has_velocity.tolist())
+        )
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __iter__(self) -> Iterator[Detection]:
+        return iter(self.detections)
+
+    def __getitem__(self, index: int) -> Detection:
+        return self.detections[index]
 
 
 @dataclass(frozen=True)
@@ -162,6 +229,23 @@ class TrackRecord:
     class_id: int = 0
 
 
+def records_from_columns(
+    frames: np.ndarray,
+    track_ids: np.ndarray,
+    class_ids: np.ndarray,
+    scores: np.ndarray,
+    boxes: np.ndarray,
+) -> tuple[TrackRecord, ...]:
+    """TrackRecords of output columns, one per row; boxes are checked on construction."""
+    box_type = _box_type(boxes)
+    return tuple(
+        TrackRecord(frame, track_id, box_type(*row), score, class_id)
+        for frame, track_id, row, score, class_id in zip(
+            frames.tolist(), track_ids.tolist(), boxes.tolist(), scores.tolist(),
+            class_ids.tolist())
+    )
+
+
 @dataclass(frozen=True)
 class FrameDiagnostics:
     """How each input detection index was consumed, plus lifecycle events."""
@@ -174,13 +258,26 @@ class FrameDiagnostics:
     removed_track_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameResult:
-    """Confirmed boxes and identities emitted for one frame."""
+    """Confirmed boxes and identities emitted for one frame, as columns.
+
+    Row k is one active track: track_ids, class_ids, scores and the parameter
+    row boxes[k], in id order. tracks holds the same rows as TrackRecords,
+    built on first use.
+    """
 
     frame: int
-    tracks: tuple[TrackRecord, ...]
+    track_ids: np.ndarray
+    class_ids: np.ndarray
+    scores: np.ndarray
+    boxes: np.ndarray
     diagnostics: FrameDiagnostics
+
+    @cached_property
+    def tracks(self) -> tuple[TrackRecord, ...]:
+        return records_from_columns(np.full(len(self.track_ids), self.frame), self.track_ids,
+                                    self.class_ids, self.scores, self.boxes)
 
 
 def predict_tracks(
@@ -225,7 +322,7 @@ def _row_gates(class_ids: np.ndarray, gate: float | Mapping[int, float]) -> np.n
 def step(
     pool: TrackPool,
     frame: int,
-    detections: Sequence[Detection],
+    detections: DetectionFrame,
     config: TrackerConfig,
 ) -> FrameResult:
     """Run one frame of the two-stage association over the track pool.
@@ -240,18 +337,15 @@ def step(
             f"frame index must increase, got {frame} after {pool.last_frame}"
         )
     is_3d = config.mode is Mode.BOX_3D
-    box_type = Box3D if is_3d else Box2D
-    for det in detections:
-        if not isinstance(det.box, box_type):
-            raise ValueError(
-                f"{type(det.box).__name__} detection in {config.mode.value} mode"
-            )
+    raw = detections.boxes
+    if len(raw) and raw.shape[1] != box_width(config.mode):
+        raise ValueError(
+            f"{_box_type(raw).__name__} detection in {config.mode.value} mode"
+        )
 
     noise = config.effective_noise()
-    boxes = [det.box for det in detections]
-    raw = box3d_array(boxes) if is_3d else box2d_array(boxes)
-    scores = np.array([det.score for det in detections], dtype=float)
-    det_classes = np.array([det.class_id for det in detections], dtype=np.int64)
+    scores = detections.scores
+    det_classes = detections.class_ids
     high_idx = np.nonzero(scores > config.tau)[0]
     low_idx = np.nonzero(scores <= config.tau)[0]
 
@@ -259,10 +353,9 @@ def step(
     back = raw
     if wants_backward.any():
         # Shift detections back one frame by their detected planar velocity;
-        # those without one keep their raw box.
-        velocities = np.array([det.velocity or (0.0, 0.0) for det in detections])
+        # those without one (velocity 0) keep their raw box.
         back = raw.copy()
-        back[:, :2] -= velocities.reshape(-1, 2)
+        back[:, :2] -= detections.velocities
 
     def run_pass(rows, cols, gate):
         same_class = det_classes[rows][:, None] == pool.class_ids[cols][None, :]
@@ -338,13 +431,12 @@ def step(
     pool.last_frame = frame
 
     out = np.nonzero(pool.active)[0]
-    tracks = tuple(
-        TrackRecord(frame, track_id, box_type(*row), score, class_id)
-        for track_id, row, score, class_id in zip(
-            pool.ids[out].tolist(),
-            motion.box_rows(pool.means[out], is_3d).tolist(),
-            pool.last_score[out].tolist(),
-            pool.class_ids[out].tolist(),
-        )
-    )
-    return FrameResult(frame=frame, tracks=tracks, diagnostics=diagnostics)
+    # Output rows are matched or spawned this frame, so their yaw is already
+    # wrapped by the update or the measurement.
+    boxes = motion.box_rows(pool.means[out], is_3d)
+    if not np.isfinite(boxes).all():
+        box_type = _box_type(boxes)
+        for row in boxes.tolist():
+            box_type(*row)  # raises for the first row that is not a box
+    return FrameResult(frame, pool.ids[out], pool.class_ids[out], pool.last_score[out],
+                       boxes, diagnostics)

@@ -108,7 +108,7 @@ def _cmd_track(args) -> int:
             formats.write_mot_results(output, fh)
         else:
             formats.write_3d_results(output, fh)
-    print(f"tracked {output.n_frames} frames, {len(output.records)} boxes")
+    print(f"tracked {output.n_frames} frames, {len(output.track_ids)} boxes")
     return 0
 
 
@@ -157,7 +157,7 @@ def _cmd_simulate(args) -> int:
             formats.write_3d_results(gt, fh)
     with open(args.out_det, "w", encoding="utf-8") as fh:
         formats.write_detections(frames, spec.mode, fh)
-    print(f"wrote {len(gt.records)} gt boxes over {gt.n_frames} frames (seed {seed})")
+    print(f"wrote {len(gt.track_ids)} gt boxes over {gt.n_frames} frames (seed {seed})")
     return 0
 
 

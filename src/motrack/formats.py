@@ -7,123 +7,260 @@ width/height in pixels, and id -1 for raw detections. 3D lines are
 per-frame velocities; vx/vy are left empty when the detector supplies none.
 Floats are written with full round-trip precision so write-then-parse is
 lossless.
+
+Records are read as columns. Each chunk of lines is split into fields at
+once, each field column is converted in bulk, and every row is validated with
+array masks. The first bad row is reported as ``line N: ...``, with the
+message of the first check it fails in field order. parse_*_detections return
+DetectionFrames, per-frame views over columns sorted by frame;
+parse_*_results return a TrackOutput. The writers format from the same
+columns.
 """
 
 from __future__ import annotations
 
-from typing import IO, Iterable
+from collections.abc import Sequence
+from itertools import repeat
+from typing import IO, Callable, Iterable, Iterator
 
-from .association import Detection, Mode
-from .geometry import Box2D, Box3D
-from .tracker import CLASS_IDS, CLASS_NAMES, TrackOutput, TrackRecord
+import numpy as np
+
+from .association import Detection, DetectionFrame, Mode
+from .geometry import wrap_angles
+from .tracker import CLASS_IDS, CLASS_NAMES, TrackOutput
 
 _MOT_FIELDS = 10
 _3D_FIELDS = 13
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
+_CHUNK_CHARS = 1 << 14  # text parsed per chunk, cut at a line break
+_WRITE_ROWS = 1024  # lines formatted per write
 
 
 def _fail(line_no: int, message: str) -> ValueError:
     return ValueError(f"line {line_no}: {message}")
 
 
-def _parse_float(token: str, line_no: int, name: str) -> float:
+# --- columnar parsing -------------------------------------------------------------
+
+
+def _line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(number of the first line, lines) per chunk of about _CHUNK_CHARS
+    characters, at least one. Chunks end after a newline, so their lines are
+    those of text.splitlines()."""
+    start, line_no = 0, 1
+    while True:
+        cut = text.find("\n", start + _CHUNK_CHARS)
+        stop = len(text) if cut < 0 else cut + 1
+        lines = text[start:stop].splitlines()
+        yield line_no, lines
+        if stop == len(text):
+            return
+        line_no += len(lines)
+        start = stop
+
+
+class _Rows:
+    """One chunk's non-blank lines as field columns, and the first error among them.
+
+    Only the lines before the first one with the wrong field count become
+    rows; that line's error is raised if no row before it fails. Checks are
+    registered in the order the fields and rules of one line apply, so the
+    first failing row is reported with the first check it fails.
+    """
+
+    def __init__(self, first_line_no: int, lines: list[str], n_fields: int):
+        line_nos = range(first_line_no, first_line_no + len(lines))
+        if "" in lines or any(map(str.isspace, lines)):
+            kept = [i for i, line in enumerate(lines) if line and not line.isspace()]
+            lines, line_nos = [lines[i] for i in kept], [line_nos[i] for i in kept]
+        commas = list(map(str.count, lines, repeat(",")))
+        n, self.tail = len(lines), None
+        if commas.count(n_fields - 1) != n:
+            n = next(i for i, count in enumerate(commas) if count != n_fields - 1)
+            self.tail = (line_nos[n],
+                         f"expected {n_fields} comma-separated fields, got {commas[n] + 1}")
+        tokens = ",".join(lines[:n]).split(",") if n else []
+        self.columns = [tokens[k::n_fields] for k in range(n_fields)]
+        self.line_nos = line_nos
+        self.row, self.describe = n, None
+
+    def check(self, bad: np.ndarray | None, describe: Callable[[int], str]) -> None:
+        """Register a check: bad marks the rows failing it (None: no row),
+        describe(i) gives row i's message."""
+        if bad is None:
+            return
+        hits = np.flatnonzero(bad[:self.row])
+        if hits.size:
+            self.row, self.describe = int(hits[0]), describe
+
+    def raise_first(self) -> None:
+        if self.describe is not None:
+            raise _fail(self.line_nos[self.row], self.describe(self.row))
+        if self.tail is not None:
+            raise _fail(*self.tail)
+
+    def floats(self, k: int, name: str, tokens: list[str] | None = None) -> np.ndarray:
+        """Field k (or the given tokens) as floats, with its number check."""
+        tokens = self.columns[k] if tokens is None else tokens
+        values, bad = _convert(tokens, float, np.float64)
+        self.check(bad, lambda i: f"{name} is not a number: {tokens[i].strip()!r}")
+        return values
+
+    def ints(self, k: int, name: str) -> np.ndarray:
+        """Field k as int64, with its integer check."""
+        tokens = self.columns[k]
+        values, bad = _convert(tokens, int, np.int64)
+
+        def describe(i: int) -> str:
+            token = tokens[i].strip()
+            try:
+                int(token)
+            except ValueError:
+                return f"{name} is not an integer: {token!r}"
+            return f"{name} is out of range: {token!r}"
+
+        self.check(bad, describe)
+        return values
+
+
+def _convert(
+    tokens: list[str], kind: Callable[[str], float], dtype
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Tokens converted by kind (float, int, ...) in one pass, plus a mask of
+    the tokens it rejects or dtype cannot hold (None if there are none; 0 there)."""
     try:
-        return float(token)
-    except ValueError:
-        raise _fail(line_no, f"{name} is not a number: {token!r}") from None
+        return np.fromiter(map(kind, tokens), dtype=dtype, count=len(tokens)), None
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(len(tokens), dtype=dtype)
+    bad = np.zeros(len(tokens), dtype=bool)
+    for i, token in enumerate(tokens):
+        try:
+            values[i] = kind(token)
+        except (ValueError, OverflowError):
+            bad[i] = True
+    return values, bad
 
 
-def _parse_int(token: str, line_no: int, name: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise _fail(line_no, f"{name} is not an integer: {token!r}") from None
+def _id_check(rows: _Rows, ids: np.ndarray) -> None:
+    rows.check(ids < 1, lambda i: f"result id must be >= 1, got {int(ids[i])}")
 
 
-def _split_line(line: str, line_no: int, expected: int) -> list[str]:
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) != expected:
-        raise _fail(line_no, f"expected {expected} comma-separated fields, got {len(fields)}")
-    return fields
+def _by_frame(frames: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Columns ordered by frame, keeping file order within a frame."""
+    if np.all(frames[1:] >= frames[:-1]):
+        return (frames, *columns)
+    order = np.argsort(frames, kind="stable")
+    return tuple(column[order] for column in (frames, *columns))
 
 
-def _iter_lines(text: str) -> Iterable[tuple[int, str]]:
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            yield line_no, line
+def _concat(chunks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
-def _dense_frames(parsed: list[tuple[int, Detection]]) -> list[list[Detection]]:
-    """Group (frame, detection) pairs into dense 1-based frames."""
-    n_frames = max((frame for frame, _ in parsed), default=0)
-    frames: list[list[Detection]] = [[] for _ in range(n_frames)]
-    for frame, det in parsed:
-        frames[frame - 1].append(det)
-    return frames
+class DetectionFrames(Sequence):
+    """Parsed detections: item i is frame i + 1 as a DetectionFrame view.
 
+    The rows are held once, sorted by frame with file order kept within a
+    frame, and a frame's rows are found by binary search. So memory follows
+    the number of rows, not the largest frame number.
+    """
 
-def _results_output(records: list[TrackRecord], mode: Mode) -> TrackOutput:
-    """Order parsed result records by frame and wrap them as a TrackOutput."""
-    records.sort(key=lambda r: r.frame)
-    n_frames = max((r.frame for r in records), default=0)
-    return TrackOutput(tuple(records), mode, n_frames)
+    def __init__(self, frames: np.ndarray, boxes: np.ndarray, scores: np.ndarray,
+                 class_ids: np.ndarray, velocities: np.ndarray, has_velocity: np.ndarray):
+        self._frames = frames
+        self._columns = (boxes, scores, class_ids, velocities, has_velocity)
+        self._n = int(frames[-1]) if len(frames) else 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index: int | slice) -> DetectionFrame | list[DetectionFrame]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(self._n)[index]]
+        if index < 0:
+            index += self._n
+        if not 0 <= index < self._n:
+            raise IndexError("frame index out of range")
+        start, stop = np.searchsorted(self._frames, (index + 1, index + 2)).tolist()
+        return DetectionFrame(*(column[start:stop] for column in self._columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            list(mine) == list(theirs) for mine, theirs in zip(self, other))
+
+    __hash__ = None
 
 
 # --- 2D MOT records --------------------------------------------------------------
 
 
-def _parse_mot_line(line: str, line_no: int) -> tuple[int, int, Box2D, float]:
-    fields = _split_line(line, line_no, _MOT_FIELDS)
-    frame = _parse_int(fields[0], line_no, "frame")
-    track_id = _parse_int(fields[1], line_no, "id")
-    x = _parse_float(fields[2], line_no, "x")
-    y = _parse_float(fields[3], line_no, "y")
-    w = _parse_float(fields[4], line_no, "w")
-    h = _parse_float(fields[5], line_no, "h")
-    score = _parse_float(fields[6], line_no, "score")
-    for name, token in zip(("u1", "u2", "u3"), fields[7:]):
-        _parse_float(token, line_no, name)
-    if frame < 1:
-        raise _fail(line_no, f"frame must be >= 1, got {frame}")
-    if w <= 0 or h <= 0:
-        raise _fail(line_no, f"box size must be positive, got w={w}, h={h}")
-    if not 0.0 <= score <= 1.0:
-        raise _fail(line_no, f"score must be in [0, 1], got {score}")
-    return frame, track_id, Box2D.from_xywh(x, y, w, h), score
+def _mot_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
+    """(frames, ids, scores, boxes) of MOT lines, in file order."""
+    chunks = []
+    for first_line_no, lines in _line_chunks(text):
+        rows = _Rows(first_line_no, lines, _MOT_FIELDS)
+        frames, ids = rows.ints(0, "frame"), rows.ints(1, "id")
+        x, y, w, h, scores = (rows.floats(k, name)
+                              for k, name in enumerate(("x", "y", "w", "h", "score"), start=2))
+        for k, name in enumerate(("u1", "u2", "u3"), start=7):
+            rows.floats(k, name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x2, y2 = x + w, y + h
+        rows.check(frames < 1, lambda i: f"frame must be >= 1, got {int(frames[i])}")
+        rows.check((w <= 0.0) | (h <= 0.0),
+                   lambda i: f"box size must be positive, got w={float(w[i])}, h={float(h[i])}")
+        rows.check(~((scores >= 0.0) & (scores <= 1.0)),
+                   lambda i: f"score must be in [0, 1], got {float(scores[i])}")
+        boxes = np.stack((x, y, x2, y2), axis=1)
+        rows.check(~((x <= x2) & (y <= y2)), lambda i: "Box2D corners out of order: ({}, {}, {}, {})"
+                   .format(*boxes[i].tolist()))
+        rows.check(~np.isfinite(boxes).all(axis=1), lambda i: "Box2D coordinates must be finite")
+        if results:
+            _id_check(rows, ids)
+        rows.raise_first()
+        chunks.append((frames, ids, scores, boxes))
+    return _concat(chunks)
 
 
-def mot_line(frame: int, track_id: int, box: Box2D, score: float) -> str:
-    x, y, w, h = box.to_xywh()
-    return f"{frame},{track_id},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)},{_fmt(score)},-1,-1,-1"
-
-
-def parse_mot_detections(text: str) -> list[list[Detection]]:
-    """Read raw detections grouped into dense 1-based frames."""
-    return _dense_frames([(frame, Detection(box, score))
-                          for line_no, line in _iter_lines(text)
-                          for frame, _, box, score in [_parse_mot_line(line, line_no)]])
+def parse_mot_detections(text: str) -> DetectionFrames:
+    """Read raw detections as frames 1..n (the largest frame number)."""
+    frames, _, scores, boxes = _by_frame(*_mot_columns(text, results=False))
+    n = len(frames)
+    return DetectionFrames(frames, boxes, scores, np.zeros(n, dtype=np.int64),
+                           np.zeros((n, 2)), np.zeros(n, dtype=bool))
 
 
 def parse_mot_results(text: str) -> TrackOutput:
     """Read a tracked-results file (ids >= 1) back into a TrackOutput."""
-    records = []
-    for line_no, line in _iter_lines(text):
-        frame, track_id, box, score = _parse_mot_line(line, line_no)
-        if track_id < 1:
-            raise _fail(line_no, f"result id must be >= 1, got {track_id}")
-        records.append(TrackRecord(frame, track_id, box, score))
-    return _results_output(records, Mode.BOX_2D)
+    frames, ids, scores, boxes = _by_frame(*_mot_columns(text, results=True))
+    n_frames = int(frames[-1]) if len(frames) else 0
+    return TrackOutput.from_columns(frames, ids, np.zeros(len(ids), dtype=np.int64), scores,
+                                    boxes, Mode.BOX_2D, n_frames)
+
+
+def _mot_text(frames: np.ndarray, track_ids: np.ndarray, scores: np.ndarray,
+              boxes: np.ndarray) -> Iterator[str]:
+    """MOT lines of the rows, _WRITE_ROWS lines per string."""
+    for start in range(0, len(frames), _WRITE_ROWS):
+        part = slice(start, start + _WRITE_ROWS)
+        b = boxes[part]
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, h = b[:, 2] - b[:, 0], b[:, 3] - b[:, 1]
+        yield "".join(
+            f"{frame},{track_id},{x!r},{y!r},{w!r},{h!r},{score!r},-1,-1,-1\n"
+            for frame, track_id, x, y, w, h, score in zip(
+                frames[part].tolist(), track_ids[part].tolist(), b[:, 0].tolist(),
+                b[:, 1].tolist(), w.tolist(), h.tolist(), scores[part].tolist()))
 
 
 def write_mot_results(output: TrackOutput, sink: IO[str]) -> None:
     """Write a 2D TrackOutput as MOT result lines; 3D outputs are rejected."""
     if output.mode is not Mode.BOX_2D:
         raise ValueError("MOT result format is 2D only")
-    for rec in output.records:
-        sink.write(mot_line(rec.frame, rec.track_id, rec.box, rec.score) + "\n")
+    for text in _mot_text(output.frames, output.track_ids, output.scores, output.boxes):
+        sink.write(text)
 
 
 # --- 3D records -------------------------------------------------------------------
@@ -135,93 +272,111 @@ def _class_name(class_id: int) -> str:
     return str(class_id)
 
 
-def _class_id(token: str, line_no: int) -> int:
-    if token in CLASS_IDS:
-        return CLASS_IDS[token]
-    try:
-        return int(token)
-    except ValueError:
-        raise _fail(line_no, f"unknown class label {token!r}") from None
+def _class_id(label: str) -> int:
+    return CLASS_IDS[label] if label in CLASS_IDS else int(label)
 
 
-def box3d_line(
-    frame: int,
-    track_id: int,
-    box: Box3D,
-    score: float,
-    class_id: int = 0,
-    velocity: tuple[float, float] | None = None,
-) -> str:
-    vx = _fmt(velocity[0]) if velocity is not None else ""
-    vy = _fmt(velocity[1]) if velocity is not None else ""
-    values = (frame, track_id, _class_name(class_id), _fmt(box.x), _fmt(box.y),
-              _fmt(box.z), _fmt(box.theta), _fmt(box.l), _fmt(box.w), _fmt(box.h),
-              vx, vy, _fmt(score))
-    return ",".join(str(v) for v in values)
+def _3d_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
+    """(frames, ids, class ids, scores, boxes, velocities, has_velocity) of 3D
+    lines, in file order."""
+    chunks = []
+    for first_line_no, lines in _line_chunks(text):
+        rows = _Rows(first_line_no, lines, _3D_FIELDS)
+        frames, ids = rows.ints(0, "frame"), rows.ints(1, "id")
+        labels = [token.strip() for token in rows.columns[2]]
+        class_ids, bad = _convert(labels, _class_id, np.int64)
+        rows.check(bad, lambda i: f"unknown class label {labels[i]!r}")
+        boxes = np.stack([rows.floats(k, name) for k, name in
+                          enumerate(("x", "y", "z", "theta", "l", "w", "h"), start=3)], axis=1)
+        vx_tokens = [token.strip() for token in rows.columns[10]]
+        vy_tokens = [token.strip() for token in rows.columns[11]]
+        has_vx = np.array([token != "" for token in vx_tokens], dtype=bool)
+        has_vy = np.array([token != "" for token in vy_tokens], dtype=bool)
+        rows.check(has_vx != has_vy, lambda i: "vx and vy must both be present or both empty")
+        velocities = np.stack([rows.floats(k, name, [token or "0" for token in tokens])
+                               for k, name, tokens in ((10, "vx", vx_tokens),
+                                                       (11, "vy", vy_tokens))], axis=1)
+        scores = rows.floats(12, "score")
+        rows.check(frames < 1, lambda i: f"frame must be >= 1, got {int(frames[i])}")
+        rows.check(~((scores >= 0.0) & (scores <= 1.0)),
+                   lambda i: f"score must be in [0, 1], got {float(scores[i])}")
+        sizes = boxes[:, 4:]
+        rows.check(~(sizes > 0.0).all(axis=1),
+                   lambda i: "Box3D dimensions must be positive, got l={}, w={}, h={}"
+                   .format(*sizes[i].tolist()))
+        rows.check(~np.isfinite(boxes).all(axis=1), lambda i: "Box3D fields must be finite")
+        if results:
+            _id_check(rows, ids)
+        else:
+            rows.check(has_vx & ~np.isfinite(velocities).all(axis=1),
+                       lambda i: f"detection velocity must be finite, got "
+                                 f"{tuple(velocities[i].tolist())}")
+        rows.raise_first()
+        boxes[:, 3] = wrap_angles(boxes[:, 3])
+        chunks.append((frames, ids, class_ids, scores, boxes, velocities, has_vx))
+    return _concat(chunks)
 
 
-def _parse_3d_line(line: str, line_no: int):
-    fields = _split_line(line, line_no, _3D_FIELDS)
-    frame = _parse_int(fields[0], line_no, "frame")
-    track_id = _parse_int(fields[1], line_no, "id")
-    class_id = _class_id(fields[2], line_no)
-    numbers = [_parse_float(fields[k], line_no, name)
-               for k, name in ((3, "x"), (4, "y"), (5, "z"), (6, "theta"),
-                               (7, "l"), (8, "w"), (9, "h"))]
-    velocity = None
-    if fields[10] or fields[11]:
-        if not (fields[10] and fields[11]):
-            raise _fail(line_no, "vx and vy must both be present or both empty")
-        velocity = (_parse_float(fields[10], line_no, "vx"),
-                    _parse_float(fields[11], line_no, "vy"))
-    score = _parse_float(fields[12], line_no, "score")
-    if frame < 1:
-        raise _fail(line_no, f"frame must be >= 1, got {frame}")
-    if not 0.0 <= score <= 1.0:
-        raise _fail(line_no, f"score must be in [0, 1], got {score}")
-    try:
-        box = Box3D(*numbers)
-    except ValueError as exc:
-        raise _fail(line_no, str(exc)) from None
-    return frame, track_id, class_id, box, velocity, score
-
-
-def parse_3d_detections(text: str) -> list[list[Detection]]:
-    """Read 3D detections (id column -1) grouped into dense 1-based frames."""
-    parsed = []
-    for line_no, line in _iter_lines(text):
-        frame, _, class_id, box, velocity, score = _parse_3d_line(line, line_no)
-        parsed.append((frame, Detection(box, score, class_id, velocity)))
-    return _dense_frames(parsed)
+def parse_3d_detections(text: str) -> DetectionFrames:
+    """Read 3D detections (id column -1) as frames 1..n (the largest frame number)."""
+    frames, _, class_ids, scores, boxes, velocities, has_velocity = _by_frame(
+        *_3d_columns(text, results=False))
+    return DetectionFrames(frames, boxes, scores, class_ids, velocities, has_velocity)
 
 
 def parse_3d_results(text: str) -> TrackOutput:
-    records = []
-    for line_no, line in _iter_lines(text):
-        frame, track_id, class_id, box, _, score = _parse_3d_line(line, line_no)
-        if track_id < 1:
-            raise _fail(line_no, f"result id must be >= 1, got {track_id}")
-        records.append(TrackRecord(frame, track_id, box, score, class_id))
-    return _results_output(records, Mode.BOX_3D)
+    """Read a 3D results file (ids >= 1) back into a TrackOutput."""
+    frames, ids, class_ids, scores, boxes, _, _ = _by_frame(*_3d_columns(text, results=True))
+    n_frames = int(frames[-1]) if len(frames) else 0
+    return TrackOutput.from_columns(frames, ids, class_ids, scores, boxes, Mode.BOX_3D,
+                                    n_frames)
+
+
+def _3d_text(frames: np.ndarray, track_ids: np.ndarray, class_ids: np.ndarray,
+             scores: np.ndarray, boxes: np.ndarray, velocities: np.ndarray | None = None,
+             has_velocity: np.ndarray | None = None) -> Iterator[str]:
+    """3D lines of the rows, _WRITE_ROWS lines per string; vx/vy stay empty
+    where a row has no velocity."""
+    names = {class_id: _class_name(class_id) for class_id in np.unique(class_ids).tolist()}
+    for start in range(0, len(frames), _WRITE_ROWS):
+        part = slice(start, start + _WRITE_ROWS)
+        if velocities is None:
+            planar = [","] * len(frames[part])
+        else:
+            planar = [f"{vx!r},{vy!r}" if has else ","
+                      for (vx, vy), has in zip(velocities[part].tolist(),
+                                                has_velocity[part].tolist())]
+        yield "".join(
+            f"{frame},{track_id},{names[class_id]},{x!r},{y!r},{z!r},{theta!r},{l!r},"
+            f"{w!r},{h!r},{planar},{score!r}\n"
+            for frame, track_id, class_id, (x, y, z, theta, l, w, h), planar, score in zip(
+                frames[part].tolist(), track_ids[part].tolist(), class_ids[part].tolist(),
+                boxes[part].tolist(), planar, scores[part].tolist()))
 
 
 def write_3d_results(output: TrackOutput, sink: IO[str]) -> None:
+    """Write a 3D TrackOutput as 3D record lines, velocities empty."""
     if output.mode is not Mode.BOX_3D:
         raise ValueError("3D result format needs a 3D output")
-    for rec in output.records:
-        sink.write(box3d_line(rec.frame, rec.track_id, rec.box, rec.score,
-                              rec.class_id) + "\n")
+    for text in _3d_text(output.frames, output.track_ids, output.class_ids, output.scores,
+                         output.boxes):
+        sink.write(text)
 
 
-def write_detections(frames: list[list[Detection]], mode: Mode, sink: IO[str]) -> None:
+def write_detections(frames: Iterable[Sequence[Detection]], mode: Mode, sink: IO[str]) -> None:
     """Write a detection stream in the matching per-mode format (id column -1)."""
     for index, detections in enumerate(frames, start=1):
-        for det in detections:
-            if mode is Mode.BOX_2D:
-                sink.write(mot_line(index, -1, det.box, det.score) + "\n")
-            else:
-                sink.write(box3d_line(index, -1, det.box, det.score, det.class_id,
-                                      det.velocity) + "\n")
+        if not isinstance(detections, DetectionFrame):
+            detections = DetectionFrame.from_detections(detections, mode)
+        n = len(detections)
+        numbers, ids = np.full(n, index), np.full(n, -1)
+        if mode is Mode.BOX_2D:
+            texts = _mot_text(numbers, ids, detections.scores, detections.boxes)
+        else:
+            texts = _3d_text(numbers, ids, detections.class_ids, detections.scores,
+                             detections.boxes, detections.velocities, detections.has_velocity)
+        for text in texts:
+            sink.write(text)
 
 
 # --- config files -----------------------------------------------------------------
@@ -238,6 +393,20 @@ _SCALAR_KEYS = {
     "second_pass": bool,
     "motion_strategy": str,
 }
+
+
+def _parse_float(token: str, line_no: int, name: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise _fail(line_no, f"{name} is not a number: {token!r}") from None
+
+
+def _parse_int(token: str, line_no: int, name: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise _fail(line_no, f"{name} is not an integer: {token!r}") from None
 
 
 def _parse_bool(token: str, line_no: int, name: str) -> bool:

@@ -6,12 +6,12 @@ computed in bird's-eye view (BEV): footprint intersection via convex polygon
 clipping, times the vertical interval overlap. Scoring runs on parameter rows
 (box2d_array, box3d_array): all 2D scoring goes through iou_matrix_2d and all
 3D scoring through one array kernel, giou_3d_pairs, over flat arrays of box
-pairs.
+pairs. The box classes validate single boxes; record columns hold the same
+parameter rows.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -22,18 +22,22 @@ import numpy as np
 _CLIP_EPS = 1e-9
 
 
-class Metric(enum.Enum):
-    """Similarity metric for a detection/tracklet box pair."""
-
-    IOU_2D = "iou_2d"
-    GIOU_3D = "giou_3d"
-
-
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to the interval (-pi, pi]."""
     wrapped = math.remainder(theta, math.tau)
     if wrapped <= -math.pi:
         wrapped += math.tau
+    return wrapped
+
+
+def wrap_angles(thetas: np.ndarray) -> np.ndarray:
+    """wrap_angle over an array: finite entries outside (-pi, pi] are wrapped
+    one by one with its exact remainder, the rest are returned as they are."""
+    outside = np.isfinite(thetas) & ~((thetas > -math.pi) & (thetas <= math.pi))
+    if not outside.any():
+        return thetas
+    wrapped = thetas.copy()
+    wrapped[outside] = [wrap_angle(t) for t in thetas[outside].tolist()]
     return wrapped
 
 
@@ -324,30 +328,3 @@ def iou_matrix_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
-
-
-def _check_dimensionality(boxes: Sequence[Box], metric: Metric, kind: str) -> None:
-    wanted = Box2D if metric is Metric.IOU_2D else Box3D
-    for box in boxes:
-        if not isinstance(box, wanted):
-            raise ValueError(
-                f"{metric.value} cannot score a {type(box).__name__} {kind} box"
-            )
-
-
-def similarity_matrix(
-    detections: Sequence[Box], tracklets: Sequence[Box], metric: Metric
-) -> np.ndarray:
-    """Score every detection box (rows) against every tracklet box (columns).
-
-    The metric's dimensionality must match the boxes or a ValueError is
-    raised. Returns an (M, N) array, empty when either side is empty.
-    """
-    _check_dimensionality(detections, metric, "detection")
-    _check_dimensionality(tracklets, metric, "tracklet")
-    if metric is Metric.IOU_2D:
-        return iou_matrix_2d(box2d_array(detections), box2d_array(tracklets))
-    rows, cols = box3d_array(detections), box3d_array(tracklets)
-    return giou_3d_pairs(
-        np.repeat(rows, len(cols), axis=0), np.tile(cols, (len(rows), 1))
-    ).reshape(len(rows), len(cols))

@@ -1,22 +1,22 @@
 """Tracking evaluation: CLEAR counts (MOTA/FP/FN/IDS), IDF1, sMOTA_r, AMOTA.
 
-Ground truth and predictions are both TrackOutput values. Per-frame matching
-is gated (2D: IoU >= 0.5 by default; 3D: BEV center distance <= 2 m) with
-CLEAR persistence: a gt-prediction pair from the previous frame is kept while
-it still clears the gate, and only the remainder is re-matched optimally.
+Ground truth and predictions are both TrackOutput values, read as columns.
+Per-frame matching is gated (2D: IoU >= 0.5 by default; 3D: BEV center
+distance <= 2 m) with CLEAR persistence: a gt-prediction pair from the
+previous frame is kept while it still clears the gate, and only the remainder
+is re-matched optimally.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .assignment import solve_assignment
-from .geometry import Metric, similarity_matrix
-from .tracker import Mode, TrackOutput, TrackRecord
+from .geometry import iou_matrix_2d
+from .tracker import Mode, TrackOutput
 
 DEFAULT_IOU_MATCH = 0.5
 DEFAULT_DIST_MATCH = 2.0
@@ -80,15 +80,12 @@ def _check_modes(gt: TrackOutput, pred: TrackOutput) -> None:
 
 
 def _frame_similarity(
-    gt_recs: list[TrackRecord], pr_recs: list[TrackRecord], mode: Mode, threshold: float
+    gt_boxes: np.ndarray, pr_boxes: np.ndarray, mode: Mode, threshold: float
 ) -> tuple[np.ndarray, float]:
     """Similarity values plus the admission gate for one frame's matching."""
     if mode is Mode.BOX_2D:
-        boxes_gt, boxes_pr = [r.box for r in gt_recs], [r.box for r in pr_recs]
-        return similarity_matrix(boxes_gt, boxes_pr, Metric.IOU_2D), threshold
-    g = np.array([(r.box.x, r.box.y) for r in gt_recs]).reshape(len(gt_recs), 2)
-    p = np.array([(r.box.x, r.box.y) for r in pr_recs]).reshape(len(pr_recs), 2)
-    dist = np.linalg.norm(g[:, None, :] - p[None, :, :], axis=2)
+        return iou_matrix_2d(gt_boxes, pr_boxes), threshold
+    dist = np.linalg.norm(gt_boxes[:, None, :2] - pr_boxes[None, :, :2], axis=2)
     return threshold - dist, 0.0
 
 
@@ -98,20 +95,21 @@ _FrameTable = tuple[list[int], list[int], list[float], np.ndarray | None, float]
 
 
 def _frame_tables(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Iterator[_FrameTable]:
-    """Score each frame that has records once, in frame order.
+    """Score each frame that has rows once, in frame order.
 
+    Each side's frame is a slice of its columns, found by binary search.
     Yields lazily, so a single pass holds one frame's similarity at a time.
     """
-    gt_frames = gt.frames()
-    pr_frames = pred.frames()
-    for frame in sorted(gt_frames.keys() | pr_frames.keys()):
-        gt_recs = gt_frames.get(frame, [])
-        pr_recs = pr_frames.get(frame, [])
+    frames = np.union1d(gt.frames, pred.frames)
+    bounds = (np.searchsorted(out.frames, frames, side=side).tolist()
+              for out in (gt, pred) for side in ("left", "right"))
+    for g0, g1, p0, p1 in zip(*bounds):
         values, gate = None, 0.0
-        if gt_recs and pr_recs:
-            values, gate = _frame_similarity(gt_recs, pr_recs, gt.mode, threshold)
-        yield ([r.track_id for r in gt_recs], [r.track_id for r in pr_recs],
-               [r.score for r in pr_recs], values, gate)
+        if g1 > g0 and p1 > p0:
+            values, gate = _frame_similarity(gt.boxes[g0:g1], pred.boxes[p0:p1], gt.mode,
+                                             threshold)
+        yield (gt.track_ids[g0:g1].tolist(), pred.track_ids[p0:p1].tolist(),
+               pred.scores[p0:p1].tolist(), values, gate)
 
 
 def _frame_step(
@@ -265,7 +263,7 @@ def clear_mot(
         fp += frame_fp
         fn += frame_fn
         ids += frame_ids
-    total_gt = len(gt.records)
+    total_gt = len(gt.track_ids)
     mota = 1.0 - (ids + fp + fn) / total_gt if total_gt else float("nan")
     return ClearReport(mota=mota, fp=fp, fn=fn, ids=ids, gt=total_gt)
 
@@ -278,11 +276,11 @@ def idf1(gt: TrackOutput, pred: TrackOutput, match_threshold: float | None = Non
     optimal assignment, and IDF1 = 2*IDTP / (2*IDTP + IDFP + IDFN).
     """
     _check_modes(gt, pred)
-    if not gt.records or not pred.records:
+    if not len(gt.track_ids) or not len(pred.track_ids):
         return 0.0
 
-    gt_index = {gid: i for i, gid in enumerate(sorted({r.track_id for r in gt.records}))}
-    pr_index = {pid: j for j, pid in enumerate(sorted({r.track_id for r in pred.records}))}
+    gt_index = {gid: i for i, gid in enumerate(np.unique(gt.track_ids).tolist())}
+    pr_index = {pid: j for j, pid in enumerate(np.unique(pred.track_ids).tolist())}
     overlap = np.zeros((len(gt_index), len(pr_index)))
     for gt_ids, pr_ids, _, values, gate in _frame_tables(
         gt, pred, _threshold(gt.mode, match_threshold)
@@ -294,8 +292,8 @@ def idf1(gt: TrackOutput, pred: TrackOutput, match_threshold: float | None = Non
 
     matches = solve_assignment(overlap, gate=0.5).matches
     idtp = int(overlap[matches[:, 0], matches[:, 1]].sum())
-    idfp = len(pred.records) - idtp
-    idfn = len(gt.records) - idtp
+    idfp = len(pred.track_ids) - idtp
+    idfn = len(gt.track_ids) - idtp
     return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
 
 
@@ -337,12 +335,12 @@ def amota(
     leaves the result unchanged.
     """
     _check_modes(gt, pred)
-    if len(gt.records) == 0:
+    total_gt = len(gt.track_ids)
+    if total_gt == 0:
         raise ValueError("AMOTA requires non-empty ground truth")
-    if any(not math.isfinite(rec.score) for rec in pred.records):
+    if not np.isfinite(pred.scores).all():
         raise ValueError("AMOTA requires finite prediction confidences")
 
-    total_gt = len(gt.records)
     tables = list(_frame_tables(gt, pred, _threshold(gt.mode, match_threshold)))
     sweeps = [
         (threshold, (total_gt - fn) / total_gt, fp + fn + ids)

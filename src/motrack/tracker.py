@@ -1,8 +1,14 @@
-"""Sequence-level orchestration: config resolution, frame loop, output assembly."""
+"""Sequence-level orchestration: config resolution, frame loop, output assembly.
+
+Tracker.step takes a frame's detections as a DetectionFrame (the parsers'
+columns) or as a Detection list, which it turns into columns once. Each
+frame's output rows are kept as columns and concatenated once by output().
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -10,14 +16,18 @@ import numpy as np
 from .association import (
     DEFAULT_GATE_KEY,
     Detection,
+    DetectionFrame,
     FrameResult,
     Mode,
     MotionStrategy,
     TrackerConfig,
     TrackPool,
     TrackRecord,
+    box_width,
+    records_from_columns,
     step,
 )
+from .geometry import box2d_array, box3d_array
 from .motion import NoiseConfig
 
 # Class vocabulary for per-class 3D association gates. Ids follow list order.
@@ -41,38 +51,76 @@ _TAU_3D_DEFAULTS = {"lidar": 0.2, "camera": 0.25}
 _ALPHA_DEFAULTS = {"lidar": 10.0, "camera": 100.0}
 
 
-@dataclass(frozen=True)
 class TrackOutput:
-    """Whole-sequence tracking result plus the config that produced it."""
+    """Whole-sequence tracking result as columns, plus the config that produced it.
 
-    records: tuple[TrackRecord, ...]
-    mode: Mode
-    n_frames: int
-    config: TrackerConfig | None = None
+    Row i is one confirmed box: frames[i] (the frame number), track_ids[i],
+    class_ids[i], scores[i] and boxes[i], a parameter row in the box2d_array
+    / box3d_array layout. Rows are sorted by frame and each (frame, id) pair
+    occurs once. records holds the same rows as TrackRecords, built on first
+    use; an output constructed from records keeps them as given.
+    """
 
-    def __post_init__(self):
-        if not self.records:
-            return
-        keys = np.empty((len(self.records), 2), dtype=np.int64)
-        for i, rec in enumerate(self.records):
-            keys[i, 0] = rec.frame
-            keys[i, 1] = rec.track_id
-        if np.any(np.diff(keys[:, 0]) < 0):
+    def __init__(
+        self,
+        records: Sequence[TrackRecord],
+        mode: Mode,
+        n_frames: int,
+        config: TrackerConfig | None = None,
+    ):
+        records = tuple(records)
+        boxes = [rec.box for rec in records]
+        self._set_columns(
+            np.array([rec.frame for rec in records], dtype=np.int64),
+            np.array([rec.track_id for rec in records], dtype=np.int64),
+            np.array([rec.class_id for rec in records], dtype=np.int64),
+            np.array([rec.score for rec in records], dtype=float),
+            box3d_array(boxes) if mode is Mode.BOX_3D else box2d_array(boxes),
+            mode, n_frames, config,
+        )
+        self.__dict__["records"] = records
+
+    @classmethod
+    def from_columns(
+        cls,
+        frames: np.ndarray,
+        track_ids: np.ndarray,
+        class_ids: np.ndarray,
+        scores: np.ndarray,
+        boxes: np.ndarray,
+        mode: Mode,
+        n_frames: int,
+        config: TrackerConfig | None = None,
+    ) -> "TrackOutput":
+        """An output over the given columns, which it keeps without copying."""
+        output = cls.__new__(cls)
+        output._set_columns(frames, track_ids, class_ids, scores, boxes, mode, n_frames, config)
+        return output
+
+    def _set_columns(self, frames, track_ids, class_ids, scores, boxes, mode, n_frames, config):
+        if np.any(frames[1:] < frames[:-1]):
             raise ValueError("record frames must be non-decreasing")
-        if len(np.unique(keys, axis=0)) != len(self.records):
+        order = np.lexsort((track_ids, frames))
+        if np.any((np.diff(frames[order]) == 0) & (np.diff(track_ids[order]) == 0)):
             raise ValueError("duplicate (frame, id) pair in records")
+        self.frames, self.track_ids, self.class_ids = frames, track_ids, class_ids
+        self.scores, self.boxes = scores, boxes
+        self.mode, self.n_frames, self.config = mode, n_frames, config
 
-    def frames(self) -> dict[int, list[TrackRecord]]:
-        """Records grouped by frame index."""
-        grouped: dict[int, list[TrackRecord]] = {}
-        for rec in self.records:
-            grouped.setdefault(rec.frame, []).append(rec)
-        return grouped
+    @cached_property
+    def records(self) -> tuple[TrackRecord, ...]:
+        return records_from_columns(self.frames, self.track_ids, self.class_ids, self.scores,
+                                    self.boxes)
 
     def slice_frames(self, first: int, last: int) -> "TrackOutput":
         """Restrict to frames in [first, last]."""
-        kept = tuple(r for r in self.records if first <= r.frame <= last)
-        return TrackOutput(kept, self.mode, self.n_frames, self.config)
+        start = np.searchsorted(self.frames, first, side="left")
+        stop = np.searchsorted(self.frames, last, side="right")
+        return TrackOutput.from_columns(
+            self.frames[start:stop], self.track_ids[start:stop], self.class_ids[start:stop],
+            self.scores[start:stop], self.boxes[start:stop], self.mode, self.n_frames,
+            self.config,
+        )
 
 
 def default_config(mode: Mode = Mode.BOX_2D, modality: str | None = None) -> TrackerConfig:
@@ -149,20 +197,34 @@ class Tracker:
     def __init__(self, config: TrackerConfig | Mapping[str, object] | None = None):
         self.config = validate_config(config if config is not None else {})
         self.pool = TrackPool()
-        self.records: list[TrackRecord] = []
+        # Per emitted frame: (frame, track ids, class ids, scores, boxes).
+        self._rows: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def step(self, detections: Sequence[Detection], frame: int | None = None) -> FrameResult:
+    def step(
+        self, detections: DetectionFrame | Sequence[Detection], frame: int | None = None
+    ) -> FrameResult:
         """Process one frame; frame index defaults to the next in sequence."""
         if frame is None:
             frame = self.pool.last_frame + 1
+        if not isinstance(detections, DetectionFrame):
+            detections = DetectionFrame.from_detections(detections, self.config.mode)
         result = step(self.pool, frame, detections, self.config)
-        self.records.extend(result.tracks)
+        self._rows.append((frame, result.track_ids, result.class_ids, result.scores,
+                           result.boxes))
         return result
 
     def output(self) -> TrackOutput:
-        """Assemble the records emitted so far."""
-        return TrackOutput(tuple(self.records), self.config.mode, self.pool.last_frame,
-                           self.config)
+        """Assemble the rows emitted so far, concatenated once."""
+        rows = self._rows
+        width = box_width(self.config.mode)
+        return TrackOutput.from_columns(
+            np.repeat(np.array([r[0] for r in rows], dtype=np.int64), [len(r[1]) for r in rows]),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [r[1] for r in rows]),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [r[2] for r in rows]),
+            np.concatenate([np.zeros(0)] + [r[3] for r in rows]),
+            np.concatenate([np.zeros((0, width))] + [r[4] for r in rows]),
+            self.config.mode, self.pool.last_frame, self.config,
+        )
 
 
 def run_sequence(

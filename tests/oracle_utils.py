@@ -1,7 +1,8 @@
 """Independent oracles used by the tests: sampling/rasterization-based geometry
-checks, a scalar polygon-clipping GIoU, and an exhaustive gated-matching
-optimizer. These deliberately avoid the batched clipping kernel and the
-Hungarian code paths they verify."""
+checks, a scalar polygon-clipping GIoU, an exhaustive gated-matching
+optimizer, and line-by-line record parsers and writers. These deliberately
+avoid the batched clipping kernel, the Hungarian code paths and the columnar
+parsers they verify."""
 
 from __future__ import annotations
 
@@ -189,7 +190,7 @@ def clear_counts_reference(gt, pred, threshold: float | None = None):
     """From-scratch CLEAR counter for 2D or 3D outputs: persistence plus
     exhaustive optimal per-frame matching. Returns (mota, fp, fn, ids)."""
     similarity, gate = _reference_similarity(gt, threshold)
-    gt_frames, pred_frames = gt.frames(), pred.frames()
+    gt_frames, pred_frames = records_by_frame(gt), records_by_frame(pred)
     fp = fn = ids = 0
     persisting: dict[int, int] = {}
     last: dict[int, int] = {}
@@ -237,6 +238,14 @@ def clear_counts_reference(gt, pred, threshold: float | None = None):
     total_gt = len(gt.records)
     mota = 1.0 - (ids + fp + fn) / total_gt if total_gt else float("nan")
     return mota, fp, fn, ids
+
+
+def records_by_frame(output) -> dict[int, list]:
+    """A TrackOutput's records grouped by frame number."""
+    grouped: dict[int, list] = {}
+    for rec in output.records:
+        grouped.setdefault(rec.frame, []).append(rec)
+    return grouped
 
 
 def trajectories(output) -> dict[int, dict[int, object]]:
@@ -332,3 +341,177 @@ def best_gated_matching(values: np.ndarray, gate) -> float:
         return best(0, (1 << n_cols) - 1)
     finally:
         best.cache_clear()
+
+
+# --- line-by-line record parsers and writers ------------------------------------
+#
+# The slow oracle of motrack.formats: one line at a time, one object per
+# record. Same formats, same checks in the same order, same messages.
+
+def _fail(line_no: int, message: str) -> ValueError:
+    return ValueError(f"line {line_no}: {message}")
+
+
+def _parse_float(token: str, line_no: int, name: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise _fail(line_no, f"{name} is not a number: {token!r}") from None
+
+
+def _parse_int(token: str, line_no: int, name: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise _fail(line_no, f"{name} is not an integer: {token!r}") from None
+
+
+def _split_line(line: str, line_no: int, expected: int) -> list[str]:
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) != expected:
+        raise _fail(line_no, f"expected {expected} comma-separated fields, got {len(fields)}")
+    return fields
+
+
+def _iter_lines(text: str):
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            yield line_no, line
+
+
+def _dense_frames(parsed) -> list[list]:
+    n_frames = max((frame for frame, _ in parsed), default=0)
+    frames: list[list] = [[] for _ in range(n_frames)]
+    for frame, det in parsed:
+        frames[frame - 1].append(det)
+    return frames
+
+
+def _results_output(records: list, mode):
+    from motrack.tracker import TrackOutput
+
+    records.sort(key=lambda r: r.frame)
+    n_frames = max((r.frame for r in records), default=0)
+    return TrackOutput(tuple(records), mode, n_frames)
+
+
+def _parse_mot_line(line: str, line_no: int):
+    fields = _split_line(line, line_no, 10)
+    frame = _parse_int(fields[0], line_no, "frame")
+    track_id = _parse_int(fields[1], line_no, "id")
+    x = _parse_float(fields[2], line_no, "x")
+    y = _parse_float(fields[3], line_no, "y")
+    w = _parse_float(fields[4], line_no, "w")
+    h = _parse_float(fields[5], line_no, "h")
+    score = _parse_float(fields[6], line_no, "score")
+    for name, token in zip(("u1", "u2", "u3"), fields[7:]):
+        _parse_float(token, line_no, name)
+    if frame < 1:
+        raise _fail(line_no, f"frame must be >= 1, got {frame}")
+    if w <= 0 or h <= 0:
+        raise _fail(line_no, f"box size must be positive, got w={w}, h={h}")
+    if not 0.0 <= score <= 1.0:
+        raise _fail(line_no, f"score must be in [0, 1], got {score}")
+    try:
+        box = Box2D.from_xywh(x, y, w, h)
+    except ValueError as exc:
+        raise _fail(line_no, str(exc)) from None
+    return frame, track_id, box, score
+
+
+def parse_mot_detections_lines(text: str) -> list[list]:
+    from motrack.association import Detection
+
+    return _dense_frames([(frame, Detection(box, score))
+                          for line_no, line in _iter_lines(text)
+                          for frame, _, box, score in [_parse_mot_line(line, line_no)]])
+
+
+def parse_mot_results_lines(text: str):
+    from motrack.association import Mode, TrackRecord
+
+    records = []
+    for line_no, line in _iter_lines(text):
+        frame, track_id, box, score = _parse_mot_line(line, line_no)
+        if track_id < 1:
+            raise _fail(line_no, f"result id must be >= 1, got {track_id}")
+        records.append(TrackRecord(frame, track_id, box, score))
+    return _results_output(records, Mode.BOX_2D)
+
+
+def _class_id(token: str, line_no: int) -> int:
+    from motrack.tracker import CLASS_IDS
+
+    if token in CLASS_IDS:
+        return CLASS_IDS[token]
+    try:
+        return int(token)
+    except ValueError:
+        raise _fail(line_no, f"unknown class label {token!r}") from None
+
+
+def _parse_3d_line(line: str, line_no: int):
+    fields = _split_line(line, line_no, 13)
+    frame = _parse_int(fields[0], line_no, "frame")
+    track_id = _parse_int(fields[1], line_no, "id")
+    class_id = _class_id(fields[2], line_no)
+    numbers = [_parse_float(fields[k], line_no, name)
+               for k, name in ((3, "x"), (4, "y"), (5, "z"), (6, "theta"),
+                               (7, "l"), (8, "w"), (9, "h"))]
+    velocity = None
+    if fields[10] or fields[11]:
+        if not (fields[10] and fields[11]):
+            raise _fail(line_no, "vx and vy must both be present or both empty")
+        velocity = (_parse_float(fields[10], line_no, "vx"),
+                    _parse_float(fields[11], line_no, "vy"))
+    score = _parse_float(fields[12], line_no, "score")
+    if frame < 1:
+        raise _fail(line_no, f"frame must be >= 1, got {frame}")
+    if not 0.0 <= score <= 1.0:
+        raise _fail(line_no, f"score must be in [0, 1], got {score}")
+    try:
+        box = Box3D(*numbers)
+    except ValueError as exc:
+        raise _fail(line_no, str(exc)) from None
+    return frame, track_id, class_id, box, velocity, score
+
+
+def parse_3d_detections_lines(text: str) -> list[list]:
+    from motrack.association import Detection
+
+    parsed = []
+    for line_no, line in _iter_lines(text):
+        frame, _, class_id, box, velocity, score = _parse_3d_line(line, line_no)
+        try:
+            parsed.append((frame, Detection(box, score, class_id, velocity)))
+        except ValueError as exc:
+            raise _fail(line_no, str(exc)) from None
+    return _dense_frames(parsed)
+
+
+def parse_3d_results_lines(text: str):
+    from motrack.association import Mode, TrackRecord
+
+    records = []
+    for line_no, line in _iter_lines(text):
+        frame, track_id, class_id, box, _, score = _parse_3d_line(line, line_no)
+        if track_id < 1:
+            raise _fail(line_no, f"result id must be >= 1, got {track_id}")
+        records.append(TrackRecord(frame, track_id, box, score, class_id))
+    return _results_output(records, Mode.BOX_3D)
+
+
+def mot_line(frame: int, track_id: int, box: Box2D, score: float) -> str:
+    x, y, w, h = box.to_xywh()
+    return f"{frame},{track_id},{x!r},{y!r},{w!r},{h!r},{float(score)!r},-1,-1,-1"
+
+
+def box3d_line(frame: int, track_id: int, box: Box3D, score: float, class_id: int = 0,
+               velocity: tuple[float, float] | None = None) -> str:
+    from motrack.tracker import CLASS_NAMES
+
+    name = CLASS_NAMES[class_id] if 0 <= class_id < len(CLASS_NAMES) else str(class_id)
+    planar = f"{float(velocity[0])!r},{float(velocity[1])!r}" if velocity is not None else ","
+    values = (box.x, box.y, box.z, box.theta, box.l, box.w, box.h)
+    return (f"{frame},{track_id},{name},"
+            + ",".join(repr(float(v)) for v in values) + f",{planar},{float(score)!r}")

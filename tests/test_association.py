@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from motrack import association
 from motrack.association import (
     Detection,
+    DetectionFrame,
     Mode,
     MotionStrategy,
     TrackerConfig,
     TrackPool,
     predict_tracks,
     resolve_gate,
-    step,
 )
 from motrack.geometry import Box2D, Box3D, box3d_array, giou_3d, giou_3d_pairs
 from motrack.motion import box_rows, inflate_arrays, predict_arrays
@@ -36,6 +36,12 @@ def det2d(x, y, w=50.0, h=100.0, score=0.9, class_id=0):
 
 def det3d(x, y, score=0.9, velocity=None, theta=0.0, class_id=2):
     return Detection(Box3D(x, y, 0.8, theta, 4.5, 1.9, 1.6), score, class_id, velocity)
+
+
+def step(pool, frame, detections, config):
+    """association.step on a Detection list, turned into columns as Tracker.step does."""
+    return association.step(pool, frame, DetectionFrame.from_detections(detections, config.mode),
+                            config)
 
 
 CFG_2D = TrackerConfig()

@@ -1,10 +1,15 @@
 import io
+import math
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from motrack import formats
 from motrack.association import Mode
 from motrack.formats import (
-    box3d_line,
     parse_3d_detections,
     parse_3d_results,
     parse_config_text,
@@ -17,6 +22,16 @@ from motrack.formats import (
 from motrack.geometry import Box2D, Box3D
 from motrack.simulate import clutter_suite, generate_scenario, motion_ablation_suite
 from motrack.tracker import run_sequence
+from oracle_utils import (
+    box3d_line,
+    mot_line,
+    parse_3d_detections_lines,
+    parse_3d_results_lines,
+    parse_mot_detections_lines,
+    parse_mot_results_lines,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestMotParsing:
@@ -43,6 +58,11 @@ class TestMotParsing:
             ("1,-1,10,20,30,40,1.5,-1,-1,-1", "score"),  # score out of range
             ("1,-1,10,20,0,40,0.9,-1,-1,-1", "size"),  # zero width
             ("0,-1,10,20,30,40,0.9,-1,-1,-1", "frame"),  # frame below 1
+            ("1,-1,nan,20,30,40,0.9,-1,-1,-1", "corners out of order"),  # NaN x
+            ("1,-1,10,nan,30,40,0.9,-1,-1,-1", "corners out of order"),  # NaN y
+            ("1,-1,-inf,20,30,40,0.9,-1,-1,-1", "must be finite"),  # infinite x
+            ("1,-1,1e308,20,1e308,40,0.9,-1,-1,-1", "must be finite"),  # x + w overflows
+            ("1,-1,10,20,inf,40,0.9,-1,-1,-1", "must be finite"),  # infinite w
         ],
     )
     def test_malformed_lines_report_position(self, line, message):
@@ -144,6 +164,189 @@ class Test3DFormat:
         text = "1,-1,car,0,0,0.8,0,-4,2,1.5,,,0.5\n"
         with pytest.raises(ValueError, match="line 1"):
             parse_3d_detections(text)
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ("1,-1,car,0,0,0.8,0,4,2,1.5,nan,0.5,0.5", "velocity must be finite"),
+            ("1,-1,car,0,0,0.8,0,4,2,1.5,0.5,inf,0.5", "velocity must be finite"),
+            ("1,-1,car,0,0,0.8,0,4,2,1.5,1e400,0,0.5", "velocity must be finite"),
+            ("1,-1,car,0,0,0.8,0,4,2,1.5,,0.5,0.5", "vx and vy"),
+            ("1,-1,car,0,0,0.8,0,4,2,1.5,x,0.5,0.5", "vx is not a number"),
+            ("1,-1,car,nan,0,0.8,0,4,2,1.5,,,0.5", "must be finite"),
+            ("1,-1,car,0,0,0.8,inf,4,2,1.5,,,0.5", "must be finite"),
+            ("1,-1,car,0,0,0.8,0,nan,2,1.5,,,0.5", "dimensions must be positive"),
+            ("1,-1,car,0,0,0.8,0,4,2,1.5,,,-0.5", "score"),
+            ("1,-1,car,0,0,0.8,0,4,2,1.5,,", "expected 13"),
+            ("1.0,-1,car,0,0,0.8,0,4,2,1.5,,,0.5", "frame is not an integer"),
+            ("99999999999999999999,-1,car,0,0,0.8,0,4,2,1.5,,,0.5", "frame is out of range"),
+        ],
+    )
+    def test_malformed_lines_report_position(self, line, message):
+        text = "1,-1,car,0,0,0.8,0,4,2,1.5,,,0.5\n\n" + line + "\n"
+        with pytest.raises(ValueError, match="line 3") as err:
+            parse_3d_detections(text)
+        assert message in str(err.value)
+
+
+class TestColumns:
+    def test_golden_files_rewrite_byte_identical(self):
+        for path in sorted(DATA.glob("golden_*.txt")):
+            text = path.read_text()
+            buf = io.StringIO()
+            if "_3d_" in path.name:
+                write_3d_results(parse_3d_results(text), buf)
+            else:
+                write_mot_results(parse_mot_results(text), buf)
+            assert buf.getvalue() == text, path.name
+
+    def test_writers_equal_line_oracle(self):
+        spec, seed = clutter_suite(1)[0]
+        _, frames = generate_scenario(spec, seed)
+        output = run_sequence(frames, {"mode": "2d"})
+        buf = io.StringIO()
+        write_mot_results(output, buf)
+        assert buf.getvalue() == "".join(
+            mot_line(r.frame, r.track_id, r.box, r.score) + "\n" for r in output.records)
+
+        spec, seed = motion_ablation_suite(1)[0]
+        _, frames = generate_scenario(spec, seed)
+        output = run_sequence(frames, {"mode": "3d"})
+        buf = io.StringIO()
+        write_3d_results(output, buf)
+        assert buf.getvalue() == "".join(
+            box3d_line(r.frame, r.track_id, r.box, r.score, r.class_id) + "\n"
+            for r in output.records)
+        buf = io.StringIO()
+        write_detections(frames, Mode.BOX_3D, buf)
+        assert buf.getvalue() == "".join(
+            box3d_line(f, -1, d.box, d.score, d.class_id, d.velocity) + "\n"
+            for f, dets in enumerate(frames, start=1) for d in dets)
+
+    @pytest.mark.parametrize("parse", [parse_mot_detections, parse_3d_detections])
+    def test_huge_frame_index_in_bounded_memory(self, parse):
+        line = ("1000000000,-1,10,20,30,40,0.9,-1,-1,-1" if parse is parse_mot_detections
+                else "1000000000,-1,car,0,0,0.8,0,4,2,1.5,,,0.9")
+        tracemalloc.start()
+        try:
+            frames = parse(line + "\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(frames) == 10**9
+        assert peak < 5 * 2**20
+        assert len(frames[0]) == 0 and len(frames[-1]) == 1
+        assert frames[10**9 - 1][0].score == 0.9
+
+    def test_frames_are_views_over_sorted_columns(self):
+        text = ("2,-1,0,0,10,10,0.5,-1,-1,-1\n1,-1,5,5,10,10,0.7,-1,-1,-1\n"
+                "2,-1,1,1,10,10,0.6,-1,-1,-1\n")
+        frames = parse_mot_detections(text)
+        assert frames[1].boxes.tolist() == [[0, 0, 10, 10], [1, 1, 11, 11]]
+        assert frames[1].scores.tolist() == [0.5, 0.6]
+        assert not frames[1].has_velocity.any()
+        assert [d.score for d in frames[1]] == [0.5, 0.6]  # built on demand, file order
+
+
+# --- columnar parsers against the line-by-line oracle ----------------------------
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                   0.1, 1 / 3, 123456.78901234567, 1e16, 1.7976931348623157e308]
+_ANGLES = [math.pi, -math.pi, 3 * math.pi, -7.0, 2 * math.tau + 0.1, math.nextafter(math.pi, 4)]
+_CORRUPT = ["", " ", "abc", "nan", "inf", "-inf", "1e400", "-1e400", "0", "-0.0", "-5", "1.0",
+            "1_0", "0x10", "1,2", "car", "99", "-1"]
+
+
+def _number(draw, values, positive=False) -> str:
+    value = draw(st.one_of(st.sampled_from(values), st.floats(
+        min_value=1e-3 if positive else -1e4, max_value=1e4, allow_subnormal=False)))
+    value = (abs(value) or 1.0) if positive else value
+    formats = [repr(value), f"{value:.17g}"] + ([] if positive else [f"{value:.3f}"])
+    text = draw(st.sampled_from(formats))
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", "  "]))
+
+
+@st.composite
+def record_files(draw, three_d: bool):
+    lines = []
+    ids = st.integers(1, 5) if draw(st.booleans()) else st.just(-1)
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        frame = str(draw(st.integers(1, 6)))
+        track_id = str(draw(ids))
+        score = _number(draw, [0.0, -0.0, 1.0, 5e-324, 0.5], positive=False)
+        score = score if 0.0 <= float(score) <= 1.0 else "0.5"
+        if three_d:
+            label = draw(st.sampled_from(["car", "pedestrian", " truck ", "2", "-3", "99"]))
+            params = [_number(draw, _SPECIAL_FLOATS) for _ in range(3)]
+            params.append(_number(draw, _ANGLES + _SPECIAL_FLOATS[:6]))
+            params += [_number(draw, _SPECIAL_FLOATS[4:], positive=True) for _ in range(3)]
+            velocity = (["", ""] if draw(st.booleans())
+                        else [_number(draw, _SPECIAL_FLOATS) for _ in range(2)])
+            fields = [frame, track_id, label, *params, *velocity, score]
+        else:
+            xy = [_number(draw, _SPECIAL_FLOATS) for _ in range(2)]
+            wh = [_number(draw, _SPECIAL_FLOATS[4:], positive=True) for _ in range(2)]
+            fields = [frame, track_id, *xy, *wh, score, "-1", "-1", " -1"]
+        lines.append(fields)
+    records = [i for i, line in enumerate(lines) if isinstance(line, list)]
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
+        # Two corruptions may hit one line, which pins the order of its checks.
+        line = lines[draw(st.sampled_from(records))]
+        line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from(_CORRUPT))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join((",".join(line) if isinstance(line, list) else line) + ending
+                   for line in lines)
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _box_bits(box) -> list[str]:
+    return [float(getattr(box, name)).hex() for name in box.__dataclass_fields__]
+
+
+def _detection_bits(frames) -> list:
+    return [[(_box_bits(d.box), d.score.hex(), d.class_id,
+              None if d.velocity is None else [v.hex() for v in d.velocity]) for d in frame]
+            for frame in frames]
+
+
+def _record_bits(output) -> list:
+    return [output.n_frames] + [(r.frame, r.track_id, r.class_id, _box_bits(r.box),
+                                 float(r.score).hex()) for r in output.records]
+
+
+@pytest.mark.parametrize("three_d", [False, True])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_columnar_parsers_equal_line_oracle(three_d, data):
+    """Same frames, records and bits, or the same error line and message. Part
+    of the examples parse in chunks of a few lines, so rows and line numbers
+    also cross chunk boundaries."""
+    text = data.draw(record_files(three_d))
+    chunk_chars = data.draw(st.sampled_from([formats._CHUNK_CHARS, 1, 40, 100]))
+    pairs = ((parse_3d_detections, parse_3d_detections_lines, _detection_bits),
+             (parse_3d_results, parse_3d_results_lines, _record_bits)) if three_d else (
+        (parse_mot_detections, parse_mot_detections_lines, _detection_bits),
+        (parse_mot_results, parse_mot_results_lines, _record_bits))
+    default, formats._CHUNK_CHARS = formats._CHUNK_CHARS, chunk_chars
+    try:
+        for columnar, oracle, bits in pairs:
+            got, want = _outcome(columnar, text), _outcome(oracle, text)
+            assert got[0] == want[0], (got, want)
+            if got[0] == "error":
+                assert got[1] == want[1]
+            else:
+                assert bits(got[1]) == bits(want[1])
+    finally:
+        formats._CHUNK_CHARS = default
 
 
 class TestConfigFile:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from motrack.geometry import (
     Box2D,
     Box3D,
-    Metric,
     bev_intersection_area,
     box2d_array,
     box3d_array,
@@ -16,8 +15,8 @@ from motrack.geometry import (
     giou_3d_pairs,
     iou_2d,
     iou_matrix_2d,
-    similarity_matrix,
     wrap_angle,
+    wrap_angles,
 )
 from oracle_utils import (
     bev_intersection_area_clip,
@@ -64,6 +63,15 @@ class TestBoxValidation:
             wrapped = wrap_angle(theta)
             assert -math.pi < wrapped <= math.pi
             assert math.isclose(math.cos(wrapped), math.cos(theta), abs_tol=1e-12)
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.sampled_from([math.pi, -math.pi, 3 * math.pi, math.tau,
+                                               math.nextafter(math.pi, 4.0)]),
+                              st.floats(-20.0, 20.0)), max_size=8))
+    def test_wrap_angles_equals_wrap_angle_bitwise(self, thetas):
+        wrapped = wrap_angles(np.array(thetas, dtype=float)).tolist()
+        expected = [t if -math.pi < t <= math.pi else wrap_angle(t) for t in thetas]
+        assert [t.hex() for t in wrapped] == [t.hex() for t in expected]
 
 
 @pytest.mark.parametrize(
@@ -189,17 +197,25 @@ class TestGiou3D:
 
 
 class TestSimilarityMatrix:
+    """All-pairs scores over parameter rows, as association and metrics use them."""
+
+    @staticmethod
+    def giou_matrix(dets, trks):
+        rows, cols = box3d_array(dets), box3d_array(trks)
+        return giou_3d_pairs(np.repeat(rows, len(cols), axis=0),
+                             np.tile(cols, (len(rows), 1))).reshape(len(rows), len(cols))
+
     def test_single_identical_pair(self):
         box = Box2D(0, 0, 10, 10)
-        sim = similarity_matrix([box], [box], Metric.IOU_2D)
+        sim = iou_matrix_2d(box2d_array([box]), box2d_array([box]))
         assert sim.shape == (1, 1)
         assert sim[0, 0] == 1.0
 
     def test_empty_rows(self):
         boxes = [Box2D(0, 0, 1, 1), Box2D(1, 1, 2, 2), Box2D(2, 2, 3, 3)]
-        assert similarity_matrix([], boxes, Metric.IOU_2D).shape == (0, 3)
-        assert similarity_matrix(boxes, [], Metric.IOU_2D).shape == (3, 0)
         assert iou_matrix_2d(box2d_array([]), box2d_array(boxes)).shape == (0, 3)
+        assert iou_matrix_2d(box2d_array(boxes), box2d_array([])).shape == (3, 0)
+        assert self.giou_matrix([], [Box3D(0, 0, 0, 0, 1, 1, 1)]).shape == (0, 1)
 
     def test_matches_elementwise_iou(self):
         rng = np.random.default_rng(1)
@@ -207,8 +223,7 @@ class TestSimilarityMatrix:
                 for x, y, w, h in rng.uniform(1, 30, (4, 4))]
         trks = [Box2D(x, y, x + w, y + h)
                 for x, y, w, h in rng.uniform(1, 30, (3, 4))]
-        sim = similarity_matrix(dets, trks, Metric.IOU_2D)
-        assert np.array_equal(sim, iou_matrix_2d(box2d_array(dets), box2d_array(trks)))
+        sim = iou_matrix_2d(box2d_array(dets), box2d_array(trks))
         for i, det in enumerate(dets):
             for j, trk in enumerate(trks):
                 assert sim[i, j] == pytest.approx(iou_2d(det, trk), abs=1e-12)
@@ -217,18 +232,22 @@ class TestSimilarityMatrix:
         rng = np.random.default_rng(2)
         dets = [random_box3d(rng) for _ in range(3)]
         trks = [random_box3d(rng) for _ in range(2)]
-        sim = similarity_matrix(dets, trks, Metric.GIOU_3D)
+        sim = self.giou_matrix(dets, trks)
         for i, det in enumerate(dets):
             for j, trk in enumerate(trks):
                 assert sim[i, j] == giou_3d(det, trk)
 
     def test_dimension_mismatch_rejected(self):
+        from motrack.association import Detection, DetectionFrame, Mode
+
         box2d = Box2D(0, 0, 1, 1)
         box3d = Box3D(0, 0, 0, 0, 1, 1, 1)
         with pytest.raises(ValueError):
-            similarity_matrix([box3d], [box3d], Metric.IOU_2D)
-        with pytest.raises(ValueError):
-            similarity_matrix([box2d], [box3d], Metric.GIOU_3D)
+            giou_3d_pairs(box2d_array([box2d]), box2d_array([box2d]))
+        with pytest.raises(ValueError, match="Box3D detection in 2d mode"):
+            DetectionFrame.from_detections([Detection(box3d, 0.9)], Mode.BOX_2D)
+        with pytest.raises(ValueError, match="Box2D detection in 3d mode"):
+            DetectionFrame.from_detections([Detection(box2d, 0.9)], Mode.BOX_3D)
 
     def test_box2d_array_rows_are_corners(self):
         boxes = [Box2D(0, 1, 2, 3), Box2D.from_xywh(5, 6, 7, 8)]

@@ -5,7 +5,7 @@ import pytest
 
 from kalman_utils import State, kf_init, kf_predict, kf_update, measure
 from motrack import association
-from motrack.association import Detection, Mode, MotionStrategy, TrackPool, step
+from motrack.association import Detection, Mode, MotionStrategy, TrackPool
 from motrack.geometry import Box2D, Box3D, box3d_array, giou_3d_pairs
 from motrack.motion import (
     NoiseConfig,
@@ -16,6 +16,7 @@ from motrack.motion import (
     update_arrays,
 )
 from motrack.tracker import default_config
+from test_association import step
 
 NOISE = NoiseConfig()
 NOISE_PLAIN = NoiseConfig(adaptive=False)

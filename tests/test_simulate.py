@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from motrack.association import Mode, TrackPool, step
+from motrack.association import Mode, TrackPool
 from motrack.metrics import clear_mot
 from motrack.simulate import (
     DropoutSpan,
@@ -21,7 +21,8 @@ from motrack.simulate import (
 )
 from motrack.geometry import iou_2d
 from motrack.tracker import run_sequence, validate_config
-from oracle_utils import trajectories
+from oracle_utils import records_by_frame, trajectories
+from test_association import step
 
 
 def simple_spec(**overrides):
@@ -44,7 +45,7 @@ class TestGeneration:
     def test_noise_free_detections_equal_gt(self):
         gt, frames = generate_scenario(simple_spec(), seed=1)
         assert len(frames) == 12
-        gt_frames = gt.frames()
+        gt_frames = records_by_frame(gt)
         for index, dets in enumerate(frames, start=1):
             assert [d.box for d in dets] == [r.box for r in gt_frames[index]]
             assert all(d.score == 0.95 for d in dets)
@@ -178,7 +179,7 @@ class TestSecondPassQuality:
     def test_kept_low_boxes_are_mostly_true_objects(self):
         spec, seed = clutter_suite(1)[0]
         gt, frames = generate_scenario(spec, seed)
-        gt_frames = gt.frames()
+        gt_frames = records_by_frame(gt)
         config = validate_config({"mode": "2d"})
         pool = TrackPool()
 
@@ -205,7 +206,7 @@ class TestMonotoneRecovery:
         # Every ground-truth box the single-stage tracker recovers is also
         # recovered when the low-score association is enabled.
         def recovered(gt, pred):
-            pred_frames = pred.frames()
+            pred_frames = records_by_frame(pred)
             found = set()
             for rec in gt.records:
                 boxes = pred_frames.get(rec.frame, [])

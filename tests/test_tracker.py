@@ -7,7 +7,7 @@ import pytest
 from motrack import formats
 from motrack.association import Detection, Mode, MotionStrategy, TrackerConfig
 from motrack.geometry import Box2D
-from motrack.simulate import crossing_scenario, generate_scenario
+from motrack.simulate import crossing_scenario, generate_scenario, motion_ablation_suite
 from motrack.tracker import (
     CLASS_IDS,
     DEFAULT_CLASS_GATES,
@@ -18,6 +18,7 @@ from motrack.tracker import (
     run_sequence,
     validate_config,
 )
+from oracle_utils import records_by_frame
 from test_association import mixed_class_frames
 
 DATA = Path(__file__).parent / "data"
@@ -101,8 +102,47 @@ class TestTrackOutput:
             TrackRecord(2, 1, box, 0.7),
         )
         output = TrackOutput(records, Mode.BOX_2D, 2)
-        assert {f: len(v) for f, v in output.frames().items()} == {1: 2, 2: 1}
+        assert {f: len(v) for f, v in records_by_frame(output).items()} == {1: 2, 2: 1}
         assert output.slice_frames(2, 2).records == records[2:]
+
+
+@pytest.mark.parametrize("mode", ["2d", "3d"])
+def test_columns_build_no_record_objects(monkeypatch, mode):
+    """Parsing, stepping, output, writing and every metric run on columns:
+    no Detection, TrackRecord or box object is constructed on the way."""
+    from motrack import association, geometry, metrics
+
+    if mode == "2d":
+        gt, frames = generate_scenario(*crossing_scenario())
+        write, parse, parse_results = (formats.write_mot_results, formats.parse_mot_detections,
+                                       formats.parse_mot_results)
+    else:
+        gt, frames = generate_scenario(*motion_ablation_suite(1)[0])
+        write, parse, parse_results = (formats.write_3d_results, formats.parse_3d_detections,
+                                       formats.parse_3d_results)
+    det_text, gt_text = io.StringIO(), io.StringIO()
+    formats.write_detections(frames, Mode(mode), det_text)
+    write(gt, gt_text)
+
+    built = []
+    for cls in (association.Detection, association.TrackRecord, geometry.Box2D, geometry.Box3D):
+        def spy(self, *args, __init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            __init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
+
+    tracker = Tracker({"mode": mode})
+    for detections in parse(det_text.getvalue()):
+        tracker.step(detections)
+    output = tracker.output()
+    write(output, io.StringIO())
+    truth = parse_results(gt_text.getvalue())
+    metrics.clear_mot(truth, output)
+    metrics.idf1(truth, output)
+    metrics.amota(truth, output)
+    assert built == []
+    assert len(output.records) == len(output.track_ids) > 0  # built on demand
+    assert set(built) == {"TrackRecord", "Box2D" if mode == "2d" else "Box3D"}
 
 
 class TestValidateConfig:

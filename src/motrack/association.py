@@ -175,10 +175,14 @@ class TrackerConfig:
                 object.__setattr__(self, name, dict(gate))
             elif not math.isfinite(gate):
                 raise ValueError(f"{name} must be finite")
+        # Resolved once per config, since every frame reads it.
+        base = self.noise if self.noise is not None else NoiseConfig()
+        object.__setattr__(self, "_noise",
+                           dataclasses.replace(base, alpha=self.alpha, adaptive=self.adaptive_r))
 
     def effective_noise(self) -> NoiseConfig:
-        base = self.noise if self.noise is not None else NoiseConfig()
-        return dataclasses.replace(base, alpha=self.alpha, adaptive=self.adaptive_r)
+        """The noise config with this config's alpha and adaptive_r applied."""
+        return self._noise
 
 
 def resolve_gate(gate: float | Mapping[int, float], class_id: int) -> float:
@@ -201,14 +205,15 @@ class TrackPool:
     """Mutable per-sequence track store: row k of every array is one track.
 
     Rows stay in id order and ids are never reused. means (K, D) and covs
-    (K, D, D) hold the Kalman states; active marks the tracks matched or
-    started in the last frame, the others are lost and wait out the rebirth
-    buffer. A fresh pool has zero rows and takes its state size from the first
-    frame.
+    (K, 3, obs_dim) hold the Kalman states, the covariance as one
+    (position, velocity) block per observed channel (see motion); active
+    marks the tracks matched or started in the last frame, the others are
+    lost and wait out the rebirth buffer. A fresh pool has zero rows and
+    takes its state size from the first frame.
     """
 
     means: np.ndarray = _empty(0, 0)
-    covs: np.ndarray = _empty(0, 0, 0)
+    covs: np.ndarray = _empty(0, 3, 0)
     ids: np.ndarray = _empty(0, dtype=np.int64)
     class_ids: np.ndarray = _empty(0, dtype=np.int64)
     active: np.ndarray = _empty(0, dtype=bool)
@@ -246,16 +251,67 @@ def records_from_columns(
     )
 
 
-@dataclass(frozen=True)
-class FrameDiagnostics:
-    """How each input detection index was consumed, plus lifecycle events."""
+def _pairs(rows: np.ndarray, ids: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple(zip(rows.tolist(), ids.tolist()))
 
-    first_matches: tuple[tuple[int, int], ...]
-    second_matches: tuple[tuple[int, int], ...]
-    new_tracks: tuple[tuple[int, int], ...]
-    discarded_low: tuple[int, ...]
-    lost_track_ids: tuple[int, ...]
-    removed_track_ids: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class FrameDiagnostics:
+    """How each input detection index was consumed, plus lifecycle events.
+
+    Held as the index arrays step computes: the detection rows matched in each
+    pass or spawning a track with the track ids they went to, the discarded
+    low rows, and the ids lost or removed this frame. The tuple fields
+    (first_matches, second_matches and new_tracks as (detection index, track
+    id) pairs; discarded_low, lost_track_ids, removed_track_ids) are built on
+    first read, and equality compares them.
+    """
+
+    first_rows: np.ndarray
+    first_ids: np.ndarray
+    second_rows: np.ndarray
+    second_ids: np.ndarray
+    new_rows: np.ndarray
+    new_ids: np.ndarray
+    discarded_rows: np.ndarray
+    lost_ids: np.ndarray
+    removed_ids: np.ndarray
+
+    @cached_property
+    def first_matches(self) -> tuple[tuple[int, int], ...]:
+        return _pairs(self.first_rows, self.first_ids)
+
+    @cached_property
+    def second_matches(self) -> tuple[tuple[int, int], ...]:
+        return _pairs(self.second_rows, self.second_ids)
+
+    @cached_property
+    def new_tracks(self) -> tuple[tuple[int, int], ...]:
+        return _pairs(self.new_rows, self.new_ids)
+
+    @cached_property
+    def discarded_low(self) -> tuple[int, ...]:
+        return tuple(self.discarded_rows.tolist())
+
+    @cached_property
+    def lost_track_ids(self) -> tuple[int, ...]:
+        return tuple(self.lost_ids.tolist())
+
+    @cached_property
+    def removed_track_ids(self) -> tuple[int, ...]:
+        return tuple(self.removed_ids.tolist())
+
+    def _fields(self) -> tuple:
+        return (self.first_matches, self.second_matches, self.new_tracks, self.discarded_low,
+                self.lost_track_ids, self.removed_track_ids)
+
+    def __eq__(self, other):
+        if not isinstance(other, FrameDiagnostics):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,8 +354,11 @@ def predict_tracks(
     is_3d = config.mode is Mode.BOX_3D
     means, covs = pool.means, pool.covs
     if not len(means):
-        dim = motion.STATE_DIM_3D if is_3d else motion.STATE_DIM_2D
-        means, covs = np.zeros((0, dim)), np.zeros((0, dim, dim))
+        if is_3d:
+            dim, obs = motion.STATE_DIM_3D, motion.OBS_DIM_3D
+        else:
+            dim, obs = motion.STATE_DIM_2D, motion.OBS_DIM_2D
+        means, covs = np.zeros((0, dim)), np.zeros((0, 3, obs))
 
     if strategy is MotionStrategy.DETECTED_VELOCITY:
         wants_backward = np.ones(len(means), dtype=bool)
@@ -331,6 +390,12 @@ def step(
     set active, leftover tracks turn lost (and are removed past the buffer),
     and unmatched high-score detections spawn new tracks. Returns the active
     tracks for the frame.
+
+    A frame more than one past the last behaves exactly as if every skipped
+    frame had been stepped with no detections first. Every track is removed
+    after track_buffer + 1 empty frames, so at most that many skipped frames
+    do any work, however large the gap. The skipped frames' removals lead
+    this frame's removed_track_ids, so each removed track is reported once.
     """
     if frame <= pool.last_frame:
         raise ValueError(
@@ -342,6 +407,12 @@ def step(
         raise ValueError(
             f"{_box_type(raw).__name__} detection in {config.mode.value} mode"
         )
+    gap_removed = []
+    for _ in range(min(frame - pool.last_frame - 1, config.track_buffer + 1)):
+        if not len(pool.ids):
+            break
+        empty = DetectionFrame.from_detections((), config.mode)
+        gap_removed.append(step(pool, pool.last_frame + 1, empty, config).diagnostics.removed_ids)
 
     noise = config.effective_noise()
     scores = detections.scores
@@ -410,12 +481,8 @@ def step(
     )
     spawn_ids = np.arange(pool.next_id, pool.next_id + len(high_left))
     diagnostics = FrameDiagnostics(
-        first_matches=tuple(zip(first_det.tolist(), pool.ids[first_trk].tolist())),
-        second_matches=tuple(zip(second_det.tolist(), pool.ids[second_trk].tolist())),
-        new_tracks=tuple(zip(high_left.tolist(), spawn_ids.tolist())),
-        discarded_low=tuple(low_left.tolist()),
-        lost_track_ids=tuple(pool.ids[lost & keep].tolist()),
-        removed_track_ids=tuple(pool.ids[removed].tolist()),
+        first_det, pool.ids[first_trk], second_det, pool.ids[second_trk], high_left, spawn_ids,
+        low_left, pool.ids[lost & keep], np.concatenate((*gap_removed, pool.ids[removed])),
     )
 
     pool.means = np.concatenate((means[keep], spawn_means))

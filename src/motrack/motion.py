@@ -7,11 +7,22 @@ center velocities) with fixed metric noise scales. Measurement uncertainty can
 be scaled by detection confidence: R_hat = alpha * (1 - score)^2 * R, floored
 elementwise to keep the innovation covariance invertible at score 1.
 
+The transition couples each observed channel only with its own velocity,
+the observation selects the observed channels, and every noise term is
+diagonal. So the covariance never leaves a block layout: one independent 2x2
+(position, velocity) block per observed channel, 1x1 for the 3D channels
+without a velocity (yaw, l, w, h). Covariances are stored as those blocks and
+every operation is its elementwise closed form; the dense filter this
+reproduces lives in the tests as the oracle.
+
 Every operation works on a batch of K tracks, one row each: means (K, D) and
-covariances (K, D, D), so one association step predicts, updates or starts
-every track it touches at once. Boxes enter as measurement rows
-(_measurement_stack) and leave as box parameter rows (box_rows), in the
-layouts of geometry.box2d_array and geometry.box3d_array.
+covariance blocks covs (K, 3, obs_dim), where covs[:, 0], covs[:, 1] and
+covs[:, 2] are each channel's position variance a, position-velocity
+covariance b and velocity variance c (b = c = 0 without a velocity). One
+association step predicts, updates or starts every track it touches at once.
+Boxes enter as measurement rows (_measurement_stack) and leave as box
+parameter rows (box_rows), in the layouts of geometry.box2d_array and
+geometry.box3d_array.
 """
 
 from __future__ import annotations
@@ -34,24 +45,6 @@ _ASPECT_VEL_INIT_STD = 1e-5
 _ASPECT_VEL_Q_STD = 1e-5
 
 _THETA_INDEX = 3  # yaw position in the 3D state and measurement vectors
-
-
-def _transition_2d() -> np.ndarray:
-    f = np.eye(STATE_DIM_2D)
-    for k in range(4):
-        f[k, 4 + k] = 1.0
-    return f
-
-
-def _transition_3d() -> np.ndarray:
-    # Only the center moves; yaw and size carry no velocity in the state.
-    f = np.eye(STATE_DIM_3D)
-    f[0, 7] = f[1, 8] = f[2, 9] = 1.0
-    return f
-
-
-_F_2D = _transition_2d()
-_F_3D = _transition_3d()
 
 
 @dataclass(frozen=True)
@@ -112,28 +105,34 @@ def box_rows(means: np.ndarray, is_3d: bool) -> np.ndarray:
     return np.concatenate((means[:, :2] - half, means[:, :2] + half), axis=1)
 
 
-def _q_diags(means: np.ndarray, noise: NoiseConfig, is_3d: bool) -> np.ndarray:
-    """Per-track process-noise variances, shape (K, state_dim)."""
-    k = means.shape[0]
+def _obs_stds_3d(noise: NoiseConfig) -> np.ndarray:
+    """Fixed 3D scales of the observed channels (x, y, z, yaw, l, w, h)."""
+    return np.array([noise.pos_std] * 3 + [noise.yaw_std] + [noise.size_std] * 3)
+
+
+def _q_blocks(
+    means: np.ndarray, noise: NoiseConfig, is_3d: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Process-noise variances of each channel's position and velocity.
+
+    Two arrays that broadcast against (K, obs_dim); velocity noise is zero on
+    the channels without a velocity.
+    """
     if is_3d:
-        stds = np.array([noise.pos_std] * 3 + [noise.yaw_std] + [noise.size_std] * 3
-                        + [noise.vel_std] * 3)
-        return np.broadcast_to(stds**2, (k, STATE_DIM_3D)).copy()
-    heights = means[:, 3]
-    stds = np.empty((k, STATE_DIM_2D))
-    stds[:, 0] = stds[:, 1] = stds[:, 3] = noise.pos_weight * heights
-    stds[:, 2] = _ASPECT_Q_STD
-    stds[:, 4] = stds[:, 5] = stds[:, 7] = noise.vel_weight * heights
-    stds[:, 6] = _ASPECT_VEL_Q_STD
-    return stds**2
+        return _obs_stds_3d(noise) ** 2, np.array([noise.vel_std] * 3 + [0.0] * 4) ** 2
+    heights = means[:, 3:4]
+    pos = heights * np.array([noise.pos_weight, noise.pos_weight, 0.0, noise.pos_weight])
+    pos[:, 2] = _ASPECT_Q_STD
+    vel = heights * np.array([noise.vel_weight, noise.vel_weight, 0.0, noise.vel_weight])
+    vel[:, 2] = _ASPECT_VEL_Q_STD
+    return pos**2, vel**2
 
 
 def _r_diags(zs: np.ndarray, noise: NoiseConfig, is_3d: bool) -> np.ndarray:
     """Per-measurement base noise variances, shape (K, obs_dim)."""
     k = zs.shape[0]
     if is_3d:
-        stds = np.array([noise.pos_std] * 3 + [noise.yaw_std] + [noise.size_std] * 3)
-        return np.broadcast_to(stds**2, (k, OBS_DIM_3D)).copy()
+        return np.broadcast_to(_obs_stds_3d(noise) ** 2, (k, OBS_DIM_3D)).copy()
     heights = zs[:, 3]
     stds = np.empty((k, OBS_DIM_2D))
     stds[:, 0] = stds[:, 1] = stds[:, 3] = noise.pos_weight * heights
@@ -141,50 +140,63 @@ def _r_diags(zs: np.ndarray, noise: NoiseConfig, is_3d: bool) -> np.ndarray:
     return stds**2
 
 
+def _wrap_theta(rows: np.ndarray) -> None:
+    """Wrap the yaw column of 3D rows to (-pi, pi] in place."""
+    theta = rows[:, _THETA_INDEX]
+    theta = np.arctan2(np.sin(theta), np.cos(theta))
+    theta[theta <= -math.pi] += math.tau
+    rows[:, _THETA_INDEX] = theta
+
+
 def init_arrays(zs: np.ndarray, noise: NoiseConfig, is_3d: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Start one track per measurement row: observed block set, velocities zero."""
-    k = zs.shape[0]
+    """Start one track per measurement row: positions measured, velocities zero."""
+    k, obs = zs.shape
+    covs = np.zeros((k, 3, obs))
     if is_3d:
         means = np.concatenate((zs, np.zeros((k, 3))), axis=1)
-        obs_stds = np.array([noise.pos_std] * 3 + [noise.yaw_std] + [noise.size_std] * 3)
-        stds = np.concatenate([2.0 * obs_stds, [10.0 * noise.vel_std] * 3])[None, :]
+        covs[:, 0] = (2.0 * _obs_stds_3d(noise)) ** 2
+        covs[:, 2, :3] = np.array([10.0 * noise.vel_std] * 3) ** 2
     else:
         means = np.concatenate((zs, np.zeros((k, 4))), axis=1)
         p = 2.0 * noise.pos_weight
         v = 10.0 * noise.vel_weight
-        stds = zs[:, 3:4] * np.array([p, p, 0.0, p, v, v, 0.0, v])
-        stds[:, 2] = _ASPECT_INIT_STD
-        stds[:, 6] = _ASPECT_VEL_INIT_STD
-    dim = means.shape[1]
-    idx = np.arange(dim)
-    covs = np.zeros((k, dim, dim))
-    covs[:, idx, idx] = stds**2
+        pos = zs[:, 3:4] * np.array([p, p, 0.0, p])
+        pos[:, 2] = _ASPECT_INIT_STD
+        vel = zs[:, 3:4] * np.array([v, v, 0.0, v])
+        vel[:, 2] = _ASPECT_VEL_INIT_STD
+        covs[:, 0] = pos**2
+        covs[:, 2] = vel**2
     return means, covs
 
 
 def predict_arrays(
     means: np.ndarray, covs: np.ndarray, noise: NoiseConfig, is_3d: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One constant-velocity step: positions advance by velocities, covariances grow."""
-    f = _F_3D if is_3d else _F_2D
-    new_means = means @ f.T
-    new_covs = np.matmul(f, np.matmul(covs, f.T))
-    dim = means.shape[1]
-    idx = np.arange(dim)
-    new_covs[:, idx, idx] += _q_diags(means, noise, is_3d)
-    new_covs = (new_covs + new_covs.transpose(0, 2, 1)) / 2.0
+    """One constant-velocity step: positions advance by velocities, covariances grow.
+
+    Per block: a' = (a + b) + (b + c) + q_pos, b' = b + c, c' = c + q_vel.
+    """
+    obs = covs.shape[2]
+    q_pos, q_vel = _q_blocks(means, noise, is_3d)
+    new_means = means.copy()
+    new_means[:, : means.shape[1] - obs] += means[:, obs:]
+    a, b, c = covs[:, 0], covs[:, 1], covs[:, 2]
+    new_covs = np.empty_like(covs)
+    new_covs[:, 1] = b + c
+    new_covs[:, 0] = (a + b) + new_covs[:, 1] + q_pos
+    new_covs[:, 2] = c + q_vel
     return new_means, new_covs
 
 
 def inflate_arrays(
     means: np.ndarray, covs: np.ndarray, noise: NoiseConfig, is_3d: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Random-walk step used when no motion model applies: means copied, covariances grown."""
-    covs = covs.copy()
-    dim = means.shape[1]
-    idx = np.arange(dim)
-    covs[:, idx, idx] += _q_diags(means, noise, is_3d)
-    return means.copy(), covs
+    """Random-walk step used when no motion model applies: means copied, variances grown."""
+    q_pos, q_vel = _q_blocks(means, noise, is_3d)
+    new_covs = covs.copy()
+    new_covs[:, 0] += q_pos
+    new_covs[:, 2] += q_vel
+    return means.copy(), new_covs
 
 
 def update_arrays(
@@ -199,8 +211,10 @@ def update_arrays(
 
     When adaptive scaling is enabled the base measurement covariance R becomes
     alpha * (1 - score)^2 * R, floored elementwise at min_noise_floor. The yaw
-    innovation (3D) is wrapped to (-pi, pi] before applying the gain; the
-    posterior covariance uses the Joseph form to stay PSD.
+    innovation (3D) is wrapped to (-pi, pi] before applying the gain, and the
+    updated yaw after. Per block, with s = a + r, the gain is (a/s, b/s) and
+    the posterior (a*r/s, b*r/s, c - b^2/s): each channel is measured alone,
+    so the innovation covariance is diagonal and no solve is needed.
     """
     obs = OBS_DIM_3D if is_3d else OBS_DIM_2D
     if zs.shape != (means.shape[0], obs):
@@ -208,36 +222,24 @@ def update_arrays(
     scores = np.asarray(scores, dtype=float)
     if np.any(scores < 0.0) or np.any(scores > 1.0):
         raise ValueError("scores must be in [0, 1]")
-    dim = means.shape[1]
-    k = means.shape[0]
 
     r = _r_diags(zs, noise, is_3d)
     if noise.adaptive:
         r = noise.alpha * (1.0 - scores[:, None]) ** 2 * r
     r = np.maximum(r, noise.min_noise_floor)
 
-    # The observation matrix selects the leading block, so projections are slices.
     innovation = zs - means[:, :obs]
     if is_3d:
-        theta = innovation[:, _THETA_INDEX]
-        theta = np.arctan2(np.sin(theta), np.cos(theta))
-        theta[theta <= -math.pi] += math.tau
-        innovation[:, _THETA_INDEX] = theta
-    s = covs[:, :obs, :obs].copy()
-    oidx = np.arange(obs)
-    s[:, oidx, oidx] += r
-    pht = covs[:, :, :obs]
-    gain = np.linalg.solve(s, pht.transpose(0, 2, 1)).transpose(0, 2, 1)
-
-    new_means = means + np.matmul(gain, innovation[:, :, None])[:, :, 0]
+        _wrap_theta(innovation)
+    # gain[:, 0] weights the innovation into positions, gain[:, 1] into velocities.
+    gain = covs[:, :2] / (covs[:, 0] + r)[:, None]
+    increment = gain * innovation[:, None]
+    new_means = means.copy()
+    new_means[:, :obs] += increment[:, 0]
+    new_means[:, obs:] += increment[:, 1, : means.shape[1] - obs]
     if is_3d:
-        theta = new_means[:, _THETA_INDEX]
-        theta = np.arctan2(np.sin(theta), np.cos(theta))
-        theta[theta <= -math.pi] += math.tau
-        new_means[:, _THETA_INDEX] = theta
-    ikh = np.broadcast_to(np.eye(dim), (k, dim, dim)).copy()
-    ikh[:, :, :obs] -= gain
-    new_covs = np.matmul(ikh, np.matmul(covs, ikh.transpose(0, 2, 1)))
-    new_covs += np.matmul(gain * r[:, None, :], gain.transpose(0, 2, 1))
-    new_covs = (new_covs + new_covs.transpose(0, 2, 1)) / 2.0
+        _wrap_theta(new_means)
+    new_covs = np.empty_like(covs)
+    new_covs[:, :2] = gain * r[:, None]
+    new_covs[:, 2] = covs[:, 2] - gain[:, 1] * covs[:, 1]
     return new_means, new_covs

@@ -203,7 +203,15 @@ class Tracker:
     def step(
         self, detections: DetectionFrame | Sequence[Detection], frame: int | None = None
     ) -> FrameResult:
-        """Process one frame; frame index defaults to the next in sequence."""
+        """Process one frame; frame index defaults to the next in sequence.
+
+        Frame indices must increase. Skipping from frame j to frame j + g
+        behaves exactly like stepping g - 1 frames with no detections and then
+        this one: tracks age by one frame per skipped frame and are removed
+        once past the rebirth buffer. Skipped frames emit no rows, and only
+        the first track_buffer + 1 of them can do any work. Tracks removed in
+        the skipped frames are listed first in this frame's removed_track_ids.
+        """
         if frame is None:
             frame = self.pool.last_frame + 1
         if not isinstance(detections, DetectionFrame):

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from motrack.formats import (
 )
 from motrack.geometry import Box2D, Box3D
 from motrack.simulate import clutter_suite, generate_scenario, motion_ablation_suite
-from motrack.tracker import run_sequence
+from motrack.tracker import TrackOutput, run_sequence
 from oracle_utils import (
     box3d_line,
     mot_line,
@@ -347,6 +348,88 @@ def test_columnar_parsers_equal_line_oracle(three_d, data):
                 assert bits(got[1]) == bits(want[1])
     finally:
         formats._CHUNK_CHARS = default
+
+
+@st.composite
+def track_outputs(draw, three_d):
+    """Random outputs: unique (frame, id) rows sorted by frame, any finite
+    floats in range, -0.0 and subnormals included."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**9)),
+                         max_size=25, unique=True))
+    keys.sort(key=lambda key: key[0])
+    n = len(keys)
+    coord = st.floats(-1e6, 1e6, allow_subnormal=True)
+    size = st.floats(0.0, 1e4, exclude_min=True, allow_subnormal=True)
+    score = st.floats(0.0, 1.0)
+    frames = np.array([f for f, _ in keys], dtype=np.int64).reshape(n)
+    ids = np.array([i for _, i in keys], dtype=np.int64).reshape(n)
+    scores = np.array(draw(st.lists(score, min_size=n, max_size=n)), dtype=float)
+    if three_d:
+        theta = st.floats(-math.pi, math.pi, exclude_min=True)
+        rows = draw(st.lists(st.tuples(coord, coord, coord, theta, size, size, size),
+                             min_size=n, max_size=n))
+        classes = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
+                           dtype=np.int64)
+        boxes = np.array(rows, dtype=float).reshape(n, 7)
+        return TrackOutput.from_columns(frames, ids, classes, scores, boxes, Mode.BOX_3D,
+                                        int(frames.max(initial=0)))
+    rows = draw(st.lists(st.tuples(coord, coord, size, size), min_size=n, max_size=n))
+    corners = np.array(rows, dtype=float).reshape(n, 4)
+    corners[:, 2:] += corners[:, :2]  # x2 = x1 + w, rounded as a tracker's box would be
+    keep = (corners[:, 2:] > corners[:, :2]).all(axis=1)
+    return TrackOutput.from_columns(frames[keep], ids[keep], np.zeros(int(keep.sum()),
+                                    dtype=np.int64), scores[keep], corners[keep], Mode.BOX_2D,
+                                    int(frames.max(initial=0)))
+
+
+def _hex(column: np.ndarray) -> list[str]:
+    return [float(value).hex() for value in column.ravel().tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(output=track_outputs(three_d=True))
+def test_3d_writer_round_trips_bit_exact(output):
+    buf = io.StringIO()
+    write_3d_results(output, buf)
+    parsed = parse_3d_results(buf.getvalue())
+    for name in ("frames", "track_ids", "class_ids"):
+        assert getattr(parsed, name).tolist() == getattr(output, name).tolist()
+    assert _hex(parsed.scores) == _hex(output.scores)
+    assert _hex(parsed.boxes) == _hex(output.boxes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(output=track_outputs(three_d=False))
+def test_mot_writer_round_trips_corners_within_rounding(output):
+    """MOT text stores w = x2 - x1 and h = y2 - y1, so x1, y1, frames, ids and
+    scores come back bit-exact while x2 = x1 + w and y2 = y1 + h are rounded
+    twice: within 2 ulp of the larger corner coordinate."""
+    buf = io.StringIO()
+    write_mot_results(output, buf)
+    parsed = parse_mot_results(buf.getvalue())
+    for name in ("frames", "track_ids"):
+        assert getattr(parsed, name).tolist() == getattr(output, name).tolist()
+    assert _hex(parsed.scores) == _hex(output.scores)
+    assert _hex(parsed.boxes[:, :2]) == _hex(output.boxes[:, :2])
+    ulp = np.spacing(np.maximum(np.abs(output.boxes[:, :2]), np.abs(output.boxes[:, 2:])))
+    assert np.all(np.abs(parsed.boxes[:, 2:] - output.boxes[:, 2:]) <= 2 * ulp)
+
+
+def test_mot_writer_corner_drift_example():
+    """The drift stated in the README, both ways round: corners x1 = 1.1,
+    x2 = 7.7 are written as w = 6.6 and read back as x2 = 7.699999999999999,
+    and a parsed x = 0.1, w = 0.2 is rewritten as w = 0.20000000000000004."""
+    output = TrackOutput.from_columns(np.array([1]), np.array([1]), np.array([0]),
+                                      np.array([0.5]), np.array([[1.1, 1.1, 7.7, 7.7]]),
+                                      Mode.BOX_2D, 1)
+    buf = io.StringIO()
+    write_mot_results(output, buf)
+    assert buf.getvalue() == "1,1,1.1,1.1,6.6,6.6,0.5,-1,-1,-1\n"
+    parsed = parse_mot_results(buf.getvalue())
+    assert parsed.boxes.tolist() == [[1.1, 1.1, 7.699999999999999, 7.699999999999999]]
+    buf = io.StringIO()
+    write_mot_results(parse_mot_results("1,1,0.1,0.1,0.2,0.2,0.5,-1,-1,-1\n"), buf)
+    assert buf.getvalue() == "1,1,0.1,0.1,0.20000000000000004,0.20000000000000004,0.5,-1,-1,-1\n"
 
 
 class TestConfigFile:

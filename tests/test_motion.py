@@ -1,9 +1,23 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kalman_utils import State, kf_init, kf_predict, kf_update, measure
+from kalman_utils import (
+    State,
+    dense_covariance,
+    dense_inflate,
+    dense_init,
+    dense_predict,
+    dense_update,
+    kf_init,
+    kf_predict,
+    kf_update,
+    measure,
+)
 from motrack import association
 from motrack.association import Detection, Mode, MotionStrategy, TrackPool
 from motrack.geometry import Box2D, Box3D, box3d_array, giou_3d_pairs
@@ -84,7 +98,9 @@ class TestPredict:
         means, covs = init_arrays(measure(Box2D(0, 0, 50, 100)), NOISE, False)
         held_means, held_covs = inflate_arrays(means, covs, NOISE, False)
         assert np.array_equal(held_means, means)
-        assert np.all(np.diag(held_covs[0]) > np.diag(covs[0]))
+        # Position and velocity variances grow on every channel; b stays put.
+        assert np.all(held_covs[0, [0, 2]] > covs[0, [0, 2]])
+        assert np.array_equal(held_covs[0, 1], covs[0, 1])
 
 
 class TestUpdate:
@@ -194,11 +210,11 @@ class TestBatchConsistency:
         starts = [Box3D(*rng.uniform(-5, 5, 3), 0.2, 4, 2, 1.5) for _ in range(7)]
         states = [kf_init(box, NOISE) for box in starts]
         means, covs = init_arrays(np.concatenate([measure(b) for b in starts]), NOISE, True)
-        for single, mean, cov in zip(states, means, covs):
+        for single, mean, cov in zip(states, means, dense_covariance(covs, True)):
             assert np.array_equal(single.mean, mean)
             assert np.array_equal(single.covariance, cov)
         means, covs = predict_arrays(means, covs, NOISE, True)
-        for single, mean, cov in zip(states, means, covs):
+        for single, mean, cov in zip(states, means, dense_covariance(covs, True)):
             expect = kf_predict(single, NOISE)
             assert np.array_equal(expect.mean, mean)
             assert np.array_equal(expect.covariance, cov)
@@ -206,7 +222,8 @@ class TestBatchConsistency:
         scores = rng.uniform(0, 1, 7).tolist()
         zs = np.concatenate([measure(b) for b in boxes])
         new_means, _ = update_arrays(means, covs, zs, scores, NOISE, True)
-        for mean, cov, box, score, batched in zip(means, covs, boxes, scores, new_means):
+        dense = dense_covariance(covs, True)
+        for mean, cov, box, score, batched in zip(means, dense, boxes, scores, new_means):
             expect = kf_update(State(mean, cov), box, score, NOISE)
             assert np.array_equal(expect.mean, batched)
 
@@ -252,3 +269,117 @@ class TestBackwardPredict:
         (row,) = self.scored_rows(monkeypatch, current, velocity)
         assert abs(row[0] - previous.x) < 1e-9
         assert abs(row[1] - previous.y) < 1e-9
+
+
+# -- block closed forms against the dense oracle --------------------------------
+
+# Score regimes of an update: anywhere, near 0 or 1, or exactly 0 or 1.
+_SCORE_REGIMES = ("uniform", "near0", "near1", "zero", "one")
+
+
+def _scores(rng, regime, k):
+    if regime == "uniform":
+        return rng.uniform(0.0, 1.0, k)
+    if regime == "near0":
+        return rng.uniform(0.0, 1e-6, k)
+    if regime == "near1":
+        return 1.0 - rng.uniform(0.0, 1e-6, k)
+    return np.full(k, 0.0 if regime == "zero" else 1.0)
+
+
+def _measurements(rng, means, covs, is_3d, spread, yaw_near_pi):
+    """Measurement rows around the tracks' positions, spread in prior std units."""
+    obs = covs.shape[2]
+    zs = means[:, :obs] + spread * np.sqrt(covs[:, 0]) * rng.standard_normal(means[:, :obs].shape)
+    if is_3d:
+        zs[:, 4:] = np.abs(zs[:, 4:]) + 0.1
+        if yaw_near_pi:
+            zs[:, 3] = rng.choice([-1.0, 1.0], len(zs)) * (math.pi - rng.uniform(0, 1e-9, len(zs)))
+        else:
+            zs[:, 3] = rng.uniform(-math.pi, math.pi, len(zs))
+    else:
+        zs[:, 2:] = np.abs(zs[:, 2:]) + 1e-3
+    return zs
+
+
+def _fresh_measurements(rng, k, is_3d, yaw_near_pi):
+    if is_3d:
+        zs = np.concatenate((rng.uniform(-50, 50, (k, 3)), rng.uniform(-math.pi, math.pi, (k, 1)),
+                             rng.uniform(0.3, 10.0, (k, 3))), axis=1)
+        if yaw_near_pi:
+            zs[:, 3] = rng.choice([-1.0, 1.0], k) * (math.pi - rng.uniform(0, 1e-9, k))
+        return zs
+    return np.concatenate((rng.uniform(-1e3, 1e3, (k, 2)), rng.uniform(0.2, 3.0, (k, 1)),
+                           rng.uniform(5.0, 1000.0, (k, 1))), axis=1)
+
+
+def _assert_matches_dense(means, covs, want_means, want_covs, prior_means, is_3d):
+    """Means and expanded covariances within 1e-12 relative of the dense oracle.
+
+    A covariance entry is compared at the scale sqrt(P_ii * P_jj) of its row
+    and column variances; a mean entry at the magnitude of its prior, its
+    increment and its result; yaw by its wrapped angular difference.
+    """
+    got = dense_covariance(covs, is_3d)
+    blocks = dense_covariance(np.ones_like(covs), is_3d) != 0
+    assert np.all(want_covs[:, ~blocks[0]] == 0.0)  # the oracle stays block diagonal too
+    var = np.abs(np.diagonal(want_covs, axis1=1, axis2=2))
+    scale = np.sqrt(var[:, :, None] * var[:, None, :])
+    assert np.all(np.abs(got - want_covs) <= 1e-12 * scale)
+    diff = means - want_means
+    scale = np.abs(prior_means) + np.abs(want_means - prior_means) + np.abs(want_means)
+    if is_3d:
+        diff[:, 3] = np.angle(np.exp(1j * diff[:, 3]))
+        scale[:, 3] = math.pi
+    assert np.all(np.abs(diff) <= 1e-12 * scale)
+
+
+def _assert_blocks_psd(covs):
+    a, b, c = covs[:, 0], covs[:, 1], covs[:, 2]
+    assert np.all(a >= 0.0) and np.all(c >= 0.0)
+    assert np.all(a * c - b * b >= -1e-12 * a * c)
+
+
+_OPS = st.tuples(
+    st.sampled_from(("init", "predict", "inflate", "update", "update", "update")),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(_SCORE_REGIMES),
+    st.sampled_from((0.1, 1.0, 10.0)),
+    st.booleans(),
+)
+
+
+@pytest.mark.parametrize("is_3d", [False, True], ids=["2d", "3d"])
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 4), alpha=st.sampled_from((0.0, 1.0, 10.0, 100.0)),
+       adaptive=st.booleans(), ops=st.lists(_OPS, min_size=50, max_size=60))
+def test_block_filter_matches_dense_oracle(is_3d, k, alpha, adaptive, ops):
+    """At least 200 x 50 = 10^4 operations per dimension, each run on
+    identical input states by the block closed forms and by the dense filter."""
+    noise = NoiseConfig(alpha=alpha, adaptive=adaptive)
+    rng = np.random.default_rng(0)
+    means, covs = init_arrays(_fresh_measurements(rng, k, is_3d, False), noise, is_3d)
+    for kind, seed, regime, spread, yaw_near_pi in ops:
+        rng = np.random.default_rng(seed)
+        dense = dense_covariance(covs, is_3d)
+        if kind == "init":
+            zs = _fresh_measurements(rng, k, is_3d, yaw_near_pi)
+            new = init_arrays(zs, noise, is_3d)
+            want = dense_init(zs, noise, is_3d)
+            _assert_matches_dense(*new, *want, want[0], is_3d)
+            # Start the fresh tracks moving, so predicts carry positions along.
+            new[0][:, covs.shape[2]:] = rng.normal(0.0, spread, (k, means.shape[1] - covs.shape[2]))
+        elif kind == "predict":
+            new = predict_arrays(means, covs, noise, is_3d)
+            _assert_matches_dense(*new, *dense_predict(means, dense, noise, is_3d), means, is_3d)
+        elif kind == "inflate":
+            new = inflate_arrays(means, covs, noise, is_3d)
+            _assert_matches_dense(*new, *dense_inflate(means, dense, noise, is_3d), means, is_3d)
+        else:
+            zs = _measurements(rng, means, covs, is_3d, spread, yaw_near_pi)
+            scores = _scores(rng, regime, k)
+            new = update_arrays(means, covs, zs, scores, noise, is_3d)
+            want = dense_update(means, dense, zs, scores, noise, is_3d)
+            _assert_matches_dense(*new, *want, means, is_3d)
+        means, covs = new
+        _assert_blocks_psd(covs)

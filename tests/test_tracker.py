@@ -2,7 +2,10 @@ import dataclasses
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motrack import formats
 from motrack.association import Detection, Mode, MotionStrategy, TrackerConfig
@@ -19,7 +22,7 @@ from motrack.tracker import (
     validate_config,
 )
 from oracle_utils import records_by_frame
-from test_association import mixed_class_frames
+from test_association import detection_streams, mixed_class_frames
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_crossing.txt"
@@ -104,6 +107,78 @@ class TestTrackOutput:
         output = TrackOutput(records, Mode.BOX_2D, 2)
         assert {f: len(v) for f, v in records_by_frame(output).items()} == {1: 2, 2: 1}
         assert output.slice_frames(2, 2).records == records[2:]
+
+
+_POOL_ARRAYS = ("means", "covs", "ids", "class_ids", "active", "frames_since_match", "last_score")
+
+
+def assert_same_pool(a, b):
+    for name in _POOL_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.next_id, a.last_frame) == (b.next_id, b.last_frame)
+
+
+def assert_same_result(a, b, removed_before=()):
+    """Equal results, with a's removals preceded by the given skipped-frame ones."""
+    assert a.frame == b.frame
+    removed = np.array([*removed_before, *b.diagnostics.removed_ids.tolist()], dtype=np.int64)
+    assert a.diagnostics == dataclasses.replace(b.diagnostics, removed_ids=removed)
+    for name in ("track_ids", "class_ids", "scores", "boxes"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(stream=detection_streams(), data=st.data())
+def test_frame_gap_equals_stepping_empty_frames(stream, data):
+    """Jumping g frames ahead is g - 1 empty steps followed by the step, and
+    the jump reports every track the empty steps removed."""
+    config, frames = stream
+    gaps = data.draw(st.lists(st.integers(1, 7), min_size=len(frames), max_size=len(frames)))
+    numbers = np.cumsum(gaps).tolist()
+    gapped, explicit = Tracker(config), Tracker(config)
+    gapped_removed = []
+    for number, detections in zip(numbers, frames):
+        skipped_removed = []
+        for empty in range(explicit.pool.last_frame + 1, number):
+            skipped_removed += explicit.step([], frame=empty).diagnostics.removed_track_ids
+        got, want = gapped.step(detections, frame=number), explicit.step(detections, frame=number)
+        assert_same_result(got, want, skipped_removed)
+        assert_same_pool(gapped.pool, explicit.pool)
+        gapped_removed += got.diagnostics.removed_track_ids
+    assert len(set(gapped_removed)) == len(gapped_removed)
+    a, b = gapped.output(), explicit.output()
+    for name in ("frames", "track_ids", "class_ids", "scores", "boxes"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.n_frames == b.n_frames
+
+
+def test_huge_frame_gap_is_bounded(monkeypatch):
+    """Only track_buffer + 1 skipped frames do work: the jump to frame 10**9
+    predicts that many times plus once for the frame itself."""
+    from motrack import motion
+
+    spec, seed = crossing_scenario()
+    _, frames = generate_scenario(spec, seed)
+    config = validate_config({"mode": "2d"})
+    gapped, explicit = Tracker(config), Tracker(config)
+    for detections in frames[:10]:
+        gapped.step(detections)
+        explicit.step(detections)
+    assert len(gapped.pool.ids) > 0
+    removed = []
+    for _ in range(config.track_buffer + 1):
+        removed += explicit.step([]).diagnostics.removed_track_ids
+    assert len(explicit.pool.ids) == 0
+
+    predicts = []
+    original = motion.predict_arrays
+    monkeypatch.setattr(motion, "predict_arrays",
+                        lambda *args: predicts.append(1) or original(*args))
+    result = gapped.step(frames[10], frame=10**9)
+    monkeypatch.undo()
+    assert len(predicts) == config.track_buffer + 2
+    assert_same_result(result, explicit.step(frames[10], frame=10**9), removed)
+    assert_same_pool(gapped.pool, explicit.pool)
 
 
 @pytest.mark.parametrize("mode", ["2d", "3d"])

@@ -26,7 +26,6 @@ from .geometry import (
     iou_2d,
 )
 from .metrics import AmotaReport, ClearReport, amota, clear_mot, idf1, smota_r
-from .motion import NoiseConfig
 from .simulate import (
     ScenarioSpec,
     baseline_single_association,
@@ -54,7 +53,6 @@ __all__ = [
     "FrameResult",
     "Mode",
     "MotionStrategy",
-    "NoiseConfig",
     "ScenarioSpec",
     "TrackOutput",
     "TrackPool",

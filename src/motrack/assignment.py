@@ -56,21 +56,16 @@ def solve_assignment(sim: np.ndarray, gate: float | np.ndarray) -> Assignment:
     if not admissible.any():
         return _empty_assignment(n_rows, n_cols)
 
-    # Augment with one private zero-value dummy column per row, so the solver
-    # can leave anything unmatched and never takes a sub-gate pair: a -big
-    # entry always loses to the row's own dummy. Every row is assigned, so rows
-    # come back as 0..n_rows-1 and the unmatched ones are those sent to a dummy.
-    big = (min(n_rows, n_cols) + 1.0) * (float(np.abs(values[admissible]).max()) + 1.0)
-    aug = np.full((n_rows, n_cols + n_rows), -big)
-    aug[:, :n_cols] = np.where(admissible, values, -big)
-    aug[np.arange(n_rows), n_cols + np.arange(n_rows)] = 0.0
-
-    rows, cols = linear_sum_assignment(aug, maximize=True)
-    matched = cols < n_cols
-    free_cols = np.ones(n_cols, dtype=bool)
-    free_cols[cols[matched]] = False
-    return Assignment(
-        np.array((rows[matched], cols[matched])).T,
-        rows[~matched],
-        free_cols.nonzero()[0],
+    # Negative and inadmissible pairs are worth no more than leaving both
+    # sides unmatched, so they weigh 0 and are dropped from the solution: what
+    # is kept is a maximum-total matching of admissible pairs.
+    rows, cols = linear_sum_assignment(
+        np.where(admissible, np.maximum(values, 0.0), 0.0), maximize=True
     )
+    keep = admissible[rows, cols] & (values[rows, cols] >= 0.0)
+    rows, cols = rows[keep], cols[keep]
+    free_rows = np.ones(n_rows, dtype=bool)
+    free_rows[rows] = False
+    free_cols = np.ones(n_cols, dtype=bool)
+    free_cols[cols] = False
+    return Assignment(np.array((rows, cols)).T, free_rows.nonzero()[0], free_cols.nonzero()[0])

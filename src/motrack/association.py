@@ -16,7 +16,6 @@ are built only when a caller asks for them.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
@@ -36,7 +35,6 @@ from .geometry import (
     giou_3d_pairs,
     iou_matrix_2d,
 )
-from .motion import NoiseConfig
 
 # Fallback key in per-class gate maps.
 DEFAULT_GATE_KEY = -1
@@ -141,8 +139,10 @@ class TrackerConfig:
     """Tracking hyperparameters; defaults are the 2D ones.
 
     Gates may be scalars or per-class maps keyed by class id (key -1 supplies
-    the fallback). alpha and adaptive_r control the confidence-scaled
-    measurement uncertainty; second_pass disables the low-score association for
+    the fallback). alpha and adaptive_r are the only noise settings: with
+    adaptive_r set, a detection of score s is measured with noise
+    alpha * (1 - s)^2 * R (see motion.update_arrays); the noise scales
+    themselves are fixed. second_pass disables the low-score association for
     the single-stage baseline.
     """
 
@@ -154,9 +154,7 @@ class TrackerConfig:
     motion_strategy: MotionStrategy = MotionStrategy.KALMAN
     alpha: float = 100.0
     adaptive_r: bool = False
-    modality: str | None = None
     second_pass: bool = True
-    noise: NoiseConfig | None = None
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
@@ -165,8 +163,6 @@ class TrackerConfig:
             raise ValueError(f"track_buffer must be >= 1, got {self.track_buffer}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.modality not in (None, "camera", "lidar"):
-            raise ValueError(f"unknown modality {self.modality!r}")
         if self.mode is Mode.BOX_2D and self.motion_strategy is not MotionStrategy.KALMAN:
             raise ValueError("detected-velocity strategies require 3D mode")
         for name in ("gate_first", "gate_second"):
@@ -175,14 +171,6 @@ class TrackerConfig:
                 object.__setattr__(self, name, dict(gate))
             elif not math.isfinite(gate):
                 raise ValueError(f"{name} must be finite")
-        # Resolved once per config, since every frame reads it.
-        base = self.noise if self.noise is not None else NoiseConfig()
-        object.__setattr__(self, "_noise",
-                           dataclasses.replace(base, alpha=self.alpha, adaptive=self.adaptive_r))
-
-    def effective_noise(self) -> NoiseConfig:
-        """The noise config with this config's alpha and adaptive_r applied."""
-        return self._noise
 
 
 def resolve_gate(gate: float | Mapping[int, float], class_id: int) -> float:
@@ -349,7 +337,6 @@ def predict_tracks(
     against them. The complementary strategy shifts detections backward for
     active tracks and forward-predicts lost tracks for rebirth.
     """
-    noise = config.effective_noise()
     strategy = config.motion_strategy
     is_3d = config.mode is Mode.BOX_3D
     means, covs = pool.means, pool.covs
@@ -362,11 +349,11 @@ def predict_tracks(
 
     if strategy is MotionStrategy.DETECTED_VELOCITY:
         wants_backward = np.ones(len(means), dtype=bool)
-        new_means, new_covs = motion.inflate_arrays(means, covs, noise, is_3d)
+        new_means, new_covs = motion.inflate_arrays(means, covs, is_3d)
     else:
         wants_backward = (pool.active.copy() if strategy is MotionStrategy.COMPLEMENTARY
                           else np.zeros(len(means), dtype=bool))
-        new_means, new_covs = motion.predict_arrays(means, covs, noise, is_3d)
+        new_means, new_covs = motion.predict_arrays(means, covs, is_3d)
     match_means = np.where(wants_backward[:, None], means, new_means)
     return new_means, new_covs, motion.box_rows(match_means, is_3d), wants_backward
 
@@ -414,7 +401,6 @@ def step(
         empty = DetectionFrame.from_detections((), config.mode)
         gap_removed.append(step(pool, pool.last_frame + 1, empty, config).diagnostics.removed_ids)
 
-    noise = config.effective_noise()
     scores = detections.scores
     det_classes = detections.class_ids
     high_idx = np.nonzero(scores > config.tau)[0]
@@ -450,7 +436,7 @@ def step(
         if len(det):
             zs = motion._measurement_stack(raw[det], is_3d)
             means[trk], covs[trk] = motion.update_arrays(
-                means[trk], covs[trk], zs, scores[det], noise, is_3d
+                means[trk], covs[trk], zs, scores[det], config.alpha, config.adaptive_r, is_3d
             )
         rows_left = rows[assign.unmatched_detections]
         cols_left = cols[assign.unmatched_tracklets]
@@ -477,7 +463,7 @@ def step(
     last_score[second_trk] = scores[second_det]
 
     spawn_means, spawn_covs = motion.init_arrays(
-        motion._measurement_stack(raw[high_left], is_3d), noise, is_3d
+        motion._measurement_stack(raw[high_left], is_3d), is_3d
     )
     spawn_ids = np.arange(pool.next_id, pool.next_id + len(high_left))
     diagnostics = FrameDiagnostics(

@@ -20,6 +20,7 @@ from .tracker import Mode, TrackOutput
 
 DEFAULT_IOU_MATCH = 0.5
 DEFAULT_DIST_MATCH = 2.0
+_RECALL_POINTS = 40  # AMOTA's recall grid is k / 40, k = 1..40
 
 
 @dataclass(frozen=True)
@@ -323,10 +324,8 @@ def amota(
     gt: TrackOutput,
     pred: TrackOutput,
     match_threshold: float | None = None,
-    n_points: int = 40,
-    min_recall: float = 0.0,
 ) -> AmotaReport:
-    """Average sMOTA over an evenly spaced recall grid via a confidence sweep.
+    """Average sMOTA over the recall grid k/40, k = 1..40, via a confidence sweep.
 
     For each target recall the prediction is thresholded at the observed
     confidence whose recall is closest from above (ties take the higher
@@ -347,9 +346,7 @@ def amota(
         for threshold, fp, fn, ids in _sweep(tables)
     ]
 
-    recalls = tuple(
-        k / n_points for k in range(1, n_points + 1) if k / n_points >= min_recall
-    )
+    recalls = tuple(k / _RECALL_POINTS for k in range(1, _RECALL_POINTS + 1))
     values = []
     for r in recalls:
         reachable = [entry for entry in sweeps if entry[1] >= r]
@@ -365,7 +362,7 @@ def amota(
         values.append(max(0.0, min(1.0, 1.0 - penalty / (r * total_gt))))
 
     return AmotaReport(
-        amota=float(np.mean(values)) if values else 0.0,
+        amota=float(np.mean(values)),
         smota_values=tuple(values),
         recalls=recalls,
     )

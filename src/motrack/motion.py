@@ -3,9 +3,10 @@
 2D tracks use an 8-dim state (center x, center y, aspect ratio w/h, height,
 plus their per-frame velocities) with noise scales proportional to the box
 height. 3D tracks use a 10-dim state (x, y, z, yaw, l, w, h plus world-frame
-center velocities) with fixed metric noise scales. Measurement uncertainty can
-be scaled by detection confidence: R_hat = alpha * (1 - score)^2 * R, floored
-elementwise to keep the innovation covariance invertible at score 1.
+center velocities) with fixed metric noise scales. The scales are module
+constants; the only noise setting is the confidence scaling of update_arrays,
+R_hat = alpha * (1 - score)^2 * R, floored elementwise to keep the innovation
+covariance invertible at score 1.
 
 The transition couples each observed channel only with its own velocity,
 the observation selects the observed channels, and every noise term is
@@ -28,7 +29,6 @@ geometry.box3d_array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,10 @@ OBS_DIM_2D = 4
 STATE_DIM_3D = 10
 OBS_DIM_3D = 7
 
+# 2D noise standard deviations as fractions of the box height.
+_POS_WEIGHT = 1.0 / 20.0
+_VEL_WEIGHT = 1.0 / 160.0
+
 # Aspect-ratio channel scales for the 2D filter (not height-proportional).
 _ASPECT_INIT_STD = 1e-2
 _ASPECT_Q_STD = 1e-2
@@ -44,36 +48,19 @@ _ASPECT_R_STD = 1e-1
 _ASPECT_VEL_INIT_STD = 1e-5
 _ASPECT_VEL_Q_STD = 1e-5
 
+# 3D noise standard deviations of the observed channels (x, y, z in meters,
+# yaw in radians, l, w, h in meters) and of the center velocities (meters per
+# frame).
+_POS_STD = 0.5
+_YAW_STD = 0.1
+_SIZE_STD = 0.3
+_VEL_STD = 0.5
+_OBS_STDS_3D = np.array([_POS_STD] * 3 + [_YAW_STD] + [_SIZE_STD] * 3)
+
+# Floor of the measurement variances after confidence scaling.
+_MIN_NOISE_FLOOR = 1e-4
+
 _THETA_INDEX = 3  # yaw position in the 3D state and measurement vectors
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Process/measurement noise scales and the confidence-adaptive knobs.
-
-    pos_weight / vel_weight scale the height-proportional 2D noise; the *_std
-    fields are fixed 3D scales in meters (radians for yaw, meters-per-frame
-    for velocity). alpha controls the magnitude of the confidence-scaled
-    measurement uncertainty; min_noise_floor keeps it positive at score 1.
-    """
-
-    pos_weight: float = 1.0 / 20.0
-    vel_weight: float = 1.0 / 160.0
-    pos_std: float = 0.5
-    yaw_std: float = 0.1
-    size_std: float = 0.3
-    vel_std: float = 0.5
-    alpha: float = 10.0
-    adaptive: bool = True
-    min_noise_floor: float = 1e-4
-
-    def __post_init__(self):
-        for name in ("pos_weight", "vel_weight", "pos_std", "yaw_std", "size_std",
-                     "vel_std", "min_noise_floor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"NoiseConfig.{name} must be positive")
-        if self.alpha < 0:
-            raise ValueError("NoiseConfig.alpha must be non-negative")
 
 
 def _measurement_stack(rows: np.ndarray, is_3d: bool) -> np.ndarray:
@@ -105,37 +92,30 @@ def box_rows(means: np.ndarray, is_3d: bool) -> np.ndarray:
     return np.concatenate((means[:, :2] - half, means[:, :2] + half), axis=1)
 
 
-def _obs_stds_3d(noise: NoiseConfig) -> np.ndarray:
-    """Fixed 3D scales of the observed channels (x, y, z, yaw, l, w, h)."""
-    return np.array([noise.pos_std] * 3 + [noise.yaw_std] + [noise.size_std] * 3)
-
-
-def _q_blocks(
-    means: np.ndarray, noise: NoiseConfig, is_3d: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _q_blocks(means: np.ndarray, is_3d: bool) -> tuple[np.ndarray, np.ndarray]:
     """Process-noise variances of each channel's position and velocity.
 
     Two arrays that broadcast against (K, obs_dim); velocity noise is zero on
     the channels without a velocity.
     """
     if is_3d:
-        return _obs_stds_3d(noise) ** 2, np.array([noise.vel_std] * 3 + [0.0] * 4) ** 2
+        return _OBS_STDS_3D**2, np.array([_VEL_STD] * 3 + [0.0] * 4) ** 2
     heights = means[:, 3:4]
-    pos = heights * np.array([noise.pos_weight, noise.pos_weight, 0.0, noise.pos_weight])
+    pos = heights * np.array([_POS_WEIGHT, _POS_WEIGHT, 0.0, _POS_WEIGHT])
     pos[:, 2] = _ASPECT_Q_STD
-    vel = heights * np.array([noise.vel_weight, noise.vel_weight, 0.0, noise.vel_weight])
+    vel = heights * np.array([_VEL_WEIGHT, _VEL_WEIGHT, 0.0, _VEL_WEIGHT])
     vel[:, 2] = _ASPECT_VEL_Q_STD
     return pos**2, vel**2
 
 
-def _r_diags(zs: np.ndarray, noise: NoiseConfig, is_3d: bool) -> np.ndarray:
+def _r_diags(zs: np.ndarray, is_3d: bool) -> np.ndarray:
     """Per-measurement base noise variances, shape (K, obs_dim)."""
     k = zs.shape[0]
     if is_3d:
-        return np.broadcast_to(_obs_stds_3d(noise) ** 2, (k, OBS_DIM_3D)).copy()
+        return np.broadcast_to(_OBS_STDS_3D**2, (k, OBS_DIM_3D)).copy()
     heights = zs[:, 3]
     stds = np.empty((k, OBS_DIM_2D))
-    stds[:, 0] = stds[:, 1] = stds[:, 3] = noise.pos_weight * heights
+    stds[:, 0] = stds[:, 1] = stds[:, 3] = _POS_WEIGHT * heights
     stds[:, 2] = _ASPECT_R_STD
     return stds**2
 
@@ -148,18 +128,18 @@ def _wrap_theta(rows: np.ndarray) -> None:
     rows[:, _THETA_INDEX] = theta
 
 
-def init_arrays(zs: np.ndarray, noise: NoiseConfig, is_3d: bool) -> tuple[np.ndarray, np.ndarray]:
+def init_arrays(zs: np.ndarray, is_3d: bool) -> tuple[np.ndarray, np.ndarray]:
     """Start one track per measurement row: positions measured, velocities zero."""
     k, obs = zs.shape
     covs = np.zeros((k, 3, obs))
     if is_3d:
         means = np.concatenate((zs, np.zeros((k, 3))), axis=1)
-        covs[:, 0] = (2.0 * _obs_stds_3d(noise)) ** 2
-        covs[:, 2, :3] = np.array([10.0 * noise.vel_std] * 3) ** 2
+        covs[:, 0] = (2.0 * _OBS_STDS_3D) ** 2
+        covs[:, 2, :3] = np.array([10.0 * _VEL_STD] * 3) ** 2
     else:
         means = np.concatenate((zs, np.zeros((k, 4))), axis=1)
-        p = 2.0 * noise.pos_weight
-        v = 10.0 * noise.vel_weight
+        p = 2.0 * _POS_WEIGHT
+        v = 10.0 * _VEL_WEIGHT
         pos = zs[:, 3:4] * np.array([p, p, 0.0, p])
         pos[:, 2] = _ASPECT_INIT_STD
         vel = zs[:, 3:4] * np.array([v, v, 0.0, v])
@@ -170,14 +150,14 @@ def init_arrays(zs: np.ndarray, noise: NoiseConfig, is_3d: bool) -> tuple[np.nda
 
 
 def predict_arrays(
-    means: np.ndarray, covs: np.ndarray, noise: NoiseConfig, is_3d: bool
+    means: np.ndarray, covs: np.ndarray, is_3d: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """One constant-velocity step: positions advance by velocities, covariances grow.
 
     Per block: a' = (a + b) + (b + c) + q_pos, b' = b + c, c' = c + q_vel.
     """
     obs = covs.shape[2]
-    q_pos, q_vel = _q_blocks(means, noise, is_3d)
+    q_pos, q_vel = _q_blocks(means, is_3d)
     new_means = means.copy()
     new_means[:, : means.shape[1] - obs] += means[:, obs:]
     a, b, c = covs[:, 0], covs[:, 1], covs[:, 2]
@@ -189,10 +169,10 @@ def predict_arrays(
 
 
 def inflate_arrays(
-    means: np.ndarray, covs: np.ndarray, noise: NoiseConfig, is_3d: bool
+    means: np.ndarray, covs: np.ndarray, is_3d: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random-walk step used when no motion model applies: means copied, variances grown."""
-    q_pos, q_vel = _q_blocks(means, noise, is_3d)
+    q_pos, q_vel = _q_blocks(means, is_3d)
     new_covs = covs.copy()
     new_covs[:, 0] += q_pos
     new_covs[:, 2] += q_vel
@@ -204,17 +184,19 @@ def update_arrays(
     covs: np.ndarray,
     zs: np.ndarray,
     scores: np.ndarray,
-    noise: NoiseConfig,
+    alpha: float,
+    adaptive: bool,
     is_3d: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kalman measurement update of K states by K measurement rows.
 
-    When adaptive scaling is enabled the base measurement covariance R becomes
-    alpha * (1 - score)^2 * R, floored elementwise at min_noise_floor. The yaw
-    innovation (3D) is wrapped to (-pi, pi] before applying the gain, and the
-    updated yaw after. Per block, with s = a + r, the gain is (a/s, b/s) and
-    the posterior (a*r/s, b*r/s, c - b^2/s): each channel is measured alone,
-    so the innovation covariance is diagonal and no solve is needed.
+    When adaptive is set the base measurement covariance R becomes
+    alpha * (1 - score)^2 * R; either way R is floored elementwise at 1e-4.
+    The yaw innovation (3D) is wrapped to (-pi, pi] before applying the gain,
+    and the updated yaw after. Per block, with s = a + r, the gain is
+    (a/s, b/s) and the posterior (a*r/s, b*r/s, c - b^2/s): each channel is
+    measured alone, so the innovation covariance is diagonal and no solve is
+    needed.
     """
     obs = OBS_DIM_3D if is_3d else OBS_DIM_2D
     if zs.shape != (means.shape[0], obs):
@@ -223,10 +205,10 @@ def update_arrays(
     if np.any(scores < 0.0) or np.any(scores > 1.0):
         raise ValueError("scores must be in [0, 1]")
 
-    r = _r_diags(zs, noise, is_3d)
-    if noise.adaptive:
-        r = noise.alpha * (1.0 - scores[:, None]) ** 2 * r
-    r = np.maximum(r, noise.min_noise_floor)
+    r = _r_diags(zs, is_3d)
+    if adaptive:
+        r = alpha * (1.0 - scores[:, None]) ** 2 * r
+    r = np.maximum(r, _MIN_NOISE_FLOOR)
 
     innovation = zs - means[:, :obs]
     if is_3d:

@@ -28,7 +28,6 @@ from .association import (
     step,
 )
 from .geometry import box2d_array, box3d_array
-from .motion import NoiseConfig
 
 # Class vocabulary for per-class 3D association gates. Ids follow list order.
 CLASS_NAMES = ("bicycle", "bus", "car", "motorcycle", "pedestrian", "trailer", "truck")
@@ -124,7 +123,10 @@ class TrackOutput:
 
 
 def default_config(mode: Mode = Mode.BOX_2D, modality: str | None = None) -> TrackerConfig:
-    """Reference configuration for a mode (3D defaults to the lidar profile)."""
+    """Reference configuration for a mode.
+
+    modality picks the 3D profile (lidar when None); 2D has one profile.
+    """
     if mode is Mode.BOX_2D:
         return TrackerConfig()
     modality = modality or "lidar"
@@ -140,19 +142,20 @@ def default_config(mode: Mode = Mode.BOX_2D, modality: str | None = None) -> Tra
         motion_strategy=MotionStrategy.COMPLEMENTARY,
         alpha=_ALPHA_DEFAULTS[modality],
         adaptive_r=True,
-        modality=modality,
     )
 
 
-_CONFIG_FIELDS = {f for f in TrackerConfig.__dataclass_fields__}
+# modality is no config field: it only picks the defaults the fields start from.
+_CONFIG_FIELDS = set(TrackerConfig.__dataclass_fields__) | {"modality"}
 
 
 def validate_config(raw: Mapping[str, object] | TrackerConfig) -> TrackerConfig:
     """Normalize a raw config mapping: apply defaults, coerce enums, check ranges.
 
     Accepts an already-built TrackerConfig unchanged (its invariants were
-    checked on construction). Unknown keys and out-of-range values raise
-    ValueError with a descriptive message.
+    checked on construction). Unknown keys, out-of-range values and an alpha
+    set while adaptive_r is off (where alpha has no effect) raise ValueError
+    with a descriptive message.
     """
     if isinstance(raw, TrackerConfig):
         return raw
@@ -179,12 +182,14 @@ def validate_config(raw: Mapping[str, object] | TrackerConfig) -> TrackerConfig:
                 f"unknown motion strategy {options['motion_strategy']!r}; "
                 f"expected one of {choices}"
             ) from None
-    if "noise" in options and isinstance(options["noise"], Mapping):
-        options["noise"] = NoiseConfig(**options["noise"])
     try:
-        return replace(base, **options)
+        config = replace(base, **options)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid tracker config: {exc}") from exc
+    if "alpha" in options and not config.adaptive_r:
+        raise ValueError("alpha only scales the measurement noise when adaptive_r is on, "
+                         "and it is off here: drop alpha or set adaptive_r")
+    return config
 
 
 class Tracker:

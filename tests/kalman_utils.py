@@ -70,27 +70,27 @@ def blocks_of(dense: np.ndarray, is_3d: bool) -> np.ndarray:
     return covs
 
 
-def kf_init(box: Box2D | Box3D, noise: motion.NoiseConfig) -> State:
+def kf_init(box: Box2D | Box3D) -> State:
     is_3d = isinstance(box, Box3D)
-    means, covs = motion.init_arrays(measure(box), noise, is_3d)
+    means, covs = motion.init_arrays(measure(box), is_3d)
     return State(means[0], dense_covariance(covs, is_3d)[0])
 
 
-def kf_predict(state: State, noise: motion.NoiseConfig) -> State:
+def kf_predict(state: State) -> State:
     is_3d = _is_3d(state)
     means, covs = motion.predict_arrays(
-        state.mean[None], blocks_of(state.covariance[None], is_3d), noise, is_3d
+        state.mean[None], blocks_of(state.covariance[None], is_3d), is_3d
     )
     return State(means[0], dense_covariance(covs, is_3d)[0])
 
 
 def kf_update(
-    state: State, box: Box2D | Box3D, score: float, noise: motion.NoiseConfig
+    state: State, box: Box2D | Box3D, score: float, alpha: float, adaptive: bool
 ) -> State:
     is_3d = _is_3d(state)
     means, covs = motion.update_arrays(
         state.mean[None], blocks_of(state.covariance[None], is_3d), measure(box), [score],
-        noise, is_3d,
+        alpha, adaptive, is_3d,
     )
     return State(means[0], dense_covariance(covs, is_3d)[0])
 
@@ -106,32 +106,32 @@ def _transition(is_3d: bool) -> np.ndarray:
     return f
 
 
-def _dense_q(means: np.ndarray, noise: motion.NoiseConfig, is_3d: bool) -> np.ndarray:
+def _dense_q(means: np.ndarray, is_3d: bool) -> np.ndarray:
     """Per-track process-noise variances, shape (K, D)."""
     k = means.shape[0]
     if is_3d:
-        stds = np.array([noise.pos_std] * 3 + [noise.yaw_std] + [noise.size_std] * 3
-                        + [noise.vel_std] * 3)
+        stds = np.array([motion._POS_STD] * 3 + [motion._YAW_STD] + [motion._SIZE_STD] * 3
+                        + [motion._VEL_STD] * 3)
         return np.broadcast_to(stds**2, (k, motion.STATE_DIM_3D)).copy()
     heights = means[:, 3]
     stds = np.empty((k, motion.STATE_DIM_2D))
-    stds[:, 0] = stds[:, 1] = stds[:, 3] = noise.pos_weight * heights
+    stds[:, 0] = stds[:, 1] = stds[:, 3] = motion._POS_WEIGHT * heights
     stds[:, 2] = motion._ASPECT_Q_STD
-    stds[:, 4] = stds[:, 5] = stds[:, 7] = noise.vel_weight * heights
+    stds[:, 4] = stds[:, 5] = stds[:, 7] = motion._VEL_WEIGHT * heights
     stds[:, 6] = motion._ASPECT_VEL_Q_STD
     return stds**2
 
 
-def dense_init(zs: np.ndarray, noise: motion.NoiseConfig, is_3d: bool):
+def dense_init(zs: np.ndarray, is_3d: bool):
     k = zs.shape[0]
     if is_3d:
         means = np.concatenate((zs, np.zeros((k, 3))), axis=1)
-        obs_stds = np.array([noise.pos_std] * 3 + [noise.yaw_std] + [noise.size_std] * 3)
-        stds = np.concatenate([2.0 * obs_stds, [10.0 * noise.vel_std] * 3])[None, :]
+        obs_stds = np.array([motion._POS_STD] * 3 + [motion._YAW_STD] + [motion._SIZE_STD] * 3)
+        stds = np.concatenate([2.0 * obs_stds, [10.0 * motion._VEL_STD] * 3])[None, :]
     else:
         means = np.concatenate((zs, np.zeros((k, 4))), axis=1)
-        p = 2.0 * noise.pos_weight
-        v = 10.0 * noise.vel_weight
+        p = 2.0 * motion._POS_WEIGHT
+        v = 10.0 * motion._VEL_WEIGHT
         stds = zs[:, 3:4] * np.array([p, p, 0.0, p, v, v, 0.0, v])
         stds[:, 2] = motion._ASPECT_INIT_STD
         stds[:, 6] = motion._ASPECT_VEL_INIT_STD
@@ -142,20 +142,20 @@ def dense_init(zs: np.ndarray, noise: motion.NoiseConfig, is_3d: bool):
     return means, covs
 
 
-def dense_predict(means, covs, noise: motion.NoiseConfig, is_3d: bool):
+def dense_predict(means, covs, is_3d: bool):
     f = _transition(is_3d)
     new_means = means @ f.T
     new_covs = np.matmul(f, np.matmul(covs, f.T))
     idx = np.arange(means.shape[1])
-    new_covs[:, idx, idx] += _dense_q(means, noise, is_3d)
+    new_covs[:, idx, idx] += _dense_q(means, is_3d)
     new_covs = (new_covs + new_covs.transpose(0, 2, 1)) / 2.0
     return new_means, new_covs
 
 
-def dense_inflate(means, covs, noise: motion.NoiseConfig, is_3d: bool):
+def dense_inflate(means, covs, is_3d: bool):
     covs = covs.copy()
     idx = np.arange(means.shape[1])
-    covs[:, idx, idx] += _dense_q(means, noise, is_3d)
+    covs[:, idx, idx] += _dense_q(means, is_3d)
     return means.copy(), covs
 
 
@@ -165,15 +165,15 @@ def _dense_wrap(rows: np.ndarray) -> None:
     rows[:, 3] = theta
 
 
-def dense_update(means, covs, zs, scores, noise: motion.NoiseConfig, is_3d: bool):
+def dense_update(means, covs, zs, scores, alpha: float, adaptive: bool, is_3d: bool):
     """Gain by a batched solve, posterior in Joseph form."""
     dim, obs = _dims(is_3d)
     k = means.shape[0]
     scores = np.asarray(scores, dtype=float)
-    r = motion._r_diags(zs, noise, is_3d)
-    if noise.adaptive:
-        r = noise.alpha * (1.0 - scores[:, None]) ** 2 * r
-    r = np.maximum(r, noise.min_noise_floor)
+    r = motion._r_diags(zs, is_3d)
+    if adaptive:
+        r = alpha * (1.0 - scores[:, None]) ** 2 * r
+    r = np.maximum(r, motion._MIN_NOISE_FLOOR)
 
     innovation = zs - means[:, :obs]
     if is_3d:

@@ -18,7 +18,6 @@ from motrack.assignment import solve_assignment
 from motrack.association import Mode
 from motrack.geometry import Box2D, Box3D, giou_3d
 from motrack.metrics import amota, clear_mot, idf1, smota_r
-from motrack.motion import NoiseConfig
 from motrack.simulate import (
     MotionSegment,
     ObjectSpec,
@@ -97,15 +96,15 @@ def test_criterion_02_giou_voxel_oracle():
 
 
 def test_criterion_03_kalman_convergence():
-    noise = NoiseConfig()
     velocity = np.array([1.0, -0.5, 0.0])
     position = np.zeros(3)
-    state = kf_init(Box3D(*position, 0.2, 4.5, 1.9, 1.6), noise)
+    state = kf_init(Box3D(*position, 0.2, 4.5, 1.9, 1.6))
     errors = []
     for _ in range(50):
         position = position + velocity
-        state = kf_predict(state, noise)
-        state = kf_update(state, Box3D(*position, 0.2, 4.5, 1.9, 1.6), 0.9, noise)
+        state = kf_predict(state)
+        state = kf_update(state, Box3D(*position, 0.2, 4.5, 1.9, 1.6), 0.9,
+                          alpha=10.0, adaptive=True)
         errors.append(float(np.linalg.norm(state.mean[:3] - position)))
         eigenvalues = np.linalg.eigvalsh(state.covariance)
         assert eigenvalues.min() >= -1e-8
@@ -119,13 +118,12 @@ def test_criterion_03_kalman_convergence():
 
 
 def test_criterion_04_confidence_scaled_update():
-    noise = NoiseConfig()
-    prior = kf_predict(kf_init(Box3D(0, 0, 0, 0, 4.5, 1.9, 1.6), noise), noise)
+    prior = kf_predict(kf_init(Box3D(0, 0, 0, 0, 4.5, 1.9, 1.6)))
     measured = Box3D(1.5, -1.0, 0.4, 0.0, 4.5, 1.9, 1.6)
     target = np.array([1.5, -1.0, 0.4])
     distances = []
     for score in (0.0, 0.25, 0.5, 0.75, 1.0):
-        posterior = kf_update(prior, measured, score, noise)
+        posterior = kf_update(prior, measured, score, alpha=10.0, adaptive=True)
         distances.append(float(np.linalg.norm(posterior.mean[:3] - target)))
     assert all(b < a for a, b in zip(distances, distances[1:]))
     print(f"\nPASS criterion 4: posterior-to-measurement distance strictly "

@@ -66,6 +66,16 @@ def test_non_2d_rejected():
     assert solve_assignment([[0.8]], gate=0.5).matches.tolist() == [[0, 0]]
 
 
+def test_zero_similarity_at_zero_gate_matches():
+    # A pair exactly at a gate of 0 is admissible and worth matching, as a 3D
+    # CLEAR match at exactly the distance threshold is.
+    assert solve_assignment([[0.0]], 0.0).matches.tolist() == [[0, 0]]
+    assert pairs(solve_assignment(np.zeros((2, 2)), 0.0)) == {(0, 0), (1, 1)}
+    result = solve_assignment([[0.0, -0.5]], 0.0)
+    assert result.matches.tolist() == [[0, 0]]
+    assert result.unmatched_tracklets.tolist() == [1]
+
+
 def test_prefers_total_over_cardinality():
     # One strong pair beats two weak ones when the sums say so.
     sim = np.array([[0.9, 0.25], [0.25, 0.0]])

@@ -375,7 +375,7 @@ class TestPredictTracks:
         pool = self._pool_with_track(CFG_2D, det2d(100, 100))
         means, covs, match_rows, wants_backward = predict_tracks(pool, CFG_2D)
         assert wants_backward.tolist() == [False]
-        forward = predict_arrays(pool.means, pool.covs, CFG_2D.effective_noise(), False)
+        forward = predict_arrays(pool.means, pool.covs, False)
         assert np.array_equal(means, forward[0]) and np.array_equal(covs, forward[1])
         assert np.array_equal(match_rows, box_rows(means, False))
 
@@ -386,7 +386,7 @@ class TestPredictTracks:
         assert wants_backward.tolist() == [True]
         assert np.array_equal(match_rows, last_rows)
         assert np.array_equal(means, pool.means)
-        inflated = inflate_arrays(pool.means, pool.covs, CFG_DV.effective_noise(), True)
+        inflated = inflate_arrays(pool.means, pool.covs, True)
         assert np.array_equal(covs, inflated[1])
         detection = det3d(3.0, 0.0, velocity=(1.0, 0.0))
         (row,) = scored_detection_rows(monkeypatch, pool, 4, [detection], CFG_DV)

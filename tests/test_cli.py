@@ -80,6 +80,22 @@ def test_config_file_with_flag_override(tmp_path, occlusion_files):
     assert out_flag.read_text() != ""
 
 
+def test_alpha_without_adaptive_scaling_rejected(tmp_path, occlusion_files, capsys):
+    # 2D runs with adaptive_r off, where alpha has no effect: the flag is an error.
+    _, det = occlusion_files
+    out = tmp_path / "out.txt"
+    code = main(["track", "--input", str(det), "--output", str(out), "--mode", "2d",
+                 "--alpha", "10"])
+    assert code == 1
+    assert "error: alpha only scales the measurement noise when adaptive_r is on" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    config = tmp_path / "adaptive.cfg"
+    config.write_text("adaptive_r = true\n")
+    assert main(["track", "--input", str(det), "--output", str(out), "--mode", "2d",
+                 "--config", str(config), "--alpha", "10"]) == 0
+
+
 def test_single_stage_flag_drops_occluded_frames(tmp_path, occlusion_files):
     gt, det = occlusion_files
     out = tmp_path / "single.txt"

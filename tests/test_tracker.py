@@ -272,4 +272,28 @@ class TestValidateConfig:
 
     def test_default_config_modality(self):
         assert default_config(Mode.BOX_3D, "camera").tau == 0.25
-        assert default_config(Mode.BOX_3D).modality == "lidar"
+        assert default_config(Mode.BOX_3D) == default_config(Mode.BOX_3D, "lidar")
+
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            validate_config({"mode": "3d", "alpha": -1.0})
+
+    def test_alpha_needs_adaptive_scaling(self):
+        with pytest.raises(ValueError, match="adaptive_r"):
+            validate_config({"mode": "2d", "alpha": 10.0})
+        with pytest.raises(ValueError, match="adaptive_r"):
+            validate_config({"mode": "3d", "alpha": 5.0, "adaptive_r": False})
+        assert validate_config({"mode": "2d", "alpha": 10.0, "adaptive_r": True}).alpha == 10.0
+        assert validate_config({"mode": "3d", "alpha": 5.0}).alpha == 5.0
+        # Turning scaling off without naming alpha keeps the profile's value.
+        assert validate_config({"mode": "3d", "adaptive_r": False}).alpha == 10.0
+
+    def test_noise_key_rejected(self):
+        # The noise scales are constants; alpha and adaptive_r are the only knobs.
+        with pytest.raises(ValueError, match="unknown config keys: \\['noise'\\]"):
+            validate_config({"mode": "3d", "noise": {"alpha": 5.0, "adaptive": False}})
+
+    def test_modality_only_picks_defaults(self):
+        assert "modality" not in TrackerConfig.__dataclass_fields__
+        with pytest.raises(ValueError, match="unknown modality"):
+            validate_config({"mode": "3d", "modality": "radar"})

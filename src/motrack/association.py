@@ -7,6 +7,11 @@ unmatched low boxes are discarded as background. Tracks unmatched by both
 passes turn Lost and are dropped once they exceed the rebirth buffer; leftover
 high-score boxes start new tracks.
 
+Each stage runs once per frame. One similarity kernel call scores every
+same-class (detection, track) pair either pass can use; the two passes solve
+sub-matrices of that table with their own gates; one Kalman update applies
+the matches of both, and the spawns share its measurement call.
+
 Tracks live in one struct-of-arrays pool, one row per track. A frame's
 detections arrive as columns (DetectionFrame: parameter rows, scores, class
 ids, velocities), every stage runs on arrays, and the frame's output is the
@@ -373,6 +378,14 @@ def step(
 ) -> FrameResult:
     """Run one frame of the two-stage association over the track pool.
 
+    The frame is scored once: the high rows, and the low rows too when
+    second_pass is on, against every predicted track, in one kernel call. The
+    first pass matches the high rows against all tracks under gate_first, the
+    second the low rows against the tracks still unmatched under gate_second,
+    each on its part of that table. Both passes read the predicted boxes, and
+    a track is matched at most once, so one Kalman update afterwards applies
+    the matches of both.
+
     The pool advances exactly once per frame: matched tracks are updated and
     set active, leftover tracks turn lost (and are removed past the buffer),
     and unmatched high-score detections spawn new tracks. Returns the active
@@ -407,51 +420,62 @@ def step(
     low_idx = np.nonzero(scores <= config.tau)[0]
 
     means, covs, match_rows, wants_backward = predict_tracks(pool, config)
-    back = raw
-    if wants_backward.any():
-        # Shift detections back one frame by their detected planar velocity;
-        # those without one (velocity 0) keep their raw box.
-        back = raw.copy()
-        back[:, :2] -= detections.velocities
+    n_high = len(high_idx)
+    scored = np.concatenate((high_idx, low_idx)) if config.second_pass else high_idx
+    same_class = det_classes[scored][:, None] == pool.class_ids[None, :]
+    if is_3d:
+        # Each same-class pair is scored once, against the backward-shifted
+        # detection for the columns that want one and the raw one otherwise;
+        # cross-class entries keep a placeholder 0 and are gated out. Shifting
+        # back by the detected planar velocity leaves rows without one
+        # (velocity 0) unchanged.
+        r, c = np.nonzero(same_class)
+        det = scored[r]
+        source = raw[det]
+        shift = wants_backward[c]
+        source[shift, :2] -= detections.velocities[det[shift]]
+        sim = np.zeros(same_class.shape)
+        sim[r, c] = giou_3d_pairs(source, match_rows[c])
+    else:
+        sim = iou_matrix_2d(raw[scored], match_rows)
 
-    def run_pass(rows, cols, gate):
-        same_class = det_classes[rows][:, None] == pool.class_ids[cols][None, :]
-        gates = np.where(same_class, _row_gates(det_classes[rows], gate)[:, None], np.inf)
+    def run_pass(rows, values, same, gate):
+        gates = np.where(same, _row_gates(det_classes[rows], gate)[:, None], np.inf)
         if is_3d:
-            # Score each same-class pair once, against backward-shifted
-            # detections for the columns that want them and raw ones
-            # otherwise; cross-class entries are gated out and keep a
-            # placeholder 0. GIoU gates may be negative, so both are shifted
+            # GIoU gates may be negative, so values and gates are shifted
             # until every admissible pair is worth matching over leaving both
             # sides unmatched.
-            r, c = np.nonzero(same_class)
-            det, trk = rows[r], cols[c]
-            source = np.where(wants_backward[trk][:, None], back[det], raw[det])
-            values = np.zeros(same_class.shape)
-            values[r, c] = giou_3d_pairs(source, match_rows[trk])
-            assign = solve_assignment(values + 1.0, gates + 1.0)
-        else:
-            assign = solve_assignment(iou_matrix_2d(raw[rows], match_rows[cols]), gates)
-        det, trk = rows[assign.matches[:, 0]], cols[assign.matches[:, 1]]
-        if len(det):
-            zs = motion._measurement_stack(raw[det], is_3d)
-            means[trk], covs[trk] = motion.update_arrays(
-                means[trk], covs[trk], zs, scores[det], config.alpha, config.adaptive_r, is_3d
-            )
-        rows_left = rows[assign.unmatched_detections]
-        cols_left = cols[assign.unmatched_tracklets]
-        return det, trk, rows_left, cols_left
+            return solve_assignment(values + 1.0, gates + 1.0)
+        return solve_assignment(values, gates)
 
-    first_det, first_trk, high_left, cols_left = run_pass(
-        high_idx, np.arange(len(means)), config.gate_first
-    )
+    first = run_pass(high_idx, sim[:n_high], same_class[:n_high], config.gate_first)
+    first_det = high_idx[first.matches[:, 0]]
+    first_trk = first.matches[:, 1]
+    high_left = high_idx[first.unmatched_detections]
+    cols_left = first.unmatched_tracklets
     if config.second_pass:
-        second_det, second_trk, low_left, cols_left = run_pass(
-            low_idx, cols_left, config.gate_second
-        )
+        second = run_pass(low_idx, sim[n_high:, cols_left], same_class[n_high:, cols_left],
+                          config.gate_second)
+        second_det = low_idx[second.matches[:, 0]]
+        second_trk = cols_left[second.matches[:, 1]]
+        low_left = low_idx[second.unmatched_detections]
+        cols_left = cols_left[second.unmatched_tracklets]
     else:
         second_det = second_trk = np.zeros(0, dtype=np.intp)
         low_left = low_idx
+
+    # One measurement call for both passes' matches and the spawns, and one
+    # update of the matched rows: the update works row by row and each track
+    # is matched at most once.
+    matched_det = np.concatenate((first_det, second_det))
+    matched_trk = np.concatenate((first_trk, second_trk))
+    zs = motion._measurement_stack(raw[np.concatenate((matched_det, high_left))], is_3d)
+    n_matched = len(matched_det)
+    if n_matched:
+        means[matched_trk], covs[matched_trk] = motion.update_arrays(
+            means[matched_trk], covs[matched_trk], zs[:n_matched], scores[matched_det],
+            config.alpha, config.adaptive_r, is_3d
+        )
 
     lost = np.zeros(len(means), dtype=bool)
     lost[cols_left] = True
@@ -459,12 +483,9 @@ def step(
     removed = since_match > config.track_buffer
     keep = ~removed
     last_score = pool.last_score.copy()
-    last_score[first_trk] = scores[first_det]
-    last_score[second_trk] = scores[second_det]
+    last_score[matched_trk] = scores[matched_det]
 
-    spawn_means, spawn_covs = motion.init_arrays(
-        motion._measurement_stack(raw[high_left], is_3d), is_3d
-    )
+    spawn_means, spawn_covs = motion.init_arrays(zs[n_matched:], is_3d)
     spawn_ids = np.arange(pool.next_id, pool.next_id + len(high_left))
     diagnostics = FrameDiagnostics(
         first_det, pool.ids[first_trk], second_det, pool.ids[second_trk], high_left, spawn_ids,

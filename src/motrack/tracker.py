@@ -125,13 +125,15 @@ class TrackOutput:
 def default_config(mode: Mode = Mode.BOX_2D, modality: str | None = None) -> TrackerConfig:
     """Reference configuration for a mode.
 
-    modality picks the 3D profile (lidar when None); 2D has one profile.
+    modality picks the 3D profile (lidar when None). 2D has one profile but
+    still rejects an unknown modality; a known one is accepted, so a 3D
+    config file can be run with its mode overridden to 2D.
     """
-    if mode is Mode.BOX_2D:
-        return TrackerConfig()
     modality = modality or "lidar"
     if modality not in _TAU_3D_DEFAULTS:
         raise ValueError(f"unknown modality {modality!r}; expected 'camera' or 'lidar'")
+    if mode is Mode.BOX_2D:
+        return TrackerConfig()
     gates = {CLASS_IDS[name]: gate for name, gate in DEFAULT_CLASS_GATES.items()}
     gates[DEFAULT_GATE_KEY] = DEFAULT_GIOU_GATE
     return TrackerConfig(

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests: sampling/rasterization-based geometry
 checks, a scalar polygon-clipping GIoU, an exhaustive gated-matching
-optimizer, and line-by-line record parsers and writers. These deliberately
-avoid the batched clipping kernel, the Hungarian code paths and the columnar
-parsers they verify."""
+optimizer, a two-pass association step, and line-by-line record parsers and
+writers. Each deliberately avoids the code path it verifies: the batched
+clipping kernel, the Hungarian solver, the once-per-frame scoring and update,
+and the columnar parsers."""
 
 from __future__ import annotations
 
@@ -341,6 +342,125 @@ def best_gated_matching(values: np.ndarray, gate) -> float:
         return best(0, (1 << n_cols) - 1)
     finally:
         best.cache_clear()
+
+
+# --- two-pass association step --------------------------------------------------
+#
+# The slow oracle of motrack.association.step: each pass scores its own
+# detection rows against its own track columns with a kernel call of its own,
+# and updates its matches with a measurement and update call of its own; the
+# spawns are measured by a third call. Same pool, same outputs.
+
+def two_pass_step(pool, frame: int, detections, config):
+    """association.step with every stage run once per pass."""
+    from motrack import motion
+    from motrack.assignment import solve_assignment
+    from motrack.association import (
+        DetectionFrame,
+        FrameDiagnostics,
+        FrameResult,
+        Mode,
+        _box_type,
+        _row_gates,
+        box_width,
+        predict_tracks,
+    )
+    from motrack.geometry import giou_3d_pairs, iou_matrix_2d
+
+    if frame <= pool.last_frame:
+        raise ValueError(f"frame index must increase, got {frame} after {pool.last_frame}")
+    is_3d = config.mode is Mode.BOX_3D
+    raw = detections.boxes
+    if len(raw) and raw.shape[1] != box_width(config.mode):
+        raise ValueError(f"{_box_type(raw).__name__} detection in {config.mode.value} mode")
+    gap_removed = []
+    for _ in range(min(frame - pool.last_frame - 1, config.track_buffer + 1)):
+        if not len(pool.ids):
+            break
+        empty = DetectionFrame.from_detections((), config.mode)
+        gap_removed.append(
+            two_pass_step(pool, pool.last_frame + 1, empty, config).diagnostics.removed_ids)
+
+    scores = detections.scores
+    det_classes = detections.class_ids
+    high_idx = np.nonzero(scores > config.tau)[0]
+    low_idx = np.nonzero(scores <= config.tau)[0]
+
+    means, covs, match_rows, wants_backward = predict_tracks(pool, config)
+    back = raw
+    if wants_backward.any():
+        back = raw.copy()
+        back[:, :2] -= detections.velocities
+
+    def run_pass(rows, cols, gate):
+        same_class = det_classes[rows][:, None] == pool.class_ids[cols][None, :]
+        gates = np.where(same_class, _row_gates(det_classes[rows], gate)[:, None], np.inf)
+        if is_3d:
+            r, c = np.nonzero(same_class)
+            det, trk = rows[r], cols[c]
+            source = np.where(wants_backward[trk][:, None], back[det], raw[det])
+            values = np.zeros(same_class.shape)
+            values[r, c] = giou_3d_pairs(source, match_rows[trk])
+            assign = solve_assignment(values + 1.0, gates + 1.0)
+        else:
+            assign = solve_assignment(iou_matrix_2d(raw[rows], match_rows[cols]), gates)
+        det, trk = rows[assign.matches[:, 0]], cols[assign.matches[:, 1]]
+        if len(det):
+            zs = motion._measurement_stack(raw[det], is_3d)
+            means[trk], covs[trk] = motion.update_arrays(
+                means[trk], covs[trk], zs, scores[det], config.alpha, config.adaptive_r, is_3d
+            )
+        return det, trk, rows[assign.unmatched_detections], cols[assign.unmatched_tracklets]
+
+    first_det, first_trk, high_left, cols_left = run_pass(
+        high_idx, np.arange(len(means)), config.gate_first
+    )
+    if config.second_pass:
+        second_det, second_trk, low_left, cols_left = run_pass(
+            low_idx, cols_left, config.gate_second
+        )
+    else:
+        second_det = second_trk = np.zeros(0, dtype=np.intp)
+        low_left = low_idx
+
+    lost = np.zeros(len(means), dtype=bool)
+    lost[cols_left] = True
+    since_match = np.where(lost, pool.frames_since_match + 1, 0)
+    removed = since_match > config.track_buffer
+    keep = ~removed
+    last_score = pool.last_score.copy()
+    last_score[first_trk] = scores[first_det]
+    last_score[second_trk] = scores[second_det]
+
+    spawn_means, spawn_covs = motion.init_arrays(
+        motion._measurement_stack(raw[high_left], is_3d), is_3d
+    )
+    spawn_ids = np.arange(pool.next_id, pool.next_id + len(high_left))
+    diagnostics = FrameDiagnostics(
+        first_det, pool.ids[first_trk], second_det, pool.ids[second_trk], high_left, spawn_ids,
+        low_left, pool.ids[lost & keep], np.concatenate((*gap_removed, pool.ids[removed])),
+    )
+
+    pool.means = np.concatenate((means[keep], spawn_means))
+    pool.covs = np.concatenate((covs[keep], spawn_covs))
+    pool.ids = np.concatenate((pool.ids[keep], spawn_ids))
+    pool.class_ids = np.concatenate((pool.class_ids[keep], det_classes[high_left]))
+    pool.active = np.concatenate((~lost[keep], np.ones(len(high_left), dtype=bool)))
+    pool.frames_since_match = np.concatenate(
+        (since_match[keep], np.zeros(len(high_left), dtype=np.int64))
+    )
+    pool.last_score = np.concatenate((last_score[keep], scores[high_left]))
+    pool.next_id += len(high_left)
+    pool.last_frame = frame
+
+    out = np.nonzero(pool.active)[0]
+    boxes = motion.box_rows(pool.means[out], is_3d)
+    if not np.isfinite(boxes).all():
+        box_type = _box_type(boxes)
+        for row in boxes.tolist():
+            box_type(*row)
+    return FrameResult(frame, pool.ids[out], pool.class_ids[out], pool.last_score[out],
+                       boxes, diagnostics)
 
 
 # --- line-by-line record parsers and writers ------------------------------------

@@ -1,12 +1,15 @@
+import collections
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motrack import association
+from motrack import association, motion
 from motrack.association import (
+    DEFAULT_GATE_KEY,
     Detection,
     DetectionFrame,
     Mode,
@@ -27,7 +30,7 @@ from motrack.simulate import (
     generate_scenario,
 )
 from motrack.tracker import CLASS_IDS, default_config
-from oracle_utils import giou_3d_pairs_clip
+from oracle_utils import giou_3d_pairs_clip, two_pass_step
 
 
 def det2d(x, y, w=50.0, h=100.0, score=0.9, class_id=0):
@@ -524,7 +527,7 @@ class TestPairKernelScoring:
 
         def predict_spy(pool, config):
             out = predict_tracks(pool, config)
-            predicted.append((pool.class_ids.tolist(), pool.ids.tolist(), out))
+            predicted.append((pool.class_ids.tolist(), out))
             return out
 
         monkeypatch.setattr(association, "giou_3d_pairs", kernel_spy)
@@ -533,8 +536,8 @@ class TestPairKernelScoring:
         for frame, dets in enumerate(mixed_class_frames(seed), 1):
             scored.clear()
             predicted.clear()
-            diag = step(pool, frame, dets, CFG_3D).diagnostics
-            (classes, ids, (_, _, match_rows, wants_backward)), = predicted
+            step(pool, frame, dets, CFG_3D)
+            (classes, (_, _, match_rows, wants_backward)), = predicted
 
             # Raw and backward-shifted rows of each detection, shifted here
             # independently of step.
@@ -559,12 +562,157 @@ class TestPairKernelScoring:
                 seen.append((i, j))
             assert len(seen) == len(set(seen)), "a pair was scored twice"
 
-            first_matched = {track_id for _, track_id in diag.first_matches}
-            expected = set()
-            for i, det in enumerate(dets):
-                for j, (track_id, class_id) in enumerate(zip(ids, classes)):
-                    if class_id != det.class_id:
-                        continue
-                    if det.score > CFG_3D.tau or track_id not in first_matched:
-                        expected.add((i, j))
+            # Both passes read one scoring of every same-class pair.
+            expected = {(i, j) for i, det in enumerate(dets)
+                        for j, class_id in enumerate(classes) if class_id == det.class_id}
             assert set(seen) == expected
+
+
+_POOL_FIELDS = ("means", "covs", "ids", "class_ids", "active", "frames_since_match",
+                "last_score")
+_RESULT_FIELDS = ("track_ids", "class_ids", "scores", "boxes")
+_DIAGNOSTIC_FIELDS = ("first_rows", "first_ids", "second_rows", "second_ids", "new_rows",
+                      "new_ids", "discarded_rows", "lost_ids", "removed_ids")
+
+
+def assert_bit_identical(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def oracle_streams(draw):
+    """A config plus frames of 2D or 3D detection columns with their frame
+    numbers: every motion strategy, both second_pass settings, scalar and
+    per-class gates (possibly without a fallback), scores exactly at tau,
+    empty frames and frame gaps."""
+    is_3d = draw(st.booleans())
+    tau = draw(st.sampled_from([0.3, 0.5, 0.6]))
+    gate_value = st.floats(-0.9, 0.3) if is_3d else st.floats(0.0, 0.5)
+
+    def gate():
+        if draw(st.booleans()):
+            return draw(gate_value)
+        keys = draw(st.lists(st.sampled_from([DEFAULT_GATE_KEY, 2, 4]), unique=True,
+                             min_size=1))
+        return {key: draw(gate_value) for key in keys}
+
+    config = TrackerConfig(
+        mode=Mode.BOX_3D if is_3d else Mode.BOX_2D,
+        tau=tau,
+        gate_first=gate(),
+        gate_second=gate(),
+        track_buffer=draw(st.integers(1, 3)),
+        motion_strategy=draw(st.sampled_from(list(MotionStrategy))) if is_3d
+        else MotionStrategy.KALMAN,
+        alpha=draw(st.sampled_from([0.0, 10.0, 100.0])),
+        adaptive_r=draw(st.booleans()),
+        second_pass=draw(st.booleans()),
+    )
+    # Detections scatter around a few anchors, so most frames match tracks.
+    spread = 6.0 if is_3d else 120.0
+    anchors = draw(st.lists(st.tuples(st.floats(0.0, spread), st.floats(0.0, spread)),
+                            min_size=1, max_size=4))
+    jitter = st.floats(-0.1 * spread, 0.1 * spread)
+    score = st.sampled_from([tau, 0.0, 1.0]) | st.floats(0.0, 1.0)
+    frames, frame = [], 0
+    for _ in range(draw(st.integers(1, 10))):
+        frame += draw(st.sampled_from([1, 1, 1, 2, 3, 6]))
+        dets = []
+        for _ in range(draw(st.integers(0, 6))):
+            x, y = draw(st.sampled_from(anchors))
+            x, y = x + draw(jitter), y + draw(jitter)
+            class_id = draw(st.sampled_from([2, 4]))
+            if is_3d:
+                velocity = draw(st.none() | st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
+                dets.append(Detection(Box3D(x, y, 0.8, draw(st.floats(-3.0, 3.0)),
+                                            4.5, 1.9, 1.6), draw(score), class_id, velocity))
+            else:
+                w, h = draw(st.floats(20.0, 60.0)), draw(st.floats(40.0, 120.0))
+                dets.append(Detection(Box2D(x, y, x + w, y + h), draw(score), class_id))
+        frames.append((frame, DetectionFrame.from_detections(dets, config.mode)))
+    return config, frames
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_streams())
+def test_step_matches_two_pass_oracle(stream):
+    """The once-per-frame step leaves the pool, the output columns and the
+    diagnostics bit-identical to scoring and updating once per pass."""
+    config, frames = stream
+    fast_pool, slow_pool = TrackPool(), TrackPool()
+    for frame, dets in frames:
+        try:
+            slow = two_pass_step(slow_pool, frame, dets, config)
+        except ValueError as error:
+            # A per-class gate map without the class and without a fallback.
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                association.step(fast_pool, frame, dets, config)
+            return
+        fast = association.step(fast_pool, frame, dets, config)
+        assert fast.frame == slow.frame
+        for name in _RESULT_FIELDS:
+            assert_bit_identical(getattr(fast, name), getattr(slow, name))
+        for name in _DIAGNOSTIC_FIELDS:
+            assert_bit_identical(getattr(fast.diagnostics, name),
+                                 getattr(slow.diagnostics, name))
+        for name in _POOL_FIELDS:
+            assert_bit_identical(getattr(fast_pool, name), getattr(slow_pool, name))
+        assert (fast_pool.next_id, fast_pool.last_frame) == (slow_pool.next_id,
+                                                             slow_pool.last_frame)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [CFG_2D, dataclasses.replace(CFG_2D, second_pass=False), CFG_3D,
+     dataclasses.replace(CFG_3D, second_pass=False)],
+    ids=["2d", "2d-single-pass", "3d", "3d-single-pass"],
+)
+def test_each_stage_runs_once_per_frame(config, monkeypatch):
+    """Both passes share one similarity kernel call, one measurement call and
+    one Kalman update per frame. The kernel scores every detection against
+    every track in 2D and every same-class pair in 3D; the low rows are scored
+    only when the second pass is on."""
+    calls = collections.Counter()
+    kernel_rows = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == kernel:
+                kernel_rows.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    is_3d = config.mode is Mode.BOX_3D
+    kernel = "giou_3d_pairs" if is_3d else "iou_matrix_2d"
+    spy(association, kernel)
+    spy(motion, "_measurement_stack")
+    spy(motion, "update_arrays")
+    if is_3d:
+        frames = mixed_class_frames(6)
+    else:
+        rng = np.random.default_rng(6)
+        start = rng.uniform(0, 400, (8, 2))
+        frames = [[det2d(x + 3 * f, y, score=s)
+                   for (x, y), s in zip(start, rng.choice([0.3, 0.9], 8))]
+                  for f in range(20)]
+    pool = TrackPool()
+    second_matches = 0
+    for frame, dets in enumerate(frames, 1):
+        calls.clear()
+        kernel_rows.clear()
+        scored = [det for det in dets if config.second_pass or det.score > config.tau]
+        if is_3d:
+            expected_rows = sum(int(np.sum(pool.class_ids == det.class_id)) for det in scored)
+        else:
+            expected_rows = len(scored)
+        diag = step(pool, frame, dets, config).diagnostics
+        second_matches += len(diag.second_matches)
+        matched = len(diag.first_matches) + len(diag.second_matches)
+        assert calls[kernel] == 1 and kernel_rows == [expected_rows]
+        assert calls["_measurement_stack"] == 1
+        assert calls["update_arrays"] == (1 if matched else 0)
+    assert second_matches > 0 or not config.second_pass

@@ -96,6 +96,22 @@ def test_alpha_without_adaptive_scaling_rejected(tmp_path, occlusion_files, caps
                  "--config", str(config), "--alpha", "10"]) == 0
 
 
+def test_unknown_modality_in_config_file_rejected_in_2d(tmp_path, occlusion_files, capsys):
+    _, det = occlusion_files
+    out = tmp_path / "out.txt"
+    config = tmp_path / "radar.cfg"
+    config.write_text("modality = radar\n")
+    code = main(["track", "--input", str(det), "--output", str(out), "--mode", "2d",
+                 "--config", str(config)])
+    assert code == 1
+    assert "error: unknown modality 'radar'; expected 'camera' or 'lidar'" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    config.write_text("modality = camera\n")
+    assert main(["track", "--input", str(det), "--output", str(out), "--mode", "2d",
+                 "--config", str(config)]) == 0
+
+
 def test_single_stage_flag_drops_occluded_frames(tmp_path, occlusion_files):
     gt, det = occlusion_files
     out = tmp_path / "single.txt"

@@ -297,3 +297,11 @@ class TestValidateConfig:
         assert "modality" not in TrackerConfig.__dataclass_fields__
         with pytest.raises(ValueError, match="unknown modality"):
             validate_config({"mode": "3d", "modality": "radar"})
+
+    def test_unknown_modality_rejected_in_2d(self):
+        with pytest.raises(ValueError, match="unknown modality 'radar'"):
+            validate_config({"mode": "2d", "modality": "radar"})
+        # A known modality is accepted in 2D, where it picks nothing: --mode 2d
+        # may override the mode of a 3D config file.
+        for modality in ("camera", "lidar"):
+            assert validate_config({"mode": "2d", "modality": modality}) == TrackerConfig()

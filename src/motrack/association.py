@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -364,9 +364,15 @@ def predict_tracks(
 
 
 def _row_gates(class_ids: np.ndarray, gate: float | Mapping[int, float]) -> np.ndarray:
-    """Admission threshold of each detection row, resolved by its class."""
+    """Admission threshold of each detection row, resolved once per class.
+
+    Classes are resolved in the order their first rows come, so a class with
+    no gate raises exactly where resolving row by row would.
+    """
     if isinstance(gate, Mapping):
-        return np.array([resolve_gate(gate, c) for c in class_ids.tolist()])
+        rows = class_ids.tolist()
+        by_class = {c: resolve_gate(gate, c) for c in dict.fromkeys(rows)}
+        return np.array([by_class[c] for c in rows], dtype=float)
     return np.full(len(class_ids), float(gate))
 
 

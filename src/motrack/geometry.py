@@ -2,12 +2,13 @@
 
 2D boxes are axis-aligned image rectangles (pixels); 3D boxes are yaw-rotated
 cuboids in world coordinates (meters / radians). Overlap of rotated 3D boxes is
-computed in bird's-eye view (BEV): footprint intersection via convex polygon
-clipping, times the vertical interval overlap. Scoring runs on parameter rows
-(box2d_array, box3d_array): all 2D scoring goes through iou_matrix_2d and all
-3D scoring through one array kernel, giou_3d_pairs, over flat arrays of box
-pairs. The box classes validate single boxes; record columns hold the same
-parameter rows.
+computed in bird's-eye view (BEV): footprint intersection, the polygon a
+Sutherland-Hodgman clip of one footprint by the other gives, built in a fixed
+number of array operations, times the vertical interval overlap. Scoring runs
+on parameter rows (box2d_array, box3d_array): all 2D scoring goes through
+iou_matrix_2d and all 3D scoring through one array kernel, giou_3d_pairs, over
+flat arrays of box pairs. The box classes validate single boxes; record
+columns hold the same parameter rows.
 """
 
 from __future__ import annotations
@@ -18,8 +19,18 @@ from typing import Sequence, Union
 
 import numpy as np
 
-# On-edge classification tolerance for polygon clipping.
+# On-edge classification tolerance of the footprint intersection.
 _CLIP_EPS = 1e-9
+# Each footprint corner's (and edge's) successor along the boundary, and the
+# one `shift` places on.
+_NEXT_CORNER = np.array([1, 2, 3, 0])
+_LATER_CORNER = {shift: np.roll(np.arange(4), -shift) for shift in (1, 2, 3)}
+# The polygon of a rectangle-pair intersection in 20 slots, 5 per edge of the
+# first rectangle: the ends of its piece, then up to three corners of the
+# second passed on the way to the next piece.
+_CHAIN_STEPS = np.arange(1, 4)[:, None]
+_SLOT_INDEX = np.arange(20)[:, None]
+_NEXT_SLOT = np.roll(np.arange(20), -1)
 
 
 def wrap_angle(theta: float) -> float:
@@ -167,92 +178,114 @@ def box3d_array(boxes: Sequence[Box3D]) -> np.ndarray:
 
 
 def _bev_corners(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Footprint corner coordinates (xs, ys), each (P, 4), counterclockwise."""
-    x, y, theta, l, w = params[:, 0], params[:, 1], params[:, 3], params[:, 4], params[:, 5]
-    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    dx, dy = l / 2.0, w / 2.0
-    px = np.stack((dx, -dx, -dx, dx), axis=1)
-    py = np.stack((dy, dy, -dy, -dy), axis=1)
-    return x[:, None] + c * px - s * py, y[:, None] + s * px + c * py
+    """Footprint corner coordinates (xs, ys) of (K, 7) parameter rows, each
+    (4, K): corner i of every box in row i, counterclockwise from front left."""
+    x, y, theta = params[:, 0], params[:, 1], params[:, 3]
+    c, s = np.cos(theta), np.sin(theta)
+    half_l, half_w = params[:, 4] / 2.0, params[:, 5] / 2.0
+    # The centre plus or minus the half-length vector (c, s) * half_l and
+    # the half-width vector (-s, c) * half_w.
+    lx, ly, wx, wy = c * half_l, s * half_l, s * half_w, c * half_w
+    front_x, back_x, front_y, back_y = x + lx, x - lx, y + ly, y - ly
+    return (np.stack((front_x - wx, back_x - wx, back_x + wx, front_x + wx)),
+            np.stack((front_y + wy, back_y + wy, back_y - wy, front_y - wy)))
 
 
-def _clip_against_edge(xs, ys, counts, ax, ay, bx, by):
-    """One Sutherland-Hodgman stage for a batch of convex polygons.
+def _fixed_order_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 (20 slots) in one fixed order, however many pairs the
+    other axis holds."""
+    values = values[:10] + values[10:]
+    values = values[:5] + values[5:]
+    return (values[0] + values[1]) + (values[2] + values[3]) + values[4]
 
-    Row p holds a polygon with counts[p] vertices in xs/ys[p, :counts[p]]; it
-    is clipped by the half-plane left of the directed edge (ax, ay) -> (bx, by)
-    (all (P,) arrays). Each vertex emits the crossing into or out of the
-    half-plane (if any), then itself if inside, which is the scalar algorithm
-    with every row advanced in lockstep.
+
+def _bev_intersection_areas(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Footprint intersection areas of n rectangle pairs; returns (n,).
+
+    xs and ys are (4, 2, n): corner i, counterclockwise, of each pair's first
+    (a, xs[i, 0]) and second (b, xs[i, 1]) rectangle. The result is the
+    polygon a Sutherland-Hodgman clip of a by b's edges 0..3 in turn gives,
+    with the clip's tolerance, built in a fixed number of array operations.
+    Each edge of a is cut to the piece that survives b's four edges; the
+    polygon runs through the pieces in a's order, and from each piece that
+    left through an edge of b along b, past its corners, to the next piece.
+    Its vertices go to 20 fixed slots (per edge of a: the piece's two ends
+    and up to three corners of b), unused slots repeat the vertex before
+    them, and the shoelace formula runs over all of them. Pairs run along the
+    last axis and every sum runs in a fixed order, so each pair is computed
+    exactly as it would be alone.
     """
-    rows = np.arange(xs.shape[0])[:, None]
-    k = np.arange(xs.shape[1])
-    valid = k < counts[:, None]
-    prev = np.where(k == 0, np.maximum(counts - 1, 0)[:, None], k - 1)
-    ex, ey = (bx - ax)[:, None], (by - ay)[:, None]
-    side = ex * (ys - ay[:, None]) - ey * (xs - ax[:, None])
-    side_prev = side[rows, prev]
-    inside = side >= -_CLIP_EPS
-    crosses = valid & (inside != (side_prev >= -_CLIP_EPS))
-    keeps = valid & inside
+    n = xs.shape[2]
+    pair = np.arange(n)
+    ex = xs[_NEXT_CORNER] - xs
+    ey = ys[_NEXT_CORNER] - ys
+    # Corner i of a against edge k of b, (4, 4, n), positive to the edge's
+    # left, with the clip's arithmetic. Edge i of a runs from corner i to
+    # corner i + 1 and meets the line of edge k of b at its parameter t.
+    dx = xs[:, None, 0] - xs[None, :, 1]
+    dy = ys[:, None, 0] - ys[None, :, 1]
+    side = ex[None, :, 1] * dy - ey[None, :, 1] * dx
+    step = side - side[_NEXT_CORNER]
+    t = np.divide(side, step, out=np.zeros_like(step), where=step != 0.0)
 
-    px, py = xs[rows, prev], ys[rows, prev]
-    dx, dy = xs - px, ys - py
-    denom = ex * dy - ey * dx
-    steep = np.abs(denom) > _CLIP_EPS * _CLIP_EPS
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = -side_prev / denom
-        # A grazing segment along the clip edge keeps its endpoint.
-        cross_x = np.where(steep, px + t * dx, xs)
-        cross_y = np.where(steep, py + t * dy, ys)
+    # The piece of each edge of a that survives b's edges 0..3 in turn, as
+    # the edge parameters of its (start, end), (4, 2, n). As in the clip, an
+    # end up to _CLIP_EPS / |edge| outside b's edge counts as inside, and an
+    # end outside moves to where the edge meets that edge's line (which may
+    # lie past the other end, as the clip's crossing does). moved_by keeps the
+    # edge of b that last moved each end, -1 for none.
+    ends = np.zeros((4, 2, n))
+    ends[:, 1] = 1.0
+    moved_by = np.full((4, 2, n), -1)
+    alive = np.ones((4, n), dtype=bool)
+    for k in range(4):
+        inside = side[:, k, None] - ends * step[:, k, None] >= -_CLIP_EPS
+        moved = inside[:, ::-1] & ~inside
+        ends = np.where(moved, t[:, k, None], ends)
+        moved_by = np.where(moved, k, moved_by)
+        alive &= inside[:, 0] | inside[:, 1]
+    entered, left = moved_by[:, 0], moved_by[:, 1]
 
-    emitted = crosses + keeps.astype(np.intp)
-    slot = np.cumsum(emitted, axis=1) - emitted
-    new_counts = emitted.sum(axis=1)
-    width = int(new_counts.max(initial=0))
-    # Points that are not emitted land in a spill column, cut off at the end.
-    out_x = np.zeros((xs.shape[0], width + 1))
-    out_y = np.zeros_like(out_x)
-    at = np.where(crosses, slot, width)
-    out_x[rows, at] = cross_x
-    out_y[rows, at] = cross_y
-    at = np.where(keeps, slot + crosses, width)
-    out_x[rows, at] = xs
-    out_y[rows, at] = ys
-    return out_x[:, :width], out_y[:, :width], new_counts
+    # A piece that left through edge e of b is followed along b, past b's
+    # corners e + 1 .. f, to the next live piece, which entered through f.
+    next_entered = entered
+    for shift in (3, 2, 1):
+        later = _LATER_CORNER[shift]
+        next_entered = np.where(alive[later], entered[later], next_entered)
+    along_b = alive & (left >= 0) & (next_entered >= 0)
+    passed = along_b[:, None] & (_CHAIN_STEPS <= ((next_entered - left) % 4)[:, None])
+    corner = (left[:, None] + _CHAIN_STEPS) % 4
 
+    # The polygon in 20 slots, 5 per edge of a: its piece's ends, then the
+    # corners of b passed after it. An unused slot repeats the last used slot
+    # before it, cyclically, and adds nothing to the shoelace sum.
+    used = np.concatenate((alive[:, None], alive[:, None], passed), axis=1).reshape(20, n)
+    last = np.maximum.accumulate(np.where(used, _SLOT_INDEX, -1), axis=0)
+    last = np.where(last < 0, last[-1], last)
+    px = np.concatenate((xs[:, 0, None] + ends * ex[:, 0, None], xs[corner, 1, pair]),
+                        axis=1).reshape(20, n)[last, pair]
+    py = np.concatenate((ys[:, 0, None] + ends * ey[:, 0, None], ys[corner, 1, pair]),
+                        axis=1).reshape(20, n)[last, pair]
+    area = np.abs(_fixed_order_sum(px * py[_NEXT_SLOT] - px[_NEXT_SLOT] * py)) / 2.0
 
-def _bev_intersection_areas(
-    corners_a: tuple[np.ndarray, np.ndarray], corners_b: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Footprint intersection areas of P rectangle pairs, each given as (P, 4) corners."""
-    xs, ys = corners_a
-    counts = np.full(xs.shape[0], 4, dtype=np.intp)
-    bx, by = corners_b
-    for i in range(4):
-        j = (i + 1) % 4
-        xs, ys, counts = _clip_against_edge(
-            xs, ys, counts, bx[:, i], by[:, i], bx[:, j], by[:, j]
-        )
-    # Shoelace formula, summed vertex by vertex in polygon order.
-    total = np.zeros(xs.shape[0])
-    k = np.arange(xs.shape[1])
-    nxt = np.where(k + 1 < counts[:, None], k + 1, 0)
-    rows = np.arange(xs.shape[0])[:, None]
-    xn, yn = xs[rows, nxt], ys[rows, nxt]
-    terms = np.where(k < counts[:, None], xs * yn - xn * ys, 0.0)
-    for col in range(xs.shape[1]):
-        total = total + terms[:, col]
-    return np.where(counts >= 3, np.abs(total) / 2.0, 0.0)
+    # With no piece left the slots are all one point. Then a's boundary misses
+    # b, so b lies inside a, and the clip keeps all of it, exactly when its
+    # corner 0 does.
+    none_left = ~alive.any(axis=0)
+    if none_left.any():
+        b_inside_a = (ey[:, 0] * dx[:, 0] - ex[:, 0] * dy[:, 0]).min(axis=0) >= 0.0
+        area_b = np.abs(ex[0, 1] * ey[1, 1] - ey[0, 1] * ex[1, 1])
+        area = np.where(none_left & b_inside_a, area_b, area)
+    return area
 
 
 def giou_3d_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Generalized IoU of P box pairs given as (P, 7) parameter rows; returns (P,).
 
     Row layout is that of box3d_array. This is the one GIoU kernel: the
-    overlap volume is the BEV footprint intersection (a batched convex clip
-    and the shoelace formula, run only for pairs whose footprints can meet)
-    times the vertical interval overlap; the enclosing region is the
+    overlap volume is the BEV footprint intersection (a fixed-shape
+    rectangle-pair intersection, run only for pairs whose footprints can
+    meet) times the vertical interval overlap; the enclosing region is the
     axis-aligned BEV bounding box of both footprints times the union of the
     vertical extents (see giou_3d).
     """
@@ -260,34 +293,31 @@ def giou_3d_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2 or a.shape[1] != 7:
         raise ValueError(f"pair arrays must both be (P, 7), got {a.shape} and {b.shape}")
-    if a.shape[0] == 0:
+    n_pairs = a.shape[0]
+    if n_pairs == 0:
         return np.zeros(0)
-    corners_a, corners_b = _bev_corners(a), _bev_corners(b)
+    xs, ys = _bev_corners(np.concatenate((a, b)))
+    xs, ys = xs.reshape(4, 2, n_pairs), ys.reshape(4, 2, n_pairs)
 
     half_a, half_b = a[:, 6] / 2.0, b[:, 6] / 2.0
     za0, za1 = a[:, 2] - half_a, a[:, 2] + half_a
     zb0, zb1 = b[:, 2] - half_b, b[:, 2] + half_b
     overlap_h = np.minimum(za1, zb1) - np.maximum(za0, zb0)
-    # Only footprints whose circumscribed circles meet can intersect. The
-    # clip counts points up to _CLIP_EPS / edge length outside b as inside,
-    # so b's circle is widened by a few of those before pairs are skipped.
+    # Only footprints whose circumscribed circles meet can intersect. Points
+    # of a up to _CLIP_EPS / edge length outside b count as inside, so b's
+    # circle is widened by a few of those before pairs are skipped.
     reach = (np.hypot(a[:, 4], a[:, 5]) + np.hypot(b[:, 4], b[:, 5])) / 2.0 \
         + 3.0 * _CLIP_EPS / np.minimum(b[:, 4], b[:, 5])
     near = np.nonzero(
         (overlap_h > 0.0) & (np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]) <= reach)
     )[0]
-    inter = np.zeros(a.shape[0])
+    inter = np.zeros(n_pairs)
     if near.size:
-        area = _bev_intersection_areas(
-            (corners_a[0][near], corners_a[1][near]), (corners_b[0][near], corners_b[1][near])
-        )
-        inter[near] = area * overlap_h[near]
+        inter[near] = _bev_intersection_areas(xs[..., near], ys[..., near]) * overlap_h[near]
     union = a[:, 4] * a[:, 5] * a[:, 6] + b[:, 4] * b[:, 5] * b[:, 6] - inter
 
-    xs = np.concatenate((corners_a[0], corners_b[0]), axis=1)
-    ys = np.concatenate((corners_a[1], corners_b[1]), axis=1)
-    span_x = xs.max(axis=1) - xs.min(axis=1)
-    span_y = ys.max(axis=1) - ys.min(axis=1)
+    span_x = xs.max(axis=(0, 1)) - xs.min(axis=(0, 1))
+    span_y = ys.max(axis=(0, 1)) - ys.min(axis=(0, 1))
     enclosing = span_x * span_y * (np.maximum(za1, zb1) - np.minimum(za0, zb0))
 
     return inter / union - (enclosing - union) / enclosing
@@ -295,8 +325,8 @@ def giou_3d_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def bev_intersection_area(a: Box3D, b: Box3D) -> float:
     """Intersection area of two yaw-rotated footprint rectangles, in square meters."""
-    corners_a, corners_b = _bev_corners(box3d_array((a,))), _bev_corners(box3d_array((b,)))
-    return float(_bev_intersection_areas(corners_a, corners_b)[0])
+    xs, ys = _bev_corners(box3d_array((a, b)))
+    return float(_bev_intersection_areas(xs[..., None], ys[..., None])[0])
 
 
 def giou_3d(a: Box3D, b: Box3D) -> float:

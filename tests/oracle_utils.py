@@ -361,9 +361,9 @@ def two_pass_step(pool, frame: int, detections, config):
         FrameResult,
         Mode,
         _box_type,
-        _row_gates,
         box_width,
         predict_tracks,
+        resolve_gate,
     )
     from motrack.geometry import giou_3d_pairs, iou_matrix_2d
 
@@ -394,7 +394,8 @@ def two_pass_step(pool, frame: int, detections, config):
 
     def run_pass(rows, cols, gate):
         same_class = det_classes[rows][:, None] == pool.class_ids[cols][None, :]
-        gates = np.where(same_class, _row_gates(det_classes[rows], gate)[:, None], np.inf)
+        row_gates = np.array([resolve_gate(gate, c) for c in det_classes[rows].tolist()])
+        gates = np.where(same_class, row_gates.reshape(-1, 1), np.inf)
         if is_3d:
             r, c = np.nonzero(same_class)
             det, trk = rows[r], cols[c]

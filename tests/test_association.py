@@ -99,6 +99,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             resolve_gate({2: -0.1}, 7)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 6), max_size=30),
+        st.one_of(
+            st.floats(-1.0, 1.0),
+            st.dictionaries(st.integers(-1, 6), st.floats(-1.0, 1.0), max_size=8),
+        ),
+    )
+    def test_row_gates_equal_per_row_resolution(self, classes, gate):
+        # Per-class maps are drawn with and without the DEFAULT_GATE_KEY
+        # fallback, so some rows have no gate: the error must be the one the
+        # first such row raises.
+        class_ids = np.array(classes, dtype=np.int64)
+        try:
+            expected = [resolve_gate(gate, c) for c in classes]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                association._row_gates(class_ids, gate)
+            return
+        gates = association._row_gates(class_ids, gate)
+        assert gates.dtype == np.float64 and gates.shape == (len(classes),)
+        assert gates.tolist() == expected
+
 
 class TestSplit:
     """The split at tau, read from step diagnostics: on a first frame every

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motrack.geometry import (
@@ -354,6 +355,35 @@ class TestKernelAgainstClipOracle:
 
     @settings(max_examples=500, deadline=None)
     @given(degenerate_pairs())
+    # Contained at an eighth turn, sharing two edges: their crossings are
+    # rounding noise and must not become vertices (true GIoU -0.2917).
+    @example(pair=(Box3D(0.0, 0.0, 0.0, math.pi / 4, 0.5, 1.5, 0.5),
+                   Box3D(0.0, 0.0, 0.0, math.pi / 4, 0.5, 0.5, 0.5)))
+    # Exactly collinear edges: half overlap along the length, yaw 0.
+    @example(pair=(Box3D(0.0, 0.0, 0.0, 0.0, 4.0, 2.0, 1.0),
+                   Box3D(2.0, 0.0, 0.0, 0.0, 4.0, 2.0, 1.0)))
+    # Exactly parallel, disjoint edges: a corner-to-corner overlap.
+    @example(pair=(Box3D(0.0, 0.0, 0.0, 0.0, 4.0, 2.0, 1.0),
+                   Box3D(3.0, 1.5, 0.0, 0.0, 4.0, 2.0, 1.0)))
+    # Long edges a billionth of a radian apart, crossing mid-edge: a kernel
+    # that skips near-parallel crossings loses two slivers of 3e-9 m^2 each.
+    @example(pair=(Box3D(0.0, 0.0, 0.0, 0.0, 1.0, 5.0, 1.0),
+                   Box3D(0.0, 0.0, 0.0, 1e-9, 1.0, 5.0, 1.0)))
+    # Corners of the second box under 1e-9 m outside the first: the clip does
+    # not take them, so neither may the kernel.
+    @example(pair=(Box3D(0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 1.0),
+                   Box3D(1e-9, 0.0, 0.0, 1e-9, 1.0, 0.5, 1.0)))
+    # Corners of each box within the clip's tolerance of the other: the clip
+    # keeps the first box's corner and never makes the second's.
+    @example(pair=(Box3D(-1.9999999992928932, 0.9999999992928932, 0.0, -0.7853981623974483,
+                         0.5, 1.0, 1.5),
+                   Box3D(-2.0, 1.0, 0.0, -0.7853981633974483, 0.5, 1.0, 1.5)))
+    # A crossing the clip computes beyond the edge it cuts (a spike of zero
+    # area); its tolerance loses 2.4e-8 m^2 here, which the kernel must share.
+    @example(pair=(Box3D(0.3, -0.2, 0.0, 3.009125347912295e-210, 0.4580095834435551,
+                         0.3333333333333333, 0.2),
+                   Box3D(0.3, -0.19999999779635744, 0.0, 1e-10, 0.4580095834435551,
+                         0.3333333333333333, 0.2)))
     def test_degenerate_pairs(self, pair):
         _assert_matches_oracle(*pair)
 
@@ -372,6 +402,21 @@ class TestKernelAgainstClipOracle:
         inner = _moved(a, l=1.0, w=1.0)
         assert bev_intersection_area(a, inner) == pytest.approx(1.0, abs=1e-12)
         assert bev_intersection_area(inner, a) == pytest.approx(1.0, abs=1e-12)
+
+    def test_degenerate_batches_emit_no_runtime_warning(self):
+        box = Box3D(1.0, 2.0, 0.5, 0.3, 4.0, 2.0, 1.5)
+        square = Box3D(0.0, 0.0, 0.0, math.pi / 4, 2.0, 2.0, 1.0)
+        batches = (
+            [(box, box), (square, square)],
+            [(box, _moved(box, forward=box.l)), (square, _moved(square, left=square.w)),
+             (square, _moved(square, forward=square.l / 2, w=square.w / 2))],
+        )
+        for pairs in batches:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                values = giou_3d_pairs(box3d_array([a for a, _ in pairs]),
+                                       box3d_array([b for _, b in pairs]))
+            assert np.isfinite(values).all()
 
     def test_empty_and_mismatched_batches(self):
         assert giou_3d_pairs(np.zeros((0, 7)), np.zeros((0, 7))).shape == (0,)

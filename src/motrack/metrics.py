@@ -5,12 +5,18 @@ Per-frame matching is gated (2D: IoU >= 0.5 by default; 3D: BEV center
 distance <= 2 m) with CLEAR persistence: a gt-prediction pair from the
 previous frame is kept while it still clears the gate, and only the remainder
 is re-matched optimally.
+
+Each frame is scored once and keeps only its admissible pairs, those that
+clear the gate, so memory follows those pairs rather than gt x predictions.
+The assignment solver runs only on a frame whose free pairs conflict (a row or
+column in two of them, or a pair worth zero); otherwise they are the matches.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -83,84 +89,190 @@ def _check_modes(gt: TrackOutput, pred: TrackOutput) -> None:
 def _frame_similarity(
     gt_boxes: np.ndarray, pr_boxes: np.ndarray, mode: Mode, threshold: float
 ) -> tuple[np.ndarray, float]:
-    """Similarity values plus the admission gate for one frame's matching."""
+    """Similarity values plus the admission gate for one frame's matching.
+
+    In 3D a center distance too large for a float reads inf, so its closeness
+    is -inf, which no gate admits.
+    """
     if mode is Mode.BOX_2D:
         return iou_matrix_2d(gt_boxes, pr_boxes), threshold
-    dist = np.linalg.norm(gt_boxes[:, None, :2] - pr_boxes[None, :, :2], axis=2)
+    with np.errstate(over="ignore"):
+        dx = gt_boxes[:, None, 0] - pr_boxes[None, :, 0]
+        dy = gt_boxes[:, None, 1] - pr_boxes[None, :, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
     return threshold - dist, 0.0
 
 
-# One frame's evaluation table: gt ids, prediction ids, prediction scores, and
-# the gt x prediction similarity with its gate (None when either side is empty).
-_FrameTable = tuple[list[int], list[int], list[float], np.ndarray | None, float]
+class _FrameTable(NamedTuple):
+    """One frame's evaluation table.
+
+    Besides the frame's ids and prediction scores, only the admissible pairs
+    are kept, those whose similarity reaches the gate: no other pair can ever
+    be matched. Pairs are (gt id, prediction id) in ascending order of the
+    prediction's score, so the pairs kept at a minimum score are a suffix.
+    ``isolated`` says that no id is in two pairs and every pair scores above
+    zero; then every kept pair is a match, whatever persists.
+    """
+
+    gt_ids: list[int]
+    pr_ids: list[int]
+    scores: list[float]  # in pr_ids order
+    ranked: list[float]  # the same scores, ascending
+    pairs: list[tuple[int, int]]
+    pair_scores: list[float]
+    values: list[float]
+    isolated: bool
+    gate: float
 
 
-def _frame_tables(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Iterator[_FrameTable]:
+def _admissible(
+    similarity: np.ndarray, gate: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and similarities of the pairs whose similarity reaches
+    the gate, in row-major order. NaN and +inf are rejected; -inf reaches no
+    gate."""
+    if not similarity.max() < np.inf:
+        raise ValueError("similarity matrix entries must be finite")
+    at = (similarity >= gate).ravel().nonzero()[0]
+    rows, cols = np.divmod(at, similarity.shape[1])
+    return rows, cols, similarity.ravel()[at]
+
+
+_NO_PAIRS = np.zeros(0, dtype=np.intp)
+
+
+def _frame_pairs(
+    gt: TrackOutput, pred: TrackOutput, threshold: float
+) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray, np.ndarray, float]]:
     """Score each frame that has rows once, in frame order.
 
-    Each side's frame is a slice of its columns, found by binary search.
-    Yields lazily, so a single pass holds one frame's similarity at a time.
+    Yields the frame's gt and prediction rows, as slices of the columns
+    found by binary search, and its admissible pairs: frame-local gt rows,
+    prediction columns and similarities, plus the gate they reached.
     """
     frames = np.union1d(gt.frames, pred.frames)
     bounds = (np.searchsorted(out.frames, frames, side=side).tolist()
               for out in (gt, pred) for side in ("left", "right"))
     for g0, g1, p0, p1 in zip(*bounds):
-        values, gate = None, 0.0
-        if g1 > g0 and p1 > p0:
-            values, gate = _frame_similarity(gt.boxes[g0:g1], pred.boxes[p0:p1], gt.mode,
+        gt_rows, pr_rows = slice(g0, g1), slice(p0, p1)
+        if g1 == g0 or p1 == p0:
+            yield gt_rows, pr_rows, _NO_PAIRS, _NO_PAIRS, np.zeros(0), 0.0
+            continue
+        similarity, gate = _frame_similarity(gt.boxes[gt_rows], pred.boxes[pr_rows], gt.mode,
                                              threshold)
-        yield (gt.track_ids[g0:g1].tolist(), pred.track_ids[p0:p1].tolist(),
-               pred.scores[p0:p1].tolist(), values, gate)
+        yield gt_rows, pr_rows, *_admissible(similarity, gate), gate
+
+
+def _frame_table(
+    gt_ids: np.ndarray,
+    pr_ids: np.ndarray,
+    scores: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    gate: float,
+) -> _FrameTable:
+    """One frame's table from its ids, scores and admissible pairs."""
+    order = np.argsort(scores[cols], kind="stable")
+    rows, cols = rows[order], cols[order]
+    gids, pids = gt_ids[rows].tolist(), pr_ids[cols].tolist()
+    pair_values = values[order].tolist()
+    isolated = (len(set(gids)) == len(gids) == len(set(pids))
+                and all(value > 0.0 for value in pair_values))
+    score_list = scores.tolist()
+    return _FrameTable(gt_ids.tolist(), pr_ids.tolist(), score_list, sorted(score_list),
+                       list(zip(gids, pids)), scores[cols].tolist(), pair_values, isolated,
+                       gate)
+
+
+def _frame_tables(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Iterator[_FrameTable]:
+    """The table of each frame that has rows, in frame order. A list of them
+    takes memory in the number of admissible pairs, not of gt x predictions."""
+    for gt_rows, pr_rows, rows, cols, values, gate in _frame_pairs(gt, pred, threshold):
+        yield _frame_table(gt.track_ids[gt_rows], pred.track_ids[pr_rows],
+                           pred.scores[pr_rows], rows, cols, values, gate)
 
 
 def _frame_step(
-    gt_ids: list[int],
-    pr_ids: list[int],
-    values: np.ndarray | None,
-    gate: float,
+    table: _FrameTable,
+    min_score: float | None,
     persisting: dict[int, int],
     last_match: dict[int, int],
 ) -> tuple[int, int, int, dict[int, int]]:
     """CLEAR counts of one frame: (fp, fn, ids, matches as gt id -> pred id).
 
-    A pair from ``persisting`` (the previous frame's matches) is kept while it
-    still clears the gate; the rest is re-matched optimally. A match whose gt id
-    was last matched to another prediction (``last_match``) is an identity
-    switch. Neither dict is modified: the returned matches are the next frame's
-    ``persisting`` and the update to ``last_match``.
+    Only predictions scored at least ``min_score`` take part (all of them when
+    it is None). A pair from ``persisting`` (the previous frame's matches, so
+    no prediction id twice) is kept while it is still admissible; the rest is
+    re-matched optimally. A match whose gt id was last matched to another
+    prediction (``last_match``) is an identity switch. Neither dict is
+    modified: the returned matches are the next frame's ``persisting`` and the
+    update to ``last_match``.
     """
-    if not gt_ids or not pr_ids:
-        return len(pr_ids), len(gt_ids), 0, {}
+    gt_ids, pr_ids, _, ranked, pairs, pair_scores, _, isolated, _ = table
+    start, n_pred = 0, len(pr_ids)
+    if min_score is not None:
+        start = bisect_left(pair_scores, min_score)
+        n_pred -= bisect_left(ranked, min_score)
+    if not gt_ids or not n_pred:
+        return n_pred, len(gt_ids), 0, {}
 
-    matches: dict[int, int] = {}
-    used_cols: set[int] = set()
-    pid_to_col = {pid: j for j, pid in enumerate(pr_ids)}
-    for i, gid in enumerate(gt_ids):
-        pid = persisting.get(gid)
-        if pid is None:
-            continue
-        j = pid_to_col.get(pid)
-        if j is None or j in used_cols:
-            continue
-        if values[i, j] >= gate:
-            matches[i] = j
-            used_cols.add(j)
+    matched = dict(pairs[start:]) if isolated else _matches(table, start, min_score, persisting)
+    ids = (len(matched) - len(matched.items() & last_match.items())
+           - len(matched.keys() - last_match.keys()))
+    return n_pred - len(matched), len(gt_ids) - len(matched), ids, matched
 
-    free_rows = [i for i in range(len(gt_ids)) if i not in matches]
-    free_cols = [j for j in range(len(pr_ids)) if j not in used_cols]
-    if free_rows and free_cols:
-        assign = solve_assignment(values[free_rows][:, free_cols], gate)
-        for r, c in assign.matches.tolist():
-            matches[free_rows[r]] = free_cols[c]
 
-    ids = 0
-    matched: dict[int, int] = {}
-    for i, j in matches.items():
-        gid, pid = gt_ids[i], pr_ids[j]
-        if gid in last_match and last_match[gid] != pid:
-            ids += 1
-        matched[gid] = pid
-    return len(pr_ids) - len(matches), len(gt_ids) - len(matches), ids, matched
+def _matches(
+    table: _FrameTable, start: int, min_score: float | None, persisting: dict[int, int]
+) -> dict[int, int]:
+    """The frame's matches, gt id -> pred id, from its kept pairs table.pairs[start:].
+
+    Kept pairs that persist are matched first. When no remaining row or
+    column is in two free pairs and every free pair scores above zero, the
+    free pairs are the unique optimum and no solver runs.
+    """
+    kept = table.pairs[start:]
+    matched = dict(persisting.items() & kept) if persisting else {}
+    used = set(matched.values())
+    free = [(gid, pid, value) for (gid, pid), value in zip(kept, table.values[start:])
+            if gid not in matched and pid not in used]
+    if not free:
+        return matched
+    free_rows, free_cols, free_values = zip(*free)
+    if len(set(free_rows)) == len(free) == len(set(free_cols)) and min(free_values) > 0.0:
+        matched.update(zip(free_rows, free_cols))
+    else:
+        matched.update(_solve_free_block(table, min_score, matched, used, free))
+    return matched
+
+
+def _solve_free_block(
+    table: _FrameTable,
+    min_score: float | None,
+    matched: dict[int, int],
+    used: set[int],
+    free: list[tuple[int, int, float]],
+) -> dict[int, int]:
+    """Optimal matching of the free gt rows and kept free prediction columns.
+
+    The block spans every free row and every kept free column, in frame
+    order, with the free pairs at their values and zeros gated at +inf
+    elsewhere. So the solver weighs exactly the dense free block's matrix and
+    resolves ties the same way.
+    """
+    free_rows = [gid for gid in table.gt_ids if gid not in matched]
+    free_cols = [pid for pid, score in zip(table.pr_ids, table.scores)
+                 if (min_score is None or score >= min_score) and pid not in used]
+    row_at = {gid: r for r, gid in enumerate(free_rows)}
+    col_at = {pid: c for c, pid in enumerate(free_cols)}
+    at = ([row_at[gid] for gid, _, _ in free], [col_at[pid] for _, pid, _ in free])
+    block = np.zeros((len(free_rows), len(free_cols)))
+    gates = np.full(block.shape, np.inf)
+    block[at] = [value for _, _, value in free]
+    gates[at] = table.gate
+    assign = solve_assignment(block, gates)
+    return {free_rows[r]: free_cols[c] for r, c in assign.matches.tolist()}
 
 
 # Match state entering a frame: (persisting pairs, last matched pred per gt id).
@@ -176,15 +288,10 @@ def _kept_frame_step(
     A frame left with neither gt nor kept predictions is skipped, so match
     persistence carries across it, as if those predictions were never there.
     """
-    gt_ids, pr_ids, scores, values, gate = table
-    keep = [j for j, score in enumerate(scores) if score >= min_score]
-    if not gt_ids and not keep:
+    if not table.gt_ids and table.ranked[-1] < min_score:
         return (0, 0, 0), state
-    if len(keep) < len(pr_ids):
-        pr_ids = [pr_ids[j] for j in keep]
-        values = values[:, keep] if values is not None else None
     persisting, last_match = state
-    fp, fn, ids, matched = _frame_step(gt_ids, pr_ids, values, gate, persisting, last_match)
+    fp, fn, ids, matched = _frame_step(table, min_score, persisting, last_match)
     if matched:
         last_match = {**last_match, **matched}
     return (fp, fn, ids), (matched, last_match)
@@ -206,10 +313,10 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
     n = len(tables)
     frames_at: dict[float, list[int]] = {}
     for i, table in enumerate(tables):
-        for score in dict.fromkeys(table[2]):
+        for score in dict.fromkeys(table.scores):
             frames_at.setdefault(score, []).append(i)
     entering: list[_State] = [({}, {})] * n
-    counts = [(0, len(table[0]), 0) for table in tables]
+    counts = [(0, len(table.gt_ids), 0) for table in tables]
     fp, fn, ids = 0, sum(c[1] for c in counts), 0
 
     for score in sorted(frames_at, reverse=True):
@@ -254,11 +361,9 @@ def clear_mot(
     fp = fn = ids = 0
     persisting: dict[int, int] = {}
     last_match: dict[int, int] = {}
-    for gt_ids, pr_ids, _, values, gate in _frame_tables(
-        gt, pred, _threshold(gt.mode, match_threshold)
-    ):
+    for table in _frame_tables(gt, pred, _threshold(gt.mode, match_threshold)):
         frame_fp, frame_fn, frame_ids, persisting = _frame_step(
-            gt_ids, pr_ids, values, gate, persisting, last_match
+            table, None, persisting, last_match
         )
         last_match.update(persisting)
         fp += frame_fp
@@ -280,16 +385,19 @@ def idf1(gt: TrackOutput, pred: TrackOutput, match_threshold: float | None = Non
     if not len(gt.track_ids) or not len(pred.track_ids):
         return 0.0
 
-    gt_index = {gid: i for i, gid in enumerate(np.unique(gt.track_ids).tolist())}
-    pr_index = {pid: j for j, pid in enumerate(np.unique(pred.track_ids).tolist())}
-    overlap = np.zeros((len(gt_index), len(pr_index)))
-    for gt_ids, pr_ids, _, values, gate in _frame_tables(
+    # Record indices of both sides of every admissible pair, over all frames.
+    gt_at: list[np.ndarray] = []
+    pr_at: list[np.ndarray] = []
+    for gt_rows, pr_rows, rows, cols, _, _ in _frame_pairs(
         gt, pred, _threshold(gt.mode, match_threshold)
     ):
-        if values is not None:
-            rows = [gt_index[gid] for gid in gt_ids]
-            cols = [pr_index[pid] for pid in pr_ids]
-            overlap[np.ix_(rows, cols)] += values >= gate
+        gt_at.append(rows + gt_rows.start)
+        pr_at.append(cols + pr_rows.start)
+    gt_index, pr_index = np.unique(gt.track_ids), np.unique(pred.track_ids)
+    flat = (np.searchsorted(gt_index, gt.track_ids[np.concatenate(gt_at)]) * len(pr_index)
+            + np.searchsorted(pr_index, pred.track_ids[np.concatenate(pr_at)]))
+    overlap = np.bincount(flat, minlength=len(gt_index) * len(pr_index)).astype(float)
+    overlap = overlap.reshape(len(gt_index), len(pr_index))
 
     matches = solve_assignment(overlap, gate=0.5).matches
     idtp = int(overlap[matches[:, 0], matches[:, 1]].sum())
@@ -316,8 +424,13 @@ def smota_r(
     report = clear_mot(gt, pred_at_recall, match_threshold)
     if report.gt == 0:
         raise ValueError("sMOTA requires non-empty ground truth")
-    penalty = report.ids + report.fp + report.fn - (1.0 - r) * report.gt
-    return max(0.0, min(1.0, 1.0 - penalty / (r * report.gt)))
+    return _smota(report.ids + report.fp + report.fn, report.gt, r)
+
+
+def _smota(errors: int, total_gt: int, r: float) -> float:
+    """sMOTA at recall r from the CLEAR error total (ids + fp + fn)."""
+    penalty = errors - (1.0 - r) * total_gt
+    return max(0.0, min(1.0, 1.0 - penalty / (r * total_gt)))
 
 
 def amota(
@@ -341,25 +454,19 @@ def amota(
         raise ValueError("AMOTA requires finite prediction confidences")
 
     tables = list(_frame_tables(gt, pred, _threshold(gt.mode, match_threshold)))
-    sweeps = [
-        (threshold, (total_gt - fn) / total_gt, fp + fn + ids)
-        for threshold, fp, fn, ids in _sweep(tables)
-    ]
+    # Errors at the highest threshold with each recall: the sweep descends, so
+    # the first threshold seen with a recall is the highest.
+    errors_at: dict[float, int] = {}
+    for _, fp, fn, ids in _sweep(tables):
+        errors_at.setdefault((total_gt - fn) / total_gt, fp + fn + ids)
+    reached = sorted(errors_at)
 
     recalls = tuple(k / _RECALL_POINTS for k in range(1, _RECALL_POINTS + 1))
     values = []
     for r in recalls:
-        reachable = [entry for entry in sweeps if entry[1] >= r]
-        if not reachable:
-            values.append(0.0)
-            continue
-        best_recall = min(rec for _, rec, _ in reachable)
-        _, _, errors = max(
-            (entry for entry in reachable if entry[1] == best_recall),
-            key=lambda entry: entry[0],
-        )
-        penalty = errors - (1.0 - r) * total_gt
-        values.append(max(0.0, min(1.0, 1.0 - penalty / (r * total_gt))))
+        # The lowest recall that still reaches r; none means r is unreachable.
+        k = bisect_left(reached, r)
+        values.append(_smota(errors_at[reached[k]], total_gt, r) if k < len(reached) else 0.0)
 
     return AmotaReport(
         amota=float(np.mean(values)),

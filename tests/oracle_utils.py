@@ -1,9 +1,10 @@
 """Independent oracles used by the tests: sampling/rasterization-based geometry
 checks, a scalar polygon-clipping GIoU, an exhaustive gated-matching
-optimizer, a two-pass association step, and line-by-line record parsers and
-writers. Each deliberately avoids the code path it verifies: the batched
-clipping kernel, the Hungarian solver, the once-per-frame scoring and update,
-and the columnar parsers."""
+optimizer, a two-pass association step, a dense CLEAR frame step, and
+line-by-line record parsers and writers. Each deliberately avoids the code
+path it verifies: the batched clipping kernel, the Hungarian solver, the
+once-per-frame scoring and update, the sparse tables and the columnar
+parsers."""
 
 from __future__ import annotations
 
@@ -313,6 +314,50 @@ def amota_reference(gt, pred, threshold: float | None = None, n_points: int = 40
         penalty = errors - (1.0 - r) * total_gt
         values.append(max(0.0, min(1.0, 1.0 - penalty / (r * total_gt))))
     return float(np.mean(values)), tuple(values), recalls
+
+
+def dense_frame_step(gt_ids, pr_ids, values, gate, persisting, last_match):
+    """CLEAR counts of one frame on its dense gt x prediction similarity:
+    (fp, fn, ids, matches as gt id -> pred id).
+
+    A pair from ``persisting`` is kept while it still clears the gate, in gt
+    order; the rest is solved on the whole free block of every free row and
+    every free column. Neither dict is modified.
+    """
+    from motrack.assignment import solve_assignment
+
+    if not gt_ids or not pr_ids:
+        return len(pr_ids), len(gt_ids), 0, {}
+
+    matches: dict[int, int] = {}
+    used_cols: set[int] = set()
+    pid_to_col = {pid: j for j, pid in enumerate(pr_ids)}
+    for i, gid in enumerate(gt_ids):
+        pid = persisting.get(gid)
+        if pid is None:
+            continue
+        j = pid_to_col.get(pid)
+        if j is None or j in used_cols:
+            continue
+        if values[i, j] >= gate:
+            matches[i] = j
+            used_cols.add(j)
+
+    free_rows = [i for i in range(len(gt_ids)) if i not in matches]
+    free_cols = [j for j in range(len(pr_ids)) if j not in used_cols]
+    if free_rows and free_cols:
+        assign = solve_assignment(values[free_rows][:, free_cols], gate)
+        for r, c in assign.matches.tolist():
+            matches[free_rows[r]] = free_cols[c]
+
+    ids = 0
+    matched: dict[int, int] = {}
+    for i, j in matches.items():
+        gid, pid = gt_ids[i], pr_ids[j]
+        if gid in last_match and last_match[gid] != pid:
+            ids += 1
+        matched[gid] = pid
+    return len(pr_ids) - len(matches), len(gt_ids) - len(matches), ids, matched
 
 
 def best_gated_matching(values: np.ndarray, gate) -> float:

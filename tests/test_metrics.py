@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from motrack.association import Mode
 from motrack.geometry import Box2D, Box3D
 from motrack.metrics import amota, clear_mot, idf1, smota_r
 from motrack.tracker import TrackOutput, TrackRecord
-from oracle_utils import amota_reference, clear_counts_reference, idf1_reference
+from oracle_utils import (amota_reference, clear_counts_reference, dense_frame_step,
+                          idf1_reference)
 
 
 def output_2d(rows, n_frames=None):
@@ -337,6 +340,171 @@ def test_amota_threshold_skips_emptied_gt_free_frame():
     expected = [min(1.0, 2.0 / (3.0 * r)) for r in report.recalls]
     assert report.smota_values == pytest.approx(expected, abs=1e-12)
     assert report.amota == pytest.approx(amota_reference(gt, pred)[0], abs=1e-12)
+
+
+def sparse_table(gt_ids, pr_ids, scores, values, gate):
+    """The sparse table of a frame given by its dense similarity."""
+    rows = cols = np.zeros(0, dtype=np.intp)
+    pair_values = np.zeros(0)
+    if values.size:
+        rows, cols, pair_values = metrics._admissible(values, gate)
+    return metrics._frame_table(np.array(gt_ids, dtype=np.int64),
+                                np.array(pr_ids, dtype=np.int64),
+                                np.array(scores, dtype=float), rows, cols, pair_values, gate)
+
+
+@st.composite
+def scored_frames(draw):
+    """One frame for the CLEAR step with the state entering it.
+
+    Similarities come from a small pool, so pairs tie. In 3D the gate is 0
+    and 0.0 is a center distance exactly at the threshold. Half of the frames
+    keep at most one drawn pair per gt row, so many are free of conflicts.
+    Prediction scores come from three values, and the minimum score drops
+    some columns or none (None). The persisting pairs are a drawn matching,
+    mostly between the frame's ids, which can name pairs that are no longer
+    admissible, columns the minimum score dropped and ids not in the frame.
+    """
+    n_gt, n_pr = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    gt_ids = draw(st.lists(st.integers(1, 7), min_size=n_gt, max_size=n_gt, unique=True))
+    pr_ids = draw(st.lists(st.integers(11, 17), min_size=n_pr, max_size=n_pr, unique=True))
+    gate, pool = draw(st.sampled_from([(0.0, [-0.5, 0.0, 0.4, 1.1]),
+                                       (0.5, [0.0, 0.2, 0.5, 0.7, 1.0])]))
+    values = np.array(draw(st.lists(st.sampled_from(pool), min_size=n_gt * n_pr,
+                                    max_size=n_gt * n_pr)), dtype=float).reshape(n_gt, n_pr)
+    if n_pr and draw(st.booleans()):
+        for i in range(n_gt):
+            j = draw(st.integers(0, n_pr - 1))
+            kept = values[i, j]
+            values[i] = pool[0]
+            values[i, j] = kept
+    scores = draw(st.lists(st.sampled_from([0.2, 0.5, 0.8]), min_size=n_pr, max_size=n_pr))
+    min_score = draw(st.none() | st.sampled_from([0.2, 0.5, 0.8, 0.9]))
+    gids, pids = st.sampled_from(gt_ids + [8]), st.sampled_from(pr_ids + [18])
+    persisting: dict[int, int] = {}
+    for gid, pid in draw(st.lists(st.tuples(gids, pids), max_size=6)):
+        if gid not in persisting and pid not in persisting.values():
+            persisting[gid] = pid
+    last_match = draw(st.dictionaries(gids, pids, max_size=6))
+    return gt_ids, pr_ids, scores, values, gate, min_score, persisting, last_match
+
+
+def kept_columns(scores, min_score):
+    return [j for j, score in enumerate(scores) if min_score is None or score >= min_score]
+
+
+@settings(max_examples=400, deadline=None)
+@given(scored_frames())
+def test_frame_step_matches_dense_oracle(frame):
+    gt_ids, pr_ids, scores, values, gate, min_score, persisting, last_match = frame
+    keep = kept_columns(scores, min_score)
+    want = dense_frame_step(gt_ids, [pr_ids[j] for j in keep], values[:, keep], gate,
+                            persisting, last_match)
+    state = (dict(persisting), dict(last_match))
+    table = sparse_table(gt_ids, pr_ids, scores, values, gate)
+    assert metrics._frame_step(table, min_score, persisting, last_match) == want
+    assert (persisting, last_match) == state
+
+
+def has_conflict(gt_ids, pr_ids, values, gate, keep, persisting):
+    """Whether the free admissible pairs left after persistence, on the kept
+    columns, share a row or a column or include a pair valued at most 0."""
+    used = set()
+    persisted = set()
+    for i, gid in enumerate(gt_ids):
+        for j in keep:
+            if (persisting.get(gid) == pr_ids[j] and j not in used
+                    and values[i, j] >= gate):
+                persisted.add(i)
+                used.add(j)
+    free = [(i, j) for i in range(len(gt_ids)) for j in keep
+            if i not in persisted and j not in used and values[i, j] >= gate]
+    rows = [i for i, _ in free]
+    cols = [j for _, j in free]
+    return (len(set(rows)) < len(rows) or len(set(cols)) < len(cols)
+            or any(values[i, j] <= 0.0 for i, j in free))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_frames())
+def test_solver_runs_only_on_conflicting_frames(frame):
+    gt_ids, pr_ids, scores, values, gate, min_score, persisting, last_match = frame
+    keep = kept_columns(scores, min_score)
+    table = sparse_table(gt_ids, pr_ids, scores, values, gate)
+    with mock.patch.object(metrics, "solve_assignment",
+                           wraps=metrics.solve_assignment) as solver:
+        metrics._frame_step(table, min_score, persisting, last_match)
+    conflict = bool(gt_ids and keep) and has_conflict(gt_ids, pr_ids, values, gate, keep,
+                                                      persisting)
+    assert solver.call_count == int(conflict)
+
+
+def test_conflict_free_sequences_never_call_the_solver(monkeypatch):
+    # Two objects far apart, each followed by one prediction at shifting
+    # scores, plus clutter that overlaps nothing.
+    gt = output_2d(sorted(steady(1, range(1, 11)) + steady(2, range(1, 11), x=600.0)))
+    pred = output_2d(sorted(
+        [(f, 5, 102.0, 100.0, 0.5 + 0.04 * f) for f in range(1, 11)]
+        + [(f, 6, 597.0, 101.0, 0.9 - 0.03 * f) for f in range(1, 11)]
+        + [(f, 7, 1500.0, 800.0, 0.3) for f in range(2, 11, 3)]
+    ))
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("solver called on a conflict-free frame")
+
+    monkeypatch.setattr(metrics, "solve_assignment", no_solver)
+    assert clear_mot(gt, pred).ids == 0
+    assert amota(gt, pred).amota == pytest.approx(amota_reference(gt, pred)[0], abs=1e-12)
+
+
+def test_far_apart_3d_boxes_stay_unmatched():
+    # The centers are 2e308 apart: the distance overflows to inf, so the
+    # pair is inadmissible (closeness -inf) instead of an error.
+    gt = output_3d([(1, 1, 1e308, 0.0, 1.0), (2, 1, 1e308, 0.0, 1.0)])
+    pred = output_3d([(1, 2, -1e308, 0.0, 0.9), (2, 2, 1e308, 1.0, 0.8)])
+    report = clear_mot(gt, pred)
+    assert (report.fp, report.fn, report.ids) == (1, 1, 0)
+    _, *want = clear_counts_reference(gt, pred)
+    assert [report.fp, report.fn, report.ids] == want
+    got = amota(gt, pred)
+    assert got.smota_values == pytest.approx(amota_reference(gt, pred)[1], abs=1e-12)
+
+
+def test_nan_and_positive_infinite_similarities_rejected():
+    rows, cols, values = metrics._admissible(np.array([[-np.inf, 0.3], [0.0, -0.1]]), 0.0)
+    assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0, 1], [1, 0], [0.3, 0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            metrics._admissible(np.array([[0.3, bad]]), 0.0)
+    # An infinite 3D threshold makes every closeness +inf.
+    gt = output_3d(steady(1, (1, 2), x=0.0, y=0.0))
+    with pytest.raises(ValueError, match="finite"):
+        clear_mot(gt, gt, match_threshold=math.inf)
+
+
+def test_amota_memory_follows_admissible_pairs():
+    # 200 objects over 40 frames, each prediction admissible only to its own
+    # gt. Dense tables of the whole sweep would hold 40 x 200 x 200
+    # similarities (12.8 MB); the admissible pairs are 8000.
+    n_obj, n_frames = 200, 40
+    frames = np.repeat(np.arange(1, n_frames + 1), n_obj)
+    ids = np.tile(np.arange(1, n_obj + 1), n_frames)
+    x = (ids % 20) * 100.0 + frames
+    y = (ids // 20) * 150.0
+    boxes = np.stack([x, y, x + 60.0, y + 120.0], axis=1)
+    zeros = np.zeros_like(ids)
+    gt = TrackOutput.from_columns(frames, ids, zeros, np.ones(len(ids)), boxes, Mode.BOX_2D,
+                                  n_frames)
+    pred = TrackOutput.from_columns(frames, ids + 1000, zeros, np.full(len(ids), 0.9),
+                                    boxes + 3.0, Mode.BOX_2D, n_frames)
+    tracemalloc.start()
+    try:
+        report = amota(gt, pred)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.amota == 1.0
+    assert peak < 8e6, peak
 
 
 class TestIdf1:

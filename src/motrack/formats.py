@@ -208,6 +208,8 @@ def _mot_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
             rows.floats(k, name)
         with np.errstate(over="ignore", invalid="ignore"):
             x2, y2 = x + w, y + h
+            width, height = x2 - x, y2 - y
+            area = width * height
         rows.check(frames < 1, lambda i: f"frame must be >= 1, got {int(frames[i])}")
         rows.check((w <= 0.0) | (h <= 0.0),
                    lambda i: f"box size must be positive, got w={float(w[i])}, h={float(h[i])}")
@@ -217,6 +219,8 @@ def _mot_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
         rows.check(~((x <= x2) & (y <= y2)), lambda i: "Box2D corners out of order: ({}, {}, {}, {})"
                    .format(*boxes[i].tolist()))
         rows.check(~np.isfinite(boxes).all(axis=1), lambda i: "Box2D coordinates must be finite")
+        rows.check(~np.isfinite(area), lambda i: f"Box2D area must be finite, got "
+                   f"{float(width[i])} x {float(height[i])}")
         if results:
             _id_check(rows, ids)
         rows.raise_first()

@@ -70,6 +70,8 @@ class Box2D:
         if not (math.isfinite(self.x1) and math.isfinite(self.y1)
                 and math.isfinite(self.x2) and math.isfinite(self.y2)):
             raise ValueError("Box2D coordinates must be finite")
+        if not math.isfinite(self.width * self.height):
+            raise ValueError(f"Box2D area must be finite, got {self.width} x {self.height}")
 
     @property
     def width(self) -> float:

@@ -10,6 +10,10 @@ Each frame is scored once and keeps only its admissible pairs, those that
 clear the gate, so memory follows those pairs rather than gt x predictions.
 The assignment solver runs only on a frame whose free pairs conflict (a row or
 column in two of them, or a pair worth zero); otherwise they are the matches.
+
+AMOTA's confidence sweep hands only the persisting pairs from frame to frame.
+Identity switches are counted apart, from each gt id's matches in frame order,
+so a changed match moves the switch count without recounting later frames.
 """
 
 from __future__ import annotations
@@ -194,20 +198,16 @@ def _frame_tables(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Itera
 
 
 def _frame_step(
-    table: _FrameTable,
-    min_score: float | None,
-    persisting: dict[int, int],
-    last_match: dict[int, int],
-) -> tuple[int, int, int, dict[int, int]]:
-    """CLEAR counts of one frame: (fp, fn, ids, matches as gt id -> pred id).
+    table: _FrameTable, min_score: float | None, persisting: dict[int, int]
+) -> tuple[int, int, dict[int, int]]:
+    """CLEAR counts of one frame: (fp, fn, matches as gt id -> pred id).
 
     Only predictions scored at least ``min_score`` take part (all of them when
     it is None). A pair from ``persisting`` (the previous frame's matches, so
     no prediction id twice) is kept while it is still admissible; the rest is
-    re-matched optimally. A match whose gt id was last matched to another
-    prediction (``last_match``) is an identity switch. Neither dict is
-    modified: the returned matches are the next frame's ``persisting`` and the
-    update to ``last_match``.
+    re-matched optimally. ``persisting`` is not modified: the returned matches
+    are the next frame's. Identity switches are counted by the caller, from
+    the matches.
     """
     gt_ids, pr_ids, _, ranked, pairs, pair_scores, _, isolated, _ = table
     start, n_pred = 0, len(pr_ids)
@@ -215,12 +215,17 @@ def _frame_step(
         start = bisect_left(pair_scores, min_score)
         n_pred -= bisect_left(ranked, min_score)
     if not gt_ids or not n_pred:
-        return n_pred, len(gt_ids), 0, {}
+        return n_pred, len(gt_ids), {}
 
     matched = dict(pairs[start:]) if isolated else _matches(table, start, min_score, persisting)
-    ids = (len(matched) - len(matched.items() & last_match.items())
-           - len(matched.keys() - last_match.keys()))
-    return n_pred - len(matched), len(gt_ids) - len(matched), ids, matched
+    return n_pred - len(matched), len(gt_ids) - len(matched), matched
+
+
+def _switches(matched: dict[int, int], last_match: dict[int, int]) -> int:
+    """Identity switches among one frame's matches: the gt ids whose last
+    match (``last_match``, gt id -> pred id) was another prediction."""
+    return (len(matched) - len(matched.items() & last_match.items())
+            - len(matched.keys() - last_match.keys()))
 
 
 def _matches(
@@ -275,26 +280,49 @@ def _solve_free_block(
     return {free_rows[r]: free_cols[c] for r, c in assign.matches.tolist()}
 
 
-# Match state entering a frame: (persisting pairs, last matched pred per gt id).
-_State = tuple[dict[int, int], dict[int, int]]
+def _switch_delta(preds: list[int], k: int, pid: int) -> int:
+    """Identity switches gained by putting a match to ``pid`` between a gt
+    id's matches preds[k - 1] and preds[k], either of which may be absent."""
+    if 0 < k < len(preds):
+        left, right = preds[k - 1], preds[k]
+        return (left != pid) + (right != pid) - (left != right)
+    if k:
+        return int(preds[k - 1] != pid)
+    return int(bool(preds) and preds[0] != pid)
 
 
-def _kept_frame_step(
-    table: _FrameTable, min_score: float, state: _State
-) -> tuple[tuple[int, int, int], _State]:
-    """One frame's (fp, fn, ids) and leaving state, keeping predictions scored
-    >= min_score.
+def _relink(
+    sequences: dict[int, tuple[list[int], list[int]]],
+    frame: int,
+    old: dict[int, int],
+    new: dict[int, int],
+) -> int:
+    """Replace a frame's matches ``old`` by ``new`` in the per-gt match
+    sequences and return the change in identity switches.
 
-    A frame left with neither gt nor kept predictions is skipped, so match
-    persistence carries across it, as if those predictions were never there.
+    Each gt id's sequence is its matched frames, ascending, and the pred ids
+    matched there; its switches are the neighbouring entries whose pred ids
+    differ. A removed or inserted pair only changes the switches with its
+    neighbours, found by one bisect. Removals go first, so a gt id matched
+    anew in this frame is never in its sequence twice.
     """
-    if not table.gt_ids and table.ranked[-1] < min_score:
-        return (0, 0, 0), state
-    persisting, last_match = state
-    fp, fn, ids, matched = _frame_step(table, min_score, persisting, last_match)
-    if matched:
-        last_match = {**last_match, **matched}
-    return (fp, fn, ids), (matched, last_match)
+    delta = 0
+    inserted = []
+    for gid, pid in old.items() ^ new.items():
+        if old.get(gid) != pid:
+            inserted.append((gid, pid))
+            continue
+        frames, preds = sequences[gid]
+        k = bisect_left(frames, frame)
+        del frames[k], preds[k]
+        delta -= _switch_delta(preds, k, pid)
+    for gid, pid in inserted:
+        frames, preds = sequences.setdefault(gid, ([], []))
+        k = bisect_left(frames, frame)
+        delta += _switch_delta(preds, k, pid)
+        frames.insert(k, frame)
+        preds.insert(k, pid)
+    return delta
 
 
 def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
@@ -302,44 +330,61 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
     least each unique score, in descending score order.
 
     One incremental pass. It starts from no prediction kept, where every frame
-    enters with empty state and misses all its gt. Lowering the threshold to a
-    score changes the kept columns only in the frames holding that score, so a
-    frame is recounted only if it holds the score or the state entering it
-    changed. Once a recounted frame hands on the state the next frame entered
-    with at the previous score, nothing changes until the next frame holding
-    the score. Totals move by the difference between a frame's new and old
-    counts.
+    matches nothing and misses all its gt. Lowering the threshold to a score
+    changes the kept columns only in the frames holding that score. The only
+    state handed from frame to frame is the persisting pairs, the previous
+    counted frame's matches; a frame left with neither gt nor kept predictions
+    is skipped and hands on what entered it. So a frame is recounted only if
+    it holds the score or the pairs persisting into it changed, and a cascade
+    of recounts stops at the first counted isolated frame, whose matches do
+    not depend on what persists, or at a frame entered with the pairs it was
+    entered with before. Identity switches are counted apart, from each gt
+    id's matches in frame order (see _relink), so a changed match moves the
+    switch count without recounting the frames after it. Totals move by the
+    difference between a frame's new and old counts.
     """
     n = len(tables)
     frames_at: dict[float, list[int]] = {}
     for i, table in enumerate(tables):
         for score in dict.fromkeys(table.scores):
             frames_at.setdefault(score, []).append(i)
-    entering: list[_State] = [({}, {})] * n
-    counts = [(0, len(table.gt_ids), 0) for table in tables]
+    # Per frame: the pairs persisting into it (kept for frames that are not
+    # isolated, the only ones that read them), its matches and its (fp, fn).
+    entering: list[dict[int, int]] = [{}] * n
+    matches: list[dict[int, int]] = [{}] * n
+    counts = [(0, len(table.gt_ids)) for table in tables]
+    sequences: dict[int, tuple[list[int], list[int]]] = {}
     fp, fn, ids = 0, sum(c[1] for c in counts), 0
 
     for score in sorted(frames_at, reverse=True):
         changed = frames_at[score] + [n]
         k, i = 0, changed[0]
-        state = entering[i]
+        persisting = entering[i]
         while i < n:
-            entering[i] = state
-            new, state = _kept_frame_step(tables[i], score, state)
-            old = counts[i]
-            counts[i] = new
-            fp += new[0] - old[0]
-            fn += new[1] - old[1]
-            ids += new[2] - old[2]
-            i += 1
-            if i == changed[k + 1]:
+            table = tables[i]
+            if i == changed[k]:
                 k += 1
-            elif state == entering[i]:
+            elif not table.gt_ids and table.ranked[-1] < score:
+                i += 1  # skipped: persistence carries across it
+                continue
+            elif table.isolated or persisting == entering[i]:
                 # Nothing differs until the next frame holding this score.
-                k += 1
                 i = changed[k]
                 if i < n:
-                    state = entering[i]
+                    persisting = entering[i]
+                continue
+            if not table.isolated:
+                entering[i] = persisting
+            frame_fp, frame_fn, matched = _frame_step(table, score, persisting)
+            old_fp, old_fn = counts[i]
+            counts[i] = frame_fp, frame_fn
+            fp += frame_fp - old_fp
+            fn += frame_fn - old_fn
+            if matched != matches[i]:
+                ids += _relink(sequences, i, matches[i], matched)
+                matches[i] = matched
+            persisting = matched
+            i += 1
         yield score, fp, fn, ids
 
 
@@ -362,13 +407,11 @@ def clear_mot(
     persisting: dict[int, int] = {}
     last_match: dict[int, int] = {}
     for table in _frame_tables(gt, pred, _threshold(gt.mode, match_threshold)):
-        frame_fp, frame_fn, frame_ids, persisting = _frame_step(
-            table, None, persisting, last_match
-        )
+        frame_fp, frame_fn, persisting = _frame_step(table, None, persisting)
+        ids += _switches(persisting, last_match)
         last_match.update(persisting)
         fp += frame_fp
         fn += frame_fn
-        ids += frame_ids
     total_gt = len(gt.track_ids)
     mota = 1.0 - (ids + fp + fn) / total_gt if total_gt else float("nan")
     return ClearReport(mota=mota, fp=fp, fn=fn, ids=ids, gt=total_gt)

@@ -1,10 +1,11 @@
 """Independent oracles used by the tests: sampling/rasterization-based geometry
 checks, a scalar polygon-clipping GIoU, an exhaustive gated-matching
-optimizer, a two-pass association step, a dense CLEAR frame step, and
+optimizer, a two-pass association step, a dense CLEAR frame step, an
+incremental AMOTA sweep that carries identities in its frame state, and
 line-by-line record parsers and writers. Each deliberately avoids the code
 path it verifies: the batched clipping kernel, the Hungarian solver, the
-once-per-frame scoring and update, the sparse tables and the columnar
-parsers."""
+once-per-frame scoring and update, the sparse tables, the per-gt
+identity-switch sequences and the columnar parsers."""
 
 from __future__ import annotations
 
@@ -358,6 +359,69 @@ def dense_frame_step(gt_ids, pr_ids, values, gate, persisting, last_match):
             ids += 1
         matched[gid] = pid
     return len(pr_ids) - len(matches), len(gt_ids) - len(matches), ids, matched
+
+
+def _kept_frame_step(table, min_score, state):
+    """One frame's (fp, fn, ids) and leaving state (persisting pairs, last
+    matched pred per gt id), keeping predictions scored >= min_score. A frame
+    left with neither gt nor kept predictions is skipped, so match persistence
+    carries across it."""
+    from motrack.metrics import _frame_step
+
+    if not table.gt_ids and table.ranked[-1] < min_score:
+        return (0, 0, 0), state
+    persisting, last_match = state
+    fp, fn, matched = _frame_step(table, min_score, persisting)
+    ids = sum(1 for gid, pid in matched.items() if last_match.get(gid, pid) != pid)
+    if matched:
+        last_match = {**last_match, **matched}
+    return (fp, fn, ids), (matched, last_match)
+
+
+def sweep_reference(tables):
+    """The incremental sweep that carries identities in the frame state:
+    (score, fp, fn, ids) at each unique score, descending.
+
+    Each frame keeps the state entering it, its persisting pairs and a merged
+    map of every gt id's last matched prediction, and its counts at the
+    previous score. A lower score recounts from the first frame holding it,
+    and a cascade of recounts runs until a frame hands on the state the next
+    frame entered with, so a changed last match cascades until its gt id is
+    matched again. It shares only the per-frame matching with the sweep in
+    ``motrack.metrics``, not the state or the identity-switch bookkeeping.
+    """
+    n = len(tables)
+    frames_at = {}
+    for i, table in enumerate(tables):
+        for score in dict.fromkeys(table.scores):
+            frames_at.setdefault(score, []).append(i)
+    entering = [({}, {})] * n
+    counts = [(0, len(table.gt_ids), 0) for table in tables]
+    fp, fn, ids = 0, sum(c[1] for c in counts), 0
+    points = []
+    for score in sorted(frames_at, reverse=True):
+        changed = frames_at[score] + [n]
+        k, i = 0, changed[0]
+        state = entering[i]
+        while i < n:
+            entering[i] = state
+            new, state = _kept_frame_step(tables[i], score, state)
+            old = counts[i]
+            counts[i] = new
+            fp += new[0] - old[0]
+            fn += new[1] - old[1]
+            ids += new[2] - old[2]
+            i += 1
+            if i == changed[k + 1]:
+                k += 1
+            elif state == entering[i]:
+                # Nothing differs until the next frame holding this score.
+                k += 1
+                i = changed[k]
+                if i < n:
+                    state = entering[i]
+        points.append((score, fp, fn, ids))
+    return points
 
 
 def best_gated_matching(values: np.ndarray, gate) -> float:

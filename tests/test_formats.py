@@ -64,6 +64,7 @@ class TestMotParsing:
             ("1,-1,-inf,20,30,40,0.9,-1,-1,-1", "must be finite"),  # infinite x
             ("1,-1,1e308,20,1e308,40,0.9,-1,-1,-1", "must be finite"),  # x + w overflows
             ("1,-1,10,20,inf,40,0.9,-1,-1,-1", "must be finite"),  # infinite w
+            ("1,-1,-8e307,0,1.6e308,1e308,0.9,-1,-1,-1", "area must be finite"),  # w * h overflows
         ],
     )
     def test_malformed_lines_report_position(self, line, message):
@@ -75,6 +76,12 @@ class TestMotParsing:
     def test_results_require_positive_ids(self):
         with pytest.raises(ValueError, match="id"):
             parse_mot_results("1,-1,10,20,30,40,0.9,-1,-1,-1\n")
+
+    def test_results_reject_box_area_overflow(self):
+        # Finite corners whose area overflows would score IoU 0 against themselves.
+        text = "1,1,10,20,30,40,0.9,-1,-1,-1\n1,1,-8e307,0,1.6e308,1e308,1,-1,-1,-1\n"
+        with pytest.raises(ValueError, match="line 2: Box2D area must be finite"):
+            parse_mot_results(text)
 
 
 class TestMotRoundTrip:

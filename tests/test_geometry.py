@@ -50,6 +50,11 @@ class TestBoxValidation:
         with pytest.raises(ValueError):
             Box3D(0.0, math.nan, 0.0, 0.0, 1.0, 1.0, 1.0)
 
+    def test_area_overflow_rejected(self):
+        with pytest.raises(ValueError, match="area must be finite"):
+            Box2D(-8e307, 0.0, 8e307, 1e308)
+        assert Box2D(-8e307, 0.0, 8e307, 1.0).area == 1.6e308
+
     def test_non_positive_dimensions_rejected(self):
         with pytest.raises(ValueError):
             Box3D(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0)

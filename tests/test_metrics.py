@@ -13,7 +13,7 @@ from motrack.geometry import Box2D, Box3D
 from motrack.metrics import amota, clear_mot, idf1, smota_r
 from motrack.tracker import TrackOutput, TrackRecord
 from oracle_utils import (amota_reference, clear_counts_reference, dense_frame_step,
-                          idf1_reference)
+                          idf1_reference, sweep_reference)
 
 
 def output_2d(rows, n_frames=None):
@@ -225,10 +225,13 @@ def test_metrics_match_exhaustive_references(suite):
     check_sweep_and_amota(gt, pred)
 
 
+def sweep_tables(gt, pred):
+    return list(metrics._frame_tables(gt, pred, metrics._threshold(gt.mode, None)))
+
+
 def sweep_points(gt, pred):
     """(score, fp, fn, ids) at every unique score, from the incremental sweep."""
-    tables = list(metrics._frame_tables(gt, pred, metrics._threshold(gt.mode, None)))
-    return list(metrics._sweep(tables))
+    return list(metrics._sweep(sweep_tables(gt, pred)))
 
 
 def check_sweep_and_amota(gt, pred):
@@ -299,6 +302,69 @@ def long_eval_suites(draw):
 @given(long_eval_suites())
 def test_sweep_matches_exhaustive_references_on_long_suites(suite):
     check_sweep_and_amota(*suite)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_eval_suites())
+def test_sweep_equals_incremental_oracle(suite):
+    # The oracle carries every gt id's last match in the frame state, so its
+    # recounts cascade until that id is matched again. The sweep must give
+    # the same points, and recount an isolated frame only at a score it holds.
+    tables = sweep_tables(*suite)
+    with mock.patch.object(metrics, "_frame_step", wraps=metrics._frame_step) as step:
+        points = list(metrics._sweep(tables))
+    assert points == sweep_reference(tables)
+    for call in step.call_args_list:
+        table, score, _ = call.args
+        assert not table.isolated or score in table.scores
+
+
+def test_conflict_free_sweep_recounts_each_frame_once_per_score():
+    # Three objects far apart, each followed by one prediction whose score
+    # cycles through a rounded pool, so scores repeat within and across
+    # frames. Clutter overlaps nothing, and frame 6 has no gt. Every frame is
+    # isolated, so no recount cascades past the frames holding a score.
+    pool = (0.3, 0.5, 0.7, 0.9)
+    gt_rows, pred_rows = [], []
+    for f in range(1, 13):
+        for o, x in enumerate((100.0, 600.0, 1100.0)):
+            if f != 6:
+                gt_rows.append((f, o + 1, x, 100.0, 1.0))
+            pred_rows.append((f, o + 5, x + 3.0, 101.0, pool[(f + o) % 4]))
+        if f % 3 == 0:
+            pred_rows.append((f, 9, 1500.0, 800.0, 0.5))
+    gt, pred = output_2d(gt_rows), output_2d(pred_rows)
+    tables = sweep_tables(gt, pred)
+    assert all(table.isolated for table in tables)
+    with mock.patch.object(metrics, "_frame_step", wraps=metrics._frame_step) as step:
+        points = list(metrics._sweep(tables))
+    index = {id(table): i for i, table in enumerate(tables)}
+    calls = [(index[id(call.args[0])], call.args[1]) for call in step.call_args_list]
+    held = [(i, score) for i, table in enumerate(tables) for score in set(table.scores)]
+    assert sorted(calls) == sorted(held)
+    assert points == sweep_reference(tables)
+    check_sweep_and_amota(gt, pred)
+
+
+def test_identity_switch_counted_far_from_the_recounted_frame():
+    # Gt 1 is seen at frames 1, 12 and 14 only; gt 2 runs over frames 2-13
+    # under prediction 8, whose rising scores give one threshold per frame.
+    # Frame 12 matches gt 1 to prediction 5 (0.9), frame 14 to 7 (0.95).
+    # Lowering the threshold to 0.3 inserts the match (1, 7) at frame 1, and
+    # to 0.1 replaces it by (1, 5), the better box. Each changes the switch
+    # counted at frame 12, eleven frames after the only frame recounted.
+    gt = output_2d(sorted(steady(1, (1, 12, 14)) + steady(2, range(2, 14), x=600.0)))
+    pred = output_2d(sorted(
+        [(1, 7, 105.0, 100.0, 0.3), (1, 5, 100.0, 100.0, 0.1),
+         (12, 5, 100.0, 100.0, 0.9), (14, 7, 100.0, 100.0, 0.95)]
+        + [(f, 8, 600.0, 100.0, 0.5 + 0.02 * f) for f in range(2, 14)]))
+    points = sweep_points(gt, pred)
+    # 0.95: 7 alone. 0.9 and the scores of 8: 5 then 7, one switch.
+    # 0.3: 7, 5, 7, two switches. 0.1: 5, 5, 7, one switch, and box 7 is a
+    # false positive at frame 1.
+    assert [p[3] for p in points] == [0] + [1] * 13 + [2, 1]
+    assert points[-2:] == [(0.3, 0, 0, 2), (0.1, 1, 0, 1)]
+    check_sweep_and_amota(gt, pred)
 
 
 def test_recall_can_fall_as_the_threshold_falls():
@@ -402,7 +468,8 @@ def test_frame_step_matches_dense_oracle(frame):
                             persisting, last_match)
     state = (dict(persisting), dict(last_match))
     table = sparse_table(gt_ids, pr_ids, scores, values, gate)
-    assert metrics._frame_step(table, min_score, persisting, last_match) == want
+    fp, fn, matched = metrics._frame_step(table, min_score, persisting)
+    assert (fp, fn, metrics._switches(matched, last_match), matched) == want
     assert (persisting, last_match) == state
 
 
@@ -433,7 +500,7 @@ def test_solver_runs_only_on_conflicting_frames(frame):
     table = sparse_table(gt_ids, pr_ids, scores, values, gate)
     with mock.patch.object(metrics, "solve_assignment",
                            wraps=metrics.solve_assignment) as solver:
-        metrics._frame_step(table, min_score, persisting, last_match)
+        metrics._frame_step(table, min_score, persisting)
     conflict = bool(gt_ids and keep) and has_conflict(gt_ids, pr_ids, values, gate, keep,
                                                       persisting)
     assert solver.call_count == int(conflict)

@@ -8,9 +8,10 @@ passes turn Lost and are dropped once they exceed the rebirth buffer; leftover
 high-score boxes start new tracks.
 
 Each stage runs once per frame. One similarity kernel call scores every
-same-class (detection, track) pair either pass can use; the two passes solve
-sub-matrices of that table with their own gates; one Kalman update applies
-the matches of both, and the spawns share its measurement call.
+same-class (detection, track) pair either pass can use; one admission mask
+gates that table, each row under its own pass's gate, and the two passes
+solve blocks of it; one Kalman update applies the matches of both, and the
+spawns share its measurement call.
 
 Tracks live in one struct-of-arrays pool, one row per track. A frame's
 detections arrive as columns (DetectionFrame: parameter rows, scores, class
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import motion
-from .assignment import solve_assignment
+from .assignment import _solve
 from .geometry import (
     Box,
     Box2D,
@@ -197,7 +198,8 @@ def _empty(*shape, dtype=float):
 class TrackPool:
     """Mutable per-sequence track store: row k of every array is one track.
 
-    Rows stay in id order and ids are never reused. means (K, D) and covs
+    Rows stay in id order and ids are never reused; step rebuilds the arrays
+    only in a frame that spawns or removes a track. means (K, D) and covs
     (K, 3, obs_dim) hold the Kalman states, the covariance as one
     (position, velocity) block per observed channel (see motion); active
     marks the tracks matched or started in the last frame, the others are
@@ -359,7 +361,8 @@ def predict_tracks(
         wants_backward = (pool.active.copy() if strategy is MotionStrategy.COMPLEMENTARY
                           else np.zeros(len(means), dtype=bool))
         new_means, new_covs = motion.predict_arrays(means, covs, is_3d)
-    match_means = np.where(wants_backward[:, None], means, new_means)
+    match_means = (np.where(wants_backward[:, None], means, new_means) if wants_backward.any()
+                   else new_means)
     return new_means, new_covs, motion.box_rows(match_means, is_3d), wants_backward
 
 
@@ -385,17 +388,23 @@ def step(
     """Run one frame of the two-stage association over the track pool.
 
     The frame is scored once: the high rows, and the low rows too when
-    second_pass is on, against every predicted track, in one kernel call. The
-    first pass matches the high rows against all tracks under gate_first, the
-    second the low rows against the tracks still unmatched under gate_second,
-    each on its part of that table. Both passes read the predicted boxes, and
-    a track is matched at most once, so one Kalman update afterwards applies
-    the matches of both.
+    second_pass is on, against every predicted track, in one kernel call. That
+    table is checked for finite values once and gated by one admission mask,
+    each row under its own gate (gate_first for the high rows, gate_second
+    for the low ones) on its same-class pairs. The first pass matches the high
+    rows against all tracks, the second the low rows against the tracks still
+    unmatched, each on its block of the table and mask; a block whose
+    admissible pairs already form a matching is matched without the solver
+    (see solve_assignment). Both passes read the predicted boxes, and a track
+    is matched at most once, so one Kalman update afterwards applies the
+    matches of both.
 
     The pool advances exactly once per frame: matched tracks are updated and
     set active, leftover tracks turn lost (and are removed past the buffer),
-    and unmatched high-score detections spawn new tracks. Returns the active
-    tracks for the frame.
+    and unmatched high-score detections spawn new tracks. A frame that spawns
+    and removes nothing keeps the pool's rows, so only its states and flags
+    are replaced and nothing is concatenated. Returns the active tracks for
+    the frame; its arrays are copies, so later frames never change them.
 
     A frame more than one past the last behaves exactly as if every skipped
     frame had been stepped with no detections first. Every track is removed
@@ -422,8 +431,8 @@ def step(
 
     scores = detections.scores
     det_classes = detections.class_ids
-    high_idx = np.nonzero(scores > config.tau)[0]
-    low_idx = np.nonzero(scores <= config.tau)[0]
+    high_idx = (scores > config.tau).nonzero()[0]
+    low_idx = (scores <= config.tau).nonzero()[0]
 
     means, covs, match_rows, wants_backward = predict_tracks(pool, config)
     n_high = len(high_idx)
@@ -445,23 +454,32 @@ def step(
     else:
         sim = iou_matrix_2d(raw[scored], match_rows)
 
-    def run_pass(rows, values, same, gate):
-        gates = np.where(same, _row_gates(det_classes[rows], gate)[:, None], np.inf)
-        if is_3d:
-            # GIoU gates may be negative, so values and gates are shifted
-            # until every admissible pair is worth matching over leaving both
-            # sides unmatched.
-            return solve_assignment(values + 1.0, gates + 1.0)
-        return solve_assignment(values, gates)
+    if not np.isfinite(sim).all():
+        raise ValueError("similarity matrix entries must be finite")
 
-    first = run_pass(high_idx, sim[:n_high], same_class[:n_high], config.gate_first)
+    # One admission mask for the whole table: each row's gate (gate_first for
+    # the high rows, gate_second for the low ones) on its same-class pairs.
+    row_gates = np.empty((len(scored), 1))
+    row_gates[:n_high, 0] = _row_gates(det_classes[high_idx], config.gate_first)
+    if config.second_pass:
+        row_gates[n_high:, 0] = _row_gates(det_classes[low_idx], config.gate_second)
+    if is_3d:
+        # GIoU gates may be negative, so values and gates are shifted until
+        # every admissible pair is worth matching over leaving both sides
+        # unmatched.
+        values = sim + 1.0
+        row_gates += 1.0
+    else:
+        values = sim
+    admissible = same_class & (values >= row_gates)
+
+    first = _solve(values[:n_high], admissible[:n_high])
     first_det = high_idx[first.matches[:, 0]]
     first_trk = first.matches[:, 1]
     high_left = high_idx[first.unmatched_detections]
     cols_left = first.unmatched_tracklets
     if config.second_pass:
-        second = run_pass(low_idx, sim[n_high:, cols_left], same_class[n_high:, cols_left],
-                          config.gate_second)
+        second = _solve(values[n_high:, cols_left], admissible[n_high:, cols_left])
         second_det = low_idx[second.matches[:, 0]]
         second_trk = cols_left[second.matches[:, 1]]
         low_left = low_idx[second.unmatched_detections]
@@ -475,8 +493,9 @@ def step(
     # is matched at most once.
     matched_det = np.concatenate((first_det, second_det))
     matched_trk = np.concatenate((first_trk, second_trk))
-    zs = motion._measurement_stack(raw[np.concatenate((matched_det, high_left))], is_3d)
-    n_matched = len(matched_det)
+    n_matched, n_new = len(matched_det), len(high_left)
+    measured = np.concatenate((matched_det, high_left)) if n_new else matched_det
+    zs = motion._measurement_stack(raw[measured], is_3d)
     if n_matched:
         means[matched_trk], covs[matched_trk] = motion.update_arrays(
             means[matched_trk], covs[matched_trk], zs[:n_matched], scores[matched_det],
@@ -486,31 +505,37 @@ def step(
     lost = np.zeros(len(means), dtype=bool)
     lost[cols_left] = True
     since_match = np.where(lost, pool.frames_since_match + 1, 0)
-    removed = since_match > config.track_buffer
-    keep = ~removed
-    last_score = pool.last_score.copy()
-    last_score[matched_trk] = scores[matched_det]
+    keep = since_match <= config.track_buffer
+    pool.last_score[matched_trk] = scores[matched_det]
 
-    spawn_means, spawn_covs = motion.init_arrays(zs[n_matched:], is_3d)
-    spawn_ids = np.arange(pool.next_id, pool.next_id + len(high_left))
+    spawn_ids = np.arange(pool.next_id, pool.next_id + n_new)
     diagnostics = FrameDiagnostics(
         first_det, pool.ids[first_trk], second_det, pool.ids[second_trk], high_left, spawn_ids,
-        low_left, pool.ids[lost & keep], np.concatenate((*gap_removed, pool.ids[removed])),
+        low_left, pool.ids[lost & keep], np.concatenate((*gap_removed, pool.ids[~keep])),
     )
 
-    pool.means = np.concatenate((means[keep], spawn_means))
-    pool.covs = np.concatenate((covs[keep], spawn_covs))
-    pool.ids = np.concatenate((pool.ids[keep], spawn_ids))
-    pool.class_ids = np.concatenate((pool.class_ids[keep], det_classes[high_left]))
-    pool.active = np.concatenate((~lost[keep], np.ones(len(high_left), dtype=bool)))
-    pool.frames_since_match = np.concatenate(
-        (since_match[keep], np.zeros(len(high_left), dtype=np.int64))
-    )
-    pool.last_score = np.concatenate((last_score[keep], scores[high_left]))
-    pool.next_id += len(high_left)
+    if n_new or not keep.all():
+        # The rows change: drop the removed tracks and append the spawns.
+        spawn_means, spawn_covs = motion.init_arrays(zs[n_matched:], is_3d)
+        pool.means = np.concatenate((means[keep], spawn_means))
+        pool.covs = np.concatenate((covs[keep], spawn_covs))
+        pool.ids = np.concatenate((pool.ids[keep], spawn_ids))
+        pool.class_ids = np.concatenate((pool.class_ids[keep], det_classes[high_left]))
+        pool.active = np.concatenate((~lost[keep], np.ones(n_new, dtype=bool)))
+        pool.frames_since_match = np.concatenate(
+            (since_match[keep], np.zeros(n_new, dtype=np.int64))
+        )
+        pool.last_score = np.concatenate((pool.last_score[keep], scores[high_left]))
+        pool.next_id += n_new
+    else:
+        # Same rows as before: ids and classes stay, the states and flags
+        # computed this frame replace the old ones.
+        pool.means, pool.covs = means, covs
+        pool.active = ~lost
+        pool.frames_since_match = since_match
     pool.last_frame = frame
 
-    out = np.nonzero(pool.active)[0]
+    out = pool.active.nonzero()[0]
     # Output rows are matched or spawned this frame, so their yaw is already
     # wrapped by the update or the measurement.
     boxes = motion.box_rows(pool.means[out], is_3d)

@@ -26,7 +26,7 @@ from typing import IO, Callable, Iterable, Iterator
 import numpy as np
 
 from .association import Detection, DetectionFrame, Mode
-from .geometry import wrap_angles
+from .geometry import MAX_BOX2D_AREA, wrap_angles
 from .tracker import CLASS_IDS, CLASS_NAMES, TrackOutput
 
 _MOT_FIELDS = 10
@@ -219,8 +219,8 @@ def _mot_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
         rows.check(~((x <= x2) & (y <= y2)), lambda i: "Box2D corners out of order: ({}, {}, {}, {})"
                    .format(*boxes[i].tolist()))
         rows.check(~np.isfinite(boxes).all(axis=1), lambda i: "Box2D coordinates must be finite")
-        rows.check(~np.isfinite(area), lambda i: f"Box2D area must be finite, got "
-                   f"{float(width[i])} x {float(height[i])}")
+        rows.check(~(area <= MAX_BOX2D_AREA), lambda i: "Box2D area must be finite and at most "
+                   f"{MAX_BOX2D_AREA!r}, got {float(width[i])} x {float(height[i])}")
         if results:
             _id_check(rows, ids)
         rows.raise_first()

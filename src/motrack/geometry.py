@@ -14,10 +14,15 @@ columns hold the same parameter rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+
+# Largest 2D box area: two such areas sum to a finite union, so every box
+# scores IoU 1 against itself.
+MAX_BOX2D_AREA = sys.float_info.max / 2
 
 # On-edge classification tolerance of the footprint intersection.
 _CLIP_EPS = 1e-9
@@ -70,8 +75,9 @@ class Box2D:
         if not (math.isfinite(self.x1) and math.isfinite(self.y1)
                 and math.isfinite(self.x2) and math.isfinite(self.y2)):
             raise ValueError("Box2D coordinates must be finite")
-        if not math.isfinite(self.width * self.height):
-            raise ValueError(f"Box2D area must be finite, got {self.width} x {self.height}")
+        if not self.width * self.height <= MAX_BOX2D_AREA:
+            raise ValueError(f"Box2D area must be finite and at most {MAX_BOX2D_AREA!r}, "
+                             f"got {self.width} x {self.height}")
 
     @property
     def width(self) -> float:

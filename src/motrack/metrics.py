@@ -325,6 +325,41 @@ def _relink(
     return delta
 
 
+# Unique scores whose frames _frames_by_score turns into lists at a time.
+_SCORE_BLOCK = 1024
+
+
+def _frames_by_score(tables: list[_FrameTable]) -> Iterator[tuple[float, list[int]]]:
+    """Each unique prediction score, descending, with the frames holding it,
+    ascending.
+
+    The index is two arrays: every (score, frame) pair once, scores
+    descending and frames ascending within a score. A frame's scores are
+    taken once each, the first of 0.0 and -0.0 standing for both, and the
+    sort is stable, so a score is named by the first seen in frame order.
+    Python lists are built for a block of scores at a time.
+    """
+    scores: list[float] = []
+    frames: list[int] = []
+    for i, table in enumerate(tables):
+        held = dict.fromkeys(table.scores)
+        scores.extend(held)
+        frames.extend([i] * len(held))
+    scores, frames = np.array(scores), np.array(frames, dtype=np.intp)
+    order = np.argsort(-scores, kind="stable")
+    scores, frames = scores[order], frames[order]
+    new_score = np.ones(len(scores), dtype=bool)
+    new_score[1:] = scores[1:] != scores[:-1]
+    starts = new_score.nonzero()[0]
+    bounds = np.append(starts, len(frames))
+    for block in range(0, len(starts), _SCORE_BLOCK):
+        edges = bounds[block:block + _SCORE_BLOCK + 1]
+        held = frames[edges[0]:edges[-1]].tolist()
+        edges = (edges - edges[0]).tolist()
+        yield from zip(scores[starts[block:block + _SCORE_BLOCK]].tolist(),
+                       map(held.__getitem__, map(slice, edges, edges[1:])))
+
+
 def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
     """CLEAR counts (score, fp, fn, ids) keeping the predictions scored at
     least each unique score, in descending score order.
@@ -344,10 +379,6 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
     difference between a frame's new and old counts.
     """
     n = len(tables)
-    frames_at: dict[float, list[int]] = {}
-    for i, table in enumerate(tables):
-        for score in dict.fromkeys(table.scores):
-            frames_at.setdefault(score, []).append(i)
     # Per frame: the pairs persisting into it (kept for frames that are not
     # isolated, the only ones that read them), its matches and its (fp, fn).
     entering: list[dict[int, int]] = [{}] * n
@@ -356,8 +387,8 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
     sequences: dict[int, tuple[list[int], list[int]]] = {}
     fp, fn, ids = 0, sum(c[1] for c in counts), 0
 
-    for score in sorted(frames_at, reverse=True):
-        changed = frames_at[score] + [n]
+    for score, held in _frames_by_score(tables):
+        changed = held + [n]
         k, i = 0, changed[0]
         persisting = entering[i]
         while i < n:

@@ -57,6 +57,13 @@ _SIZE_STD = 0.3
 _VEL_STD = 0.5
 _OBS_STDS_3D = np.array([_POS_STD] * 3 + [_YAW_STD] + [_SIZE_STD] * 3)
 
+# Process-noise scales per observed channel: 3D variances, 2D multiples of the
+# box height (the aspect-ratio channel is set apart).
+_Q_POS_VARS_3D = _OBS_STDS_3D**2
+_Q_VEL_VARS_3D = np.array([_VEL_STD] * 3 + [0.0] * 4) ** 2
+_Q_POS_WEIGHTS_2D = np.array([_POS_WEIGHT, _POS_WEIGHT, 0.0, _POS_WEIGHT])
+_Q_VEL_WEIGHTS_2D = np.array([_VEL_WEIGHT, _VEL_WEIGHT, 0.0, _VEL_WEIGHT])
+
 # Floor of the measurement variances after confidence scaling.
 _MIN_NOISE_FLOOR = 1e-4
 
@@ -72,7 +79,7 @@ def _measurement_stack(rows: np.ndarray, is_3d: bool) -> np.ndarray:
     if is_3d:
         return rows
     size = rows[:, 2:] - rows[:, :2]
-    if np.any(size <= 0):
+    if (size <= 0).any():
         raise ValueError("2D Kalman measurements require a positive-area box")
     centers = (rows[:, :2] + rows[:, 2:]) / 2.0
     return np.concatenate((centers, size[:, :1] / size[:, 1:], size[:, 1:]), axis=1)
@@ -85,11 +92,17 @@ def box_rows(means: np.ndarray, is_3d: bool) -> np.ndarray:
         size = rows[:, 4:]
         rows[:, 4:] = np.where(size > 1e-6, size, 1e-6)
         return rows
-    height = np.where(means[:, 3:4] < 1e-6, 1e-6, means[:, 3:4])
-    width = means[:, 2:3] * height
-    width = np.where(width < 1e-6, 1e-6, width)
-    half = np.concatenate((width, height), axis=1) / 2.0
-    return np.concatenate((means[:, :2] - half, means[:, :2] + half), axis=1)
+    rows = np.empty((len(means), 4))
+    # rows[:, 2:] holds the half sizes (width, height) until the top-left
+    # corner is written; np.maximum keeps a NaN size NaN.
+    half = rows[:, 2:]
+    np.maximum(means[:, 3:4], 1e-6, out=half[:, 1:])
+    np.multiply(means[:, 2:3], half[:, 1:], out=half[:, :1])
+    np.maximum(half[:, :1], 1e-6, out=half[:, :1])
+    half /= 2.0
+    np.subtract(means[:, :2], half, out=rows[:, :2])
+    half += means[:, :2]
+    return rows
 
 
 def _q_blocks(means: np.ndarray, is_3d: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +112,11 @@ def _q_blocks(means: np.ndarray, is_3d: bool) -> tuple[np.ndarray, np.ndarray]:
     the channels without a velocity.
     """
     if is_3d:
-        return _OBS_STDS_3D**2, np.array([_VEL_STD] * 3 + [0.0] * 4) ** 2
+        return _Q_POS_VARS_3D, _Q_VEL_VARS_3D
     heights = means[:, 3:4]
-    pos = heights * np.array([_POS_WEIGHT, _POS_WEIGHT, 0.0, _POS_WEIGHT])
+    pos = heights * _Q_POS_WEIGHTS_2D
     pos[:, 2] = _ASPECT_Q_STD
-    vel = heights * np.array([_VEL_WEIGHT, _VEL_WEIGHT, 0.0, _VEL_WEIGHT])
+    vel = heights * _Q_VEL_WEIGHTS_2D
     vel[:, 2] = _ASPECT_VEL_Q_STD
     return pos**2, vel**2
 
@@ -202,7 +215,7 @@ def update_arrays(
     if zs.shape != (means.shape[0], obs):
         raise ValueError("measurement dimensionality does not match the states")
     scores = np.asarray(scores, dtype=float)
-    if np.any(scores < 0.0) or np.any(scores > 1.0):
+    if ((scores < 0.0) | (scores > 1.0)).any():
         raise ValueError("scores must be in [0, 1]")
 
     r = _r_diags(zs, is_3d)

@@ -1,9 +1,10 @@
 """Independent oracles used by the tests: sampling/rasterization-based geometry
 checks, a scalar polygon-clipping GIoU, an exhaustive gated-matching
-optimizer, a two-pass association step, a dense CLEAR frame step, an
-incremental AMOTA sweep that carries identities in its frame state, and
-line-by-line record parsers and writers. Each deliberately avoids the code
-path it verifies: the batched clipping kernel, the Hungarian solver, the
+optimizer, a dense gated Hungarian assignment, a two-pass association step, a
+dense CLEAR frame step, an incremental AMOTA sweep that carries identities in
+its frame state, and line-by-line record parsers and writers. Each
+deliberately avoids the code path it verifies: the batched clipping kernel,
+the Hungarian solver, the solver's conflict-free short path, the
 once-per-frame scoring and update, the sparse tables, the per-gt
 identity-switch sequences and the columnar parsers."""
 
@@ -451,6 +452,31 @@ def best_gated_matching(values: np.ndarray, gate) -> float:
         return best(0, (1 << n_cols) - 1)
     finally:
         best.cache_clear()
+
+
+def dense_assignment(sim, gate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """solve_assignment with the solver on every table: (matches, unmatched
+    rows, unmatched columns) of the dense gated Hungarian solve.
+
+    Every pair is weighed, inadmissible and negative ones at 0, and the
+    solver's pairs that are not admissible or are negative are dropped. The
+    program skips the solver when the admissible pairs already form a
+    matching; this reference never does.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    values = np.asarray(sim, dtype=float)
+    n_rows, n_cols = values.shape
+    admissible = values >= np.asarray(gate, dtype=float)
+    rows = cols = np.zeros(0, dtype=np.intp)
+    if admissible.any():
+        rows, cols = linear_sum_assignment(
+            np.where(admissible, np.maximum(values, 0.0), 0.0), maximize=True
+        )
+        keep = admissible[rows, cols] & (values[rows, cols] >= 0.0)
+        rows, cols = rows[keep], cols[keep]
+    return (np.array((rows, cols), dtype=np.intp).T, np.setdiff1d(np.arange(n_rows), rows),
+            np.setdiff1d(np.arange(n_cols), cols))
 
 
 # --- two-pass association step --------------------------------------------------

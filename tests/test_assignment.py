@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motrack import assignment
 from motrack.assignment import solve_assignment
-from oracle_utils import best_gated_matching
+from oracle_utils import best_gated_matching, dense_assignment
 
 
 def objective(values, assignment) -> float:
@@ -196,3 +201,68 @@ def test_deterministic():
         assert again.matches.tolist() == first.matches.tolist()
         assert again.unmatched_detections.tolist() == first.unmatched_detections.tolist()
         assert again.unmatched_tracklets.tolist() == first.unmatched_tracklets.tolist()
+
+
+_GRID = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+_GATES = st.sampled_from([-0.25, 0.0, 0.25])
+
+
+@st.composite
+def sparse_gated_tables(draw):
+    """(values, gate) with few admissible pairs: a scalar gate with every
+    other entry below it, or per-entry gates at +inf off the chosen cells.
+    Values repeat (ties) and include zero; rows and columns may be empty."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = []
+    if n_rows and n_cols:
+        cells = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+                              max_size=n_rows + 2, unique=True))
+    if draw(st.booleans()):
+        gate = draw(_GATES)
+        values = np.full((n_rows, n_cols), gate - 0.5)
+    else:
+        gate = np.full((n_rows, n_cols), np.inf)
+        values = np.array([draw(_GRID) for _ in range(n_rows * n_cols)]).reshape(n_rows, n_cols)
+    for r, c in cells:
+        values[r, c] = draw(_GRID)
+        if not np.isscalar(gate):
+            gate[r, c] = draw(_GATES)
+    return values, gate
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_gated_tables())
+def test_sparse_tables_match_the_dense_solve(table):
+    values, gate = table
+    with mock.patch.object(assignment, "linear_sum_assignment",
+                           wraps=assignment.linear_sum_assignment) as solver:
+        result = solve_assignment(values, gate)
+    assert objective(values, result) == pytest.approx(best_gated_matching(values, gate),
+                                                      abs=1e-12)
+    matches, free_rows, free_cols = dense_assignment(values, gate)
+    assert result.matches.tolist() == matches.tolist()
+    assert result.unmatched_detections.tolist() == free_rows.tolist()
+    assert result.unmatched_tracklets.tolist() == free_cols.tolist()
+    # The solver runs exactly when the admissible pairs are not already a
+    # matching of positive pairs.
+    admissible = values >= gate
+    conflict_free = (admissible.sum(axis=0) <= 1).all() and (admissible.sum(axis=1) <= 1).all() \
+        and (values[admissible] > 0.0).all()
+    assert solver.called == (not conflict_free)
+
+
+def test_conflict_free_tables_skip_the_solver():
+    with mock.patch.object(assignment, "linear_sum_assignment",
+                           wraps=assignment.linear_sum_assignment) as solver:
+        sim = np.array([[0.9, 0.1, 0.0], [0.1, 0.1, 0.7], [0.0, 0.0, 0.1]])
+        assert solve_assignment(sim, 0.5).matches.tolist() == [[0, 0], [1, 2]]
+        gates = np.array([[np.inf, -0.2, np.inf], [-0.7, np.inf, np.inf]])
+        result = solve_assignment(np.array([[0.3, -0.1, 0.9], [-0.5, 0.8, 0.2]]) + 1.0, gates + 1.0)
+        assert result.matches.tolist() == [[0, 1], [1, 0]]
+        assert result.unmatched_tracklets.tolist() == [2]
+        assert solve_assignment(np.full((3, 2), 0.1), 0.5).matches.tolist() == []
+        assert not solver.called
+        # A row or column with two admissible pairs, or one worth zero, is solved.
+        assert solve_assignment(np.array([[0.9, 0.8]]), 0.5).matches.tolist() == [[0, 0]]
+        assert solve_assignment([[0.0]], 0.0).matches.tolist() == [[0, 0]]
+        assert solver.call_count == 2

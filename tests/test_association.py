@@ -739,3 +739,55 @@ def test_each_stage_runs_once_per_frame(config, monkeypatch):
         assert calls["_measurement_stack"] == 1
         assert calls["update_arrays"] == (1 if matched else 0)
     assert second_matches > 0 or not config.second_pass
+
+
+@pytest.mark.parametrize("config", [CFG_2D, CFG_3D], ids=["2d", "3d"])
+def test_in_place_frames_leave_earlier_outputs_unchanged(config):
+    """Frames that spawn and remove nothing update the pool in place. The
+    columns of an earlier FrameResult, of its diagnostics and of an earlier
+    Tracker.output() must not change with it."""
+    from motrack.tracker import Tracker
+
+    def detections(f):
+        # Four objects seen every frame, a fifth missed in frames 6-8 (lost,
+        # within the buffer), and a low box that the second pass takes.
+        # Scores change from frame to frame.
+        score = 0.7 + 0.01 * f
+        if config.mode is Mode.BOX_3D:
+            dets = [det3d(10.0 * o + 0.5 * f, 5.0, score, velocity=(0.5, 0.0))
+                    for o in range(5)]
+            low = det3d(10.0 * 4 + 0.5 * f, 5.0, score=0.15, velocity=(0.5, 0.0))
+        else:
+            dets = [det2d(150.0 * o + 3.0 * f, 100.0, score=score) for o in range(5)]
+            low = det2d(150.0 * 4 + 3.0 * f, 100.0, score=0.3)
+        if 6 <= f <= 8:
+            return dets[:4]
+        return dets[:4] + [low] if f == 9 else dets
+
+    tracker = Tracker(config)
+    for f in range(1, 4):
+        tracker.step(detections(f), frame=f)
+    held = tracker.step(detections(4), frame=4)
+    held_columns = {name: getattr(held, name).copy() for name in _RESULT_FIELDS}
+    held_diagnostics = {name: getattr(held.diagnostics, name).copy()
+                        for name in _DIAGNOSTIC_FIELDS}
+    early = tracker.output()
+    early_columns = {name: getattr(early, name).copy()
+                     for name in ("frames", "track_ids", "class_ids", "scores", "boxes")}
+    ids = tracker.pool.ids
+
+    lost = second = 0
+    for f in range(5, 13):
+        diag = tracker.step(detections(f), frame=f).diagnostics
+        assert not diag.new_tracks and not diag.removed_track_ids
+        lost += len(diag.lost_track_ids)
+        second += len(diag.second_matches)
+    assert tracker.pool.ids is ids  # every frame kept the pool's rows
+    assert lost and second
+
+    for name, value in held_columns.items():
+        assert_bit_identical(getattr(held, name), value)
+    for name, value in held_diagnostics.items():
+        assert_bit_identical(getattr(held.diagnostics, name), value)
+    for name, value in early_columns.items():
+        assert_bit_identical(getattr(early, name), value)

@@ -65,6 +65,7 @@ class TestMotParsing:
             ("1,-1,1e308,20,1e308,40,0.9,-1,-1,-1", "must be finite"),  # x + w overflows
             ("1,-1,10,20,inf,40,0.9,-1,-1,-1", "must be finite"),  # infinite w
             ("1,-1,-8e307,0,1.6e308,1e308,0.9,-1,-1,-1", "area must be finite"),  # w * h overflows
+            ("1,-1,-5e307,0,1e308,1,0.9,-1,-1,-1", "at most"),  # two such areas overflow
         ],
     )
     def test_malformed_lines_report_position(self, line, message):

@@ -53,7 +53,18 @@ class TestBoxValidation:
     def test_area_overflow_rejected(self):
         with pytest.raises(ValueError, match="area must be finite"):
             Box2D(-8e307, 0.0, 8e307, 1e308)
-        assert Box2D(-8e307, 0.0, 8e307, 1.0).area == 1.6e308
+        assert Box2D(-4e307, 0.0, 4e307, 1.0).area == 8e307
+
+    def test_area_whose_union_overflows_rejected(self):
+        # Two areas above half the largest float overflow the union, and such
+        # a box would score IoU 0 against itself.
+        with pytest.raises(ValueError, match="area must be finite and at most"):
+            Box2D(-5e307, 0.0, 5e307, 1.0)
+        largest = box2d_array([Box2D(-4e307, 0.0, 4e307, 1.0), Box2D(0.0, 0.0, 4e307, 2.0)])
+        with np.errstate(all="raise"):
+            iou = iou_matrix_2d(largest, largest)
+        assert iou[0, 0] == iou[1, 1] == 1.0
+        assert iou[0, 1] == iou[1, 0] == pytest.approx(1.0 / 3.0)
 
     def test_non_positive_dimensions_rejected(self):
         with pytest.raises(ValueError):

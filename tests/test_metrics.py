@@ -319,6 +319,30 @@ def test_sweep_equals_incremental_oracle(suite):
         assert not table.isolated or score in table.scores
 
 
+@pytest.mark.parametrize("block", [1, 2, metrics._SCORE_BLOCK])
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep_merges_signed_zero_scores_as_the_oracle_does(seed, block, monkeypatch):
+    # 0.0 and -0.0 are one threshold, named by the first seen in frame order,
+    # as the oracle's dict of scores names it. Frames hold either zero, both,
+    # or the same zero twice, and two objects swap predictions midway. The
+    # score index is also read in blocks of one and of two scores.
+    monkeypatch.setattr(metrics, "_SCORE_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    gt_rows, pred_rows = [], []
+    for f in range(1, 11):
+        for o, x in enumerate((100.0, 130.0, 600.0)):
+            gt_rows.append((f, o + 1, x, 100.0, 1.0))
+            pid = o + 5 if f < 6 or o == 2 else 11 - o
+            pred_rows.append((f, pid, x + rng.uniform(-5.0, 5.0), 101.0,
+                              float(rng.choice([0.0, -0.0, 0.5, 0.9]))))
+    tables = sweep_tables(output_2d(gt_rows), output_2d(pred_rows))
+    points, want = list(metrics._sweep(tables)), sweep_reference(tables)
+    assert points == want
+    assert [math.copysign(1.0, p[0]) for p in points] == [
+        math.copysign(1.0, p[0]) for p in want]
+    assert all(type(p[0]) is float for p in points)
+
+
 def test_conflict_free_sweep_recounts_each_frame_once_per_score():
     # Three objects far apart, each followed by one prediction whose score
     # cycles through a rounded pool, so scores repeat within and across

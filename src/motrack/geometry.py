@@ -354,15 +354,17 @@ def giou_3d(a: Box3D, b: Box3D) -> float:
 
 
 def iou_matrix_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every (M, 4) corner row against every (N, 4) row; returns (M, N).
+    """IoU of every (..., M, 4) corner row against every (..., N, 4) row of
+    the same leading batch; returns (..., M, N).
 
     Row layout is that of box2d_array. Disjoint pairs and zero-area unions
     score 0.
     """
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    ax1, ay1, ax2, ay2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx1, by1, bx2, by2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)

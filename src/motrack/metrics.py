@@ -6,10 +6,13 @@ distance <= 2 m) with CLEAR persistence: a gt-prediction pair from the
 previous frame is kept while it still clears the gate, and only the remainder
 is re-matched optimally.
 
-Each frame is scored once and keeps only its admissible pairs, those that
-clear the gate, so memory follows those pairs rather than gt x predictions.
-The assignment solver runs only on a frame whose free pairs conflict (a row or
-column in two of them, or a pair worth zero); otherwise they are the matches.
+Frames are scored in blocks of consecutive frames, each padded to its
+largest frame and scored by one similarity call; a mask of each frame's own
+cells keeps padding from being admitted or checked. Only the admissible
+pairs, those that clear the gate, are kept, so memory follows those pairs
+plus one block rather than gt x predictions. The assignment solver runs only
+on a frame whose free pairs conflict (a row or column in two of them, or a
+pair worth zero); otherwise they are the matches.
 
 AMOTA's confidence sweep hands only the persisting pairs from frame to frame.
 Identity switches are counted apart, from each gt id's matches in frame order,
@@ -18,6 +21,7 @@ so a changed match moves the switch count without recounting later frames.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -80,31 +84,16 @@ class AmotaReport:
 
 
 def _threshold(mode: Mode, match_threshold: float | None) -> float:
-    if match_threshold is not None:
-        return match_threshold
-    return DEFAULT_IOU_MATCH if mode is Mode.BOX_2D else DEFAULT_DIST_MATCH
+    if match_threshold is None:
+        return DEFAULT_IOU_MATCH if mode is Mode.BOX_2D else DEFAULT_DIST_MATCH
+    if not math.isfinite(match_threshold):
+        raise ValueError(f"match_threshold must be finite, got {match_threshold!r}")
+    return match_threshold
 
 
 def _check_modes(gt: TrackOutput, pred: TrackOutput) -> None:
     if gt.mode is not pred.mode:
         raise ValueError(f"mode mismatch: gt is {gt.mode.value}, pred is {pred.mode.value}")
-
-
-def _frame_similarity(
-    gt_boxes: np.ndarray, pr_boxes: np.ndarray, mode: Mode, threshold: float
-) -> tuple[np.ndarray, float]:
-    """Similarity values plus the admission gate for one frame's matching.
-
-    In 3D a center distance too large for a float reads inf, so its closeness
-    is -inf, which no gate admits.
-    """
-    if mode is Mode.BOX_2D:
-        return iou_matrix_2d(gt_boxes, pr_boxes), threshold
-    with np.errstate(over="ignore"):
-        dx = gt_boxes[:, None, 0] - pr_boxes[None, :, 0]
-        dy = gt_boxes[:, None, 1] - pr_boxes[None, :, 1]
-        dist = np.sqrt(dx * dx + dy * dy)
-    return threshold - dist, 0.0
 
 
 class _FrameTable(NamedTuple):
@@ -129,72 +118,166 @@ class _FrameTable(NamedTuple):
     gate: float
 
 
-def _admissible(
-    similarity: np.ndarray, gate: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and similarities of the pairs whose similarity reaches
-    the gate, in row-major order. NaN and +inf are rejected; -inf reaches no
-    gate."""
-    if not similarity.max() < np.inf:
-        raise ValueError("similarity matrix entries must be finite")
-    at = (similarity >= gate).ravel().nonzero()[0]
-    rows, cols = np.divmod(at, similarity.shape[1])
-    return rows, cols, similarity.ravel()[at]
+class _Block(NamedTuple):
+    """The admissible pairs of a run of consecutive frames.
 
-
-_NO_PAIRS = np.zeros(0, dtype=np.intp)
-
-
-def _frame_pairs(
-    gt: TrackOutput, pred: TrackOutput, threshold: float
-) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray, np.ndarray, float]]:
-    """Score each frame that has rows once, in frame order.
-
-    Yields the frame's gt and prediction rows, as slices of the columns
-    found by binary search, and its admissible pairs: frame-local gt rows,
-    prediction columns and similarities, plus the gate they reached.
+    ``gt_bounds`` and ``pr_bounds`` hold the record index where each frame
+    starts, then the run's end. Per pair, in frame order and row-major within
+    a frame: the frame's place in the run, the gt and prediction record
+    indices and the similarity, which reached ``gate``.
     """
-    frames = np.union1d(gt.frames, pred.frames)
-    bounds = (np.searchsorted(out.frames, frames, side=side).tolist()
-              for out in (gt, pred) for side in ("left", "right"))
-    for g0, g1, p0, p1 in zip(*bounds):
-        gt_rows, pr_rows = slice(g0, g1), slice(p0, p1)
-        if g1 == g0 or p1 == p0:
-            yield gt_rows, pr_rows, _NO_PAIRS, _NO_PAIRS, np.zeros(0), 0.0
-            continue
-        similarity, gate = _frame_similarity(gt.boxes[gt_rows], pred.boxes[pr_rows], gt.mode,
-                                             threshold)
-        yield gt_rows, pr_rows, *_admissible(similarity, gate), gate
+
+    gt_bounds: list[int]
+    pr_bounds: list[int]
+    frame: np.ndarray
+    gt_at: np.ndarray
+    pr_at: np.ndarray
+    values: np.ndarray
+    gate: float
 
 
-def _frame_table(
-    gt_ids: np.ndarray,
-    pr_ids: np.ndarray,
-    scores: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    gate: float,
-) -> _FrameTable:
-    """One frame's table from its ids, scores and admissible pairs."""
-    order = np.argsort(scores[cols], kind="stable")
-    rows, cols = rows[order], cols[order]
-    gids, pids = gt_ids[rows].tolist(), pr_ids[cols].tolist()
-    pair_values = values[order].tolist()
-    isolated = (len(set(gids)) == len(gids) == len(set(pids))
-                and all(value > 0.0 for value in pair_values))
-    score_list = scores.tolist()
-    return _FrameTable(gt_ids.tolist(), pr_ids.tolist(), score_list, sorted(score_list),
-                       list(zip(gids, pids)), scores[cols].tolist(), pair_values, isolated,
-                       gate)
+# Padded cells (frames x gt rows x prediction columns) scored by one
+# similarity call; a frame with more cells than this is scored alone.
+_BLOCK_CELLS = 16384
+
+
+def _block_spans(n_gt: list[int], n_pr: list[int]) -> Iterator[tuple[int, int, int, int]]:
+    """Runs of consecutive frames, grown greedily while the run padded to its
+    largest frame stays within _BLOCK_CELLS: (start, stop, gt rows, prediction
+    columns)."""
+    start = most_gt = most_pr = 0
+    for i, (n_g, n_p) in enumerate(zip(n_gt, n_pr)):
+        grown_gt, grown_pr = max(most_gt, n_g), max(most_pr, n_p)
+        if i > start and (i + 1 - start) * grown_gt * grown_pr > _BLOCK_CELLS:
+            yield start, i, most_gt, most_pr
+            start, grown_gt, grown_pr = i, n_g, n_p
+        most_gt, most_pr = grown_gt, grown_pr
+    if n_gt:
+        yield start, len(n_gt), most_gt, most_pr
+
+
+def _similarity(
+    gt_boxes: np.ndarray, pr_boxes: np.ndarray, mode: Mode, threshold: float
+) -> tuple[np.ndarray, float]:
+    """Similarity of every gt row to every prediction row of each frame of a
+    block, (frames, gt rows, box columns) against (frames, prediction rows,
+    box columns), plus the admission gate.
+
+    A gap between boxes too far apart for a float overflows: in 2D to an
+    overlap of -inf, which counts as none, and in 3D to a center distance of
+    inf, so a closeness of -inf, which no gate admits.
+    """
+    with np.errstate(over="ignore"):
+        if mode is Mode.BOX_2D:
+            return iou_matrix_2d(gt_boxes, pr_boxes), threshold
+        dx = gt_boxes[..., :, None, 0] - pr_boxes[..., None, :, 0]
+        dy = gt_boxes[..., :, None, 1] - pr_boxes[..., None, :, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
+    return threshold - dist, 0.0
+
+
+def _admitted(
+    similarity: np.ndarray, valid: np.ndarray, gate: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions and similarities of the valid cells of a block whose
+    similarity reaches the gate, in row-major order. A valid NaN or +inf is
+    rejected; -inf reaches no gate. Cells outside ``valid`` are never
+    admitted or checked."""
+    finite = similarity < np.inf
+    if not finite.all() and (valid & ~finite).any():
+        raise ValueError("similarity matrix entries must be finite")
+    admitted = similarity >= gate
+    admitted &= valid
+    at = admitted.ravel().nonzero()[0]
+    return at, similarity.ravel()[at]
+
+
+def _slots(starts: np.ndarray, counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """For ``width`` slots per frame of a run, counted from the frame's first
+    record: each slot's record index, and whether it is the frame's own."""
+    slots = np.arange(width)
+    return starts[:, None] + slots, slots < counts[:, None]
+
+
+def _distinct(frames: np.ndarray) -> np.ndarray:
+    """The distinct frame numbers of a sorted frame column, taking memory in
+    frames rather than records."""
+    return np.concatenate((frames[:1], frames[1:][frames[1:] != frames[:-1]]))
+
+
+def _blocks(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Iterator[_Block]:
+    """The admissible pairs of every frame that has rows, in frame order, in
+    runs of consecutive frames (see _block_spans).
+
+    A run is scored by one similarity call, with every frame given as many
+    gt and prediction slots as the run's largest. A slot past a frame's own
+    records reads a later record of the run, so it scores like a real pair,
+    and the mask of own slots keeps it from being admitted or checked.
+    Memory follows one run plus its admissible pairs.
+    """
+    frames = np.union1d(_distinct(gt.frames), _distinct(pred.frames))
+    gt_bounds = np.append(np.searchsorted(gt.frames, frames), len(gt.frames))
+    pr_bounds = np.append(np.searchsorted(pred.frames, frames), len(pred.frames))
+    n_gt, n_pr = np.diff(gt_bounds), np.diff(pr_bounds)
+    for start, stop, width_gt, width_pr in _block_spans(n_gt.tolist(), n_pr.tolist()):
+        gt_rec, gt_own = _slots(gt_bounds[start:stop], n_gt[start:stop], width_gt)
+        pr_rec, pr_own = _slots(pr_bounds[start:stop], n_pr[start:stop], width_pr)
+        similarity, gate = _similarity(gt.boxes[np.minimum(gt_rec, gt_bounds[stop] - 1)],
+                                       pred.boxes[np.minimum(pr_rec, pr_bounds[stop] - 1)],
+                                       gt.mode, threshold)
+        at, values = _admitted(similarity, gt_own[:, :, None] & pr_own[:, None, :], gate)
+        gt_slot, pr_slot = np.divmod(at, width_pr)
+        frame = gt_slot // width_gt
+        yield _Block(gt_bounds[start:stop + 1].tolist(), pr_bounds[start:stop + 1].tolist(),
+                     frame, gt_rec.ravel()[gt_slot], pr_bounds[start:stop][frame] + pr_slot,
+                     values, gate)
+
+
+def _block_tables(
+    block: _Block, gt_ids: np.ndarray, pr_ids: np.ndarray, scores: np.ndarray
+) -> list[_FrameTable]:
+    """The tables of a block's frames, from the id and score columns its
+    record indices point into.
+
+    One stable sort by (frame, prediction score) orders every frame's pairs
+    at once, and each column becomes one list that the frames slice.
+    """
+    gt_bounds, pr_bounds, frame, gt_at, pr_at, values, gate = block
+    n_frames = len(gt_bounds) - 1
+    pair_scores = scores[pr_at]
+    order = np.lexsort((pair_scores, frame))
+    # A frame is not isolated if a record is in two of its pairs or a pair
+    # is worth at most zero. Pairs are row-major, so a gt record's are
+    # adjacent; record ids are unique within a frame.
+    clash = values <= 0.0
+    clash[1:] |= gt_at[1:] == gt_at[:-1]
+    local = pr_at - pr_bounds[0]
+    clash |= np.bincount(local)[local] > 1
+    isolated = (np.bincount(frame[clash], minlength=n_frames) == 0).tolist()
+    pair_bounds = np.searchsorted(frame, np.arange(n_frames + 1)).tolist()
+
+    pairs = list(zip(gt_ids[gt_at[order]].tolist(), pr_ids[pr_at[order]].tolist()))
+    pair_scores, values = pair_scores[order].tolist(), values[order].tolist()
+    g0, g1, p0, p1 = gt_bounds[0], gt_bounds[-1], pr_bounds[0], pr_bounds[-1]
+    gt_list, pr_list = gt_ids[g0:g1].tolist(), pr_ids[p0:p1].tolist()
+    score_list = scores[p0:p1].tolist()
+    tables = []
+    for i, frame_isolated in enumerate(isolated):
+        ga, gz = gt_bounds[i] - g0, gt_bounds[i + 1] - g0
+        pa, pz = pr_bounds[i] - p0, pr_bounds[i + 1] - p0
+        qa, qz = pair_bounds[i], pair_bounds[i + 1]
+        frame_scores = score_list[pa:pz]
+        tables.append(_FrameTable(gt_list[ga:gz], pr_list[pa:pz], frame_scores,
+                                  sorted(frame_scores), pairs[qa:qz], pair_scores[qa:qz],
+                                  values[qa:qz], frame_isolated, gate))
+    return tables
 
 
 def _frame_tables(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Iterator[_FrameTable]:
     """The table of each frame that has rows, in frame order. A list of them
     takes memory in the number of admissible pairs, not of gt x predictions."""
-    for gt_rows, pr_rows, rows, cols, values, gate in _frame_pairs(gt, pred, threshold):
-        yield _frame_table(gt.track_ids[gt_rows], pred.track_ids[pr_rows],
-                           pred.scores[pr_rows], rows, cols, values, gate)
+    for block in _blocks(gt, pred, threshold):
+        yield from _block_tables(block, gt.track_ids, pred.track_ids, pred.scores)
 
 
 def _frame_step(
@@ -434,10 +517,11 @@ def clear_mot(
         flagged undefined.
     """
     _check_modes(gt, pred)
+    threshold = _threshold(gt.mode, match_threshold)
     fp = fn = ids = 0
     persisting: dict[int, int] = {}
     last_match: dict[int, int] = {}
-    for table in _frame_tables(gt, pred, _threshold(gt.mode, match_threshold)):
+    for table in _frame_tables(gt, pred, threshold):
         frame_fp, frame_fn, persisting = _frame_step(table, None, persisting)
         ids += _switches(persisting, last_match)
         last_match.update(persisting)
@@ -456,22 +540,16 @@ def idf1(gt: TrackOutput, pred: TrackOutput, match_threshold: float | None = Non
     optimal assignment, and IDF1 = 2*IDTP / (2*IDTP + IDFP + IDFN).
     """
     _check_modes(gt, pred)
+    threshold = _threshold(gt.mode, match_threshold)
     if not len(gt.track_ids) or not len(pred.track_ids):
         return 0.0
 
-    # Record indices of both sides of every admissible pair, over all frames.
-    gt_at: list[np.ndarray] = []
-    pr_at: list[np.ndarray] = []
-    for gt_rows, pr_rows, rows, cols, _, _ in _frame_pairs(
-        gt, pred, _threshold(gt.mode, match_threshold)
-    ):
-        gt_at.append(rows + gt_rows.start)
-        pr_at.append(cols + pr_rows.start)
+    # Frames in which each (gt id, prediction id) pair is admissible.
     gt_index, pr_index = np.unique(gt.track_ids), np.unique(pred.track_ids)
-    flat = (np.searchsorted(gt_index, gt.track_ids[np.concatenate(gt_at)]) * len(pr_index)
-            + np.searchsorted(pr_index, pred.track_ids[np.concatenate(pr_at)]))
-    overlap = np.bincount(flat, minlength=len(gt_index) * len(pr_index)).astype(float)
-    overlap = overlap.reshape(len(gt_index), len(pr_index))
+    overlap = np.zeros((len(gt_index), len(pr_index)))
+    for block in _blocks(gt, pred, threshold):
+        np.add.at(overlap, (np.searchsorted(gt_index, gt.track_ids[block.gt_at]),
+                            np.searchsorted(pr_index, pred.track_ids[block.pr_at])), 1.0)
 
     matches = solve_assignment(overlap, gate=0.5).matches
     idtp = int(overlap[matches[:, 0], matches[:, 1]].sum())
@@ -521,13 +599,14 @@ def amota(
     leaves the result unchanged.
     """
     _check_modes(gt, pred)
+    threshold = _threshold(gt.mode, match_threshold)
     total_gt = len(gt.track_ids)
     if total_gt == 0:
         raise ValueError("AMOTA requires non-empty ground truth")
     if not np.isfinite(pred.scores).all():
         raise ValueError("AMOTA requires finite prediction confidences")
 
-    tables = list(_frame_tables(gt, pred, _threshold(gt.mode, match_threshold)))
+    tables = list(_frame_tables(gt, pred, threshold))
     # Errors at the highest threshold with each recall: the sweep descends, so
     # the first threshold seen with a recall is the highest.
     errors_at: dict[float, int] = {}

@@ -1,12 +1,13 @@
 """Independent oracles used by the tests: sampling/rasterization-based geometry
 checks, a scalar polygon-clipping GIoU, an exhaustive gated-matching
 optimizer, a dense gated Hungarian assignment, a two-pass association step, a
-dense CLEAR frame step, an incremental AMOTA sweep that carries identities in
-its frame state, and line-by-line record parsers and writers. Each
-deliberately avoids the code path it verifies: the batched clipping kernel,
-the Hungarian solver, the solver's conflict-free short path, the
-once-per-frame scoring and update, the sparse tables, the per-gt
-identity-switch sequences and the columnar parsers."""
+dense CLEAR frame step, evaluation tables and IDF1 overlaps scored one frame
+at a time, an incremental AMOTA sweep that carries identities in its frame
+state, and line-by-line record parsers and writers. Each deliberately avoids
+the code path it verifies: the batched clipping kernel, the Hungarian solver,
+the solver's conflict-free short path, the once-per-frame scoring and update,
+the padded blocks of frames the evaluators score at once, the sparse tables,
+the per-gt identity-switch sequences and the columnar parsers."""
 
 from __future__ import annotations
 
@@ -316,6 +317,115 @@ def amota_reference(gt, pred, threshold: float | None = None, n_points: int = 40
         penalty = errors - (1.0 - r) * total_gt
         values.append(max(0.0, min(1.0, 1.0 - penalty / (r * total_gt))))
     return float(np.mean(values)), tuple(values), recalls
+
+
+# --- per-frame evaluation tables ------------------------------------------------
+#
+# The slow oracle of the block scorer in motrack.metrics: each frame that has
+# rows is scored by a similarity call of its own on its unpadded gt x
+# prediction matrix, and its table is built from that frame's pairs alone.
+
+def frame_similarity(gt_boxes, pr_boxes, mode, threshold):
+    """Similarity values plus the admission gate for one frame's matching.
+    A gap too large for a float overflows: to no overlap in 2D, and in 3D to
+    a center distance of inf, so a closeness of -inf, which no gate admits."""
+    from motrack.association import Mode
+    from motrack.geometry import iou_matrix_2d
+
+    with np.errstate(over="ignore"):
+        if mode is Mode.BOX_2D:
+            return iou_matrix_2d(gt_boxes, pr_boxes), threshold
+        dx = gt_boxes[:, None, 0] - pr_boxes[None, :, 0]
+        dy = gt_boxes[:, None, 1] - pr_boxes[None, :, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
+    return threshold - dist, 0.0
+
+
+def admissible(similarity, gate):
+    """Rows, columns and similarities of one frame's pairs whose similarity
+    reaches the gate, in row-major order. NaN and +inf are rejected; -inf
+    reaches no gate."""
+    if similarity.size and not similarity.max() < np.inf:
+        raise ValueError("similarity matrix entries must be finite")
+    at = (similarity >= gate).ravel().nonzero()[0]
+    rows, cols = np.divmod(at, max(similarity.shape[1], 1))
+    return rows, cols, similarity.ravel()[at]
+
+
+def frame_table(gt_ids, pr_ids, scores, rows, cols, values, gate):
+    """One frame's motrack.metrics._FrameTable from its ids, scores and
+    admissible pairs, with Python sets for the isolation test."""
+    from motrack.metrics import _FrameTable
+
+    order = np.argsort(scores[cols], kind="stable")
+    rows, cols = rows[order], cols[order]
+    gids, pids = gt_ids[rows].tolist(), pr_ids[cols].tolist()
+    pair_values = values[order].tolist()
+    isolated = (len(set(gids)) == len(gids) == len(set(pids))
+                and all(value > 0.0 for value in pair_values))
+    score_list = scores.tolist()
+    return _FrameTable(gt_ids.tolist(), pr_ids.tolist(), score_list, sorted(score_list),
+                       list(zip(gids, pids)), scores[cols].tolist(), pair_values, isolated,
+                       gate)
+
+
+def frame_pairs_reference(gt, pred, threshold):
+    """Per frame that has rows, in frame order: its gt and prediction record
+    slices and its admissible (row, column, similarity) arrays and gate."""
+    frames = sorted(set(gt.frames.tolist()) | set(pred.frames.tolist()))
+    for frame in frames:
+        gt_rows = slice(*np.searchsorted(gt.frames, [frame, frame + 1]).tolist())
+        pr_rows = slice(*np.searchsorted(pred.frames, [frame, frame + 1]).tolist())
+        similarity, gate = frame_similarity(gt.boxes[gt_rows], pred.boxes[pr_rows], gt.mode,
+                                            threshold)
+        yield gt_rows, pr_rows, *admissible(similarity, gate), gate
+
+
+def frame_tables_reference(gt, pred, threshold):
+    """The table of each frame that has rows, one frame at a time."""
+    for gt_rows, pr_rows, rows, cols, values, gate in frame_pairs_reference(gt, pred,
+                                                                            threshold):
+        yield frame_table(gt.track_ids[gt_rows], pred.track_ids[pr_rows],
+                          pred.scores[pr_rows], rows, cols, values, gate)
+
+
+def clear_from_frame_tables(gt, pred, threshold):
+    """(fp, fn, ids) of clear_mot's frame loop run on the per-frame tables:
+    every prediction kept, matches persisting from frame to frame, and an
+    identity switch wherever a gt id's match differs from its last one."""
+    from motrack.metrics import _frame_step
+
+    fp = fn = ids = 0
+    persisting: dict[int, int] = {}
+    last_match: dict[int, int] = {}
+    for table in frame_tables_reference(gt, pred, threshold):
+        frame_fp, frame_fn, persisting = _frame_step(table, None, persisting)
+        ids += sum(1 for gid, pid in persisting.items() if last_match.get(gid, pid) != pid)
+        last_match.update(persisting)
+        fp += frame_fp
+        fn += frame_fn
+    return fp, fn, ids
+
+
+def idf1_from_frame_pairs(gt, pred, threshold):
+    """IDF1 from the per-frame admissible pairs: the (gt id, prediction id)
+    overlap counts, one optimal assignment on them, and the same arithmetic
+    as motrack.metrics.idf1."""
+    from motrack.assignment import solve_assignment
+
+    if not len(gt.track_ids) or not len(pred.track_ids):
+        return 0.0
+    gt_index, pr_index = np.unique(gt.track_ids), np.unique(pred.track_ids)
+    overlap = np.zeros((len(gt_index), len(pr_index)))
+    for gt_rows, pr_rows, rows, cols, _, _ in frame_pairs_reference(gt, pred, threshold):
+        for gid, pid in zip(gt.track_ids[gt_rows][rows].tolist(),
+                            pred.track_ids[pr_rows][cols].tolist()):
+            overlap[np.searchsorted(gt_index, gid), np.searchsorted(pr_index, pid)] += 1.0
+    matches = solve_assignment(overlap, gate=0.5).matches
+    idtp = int(overlap[matches[:, 0], matches[:, 1]].sum())
+    idfp = len(pred.track_ids) - idtp
+    idfn = len(gt.track_ids) - idtp
+    return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
 
 
 def dense_frame_step(gt_ids, pr_ids, values, gate, persisting, last_match):

@@ -13,7 +13,7 @@ from statistics import mean
 import numpy as np
 import pytest
 
-from motrack import formats
+from motrack import formats, metrics
 from motrack.assignment import solve_assignment
 from motrack.association import Mode
 from motrack.geometry import Box2D, Box3D, giou_3d
@@ -30,7 +30,8 @@ from motrack.simulate import (
 )
 from motrack.tracker import TrackOutput, TrackRecord, run_sequence, validate_config
 from kalman_utils import kf_init, kf_predict, kf_update
-from oracle_utils import best_gated_matching, giou_3d_axis_aligned, giou_3d_voxel
+from oracle_utils import (best_gated_matching, clear_from_frame_tables, frame_tables_reference,
+                          giou_3d_axis_aligned, giou_3d_voxel, idf1_from_frame_pairs)
 
 TAUS = (0.3, 0.4, 0.5, 0.6, 0.7)
 
@@ -263,7 +264,8 @@ def test_criterion_10_round_trip_and_determinism():
     print("\nPASS criterion 10: MOT write/parse lossless; reruns bit-identical")
 
 
-def _perf_frames(n_frames: int, n_objects: int = 50):
+def _perf_scenario(n_frames: int, n_objects: int = 50):
+    """Ground truth and detections of n_objects boxes moving over n_frames."""
     rng = np.random.default_rng(42)
     objects = []
     for _ in range(n_objects):
@@ -277,14 +279,14 @@ def _perf_frames(n_frames: int, n_objects: int = 50):
         )
     spec = ScenarioSpec(mode=Mode.BOX_2D, duration=n_frames,
                         world=(0.0, 0.0, 1920.0, 1080.0), objects=tuple(objects))
-    return generate_scenario(spec, 1)[1]
+    return generate_scenario(spec, 1)
 
 
 def test_criterion_11_throughput_and_scaling():
     import gc
 
     config = validate_config({"mode": "2d"})
-    frames = _perf_frames(1000)
+    _, frames = _perf_scenario(1000)
     run_sequence(frames[:100], config)  # warm-up
 
     def best_time(batch, repeats):
@@ -310,3 +312,29 @@ def test_criterion_11_throughput_and_scaling():
     assert slope_ratio <= 2.0
     print(f"\nPASS criterion 11: 1000 frames x 50 objects in {t1000:.2f} s (< 2 s); "
           f"per-frame time ratio across sizes {slope_ratio:.2f} (<= 2)")
+
+
+def test_evaluation_on_tracker_output():
+    # The criterion 11 scene tracked, then evaluated against its ground
+    # truth. The evaluation tables, CLEAR and IDF1 must equal those scored
+    # frame by frame. The times are printed, not gated.
+    gt, frames = _perf_scenario(1000)
+    pred = run_sequence(frames, validate_config({"mode": "2d"}))
+    reports, seconds = {}, {}
+    for name, evaluate in (("clear_mot", clear_mot), ("idf1", idf1), ("amota", amota)):
+        start = time.perf_counter()
+        reports[name] = evaluate(gt, pred)
+        seconds[name] = time.perf_counter() - start
+
+    assert (list(metrics._frame_tables(gt, pred, 0.5))
+            == list(frame_tables_reference(gt, pred, 0.5)))
+    report = reports["clear_mot"]
+    assert (report.fp, report.fn, report.ids) == clear_from_frame_tables(gt, pred, 0.5)
+    assert report.gt == len(gt.track_ids) == 50_000
+    assert reports["idf1"] == idf1_from_frame_pairs(gt, pred, 0.5)
+    assert 0.0 <= reports["amota"].amota <= 1.0
+    print(f"\nPASS evaluation on tracker output: 1000 frames x 50 objects scored "
+          f"mota {report.mota:.4f}, idf1 {reports['idf1']:.4f}, "
+          f"amota {reports['amota'].amota:.4f}; wall time clear_mot "
+          f"{seconds['clear_mot']:.3f} s, idf1 {seconds['idf1']:.3f} s, "
+          f"amota {seconds['amota']:.3f} s")

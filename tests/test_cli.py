@@ -64,6 +64,14 @@ def test_eval_writes_json_report(tmp_path, occlusion_files, capsys):
     assert data["gt"] == 24
 
 
+def test_eval_rejects_nan_match_threshold(occlusion_files, capsys):
+    gt, _ = occlusion_files
+    code = main(["eval", "--gt", str(gt), "--pred", str(gt), "--mode", "2d",
+                 "--match-threshold", "nan"])
+    assert code == 1
+    assert "error: match_threshold must be finite, got nan" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, occlusion_files):
     _, det = occlusion_files
     config = tmp_path / "tracker.cfg"

@@ -245,6 +245,16 @@ class TestSimilarityMatrix:
             for j, trk in enumerate(trks):
                 assert sim[i, j] == pytest.approx(iou_2d(det, trk), abs=1e-12)
 
+    def test_batch_axes_score_each_batch_alone(self):
+        rng = np.random.default_rng(3)
+        corners = rng.uniform(0, 30, (2, 3, 9, 2))
+        boxes = np.concatenate([corners, corners + rng.uniform(0, 20, (2, 3, 9, 2))], axis=-1)
+        a, b = boxes[0, :, :4], boxes[1, :, 4:]
+        sim = iou_matrix_2d(a, b)
+        assert sim.shape == (3, 4, 5)
+        for k in range(3):
+            assert np.array_equal(sim[k], iou_matrix_2d(a[k], b[k]))
+
     def test_matches_elementwise_giou(self):
         rng = np.random.default_rng(2)
         dets = [random_box3d(rng) for _ in range(3)]

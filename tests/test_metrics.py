@@ -13,7 +13,8 @@ from motrack.geometry import Box2D, Box3D
 from motrack.metrics import amota, clear_mot, idf1, smota_r
 from motrack.tracker import TrackOutput, TrackRecord
 from oracle_utils import (amota_reference, clear_counts_reference, dense_frame_step,
-                          idf1_reference, sweep_reference)
+                          frame_tables_reference, idf1_from_frame_pairs, idf1_reference,
+                          sweep_reference)
 
 
 def output_2d(rows, n_frames=None):
@@ -433,14 +434,19 @@ def test_amota_threshold_skips_emptied_gt_free_frame():
 
 
 def sparse_table(gt_ids, pr_ids, scores, values, gate):
-    """The sparse table of a frame given by its dense similarity."""
-    rows = cols = np.zeros(0, dtype=np.intp)
-    pair_values = np.zeros(0)
-    if values.size:
-        rows, cols, pair_values = metrics._admissible(values, gate)
-    return metrics._frame_table(np.array(gt_ids, dtype=np.int64),
-                                np.array(pr_ids, dtype=np.int64),
-                                np.array(scores, dtype=float), rows, cols, pair_values, gate)
+    """The sparse table of a frame given by its dense similarity, built by
+    the evaluators' table builder from a one-frame block."""
+    n_gt, n_pr = values.shape
+    at, pair_values = metrics._admitted(values[None], np.ones((1, n_gt, n_pr), dtype=bool),
+                                        gate)
+    rows, cols = np.divmod(at, n_pr)
+    block = metrics._Block([0, n_gt], [0, n_pr], np.zeros(len(at), dtype=np.intp), rows, cols,
+                           pair_values, gate)
+    tables = metrics._block_tables(block, np.array(gt_ids, dtype=np.int64),
+                                   np.array(pr_ids, dtype=np.int64),
+                                   np.array(scores, dtype=float))
+    assert len(tables) == 1
+    return tables[0]
 
 
 @st.composite
@@ -561,16 +567,185 @@ def test_far_apart_3d_boxes_stay_unmatched():
     assert got.smota_values == pytest.approx(amota_reference(gt, pred)[1], abs=1e-12)
 
 
+def test_far_apart_huge_2d_boxes_stay_unmatched():
+    # The gaps between these boxes overflow to -inf, which is no overlap.
+    # Frame 2 pads its one gt row against frame 1's two, so a padded cell
+    # also pairs boxes that share no frame; neither warns (RuntimeWarnings
+    # are errors under the test configuration).
+    left, right = Box2D(-1.7e308, 0, -1.6e308, 1), Box2D(1.6e308, 0, 1.7e308, 1)
+    gt = TrackOutput((TrackRecord(1, 1, left, 1.0), TrackRecord(1, 2, right, 1.0),
+                      TrackRecord(2, 1, right, 1.0)), Mode.BOX_2D, 2)
+    pred = TrackOutput((TrackRecord(1, 5, right, 0.9), TrackRecord(2, 5, left, 0.9),
+                        TrackRecord(2, 6, right, 0.8)), Mode.BOX_2D, 2)
+    report = clear_mot(gt, pred)
+    assert (report.fp, report.fn, report.ids) == (1, 1, 0)
+    _, *want = clear_counts_reference(gt, pred)
+    assert [report.fp, report.fn, report.ids] == want
+
+
 def test_nan_and_positive_infinite_similarities_rejected():
-    rows, cols, values = metrics._admissible(np.array([[-np.inf, 0.3], [0.0, -0.1]]), 0.0)
-    assert (rows.tolist(), cols.tolist(), values.tolist()) == ([0, 1], [1, 0], [0.3, 0.0])
+    at, values = metrics._admitted(np.array([[[-np.inf, 0.3], [0.0, -0.1]]]),
+                                   np.ones((1, 2, 2), dtype=bool), 0.0)
+    assert (at.tolist(), values.tolist()) == ([1, 2], [0.3, 0.0])
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            metrics._admissible(np.array([[0.3, bad]]), 0.0)
-    # An infinite 3D threshold makes every closeness +inf.
+            metrics._admitted(np.array([[[0.3, bad]]]), np.ones((1, 1, 2), dtype=bool), 0.0)
+        # A padded cell is neither admitted nor checked.
+        at, _ = metrics._admitted(np.array([[[0.3, bad]]]), np.array([[[True, False]]]), 0.0)
+        assert at.tolist() == [0]
+    # An infinite 3D threshold would make every closeness +inf.
     gt = output_3d(steady(1, (1, 2), x=0.0, y=0.0))
     with pytest.raises(ValueError, match="finite"):
         clear_mot(gt, gt, match_threshold=math.inf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [output_2d, output_3d])
+def test_non_finite_match_threshold_rejected_up_front(bad, build):
+    # A NaN 2D gate would admit no pair and a NaN 3D gate would read as a
+    # non-finite similarity; every evaluator names the threshold instead,
+    # also where no frame is scored.
+    gt = build(steady(1, range(1, 4)))
+    empty = build([], n_frames=3)
+    calls = [lambda g, p: clear_mot(g, p, bad), lambda g, p: idf1(g, p, bad),
+             lambda g, p: amota(g, p, bad), lambda g, p: smota_r(g, p, 0.5, bad)]
+    for call in calls:
+        for pred in (gt, empty):
+            with pytest.raises(ValueError, match=f"match_threshold must be finite, got {bad!r}"):
+                call(gt, pred)
+
+
+@st.composite
+def block_suites(draw):
+    """A gt/prediction pair in 2D or 3D for the block scorer, plus the cap on
+    a block's padded cells.
+
+    Frame numbers skip values, so some frames are empty, and a frame holds
+    0-6 gt and 0-6 prediction boxes, so some hold only one side. The cap is
+    drawn around the frames' sizes (1-36 cells), so a block holds one frame,
+    many frames, or a frame larger than the cap alone; or it is the
+    module's own. Positions, sizes and scores come from small pools, so
+    similarities and scores tie. 2D boxes may have zero area and the 2D gate
+    may be 0; 2D corners and 3D centres may sit near +-1.7e308, where the
+    gaps overflow: to no overlap in 2D, to a closeness of -inf in 3D.
+    """
+    is_3d = draw(st.booleans())
+    threshold = draw(st.sampled_from([None, 0.0, 1.0] if is_3d else [None, 0.0, 0.5]))
+    cap = draw(st.sampled_from([1, 4, 9, 16, 36, metrics._BLOCK_CELLS]))
+    coords = st.sampled_from([-1e308, 0.0, 1.0, 2.0, 1e308] if is_3d
+                             else [-1.7e308, 0.0, 10.0, 20.0, 1.6e308])
+    sizes = st.sampled_from([0.0, 10.0, 20.0])
+    scores = st.sampled_from([-0.0, 0.0, 0.2, 0.5, 0.9, math.nan])
+
+    def box():
+        x, y = draw(coords), draw(coords)
+        if is_3d:
+            return Box3D(x, y, 0.8, 0.0, 4.5, 1.9, 1.6)
+        return Box2D(x, y, x + draw(sizes), y + draw(sizes))
+
+    gt_records, pred_records = [], []
+    for f in sorted(draw(st.sets(st.integers(1, 15), max_size=10))):
+        for gid in draw(st.lists(st.integers(1, 8), max_size=6, unique=True)):
+            gt_records.append(TrackRecord(f, gid, box(), 1.0))
+        for pid in draw(st.lists(st.integers(11, 18), max_size=6, unique=True)):
+            pred_records.append(TrackRecord(f, pid, box(), draw(scores)))
+    mode = Mode.BOX_3D if is_3d else Mode.BOX_2D
+    return (TrackOutput(tuple(gt_records), mode, 15), TrackOutput(tuple(pred_records), mode, 15),
+            threshold, cap)
+
+
+def check_block_spans(n_gt, n_pr, cap):
+    """The runs of frames tile the sequence, each within the cap unless it is
+    one frame, each grown until the next frame would not fit."""
+    with mock.patch.object(metrics, "_BLOCK_CELLS", cap):
+        spans = list(metrics._block_spans(n_gt, n_pr))
+    bounds = [0] + [stop for _, stop, *_ in spans]
+    assert [start for start, *_ in spans] == bounds[:-1] and bounds[-1] == len(n_gt)
+    for start, stop, width_gt, width_pr in spans:
+        assert (width_gt, width_pr) == (max(n_gt[start:stop]), max(n_pr[start:stop]))
+        assert stop - start == 1 or (stop - start) * width_gt * width_pr <= cap
+        if stop < len(n_gt):
+            grown = (stop + 1 - start) * max(n_gt[start:stop + 1]) * max(n_pr[start:stop + 1])
+            assert grown > cap
+    return [(start, stop) for start, stop, *_ in spans]
+
+
+def check_block_scorer(gt, pred, match_threshold, cap):
+    """Every table field and IDF1 from the block scorer against the per-frame
+    oracle; repr tells -0.0 from 0.0 and matches NaN scores."""
+    threshold = metrics._threshold(gt.mode, match_threshold)
+    with mock.patch.object(metrics, "_BLOCK_CELLS", cap):
+        got = list(metrics._frame_tables(gt, pred, threshold))
+        score = idf1(gt, pred, match_threshold)
+    want = list(frame_tables_reference(gt, pred, threshold))
+    assert [[repr(field) for field in table] for table in got] == \
+        [[repr(field) for field in table] for table in want]
+    assert score == idf1_from_frame_pairs(gt, pred, threshold)
+    return check_block_spans([len(t.gt_ids) for t in want], [len(t.pr_ids) for t in want], cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_suites())
+def test_block_scorer_matches_per_frame_oracle(suite):
+    check_block_scorer(*suite)
+
+
+def test_block_scorer_at_the_module_cap():
+    # Frames of 128 x 128 cells fill a block alone, so do a frame of 1 x 1
+    # before a frame of 129 x 128 and that oversized frame; then four of
+    # 64 x 64 fill a block, and the frames holding one side share the next.
+    sizes = [(128, 128), (1, 1), (129, 128)] + [(64, 64)] * 5 + [(0, 5), (5, 0)]
+    rng = np.random.default_rng(5)
+    columns = {side: ([], [], []) for side in ("gt", "pred")}
+    for f, counts in enumerate(sizes, start=1):
+        for side, n, offset in zip(("gt", "pred"), counts, (0, 1000)):
+            frames, ids, boxes = columns[side]
+            frames += [f] * n
+            ids += (offset + rng.permutation(200)[:n]).tolist()
+            corner = rng.uniform(0.0, 400.0, (n, 2))
+            boxes.append(np.hstack([corner, corner + rng.uniform(20.0, 120.0, (n, 2))]))
+    outputs = []
+    for frames, ids, boxes in columns.values():
+        frames, ids = np.array(frames), np.array(ids)
+        outputs.append(TrackOutput.from_columns(
+            frames, ids, np.zeros_like(ids), rng.choice([0.3, 0.6, 0.9], len(ids)),
+            np.vstack(boxes), Mode.BOX_2D, len(sizes)))
+    spans = check_block_scorer(*outputs, None, metrics._BLOCK_CELLS)
+    assert spans == [(0, 1), (1, 2), (2, 3), (3, 7), (7, 10)]
+
+
+def test_clear_and_idf1_memory_does_not_grow_with_frames():
+    # 20 objects, each with one prediction admissible to it alone. Dense
+    # tables of 2000 frames would hold 2000 x 20 x 20 similarities (6.4 MB);
+    # scored a block at a time, the peak is about one block's arrays at any
+    # length.
+    def outputs(n_frames, n_obj=20):
+        frames = np.repeat(np.arange(1, n_frames + 1), n_obj)
+        ids = np.tile(np.arange(1, n_obj + 1), n_frames)
+        x = (ids % 5) * 100.0 + frames % 50
+        y = (ids // 5) * 150.0
+        boxes = np.stack([x, y, x + 60.0, y + 120.0], axis=1)
+        zeros = np.zeros_like(ids)
+        gt = TrackOutput.from_columns(frames, ids, zeros, np.ones(len(ids)), boxes,
+                                      Mode.BOX_2D, n_frames)
+        pred = TrackOutput.from_columns(frames, ids + 1000, zeros, np.full(len(ids), 0.9),
+                                        boxes + 3.0, Mode.BOX_2D, n_frames)
+        return gt, pred
+
+    def peak(call, gt, pred):
+        tracemalloc.start()
+        try:
+            call(gt, pred)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = outputs(250), outputs(2000)
+    assert clear_mot(*long).mota == 1.0 and idf1(*long) == 1.0
+    for call in (clear_mot, idf1):
+        peak_short, peak_long = peak(call, *short), peak(call, *long)
+        assert peak_long < 1.5e6, (call.__name__, peak_long)
+        assert peak_long - peak_short < 2.5e5, (call.__name__, peak_short, peak_long)
 
 
 def test_amota_memory_follows_admissible_pairs():

@@ -358,13 +358,15 @@ def iou_matrix_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the same leading batch; returns (..., M, N).
 
     Row layout is that of box2d_array. Disjoint pairs and zero-area unions
-    score 0.
+    score 0. A gap between boxes too far apart for a float overflows to
+    -inf, which is no overlap.
     """
     a, b = a[..., :, None, :], b[..., None, :, :]
     ax1, ay1, ax2, ay2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bx1, by1, bx2, by2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    with np.errstate(over="ignore"):
+        iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+        ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)

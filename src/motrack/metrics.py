@@ -14,9 +14,12 @@ plus one block rather than gt x predictions. The assignment solver runs only
 on a frame whose free pairs conflict (a row or column in two of them, or a
 pair worth zero); otherwise they are the matches.
 
-AMOTA's confidence sweep hands only the persisting pairs from frame to frame.
-Identity switches are counted apart, from each gt id's matches in frame order,
-so a changed match moves the switch count without recounting later frames.
+A frame's matches are the only count kept per frame. Over a sequence, FP is
+the predictions kept minus the matches and FN the gt minus the matches, so
+both are totals. AMOTA's confidence sweep hands only the persisting pairs
+from frame to frame. Identity switches are counted apart, from each gt id's
+matches in frame order, so a changed match moves the switch count without
+recounting later frames.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .assignment import solve_assignment
+from .assignment import _solve
 from .geometry import iou_matrix_2d
 from .tracker import Mode, TrackOutput
 
@@ -110,12 +113,11 @@ class _FrameTable(NamedTuple):
     gt_ids: list[int]
     pr_ids: list[int]
     scores: list[float]  # in pr_ids order
-    ranked: list[float]  # the same scores, ascending
+    top: float  # the highest score, -inf without predictions
     pairs: list[tuple[int, int]]
     pair_scores: list[float]
     values: list[float]
     isolated: bool
-    gate: float
 
 
 class _Block(NamedTuple):
@@ -124,7 +126,7 @@ class _Block(NamedTuple):
     ``gt_bounds`` and ``pr_bounds`` hold the record index where each frame
     starts, then the run's end. Per pair, in frame order and row-major within
     a frame: the frame's place in the run, the gt and prediction record
-    indices and the similarity, which reached ``gate``.
+    indices and the similarity, which reached the gate.
     """
 
     gt_bounds: list[int]
@@ -133,7 +135,6 @@ class _Block(NamedTuple):
     gt_at: np.ndarray
     pr_at: np.ndarray
     values: np.ndarray
-    gate: float
 
 
 # Padded cells (frames x gt rows x prediction columns) scored by one
@@ -163,13 +164,13 @@ def _similarity(
     block, (frames, gt rows, box columns) against (frames, prediction rows,
     box columns), plus the admission gate.
 
-    A gap between boxes too far apart for a float overflows: in 2D to an
-    overlap of -inf, which counts as none, and in 3D to a center distance of
-    inf, so a closeness of -inf, which no gate admits.
+    A gap between boxes too far apart for a float overflows: in 2D to no
+    overlap (see iou_matrix_2d), and in 3D to a center distance of inf, so a
+    closeness of -inf, which no gate admits.
     """
+    if mode is Mode.BOX_2D:
+        return iou_matrix_2d(gt_boxes, pr_boxes), threshold
     with np.errstate(over="ignore"):
-        if mode is Mode.BOX_2D:
-            return iou_matrix_2d(gt_boxes, pr_boxes), threshold
         dx = gt_boxes[..., :, None, 0] - pr_boxes[..., None, :, 0]
         dy = gt_boxes[..., :, None, 1] - pr_boxes[..., None, :, 1]
         dist = np.sqrt(dx * dx + dy * dy)
@@ -230,7 +231,7 @@ def _blocks(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Iterator[_B
         frame = gt_slot // width_gt
         yield _Block(gt_bounds[start:stop + 1].tolist(), pr_bounds[start:stop + 1].tolist(),
                      frame, gt_rec.ravel()[gt_slot], pr_bounds[start:stop][frame] + pr_slot,
-                     values, gate)
+                     values)
 
 
 def _block_tables(
@@ -242,7 +243,7 @@ def _block_tables(
     One stable sort by (frame, prediction score) orders every frame's pairs
     at once, and each column becomes one list that the frames slice.
     """
-    gt_bounds, pr_bounds, frame, gt_at, pr_at, values, gate = block
+    gt_bounds, pr_bounds, frame, gt_at, pr_at, values = block
     n_frames = len(gt_bounds) - 1
     pair_scores = scores[pr_at]
     order = np.lexsort((pair_scores, frame))
@@ -268,8 +269,8 @@ def _block_tables(
         qa, qz = pair_bounds[i], pair_bounds[i + 1]
         frame_scores = score_list[pa:pz]
         tables.append(_FrameTable(gt_list[ga:gz], pr_list[pa:pz], frame_scores,
-                                  sorted(frame_scores), pairs[qa:qz], pair_scores[qa:qz],
-                                  values[qa:qz], frame_isolated, gate))
+                                  max(frame_scores, default=-math.inf), pairs[qa:qz],
+                                  pair_scores[qa:qz], values[qa:qz], frame_isolated))
     return tables
 
 
@@ -282,26 +283,20 @@ def _frame_tables(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Itera
 
 def _frame_step(
     table: _FrameTable, min_score: float | None, persisting: dict[int, int]
-) -> tuple[int, int, dict[int, int]]:
-    """CLEAR counts of one frame: (fp, fn, matches as gt id -> pred id).
+) -> dict[int, int]:
+    """The matches of one frame, gt id -> pred id.
 
     Only predictions scored at least ``min_score`` take part (all of them when
     it is None). A pair from ``persisting`` (the previous frame's matches, so
     no prediction id twice) is kept while it is still admissible; the rest is
     re-matched optimally. ``persisting`` is not modified: the returned matches
-    are the next frame's. Identity switches are counted by the caller, from
-    the matches.
+    are the next frame's. Identity switches and the FP and FN totals are
+    counted by the caller, from the matches.
     """
-    gt_ids, pr_ids, _, ranked, pairs, pair_scores, _, isolated, _ = table
-    start, n_pred = 0, len(pr_ids)
-    if min_score is not None:
-        start = bisect_left(pair_scores, min_score)
-        n_pred -= bisect_left(ranked, min_score)
-    if not gt_ids or not n_pred:
-        return n_pred, len(gt_ids), {}
-
-    matched = dict(pairs[start:]) if isolated else _matches(table, start, min_score, persisting)
-    return n_pred - len(matched), len(gt_ids) - len(matched), matched
+    start = 0 if min_score is None else bisect_left(table.pair_scores, min_score)
+    if table.isolated:
+        return dict(table.pairs[start:])
+    return _matches(table, start, min_score, persisting)
 
 
 def _switches(matched: dict[int, int], last_match: dict[int, int]) -> int:
@@ -318,7 +313,11 @@ def _matches(
 
     Kept pairs that persist are matched first. When no remaining row or
     column is in two free pairs and every free pair scores above zero, the
-    free pairs are the unique optimum and no solver runs.
+    free pairs are the unique optimum and no solver runs. Otherwise the
+    solver gets the free block: every free gt row and every kept free
+    prediction column, in frame order, with only the free pairs admissible.
+    So it weighs exactly the dense free block's matrix and resolves ties the
+    same way.
     """
     kept = table.pairs[start:]
     matched = dict(persisting.items() & kept) if persisting else {}
@@ -330,37 +329,20 @@ def _matches(
     free_rows, free_cols, free_values = zip(*free)
     if len(set(free_rows)) == len(free) == len(set(free_cols)) and min(free_values) > 0.0:
         matched.update(zip(free_rows, free_cols))
-    else:
-        matched.update(_solve_free_block(table, min_score, matched, used, free))
+        return matched
+
+    rows = [gid for gid in table.gt_ids if gid not in matched]
+    cols = [pid for pid, score in zip(table.pr_ids, table.scores)
+            if (min_score is None or score >= min_score) and pid not in used]
+    row_at = {gid: r for r, gid in enumerate(rows)}
+    col_at = {pid: c for c, pid in enumerate(cols)}
+    at = ([row_at[gid] for gid in free_rows], [col_at[pid] for pid in free_cols])
+    block = np.zeros((len(rows), len(cols)))
+    block[at] = free_values
+    admissible = np.zeros(block.shape, dtype=bool)
+    admissible[at] = True
+    matched.update((rows[r], cols[c]) for r, c in _solve(block, admissible).matches.tolist())
     return matched
-
-
-def _solve_free_block(
-    table: _FrameTable,
-    min_score: float | None,
-    matched: dict[int, int],
-    used: set[int],
-    free: list[tuple[int, int, float]],
-) -> dict[int, int]:
-    """Optimal matching of the free gt rows and kept free prediction columns.
-
-    The block spans every free row and every kept free column, in frame
-    order, with the free pairs at their values and zeros gated at +inf
-    elsewhere. So the solver weighs exactly the dense free block's matrix and
-    resolves ties the same way.
-    """
-    free_rows = [gid for gid in table.gt_ids if gid not in matched]
-    free_cols = [pid for pid, score in zip(table.pr_ids, table.scores)
-                 if (min_score is None or score >= min_score) and pid not in used]
-    row_at = {gid: r for r, gid in enumerate(free_rows)}
-    col_at = {pid: c for c, pid in enumerate(free_cols)}
-    at = ([row_at[gid] for gid, _, _ in free], [col_at[pid] for _, pid, _ in free])
-    block = np.zeros((len(free_rows), len(free_cols)))
-    gates = np.full(block.shape, np.inf)
-    block[at] = [value for _, _, value in free]
-    gates[at] = table.gate
-    assign = solve_assignment(block, gates)
-    return {free_rows[r]: free_cols[c] for r, c in assign.matches.tolist()}
 
 
 def _switch_delta(preds: list[int], k: int, pid: int) -> int:
@@ -412,35 +394,40 @@ def _relink(
 _SCORE_BLOCK = 1024
 
 
-def _frames_by_score(tables: list[_FrameTable]) -> Iterator[tuple[float, list[int]]]:
-    """Each unique prediction score, descending, with the frames holding it,
-    ascending.
+def _frames_by_score(tables: list[_FrameTable]) -> Iterator[tuple[float, int, list[int]]]:
+    """Each unique prediction score, descending, with the number of
+    predictions scored at least it and the frames holding it, ascending.
 
-    The index is two arrays: every (score, frame) pair once, scores
-    descending and frames ascending within a score. A frame's scores are
-    taken once each, the first of 0.0 and -0.0 standing for both, and the
-    sort is stable, so a score is named by the first seen in frame order.
+    The index is two arrays: every prediction's (score, frame), scores
+    descending and frames ascending within a score, so the predictions
+    scored at least a score are those up to the end of its run. The sort is
+    stable, so a score is named by the first seen in frame order, 0.0 or
+    -0.0 standing for both, and a frame holding a score twice is named once.
     Python lists are built for a block of scores at a time.
     """
     scores: list[float] = []
     frames: list[int] = []
     for i, table in enumerate(tables):
-        held = dict.fromkeys(table.scores)
-        scores.extend(held)
-        frames.extend([i] * len(held))
+        scores.extend(table.scores)
+        frames.extend([i] * len(table.scores))
     scores, frames = np.array(scores), np.array(frames, dtype=np.intp)
     order = np.argsort(-scores, kind="stable")
     scores, frames = scores[order], frames[order]
     new_score = np.ones(len(scores), dtype=bool)
     new_score[1:] = scores[1:] != scores[:-1]
+    new_frame = new_score.copy()
+    new_frame[1:] |= frames[1:] != frames[:-1]
     starts = new_score.nonzero()[0]
-    bounds = np.append(starts, len(frames))
+    kept = np.append(starts[1:], len(scores))
+    held = frames[new_frame]
+    bounds = np.append(new_score[new_frame].nonzero()[0], len(held))
     for block in range(0, len(starts), _SCORE_BLOCK):
         edges = bounds[block:block + _SCORE_BLOCK + 1]
-        held = frames[edges[0]:edges[-1]].tolist()
+        block_held = held[edges[0]:edges[-1]].tolist()
         edges = (edges - edges[0]).tolist()
         yield from zip(scores[starts[block:block + _SCORE_BLOCK]].tolist(),
-                       map(held.__getitem__, map(slice, edges, edges[1:])))
+                       kept[block:block + _SCORE_BLOCK].tolist(),
+                       map(block_held.__getitem__, map(slice, edges, edges[1:])))
 
 
 def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
@@ -448,29 +435,29 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
     least each unique score, in descending score order.
 
     One incremental pass. It starts from no prediction kept, where every frame
-    matches nothing and misses all its gt. Lowering the threshold to a score
-    changes the kept columns only in the frames holding that score. The only
-    state handed from frame to frame is the persisting pairs, the previous
-    counted frame's matches; a frame left with neither gt nor kept predictions
-    is skipped and hands on what entered it. So a frame is recounted only if
-    it holds the score or the pairs persisting into it changed, and a cascade
-    of recounts stops at the first counted isolated frame, whose matches do
-    not depend on what persists, or at a frame entered with the pairs it was
-    entered with before. Identity switches are counted apart, from each gt
-    id's matches in frame order (see _relink), so a changed match moves the
-    switch count without recounting the frames after it. Totals move by the
-    difference between a frame's new and old counts.
+    matches nothing. Lowering the threshold to a score changes the kept
+    columns only in the frames holding that score. The only state handed from
+    frame to frame is the persisting pairs, the previous counted frame's
+    matches; a frame left with neither gt nor kept predictions is skipped and
+    hands on what entered it. So a frame is recounted only if it holds the
+    score or the pairs persisting into it changed, and a cascade of recounts
+    stops at the first counted isolated frame, whose matches do not depend on
+    what persists, or at a frame entered with the pairs it was entered with
+    before. Identity switches are counted apart, from each gt id's matches in
+    frame order (see _relink), so a changed match moves the switch count
+    without recounting the frames after it. FP and FN are the predictions
+    kept and the gt, each minus the total of matches.
     """
     n = len(tables)
     # Per frame: the pairs persisting into it (kept for frames that are not
-    # isolated, the only ones that read them), its matches and its (fp, fn).
+    # isolated, the only ones that read them) and its matches.
     entering: list[dict[int, int]] = [{}] * n
     matches: list[dict[int, int]] = [{}] * n
-    counts = [(0, len(table.gt_ids)) for table in tables]
     sequences: dict[int, tuple[list[int], list[int]]] = {}
-    fp, fn, ids = 0, sum(c[1] for c in counts), 0
+    total_gt = sum(len(table.gt_ids) for table in tables)
+    matched_total = ids = 0
 
-    for score, held in _frames_by_score(tables):
+    for score, kept, held in _frames_by_score(tables):
         changed = held + [n]
         k, i = 0, changed[0]
         persisting = entering[i]
@@ -478,7 +465,7 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
             table = tables[i]
             if i == changed[k]:
                 k += 1
-            elif not table.gt_ids and table.ranked[-1] < score:
+            elif not table.gt_ids and table.top < score:
                 i += 1  # skipped: persistence carries across it
                 continue
             elif table.isolated or persisting == entering[i]:
@@ -489,17 +476,14 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
                 continue
             if not table.isolated:
                 entering[i] = persisting
-            frame_fp, frame_fn, matched = _frame_step(table, score, persisting)
-            old_fp, old_fn = counts[i]
-            counts[i] = frame_fp, frame_fn
-            fp += frame_fp - old_fp
-            fn += frame_fn - old_fn
+            matched = _frame_step(table, score, persisting)
             if matched != matches[i]:
+                matched_total += len(matched) - len(matches[i])
                 ids += _relink(sequences, i, matches[i], matched)
                 matches[i] = matched
             persisting = matched
             i += 1
-        yield score, fp, fn, ids
+        yield score, kept - matched_total, total_gt - matched_total, ids
 
 
 def clear_mot(
@@ -518,16 +502,16 @@ def clear_mot(
     """
     _check_modes(gt, pred)
     threshold = _threshold(gt.mode, match_threshold)
-    fp = fn = ids = 0
+    matched = ids = 0
     persisting: dict[int, int] = {}
     last_match: dict[int, int] = {}
     for table in _frame_tables(gt, pred, threshold):
-        frame_fp, frame_fn, persisting = _frame_step(table, None, persisting)
+        persisting = _frame_step(table, None, persisting)
         ids += _switches(persisting, last_match)
         last_match.update(persisting)
-        fp += frame_fp
-        fn += frame_fn
+        matched += len(persisting)
     total_gt = len(gt.track_ids)
+    fp, fn = len(pred.track_ids) - matched, total_gt - matched
     mota = 1.0 - (ids + fp + fn) / total_gt if total_gt else float("nan")
     return ClearReport(mota=mota, fp=fp, fn=fn, ids=ids, gt=total_gt)
 
@@ -551,7 +535,7 @@ def idf1(gt: TrackOutput, pred: TrackOutput, match_threshold: float | None = Non
         np.add.at(overlap, (np.searchsorted(gt_index, gt.track_ids[block.gt_at]),
                             np.searchsorted(pr_index, pred.track_ids[block.pr_at])), 1.0)
 
-    matches = solve_assignment(overlap, gate=0.5).matches
+    matches = _solve(overlap, overlap > 0.0).matches
     idtp = int(overlap[matches[:, 0], matches[:, 1]].sum())
     idfp = len(pred.track_ids) - idtp
     idfn = len(gt.track_ids) - idtp

@@ -81,7 +81,9 @@ def _measurement_stack(rows: np.ndarray, is_3d: bool) -> np.ndarray:
     size = rows[:, 2:] - rows[:, :2]
     if (size <= 0).any():
         raise ValueError("2D Kalman measurements require a positive-area box")
-    centers = (rows[:, :2] + rows[:, 2:]) / 2.0
+    # Halved before the sum, so corners near +-1.7e308 do not overflow.
+    half = rows / 2.0
+    centers = half[:, :2] + half[:, 2:]
     return np.concatenate((centers, size[:, :1] / size[:, 1:], size[:, 1:]), axis=1)
 
 

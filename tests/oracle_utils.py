@@ -352,7 +352,7 @@ def admissible(similarity, gate):
     return rows, cols, similarity.ravel()[at]
 
 
-def frame_table(gt_ids, pr_ids, scores, rows, cols, values, gate):
+def frame_table(gt_ids, pr_ids, scores, rows, cols, values):
     """One frame's motrack.metrics._FrameTable from its ids, scores and
     admissible pairs, with Python sets for the isolation test."""
     from motrack.metrics import _FrameTable
@@ -364,9 +364,9 @@ def frame_table(gt_ids, pr_ids, scores, rows, cols, values, gate):
     isolated = (len(set(gids)) == len(gids) == len(set(pids))
                 and all(value > 0.0 for value in pair_values))
     score_list = scores.tolist()
-    return _FrameTable(gt_ids.tolist(), pr_ids.tolist(), score_list, sorted(score_list),
-                       list(zip(gids, pids)), scores[cols].tolist(), pair_values, isolated,
-                       gate)
+    return _FrameTable(gt_ids.tolist(), pr_ids.tolist(), score_list,
+                       max(score_list, default=-math.inf), list(zip(gids, pids)),
+                       scores[cols].tolist(), pair_values, isolated)
 
 
 def frame_pairs_reference(gt, pred, threshold):
@@ -383,27 +383,27 @@ def frame_pairs_reference(gt, pred, threshold):
 
 def frame_tables_reference(gt, pred, threshold):
     """The table of each frame that has rows, one frame at a time."""
-    for gt_rows, pr_rows, rows, cols, values, gate in frame_pairs_reference(gt, pred,
-                                                                            threshold):
+    for gt_rows, pr_rows, rows, cols, values, _ in frame_pairs_reference(gt, pred, threshold):
         yield frame_table(gt.track_ids[gt_rows], pred.track_ids[pr_rows],
-                          pred.scores[pr_rows], rows, cols, values, gate)
+                          pred.scores[pr_rows], rows, cols, values)
 
 
 def clear_from_frame_tables(gt, pred, threshold):
     """(fp, fn, ids) of clear_mot's frame loop run on the per-frame tables:
     every prediction kept, matches persisting from frame to frame, and an
-    identity switch wherever a gt id's match differs from its last one."""
+    identity switch wherever a gt id's match differs from its last one. Each
+    frame's FP and FN are its own predictions and gt minus its matches."""
     from motrack.metrics import _frame_step
 
     fp = fn = ids = 0
     persisting: dict[int, int] = {}
     last_match: dict[int, int] = {}
     for table in frame_tables_reference(gt, pred, threshold):
-        frame_fp, frame_fn, persisting = _frame_step(table, None, persisting)
+        persisting = _frame_step(table, None, persisting)
         ids += sum(1 for gid, pid in persisting.items() if last_match.get(gid, pid) != pid)
         last_match.update(persisting)
-        fp += frame_fp
-        fn += frame_fn
+        fp += len(table.pr_ids) - len(persisting)
+        fn += len(table.gt_ids) - len(persisting)
     return fp, fn, ids
 
 
@@ -474,15 +474,18 @@ def dense_frame_step(gt_ids, pr_ids, values, gate, persisting, last_match):
 
 def _kept_frame_step(table, min_score, state):
     """One frame's (fp, fn, ids) and leaving state (persisting pairs, last
-    matched pred per gt id), keeping predictions scored >= min_score. A frame
+    matched pred per gt id), keeping predictions scored >= min_score. FP and
+    FN are the frame's kept predictions and gt minus its matches. A frame
     left with neither gt nor kept predictions is skipped, so match persistence
     carries across it."""
     from motrack.metrics import _frame_step
 
-    if not table.gt_ids and table.ranked[-1] < min_score:
+    n_kept = sum(1 for score in table.scores if score >= min_score)
+    if not table.gt_ids and not n_kept:
         return (0, 0, 0), state
     persisting, last_match = state
-    fp, fn, matched = _frame_step(table, min_score, persisting)
+    matched = _frame_step(table, min_score, persisting)
+    fp, fn = n_kept - len(matched), len(table.gt_ids) - len(matched)
     ids = sum(1 for gid, pid in matched.items() if last_match.get(gid, pid) != pid)
     if matched:
         last_match = {**last_match, **matched}

@@ -9,6 +9,7 @@ import math
 import time
 from dataclasses import replace
 from statistics import mean
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from motrack.association import Mode
 from motrack.geometry import Box2D, Box3D, giou_3d
 from motrack.metrics import amota, clear_mot, idf1, smota_r
 from motrack.simulate import (
+    DropoutSpan,
     MotionSegment,
     ObjectSpec,
+    OcclusionEvent,
     ScenarioSpec,
     baseline_single_association,
     canonical_occlusion_scenario,
@@ -30,8 +33,9 @@ from motrack.simulate import (
 )
 from motrack.tracker import TrackOutput, TrackRecord, run_sequence, validate_config
 from kalman_utils import kf_init, kf_predict, kf_update
-from oracle_utils import (best_gated_matching, clear_from_frame_tables, frame_tables_reference,
-                          giou_3d_axis_aligned, giou_3d_voxel, idf1_from_frame_pairs)
+from oracle_utils import (amota_reference, best_gated_matching, clear_counts_reference,
+                          clear_from_frame_tables, frame_tables_reference, giou_3d_axis_aligned,
+                          giou_3d_voxel, idf1_from_frame_pairs, sweep_reference)
 
 TAUS = (0.3, 0.4, 0.5, 0.6, 0.7)
 
@@ -338,3 +342,76 @@ def test_evaluation_on_tracker_output():
           f"amota {reports['amota'].amota:.4f}; wall time clear_mot "
           f"{seconds['clear_mot']:.3f} s, idf1 {seconds['idf1']:.3f} s, "
           f"amota {seconds['amota']:.3f} s")
+
+
+def _meeting_pairs_scenario():
+    """Ground truth and detections of side-by-side pairs of boxes that meet
+    other pairs head-on, lane by lane, and turn back at the lane's ends.
+
+    The two boxes of a pair overlap at IoU 0.62, so every detection clears
+    the gate against both. Scores dip in occlusions, objects drop out,
+    detections are missed at random and clutter scores up to 0.6, so tracks
+    break, ids switch and some frames need the solver.
+    """
+    n_frames, n_objects = 200, 8
+    objects = []
+    for k in range(n_objects):
+        direction = 1.0 if k % 4 < 2 else -1.0
+        x = (200.0 if direction > 0 else 1000.0) + direction * 14.0 * (k % 2)
+        speed = 4.0 + 0.3 * (k // 4)
+        turn = int(800.0 / speed)
+        segments = tuple(MotionSegment(turn, direction * speed * (-1) ** i, 0.0)
+                         for i in range(n_frames // turn + 1))
+        objects.append(ObjectSpec(start=(x, 150.0 + 110.0 * (k // 4)), size=(60.0, 130.0),
+                                  segments=segments))
+    spec = ScenarioSpec(
+        mode=Mode.BOX_2D, duration=n_frames, world=(0.0, 0.0, 1280.0, 720.0),
+        objects=tuple(objects),
+        occlusions=tuple(OcclusionEvent(k, f, f + 8, 0.3) for k in range(n_objects)
+                         for f in range(15 + 7 * k, n_frames - 10, 60)),
+        dropouts=tuple(DropoutSpan(k, f, f + 3) for k in range(0, n_objects, 3)
+                       for f in range(40 + 5 * k, n_frames - 5, 90)),
+        position_noise=4.0, score_noise=0.05, clutter_rate=1.5, clutter_scores=(0.1, 0.6),
+        miss_rate=0.03,
+    )
+    return generate_scenario(spec, 7)
+
+
+def test_evaluation_with_switches_on_tracker_output():
+    # A tracked scene with errors of every kind, so that CLEAR reaches the
+    # solver and counts identity switches. CLEAR and AMOTA must equal their
+    # exhaustive oracles and IDF1 the per-frame one; AMOTA's is run on the
+    # scores rounded to one decimal, few enough thresholds to recount each
+    # from scratch, and on the raw scores the sweep must equal the
+    # incremental oracle. The times are printed, not gated.
+    gt, frames = _meeting_pairs_scenario()
+    pred = run_sequence(frames, validate_config({"mode": "2d"}))
+    seconds = {}
+    with mock.patch.object(metrics, "_solve", wraps=metrics._solve) as solver:
+        start = time.perf_counter()
+        report = clear_mot(gt, pred)
+        seconds["clear_mot"] = time.perf_counter() - start
+    assert solver.call_count >= 1
+    assert report.ids > 0
+    assert (report.mota, report.fp, report.fn, report.ids) == clear_counts_reference(gt, pred)
+
+    start = time.perf_counter()
+    score = idf1(gt, pred)
+    seconds["idf1"] = time.perf_counter() - start
+    assert score == idf1_from_frame_pairs(gt, pred, 0.5)
+
+    start = time.perf_counter()
+    amota(gt, pred)
+    seconds["amota"] = time.perf_counter() - start
+    tables = list(metrics._frame_tables(gt, pred, 0.5))
+    assert list(metrics._sweep(tables)) == sweep_reference(tables)
+    rounded = TrackOutput.from_columns(pred.frames, pred.track_ids, pred.class_ids,
+                                       np.round(pred.scores, 1), pred.boxes, pred.mode,
+                                       pred.n_frames)
+    report_rounded = amota(gt, rounded)
+    assert (report_rounded.amota, report_rounded.smota_values, report_rounded.recalls) == \
+        amota_reference(gt, rounded)
+    print(f"\nPASS evaluation with switches: {len(frames)} frames, mota {report.mota:.4f} "
+          f"(ids {report.ids}, fp {report.fp}, fn {report.fn}), {solver.call_count} solver "
+          f"calls; wall time clear_mot {seconds['clear_mot']:.3f} s, idf1 "
+          f"{seconds['idf1']:.3f} s, amota {seconds['amota']:.3f} s")

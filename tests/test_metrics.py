@@ -441,7 +441,7 @@ def sparse_table(gt_ids, pr_ids, scores, values, gate):
                                         gate)
     rows, cols = np.divmod(at, n_pr)
     block = metrics._Block([0, n_gt], [0, n_pr], np.zeros(len(at), dtype=np.intp), rows, cols,
-                           pair_values, gate)
+                           pair_values)
     tables = metrics._block_tables(block, np.array(gt_ids, dtype=np.int64),
                                    np.array(pr_ids, dtype=np.int64),
                                    np.array(scores, dtype=float))
@@ -498,7 +498,9 @@ def test_frame_step_matches_dense_oracle(frame):
                             persisting, last_match)
     state = (dict(persisting), dict(last_match))
     table = sparse_table(gt_ids, pr_ids, scores, values, gate)
-    fp, fn, matched = metrics._frame_step(table, min_score, persisting)
+    matched = metrics._frame_step(table, min_score, persisting)
+    # The frame's own FP and FN, from its kept predictions and gt.
+    fp, fn = len(keep) - len(matched), len(gt_ids) - len(matched)
     assert (fp, fn, metrics._switches(matched, last_match), matched) == want
     assert (persisting, last_match) == state
 
@@ -528,8 +530,7 @@ def test_solver_runs_only_on_conflicting_frames(frame):
     gt_ids, pr_ids, scores, values, gate, min_score, persisting, last_match = frame
     keep = kept_columns(scores, min_score)
     table = sparse_table(gt_ids, pr_ids, scores, values, gate)
-    with mock.patch.object(metrics, "solve_assignment",
-                           wraps=metrics.solve_assignment) as solver:
+    with mock.patch.object(metrics, "_solve", wraps=metrics._solve) as solver:
         metrics._frame_step(table, min_score, persisting)
     conflict = bool(gt_ids and keep) and has_conflict(gt_ids, pr_ids, values, gate, keep,
                                                       persisting)
@@ -549,7 +550,7 @@ def test_conflict_free_sequences_never_call_the_solver(monkeypatch):
     def no_solver(*args, **kwargs):
         raise AssertionError("solver called on a conflict-free frame")
 
-    monkeypatch.setattr(metrics, "solve_assignment", no_solver)
+    monkeypatch.setattr(metrics, "_solve", no_solver)
     assert clear_mot(gt, pred).ids == 0
     assert amota(gt, pred).amota == pytest.approx(amota_reference(gt, pred)[0], abs=1e-12)
 

@@ -50,6 +50,16 @@ class TestRunSequence:
         with pytest.raises(ValueError, match="frame 2"):
             run_sequence(frames, {"mode": "2d"})
 
+    def test_huge_2d_boxes_keep_their_ids(self):
+        # Valid boxes near +-1.7e308: their centers must not overflow, and
+        # the gap between them overflows to no overlap, without a warning
+        # (RuntimeWarnings are errors under the test configuration).
+        left, right = Box2D(-1.7e308, 0, -1.6e308, 1), Box2D(1.6e308, 0, 1.7e308, 1)
+        frames = [[Detection(left, 0.9), Detection(right, 0.9)]] * 3
+        output = run_sequence(frames, {"mode": "2d"})
+        assert [(r.frame, r.track_id) for r in output.records] == [
+            (f, i) for f in (1, 2, 3) for i in (1, 2)]
+
     def test_golden_crossing_trace(self):
         spec, seed = crossing_scenario()
         _, frames = generate_scenario(spec, seed)

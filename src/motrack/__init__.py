@@ -15,22 +15,11 @@ from .association import (
     MotionStrategy,
     TrackerConfig,
     TrackPool,
-    predict_tracks,
     step,
 )
-from .geometry import (
-    Box2D,
-    Box3D,
-    bev_intersection_area,
-    giou_3d,
-    iou_2d,
-)
+from .geometry import Box2D, Box3D
 from .metrics import AmotaReport, ClearReport, amota, clear_mot, idf1, smota_r
-from .simulate import (
-    ScenarioSpec,
-    baseline_single_association,
-    generate_scenario,
-)
+from .simulate import ScenarioSpec, generate_scenario
 from .tracker import (
     Tracker,
     TrackOutput,
@@ -43,8 +32,8 @@ from .tracker import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "AmotaReport",
+    "Assignment",
     "Box2D",
     "Box3D",
     "ClearReport",
@@ -60,15 +49,10 @@ __all__ = [
     "Tracker",
     "TrackerConfig",
     "amota",
-    "baseline_single_association",
-    "bev_intersection_area",
     "clear_mot",
     "default_config",
     "generate_scenario",
-    "giou_3d",
     "idf1",
-    "iou_2d",
-    "predict_tracks",
     "run_sequence",
     "smota_r",
     "solve_assignment",

@@ -1,4 +1,10 @@
-"""Gated optimal bipartite matching between detections and tracklets."""
+"""Gated optimal bipartite matching between detections and tracklets.
+
+solve_assignment(values, admissible) is the one solver entry: callers gate
+their values into a mask of admissible pairs, values must be finite where
+admissible and are ignored elsewhere, and a table whose admissible pairs
+already form a matching of positive pairs is returned without the solver.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ class Assignment:
     ``matches`` is a (k, 2) array of (row, column) pairs in row order; the
     unmatched fields are ascending index arrays. Each detection/tracklet index
     appears in at most one match; matches and the unmatched sets partition both
-    index ranges, and every matched pair scored at least the gate.
+    index ranges, and every matched pair is admissible.
     """
 
     matches: np.ndarray
@@ -23,55 +29,41 @@ class Assignment:
     unmatched_tracklets: np.ndarray
 
 
-def solve_assignment(sim: np.ndarray, gate: float | np.ndarray) -> Assignment:
-    """Maximize total similarity over matchings whose pairs all reach the gate.
+def solve_assignment(values: np.ndarray, admissible: np.ndarray) -> Assignment:
+    """Maximize the total value over matchings of admissible pairs.
 
     Args:
-        sim: M x N similarity scores (finite entries).
-        gate: minimum admissible similarity; a scalar or an array broadcastable
-            to the matrix shape (entries gated at +inf are never matched).
+        values: M x N scores (any array-like), finite where admissible.
+        admissible: M x N mask of the pairs that may be matched.
 
     Returns:
-        The optimal gated assignment. Leaving a pair unmatched contributes
-        zero, so only pairs that raise the total are matched; ties resolve
-        deterministically for fixed inputs. An empty matrix matches nothing.
-        When no row and no column holds two admissible pairs and every
-        admissible value is positive, those pairs are the unique optimum and
-        are returned without running the solver.
+        The optimal assignment. Leaving a pair unmatched contributes zero, so
+        only pairs that raise the total are matched: negative and inadmissible
+        pairs weigh 0 and are dropped from the solver's answer, and ties
+        resolve deterministically for fixed inputs. An empty table matches
+        nothing. A conflict-free table, where no row and no column holds two
+        admissible pairs and every admissible value is > 0, is matched by
+        exactly its admissible pairs without running the solver: each raises
+        the total and none excludes another.
+
+    Raises:
+        ValueError: values are not 2-D, the mask has another shape, or an
+            admissible value is not finite.
     """
-    values = np.asarray(sim, dtype=float)
+    values = np.asarray(values, dtype=float)
+    admissible = np.asarray(admissible, dtype=bool)
     if values.ndim != 2:
         raise ValueError(f"similarity matrix must be 2-D, got shape {values.shape}")
-    n_rows, n_cols = values.shape
-    if n_rows == 0 or n_cols == 0:
-        return _solve(values, np.zeros(values.shape, dtype=bool))
-    if not np.all(np.isfinite(values)):
-        raise ValueError("similarity matrix entries must be finite")
-
-    admissible = values >= np.asarray(gate, dtype=float)
     if admissible.shape != values.shape:
-        raise ValueError(f"gate of shape {np.shape(gate)} does not broadcast to {values.shape}")
-    return _solve(values, admissible)
-
-
-def _solve(values: np.ndarray, admissible: np.ndarray) -> Assignment:
-    """solve_assignment on checked input: finite values and their admissible mask.
-
-    A conflict-free table, where no row and no column holds two admissible
-    pairs and every admissible value is > 0, is matched by exactly its
-    admissible pairs: each raises the total and none excludes another. Any
-    other table, zero-valued admissible pairs included, goes to the solver,
-    so ties resolve as the solver resolves them.
-    """
+        raise ValueError(f"admissible mask of shape {admissible.shape} does not match "
+                         f"the similarity matrix's {values.shape}")
     rows, cols = admissible.nonzero()  # rows ascending, so a repeated row is adjacent
+    kept = values[rows, cols]
+    if not np.isfinite(kept).all():
+        raise ValueError("similarity matrix entries must be finite where admissible")
     if len(rows) and not (
-        (rows[1:] != rows[:-1]).all()
-        and np.bincount(cols).max() == 1
-        and (values[rows, cols] > 0.0).all()
+        (rows[1:] != rows[:-1]).all() and np.bincount(cols).max() == 1 and (kept > 0.0).all()
     ):
-        # Negative and inadmissible pairs are worth no more than leaving both
-        # sides unmatched, so they weigh 0 and are dropped from the solution:
-        # what is kept is a maximum-total matching of admissible pairs.
         rows, cols = linear_sum_assignment(
             np.where(admissible, np.maximum(values, 0.0), 0.0), maximize=True
         )

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import motion
-from .assignment import _solve
+from .assignment import solve_assignment
 from .geometry import (
     Box,
     Box2D,
@@ -473,13 +473,13 @@ def step(
         values = sim
     admissible = same_class & (values >= row_gates)
 
-    first = _solve(values[:n_high], admissible[:n_high])
+    first = solve_assignment(values[:n_high], admissible[:n_high])
     first_det = high_idx[first.matches[:, 0]]
     first_trk = first.matches[:, 1]
     high_left = high_idx[first.unmatched_detections]
     cols_left = first.unmatched_tracklets
     if config.second_pass:
-        second = _solve(values[n_high:, cols_left], admissible[n_high:, cols_left])
+        second = solve_assignment(values[n_high:, cols_left], admissible[n_high:, cols_left])
         second_det = low_idx[second.matches[:, 0]]
         second_trk = cols_left[second.matches[:, 1]]
         low_left = low_idx[second.unmatched_detections]

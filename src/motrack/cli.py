@@ -18,6 +18,22 @@ _PRESETS = {
 }
 
 
+def _count(text: str) -> int:
+    """A scenario count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _taus(text: str) -> list[float]:
+    """A comma-separated list of at least one score threshold."""
+    taus = [float(t) for t in text.split(",") if t.strip()]
+    if not taus:
+        raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+    return taus
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motrack",
@@ -60,14 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="MOTA/IDF1 vs the score threshold, two-stage vs single-stage"
     )
-    sweep.add_argument("--taus", default="0.3,0.4,0.5,0.6,0.7")
-    sweep.add_argument("--scenarios", type=int, default=20)
+    sweep.add_argument("--taus", type=_taus, default="0.3,0.4,0.5,0.6,0.7")
+    sweep.add_argument("--scenarios", type=_count, default=20)
     sweep.add_argument("--base-seed", type=int, default=100)
 
     ablate = sub.add_parser(
         "ablate-motion", help="compare motion strategies on turn/dropout 3D scenarios"
     )
-    ablate.add_argument("--scenarios", type=int, default=5)
+    ablate.add_argument("--scenarios", type=_count, default=5)
     ablate.add_argument("--base-seed", type=int, default=500)
 
     return parser
@@ -162,7 +178,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    taus = [float(t) for t in args.taus.split(",") if t.strip()]
     suite = simulate.clutter_suite(args.scenarios, args.base_seed)
     realized = [simulate.generate_scenario(spec, seed) for spec, seed in suite]
     base = validate_config({"mode": "2d"})
@@ -170,7 +185,7 @@ def _cmd_sweep(args) -> int:
     print(f"{'tau':>5} | {'two-stage MOTA':>15} {'IDF1':>7} | "
           f"{'single-stage MOTA':>18} {'IDF1':>7}")
     spreads: dict[str, list[float]] = {"two": [], "single": []}
-    for tau in taus:
+    for tau in args.taus:
         row: dict[str, tuple[float, float]] = {}
         for label, second in (("two", True), ("single", False)):
             config = replace(base, tau=tau, second_pass=second)

@@ -160,19 +160,6 @@ class Box3D:
 Box = Union[Box2D, Box3D]
 
 
-def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two 2D boxes; 0 for disjoint or zero-area unions."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def box2d_array(boxes: Sequence[Box2D]) -> np.ndarray:
     """Box corners as one (K, 4) array of (x1, y1, x2, y2) rows."""
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
@@ -288,14 +275,21 @@ def _bev_intersection_areas(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def giou_3d_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Generalized IoU of P box pairs given as (P, 7) parameter rows; returns (P,).
+    """Generalized IoU of P box pairs given as (P, 7) parameter rows; returns
+    (P,), each in (-1, 1].
 
-    Row layout is that of box3d_array. This is the one GIoU kernel: the
+    Row layout is that of box3d_array. This is the one GIoU kernel. The
     overlap volume is the BEV footprint intersection (a fixed-shape
     rectangle-pair intersection, run only for pairs whose footprints can
-    meet) times the vertical interval overlap; the enclosing region is the
+    meet) times the vertical interval overlap. The enclosing region is the
     axis-aligned BEV bounding box of both footprints times the union of the
-    vertical extents (see giou_3d).
+    vertical extents, so the result never exceeds the plain IoU and
+    approaches -1 for far-separated boxes.
+
+    Because that enclosure is axis-aligned rather than the convex hull, two
+    identical boxes score 1 only at yaw 0 or a quarter turn: a 4 m x 2 m box
+    against itself at yaw 0.3 scores about 0.586 (its footprint fills 8 of the
+    13.65 square meters of its axis-aligned bounding box).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -329,28 +323,6 @@ def giou_3d_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     enclosing = span_x * span_y * (np.maximum(za1, zb1) - np.minimum(za0, zb0))
 
     return inter / union - (enclosing - union) / enclosing
-
-
-def bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    """Intersection area of two yaw-rotated footprint rectangles, in square meters."""
-    xs, ys = _bev_corners(box3d_array((a, b)))
-    return float(_bev_intersection_areas(xs[..., None], ys[..., None])[0])
-
-
-def giou_3d(a: Box3D, b: Box3D) -> float:
-    """Generalized IoU of two 3D boxes, in (-1, 1].
-
-    The overlap volume is the BEV footprint intersection times the vertical
-    interval overlap. The enclosing region is the axis-aligned BEV bounding box
-    of both footprints times the union of the vertical extents, so the result
-    never exceeds the plain IoU and approaches -1 for far-separated boxes.
-
-    Because that enclosure is axis-aligned rather than the convex hull, two
-    identical boxes score 1 only at yaw 0 or a quarter turn: a 4 m x 2 m box
-    against itself at yaw 0.3 scores about 0.586 (its footprint fills 8 of the
-    13.65 square meters of its axis-aligned bounding box).
-    """
-    return float(giou_3d_pairs(box3d_array((a,)), box3d_array((b,)))[0])
 
 
 def iou_matrix_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .assignment import _solve
+from .assignment import solve_assignment
 from .geometry import iou_matrix_2d
 from .tracker import Mode, TrackOutput
 
@@ -341,7 +341,8 @@ def _matches(
     block[at] = free_values
     admissible = np.zeros(block.shape, dtype=bool)
     admissible[at] = True
-    matched.update((rows[r], cols[c]) for r, c in _solve(block, admissible).matches.tolist())
+    solved = solve_assignment(block, admissible).matches.tolist()
+    matched.update((rows[r], cols[c]) for r, c in solved)
     return matched
 
 
@@ -535,7 +536,7 @@ def idf1(gt: TrackOutput, pred: TrackOutput, match_threshold: float | None = Non
         np.add.at(overlap, (np.searchsorted(gt_index, gt.track_ids[block.gt_at]),
                             np.searchsorted(pr_index, pred.track_ids[block.pr_at])), 1.0)
 
-    matches = _solve(overlap, overlap > 0.0).matches
+    matches = solve_assignment(overlap, overlap > 0.0).matches
     idtp = int(overlap[matches[:, 0], matches[:, 1]].sum())
     idfp = len(pred.track_ids) - idtp
     idfn = len(gt.track_ids) - idtp

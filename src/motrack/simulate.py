@@ -1,4 +1,4 @@
-"""Seeded synthetic scenarios and the single-stage baseline tracker.
+"""Seeded synthetic scenarios and the suites built from them.
 
 Scenarios script ground-truth trajectories plus a detector model: position
 jitter, confidence jitter, scripted occlusions that dip scores (occlusion is
@@ -10,14 +10,13 @@ produces bit-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .association import Detection, Mode, TrackerConfig
+from .association import Detection, Mode
 from .geometry import Box2D, Box3D
-from .tracker import CLASS_IDS, TrackOutput, TrackRecord, run_sequence, validate_config
+from .tracker import CLASS_IDS, TrackOutput, TrackRecord
 
 
 @dataclass(frozen=True)
@@ -253,19 +252,6 @@ def generate_scenario(
 
     gt = TrackOutput(tuple(gt_records), spec.mode, duration)
     return gt, frames
-
-
-def baseline_single_association(
-    frames: Sequence[Sequence[Detection]],
-    config: TrackerConfig | None = None,
-) -> TrackOutput:
-    """Run the tracker with the low-score association disabled.
-
-    Identical motion and gating machinery, but only boxes above tau are ever
-    associated and low-score boxes are dropped outright.
-    """
-    base = validate_config(config if config is not None else {})
-    return run_sequence(frames, replace(base, second_pass=False))
 
 
 # --- canonical scenarios and suites -------------------------------------------

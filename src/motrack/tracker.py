@@ -111,16 +111,6 @@ class TrackOutput:
         return records_from_columns(self.frames, self.track_ids, self.class_ids, self.scores,
                                     self.boxes)
 
-    def slice_frames(self, first: int, last: int) -> "TrackOutput":
-        """Restrict to frames in [first, last]."""
-        start = np.searchsorted(self.frames, first, side="left")
-        stop = np.searchsorted(self.frames, last, side="right")
-        return TrackOutput.from_columns(
-            self.frames[start:stop], self.track_ids[start:stop], self.class_ids[start:stop],
-            self.scores[start:stop], self.boxes[start:stop], self.mode, self.n_frames,
-            self.config,
-        )
-
 
 def default_config(mode: Mode = Mode.BOX_2D, modality: str | None = None) -> TrackerConfig:
     """Reference configuration for a mode.

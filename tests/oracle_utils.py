@@ -7,7 +7,11 @@ state, and line-by-line record parsers and writers. Each deliberately avoids
 the code path it verifies: the batched clipping kernel, the Hungarian solver,
 the solver's conflict-free short path, the once-per-frame scoring and update,
 the padded blocks of frames the evaluators score at once, the sparse tables,
-the per-gt identity-switch sequences and the columnar parsers."""
+the per-gt identity-switch sequences and the columnar parsers.
+
+A few helpers are thin wrappers the tests share rather than oracles: the
+gate-taking solve_gated, the scalar giou_3d and bev_intersection_area over
+the array kernels, and slice_frames over TrackOutput.from_columns."""
 
 from __future__ import annotations
 
@@ -17,6 +21,19 @@ from functools import lru_cache
 import numpy as np
 
 from motrack.geometry import Box2D, Box3D
+
+
+def iou_2d(a: Box2D, b: Box2D) -> float:
+    """Intersection over union of two 2D boxes; 0 for disjoint or zero-area unions."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
 
 
 def iou_2d_monte_carlo(a: Box2D, b: Box2D, n: int = 200_000, seed: int = 0) -> float:
@@ -42,6 +59,22 @@ def _footprint_mask(box: Box3D, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     u = c * dx + s * dy
     v = -s * dx + c * dy
     return (np.abs(u) <= box.l / 2.0) & (np.abs(v) <= box.w / 2.0)
+
+
+def giou_3d(a: Box3D, b: Box3D) -> float:
+    """GIoU of one box pair through the program's kernel, giou_3d_pairs."""
+    from motrack.geometry import box3d_array, giou_3d_pairs
+
+    return float(giou_3d_pairs(box3d_array((a,)), box3d_array((b,)))[0])
+
+
+def bev_intersection_area(a: Box3D, b: Box3D) -> float:
+    """Footprint intersection area of one box pair through the program's
+    kernel, in square meters."""
+    from motrack.geometry import _bev_corners, _bev_intersection_areas, box3d_array
+
+    xs, ys = _bev_corners(box3d_array((a, b)))
+    return float(_bev_intersection_areas(xs[..., None], ys[..., None])[0])
 
 
 def giou_3d_voxel(a: Box3D, b: Box3D, cell: float = 0.02) -> float:
@@ -177,7 +210,6 @@ def _reference_similarity(gt, threshold):
     the IoU threshold, or 3D threshold minus BEV centre distance against 0
     (admissible iff the distance is at most the threshold)."""
     from motrack.association import Mode
-    from motrack.geometry import iou_2d
 
     if gt.mode is Mode.BOX_2D:
         threshold = 0.5 if threshold is None else threshold
@@ -243,6 +275,19 @@ def clear_counts_reference(gt, pred, threshold: float | None = None):
     total_gt = len(gt.records)
     mota = 1.0 - (ids + fp + fn) / total_gt if total_gt else float("nan")
     return mota, fp, fn, ids
+
+
+def slice_frames(output, first: int, last: int):
+    """The records of a TrackOutput in frames [first, last], as a TrackOutput."""
+    from motrack.tracker import TrackOutput
+
+    start = np.searchsorted(output.frames, first, side="left")
+    stop = np.searchsorted(output.frames, last, side="right")
+    return TrackOutput.from_columns(
+        output.frames[start:stop], output.track_ids[start:stop], output.class_ids[start:stop],
+        output.scores[start:stop], output.boxes[start:stop], output.mode, output.n_frames,
+        output.config,
+    )
 
 
 def records_by_frame(output) -> dict[int, list]:
@@ -411,8 +456,6 @@ def idf1_from_frame_pairs(gt, pred, threshold):
     """IDF1 from the per-frame admissible pairs: the (gt id, prediction id)
     overlap counts, one optimal assignment on them, and the same arithmetic
     as motrack.metrics.idf1."""
-    from motrack.assignment import solve_assignment
-
     if not len(gt.track_ids) or not len(pred.track_ids):
         return 0.0
     gt_index, pr_index = np.unique(gt.track_ids), np.unique(pred.track_ids)
@@ -421,7 +464,7 @@ def idf1_from_frame_pairs(gt, pred, threshold):
         for gid, pid in zip(gt.track_ids[gt_rows][rows].tolist(),
                             pred.track_ids[pr_rows][cols].tolist()):
             overlap[np.searchsorted(gt_index, gid), np.searchsorted(pr_index, pid)] += 1.0
-    matches = solve_assignment(overlap, gate=0.5).matches
+    matches = solve_gated(overlap, 0.5).matches
     idtp = int(overlap[matches[:, 0], matches[:, 1]].sum())
     idfp = len(pred.track_ids) - idtp
     idfn = len(gt.track_ids) - idtp
@@ -436,8 +479,6 @@ def dense_frame_step(gt_ids, pr_ids, values, gate, persisting, last_match):
     order; the rest is solved on the whole free block of every free row and
     every free column. Neither dict is modified.
     """
-    from motrack.assignment import solve_assignment
-
     if not gt_ids or not pr_ids:
         return len(pr_ids), len(gt_ids), 0, {}
 
@@ -458,7 +499,7 @@ def dense_frame_step(gt_ids, pr_ids, values, gate, persisting, last_match):
     free_rows = [i for i in range(len(gt_ids)) if i not in matches]
     free_cols = [j for j in range(len(pr_ids)) if j not in used_cols]
     if free_rows and free_cols:
-        assign = solve_assignment(values[free_rows][:, free_cols], gate)
+        assign = solve_gated(values[free_rows][:, free_cols], gate)
         for r, c in assign.matches.tolist():
             matches[free_rows[r]] = free_cols[c]
 
@@ -538,6 +579,15 @@ def sweep_reference(tables):
     return points
 
 
+def solve_gated(values, gate):
+    """solve_assignment with every pair admissible that reaches the gate, a
+    scalar or an array broadcastable to the values' shape."""
+    from motrack.assignment import solve_assignment
+
+    values = np.asarray(values, dtype=float)
+    return solve_assignment(values, values >= gate)
+
+
 def best_gated_matching(values: np.ndarray, gate) -> float:
     """Exhaustive maximum total similarity over gated partial matchings.
 
@@ -568,7 +618,7 @@ def best_gated_matching(values: np.ndarray, gate) -> float:
 
 
 def dense_assignment(sim, gate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """solve_assignment with the solver on every table: (matches, unmatched
+    """solve_gated with the solver on every table: (matches, unmatched
     rows, unmatched columns) of the dense gated Hungarian solve.
 
     Every pair is weighed, inadmissible and negative ones at 0, and the
@@ -602,7 +652,6 @@ def dense_assignment(sim, gate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def two_pass_step(pool, frame: int, detections, config):
     """association.step with every stage run once per pass."""
     from motrack import motion
-    from motrack.assignment import solve_assignment
     from motrack.association import (
         DetectionFrame,
         FrameDiagnostics,
@@ -650,9 +699,9 @@ def two_pass_step(pool, frame: int, detections, config):
             source = np.where(wants_backward[trk][:, None], back[det], raw[det])
             values = np.zeros(same_class.shape)
             values[r, c] = giou_3d_pairs(source, match_rows[trk])
-            assign = solve_assignment(values + 1.0, gates + 1.0)
+            assign = solve_gated(values + 1.0, gates + 1.0)
         else:
-            assign = solve_assignment(iou_matrix_2d(raw[rows], match_rows[cols]), gates)
+            assign = solve_gated(iou_matrix_2d(raw[rows], match_rows[cols]), gates)
         det, trk = rows[assign.matches[:, 0]], cols[assign.matches[:, 1]]
         if len(det):
             zs = motion._measurement_stack(raw[det], is_3d)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from motrack import assignment
 from motrack.assignment import solve_assignment
-from oracle_utils import best_gated_matching, dense_assignment
+from oracle_utils import best_gated_matching, dense_assignment, solve_gated
 
 
 def objective(values, assignment) -> float:
@@ -20,24 +20,24 @@ def pairs(assignment) -> set[tuple[int, int]]:
 
 def test_dominant_diagonal():
     sim = np.array([[0.9, 0.1], [0.1, 0.9]])
-    result = solve_assignment(sim, gate=0.2)
+    result = solve_gated(sim, 0.2)
     assert pairs(result) == {(0, 0), (1, 1)}
     assert result.unmatched_detections.tolist() == []
     assert result.unmatched_tracklets.tolist() == []
 
 
 def test_single_pair_below_gate_rejected():
-    result = solve_assignment(np.array([[0.15]]), gate=0.2)
+    result = solve_gated(np.array([[0.15]]), 0.2)
     assert result.matches.tolist() == []
     assert result.unmatched_detections.tolist() == [0]
     assert result.unmatched_tracklets.tolist() == [0]
 
 
 def test_empty_matrix():
-    result = solve_assignment(np.zeros((0, 3)), gate=0.2)
+    result = solve_gated(np.zeros((0, 3)), 0.2)
     assert result.matches.shape == (0, 2)
     assert result.unmatched_tracklets.tolist() == [0, 1, 2]
-    result = solve_assignment(np.zeros((2, 0)), gate=0.2)
+    result = solve_gated(np.zeros((2, 0)), 0.2)
     assert result.unmatched_detections.tolist() == [0, 1]
 
 
@@ -49,7 +49,7 @@ def test_empty_matrix():
 def test_index_arrays(values, gate):
     # Callers index with the result directly: (k, 2) matches in row order and
     # ascending unmatched index arrays, all intp.
-    result = solve_assignment(values, gate)
+    result = solve_gated(values, gate)
     assert result.matches.ndim == 2 and result.matches.shape[1] == 2
     for field in (result.matches, result.unmatched_detections, result.unmatched_tracklets):
         assert field.dtype == np.intp
@@ -59,24 +59,39 @@ def test_index_arrays(values, gate):
 
 
 def test_non_finite_rejected():
-    with pytest.raises(ValueError):
-        solve_assignment(np.array([[np.inf]]), gate=0.0)
-    with pytest.raises(ValueError):
-        solve_assignment(np.array([[0.5, np.nan]]), gate=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        solve_assignment(np.array([[np.inf]]), np.array([[True]]))
+    with pytest.raises(ValueError, match="finite"):
+        solve_assignment(np.array([[0.5, np.nan]]), np.array([[False, True]]))
+    with pytest.raises(ValueError, match="finite"):
+        solve_assignment(np.array([[0.9, 0.8], [-np.inf, 0.7]]), np.ones((2, 2), dtype=bool))
+
+
+def test_inadmissible_values_are_ignored():
+    # A non-finite value on an inadmissible cell changes nothing, on the short
+    # path or through the solver.
+    assert solve_assignment(np.array([[0.5, np.nan]]), np.array([[True, False]])) \
+        .matches.tolist() == [[0, 0]]
+    values = np.array([[0.9, 0.8, np.inf], [0.7, np.nan, -np.inf]])
+    result = solve_assignment(values, np.isfinite(values))
+    assert result.matches.tolist() == [[0, 1], [1, 0]]
+    assert result.unmatched_tracklets.tolist() == [2]
 
 
 def test_non_2d_rejected():
     with pytest.raises(ValueError, match="2-D"):
-        solve_assignment(np.array([0.8]), gate=0.5)
-    assert solve_assignment([[0.8]], gate=0.5).matches.tolist() == [[0, 0]]
+        solve_assignment(np.array([0.8]), np.array([True]))
+    with pytest.raises(ValueError, match="shape"):
+        solve_assignment(np.ones((2, 3)), np.ones((3, 2), dtype=bool))
+    assert solve_assignment([[0.8]], [[True]]).matches.tolist() == [[0, 0]]
 
 
 def test_zero_similarity_at_zero_gate_matches():
     # A pair exactly at a gate of 0 is admissible and worth matching, as a 3D
     # CLEAR match at exactly the distance threshold is.
-    assert solve_assignment([[0.0]], 0.0).matches.tolist() == [[0, 0]]
-    assert pairs(solve_assignment(np.zeros((2, 2)), 0.0)) == {(0, 0), (1, 1)}
-    result = solve_assignment([[0.0, -0.5]], 0.0)
+    assert solve_gated([[0.0]], 0.0).matches.tolist() == [[0, 0]]
+    assert pairs(solve_gated(np.zeros((2, 2)), 0.0)) == {(0, 0), (1, 1)}
+    result = solve_gated([[0.0, -0.5]], 0.0)
     assert result.matches.tolist() == [[0, 0]]
     assert result.unmatched_tracklets.tolist() == [1]
 
@@ -84,7 +99,7 @@ def test_zero_similarity_at_zero_gate_matches():
 def test_prefers_total_over_cardinality():
     # One strong pair beats two weak ones when the sums say so.
     sim = np.array([[0.9, 0.25], [0.25, 0.0]])
-    result = solve_assignment(sim, gate=0.2)
+    result = solve_gated(sim, 0.2)
     assert result.matches.tolist() == [[0, 0]]
 
 
@@ -94,7 +109,7 @@ def test_matches_respect_gate_partition():
         m, n = rng.integers(1, 8, 2)
         values = rng.uniform(0.0, 1.0, (m, n))
         gate = rng.uniform(0.0, 1.0)
-        result = solve_assignment(values, gate)
+        result = solve_gated(values, gate)
         rows = result.matches[:, 0].tolist()
         cols = result.matches[:, 1].tolist()
         assert len(set(rows)) == len(rows)
@@ -111,7 +126,7 @@ def test_optimal_against_exhaustive_search():
         m, n = rng.integers(1, 8, 2)
         values = rng.uniform(0.0, 1.0, (m, n))
         gate = rng.uniform(0.0, 0.9)
-        result = solve_assignment(values, gate)
+        result = solve_gated(values, gate)
         assert objective(values, result) == pytest.approx(
             best_gated_matching(values, gate), abs=1e-12
         )
@@ -125,11 +140,11 @@ def test_optimal_with_negative_values_and_gates():
         m, n = rng.integers(1, 7, 2)
         values = rng.uniform(-1.0, 1.0, (m, n))
         gate = rng.uniform(-0.9, 0.2)
-        result = solve_assignment(values, gate)
+        result = solve_gated(values, gate)
         assert objective(values, result) == pytest.approx(
             best_gated_matching(values, gate), abs=1e-12
         )
-    assert solve_assignment(np.array([[-0.3]]), gate=-0.7).matches.tolist() == []
+    assert solve_gated(np.array([[-0.3]]), -0.7).matches.tolist() == []
 
 
 def test_gate_monotonicity():
@@ -137,7 +152,7 @@ def test_gate_monotonicity():
     for _ in range(30):
         values = rng.uniform(0.0, 1.0, (6, 5))
         sizes = [
-            len(solve_assignment(values, gate).matches)
+            len(solve_gated(values, gate).matches)
             for gate in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
         assert sizes == sorted(sizes, reverse=True)
@@ -146,12 +161,12 @@ def test_gate_monotonicity():
 def test_permutation_equivariance_of_objective():
     rng = np.random.default_rng(9)
     values = rng.uniform(0.0, 1.0, (5, 6))
-    baseline = objective(values, solve_assignment(values, 0.2))
+    baseline = objective(values, solve_gated(values, 0.2))
     for _ in range(10):
         rows = rng.permutation(5)
         cols = rng.permutation(6)
         shuffled = values[np.ix_(rows, cols)]
-        assert objective(shuffled, solve_assignment(shuffled, 0.2)) == pytest.approx(
+        assert objective(shuffled, solve_gated(shuffled, 0.2)) == pytest.approx(
             baseline, abs=1e-12
         )
 
@@ -159,24 +174,8 @@ def test_permutation_equivariance_of_objective():
 def test_per_entry_gate_array():
     values = np.array([[0.9, 0.8], [0.7, 0.6]])
     gates = np.array([[np.inf, 0.5], [0.5, np.inf]])
-    result = solve_assignment(values, gates)
+    result = solve_gated(values, gates)
     assert pairs(result) == {(0, 1), (1, 0)}
-
-
-def test_scalar_gate_equals_full_gate_array():
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        m, n = rng.integers(1, 7, 2)
-        values = rng.uniform(-1.0, 1.0, (m, n))
-        gate = float(rng.uniform(-0.5, 0.8))
-        scalar = solve_assignment(values, gate)
-        full = solve_assignment(values, np.full((m, n), gate))
-        assert scalar.matches.tolist() == full.matches.tolist()
-        assert scalar.unmatched_detections.tolist() == full.unmatched_detections.tolist()
-    with pytest.raises(ValueError):
-        solve_assignment(np.ones((2, 3)), np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        solve_assignment(np.ones((2, 3)), np.ones((1, 2, 3)))
 
 
 def test_per_entry_gates_against_exhaustive_search():
@@ -186,7 +185,7 @@ def test_per_entry_gates_against_exhaustive_search():
         values = rng.uniform(0.0, 1.0, (m, n))
         gates = rng.uniform(0.2, 0.8, (m, n))
         gates[rng.uniform(size=(m, n)) < 0.2] = np.inf  # forbidden pairs
-        result = solve_assignment(values, gates)
+        result = solve_gated(values, gates)
         assert objective(values, result) == pytest.approx(
             best_gated_matching(values, gates), abs=1e-12
         )
@@ -195,9 +194,9 @@ def test_per_entry_gates_against_exhaustive_search():
 def test_deterministic():
     rng = np.random.default_rng(33)
     values = rng.uniform(0.0, 1.0, (7, 7))
-    first = solve_assignment(values, 0.3)
+    first = solve_gated(values, 0.3)
     for _ in range(5):
-        again = solve_assignment(values, 0.3)
+        again = solve_gated(values, 0.3)
         assert again.matches.tolist() == first.matches.tolist()
         assert again.unmatched_detections.tolist() == first.unmatched_detections.tolist()
         assert again.unmatched_tracklets.tolist() == first.unmatched_tracklets.tolist()
@@ -236,7 +235,7 @@ def test_sparse_tables_match_the_dense_solve(table):
     values, gate = table
     with mock.patch.object(assignment, "linear_sum_assignment",
                            wraps=assignment.linear_sum_assignment) as solver:
-        result = solve_assignment(values, gate)
+        result = solve_gated(values, gate)
     assert objective(values, result) == pytest.approx(best_gated_matching(values, gate),
                                                       abs=1e-12)
     matches, free_rows, free_cols = dense_assignment(values, gate)
@@ -255,14 +254,14 @@ def test_conflict_free_tables_skip_the_solver():
     with mock.patch.object(assignment, "linear_sum_assignment",
                            wraps=assignment.linear_sum_assignment) as solver:
         sim = np.array([[0.9, 0.1, 0.0], [0.1, 0.1, 0.7], [0.0, 0.0, 0.1]])
-        assert solve_assignment(sim, 0.5).matches.tolist() == [[0, 0], [1, 2]]
+        assert solve_gated(sim, 0.5).matches.tolist() == [[0, 0], [1, 2]]
         gates = np.array([[np.inf, -0.2, np.inf], [-0.7, np.inf, np.inf]])
-        result = solve_assignment(np.array([[0.3, -0.1, 0.9], [-0.5, 0.8, 0.2]]) + 1.0, gates + 1.0)
+        result = solve_gated(np.array([[0.3, -0.1, 0.9], [-0.5, 0.8, 0.2]]) + 1.0, gates + 1.0)
         assert result.matches.tolist() == [[0, 1], [1, 0]]
         assert result.unmatched_tracklets.tolist() == [2]
-        assert solve_assignment(np.full((3, 2), 0.1), 0.5).matches.tolist() == []
+        assert solve_gated(np.full((3, 2), 0.1), 0.5).matches.tolist() == []
         assert not solver.called
         # A row or column with two admissible pairs, or one worth zero, is solved.
-        assert solve_assignment(np.array([[0.9, 0.8]]), 0.5).matches.tolist() == [[0, 0]]
-        assert solve_assignment([[0.0]], 0.0).matches.tolist() == [[0, 0]]
+        assert solve_gated(np.array([[0.9, 0.8]]), 0.5).matches.tolist() == [[0, 0]]
+        assert solve_gated([[0.0]], 0.0).matches.tolist() == [[0, 0]]
         assert solver.call_count == 2

@@ -19,7 +19,7 @@ from motrack.association import (
     predict_tracks,
     resolve_gate,
 )
-from motrack.geometry import Box2D, Box3D, box3d_array, giou_3d, giou_3d_pairs
+from motrack.geometry import Box2D, Box3D, box3d_array, giou_3d_pairs
 from motrack.motion import box_rows, inflate_arrays, predict_arrays
 from motrack.simulate import (
     DropoutSpan,
@@ -30,7 +30,7 @@ from motrack.simulate import (
     generate_scenario,
 )
 from motrack.tracker import CLASS_IDS, default_config
-from oracle_utils import giou_3d_pairs_clip, two_pass_step
+from oracle_utils import giou_3d, giou_3d_pairs_clip, two_pass_step
 
 
 def det2d(x, y, w=50.0, h=100.0, score=0.9, class_id=0):
@@ -314,6 +314,27 @@ class TestStepLifecycle:
         step(pool, 1, [det2d(100, 100, score=0.95)], CFG_2D)
         result = step(pool, 2, [det2d(100, 100, score=0.35)], CFG_2D)
         assert result.tracks[0].score == 0.35
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("config, kernel", [(CFG_2D, "iou_matrix_2d"), (CFG_3D, "giou_3d_pairs")])
+def test_non_finite_similarity_rejected(config, kernel, bad, monkeypatch):
+    # One non-finite score stops the frame, even on a pair far apart that no
+    # gate admits: step checks its whole table before the solver reads it.
+    make = det2d if config.mode is Mode.BOX_2D else det3d
+    detections = [make(0.0, 0.0), make(400.0, 0.0)]
+    pool = TrackPool()
+    step(pool, 1, detections, config)
+    scores = getattr(association, kernel)
+
+    def poisoned(a, b):
+        values = scores(a, b).copy()
+        values.flat[1] = bad  # detection 0 against the far track
+        return values
+
+    monkeypatch.setattr(association, kernel, poisoned)
+    with pytest.raises(ValueError, match="finite"):
+        step(pool, 2, detections, config)
 
 
 @st.composite

@@ -160,6 +160,22 @@ def test_ablate_motion_prints_strategies(capsys):
         assert name in printed
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scenarios", "0"],
+    ["sweep", "--scenarios", "-3"],
+    ["sweep", "--taus", ","],
+    ["sweep", "--taus", ""],
+    ["ablate-motion", "--scenarios", "0"],
+])
+def test_empty_sweeps_are_usage_errors(argv, capsys):
+    # A sweep over no scenario or no threshold has nothing to average; it is
+    # rejected while the arguments are parsed, before any table is printed.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
 def test_unknown_subcommand_fails(capsys):
     assert main(["warp"]) != 0
 

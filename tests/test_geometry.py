@@ -9,20 +9,20 @@ from hypothesis import strategies as st
 from motrack.geometry import (
     Box2D,
     Box3D,
-    bev_intersection_area,
     box2d_array,
     box3d_array,
-    giou_3d,
     giou_3d_pairs,
-    iou_2d,
     iou_matrix_2d,
     wrap_angle,
     wrap_angles,
 )
 from oracle_utils import (
+    bev_intersection_area,
     bev_intersection_area_clip,
+    giou_3d,
     giou_3d_clip,
     giou_3d_voxel,
+    iou_2d,
     iou_2d_monte_carlo,
 )
 

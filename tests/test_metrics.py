@@ -530,7 +530,7 @@ def test_solver_runs_only_on_conflicting_frames(frame):
     gt_ids, pr_ids, scores, values, gate, min_score, persisting, last_match = frame
     keep = kept_columns(scores, min_score)
     table = sparse_table(gt_ids, pr_ids, scores, values, gate)
-    with mock.patch.object(metrics, "_solve", wraps=metrics._solve) as solver:
+    with mock.patch.object(metrics, "solve_assignment", wraps=metrics.solve_assignment) as solver:
         metrics._frame_step(table, min_score, persisting)
     conflict = bool(gt_ids and keep) and has_conflict(gt_ids, pr_ids, values, gate, keep,
                                                       persisting)
@@ -550,7 +550,7 @@ def test_conflict_free_sequences_never_call_the_solver(monkeypatch):
     def no_solver(*args, **kwargs):
         raise AssertionError("solver called on a conflict-free frame")
 
-    monkeypatch.setattr(metrics, "_solve", no_solver)
+    monkeypatch.setattr(metrics, "solve_assignment", no_solver)
     assert clear_mot(gt, pred).ids == 0
     assert amota(gt, pred).amota == pytest.approx(amota_reference(gt, pred)[0], abs=1e-12)
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,6 @@ from motrack.simulate import (
     ObjectSpec,
     OcclusionEvent,
     ScenarioSpec,
-    baseline_single_association,
     canonical_occlusion_scenario,
     clutter_suite,
     crossing_scenario,
@@ -19,10 +19,14 @@ from motrack.simulate import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from motrack.geometry import iou_2d
 from motrack.tracker import run_sequence, validate_config
-from oracle_utils import records_by_frame, trajectories
+from oracle_utils import iou_2d, records_by_frame, trajectories
 from test_association import step
+
+
+# The tracker with the low-score association disabled: only boxes above tau
+# are associated, and low-score boxes are dropped.
+SINGLE_STAGE = replace(validate_config({"mode": "2d"}), second_pass=False)
 
 
 def simple_spec(**overrides):
@@ -163,14 +167,14 @@ class TestBaseline:
     def test_identical_without_low_scores(self):
         _, frames = generate_scenario(simple_spec(), seed=0)
         two_stage = run_sequence(frames, {"mode": "2d"})
-        single = baseline_single_association(frames)
+        single = run_sequence(frames, SINGLE_STAGE)
         assert two_stage.records == single.records
 
     def test_occlusion_scenario_splits_the_trackers(self):
         spec, seed = canonical_occlusion_scenario()
         gt, frames = generate_scenario(spec, seed)
         two_stage = clear_mot(gt, run_sequence(frames, {"mode": "2d"}))
-        single = clear_mot(gt, baseline_single_association(frames))
+        single = clear_mot(gt, run_sequence(frames, SINGLE_STAGE))
         assert two_stage.fn == 0
         assert single.fn >= 5
 
@@ -217,7 +221,7 @@ class TestMonotoneRecovery:
         for spec, seed in clutter_suite(6):
             gt, frames = generate_scenario(spec, seed)
             two_stage = run_sequence(frames, {"mode": "2d"})
-            single = baseline_single_association(frames)
+            single = run_sequence(frames, SINGLE_STAGE)
             assert recovered(gt, single) <= recovered(gt, two_stage)
 
 

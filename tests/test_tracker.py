@@ -21,7 +21,7 @@ from motrack.tracker import (
     run_sequence,
     validate_config,
 )
-from oracle_utils import records_by_frame
+from oracle_utils import records_by_frame, slice_frames
 from test_association import detection_streams, mixed_class_frames
 
 DATA = Path(__file__).parent / "data"
@@ -116,7 +116,7 @@ class TestTrackOutput:
         )
         output = TrackOutput(records, Mode.BOX_2D, 2)
         assert {f: len(v) for f, v in records_by_frame(output).items()} == {1: 2, 2: 1}
-        assert output.slice_frames(2, 2).records == records[2:]
+        assert slice_frames(output, 2, 2).records == records[2:]
 
 
 _POOL_ARRAYS = ("means", "covs", "ids", "class_ids", "active", "frames_since_match", "last_score")

@@ -19,7 +19,10 @@ the predictions kept minus the matches and FN the gt minus the matches, so
 both are totals. AMOTA's confidence sweep hands only the persisting pairs
 from frame to frame. Identity switches are counted apart, from each gt id's
 matches in frame order, so a changed match moves the switch count without
-recounting later frames.
+recounting later frames. A frame whose kept pairs are all matches (no id in
+two admissible pairs, every pair worth more than zero) is taken by its
+delta: lowering the threshold adds the pairs that enter as matches, and
+none leaves.
 """
 
 from __future__ import annotations
@@ -299,6 +302,15 @@ def _frame_step(
     return _matches(table, start, min_score, persisting)
 
 
+def _delta_step(table: _FrameTable, min_score: float, bound: int) -> list[tuple[int, int]]:
+    """The matches an isolated frame gains when its threshold is lowered to
+    ``min_score`` from one that kept table.pairs[bound:].
+
+    Every kept pair of an isolated frame is a match, so the gain is the pairs
+    that enter, and no match leaves."""
+    return table.pairs[bisect_left(table.pair_scores, min_score, 0, bound):bound]
+
+
 def _switches(matched: dict[int, int], last_match: dict[int, int]) -> int:
     """Identity switches among one frame's matches: the gt ids whose last
     match (``last_match``, gt id -> pred id) was another prediction."""
@@ -382,7 +394,18 @@ def _relink(
         k = bisect_left(frames, frame)
         del frames[k], preds[k]
         delta -= _switch_delta(preds, k, pid)
-    for gid, pid in inserted:
+    return delta + _insert(sequences, frame, inserted)
+
+
+def _insert(
+    sequences: dict[int, tuple[list[int], list[int]]],
+    frame: int,
+    pairs: list[tuple[int, int]],
+) -> int:
+    """Insert a frame's new matches ``pairs``, none of whose gt ids is in
+    its sequence at ``frame``, and return the change in identity switches."""
+    delta = 0
+    for gid, pid in pairs:
         frames, preds = sequences.setdefault(gid, ([], []))
         k = bisect_left(frames, frame)
         delta += _switch_delta(preds, k, pid)
@@ -446,14 +469,19 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
     what persists, or at a frame entered with the pairs it was entered with
     before. Identity switches are counted apart, from each gt id's matches in
     frame order (see _relink), so a changed match moves the switch count
-    without recounting the frames after it. FP and FN are the predictions
-    kept and the gt, each minus the total of matches.
+    without recounting the frames after it. An isolated frame holding the
+    score is not recounted at all: its matches are its kept pairs, so the
+    pairs the score adds (_delta_step) are inserted as new matches and none
+    is removed. FP and FN are the predictions kept and the gt, each minus the
+    total of matches.
     """
     n = len(tables)
     # Per frame: the pairs persisting into it (kept for frames that are not
-    # isolated, the only ones that read them) and its matches.
+    # isolated, the only ones that read them), its matches, and where the
+    # pairs kept at the last score it held start (read for isolated frames).
     entering: list[dict[int, int]] = [{}] * n
     matches: list[dict[int, int]] = [{}] * n
+    bounds = [len(table.pairs) for table in tables]
     sequences: dict[int, tuple[list[int], list[int]]] = {}
     total_gt = sum(len(table.gt_ids) for table in tables)
     matched_total = ids = 0
@@ -475,8 +503,20 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
                 if i < n:
                     persisting = entering[i]
                 continue
-            if not table.isolated:
-                entering[i] = persisting
+            if table.isolated:
+                added = _delta_step(table, score, bounds[i])
+                if added:
+                    bounds[i] -= len(added)
+                    matched_total += len(added)
+                    ids += _insert(sequences, i, added)
+                    # A new dict: the old one may be another frame's entering pairs.
+                    matched = matches[i].copy()
+                    matched.update(added)
+                    matches[i] = matched
+                persisting = matches[i]
+                i += 1
+                continue
+            entering[i] = persisting
             matched = _frame_step(table, score, persisting)
             if matched != matches[i]:
                 matched_total += len(matched) - len(matches[i])

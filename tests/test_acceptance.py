@@ -329,8 +329,9 @@ def test_evaluation_on_tracker_output():
         reports[name] = evaluate(gt, pred)
         seconds[name] = time.perf_counter() - start
 
-    assert (list(metrics._frame_tables(gt, pred, 0.5))
-            == list(frame_tables_reference(gt, pred, 0.5)))
+    tables = list(metrics._frame_tables(gt, pred, 0.5))
+    assert tables == list(frame_tables_reference(gt, pred, 0.5))
+    assert list(metrics._sweep(tables)) == sweep_reference(tables)
     report = reports["clear_mot"]
     assert (report.fp, report.fn, report.ids) == clear_from_frame_tables(gt, pred, 0.5)
     assert report.gt == len(gt.track_ids) == 50_000

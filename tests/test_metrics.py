@@ -310,14 +310,19 @@ def test_sweep_matches_exhaustive_references_on_long_suites(suite):
 def test_sweep_equals_incremental_oracle(suite):
     # The oracle carries every gt id's last match in the frame state, so its
     # recounts cascade until that id is matched again. The sweep must give
-    # the same points, and recount an isolated frame only at a score it holds.
+    # the same points. It never recounts an isolated frame, and takes the
+    # delta of each one exactly once per score it holds.
     tables = sweep_tables(*suite)
-    with mock.patch.object(metrics, "_frame_step", wraps=metrics._frame_step) as step:
+    with mock.patch.object(metrics, "_frame_step", wraps=metrics._frame_step) as step, \
+            mock.patch.object(metrics, "_delta_step", wraps=metrics._delta_step) as delta:
         points = list(metrics._sweep(tables))
     assert points == sweep_reference(tables)
-    for call in step.call_args_list:
-        table, score, _ = call.args
-        assert not table.isolated or score in table.scores
+    assert not any(call.args[0].isolated for call in step.call_args_list)
+    index = {id(table): i for i, table in enumerate(tables)}
+    calls = [(index[id(call.args[0])], call.args[1]) for call in delta.call_args_list]
+    held = [(i, score) for i, table in enumerate(tables) if table.isolated
+            for score in dict.fromkeys(table.scores)]
+    assert sorted(calls) == sorted(held)
 
 
 @pytest.mark.parametrize("block", [1, 2, metrics._SCORE_BLOCK])
@@ -348,7 +353,8 @@ def test_conflict_free_sweep_recounts_each_frame_once_per_score():
     # Three objects far apart, each followed by one prediction whose score
     # cycles through a rounded pool, so scores repeat within and across
     # frames. Clutter overlaps nothing, and frame 6 has no gt. Every frame is
-    # isolated, so no recount cascades past the frames holding a score.
+    # isolated, so none is recounted: each takes its delta once per score it
+    # holds, and no other frame is touched.
     pool = (0.3, 0.5, 0.7, 0.9)
     gt_rows, pred_rows = [], []
     for f in range(1, 13):
@@ -361,13 +367,62 @@ def test_conflict_free_sweep_recounts_each_frame_once_per_score():
     gt, pred = output_2d(gt_rows), output_2d(pred_rows)
     tables = sweep_tables(gt, pred)
     assert all(table.isolated for table in tables)
-    with mock.patch.object(metrics, "_frame_step", wraps=metrics._frame_step) as step:
+    with mock.patch.object(metrics, "_frame_step", wraps=metrics._frame_step) as step, \
+            mock.patch.object(metrics, "_delta_step", wraps=metrics._delta_step) as delta:
         points = list(metrics._sweep(tables))
+    assert step.call_count == 0
     index = {id(table): i for i, table in enumerate(tables)}
-    calls = [(index[id(call.args[0])], call.args[1]) for call in step.call_args_list]
+    calls = [(index[id(call.args[0])], call.args[1]) for call in delta.call_args_list]
     held = [(i, score) for i, table in enumerate(tables) for score in set(table.scores)]
     assert sorted(calls) == sorted(held)
     assert points == sweep_reference(tables)
+    check_sweep_and_amota(gt, pred)
+
+
+@pytest.mark.parametrize("gt_free_between", [False, True])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_pair_gained_by_isolated_frame_persists_into_conflicting_frame(zero, gt_free_between):
+    # Frame 1 is isolated: gt 1 and prediction 7 on it, scored zero, gt 3 and
+    # prediction 6 (0.7) on it, and prediction 8 (0.5) far from everything,
+    # so its pairs enter at two scores. The conflicting frame after it has
+    # gt 1 and gt 2 (25 px right) and predictions 5 (on gt 1) and 7 (10 px
+    # right of gt 1, admissible for both gt), all at 0.9. Prediction 5 then
+    # follows gt 1 in the last frame. One variant puts a frame between with
+    # no gt and only prediction 9 (-0.5), so it is skipped until -0.5.
+    gap = [(2, 9, 900.0, 900.0, -0.5)] if gt_free_between else []
+    f = 2 + gt_free_between  # the conflicting frame
+    gt = output_2d([(1, 1, 100.0, 100.0, 1.0), (1, 3, 1500.0, 100.0, 1.0),
+                    (f, 1, 100.0, 100.0, 1.0), (f, 2, 125.0, 100.0, 1.0),
+                    (f + 1, 1, 100.0, 100.0, 1.0)])
+    pred = output_2d([(1, 6, 1500.0, 100.0, 0.7), (1, 7, 100.0, 100.0, zero),
+                      (1, 8, 900.0, 900.0, 0.5)] + gap
+                     + [(f, 5, 100.0, 100.0, 0.9), (f, 7, 110.0, 100.0, 0.9),
+                        (f + 1, 5, 100.0, 100.0, 0.9)])
+    tables = sweep_tables(gt, pred)
+    assert [table.isolated for table in tables] == [True] * (1 + gt_free_between) + [False, True]
+    delta_step, gained = metrics._delta_step, []
+
+    def spy(table, min_score, bound):
+        added = delta_step(table, min_score, bound)
+        if table is tables[0]:
+            gained.append((min_score, added))
+        return added
+
+    with mock.patch.object(metrics, "_delta_step", spy):
+        points = list(metrics._sweep(tables))
+    # 0.5 enters frame 1 with no admissible pair, so its matches stay (3, 6).
+    # At zero the pair (1, 7) enters, persists, and takes gt 1 in the
+    # conflicting frame from (1, 5), (2, 7): gt 2 is missed, 5 is a false
+    # positive, and gt 1 switches from 7 to 5 in the last frame.
+    assert gained == [(0.7, [(3, 6)]), (0.5, []), (zero, [(1, 7)])]
+    want = [(0.9, 0, 2, 0), (0.7, 0, 1, 0), (0.5, 1, 1, 0), (zero, 2, 1, 1)]
+    if gt_free_between:
+        # Frame 2 is counted and hands on no pairs, so the conflicting frame
+        # is matched afresh; gt 1 still switches, from 7 at frame 1 to 5.
+        want.append((-0.5, 2, 0, 1))
+    assert points == want == sweep_reference(tables)
+    assert [math.copysign(1.0, p[0]) for p in points] == [
+        math.copysign(1.0, p[0]) for p in want]
     check_sweep_and_amota(gt, pred)
 
 

@@ -27,6 +27,7 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -165,8 +166,12 @@ class TrackerConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
+        if not isinstance(self.track_buffer, Integral):
+            raise ValueError(f"track_buffer must be an integer, got {self.track_buffer!r}")
         if self.track_buffer < 1:
             raise ValueError(f"track_buffer must be >= 1, got {self.track_buffer}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         if self.mode is Mode.BOX_2D and self.motion_strategy is not MotionStrategy.KALMAN:
@@ -174,7 +179,10 @@ class TrackerConfig:
         for name in ("gate_first", "gate_second"):
             gate = getattr(self, name)
             if isinstance(gate, Mapping):
-                object.__setattr__(self, name, dict(gate))
+                gate = dict(gate)
+                object.__setattr__(self, name, gate)
+                if not all(map(math.isfinite, gate.values())):
+                    raise ValueError(f"{name} values must be finite, got {gate}")
             elif not math.isfinite(gate):
                 raise ValueError(f"{name} must be finite")
 
@@ -201,21 +209,24 @@ class TrackPool:
     Rows stay in id order and ids are never reused; step rebuilds the arrays
     only in a frame that spawns or removes a track. means (K, D) and covs
     (K, 3, obs_dim) hold the Kalman states, the covariance as one
-    (position, velocity) block per observed channel (see motion); active
-    marks the tracks matched or started in the last frame, the others are
-    lost and wait out the rebirth buffer. A fresh pool has zero rows and
-    takes its state size from the first frame.
+    (position, velocity) block per observed channel (see motion). active,
+    derived from frames_since_match, marks the tracks matched or started in
+    the last frame; the others are lost and wait out the rebirth buffer. A
+    fresh pool has zero rows and takes its state size from the first frame.
     """
 
     means: np.ndarray = _empty(0, 0)
     covs: np.ndarray = _empty(0, 3, 0)
     ids: np.ndarray = _empty(0, dtype=np.int64)
     class_ids: np.ndarray = _empty(0, dtype=np.int64)
-    active: np.ndarray = _empty(0, dtype=bool)
     frames_since_match: np.ndarray = _empty(0, dtype=np.int64)
     last_score: np.ndarray = _empty(0)
     next_id: int = 1
     last_frame: int = 0
+
+    @property
+    def active(self) -> np.ndarray:
+        return self.frames_since_match == 0
 
 
 @dataclass(frozen=True)
@@ -358,7 +369,7 @@ def predict_tracks(
         wants_backward = np.ones(len(means), dtype=bool)
         new_means, new_covs = motion.inflate_arrays(means, covs, is_3d)
     else:
-        wants_backward = (pool.active.copy() if strategy is MotionStrategy.COMPLEMENTARY
+        wants_backward = (pool.active if strategy is MotionStrategy.COMPLEMENTARY
                           else np.zeros(len(means), dtype=bool))
         new_means, new_covs = motion.predict_arrays(means, covs, is_3d)
     match_means = (np.where(wants_backward[:, None], means, new_means) if wants_backward.any()
@@ -521,17 +532,15 @@ def step(
         pool.covs = np.concatenate((covs[keep], spawn_covs))
         pool.ids = np.concatenate((pool.ids[keep], spawn_ids))
         pool.class_ids = np.concatenate((pool.class_ids[keep], det_classes[high_left]))
-        pool.active = np.concatenate((~lost[keep], np.ones(n_new, dtype=bool)))
         pool.frames_since_match = np.concatenate(
             (since_match[keep], np.zeros(n_new, dtype=np.int64))
         )
         pool.last_score = np.concatenate((pool.last_score[keep], scores[high_left]))
         pool.next_id += n_new
     else:
-        # Same rows as before: ids and classes stay, the states and flags
+        # Same rows as before: ids and classes stay, the states and counts
         # computed this frame replace the old ones.
         pool.means, pool.covs = means, covs
-        pool.active = ~lost
         pool.frames_since_match = since_match
     pool.last_frame = frame
 

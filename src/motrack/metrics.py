@@ -21,14 +21,16 @@ from frame to frame. Identity switches are counted apart, from each gt id's
 matches in frame order, so a changed match moves the switch count without
 recounting later frames. A frame whose kept pairs are all matches (no id in
 two admissible pairs, every pair worth more than zero) is taken by its
-delta: lowering the threshold adds the pairs that enter as matches, and
-none leaves.
+delta: lowering the threshold to a score it holds adds the pairs whose
+prediction carries that score as matches, and none leaves. The sweep finds
+the frames holding each score in an index keyed by score, and releases each
+entry as it passes it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -53,19 +55,9 @@ class ClearReport:
     ids: int
     gt: int
 
-    @property
-    def mota_defined(self) -> bool:
-        return self.gt > 0
-
     def to_dict(self) -> dict[str, float | int]:
         return {"mota": self.mota, "fp": self.fp, "fn": self.fn,
                 "ids": self.ids, "gt": self.gt}
-
-    def to_text(self) -> str:
-        return "\n".join(
-            f"{key}={value:.6f}" if isinstance(value, float) else f"{key}={value}"
-            for key, value in self.to_dict().items()
-        )
 
 
 @dataclass(frozen=True)
@@ -75,18 +67,6 @@ class AmotaReport:
     amota: float
     smota_values: tuple[float, ...]
     recalls: tuple[float, ...]
-
-    def to_dict(self) -> dict[str, object]:
-        return {"amota": self.amota, "recalls": list(self.recalls),
-                "smota_values": list(self.smota_values)}
-
-    def to_text(self) -> str:
-        lines = [f"amota={self.amota:.6f}"]
-        lines += [
-            f"smota@{r:.4f}={v:.6f}"
-            for r, v in zip(self.recalls, self.smota_values)
-        ]
-        return "\n".join(lines)
 
 
 def _threshold(mode: Mode, match_threshold: float | None) -> float:
@@ -295,33 +275,6 @@ def _frame_step(
     re-matched optimally. ``persisting`` is not modified: the returned matches
     are the next frame's. Identity switches and the FP and FN totals are
     counted by the caller, from the matches.
-    """
-    start = 0 if min_score is None else bisect_left(table.pair_scores, min_score)
-    if table.isolated:
-        return dict(table.pairs[start:])
-    return _matches(table, start, min_score, persisting)
-
-
-def _delta_step(table: _FrameTable, min_score: float, bound: int) -> list[tuple[int, int]]:
-    """The matches an isolated frame gains when its threshold is lowered to
-    ``min_score`` from one that kept table.pairs[bound:].
-
-    Every kept pair of an isolated frame is a match, so the gain is the pairs
-    that enter, and no match leaves."""
-    return table.pairs[bisect_left(table.pair_scores, min_score, 0, bound):bound]
-
-
-def _switches(matched: dict[int, int], last_match: dict[int, int]) -> int:
-    """Identity switches among one frame's matches: the gt ids whose last
-    match (``last_match``, gt id -> pred id) was another prediction."""
-    return (len(matched) - len(matched.items() & last_match.items())
-            - len(matched.keys() - last_match.keys()))
-
-
-def _matches(
-    table: _FrameTable, start: int, min_score: float | None, persisting: dict[int, int]
-) -> dict[int, int]:
-    """The frame's matches, gt id -> pred id, from its kept pairs table.pairs[start:].
 
     Kept pairs that persist are matched first. When no remaining row or
     column is in two free pairs and every free pair scores above zero, the
@@ -331,7 +284,10 @@ def _matches(
     So it weighs exactly the dense free block's matrix and resolves ties the
     same way.
     """
+    start = 0 if min_score is None else bisect_left(table.pair_scores, min_score)
     kept = table.pairs[start:]
+    if table.isolated:
+        return dict(kept)
     matched = dict(persisting.items() & kept) if persisting else {}
     used = set(matched.values())
     free = [(gid, pid, value) for (gid, pid), value in zip(kept, table.values[start:])
@@ -356,6 +312,23 @@ def _matches(
     solved = solve_assignment(block, admissible).matches.tolist()
     matched.update((rows[r], cols[c]) for r, c in solved)
     return matched
+
+
+def _delta_step(table: _FrameTable, score: float) -> list[tuple[int, int]]:
+    """The matches an isolated frame gains when its threshold is lowered to
+    ``score``, one of the scores it holds, from the next higher one.
+
+    Every kept pair of an isolated frame is a match, so the gain is the pairs
+    whose prediction is scored ``score``, and no match leaves."""
+    scores = table.pair_scores
+    return table.pairs[bisect_left(scores, score):bisect_right(scores, score)]
+
+
+def _switches(matched: dict[int, int], last_match: dict[int, int]) -> int:
+    """Identity switches among one frame's matches: the gt ids whose last
+    match (``last_match``, gt id -> pred id) was another prediction."""
+    return (len(matched) - len(matched.items() & last_match.items())
+            - len(matched.keys() - last_match.keys()))
 
 
 def _switch_delta(preds: list[int], k: int, pid: int) -> int:
@@ -414,44 +387,28 @@ def _insert(
     return delta
 
 
-# Unique scores whose frames _frames_by_score turns into lists at a time.
-_SCORE_BLOCK = 1024
-
-
 def _frames_by_score(tables: list[_FrameTable]) -> Iterator[tuple[float, int, list[int]]]:
     """Each unique prediction score, descending, with the number of
     predictions scored at least it and the frames holding it, ascending.
 
-    The index is two arrays: every prediction's (score, frame), scores
-    descending and frames ascending within a score, so the predictions
-    scored at least a score are those up to the end of its run. The sort is
-    stable, so a score is named by the first seen in frame order, 0.0 or
-    -0.0 standing for both, and a frame holding a score twice is named once.
-    Python lists are built for a block of scores at a time.
+    The index is one dict from score to the frames holding it, filled in
+    frame order: 0.0 and -0.0 are one key, named by the first seen, and a
+    frame holding a score twice is named once. Each entry is released as it
+    is handed out.
     """
-    scores: list[float] = []
-    frames: list[int] = []
+    index: dict[float, list[int]] = {}
     for i, table in enumerate(tables):
-        scores.extend(table.scores)
-        frames.extend([i] * len(table.scores))
-    scores, frames = np.array(scores), np.array(frames, dtype=np.intp)
-    order = np.argsort(-scores, kind="stable")
-    scores, frames = scores[order], frames[order]
-    new_score = np.ones(len(scores), dtype=bool)
-    new_score[1:] = scores[1:] != scores[:-1]
-    new_frame = new_score.copy()
-    new_frame[1:] |= frames[1:] != frames[:-1]
-    starts = new_score.nonzero()[0]
-    kept = np.append(starts[1:], len(scores))
-    held = frames[new_frame]
-    bounds = np.append(new_score[new_frame].nonzero()[0], len(held))
-    for block in range(0, len(starts), _SCORE_BLOCK):
-        edges = bounds[block:block + _SCORE_BLOCK + 1]
-        block_held = held[edges[0]:edges[-1]].tolist()
-        edges = (edges - edges[0]).tolist()
-        yield from zip(scores[starts[block:block + _SCORE_BLOCK]].tolist(),
-                       kept[block:block + _SCORE_BLOCK].tolist(),
-                       map(block_held.__getitem__, map(slice, edges, edges[1:])))
+        for score in table.scores:
+            frames = index.get(score)
+            if frames is None:
+                index[score] = [i]
+            else:
+                frames.append(i)
+    kept = 0
+    for score in sorted(index, reverse=True):
+        frames = index.pop(score)
+        kept += len(frames)
+        yield score, kept, list(dict.fromkeys(frames)) if len(frames) > 1 else frames
 
 
 def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
@@ -460,28 +417,28 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
 
     One incremental pass. It starts from no prediction kept, where every frame
     matches nothing. Lowering the threshold to a score changes the kept
-    columns only in the frames holding that score. The only state handed from
-    frame to frame is the persisting pairs, the previous counted frame's
-    matches; a frame left with neither gt nor kept predictions is skipped and
-    hands on what entered it. So a frame is recounted only if it holds the
-    score or the pairs persisting into it changed, and a cascade of recounts
-    stops at the first counted isolated frame, whose matches do not depend on
-    what persists, or at a frame entered with the pairs it was entered with
-    before. Identity switches are counted apart, from each gt id's matches in
-    frame order (see _relink), so a changed match moves the switch count
-    without recounting the frames after it. An isolated frame holding the
-    score is not recounted at all: its matches are its kept pairs, so the
-    pairs the score adds (_delta_step) are inserted as new matches and none
-    is removed. FP and FN are the predictions kept and the gt, each minus the
-    total of matches.
+    columns only in the frames holding that score, read from an index keyed
+    by score whose entries are released as the sweep passes them
+    (_frames_by_score). The only state handed from frame to frame is the
+    persisting pairs, the previous counted frame's matches; a frame left with
+    neither gt nor kept predictions is skipped and hands on what entered it.
+    So a frame is recounted only if it holds the score or the pairs
+    persisting into it changed, and a cascade of recounts stops at the first
+    counted isolated frame, whose matches do not depend on what persists, or
+    at a frame entered with the pairs it was entered with before. Identity
+    switches are counted apart, from each gt id's matches in frame order (see
+    _relink), so a changed match moves the switch count without recounting
+    the frames after it. An isolated frame holding the score is not
+    recounted at all: its matches are its kept pairs, so the pairs whose
+    prediction carries the score (_delta_step) are inserted as new matches
+    and none is removed. FP and FN are the predictions kept and the gt, each
+    minus the total of matches.
     """
     n = len(tables)
     # Per frame: the pairs persisting into it (kept for frames that are not
-    # isolated, the only ones that read them), its matches, and where the
-    # pairs kept at the last score it held start (read for isolated frames).
+    # isolated, the only ones that read them) and its matches.
     entering: list[dict[int, int]] = [{}] * n
     matches: list[dict[int, int]] = [{}] * n
-    bounds = [len(table.pairs) for table in tables]
     sequences: dict[int, tuple[list[int], list[int]]] = {}
     total_gt = sum(len(table.gt_ids) for table in tables)
     matched_total = ids = 0
@@ -504,9 +461,8 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
                     persisting = entering[i]
                 continue
             if table.isolated:
-                added = _delta_step(table, score, bounds[i])
+                added = _delta_step(table, score)
                 if added:
-                    bounds[i] -= len(added)
                     matched_total += len(added)
                     ids += _insert(sequences, i, added)
                     # A new dict: the old one may be another frame's entering pairs.

@@ -743,7 +743,6 @@ def two_pass_step(pool, frame: int, detections, config):
     pool.covs = np.concatenate((covs[keep], spawn_covs))
     pool.ids = np.concatenate((pool.ids[keep], spawn_ids))
     pool.class_ids = np.concatenate((pool.class_ids[keep], det_classes[high_left]))
-    pool.active = np.concatenate((~lost[keep], np.ones(len(high_left), dtype=bool)))
     pool.frames_since_match = np.concatenate(
         (since_match[keep], np.zeros(len(high_left), dtype=np.int64))
     )

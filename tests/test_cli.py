@@ -31,6 +31,7 @@ def test_simulate_track_eval_round_trip(tmp_path, occlusion_files, capsys):
                  "--metric", "clear", "--mode", "2d"]) == 0
     printed = capsys.readouterr().out
     assert "mota=1.000000" in printed
+    assert "fp=0" in printed
     assert "ids=0" in printed
 
 

@@ -69,7 +69,6 @@ class TestClearMot:
         pred = output_2d(steady(1, range(1, 4)))
         report = clear_mot(gt, pred)
         assert math.isnan(report.mota)
-        assert not report.mota_defined
         assert report.fp == 3
 
     def test_persistence_keeps_existing_pair(self):
@@ -325,14 +324,11 @@ def test_sweep_equals_incremental_oracle(suite):
     assert sorted(calls) == sorted(held)
 
 
-@pytest.mark.parametrize("block", [1, 2, metrics._SCORE_BLOCK])
 @pytest.mark.parametrize("seed", range(6))
-def test_sweep_merges_signed_zero_scores_as_the_oracle_does(seed, block, monkeypatch):
+def test_sweep_merges_signed_zero_scores_as_the_oracle_does(seed):
     # 0.0 and -0.0 are one threshold, named by the first seen in frame order,
     # as the oracle's dict of scores names it. Frames hold either zero, both,
-    # or the same zero twice, and two objects swap predictions midway. The
-    # score index is also read in blocks of one and of two scores.
-    monkeypatch.setattr(metrics, "_SCORE_BLOCK", block)
+    # or the same zero twice, and two objects swap predictions midway.
     rng = np.random.default_rng(seed)
     gt_rows, pred_rows = [], []
     for f in range(1, 11):
@@ -347,6 +343,63 @@ def test_sweep_merges_signed_zero_scores_as_the_oracle_does(seed, block, monkeyp
     assert [math.copysign(1.0, p[0]) for p in points] == [
         math.copysign(1.0, p[0]) for p in want]
     assert all(type(p[0]) is float for p in points)
+
+
+def frames_by_score_reference(tables):
+    """(score, predictions scored at least it, frames holding it) per unique
+    score, descending, by brute force: a score is named by the first equal
+    one seen in frame order, so 0.0 or -0.0 names both."""
+    names = []
+    for score in (s for table in tables for s in table.scores):
+        if score not in names:
+            names.append(score)
+    names.sort(reverse=True)
+    return [(score, sum(s >= score for table in tables for s in table.scores),
+             [i for i, table in enumerate(tables) if score in table.scores])
+            for score in names]
+
+
+def check_frames_by_score(gt_rows, pred_rows, n_frames):
+    tables = sweep_tables(output_2d(gt_rows, n_frames), output_2d(pred_rows, n_frames))
+    index, want = list(metrics._frames_by_score(tables)), frames_by_score_reference(tables)
+    assert index == want
+    assert [math.copysign(1.0, score) for score, _, _ in index] == [
+        math.copysign(1.0, score) for score, _, _ in want]
+    return index
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_frames_by_score_equals_brute_force_index(seed):
+    # Scores repeat within and across frames, a frame may hold one score
+    # twice, some frames have gt only and some have no gt.
+    rng = np.random.default_rng(seed)
+    gt_rows, pred_rows = [], []
+    for f in range(1, 13):
+        if f % 5:
+            gt_rows.append((f, 1, 100.0, 100.0, 1.0))
+        if f % 4:
+            for pid in range(int(rng.integers(1, 4))):
+                pred_rows.append((f, pid + 1, 100.0 + 200.0 * pid, 100.0,
+                                  float(rng.choice([0.2, 0.5, 0.9]))))
+    index = check_frames_by_score(gt_rows, pred_rows, 12)
+    assert index[-1][1] == len(pred_rows)
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_frames_by_score_names_a_zero_by_the_first_seen(first, second):
+    # Frame 1 holds the first zero, frame 2 the other zero twice, frame 3
+    # has gt only and frame 4 the second zero again and 0.5.
+    gt_rows = [(f, 1, 100.0, 100.0, 1.0) for f in range(1, 5)]
+    pred_rows = [(1, 1, 100.0, 100.0, first), (2, 1, 100.0, 100.0, second),
+                 (2, 2, 400.0, 100.0, second), (4, 1, 100.0, 100.0, 0.5),
+                 (4, 2, 400.0, 100.0, second)]
+    index = check_frames_by_score(gt_rows, pred_rows, 4)
+    assert index == [(0.5, 1, [3]), (0.0, 5, [0, 1, 3])]
+    assert math.copysign(1.0, index[1][0]) == math.copysign(1.0, first)
+
+
+def test_frames_by_score_without_predictions_is_empty():
+    assert check_frames_by_score([(f, 1, 100.0, 100.0, 1.0) for f in (1, 3)], [], 3) == []
 
 
 def test_conflict_free_sweep_recounts_each_frame_once_per_score():
@@ -402,10 +455,10 @@ def test_pair_gained_by_isolated_frame_persists_into_conflicting_frame(zero, gt_
     assert [table.isolated for table in tables] == [True] * (1 + gt_free_between) + [False, True]
     delta_step, gained = metrics._delta_step, []
 
-    def spy(table, min_score, bound):
-        added = delta_step(table, min_score, bound)
+    def spy(table, score):
+        added = delta_step(table, score)
         if table is tables[0]:
-            gained.append((min_score, added))
+            gained.append((score, added))
         return added
 
     with mock.patch.object(metrics, "_delta_step", spy):
@@ -933,10 +986,3 @@ class TestAmota:
         pred = output_2d([(1, 3, 100.0, 100.0, float("nan"))], n_frames=5)
         with pytest.raises(ValueError, match="finite"):
             amota(gt, pred)
-
-    def test_report_text_format(self):
-        gt = output_2d(steady(1, range(1, 6)))
-        report = clear_mot(gt, gt)
-        text = report.to_text()
-        assert "mota=1.000000" in text
-        assert "fp=0" in text

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,23 @@ class TestValidateConfig:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha must be non-negative"):
             validate_config({"mode": "3d", "alpha": -1.0})
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            validate_config({"mode": "3d", "alpha": alpha})
+
+    def test_non_integer_track_buffer_rejected(self):
+        with pytest.raises(ValueError, match="track_buffer must be an integer, got 2.5"):
+            validate_config({"mode": "2d", "track_buffer": 2.5})
+        assert validate_config({"mode": "2d", "track_buffer": np.int64(3)}).track_buffer == 3
+
+    def test_nan_per_class_gate_rejected(self):
+        with pytest.raises(ValueError, match="gate_first values must be finite"):
+            validate_config({"mode": "3d", "gate_first": {0: math.nan}})
+        options = formats.parse_config_text("mode = 3d\ngate_second.car = nan\n")
+        with pytest.raises(ValueError, match="gate_second values must be finite"):
+            validate_config(options)
 
     def test_alpha_needs_adaptive_scaling(self):
         with pytest.raises(ValueError, match="adaptive_r"):

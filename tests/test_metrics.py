@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from motrack import metrics
 from motrack.association import Mode
+from motrack.cli import main
+from motrack.formats import write_mot_results
 from motrack.geometry import Box2D, Box3D
 from motrack.metrics import amota, clear_mot, idf1, smota_r
 from motrack.tracker import TrackOutput, TrackRecord
@@ -986,3 +988,16 @@ class TestAmota:
         pred = output_2d([(1, 3, 100.0, 100.0, float("nan"))], n_frames=5)
         with pytest.raises(ValueError, match="finite"):
             amota(gt, pred)
+
+    def test_report_text_format(self, tmp_path, capsys):
+        # The reports carry no text form; `motrack eval` prints their fields
+        # one `key=value` line each, floats to six places.
+        path = tmp_path / "gt.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_mot_results(output_2d(steady(1, range(1, 6))), fh)
+        assert main(["eval", "--gt", str(path), "--pred", str(path),
+                     "--metric", "all", "--mode", "2d"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "mota=1.000000" in lines
+        assert "fp=0" in lines
+        assert "amota=1.000000" in lines

@@ -58,6 +58,17 @@ class MotionStrategy(enum.Enum):
     COMPLEMENTARY = "complementary"
 
 
+def _enum_member(kind: type[enum.Enum], value: object, name: str) -> enum.Enum:
+    """The member of kind that value is, or that it names by value in any case."""
+    if isinstance(value, kind):
+        return value
+    try:
+        return kind(value.lower())
+    except (AttributeError, ValueError):
+        choices = [member.value for member in kind]
+        raise ValueError(f"unknown {name} {value!r}; expected one of {choices}") from None
+
+
 @dataclass(frozen=True)
 class Detection:
     """One detector output: a box, its confidence, class, and optional velocity."""
@@ -164,6 +175,9 @@ class TrackerConfig:
     second_pass: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", _enum_member(Mode, self.mode, "mode"))
+        object.__setattr__(self, "motion_strategy", _enum_member(
+            MotionStrategy, self.motion_strategy, "motion strategy"))
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if not isinstance(self.track_buffer, Integral):
@@ -176,11 +190,17 @@ class TrackerConfig:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         if self.mode is Mode.BOX_2D and self.motion_strategy is not MotionStrategy.KALMAN:
             raise ValueError("detected-velocity strategies require 3D mode")
+        for name in ("adaptive_r", "second_pass"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         for name in ("gate_first", "gate_second"):
             gate = getattr(self, name)
             if isinstance(gate, Mapping):
                 gate = dict(gate)
                 object.__setattr__(self, name, gate)
+                if not all(isinstance(key, Integral) for key in gate):
+                    raise ValueError(f"{name} keys must be integer class ids, got {gate}")
                 if not all(map(math.isfinite, gate.values())):
                     raise ValueError(f"{name} values must be finite, got {gate}")
             elif not math.isfinite(gate):
@@ -270,7 +290,7 @@ class FrameDiagnostics:
     low rows, and the ids lost or removed this frame. The tuple fields
     (first_matches, second_matches and new_tracks as (detection index, track
     id) pairs; discarded_low, lost_track_ids, removed_track_ids) are built on
-    first read, and equality compares them.
+    first read.
     """
 
     first_rows: np.ndarray
@@ -306,18 +326,6 @@ class FrameDiagnostics:
     @cached_property
     def removed_track_ids(self) -> tuple[int, ...]:
         return tuple(self.removed_ids.tolist())
-
-    def _fields(self) -> tuple:
-        return (self.first_matches, self.second_matches, self.new_tracks, self.discarded_low,
-                self.lost_track_ids, self.removed_track_ids)
-
-    def __eq__(self, other):
-        if not isinstance(other, FrameDiagnostics):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from statistics import mean
@@ -151,8 +152,11 @@ def _cmd_eval(args) -> int:
     for key, value in report.items():
         print(f"{key}={value:.6f}" if isinstance(value, float) else f"{key}={value}")
     if args.json:
+        # JSON has no NaN: an undefined MOTA (empty ground truth) is written as null.
+        data = {key: None if isinstance(value, float) and math.isnan(value) else value
+                for key, value in report.items()}
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(data, fh, indent=2, allow_nan=False)
             fh.write("\n")
     return 0
 

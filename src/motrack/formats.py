@@ -25,7 +25,7 @@ from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .association import Detection, DetectionFrame, Mode
+from .association import DEFAULT_GATE_KEY, Detection, DetectionFrame, Mode
 from .geometry import MAX_BOX2D_AREA, wrap_angles
 from .tracker import CLASS_IDS, CLASS_NAMES, TrackOutput
 
@@ -183,14 +183,6 @@ class DetectionFrames(Sequence):
             raise IndexError("frame index out of range")
         start, stop = np.searchsorted(self._frames, (index + 1, index + 2)).tolist()
         return DetectionFrame(*(column[start:stop] for column in self._columns))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            list(mine) == list(theirs) for mine, theirs in zip(self, other))
-
-    __hash__ = None
 
 
 # --- 2D MOT records --------------------------------------------------------------
@@ -443,7 +435,7 @@ def parse_config_text(text: str) -> dict[str, object]:
             if base not in ("gate_first", "gate_second"):
                 raise _fail(line_no, f"unknown per-class key {key!r}")
             if label == "default":
-                class_id = -1
+                class_id = DEFAULT_GATE_KEY
             elif label in CLASS_IDS:
                 class_id = CLASS_IDS[label]
             else:

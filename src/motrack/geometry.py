@@ -75,33 +75,10 @@ class Box2D:
         if not (math.isfinite(self.x1) and math.isfinite(self.y1)
                 and math.isfinite(self.x2) and math.isfinite(self.y2)):
             raise ValueError("Box2D coordinates must be finite")
-        if not self.width * self.height <= MAX_BOX2D_AREA:
+        width, height = self.x2 - self.x1, self.y2 - self.y1
+        if not width * height <= MAX_BOX2D_AREA:
             raise ValueError(f"Box2D area must be finite and at most {MAX_BOX2D_AREA!r}, "
-                             f"got {self.width} x {self.height}")
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
-
-    @classmethod
-    def from_xywh(cls, x: float, y: float, w: float, h: float) -> "Box2D":
-        """Build from top-left corner plus width/height."""
-        return cls(x, y, x + w, y + h)
-
-    def to_xywh(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.width, self.height)
+                             f"got {width} x {height}")
 
 
 @dataclass(frozen=True)
@@ -133,28 +110,6 @@ class Box3D:
             raise ValueError("Box3D fields must be finite")
         if not -math.pi < self.theta <= math.pi:
             object.__setattr__(self, "theta", wrap_angle(self.theta))
-
-    @property
-    def volume(self) -> float:
-        return self.l * self.w * self.h
-
-    @property
-    def bev_area(self) -> float:
-        return self.l * self.w
-
-    @property
-    def z_interval(self) -> tuple[float, float]:
-        half = self.h / 2.0
-        return (self.z - half, self.z + half)
-
-    def bev_corners(self) -> np.ndarray:
-        """Footprint corners as a (4, 2) array in counterclockwise order."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        dx, dy = self.l / 2.0, self.w / 2.0
-        local = ((dx, dy), (-dx, dy), (-dx, -dy), (dx, -dy))
-        return np.array(
-            [(self.x + c * px - s * py, self.y + s * px + c * py) for px, py in local]
-        )
 
 
 Box = Union[Box2D, Box3D]

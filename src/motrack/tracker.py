@@ -23,6 +23,7 @@ from .association import (
     TrackerConfig,
     TrackPool,
     TrackRecord,
+    _enum_member,
     box_width,
     records_from_columns,
     step,
@@ -156,24 +157,8 @@ def validate_config(raw: Mapping[str, object] | TrackerConfig) -> TrackerConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    mode = options.pop("mode", Mode.BOX_2D)
-    if isinstance(mode, str):
-        try:
-            mode = Mode(mode.lower())
-        except ValueError:
-            raise ValueError(f"unknown mode {mode!r}; expected '2d' or '3d'") from None
-    modality = options.pop("modality", None)
-    base = default_config(mode, modality)
-
-    if "motion_strategy" in options and isinstance(options["motion_strategy"], str):
-        try:
-            options["motion_strategy"] = MotionStrategy(options["motion_strategy"].lower())
-        except ValueError:
-            choices = [m.value for m in MotionStrategy]
-            raise ValueError(
-                f"unknown motion strategy {options['motion_strategy']!r}; "
-                f"expected one of {choices}"
-            ) from None
+    mode = _enum_member(Mode, options.pop("mode", Mode.BOX_2D), "mode")
+    base = default_config(mode, options.pop("modality", None))
     try:
         config = replace(base, **options)
     except (TypeError, ValueError) as exc:

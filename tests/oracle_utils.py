@@ -30,7 +30,7 @@ def iou_2d(a: Box2D, b: Box2D) -> float:
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = a.area + b.area - inter
+    union = (a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -84,9 +84,7 @@ def giou_3d_voxel(a: Box3D, b: Box3D, cell: float = 0.02) -> float:
     exact interval arithmetic; the rotated-footprint areas (the part the
     clipping code computes) come from counting grid-cell centers.
     """
-    corners = np.vstack(
-        [np.asarray(box.bev_corners()) for box in (a, b)]
-    )
+    corners = np.vstack((bev_corners(a), bev_corners(b)))
     xmin, ymin = corners.min(axis=0) - cell
     xmax, ymax = corners.max(axis=0) + cell
     gx = np.arange(xmin + cell / 2.0, xmax, cell)
@@ -99,8 +97,8 @@ def giou_3d_voxel(a: Box3D, b: Box3D, cell: float = 0.02) -> float:
     area_b = np.count_nonzero(in_b) * cell_area
     inter_area = np.count_nonzero(in_a & in_b) * cell_area
 
-    za0, za1 = a.z_interval
-    zb0, zb1 = b.z_interval
+    za0, za1 = _z_interval(a)
+    zb0, zb1 = _z_interval(b)
     overlap_h = max(0.0, min(za1, zb1) - max(za0, zb0))
     inter = inter_area * overlap_h
     union = area_a * a.h + area_b * b.h - inter
@@ -158,23 +156,37 @@ def clip_convex(subject, clip):
     return output
 
 
+def bev_corners(box: Box3D) -> np.ndarray:
+    """Footprint corners as a (4, 2) array in counterclockwise order, one
+    corner at a time in scalar math."""
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    dx, dy = box.l / 2.0, box.w / 2.0
+    local = ((dx, dy), (-dx, dy), (-dx, -dy), (dx, -dy))
+    return np.array([(box.x + c * px - s * py, box.y + s * px + c * py) for px, py in local])
+
+
+def _z_interval(box: Box3D) -> tuple[float, float]:
+    half = box.h / 2.0
+    return (box.z - half, box.z + half)
+
+
 def bev_intersection_area_clip(a: Box3D, b: Box3D) -> float:
     """Footprint intersection area by scalar Sutherland-Hodgman clipping."""
-    corners_a = [tuple(p) for p in a.bev_corners()]
-    corners_b = [tuple(p) for p in b.bev_corners()]
+    corners_a = [tuple(p) for p in bev_corners(a)]
+    corners_b = [tuple(p) for p in bev_corners(b)]
     return polygon_area(clip_convex(corners_a, corners_b))
 
 
 def giou_3d_clip(a: Box3D, b: Box3D) -> float:
     """Scalar reference GIoU: one Python clip per pair, with the same
     axis-aligned BEV enclosure as the kernel."""
-    za0, za1 = a.z_interval
-    zb0, zb1 = b.z_interval
+    za0, za1 = _z_interval(a)
+    zb0, zb1 = _z_interval(b)
     overlap_h = min(za1, zb1) - max(za0, zb0)
     inter = bev_intersection_area_clip(a, b) * overlap_h if overlap_h > 0.0 else 0.0
-    union = a.volume + b.volume - inter
+    union = a.l * a.w * a.h + b.l * b.w * b.h - inter
 
-    corners = np.vstack((a.bev_corners(), b.bev_corners()))
+    corners = np.vstack((bev_corners(a), bev_corners(b)))
     spans = corners.max(axis=0) - corners.min(axis=0)
     enclosing = spans[0] * spans[1] * (max(za1, zb1) - min(za0, zb0))
 
@@ -197,7 +209,7 @@ def giou_3d_axis_aligned(a: Box3D, b: Box3D) -> float:
     iy = max(0.0, min(a.y + a.w / 2, b.y + b.w / 2) - max(a.y - a.w / 2, b.y - b.w / 2))
     iz = max(0.0, min(a.z + a.h / 2, b.z + b.h / 2) - max(a.z - a.h / 2, b.z - b.h / 2))
     inter = ix * iy * iz
-    union = a.volume + b.volume - inter
+    union = a.l * a.w * a.h + b.l * b.w * b.h - inter
     cx = max(a.x + a.l / 2, b.x + b.l / 2) - min(a.x - a.l / 2, b.x - b.l / 2)
     cy = max(a.y + a.w / 2, b.y + b.w / 2) - min(a.y - a.w / 2, b.y - b.w / 2)
     cz = max(a.z + a.h / 2, b.z + b.h / 2) - min(a.z - a.h / 2, b.z - b.h / 2)
@@ -830,7 +842,7 @@ def _parse_mot_line(line: str, line_no: int):
     if not 0.0 <= score <= 1.0:
         raise _fail(line_no, f"score must be in [0, 1], got {score}")
     try:
-        box = Box2D.from_xywh(x, y, w, h)
+        box = Box2D(x, y, x + w, y + h)
     except ValueError as exc:
         raise _fail(line_no, str(exc)) from None
     return frame, track_id, box, score
@@ -919,7 +931,7 @@ def parse_3d_results_lines(text: str):
 
 
 def mot_line(frame: int, track_id: int, box: Box2D, score: float) -> str:
-    x, y, w, h = box.to_xywh()
+    x, y, w, h = box.x1, box.y1, box.x2 - box.x1, box.y2 - box.y1
     return f"{frame},{track_id},{x!r},{y!r},{w!r},{h!r},{float(score)!r},-1,-1,-1"
 
 

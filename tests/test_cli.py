@@ -65,6 +65,38 @@ def test_eval_writes_json_report(tmp_path, occlusion_files, capsys):
     assert data["gt"] == 24
 
 
+def test_eval_json_writes_undefined_mota_as_null(tmp_path, capsys):
+    # With empty ground truth MOTA is undefined: NaN when printed, null in JSON.
+    gt, pred, report = tmp_path / "gt.txt", tmp_path / "pred.txt", tmp_path / "report.json"
+    gt.write_text("")
+    pred.write_text("1,1,0,0,10,10,0.9,-1,-1,-1\n")
+    assert main(["eval", "--gt", str(gt), "--pred", str(pred), "--mode", "2d",
+                 "--metric", "clear", "--json", str(report)]) == 0
+    assert "mota=nan" in capsys.readouterr().out
+    text = report.read_text()
+    assert "NaN" not in text
+    assert json.loads(text) == {"mota": None, "fp": 1, "fn": 0, "ids": 0, "gt": 0}
+
+
+def test_3d_simulate_track_eval_round_trip(tmp_path, capsys):
+    from motrack.simulate import motion_ablation_suite, scenario_to_dict
+
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(scenario_to_dict(motion_ablation_suite(1)[0][0])))
+    gt, det = tmp_path / "gt.txt", tmp_path / "det.txt"
+    out, report = tmp_path / "tracks.txt", tmp_path / "report.json"
+    assert main(["simulate", "--scenario", str(scenario), "--out-gt", str(gt),
+                 "--out-det", str(det)]) == 0
+    assert main(["track", "--input", str(det), "--output", str(out), "--mode", "3d",
+                 "--modality", "camera"]) == 0
+    assert main(["eval", "--gt", str(gt), "--pred", str(out), "--mode", "3d",
+                 "--metric", "all", "--json", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert list(data) == ["mota", "fp", "fn", "ids", "gt", "idf1", "amota"]
+    assert data["gt"] > 0 and 0.0 < data["idf1"] <= 1.0
+    assert capsys.readouterr().err == ""
+
+
 def test_eval_rejects_nan_match_threshold(occlusion_files, capsys):
     gt, _ = occlusion_files
     code = main(["eval", "--gt", str(gt), "--pred", str(gt), "--mode", "2d",

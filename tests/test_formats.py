@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -44,7 +45,7 @@ class TestMotParsing:
         assert det.score == 0.9
 
     def test_empty_file(self):
-        assert parse_mot_detections("") == []
+        assert [list(f) for f in parse_mot_detections("")] == []
 
     def test_frames_are_dense(self):
         text = "3,-1,0,0,10,10,0.5,-1,-1,-1\n1,-1,0,0,10,10,0.5,-1,-1,-1\n"
@@ -483,3 +484,16 @@ class TestConfigFile:
     def test_bad_bool_rejected(self):
         with pytest.raises(ValueError, match="adaptive_r"):
             parse_config_text("adaptive_r = maybe\n")
+
+    @pytest.mark.parametrize(("text", "message"), [
+        ("tau = abc\n", "line 1: tau is not a number: 'abc'"),
+        ("mode = 3d\ntrack_buffer = 2.5\n", "line 2: track_buffer is not an integer: '2.5'"),
+        ("tau.car = 1\n", "line 1: unknown per-class key 'tau.car'"),
+    ])
+    def test_bad_values_report_line(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config_text(text)
+
+    def test_false_bools(self):
+        assert parse_config_text("adaptive_r = off\nsecond_pass = No\n") == {
+            "adaptive_r": False, "second_pass": False}

@@ -53,7 +53,8 @@ class TestBoxValidation:
     def test_area_overflow_rejected(self):
         with pytest.raises(ValueError, match="area must be finite"):
             Box2D(-8e307, 0.0, 8e307, 1e308)
-        assert Box2D(-4e307, 0.0, 4e307, 1.0).area == 8e307
+        # An area of 8e307 is within the bound, so this box constructs.
+        Box2D(-4e307, 0.0, 4e307, 1.0)
 
     def test_area_whose_union_overflows_rejected(self):
         # Two areas above half the largest float overflow the union, and such
@@ -156,7 +157,7 @@ class TestBevIntersection:
             area_ab = bev_intersection_area(a, b)
             area_ba = bev_intersection_area(b, a)
             assert area_ab == pytest.approx(area_ba, abs=1e-9)
-            assert area_ab <= min(a.bev_area, b.bev_area) + 1e-9
+            assert area_ab <= min(a.l * a.w, b.l * b.w) + 1e-9
 
 
 class TestGiou3D:
@@ -176,11 +177,10 @@ class TestGiou3D:
             value = giou_3d(a, b)
             assert -1.0 < value <= 1.0
             assert value == pytest.approx(giou_3d(b, a), abs=1e-9)
-            za0, za1 = a.z_interval
-            zb0, zb1 = b.z_interval
-            overlap_h = max(0.0, min(za1, zb1) - max(za0, zb0))
+            overlap_h = max(0.0, min(a.z + a.h / 2, b.z + b.h / 2)
+                            - max(a.z - a.h / 2, b.z - b.h / 2))
             inter = bev_intersection_area(a, b) * overlap_h
-            iou = inter / (a.volume + b.volume - inter)
+            iou = inter / (a.l * a.w * a.h + b.l * b.w * b.h - inter)
             assert value <= iou + 1e-12
 
     def test_translation_invariance(self):
@@ -265,7 +265,8 @@ class TestSimilarityMatrix:
                 assert sim[i, j] == giou_3d(det, trk)
 
     def test_dimension_mismatch_rejected(self):
-        from motrack.association import Detection, DetectionFrame, Mode
+        from motrack.association import (Detection, DetectionFrame, Mode, TrackerConfig,
+                                         TrackPool, step)
 
         box2d = Box2D(0, 0, 1, 1)
         box3d = Box3D(0, 0, 0, 0, 1, 1, 1)
@@ -275,9 +276,13 @@ class TestSimilarityMatrix:
             DetectionFrame.from_detections([Detection(box3d, 0.9)], Mode.BOX_2D)
         with pytest.raises(ValueError, match="Box2D detection in 3d mode"):
             DetectionFrame.from_detections([Detection(box2d, 0.9)], Mode.BOX_3D)
+        # Columns of 7-parameter rows stepped in 2D mode.
+        frame = DetectionFrame.from_detections([Detection(box3d, 0.9)], Mode.BOX_3D)
+        with pytest.raises(ValueError, match="Box3D detection in 2d mode"):
+            step(TrackPool(), 1, frame, TrackerConfig())
 
     def test_box2d_array_rows_are_corners(self):
-        boxes = [Box2D(0, 1, 2, 3), Box2D.from_xywh(5, 6, 7, 8)]
+        boxes = [Box2D(0, 1, 2, 3), Box2D(5, 6, 12, 14)]
         assert box2d_array(boxes).tolist() == [[0, 1, 2, 3], [5, 6, 12, 14]]
         assert box2d_array([]).shape == (0, 4)
 

@@ -928,6 +928,11 @@ class TestSmota:
         with pytest.raises(ValueError):
             smota_r(gt, gt, 0.0)
 
+    def test_empty_ground_truth_rejected(self):
+        pred = output_2d(steady(1, [1]))
+        with pytest.raises(ValueError, match="sMOTA requires non-empty ground truth"):
+            smota_r(output_2d([], n_frames=1), pred, 0.5)
+
 
 class TestAmota:
     def test_perfect(self):
@@ -940,6 +945,11 @@ class TestAmota:
     def test_empty_tracker_output(self):
         gt = output_2d(steady(1, range(1, 21)))
         assert amota(gt, output_2d([], n_frames=20)).amota == 0.0
+
+    def test_empty_ground_truth_rejected(self):
+        pred = output_2d(steady(1, [1]))
+        with pytest.raises(ValueError, match="AMOTA requires non-empty ground truth"):
+            amota(output_2d([], n_frames=1), pred)
 
     def test_top_half_correct_gives_half(self):
         # Two gt objects over 20 frames; predictions cover only the first with

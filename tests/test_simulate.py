@@ -106,6 +106,16 @@ class TestGeneration:
         for dets in frames:
             assert dets[0].velocity == (2.0, 0.0)
 
+    def test_last_segment_extends_to_the_end(self):
+        # Segments cover 3 of 12 frames: the last one's velocity carries on.
+        obj = ObjectSpec(start=(200.0, 300.0), size=(60.0, 120.0),
+                         segments=(MotionSegment(1, 0.0, 2.0), MotionSegment(2, 5.0, 0.0)))
+        gt, _ = generate_scenario(simple_spec(objects=(obj,)), seed=0)
+        traj = trajectories(gt)[1]
+        steps = [(traj[f].box.x1 - traj[f - 1].box.x1, traj[f].box.y1 - traj[f - 1].box.y1)
+                 for f in range(2, 13)]
+        assert steps == [(0.0, 2.0)] + [(5.0, 0.0)] * 10
+
     def test_gt_velocity_consistent_with_motion(self):
         spec = simple_spec()
         gt, _ = generate_scenario(spec, seed=0)
@@ -134,6 +144,22 @@ class TestValidation:
     def test_empty_segments_rejected(self):
         with pytest.raises(ValueError):
             ObjectSpec(start=(0.0, 0.0), size=(10.0, 10.0), segments=())
+
+    @pytest.mark.parametrize(("build", "message"), [
+        (lambda: MotionSegment(0, 1.0, 0.0), "segment length must be at least one frame"),
+        (lambda: ObjectSpec((0.0, 0.0), (1.0, 1.0, 1.0), (MotionSegment(1, 0.0, 0.0),)),
+         "start/size must both be 2-D or both 3-D"),
+        (lambda: OcclusionEvent(0, 1, 2, 1.5), "occlusion score must be in"),
+        (lambda: OcclusionEvent(0, 3, 2, 0.3), "occlusion span is empty"),
+        (lambda: DropoutSpan(0, 3, 2), "dropout span is empty"),
+        (lambda: simple_spec(duration=0), "duration must be at least one frame"),
+        (lambda: simple_spec(base_score=1.5), "base_score must be in"),
+        (lambda: simple_spec(clutter_scores=(0.5, 0.2)), "clutter_scores must be an ordered"),
+    ], ids=["segment", "start-size", "occlusion-score", "occlusion-span", "dropout-span",
+            "duration", "base-score", "clutter-scores"])
+    def test_spec_checks(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestSerialization:

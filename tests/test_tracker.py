@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from motrack import formats
 from motrack.association import Detection, Mode, MotionStrategy, TrackerConfig
-from motrack.geometry import Box2D
+from motrack.geometry import Box2D, Box3D
 from motrack.simulate import crossing_scenario, generate_scenario, motion_ablation_suite
 from motrack.tracker import (
     CLASS_IDS,
@@ -23,7 +24,7 @@ from motrack.tracker import (
     validate_config,
 )
 from oracle_utils import records_by_frame, slice_frames
-from test_association import detection_streams, mixed_class_frames
+from test_association import detection_streams, diagnostic_tuples, mixed_class_frames
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_crossing.txt"
@@ -133,7 +134,8 @@ def assert_same_result(a, b, removed_before=()):
     """Equal results, with a's removals preceded by the given skipped-frame ones."""
     assert a.frame == b.frame
     removed = np.array([*removed_before, *b.diagnostics.removed_ids.tolist()], dtype=np.int64)
-    assert a.diagnostics == dataclasses.replace(b.diagnostics, removed_ids=removed)
+    assert diagnostic_tuples(a.diagnostics) == diagnostic_tuples(
+        dataclasses.replace(b.diagnostics, removed_ids=removed))
     for name in ("track_ids", "class_ids", "scores", "boxes"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -305,6 +307,39 @@ class TestValidateConfig:
         options = formats.parse_config_text("mode = 3d\ngate_second.car = nan\n")
         with pytest.raises(ValueError, match="gate_second values must be finite"):
             validate_config(options)
+
+    def test_mode_named_on_config(self):
+        # The mode is coerced on TrackerConfig itself, so a 3D step works.
+        config = TrackerConfig(mode="3D", tau=0.2, gate_first=-0.5, gate_second=-0.5)
+        assert config.mode is Mode.BOX_3D
+        result = Tracker(config).step([Detection(Box3D(0, 0, 0, 0, 4, 2, 1.5), 0.9)])
+        assert result.track_ids.tolist() == [1]
+        with pytest.raises(ValueError, match=re.escape("unknown mode '4d'; expected one of "
+                                                       "['2d', '3d']")):
+            TrackerConfig(mode="4d")
+
+    def test_motion_strategy_named_on_config(self):
+        config = TrackerConfig(mode=Mode.BOX_3D, motion_strategy="dv")
+        assert config.motion_strategy is MotionStrategy.DETECTED_VELOCITY
+        replaced = dataclasses.replace(default_config(Mode.BOX_3D), motion_strategy="KF")
+        assert replaced.motion_strategy is MotionStrategy.KALMAN
+        with pytest.raises(ValueError, match="unknown motion strategy 'warp'"):
+            validate_config({"mode": "3d", "motion_strategy": "warp"})
+
+    @pytest.mark.parametrize("name", ["second_pass", "adaptive_r"])
+    def test_non_bool_switches_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be a bool, got 'false'"):
+            validate_config({"mode": "3d", name: "false"})
+        with pytest.raises(ValueError, match=f"{name} must be a bool, got 0"):
+            validate_config({"mode": "3d", name: 0})
+        assert getattr(validate_config({"mode": "3d", name: np.bool_(False)}), name) is (
+            np.False_)
+
+    def test_gate_keys_must_be_class_ids(self):
+        with pytest.raises(ValueError, match="gate_first keys must be integer class ids"):
+            validate_config({"mode": "3d", "gate_first": {"car": 0.1, "default": -0.5}})
+        config = validate_config({"mode": "3d", "gate_first": {np.int64(2): 0.1, -1: -0.5}})
+        assert config.gate_first == {2: 0.1, -1: -0.5}
 
     def test_alpha_needs_adaptive_scaling(self):
         with pytest.raises(ValueError, match="adaptive_r"):

@@ -27,7 +27,7 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class DetectionFrame:
     boxes holds parameter rows in the box2d_array / box3d_array layout, scores
     and class_ids one value per row, and velocities the planar (vx, vy) of the
     rows where has_velocity is set (0 elsewhere). Iterating or indexing yields
-    Detection objects, built on first use.
+    Detection objects, built from the columns on first use.
     """
 
     boxes: np.ndarray
@@ -121,7 +121,7 @@ class DetectionFrame:
             if not isinstance(det.box, box_type):
                 raise ValueError(f"{type(det.box).__name__} detection in {mode.value} mode")
         boxes = [det.box for det in detections]
-        frame = cls(
+        return cls(
             boxes=box3d_array(boxes) if box_type is Box3D else box2d_array(boxes),
             scores=np.array([det.score for det in detections], dtype=float),
             class_ids=np.array([det.class_id for det in detections], dtype=np.int64),
@@ -129,8 +129,6 @@ class DetectionFrame:
                                 dtype=float).reshape(-1, 2),
             has_velocity=np.array([det.velocity is not None for det in detections], dtype=bool),
         )
-        frame.__dict__["detections"] = tuple(detections)
-        return frame
 
     @cached_property
     def detections(self) -> tuple[Detection, ...]:
@@ -150,6 +148,13 @@ class DetectionFrame:
 
     def __getitem__(self, index: int) -> Detection:
         return self.detections[index]
+
+
+def _require_real(name: str, value: object) -> None:
+    """Raise a ValueError naming the field unless value is a real number; a
+    bool is not one."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -178,9 +183,11 @@ class TrackerConfig:
         object.__setattr__(self, "mode", _enum_member(Mode, self.mode, "mode"))
         object.__setattr__(self, "motion_strategy", _enum_member(
             MotionStrategy, self.motion_strategy, "motion strategy"))
+        _require_real("tau", self.tau)
+        _require_real("alpha", self.alpha)
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
-        if not isinstance(self.track_buffer, Integral):
+        if not isinstance(self.track_buffer, Integral) or isinstance(self.track_buffer, bool):
             raise ValueError(f"track_buffer must be an integer, got {self.track_buffer!r}")
         if self.track_buffer < 1:
             raise ValueError(f"track_buffer must be >= 1, got {self.track_buffer}")
@@ -201,10 +208,14 @@ class TrackerConfig:
                 object.__setattr__(self, name, gate)
                 if not all(isinstance(key, Integral) for key in gate):
                     raise ValueError(f"{name} keys must be integer class ids, got {gate}")
+                for key, value in gate.items():
+                    _require_real(f"{name}[{key}]", value)
                 if not all(map(math.isfinite, gate.values())):
                     raise ValueError(f"{name} values must be finite, got {gate}")
-            elif not math.isfinite(gate):
-                raise ValueError(f"{name} must be finite")
+            else:
+                _require_real(name, gate)
+                if not math.isfinite(gate):
+                    raise ValueError(f"{name} must be finite")
 
 
 def resolve_gate(gate: float | Mapping[int, float], class_id: int) -> float:
@@ -430,6 +441,9 @@ def step(
     after track_buffer + 1 empty frames, so at most that many skipped frames
     do any work, however large the gap. The skipped frames' removals lead
     this frame's removed_track_ids, so each removed track is reported once.
+
+    A frame whose boxes are not of the mode's width, or with a score outside
+    [0, 1] (NaN included), raises ValueError before the pool changes.
     """
     if frame <= pool.last_frame:
         raise ValueError(
@@ -441,6 +455,10 @@ def step(
         raise ValueError(
             f"{_box_type(raw).__name__} detection in {config.mode.value} mode"
         )
+    scores = detections.scores
+    in_range = (scores >= 0.0) & (scores <= 1.0)
+    if not in_range.all():
+        raise ValueError(f"detection score must be in [0, 1], got {scores[~in_range][0]}")
     gap_removed = []
     for _ in range(min(frame - pool.last_frame - 1, config.track_buffer + 1)):
         if not len(pool.ids):
@@ -448,7 +466,6 @@ def step(
         empty = DetectionFrame.from_detections((), config.mode)
         gap_removed.append(step(pool, pool.last_frame + 1, empty, config).diagnostics.removed_ids)
 
-    scores = detections.scores
     det_classes = detections.class_ids
     high_idx = (scores > config.tau).nonzero()[0]
     low_idx = (scores <= config.tau).nonzero()[0]

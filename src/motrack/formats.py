@@ -232,8 +232,8 @@ def parse_mot_results(text: str) -> TrackOutput:
     """Read a tracked-results file (ids >= 1) back into a TrackOutput."""
     frames, ids, scores, boxes = _by_frame(*_mot_columns(text, results=True))
     n_frames = int(frames[-1]) if len(frames) else 0
-    return TrackOutput.from_columns(frames, ids, np.zeros(len(ids), dtype=np.int64), scores,
-                                    boxes, Mode.BOX_2D, n_frames)
+    return TrackOutput(frames, ids, np.zeros(len(ids), dtype=np.int64), scores, boxes,
+                       Mode.BOX_2D, n_frames)
 
 
 def _mot_text(frames: np.ndarray, track_ids: np.ndarray, scores: np.ndarray,
@@ -324,8 +324,7 @@ def parse_3d_results(text: str) -> TrackOutput:
     """Read a 3D results file (ids >= 1) back into a TrackOutput."""
     frames, ids, class_ids, scores, boxes, _, _ = _by_frame(*_3d_columns(text, results=True))
     n_frames = int(frames[-1]) if len(frames) else 0
-    return TrackOutput.from_columns(frames, ids, class_ids, scores, boxes, Mode.BOX_3D,
-                                    n_frames)
+    return TrackOutput(frames, ids, class_ids, scores, boxes, Mode.BOX_3D, n_frames)
 
 
 def _3d_text(frames: np.ndarray, track_ids: np.ndarray, class_ids: np.ndarray,

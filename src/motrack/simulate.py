@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .association import Detection, Mode
-from .geometry import Box2D, Box3D
-from .tracker import CLASS_IDS, TrackOutput, TrackRecord
+from .geometry import Box2D, Box3D, box2d_array, box3d_array
+from .tracker import CLASS_IDS, TrackOutput
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,9 @@ def generate_scenario(
 ) -> tuple[TrackOutput, list[list[Detection]]]:
     """Realize a scenario: exact ground truth plus the noisy detection stream.
 
-    Ground-truth identities are 1-based object indices with score 1. Detection
-    order within a frame is objects first (spec order), then clutter.
+    Ground-truth identities are 1-based object indices with score 1; the gt
+    columns hold every object in every frame, frame by frame in spec order.
+    Detection order within a frame is objects first (spec order), then clutter.
     """
     rng = np.random.default_rng(seed)
     duration = spec.duration
@@ -190,7 +191,7 @@ def generate_scenario(
         for frame in range(span.first_frame, span.last_frame + 1):
             hidden.add((span.object_index, frame))
 
-    gt_records = []
+    gt_boxes = []
     frames: list[list[Detection]] = []
     xmin, ymin, xmax, ymax = spec.world
 
@@ -200,9 +201,7 @@ def generate_scenario(
             pos, vel = trajectories[index]
             yaw = yaws[index][frame - 1]
             gt_box = _make_box(spec, obj, pos[frame - 1], yaw)
-            gt_records.append(
-                TrackRecord(frame, index + 1, gt_box, 1.0, obj.class_id)
-            )
+            gt_boxes.append(gt_box)
             if (index, frame) in hidden:
                 continue
             if spec.miss_rate > 0 and rng.random() < spec.miss_rate:
@@ -250,7 +249,15 @@ def generate_scenario(
                     detections.append(Detection(box, score, class_id=CLASS_IDS["car"]))
         frames.append(detections)
 
-    gt = TrackOutput(tuple(gt_records), spec.mode, duration)
+    n_objects = len(spec.objects)
+    gt = TrackOutput(
+        np.repeat(np.arange(1, duration + 1, dtype=np.int64), n_objects),
+        np.tile(np.arange(1, n_objects + 1, dtype=np.int64), duration),
+        np.tile(np.array([obj.class_id for obj in spec.objects], dtype=np.int64), duration),
+        np.ones(duration * n_objects),
+        box3d_array(gt_boxes) if spec.mode is Mode.BOX_3D else box2d_array(gt_boxes),
+        spec.mode, duration,
+    )
     return gt, frames
 
 

@@ -2,12 +2,13 @@
 
 Tracker.step takes a frame's detections as a DetectionFrame (the parsers'
 columns) or as a Detection list, which it turns into columns once. Each
-frame's output rows are kept as columns and concatenated once by output().
+frame's output rows are kept as columns and concatenated once by output()
+into a TrackOutput, which is those columns and is built from nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +29,6 @@ from .association import (
     records_from_columns,
     step,
 )
-from .geometry import box2d_array, box3d_array
 
 # Class vocabulary for per-class 3D association gates. Ids follow list order.
 CLASS_NAMES = ("bicycle", "bus", "car", "motorcycle", "pedestrian", "trailer", "truck")
@@ -51,61 +51,40 @@ _TAU_3D_DEFAULTS = {"lidar": 0.2, "camera": 0.25}
 _ALPHA_DEFAULTS = {"lidar": 10.0, "camera": 100.0}
 
 
+@dataclass(frozen=True, eq=False)
 class TrackOutput:
     """Whole-sequence tracking result as columns, plus the config that produced it.
 
     Row i is one confirmed box: frames[i] (the frame number), track_ids[i],
     class_ids[i], scores[i] and boxes[i], a parameter row in the box2d_array
-    / box3d_array layout. Rows are sorted by frame and each (frame, id) pair
-    occurs once. records holds the same rows as TrackRecords, built on first
-    use; an output constructed from records keeps them as given.
+    / box3d_array layout. The columns are kept as given, without copying;
+    they must have one length, with boxes of shape (N, box_width(mode)), rows
+    sorted by frame and each (frame, id) pair once. records holds the same
+    rows as TrackRecords, built from the columns on first use.
     """
 
-    def __init__(
-        self,
-        records: Sequence[TrackRecord],
-        mode: Mode,
-        n_frames: int,
-        config: TrackerConfig | None = None,
-    ):
-        records = tuple(records)
-        boxes = [rec.box for rec in records]
-        self._set_columns(
-            np.array([rec.frame for rec in records], dtype=np.int64),
-            np.array([rec.track_id for rec in records], dtype=np.int64),
-            np.array([rec.class_id for rec in records], dtype=np.int64),
-            np.array([rec.score for rec in records], dtype=float),
-            box3d_array(boxes) if mode is Mode.BOX_3D else box2d_array(boxes),
-            mode, n_frames, config,
-        )
-        self.__dict__["records"] = records
+    frames: np.ndarray
+    track_ids: np.ndarray
+    class_ids: np.ndarray
+    scores: np.ndarray
+    boxes: np.ndarray
+    mode: Mode
+    n_frames: int
+    config: TrackerConfig | None = None
 
-    @classmethod
-    def from_columns(
-        cls,
-        frames: np.ndarray,
-        track_ids: np.ndarray,
-        class_ids: np.ndarray,
-        scores: np.ndarray,
-        boxes: np.ndarray,
-        mode: Mode,
-        n_frames: int,
-        config: TrackerConfig | None = None,
-    ) -> "TrackOutput":
-        """An output over the given columns, which it keeps without copying."""
-        output = cls.__new__(cls)
-        output._set_columns(frames, track_ids, class_ids, scores, boxes, mode, n_frames, config)
-        return output
-
-    def _set_columns(self, frames, track_ids, class_ids, scores, boxes, mode, n_frames, config):
+    def __post_init__(self):
+        frames, track_ids, n = self.frames, self.track_ids, len(self.frames)
+        for name in ("track_ids", "class_ids", "scores"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} has {len(getattr(self, name))} rows, frames has {n}")
+        if self.boxes.shape != (n, box_width(self.mode)):
+            raise ValueError(f"boxes must have shape {(n, box_width(self.mode))} in "
+                             f"{self.mode.value} mode, got {self.boxes.shape}")
         if np.any(frames[1:] < frames[:-1]):
             raise ValueError("record frames must be non-decreasing")
         order = np.lexsort((track_ids, frames))
         if np.any((np.diff(frames[order]) == 0) & (np.diff(track_ids[order]) == 0)):
             raise ValueError("duplicate (frame, id) pair in records")
-        self.frames, self.track_ids, self.class_ids = frames, track_ids, class_ids
-        self.scores, self.boxes = scores, boxes
-        self.mode, self.n_frames, self.config = mode, n_frames, config
 
     @cached_property
     def records(self) -> tuple[TrackRecord, ...]:
@@ -207,7 +186,7 @@ class Tracker:
         """Assemble the rows emitted so far, concatenated once."""
         rows = self._rows
         width = box_width(self.config.mode)
-        return TrackOutput.from_columns(
+        return TrackOutput(
             np.repeat(np.array([r[0] for r in rows], dtype=np.int64), [len(r[1]) for r in rows]),
             np.concatenate([np.zeros(0, dtype=np.int64)] + [r[1] for r in rows]),
             np.concatenate([np.zeros(0, dtype=np.int64)] + [r[2] for r in rows]),

@@ -11,7 +11,8 @@ the per-gt identity-switch sequences and the columnar parsers.
 
 A few helpers are thin wrappers the tests share rather than oracles: the
 gate-taking solve_gated, the scalar giou_3d and bev_intersection_area over
-the array kernels, and slice_frames over TrackOutput.from_columns."""
+the array kernels, output_of (a TrackOutput over TrackRecords' columns) and
+slice_frames over the TrackOutput constructor."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from motrack.geometry import Box2D, Box3D
+from motrack.geometry import Box2D, Box3D, box2d_array, box3d_array
 
 
 def iou_2d(a: Box2D, b: Box2D) -> float:
@@ -63,7 +64,7 @@ def _footprint_mask(box: Box3D, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def giou_3d(a: Box3D, b: Box3D) -> float:
     """GIoU of one box pair through the program's kernel, giou_3d_pairs."""
-    from motrack.geometry import box3d_array, giou_3d_pairs
+    from motrack.geometry import giou_3d_pairs
 
     return float(giou_3d_pairs(box3d_array((a,)), box3d_array((b,)))[0])
 
@@ -71,7 +72,7 @@ def giou_3d(a: Box3D, b: Box3D) -> float:
 def bev_intersection_area(a: Box3D, b: Box3D) -> float:
     """Footprint intersection area of one box pair through the program's
     kernel, in square meters."""
-    from motrack.geometry import _bev_corners, _bev_intersection_areas, box3d_array
+    from motrack.geometry import _bev_corners, _bev_intersection_areas
 
     xs, ys = _bev_corners(box3d_array((a, b)))
     return float(_bev_intersection_areas(xs[..., None], ys[..., None])[0])
@@ -289,13 +290,30 @@ def clear_counts_reference(gt, pred, threshold: float | None = None):
     return mota, fp, fn, ids
 
 
+def output_of(records, mode, n_frames: int, config=None):
+    """A TrackOutput over the columns of the given TrackRecords, in their order."""
+    from motrack.association import Mode
+    from motrack.tracker import TrackOutput
+
+    records = tuple(records)
+    boxes = [rec.box for rec in records]
+    return TrackOutput(
+        np.array([rec.frame for rec in records], dtype=np.int64),
+        np.array([rec.track_id for rec in records], dtype=np.int64),
+        np.array([rec.class_id for rec in records], dtype=np.int64),
+        np.array([rec.score for rec in records], dtype=float),
+        box3d_array(boxes) if mode is Mode.BOX_3D else box2d_array(boxes),
+        mode, n_frames, config,
+    )
+
+
 def slice_frames(output, first: int, last: int):
     """The records of a TrackOutput in frames [first, last], as a TrackOutput."""
     from motrack.tracker import TrackOutput
 
     start = np.searchsorted(output.frames, first, side="left")
     stop = np.searchsorted(output.frames, last, side="right")
-    return TrackOutput.from_columns(
+    return TrackOutput(
         output.frames[start:stop], output.track_ids[start:stop], output.class_ids[start:stop],
         output.scores[start:stop], output.boxes[start:stop], output.mode, output.n_frames,
         output.config,
@@ -352,13 +370,11 @@ def amota_reference(gt, pred, threshold: float | None = None, n_points: int = 40
     scored below it, rebuild the output and recount CLEAR from scratch; then
     pick, per recall point, the highest score among those with the lowest
     recall that still reaches it. Returns (amota, smota values, recalls)."""
-    from motrack.tracker import TrackOutput
-
     total_gt = len(gt.records)
     sweeps = []
     for score in sorted({rec.score for rec in pred.records}, reverse=True):
         kept = tuple(rec for rec in pred.records if rec.score >= score)
-        subset = TrackOutput(kept, pred.mode, pred.n_frames, pred.config)
+        subset = output_of(kept, pred.mode, pred.n_frames, pred.config)
         _, fp, fn, ids = clear_counts_reference(gt, subset, threshold)
         sweeps.append((score, (total_gt - fn) / total_gt, fp + fn + ids))
 
@@ -817,11 +833,9 @@ def _dense_frames(parsed) -> list[list]:
 
 
 def _results_output(records: list, mode):
-    from motrack.tracker import TrackOutput
-
     records.sort(key=lambda r: r.frame)
     n_frames = max((r.frame for r in records), default=0)
-    return TrackOutput(tuple(records), mode, n_frames)
+    return output_of(records, mode, n_frames)
 
 
 def _parse_mot_line(line: str, line_no: int):

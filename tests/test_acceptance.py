@@ -35,7 +35,7 @@ from kalman_utils import kf_init, kf_predict, kf_update
 from oracle_utils import (amota_reference, best_gated_matching, clear_counts_reference,
                           clear_from_frame_tables, frame_tables_reference, giou_3d,
                           giou_3d_axis_aligned, giou_3d_voxel, idf1_from_frame_pairs,
-                          slice_frames, solve_gated, sweep_reference)
+                          output_of, slice_frames, solve_gated, sweep_reference)
 
 TAUS = (0.3, 0.4, 0.5, 0.6, 0.7)
 
@@ -194,21 +194,21 @@ def test_criterion_09_metric_formulas():
             for f in frames
         ]
 
-    gt = TrackOutput(tuple(steady(1, range(1, 11))), Mode.BOX_2D, 10)
+    gt = output_of(steady(1, range(1, 11)), Mode.BOX_2D, 10)
     rows = steady(10, range(1, 5)) + steady(11, range(7, 11))
     rows.append(TrackRecord(3, 99, Box2D(900, 900, 960, 1020), 0.9))
-    pred = TrackOutput(tuple(sorted(rows, key=lambda r: r.frame)), Mode.BOX_2D, 10)
+    pred = output_of(sorted(rows, key=lambda r: r.frame), Mode.BOX_2D, 10)
     report = clear_mot(gt, pred)
     assert (report.fp, report.fn, report.ids) == (1, 2, 1)
     assert report.mota == pytest.approx(0.6)
 
-    split = TrackOutput(
+    split = output_of(
         tuple(steady(5, range(1, 6), score=0.9) + steady(6, range(6, 11), score=0.9)),
         Mode.BOX_2D, 10,
     )
     assert idf1(gt, split) == pytest.approx(0.5)
 
-    perfect = TrackOutput(tuple(steady(3, range(1, 11), score=0.9)), Mode.BOX_2D, 10)
+    perfect = output_of(steady(3, range(1, 11), score=0.9), Mode.BOX_2D, 10)
     assert clear_mot(gt, perfect).mota == 1.0
     assert idf1(gt, perfect) == 1.0
     assert amota(gt, perfect).amota == 1.0
@@ -216,7 +216,7 @@ def test_criterion_09_metric_formulas():
         assert smota_r(gt, perfect, r) == 1.0
 
     # Recall-r predictions: misses up to (1 - r) * P are not penalized.
-    wide_gt = TrackOutput(
+    wide_gt = output_of(
         tuple(sorted(
             (TrackRecord(f, i, Box2D(200.0 * i, 100.0, 200.0 * i + 60.0, 220.0), 1.0)
              for f in range(1, 11) for i in range(10)),
@@ -224,7 +224,7 @@ def test_criterion_09_metric_formulas():
         )),
         Mode.BOX_2D, 10,
     )
-    half = TrackOutput(
+    half = output_of(
         tuple(sorted(
             (TrackRecord(f, 20 + i, Box2D(200.0 * i, 100.0, 200.0 * i + 60.0, 220.0), 0.9)
              for f in range(1, 11) for i in range(5)),
@@ -234,7 +234,7 @@ def test_criterion_09_metric_formulas():
     )
     assert smota_r(wide_gt, half, 0.5) == pytest.approx(1.0)
 
-    rescaled = TrackOutput(
+    rescaled = output_of(
         tuple(TrackRecord(r.frame, r.track_id, r.box, r.score**2, r.class_id)
               for r in half.records),
         Mode.BOX_2D, 10,
@@ -293,25 +293,26 @@ def test_criterion_11_throughput_and_scaling():
     _, frames = _perf_scenario(1000)
     run_sequence(frames[:100], config)  # warm-up
 
-    def best_time(batch, repeats):
-        times = []
-        for _ in range(repeats):
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                run_sequence(batch, config)
-                times.append(time.perf_counter() - start)
-            finally:
-                gc.enable()
-        return min(times)
+    def run_time(batch):
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            run_sequence(batch, config)
+            return time.perf_counter() - start
+        finally:
+            gc.enable()
 
-    t1000 = best_time(frames, repeats=3)
+    # The sizes take turns round by round, so a drift in host speed during
+    # the test hits each of them alike; each size keeps its best time.
+    times = {10: [], 100: [], 1000: []}
+    for _ in range(5):
+        for size, runs in times.items():
+            runs.append(run_time(frames[:size]))
+    t1000 = min(times[1000])
     assert t1000 < 2.0
 
-    per_frame = {1000: t1000 / 1000.0}
-    for size in (10, 100):
-        per_frame[size] = best_time(frames[:size], repeats=7) / size
+    per_frame = {size: min(runs) / size for size, runs in times.items()}
     slope_ratio = max(per_frame.values()) / min(per_frame.values())
     assert slope_ratio <= 2.0
     print(f"\nPASS criterion 11: 1000 frames x 50 objects in {t1000:.2f} s (< 2 s); "
@@ -412,9 +413,8 @@ def test_evaluation_with_switches_on_tracker_output():
     seconds["amota"] = time.perf_counter() - start
     tables = list(metrics._frame_tables(gt, pred, 0.5))
     assert list(metrics._sweep(tables)) == sweep_reference(tables)
-    rounded = TrackOutput.from_columns(pred.frames, pred.track_ids, pred.class_ids,
-                                       np.round(pred.scores, 1), pred.boxes, pred.mode,
-                                       pred.n_frames)
+    rounded = TrackOutput(pred.frames, pred.track_ids, pred.class_ids, np.round(pred.scores, 1),
+                          pred.boxes, pred.mode, pred.n_frames)
     report_rounded = amota(gt, rounded)
     assert (report_rounded.amota, report_rounded.smota_values, report_rounded.recalls) == \
         amota_reference(gt, rounded)

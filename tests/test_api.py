@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import motrack
@@ -48,11 +49,35 @@ MEMBERS = {
     "Mode": ["BOX_2D", "BOX_3D"],
     "MotionStrategy": ["COMPLEMENTARY", "DETECTED_VELOCITY", "KALMAN"],
     "ScenarioSpec": [],
-    "TrackOutput": ["from_columns", "records"],
+    "TrackOutput": ["records"],
     "TrackPool": ["active"],
     "TrackRecord": [],
     "Tracker": ["output", "step"],
     "TrackerConfig": [],
+}
+
+
+# Each public dataclass's fields, in declaration order. A new config knob,
+# column or report value is a deliberate edit of this table.
+FIELDS = {
+    "AmotaReport": ["amota", "smota_values", "recalls"],
+    "Assignment": ["matches", "unmatched_detections", "unmatched_tracklets"],
+    "Box2D": ["x1", "y1", "x2", "y2"],
+    "Box3D": ["x", "y", "z", "theta", "l", "w", "h"],
+    "ClearReport": ["mota", "fp", "fn", "ids", "gt"],
+    "Detection": ["box", "score", "class_id", "velocity"],
+    "DetectionFrame": ["boxes", "scores", "class_ids", "velocities", "has_velocity"],
+    "FrameResult": ["frame", "track_ids", "class_ids", "scores", "boxes", "diagnostics"],
+    "ScenarioSpec": ["mode", "duration", "world", "objects", "occlusions", "dropouts",
+                     "base_score", "position_noise", "score_noise", "clutter_rate",
+                     "clutter_scores", "miss_rate", "velocity_noise"],
+    "TrackOutput": ["frames", "track_ids", "class_ids", "scores", "boxes", "mode", "n_frames",
+                    "config"],
+    "TrackPool": ["means", "covs", "ids", "class_ids", "frames_since_match", "last_score",
+                  "next_id", "last_frame"],
+    "TrackRecord": ["frame", "track_id", "box", "score", "class_id"],
+    "TrackerConfig": ["mode", "tau", "gate_first", "gate_second", "track_buffer",
+                      "motion_strategy", "alpha", "adaptive_r", "second_pass"],
 }
 
 
@@ -78,3 +103,10 @@ def test_public_members_are_pinned():
     classes = {name: getattr(motrack, name) for name in PUBLIC
                if inspect.isclass(getattr(motrack, name))}
     assert {name: public_members(cls) for name, cls in classes.items()} == MEMBERS
+
+
+def test_public_dataclass_fields_are_pinned():
+    dataclass_types = {name: getattr(motrack, name) for name in PUBLIC
+                       if dataclasses.is_dataclass(getattr(motrack, name))}
+    assert {name: [f.name for f in dataclasses.fields(cls)]
+            for name, cls in dataclass_types.items()} == FIELDS

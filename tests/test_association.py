@@ -81,6 +81,25 @@ class TestDetection:
         with pytest.raises(ValueError):
             Detection(Box3D(0, 0, 0, 0, 1, 1, 1), 0.5, velocity=(np.inf, 0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
+    def test_step_rejects_column_scores_out_of_range(self, bad):
+        # A DetectionFrame built directly skips Detection's check: a NaN score
+        # would vanish from every list, and 1.5 would spawn a track emitting it.
+        # The step rejects the frame before the pool changes.
+        config = TrackerConfig()
+        pool = TrackPool()
+        first = DetectionFrame(np.array([[0.0, 0.0, 60.0, 120.0]]), np.array([0.9]),
+                               np.zeros(1, dtype=np.int64), np.zeros((1, 2)),
+                               np.zeros(1, dtype=bool))
+        association.step(pool, 1, first, config)
+        frame = DetectionFrame(np.array([[2.0, 0.0, 62.0, 120.0], [500.0, 0.0, 560.0, 120.0]]),
+                               np.array([0.9, bad]), np.zeros(2, dtype=np.int64),
+                               np.zeros((2, 2)), np.zeros(2, dtype=bool))
+        with pytest.raises(ValueError, match=re.escape(
+                f"detection score must be in [0, 1], got {bad}")):
+            association.step(pool, 3, frame, config)
+        assert (pool.last_frame, pool.ids.tolist(), pool.next_id) == (1, [1], 2)
+
 
 class TestConfig:
     def test_tau_range(self):

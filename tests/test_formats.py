@@ -380,15 +380,14 @@ def track_outputs(draw, three_d):
         classes = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
                            dtype=np.int64)
         boxes = np.array(rows, dtype=float).reshape(n, 7)
-        return TrackOutput.from_columns(frames, ids, classes, scores, boxes, Mode.BOX_3D,
-                                        int(frames.max(initial=0)))
+        return TrackOutput(frames, ids, classes, scores, boxes, Mode.BOX_3D,
+                           int(frames.max(initial=0)))
     rows = draw(st.lists(st.tuples(coord, coord, size, size), min_size=n, max_size=n))
     corners = np.array(rows, dtype=float).reshape(n, 4)
     corners[:, 2:] += corners[:, :2]  # x2 = x1 + w, rounded as a tracker's box would be
     keep = (corners[:, 2:] > corners[:, :2]).all(axis=1)
-    return TrackOutput.from_columns(frames[keep], ids[keep], np.zeros(int(keep.sum()),
-                                    dtype=np.int64), scores[keep], corners[keep], Mode.BOX_2D,
-                                    int(frames.max(initial=0)))
+    return TrackOutput(frames[keep], ids[keep], np.zeros(int(keep.sum()), dtype=np.int64),
+                       scores[keep], corners[keep], Mode.BOX_2D, int(frames.max(initial=0)))
 
 
 def _hex(column: np.ndarray) -> list[str]:
@@ -428,9 +427,8 @@ def test_mot_writer_corner_drift_example():
     """The drift stated in the README, both ways round: corners x1 = 1.1,
     x2 = 7.7 are written as w = 6.6 and read back as x2 = 7.699999999999999,
     and a parsed x = 0.1, w = 0.2 is rewritten as w = 0.20000000000000004."""
-    output = TrackOutput.from_columns(np.array([1]), np.array([1]), np.array([0]),
-                                      np.array([0.5]), np.array([[1.1, 1.1, 7.7, 7.7]]),
-                                      Mode.BOX_2D, 1)
+    output = TrackOutput(np.array([1]), np.array([1]), np.array([0]), np.array([0.5]),
+                         np.array([[1.1, 1.1, 7.7, 7.7]]), Mode.BOX_2D, 1)
     buf = io.StringIO()
     write_mot_results(output, buf)
     assert buf.getvalue() == "1,1,1.1,1.1,6.6,6.6,0.5,-1,-1,-1\n"

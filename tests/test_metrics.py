@@ -16,7 +16,7 @@ from motrack.metrics import amota, clear_mot, idf1, smota_r
 from motrack.tracker import TrackOutput, TrackRecord
 from oracle_utils import (amota_reference, clear_counts_reference, dense_frame_step,
                           frame_tables_reference, idf1_from_frame_pairs, idf1_reference,
-                          sweep_reference)
+                          output_of, sweep_reference)
 
 
 def output_2d(rows, n_frames=None):
@@ -25,7 +25,7 @@ def output_2d(rows, n_frames=None):
         TrackRecord(f, i, Box2D(x, y, x + 60, y + 120), s) for f, i, x, y, s in rows
     )
     frames = n_frames if n_frames is not None else max((r[0] for r in rows), default=0)
-    return TrackOutput(records, Mode.BOX_2D, frames)
+    return output_of(records, Mode.BOX_2D, frames)
 
 
 def output_3d(rows, n_frames=None):
@@ -34,7 +34,7 @@ def output_3d(rows, n_frames=None):
         for f, i, x, y, s in rows
     )
     frames = n_frames if n_frames is not None else max((r[0] for r in rows), default=0)
-    return TrackOutput(records, Mode.BOX_3D, frames)
+    return output_of(records, Mode.BOX_3D, frames)
 
 
 def steady(track_id, frames, x=100.0, y=100.0, score=1.0):
@@ -148,9 +148,8 @@ def _random_tracking_case(rng, n_frames=12):
         if rng.uniform() < 0.4:
             cx, cy = rng.uniform(800, 1500), rng.uniform(400, 900)
             pred_rows.append(TrackRecord(f, 999, Box2D(cx, cy, cx + 50, cy + 90), 0.6))
-    gt = TrackOutput(tuple(gt_rows), Mode.BOX_2D, n_frames)
-    pred = TrackOutput(tuple(sorted(pred_rows, key=lambda r: r.frame)),
-                       Mode.BOX_2D, n_frames)
+    gt = output_of(gt_rows, Mode.BOX_2D, n_frames)
+    pred = output_of(sorted(pred_rows, key=lambda r: r.frame), Mode.BOX_2D, n_frames)
     return gt, pred
 
 
@@ -243,7 +242,7 @@ def check_sweep_and_amota(gt, pred):
     assert [p[0] for p in points] == sorted({r.score for r in pred.records}, reverse=True)
     for score, fp, fn, ids in points:
         kept = tuple(rec for rec in pred.records if rec.score >= score)
-        _, *want = clear_counts_reference(gt, TrackOutput(kept, pred.mode, pred.n_frames))
+        _, *want = clear_counts_reference(gt, output_of(kept, pred.mode, pred.n_frames))
         assert (fp, fn, ids) == tuple(want), score
     if gt.records:
         got = amota(gt, pred)
@@ -684,10 +683,10 @@ def test_far_apart_huge_2d_boxes_stay_unmatched():
     # also pairs boxes that share no frame; neither warns (RuntimeWarnings
     # are errors under the test configuration).
     left, right = Box2D(-1.7e308, 0, -1.6e308, 1), Box2D(1.6e308, 0, 1.7e308, 1)
-    gt = TrackOutput((TrackRecord(1, 1, left, 1.0), TrackRecord(1, 2, right, 1.0),
-                      TrackRecord(2, 1, right, 1.0)), Mode.BOX_2D, 2)
-    pred = TrackOutput((TrackRecord(1, 5, right, 0.9), TrackRecord(2, 5, left, 0.9),
-                        TrackRecord(2, 6, right, 0.8)), Mode.BOX_2D, 2)
+    gt = output_of((TrackRecord(1, 1, left, 1.0), TrackRecord(1, 2, right, 1.0),
+                    TrackRecord(2, 1, right, 1.0)), Mode.BOX_2D, 2)
+    pred = output_of((TrackRecord(1, 5, right, 0.9), TrackRecord(2, 5, left, 0.9),
+                      TrackRecord(2, 6, right, 0.8)), Mode.BOX_2D, 2)
     report = clear_mot(gt, pred)
     assert (report.fp, report.fn, report.ids) == (1, 1, 0)
     _, *want = clear_counts_reference(gt, pred)
@@ -761,7 +760,7 @@ def block_suites(draw):
         for pid in draw(st.lists(st.integers(11, 18), max_size=6, unique=True)):
             pred_records.append(TrackRecord(f, pid, box(), draw(scores)))
     mode = Mode.BOX_3D if is_3d else Mode.BOX_2D
-    return (TrackOutput(tuple(gt_records), mode, 15), TrackOutput(tuple(pred_records), mode, 15),
+    return (output_of(gt_records, mode, 15), output_of(pred_records, mode, 15),
             threshold, cap)
 
 
@@ -818,7 +817,7 @@ def test_block_scorer_at_the_module_cap():
     outputs = []
     for frames, ids, boxes in columns.values():
         frames, ids = np.array(frames), np.array(ids)
-        outputs.append(TrackOutput.from_columns(
+        outputs.append(TrackOutput(
             frames, ids, np.zeros_like(ids), rng.choice([0.3, 0.6, 0.9], len(ids)),
             np.vstack(boxes), Mode.BOX_2D, len(sizes)))
     spans = check_block_scorer(*outputs, None, metrics._BLOCK_CELLS)
@@ -837,10 +836,9 @@ def test_clear_and_idf1_memory_does_not_grow_with_frames():
         y = (ids // 5) * 150.0
         boxes = np.stack([x, y, x + 60.0, y + 120.0], axis=1)
         zeros = np.zeros_like(ids)
-        gt = TrackOutput.from_columns(frames, ids, zeros, np.ones(len(ids)), boxes,
-                                      Mode.BOX_2D, n_frames)
-        pred = TrackOutput.from_columns(frames, ids + 1000, zeros, np.full(len(ids), 0.9),
-                                        boxes + 3.0, Mode.BOX_2D, n_frames)
+        gt = TrackOutput(frames, ids, zeros, np.ones(len(ids)), boxes, Mode.BOX_2D, n_frames)
+        pred = TrackOutput(frames, ids + 1000, zeros, np.full(len(ids), 0.9), boxes + 3.0,
+                           Mode.BOX_2D, n_frames)
         return gt, pred
 
     def peak(call, gt, pred):
@@ -870,10 +868,9 @@ def test_amota_memory_follows_admissible_pairs():
     y = (ids // 20) * 150.0
     boxes = np.stack([x, y, x + 60.0, y + 120.0], axis=1)
     zeros = np.zeros_like(ids)
-    gt = TrackOutput.from_columns(frames, ids, zeros, np.ones(len(ids)), boxes, Mode.BOX_2D,
-                                  n_frames)
-    pred = TrackOutput.from_columns(frames, ids + 1000, zeros, np.full(len(ids), 0.9),
-                                    boxes + 3.0, Mode.BOX_2D, n_frames)
+    gt = TrackOutput(frames, ids, zeros, np.ones(len(ids)), boxes, Mode.BOX_2D, n_frames)
+    pred = TrackOutput(frames, ids + 1000, zeros, np.full(len(ids), 0.9), boxes + 3.0,
+                       Mode.BOX_2D, n_frames)
     tracemalloc.start()
     try:
         report = amota(gt, pred)
@@ -974,7 +971,7 @@ class TestAmota:
                 pred_rows.append((f, 11, 1400.0, 600.0, rng.uniform(0.0, 0.4)))
         pred = output_2d(sorted(pred_rows), n_frames=15)
         base = amota(gt, pred)
-        rescaled = TrackOutput(
+        rescaled = output_of(
             tuple(
                 TrackRecord(r.frame, r.track_id, r.box, r.score**3, r.class_id)
                 for r in pred.records

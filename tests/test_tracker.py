@@ -23,7 +23,7 @@ from motrack.tracker import (
     run_sequence,
     validate_config,
 )
-from oracle_utils import records_by_frame, slice_frames
+from oracle_utils import output_of, records_by_frame, slice_frames
 from test_association import detection_streams, diagnostic_tuples, mixed_class_frames
 
 DATA = Path(__file__).parent / "data"
@@ -101,13 +101,32 @@ class TestTrackOutput:
         box = Box2D(0, 0, 1, 1)
         records = (TrackRecord(1, 1, box, 0.9), TrackRecord(1, 1, box, 0.8))
         with pytest.raises(ValueError):
-            TrackOutput(records, Mode.BOX_2D, 1)
+            output_of(records, Mode.BOX_2D, 1)
 
     def test_decreasing_frames_rejected(self):
         box = Box2D(0, 0, 1, 1)
         records = (TrackRecord(2, 1, box, 0.9), TrackRecord(1, 1, box, 0.8))
         with pytest.raises(ValueError):
-            TrackOutput(records, Mode.BOX_2D, 2)
+            output_of(records, Mode.BOX_2D, 2)
+
+    def test_unequal_columns_rejected(self):
+        # Two frames and ids but one class id and score: zip-based writers
+        # would emit one line for the two rows.
+        with pytest.raises(ValueError, match="class_ids has 1 rows, frames has 2"):
+            TrackOutput(np.array([1, 2]), np.array([1, 1]), np.array([0]), np.array([0.9]),
+                        np.zeros((2, 7)), Mode.BOX_2D, 2)
+        with pytest.raises(ValueError, match="scores has 3 rows, frames has 2"):
+            TrackOutput(np.array([1, 2]), np.array([1, 1]), np.array([0, 0]), np.ones(3),
+                        np.zeros((2, 4)), Mode.BOX_2D, 2)
+
+    @pytest.mark.parametrize("mode, shape", [(Mode.BOX_2D, (2, 7)), (Mode.BOX_2D, (1, 4)),
+                                             (Mode.BOX_3D, (2, 4)), (Mode.BOX_3D, (14,))])
+    def test_boxes_of_the_wrong_shape_rejected(self, mode, shape):
+        width = 7 if mode is Mode.BOX_3D else 4
+        message = f"boxes must have shape (2, {width}) in {mode.value} mode, got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrackOutput(np.array([1, 2]), np.array([1, 1]), np.array([0, 0]), np.ones(2),
+                        np.zeros(shape), mode, 2)
 
     def test_grouping_helpers(self):
         box = Box2D(0, 0, 1, 1)
@@ -116,7 +135,7 @@ class TestTrackOutput:
             TrackRecord(1, 2, box, 0.8),
             TrackRecord(2, 1, box, 0.7),
         )
-        output = TrackOutput(records, Mode.BOX_2D, 2)
+        output = output_of(records, Mode.BOX_2D, 2)
         assert {f: len(v) for f, v in records_by_frame(output).items()} == {1: 2, 2: 1}
         assert slice_frames(output, 2, 2).records == records[2:]
 
@@ -300,6 +319,34 @@ class TestValidateConfig:
         with pytest.raises(ValueError, match="track_buffer must be an integer, got 2.5"):
             validate_config({"mode": "2d", "track_buffer": 2.5})
         assert validate_config({"mode": "2d", "track_buffer": np.int64(3)}).track_buffer == 3
+
+    def test_string_tau_rejected(self):
+        with pytest.raises(ValueError, match="tau must be a real number, got '0.5'"):
+            validate_config({"mode": "2d", "tau": "0.5"})
+        with pytest.raises(ValueError, match="tau must be a real number, got '0.5'"):
+            TrackerConfig(tau="0.5")
+        with pytest.raises(ValueError, match="tau must be a real number, got True"):
+            TrackerConfig(tau=True)
+
+    def test_string_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be a real number, got '5'"):
+            validate_config({"mode": "2d", "alpha": "5", "adaptive_r": True})
+        assert validate_config({"mode": "2d", "alpha": 5, "adaptive_r": True}).alpha == 5
+
+    def test_string_gates_rejected(self):
+        with pytest.raises(ValueError, match="gate_first must be a real number, got '0.1'"):
+            validate_config({"mode": "2d", "gate_first": "0.1"})
+        with pytest.raises(ValueError, match=re.escape("gate_second[2] must be a real number, "
+                                                       "got '0.1'")):
+            validate_config({"mode": "3d", "gate_second": {2: "0.1", -1: -0.5}})
+        with pytest.raises(ValueError, match="gate_first must be a real number, got False"):
+            validate_config({"mode": "2d", "gate_first": False})
+        assert validate_config({"mode": "2d", "gate_first": np.float32(0.25)}).gate_first == (
+            np.float32(0.25))
+
+    def test_bool_track_buffer_rejected(self):
+        with pytest.raises(ValueError, match="track_buffer must be an integer, got True"):
+            validate_config({"mode": "2d", "track_buffer": True})
 
     def test_nan_per_class_gate_rejected(self):
         with pytest.raises(ValueError, match="gate_first values must be finite"):

@@ -442,8 +442,10 @@ def step(
     do any work, however large the gap. The skipped frames' removals lead
     this frame's removed_track_ids, so each removed track is reported once.
 
-    A frame whose boxes are not of the mode's width, or with a score outside
-    [0, 1] (NaN included), raises ValueError before the pool changes.
+    A frame whose boxes are not rows of the mode's width, whose other columns
+    do not have one entry (velocities one (vx, vy) row) per box, whose class
+    ids are not integers, or with a score outside [0, 1] (NaN included),
+    raises ValueError before the pool changes.
     """
     if frame <= pool.last_frame:
         raise ValueError(
@@ -451,10 +453,24 @@ def step(
         )
     is_3d = config.mode is Mode.BOX_3D
     raw = detections.boxes
-    if len(raw) and raw.shape[1] != box_width(config.mode):
+    n = len(raw)
+    if raw.ndim != 2:
+        raise ValueError(f"detection boxes must be rows, got shape {raw.shape}")
+    if n and raw.shape[1] != box_width(config.mode):
         raise ValueError(
             f"{_box_type(raw).__name__} detection in {config.mode.value} mode"
         )
+    for name in ("scores", "class_ids", "has_velocity"):
+        shape = getattr(detections, name).shape
+        if shape != (n,):
+            raise ValueError(f"detection {name} must have shape {(n,)} for {n} boxes, "
+                             f"got {shape}")
+    if detections.velocities.shape != (n, 2):
+        raise ValueError(f"detection velocities must have shape {(n, 2)} for {n} boxes, "
+                         f"got {detections.velocities.shape}")
+    if detections.class_ids.dtype.kind not in "iu":
+        raise ValueError(f"detection class_ids must have an integer dtype, "
+                         f"got {detections.class_ids.dtype}")
     scores = detections.scores
     in_range = (scores >= 0.0) & (scores <= 1.0)
     if not in_range.all():

@@ -16,15 +16,21 @@ pair worth zero); otherwise they are the matches.
 
 A frame's matches are the only count kept per frame. Over a sequence, FP is
 the predictions kept minus the matches and FN the gt minus the matches, so
-both are totals. AMOTA's confidence sweep hands only the persisting pairs
-from frame to frame. Identity switches are counted apart, from each gt id's
-matches in frame order, so a changed match moves the switch count without
-recounting later frames. A frame whose kept pairs are all matches (no id in
-two admissible pairs, every pair worth more than zero) is taken by its
-delta: lowering the threshold to a score it holds adds the pairs whose
-prediction carries that score as matches, and none leaves. The sweep finds
-the frames holding each score in an index keyed by score, and releases each
-entry as it passes it.
+both are totals. A frame is isolated when no id is in two of its admissible
+pairs and every pair is worth more than zero; its pairs are then its matches.
+CLEAR takes an isolated frame's matches straight from its block's pair
+arrays and steps only the other frames, each from the matches of the frame
+before it. It counts a block's identity switches from one sort of the
+block's matches by (gt id, frame), checking each gt id's first match there
+against its last match in earlier blocks.
+
+AMOTA's confidence sweep hands only the persisting pairs from frame to frame.
+Identity switches are counted apart, from each gt id's matches in frame
+order, so a changed match moves the switch count without recounting later
+frames. An isolated frame is taken by its delta: lowering the threshold to a
+score it holds adds the pairs whose prediction carries that score as
+matches, and none leaves. The sweep finds the frames holding each score in
+an index keyed by score, and releases each entry as it passes it.
 """
 
 from __future__ import annotations
@@ -217,27 +223,41 @@ def _blocks(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Iterator[_B
                      values)
 
 
+def _isolated(block: _Block) -> np.ndarray:
+    """Per frame of a block, whether it is isolated: no record in two of its
+    pairs and every pair worth more than zero. Then its pairs are its
+    matches, whatever persists or which predictions are kept."""
+    gt_bounds, pr_bounds, frame, gt_at, pr_at, values = block
+    # Pairs are row-major, so a gt record's are adjacent; record ids are
+    # unique within a frame.
+    clash = values <= 0.0
+    clash[1:] |= gt_at[1:] == gt_at[:-1]
+    local = pr_at - pr_bounds[0]
+    clash |= np.bincount(local)[local] > 1
+    return np.bincount(frame[clash], minlength=len(gt_bounds) - 1) == 0
+
+
 def _block_tables(
-    block: _Block, gt_ids: np.ndarray, pr_ids: np.ndarray, scores: np.ndarray
+    block: _Block,
+    gt_ids: np.ndarray,
+    pr_ids: np.ndarray,
+    scores: np.ndarray,
+    wanted: np.ndarray | None = None,
 ) -> list[_FrameTable]:
-    """The tables of a block's frames, from the id and score columns its
-    record indices point into.
+    """The tables of a block's frames, or of those flagged in ``wanted``, from
+    the id and score columns its record indices point into.
 
     One stable sort by (frame, prediction score) orders every frame's pairs
     at once, and each column becomes one list that the frames slice.
     """
     gt_bounds, pr_bounds, frame, gt_at, pr_at, values = block
     n_frames = len(gt_bounds) - 1
+    isolated = _isolated(block).tolist()
+    if wanted is not None:
+        keep = wanted[frame]
+        frame, gt_at, pr_at, values = frame[keep], gt_at[keep], pr_at[keep], values[keep]
     pair_scores = scores[pr_at]
     order = np.lexsort((pair_scores, frame))
-    # A frame is not isolated if a record is in two of its pairs or a pair
-    # is worth at most zero. Pairs are row-major, so a gt record's are
-    # adjacent; record ids are unique within a frame.
-    clash = values <= 0.0
-    clash[1:] |= gt_at[1:] == gt_at[:-1]
-    local = pr_at - pr_bounds[0]
-    clash |= np.bincount(local)[local] > 1
-    isolated = (np.bincount(frame[clash], minlength=n_frames) == 0).tolist()
     pair_bounds = np.searchsorted(frame, np.arange(n_frames + 1)).tolist()
 
     pairs = list(zip(gt_ids[gt_at[order]].tolist(), pr_ids[pr_at[order]].tolist()))
@@ -246,14 +266,14 @@ def _block_tables(
     gt_list, pr_list = gt_ids[g0:g1].tolist(), pr_ids[p0:p1].tolist()
     score_list = scores[p0:p1].tolist()
     tables = []
-    for i, frame_isolated in enumerate(isolated):
+    for i in range(n_frames) if wanted is None else wanted.nonzero()[0].tolist():
         ga, gz = gt_bounds[i] - g0, gt_bounds[i + 1] - g0
         pa, pz = pr_bounds[i] - p0, pr_bounds[i + 1] - p0
         qa, qz = pair_bounds[i], pair_bounds[i + 1]
         frame_scores = score_list[pa:pz]
         tables.append(_FrameTable(gt_list[ga:gz], pr_list[pa:pz], frame_scores,
                                   max(frame_scores, default=-math.inf), pairs[qa:qz],
-                                  pair_scores[qa:qz], values[qa:qz], frame_isolated))
+                                  pair_scores[qa:qz], values[qa:qz], isolated[i]))
     return tables
 
 
@@ -324,11 +344,29 @@ def _delta_step(table: _FrameTable, score: float) -> list[tuple[int, int]]:
     return table.pairs[bisect_left(scores, score):bisect_right(scores, score)]
 
 
-def _switches(matched: dict[int, int], last_match: dict[int, int]) -> int:
-    """Identity switches among one frame's matches: the gt ids whose last
-    match (``last_match``, gt id -> pred id) was another prediction."""
-    return (len(matched) - len(matched.items() & last_match.items())
-            - len(matched.keys() - last_match.keys()))
+def _block_switches(
+    frames: np.ndarray, gt_ids: np.ndarray, pr_ids: np.ndarray, last_match: dict[int, int]
+) -> int:
+    """Identity switches among one block's matches, given as the frame, gt id
+    and prediction id of each, in any order.
+
+    Sorted by (gt id, frame), a switch is two neighbours of one gt id matched
+    to different predictions, or a gt id's first match here differing from
+    its last match in earlier blocks (``last_match``, gt id -> pred id),
+    which is then updated with each gt id's last match here.
+    """
+    order = np.lexsort((frames, gt_ids))
+    gt_ids, pr_ids = gt_ids[order], pr_ids[order]
+    same = gt_ids[1:] == gt_ids[:-1]
+    ids = int(np.count_nonzero(same & (pr_ids[1:] != pr_ids[:-1])))
+    first = np.ones(len(gt_ids), dtype=bool)
+    first[1:] = ~same
+    ids += sum(last_match.get(gid, pid) != pid
+               for gid, pid in zip(gt_ids[first].tolist(), pr_ids[first].tolist()))
+    last = np.ones(len(gt_ids), dtype=bool)
+    last[:-1] = ~same
+    last_match.update(zip(gt_ids[last].tolist(), pr_ids[last].tolist()))
+    return ids
 
 
 def _switch_delta(preds: list[int], k: int, pid: int) -> int:
@@ -499,14 +537,38 @@ def clear_mot(
     """
     _check_modes(gt, pred)
     threshold = _threshold(gt.mode, match_threshold)
+    gt_ids, pr_ids = gt.track_ids, pred.track_ids
     matched = ids = 0
+    # The matches of the last frame with rows and each gt id's last match,
+    # both carried from block to block.
     persisting: dict[int, int] = {}
     last_match: dict[int, int] = {}
-    for table in _frame_tables(gt, pred, threshold):
-        persisting = _frame_step(table, None, persisting)
-        ids += _switches(persisting, last_match)
-        last_match.update(persisting)
-        matched += len(persisting)
+    for block in _blocks(gt, pred, threshold):
+        isolated = _isolated(block)
+        flags = isolated.tolist()
+        bounds = np.searchsorted(block.frame, np.arange(len(flags) + 1)).tolist()
+        gids, pids = gt_ids[block.gt_at], pr_ids[block.pr_at]
+        # An isolated frame's matches are its pairs. Every other frame is
+        # stepped from the matches of the frame with rows before it.
+        own = isolated[block.frame]
+        frames, gt_matched, pr_matched = [block.frame[own]], [gids[own]], [pids[own]]
+        if not all(flags):
+            stepped = ~isolated
+            tables = _block_tables(block, gt_ids, pr_ids, pred.scores, stepped)
+            for i, table in zip(stepped.nonzero()[0].tolist(), tables):
+                if i and flags[i - 1]:
+                    a, z = bounds[i - 1], bounds[i]
+                    persisting = dict(zip(gids[a:z].tolist(), pids[a:z].tolist()))
+                persisting = _frame_step(table, None, persisting)
+                frames.append(np.full(len(persisting), i))
+                gt_matched.append(np.fromiter(persisting.keys(), gids.dtype, len(persisting)))
+                pr_matched.append(np.fromiter(persisting.values(), pids.dtype, len(persisting)))
+        if flags[-1]:
+            persisting = dict(zip(gids[bounds[-2]:].tolist(), pids[bounds[-2]:].tolist()))
+        gt_all = np.concatenate(gt_matched)
+        matched += len(gt_all)
+        ids += _block_switches(np.concatenate(frames), gt_all, np.concatenate(pr_matched),
+                               last_match)
     total_gt = len(gt.track_ids)
     fp, fn = len(pred.track_ids) - matched, total_gt - matched
     mota = 1.0 - (ids + fp + fn) / total_gt if total_gt else float("nan")

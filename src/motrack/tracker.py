@@ -59,8 +59,10 @@ class TrackOutput:
     class_ids[i], scores[i] and boxes[i], a parameter row in the box2d_array
     / box3d_array layout. The columns are kept as given, without copying;
     they must have one length, with boxes of shape (N, box_width(mode)), rows
-    sorted by frame and each (frame, id) pair once. records holds the same
-    rows as TrackRecords, built from the columns on first use.
+    sorted by frame and each (frame, id) pair once. frames, track_ids and
+    class_ids are integer columns, and every frame lies in [1, n_frames].
+    records holds the same rows as TrackRecords, built from the columns on
+    first use.
     """
 
     frames: np.ndarray
@@ -85,6 +87,13 @@ class TrackOutput:
         order = np.lexsort((track_ids, frames))
         if np.any((np.diff(frames[order]) == 0) & (np.diff(track_ids[order]) == 0)):
             raise ValueError("duplicate (frame, id) pair in records")
+        for name in ("frames", "track_ids", "class_ids"):
+            dtype = getattr(self, name).dtype
+            if dtype.kind not in "iu":
+                raise ValueError(f"{name} must have an integer dtype, got {dtype}")
+        if n and (frames[0] < 1 or frames[-1] > self.n_frames):
+            raise ValueError(f"frames must lie in [1, {self.n_frames}], got "
+                             f"{frames[0] if frames[0] < 1 else frames[-1]}")
 
     @cached_property
     def records(self) -> tuple[TrackRecord, ...]:

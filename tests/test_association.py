@@ -100,6 +100,40 @@ class TestDetection:
             association.step(pool, 3, frame, config)
         assert (pool.last_frame, pool.ids.tolist(), pool.next_id) == (1, [1], 2)
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("scores", np.array([0.9]), "detection scores must have shape (2,) for 2 boxes, got (1,)"),
+        ("class_ids", np.zeros(3, dtype=np.int64),
+         "detection class_ids must have shape (2,) for 2 boxes, got (3,)"),
+        ("has_velocity", np.zeros(1, dtype=bool),
+         "detection has_velocity must have shape (2,) for 2 boxes, got (1,)"),
+        ("velocities", np.zeros(2), "detection velocities must have shape (2, 2) for 2 boxes, "
+                                    "got (2,)"),
+        ("class_ids", np.array([0.5, 0.2]),
+         "detection class_ids must have an integer dtype, got float64"),
+        ("class_ids", np.array([True, False]),
+         "detection class_ids must have an integer dtype, got bool"),
+        ("boxes", np.zeros(8), "detection boxes must be rows, got shape (8,)"),
+    ], ids=["one_score", "three_class_ids", "one_has_velocity", "flat_velocities",
+            "float_class_ids", "bool_class_ids", "flat_boxes"])
+    def test_step_rejects_columns_that_disagree(self, column, value, message):
+        # Built directly, a frame of two boxes and one score would spawn one
+        # track and drop the other box from every list; float class ids would
+        # be emitted as they are. The step rejects the frame before the pool
+        # changes.
+        config = TrackerConfig()
+        pool = TrackPool()
+        first = DetectionFrame(np.array([[0.0, 0.0, 60.0, 120.0]]), np.array([0.9]),
+                               np.zeros(1, dtype=np.int64), np.zeros((1, 2)),
+                               np.zeros(1, dtype=bool))
+        association.step(pool, 1, first, config)
+        columns = {"boxes": np.array([[2.0, 0.0, 62.0, 120.0], [500.0, 0.0, 560.0, 120.0]]),
+                   "scores": np.array([0.9, 0.8]), "class_ids": np.zeros(2, dtype=np.int64),
+                   "velocities": np.zeros((2, 2)), "has_velocity": np.zeros(2, dtype=bool)}
+        columns[column] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            association.step(pool, 2, DetectionFrame(**columns), config)
+        assert (pool.last_frame, pool.ids.tolist(), pool.next_id) == (1, [1], 2)
+
 
 class TestConfig:
     def test_tau_range(self):

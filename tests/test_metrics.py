@@ -14,9 +14,9 @@ from motrack.formats import write_mot_results
 from motrack.geometry import Box2D, Box3D
 from motrack.metrics import amota, clear_mot, idf1, smota_r
 from motrack.tracker import TrackOutput, TrackRecord
-from oracle_utils import (amota_reference, clear_counts_reference, dense_frame_step,
-                          frame_tables_reference, idf1_from_frame_pairs, idf1_reference,
-                          output_of, sweep_reference)
+from oracle_utils import (amota_reference, clear_counts_reference, clear_from_frame_tables,
+                          dense_frame_step, frame_tables_reference, idf1_from_frame_pairs,
+                          idf1_reference, output_of, sweep_reference)
 
 
 def output_2d(rows, n_frames=None):
@@ -610,7 +610,11 @@ def test_frame_step_matches_dense_oracle(frame):
     matched = metrics._frame_step(table, min_score, persisting)
     # The frame's own FP and FN, from its kept predictions and gt.
     fp, fn = len(keep) - len(matched), len(gt_ids) - len(matched)
-    assert (fp, fn, metrics._switches(matched, last_match), matched) == want
+    # The frame's switches, counted as a one-frame block's.
+    ids = metrics._block_switches(np.zeros(len(matched), dtype=int),
+                                  np.array(list(matched), dtype=int),
+                                  np.array(list(matched.values()), dtype=int), dict(last_match))
+    assert (fp, fn, ids, matched) == want
     assert (persisting, last_match) == state
 
 
@@ -646,15 +650,20 @@ def test_solver_runs_only_on_conflicting_frames(frame):
     assert solver.call_count == int(conflict)
 
 
-def test_conflict_free_sequences_never_call_the_solver(monkeypatch):
-    # Two objects far apart, each followed by one prediction at shifting
-    # scores, plus clutter that overlaps nothing.
+def conflict_free_suite():
+    """Two objects far apart, each followed by one prediction at shifting
+    scores, plus clutter that overlaps nothing."""
     gt = output_2d(sorted(steady(1, range(1, 11)) + steady(2, range(1, 11), x=600.0)))
     pred = output_2d(sorted(
         [(f, 5, 102.0, 100.0, 0.5 + 0.04 * f) for f in range(1, 11)]
         + [(f, 6, 597.0, 101.0, 0.9 - 0.03 * f) for f in range(1, 11)]
         + [(f, 7, 1500.0, 800.0, 0.3) for f in range(2, 11, 3)]
     ))
+    return gt, pred
+
+
+def test_conflict_free_sequences_never_call_the_solver(monkeypatch):
+    gt, pred = conflict_free_suite()
 
     def no_solver(*args, **kwargs):
         raise AssertionError("solver called on a conflict-free frame")
@@ -662,6 +671,38 @@ def test_conflict_free_sequences_never_call_the_solver(monkeypatch):
     monkeypatch.setattr(metrics, "solve_assignment", no_solver)
     assert clear_mot(gt, pred).ids == 0
     assert amota(gt, pred).amota == pytest.approx(amota_reference(gt, pred)[0], abs=1e-12)
+
+
+def test_clear_steps_only_the_frames_that_are_not_isolated():
+    # An isolated frame's matches are its pairs, so CLEAR steps only the
+    # other frames, each once, with every prediction kept.
+    def steps(gt, pred):
+        with mock.patch.object(metrics, "_frame_step", wraps=metrics._frame_step) as step:
+            clear_mot(gt, pred)
+        assert all(not call.args[0].isolated and call.args[1] is None
+                   for call in step.call_args_list)
+        return step.call_count
+
+    assert steps(*conflict_free_suite()) == 0
+    # Four objects 25 px apart under jittered predictions with missed rows
+    # and changing ids: a neighbour's prediction is admissible in some
+    # frames, so frames of both kinds occur.
+    rng = np.random.default_rng(17)
+    kinds = set()
+    for _ in range(10):
+        gt_rows, pred_rows = [], []
+        for f in range(1, 13):
+            for o in range(4):
+                gt_rows.append((f, o + 1, 25.0 * o + f, 100.0, 1.0))
+                if rng.uniform() < 0.85:
+                    pid = 10 * (o + 1) + int(rng.integers(0, 3))
+                    pred_rows.append((f, pid, 25.0 * o + f + rng.uniform(-8.0, 8.0), 100.0,
+                                      0.9))
+        gt, pred = output_2d(gt_rows), output_2d(pred_rows)
+        isolated = [table.isolated for table in frame_tables_reference(gt, pred, 0.5)]
+        assert steps(gt, pred) == isolated.count(False)
+        kinds.update(isolated)
+    assert kinds == {False, True}
 
 
 def test_far_apart_3d_boxes_stay_unmatched():
@@ -781,15 +822,18 @@ def check_block_spans(n_gt, n_pr, cap):
 
 
 def check_block_scorer(gt, pred, match_threshold, cap):
-    """Every table field and IDF1 from the block scorer against the per-frame
-    oracle; repr tells -0.0 from 0.0 and matches NaN scores."""
+    """Every table field, the CLEAR counts and IDF1 from the block scorer
+    against the per-frame oracle; repr tells -0.0 from 0.0 and matches NaN
+    scores."""
     threshold = metrics._threshold(gt.mode, match_threshold)
     with mock.patch.object(metrics, "_BLOCK_CELLS", cap):
         got = list(metrics._frame_tables(gt, pred, threshold))
+        report = clear_mot(gt, pred, match_threshold)
         score = idf1(gt, pred, match_threshold)
     want = list(frame_tables_reference(gt, pred, threshold))
     assert [[repr(field) for field in table] for table in got] == \
         [[repr(field) for field in table] for table in want]
+    assert (report.fp, report.fn, report.ids) == clear_from_frame_tables(gt, pred, threshold)
     assert score == idf1_from_frame_pairs(gt, pred, threshold)
     return check_block_spans([len(t.gt_ids) for t in want], [len(t.pr_ids) for t in want], cap)
 
@@ -822,6 +866,30 @@ def test_block_scorer_at_the_module_cap():
             np.vstack(boxes), Mode.BOX_2D, len(sizes)))
     spans = check_block_scorer(*outputs, None, metrics._BLOCK_CELLS)
     assert spans == [(0, 1), (1, 2), (2, 3), (3, 7), (7, 10)]
+
+
+def test_clear_carries_matches_and_switches_across_one_frame_blocks():
+    # At a cap of one cell each frame is a block. Frame 1 is isolated: gt 1
+    # and prediction 11 (10 px right), gt 2 and prediction 13. Frame 2 opens
+    # its block with a conflict: gt 1 is admissible to 11 and to 12, which
+    # sits on it, and the pair (1, 11) persisting from frame 1 keeps it.
+    # Frame 3 is isolated and matches gt 2 to 14, a switch from its match
+    # two blocks back.
+    gt = output_2d([(1, 1, 100.0, 100.0, 1.0), (1, 2, 600.0, 100.0, 1.0),
+                    (2, 1, 100.0, 100.0, 1.0),
+                    (3, 1, 100.0, 100.0, 1.0), (3, 2, 600.0, 100.0, 1.0)])
+    pred = output_2d([(1, 11, 110.0, 100.0, 0.9), (1, 13, 600.0, 100.0, 0.9),
+                      (2, 11, 110.0, 100.0, 0.9), (2, 12, 100.0, 100.0, 0.9),
+                      (3, 11, 110.0, 100.0, 0.9), (3, 14, 600.0, 100.0, 0.9)])
+    with mock.patch.object(metrics, "_BLOCK_CELLS", 1):
+        assert [metrics._isolated(block).tolist()
+                for block in metrics._blocks(gt, pred, 0.5)] == [[True], [False], [True]]
+    spans = check_block_scorer(gt, pred, None, 1)
+    assert spans == [(0, 1), (1, 2), (2, 3)]
+    with mock.patch.object(metrics, "_BLOCK_CELLS", 1):
+        report = clear_mot(gt, pred)
+    assert (report.fp, report.fn, report.ids, report.gt) == (1, 0, 1, 5)
+    assert report == clear_mot(gt, pred)
 
 
 def test_clear_and_idf1_memory_does_not_grow_with_frames():

@@ -128,6 +128,30 @@ class TestTrackOutput:
             TrackOutput(np.array([1, 2]), np.array([1, 1]), np.array([0, 0]), np.ones(2),
                         np.zeros(shape), mode, 2)
 
+    @pytest.mark.parametrize("frames, message", [([1, 5], "frames must lie in [1, 2], got 5"),
+                                                 ([0, 1], "frames must lie in [1, 2], got 0")])
+    def test_frames_outside_the_sequence_rejected(self, frames, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrackOutput(np.array(frames), np.array([1, 1]), np.array([0, 0]), np.ones(2),
+                        np.zeros((2, 4)), Mode.BOX_2D, 2)
+
+    @pytest.mark.parametrize("name", ["frames", "track_ids", "class_ids"])
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_non_integer_columns_rejected(self, name, dtype):
+        columns = {"frames": np.array([1]), "track_ids": np.array([1]),
+                   "class_ids": np.array([0])}
+        columns[name] = columns[name].astype(dtype)
+        with pytest.raises(ValueError, match=f"{name} must have an integer dtype"):
+            TrackOutput(columns["frames"], columns["track_ids"], columns["class_ids"],
+                        np.ones(1), np.zeros((1, 4)), Mode.BOX_2D, 1)
+
+    def test_fractional_track_id_rejected(self):
+        # The evaluators would score an id of 1.5 against itself as a
+        # perfect match.
+        with pytest.raises(ValueError, match="track_ids must have an integer dtype, got float64"):
+            TrackOutput(np.array([1]), np.array([1.5]), np.array([0]), np.ones(1),
+                        np.zeros((1, 4)), Mode.BOX_2D, 1)
+
     def test_grouping_helpers(self):
         box = Box2D(0, 0, 1, 1)
         records = (

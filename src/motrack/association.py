@@ -15,16 +15,16 @@ spawns share its measurement call.
 
 Tracks live in one struct-of-arrays pool, one row per track. A frame's
 detections arrive as columns (DetectionFrame: parameter rows, scores, class
-ids, velocities), every stage runs on arrays, and the frame's output is the
-active rows as columns too (FrameResult). Detection and TrackRecord objects
-are built only when a caller asks for them.
+ids, velocities, checked when built), every stage runs on arrays, and the
+frame's output is the active rows as columns too (FrameResult). Detection and
+TrackRecord objects are built only when a caller asks for them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral, Real
@@ -33,15 +33,7 @@ import numpy as np
 
 from . import motion
 from .assignment import solve_assignment
-from .geometry import (
-    Box,
-    Box2D,
-    Box3D,
-    box2d_array,
-    box3d_array,
-    giou_3d_pairs,
-    iou_matrix_2d,
-)
+from .geometry import MAX_BOX2D_AREA, Box, Box2D, Box3D, giou_3d_pairs, iou_matrix_2d
 
 # Fallback key in per-class gate maps.
 DEFAULT_GATE_KEY = -1
@@ -71,21 +63,13 @@ def _enum_member(kind: type[enum.Enum], value: object, name: str) -> enum.Enum:
 
 @dataclass(frozen=True)
 class Detection:
-    """One detector output: a box, its confidence, class, and optional velocity."""
+    """One detector output: a box, its confidence, class, and optional
+    velocity; a view of one row of a DetectionFrame."""
 
     box: Box
     score: float
     class_id: int = 0
     velocity: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"detection score must be in [0, 1], got {self.score}")
-        if self.velocity is not None:
-            vx, vy = self.velocity
-            if not (math.isfinite(vx) and math.isfinite(vy)):
-                raise ValueError(f"detection velocity must be finite, got {self.velocity}")
-            object.__setattr__(self, "velocity", (float(vx), float(vy)))
 
 
 def box_width(mode: Mode) -> int:
@@ -97,14 +81,52 @@ def _box_type(rows: np.ndarray) -> type:
     return Box3D if rows.shape[1] == 7 else Box2D
 
 
+def check_columns(
+    boxes: np.ndarray,
+    columns: Mapping[str, np.ndarray],
+    ids: Collection[str],
+    widths: Collection[int] = (4, 7),
+) -> None:
+    """Raise a ValueError naming the first bad column of a frame or an output.
+
+    boxes must be parameter rows of a width in widths (box2d_array's 4 or
+    box3d_array's 7) that Box2D / Box3D accept: finite, with 2D corners in
+    order and an area of at most MAX_BOX2D_AREA, or 3D sizes positive. Every
+    other column holds one value per box, and those named in ids have an
+    integer dtype.
+    """
+    if boxes.ndim != 2 or boxes.shape[1] not in widths:
+        raise ValueError(f"boxes must be rows of width {' or '.join(map(str, widths))}, "
+                         f"got shape {boxes.shape}")
+    n = len(boxes)
+    for name, column in columns.items():
+        if column.shape != (n,):
+            raise ValueError(f"{name} must have shape {(n,)} for {n} boxes, got {column.shape}")
+        if name in ids and column.dtype.kind not in "iu":
+            raise ValueError(f"{name} must have an integer dtype, got {column.dtype}")
+    if boxes.shape[1] == 4:
+        # A NaN fails the order test, an infinite corner the area test.
+        x1, y1, x2, y2 = boxes.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = (x1 <= x2) & (y1 <= y2) & ((x2 - x1) * (y2 - y1) <= MAX_BOX2D_AREA)
+        rule = f"finite 2D corners in order, of an area of at most {MAX_BOX2D_AREA!r}"
+    else:
+        ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 4:] > 0.0).all(axis=1)
+        rule = "finite, with positive 3D sizes"
+    if not ok.all():
+        row = int(ok.argmin())
+        raise ValueError(f"boxes must be {rule}, got row {row}: {boxes[row].tolist()}")
+
+
 @dataclass(frozen=True, eq=False)
 class DetectionFrame:
     """One frame's detections as columns, row k being detection k.
 
     boxes holds parameter rows in the box2d_array / box3d_array layout, scores
-    and class_ids one value per row, and velocities the planar (vx, vy) of the
-    rows where has_velocity is set (0 elsewhere). Iterating or indexing yields
-    Detection objects, built from the columns on first use.
+    (in [0, 1]) and class_ids one value per row, and velocities the planar
+    (vx, vy) of the rows where has_velocity is set (finite; 0 elsewhere). The
+    columns are kept as given and checked once, here (see check_columns).
+    Iterating or indexing yields Detection objects, built on first use.
     """
 
     boxes: np.ndarray
@@ -113,22 +135,22 @@ class DetectionFrame:
     velocities: np.ndarray
     has_velocity: np.ndarray
 
-    @classmethod
-    def from_detections(cls, detections: Sequence[Detection], mode: Mode) -> "DetectionFrame":
-        """Columns of a detection list; every box must be of the mode's type."""
-        box_type = Box3D if mode is Mode.BOX_3D else Box2D
-        for det in detections:
-            if not isinstance(det.box, box_type):
-                raise ValueError(f"{type(det.box).__name__} detection in {mode.value} mode")
-        boxes = [det.box for det in detections]
-        return cls(
-            boxes=box3d_array(boxes) if box_type is Box3D else box2d_array(boxes),
-            scores=np.array([det.score for det in detections], dtype=float),
-            class_ids=np.array([det.class_id for det in detections], dtype=np.int64),
-            velocities=np.array([det.velocity or (0.0, 0.0) for det in detections],
-                                dtype=float).reshape(-1, 2),
-            has_velocity=np.array([det.velocity is not None for det in detections], dtype=bool),
-        )
+    def __post_init__(self):
+        check_columns(self.boxes, {"scores": self.scores, "class_ids": self.class_ids,
+                                   "has_velocity": self.has_velocity}, ("class_ids",))
+        n = len(self.boxes)
+        if self.velocities.shape != (n, 2):
+            raise ValueError(f"velocities must have shape {(n, 2)} for {n} boxes, "
+                             f"got {self.velocities.shape}")
+        if self.has_velocity.dtype != bool:
+            raise ValueError(f"has_velocity must have a bool dtype, got {self.has_velocity.dtype}")
+        in_range = (self.scores >= 0.0) & (self.scores <= 1.0)
+        if not in_range.all():
+            raise ValueError(f"scores must be in [0, 1], got {self.scores[~in_range][0]}")
+        finite = np.isfinite(self.velocities).all(axis=1) | ~self.has_velocity
+        if not finite.all():
+            raise ValueError(f"velocities must be finite where has_velocity is set, got "
+                             f"{self.velocities[~finite][0].tolist()}")
 
     @cached_property
     def detections(self) -> tuple[Detection, ...]:
@@ -442,44 +464,25 @@ def step(
     do any work, however large the gap. The skipped frames' removals lead
     this frame's removed_track_ids, so each removed track is reported once.
 
-    A frame whose boxes are not rows of the mode's width, whose other columns
-    do not have one entry (velocities one (vx, vy) row) per box, whose class
-    ids are not integers, or with a score outside [0, 1] (NaN included),
-    raises ValueError before the pool changes.
+    The frame's columns were checked when it was built; a frame whose boxes
+    are not rows of the mode's width raises ValueError before the pool
+    changes.
     """
     if frame <= pool.last_frame:
         raise ValueError(
             f"frame index must increase, got {frame} after {pool.last_frame}"
         )
     is_3d = config.mode is Mode.BOX_3D
-    raw = detections.boxes
-    n = len(raw)
-    if raw.ndim != 2:
-        raise ValueError(f"detection boxes must be rows, got shape {raw.shape}")
-    if n and raw.shape[1] != box_width(config.mode):
-        raise ValueError(
-            f"{_box_type(raw).__name__} detection in {config.mode.value} mode"
-        )
-    for name in ("scores", "class_ids", "has_velocity"):
-        shape = getattr(detections, name).shape
-        if shape != (n,):
-            raise ValueError(f"detection {name} must have shape {(n,)} for {n} boxes, "
-                             f"got {shape}")
-    if detections.velocities.shape != (n, 2):
-        raise ValueError(f"detection velocities must have shape {(n, 2)} for {n} boxes, "
-                         f"got {detections.velocities.shape}")
-    if detections.class_ids.dtype.kind not in "iu":
-        raise ValueError(f"detection class_ids must have an integer dtype, "
-                         f"got {detections.class_ids.dtype}")
-    scores = detections.scores
-    in_range = (scores >= 0.0) & (scores <= 1.0)
-    if not in_range.all():
-        raise ValueError(f"detection score must be in [0, 1], got {scores[~in_range][0]}")
+    raw, scores = detections.boxes, detections.scores
+    width = box_width(config.mode)
+    if raw.shape[1] != width:
+        raise ValueError(f"{_box_type(raw).__name__} detection in {config.mode.value} mode")
     gap_removed = []
     for _ in range(min(frame - pool.last_frame - 1, config.track_buffer + 1)):
         if not len(pool.ids):
             break
-        empty = DetectionFrame.from_detections((), config.mode)
+        empty = DetectionFrame(np.zeros((0, width)), np.zeros(0), np.zeros(0, dtype=np.int64),
+                               np.zeros((0, 2)), np.zeros(0, dtype=bool))
         gap_removed.append(step(pool, pool.last_frame + 1, empty, config).diagnostics.removed_ids)
 
     det_classes = detections.class_ids

@@ -25,7 +25,7 @@ from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .association import DEFAULT_GATE_KEY, Detection, DetectionFrame, Mode
+from .association import DEFAULT_GATE_KEY, DetectionFrame, Mode
 from .geometry import MAX_BOX2D_AREA, wrap_angles
 from .tracker import CLASS_IDS, CLASS_NAMES, TrackOutput
 
@@ -358,11 +358,9 @@ def write_3d_results(output: TrackOutput, sink: IO[str]) -> None:
         sink.write(text)
 
 
-def write_detections(frames: Iterable[Sequence[Detection]], mode: Mode, sink: IO[str]) -> None:
+def write_detections(frames: Iterable[DetectionFrame], mode: Mode, sink: IO[str]) -> None:
     """Write a detection stream in the matching per-mode format (id column -1)."""
     for index, detections in enumerate(frames, start=1):
-        if not isinstance(detections, DetectionFrame):
-            detections = DetectionFrame.from_detections(detections, mode)
         n = len(detections)
         numbers, ids = np.full(n, index), np.full(n, -1)
         if mode is Mode.BOX_2D:

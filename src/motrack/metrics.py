@@ -239,20 +239,21 @@ def _isolated(block: _Block) -> np.ndarray:
 
 def _block_tables(
     block: _Block,
+    isolated: np.ndarray,
     gt_ids: np.ndarray,
     pr_ids: np.ndarray,
     scores: np.ndarray,
     wanted: np.ndarray | None = None,
 ) -> list[_FrameTable]:
     """The tables of a block's frames, or of those flagged in ``wanted``, from
-    the id and score columns its record indices point into.
+    its _isolated flags and the id and score columns its record indices point into.
 
     One stable sort by (frame, prediction score) orders every frame's pairs
     at once, and each column becomes one list that the frames slice.
     """
     gt_bounds, pr_bounds, frame, gt_at, pr_at, values = block
     n_frames = len(gt_bounds) - 1
-    isolated = _isolated(block).tolist()
+    isolated = isolated.tolist()
     if wanted is not None:
         keep = wanted[frame]
         frame, gt_at, pr_at, values = frame[keep], gt_at[keep], pr_at[keep], values[keep]
@@ -281,7 +282,8 @@ def _frame_tables(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Itera
     """The table of each frame that has rows, in frame order. A list of them
     takes memory in the number of admissible pairs, not of gt x predictions."""
     for block in _blocks(gt, pred, threshold):
-        yield from _block_tables(block, gt.track_ids, pred.track_ids, pred.scores)
+        yield from _block_tables(block, _isolated(block), gt.track_ids, pred.track_ids,
+                                 pred.scores)
 
 
 def _frame_step(
@@ -554,7 +556,7 @@ def clear_mot(
         frames, gt_matched, pr_matched = [block.frame[own]], [gids[own]], [pids[own]]
         if not all(flags):
             stepped = ~isolated
-            tables = _block_tables(block, gt_ids, pr_ids, pred.scores, stepped)
+            tables = _block_tables(block, isolated, gt_ids, pr_ids, pred.scores, stepped)
             for i, table in zip(stepped.nonzero()[0].tolist(), tables):
                 if i and flags[i - 1]:
                     a, z = bounds[i - 1], bounds[i]

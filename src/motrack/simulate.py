@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .association import Detection, Mode
-from .geometry import Box2D, Box3D, box2d_array, box3d_array
+from .association import DetectionFrame, Mode, box_width
+from .geometry import wrap_angle, wrap_angles
 from .tracker import CLASS_IDS, TrackOutput
 
 
@@ -150,32 +150,34 @@ def _positions(obj: ObjectSpec, duration: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _yaws(vel: np.ndarray) -> np.ndarray:
-    """Heading per frame; held through zero-velocity stretches."""
+    """Heading per frame, in (-pi, pi]; held through zero-velocity stretches."""
     yaw = np.zeros(len(vel))
     current = 0.0
     for i, (vx, vy) in enumerate(vel):
         if abs(vx) > 1e-12 or abs(vy) > 1e-12:
             current = math.atan2(vy, vx)
         yaw[i] = current
-    return yaw
+    return wrap_angles(yaw)
 
 
-def _make_box(spec: ScenarioSpec, obj: ObjectSpec, pos, yaw: float):
+def _box_row(spec: ScenarioSpec, obj: ObjectSpec, pos, yaw: float) -> tuple[float, ...]:
+    """Parameter row of an object's box centred at pos."""
     if spec.mode is Mode.BOX_2D:
         w, h = obj.size
-        return Box2D(pos[0] - w / 2.0, pos[1] - h / 2.0, pos[0] + w / 2.0, pos[1] + h / 2.0)
+        return (pos[0] - w / 2.0, pos[1] - h / 2.0, pos[0] + w / 2.0, pos[1] + h / 2.0)
     l, w, h = obj.size
-    return Box3D(pos[0], pos[1], pos[2], yaw, l, w, h)
+    return (pos[0], pos[1], pos[2], yaw, l, w, h)
 
 
 def generate_scenario(
     spec: ScenarioSpec, seed: int
-) -> tuple[TrackOutput, list[list[Detection]]]:
+) -> tuple[TrackOutput, list[DetectionFrame]]:
     """Realize a scenario: exact ground truth plus the noisy detection stream.
 
     Ground-truth identities are 1-based object indices with score 1; the gt
     columns hold every object in every frame, frame by frame in spec order.
-    Detection order within a frame is objects first (spec order), then clutter.
+    Each frame's detections are one DetectionFrame, objects first (spec
+    order), then clutter; 3D object rows carry a velocity, clutter rows none.
     """
     rng = np.random.default_rng(seed)
     duration = spec.duration
@@ -191,17 +193,18 @@ def generate_scenario(
         for frame in range(span.first_frame, span.last_frame + 1):
             hidden.add((span.object_index, frame))
 
-    gt_boxes = []
-    frames: list[list[Detection]] = []
+    gt_rows = []
+    frames: list[DetectionFrame] = []
     xmin, ymin, xmax, ymax = spec.world
+    width = box_width(spec.mode)
 
     for frame in range(1, duration + 1):
-        detections: list[Detection] = []
+        detections = []  # (box row, score, class id, velocity or None)
         for index, obj in enumerate(spec.objects):
             pos, vel = trajectories[index]
             yaw = yaws[index][frame - 1]
-            gt_box = _make_box(spec, obj, pos[frame - 1], yaw)
-            gt_boxes.append(gt_box)
+            gt_row = _box_row(spec, obj, pos[frame - 1], yaw)
+            gt_rows.append(gt_row)
             if (index, frame) in hidden:
                 continue
             if spec.miss_rate > 0 and rng.random() < spec.miss_rate:
@@ -223,14 +226,8 @@ def generate_scenario(
                     noisy = noisy + rng.normal(0.0, spec.velocity_noise, size=2)
                 velocity = (float(noisy[0]), float(noisy[1]))
 
-            det_box = (
-                gt_box
-                if spec.position_noise == 0
-                else _make_box(spec, obj, center, yaw)
-            )
-            detections.append(
-                Detection(det_box, score, obj.class_id, velocity)
-            )
+            box = gt_row if spec.position_noise == 0 else _box_row(spec, obj, center, yaw)
+            detections.append((box, score, obj.class_id, velocity))
 
         if spec.clutter_rate > 0:
             for _ in range(rng.poisson(spec.clutter_rate)):
@@ -240,14 +237,18 @@ def generate_scenario(
                 if spec.mode is Mode.BOX_2D:
                     w = rng.uniform(30.0, 90.0)
                     h = rng.uniform(60.0, 150.0)
-                    box = Box2D(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-                    detections.append(Detection(box, score, class_id=0))
+                    box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+                    detections.append((box, score, 0, None))
                 else:
-                    box = Box3D(cx, cy, 0.8, rng.uniform(-math.pi, math.pi),
-                                rng.uniform(3.0, 5.0), rng.uniform(1.5, 2.1),
-                                rng.uniform(1.3, 1.9))
-                    detections.append(Detection(box, score, class_id=CLASS_IDS["car"]))
-        frames.append(detections)
+                    box = (cx, cy, 0.8, wrap_angle(rng.uniform(-math.pi, math.pi)),
+                           rng.uniform(3.0, 5.0), rng.uniform(1.5, 2.1), rng.uniform(1.3, 1.9))
+                    detections.append((box, score, CLASS_IDS["car"], None))
+        boxes, scores, class_ids, velocities = zip(*detections) if detections else ((),) * 4
+        frames.append(DetectionFrame(
+            np.array(boxes, dtype=float).reshape(-1, width), np.array(scores, dtype=float),
+            np.array(class_ids, dtype=np.int64),
+            np.array([v or (0.0, 0.0) for v in velocities], dtype=float).reshape(-1, 2),
+            np.array([v is not None for v in velocities], dtype=bool)))
 
     n_objects = len(spec.objects)
     gt = TrackOutput(
@@ -255,7 +256,7 @@ def generate_scenario(
         np.tile(np.arange(1, n_objects + 1, dtype=np.int64), duration),
         np.tile(np.array([obj.class_id for obj in spec.objects], dtype=np.int64), duration),
         np.ones(duration * n_objects),
-        box3d_array(gt_boxes) if spec.mode is Mode.BOX_3D else box2d_array(gt_boxes),
+        np.array(gt_rows, dtype=float).reshape(-1, width),
         spec.mode, duration,
     )
     return gt, frames

@@ -1,22 +1,21 @@
 """Sequence-level orchestration: config resolution, frame loop, output assembly.
 
-Tracker.step takes a frame's detections as a DetectionFrame (the parsers'
-columns) or as a Detection list, which it turns into columns once. Each
-frame's output rows are kept as columns and concatenated once by output()
-into a TrackOutput, which is those columns and is built from nothing else.
+Tracker.step takes a frame's detections as a DetectionFrame, the columns the
+parsers and the simulator build. Each frame's output rows are kept as columns
+and concatenated once by output() into a TrackOutput, which is those columns
+and is built from nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .association import (
     DEFAULT_GATE_KEY,
-    Detection,
     DetectionFrame,
     FrameResult,
     Mode,
@@ -26,6 +25,7 @@ from .association import (
     TrackRecord,
     _enum_member,
     box_width,
+    check_columns,
     records_from_columns,
     step,
 )
@@ -57,12 +57,12 @@ class TrackOutput:
 
     Row i is one confirmed box: frames[i] (the frame number), track_ids[i],
     class_ids[i], scores[i] and boxes[i], a parameter row in the box2d_array
-    / box3d_array layout. The columns are kept as given, without copying;
-    they must have one length, with boxes of shape (N, box_width(mode)), rows
-    sorted by frame and each (frame, id) pair once. frames, track_ids and
-    class_ids are integer columns, and every frame lies in [1, n_frames].
-    records holds the same rows as TrackRecords, built from the columns on
-    first use.
+    / box3d_array layout. The columns are kept as given, without copying, and
+    checked as a DetectionFrame's are (check_columns: boxes of width
+    box_width(mode), integer frames, track_ids and class_ids; scores are left
+    to the metrics). Rows are sorted by frame, each (frame, id) pair once, and
+    every frame lies in [1, n_frames]. records holds the same rows as
+    TrackRecords, built from the columns on first use.
     """
 
     frames: np.ndarray
@@ -75,23 +75,16 @@ class TrackOutput:
     config: TrackerConfig | None = None
 
     def __post_init__(self):
-        frames, track_ids, n = self.frames, self.track_ids, len(self.frames)
-        for name in ("track_ids", "class_ids", "scores"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} has {len(getattr(self, name))} rows, frames has {n}")
-        if self.boxes.shape != (n, box_width(self.mode)):
-            raise ValueError(f"boxes must have shape {(n, box_width(self.mode))} in "
-                             f"{self.mode.value} mode, got {self.boxes.shape}")
+        frames, track_ids = self.frames, self.track_ids
+        check_columns(self.boxes, {"frames": frames, "track_ids": track_ids,
+                                   "class_ids": self.class_ids, "scores": self.scores},
+                      ("frames", "track_ids", "class_ids"), (box_width(self.mode),))
         if np.any(frames[1:] < frames[:-1]):
             raise ValueError("record frames must be non-decreasing")
         order = np.lexsort((track_ids, frames))
         if np.any((np.diff(frames[order]) == 0) & (np.diff(track_ids[order]) == 0)):
             raise ValueError("duplicate (frame, id) pair in records")
-        for name in ("frames", "track_ids", "class_ids"):
-            dtype = getattr(self, name).dtype
-            if dtype.kind not in "iu":
-                raise ValueError(f"{name} must have an integer dtype, got {dtype}")
-        if n and (frames[0] < 1 or frames[-1] > self.n_frames):
+        if len(frames) and (frames[0] < 1 or frames[-1] > self.n_frames):
             raise ValueError(f"frames must lie in [1, {self.n_frames}], got "
                              f"{frames[0] if frames[0] < 1 else frames[-1]}")
 
@@ -170,9 +163,7 @@ class Tracker:
         # Per emitted frame: (frame, track ids, class ids, scores, boxes).
         self._rows: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def step(
-        self, detections: DetectionFrame | Sequence[Detection], frame: int | None = None
-    ) -> FrameResult:
+    def step(self, detections: DetectionFrame, frame: int | None = None) -> FrameResult:
         """Process one frame; frame index defaults to the next in sequence.
 
         Frame indices must increase. Skipping from frame j to frame j + g
@@ -184,8 +175,6 @@ class Tracker:
         """
         if frame is None:
             frame = self.pool.last_frame + 1
-        if not isinstance(detections, DetectionFrame):
-            detections = DetectionFrame.from_detections(detections, self.config.mode)
         result = step(self.pool, frame, detections, self.config)
         self._rows.append((frame, result.track_ids, result.class_ids, result.scores,
                            result.boxes))
@@ -206,7 +195,7 @@ class Tracker:
 
 
 def run_sequence(
-    frames: Iterable[Sequence[Detection]],
+    frames: Iterable[DetectionFrame],
     config: TrackerConfig | Mapping[str, object] | None = None,
 ) -> TrackOutput:
     """Fold the per-frame association over an ordered detection stream.

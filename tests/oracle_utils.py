@@ -11,8 +11,9 @@ the per-gt identity-switch sequences and the columnar parsers.
 
 A few helpers are thin wrappers the tests share rather than oracles: the
 gate-taking solve_gated, the scalar giou_3d and bev_intersection_area over
-the array kernels, output_of (a TrackOutput over TrackRecords' columns) and
-slice_frames over the TrackOutput constructor."""
+the array kernels, output_of (a TrackOutput over TrackRecords' columns),
+detection_frame (a DetectionFrame over Detections' columns) and slice_frames
+over the TrackOutput constructor."""
 
 from __future__ import annotations
 
@@ -305,6 +306,31 @@ def output_of(records, mode, n_frames: int, config=None):
         box3d_array(boxes) if mode is Mode.BOX_3D else box2d_array(boxes),
         mode, n_frames, config,
     )
+
+
+def detection_frame(detections, mode):
+    """The DetectionFrame of a Detection list, rows in list order: 3D
+    parameter rows if the boxes are Box3Ds, 2D corners if they are Box2Ds,
+    and the mode's (0, width) rows for an empty list."""
+    from motrack.association import DetectionFrame, Mode
+
+    detections = list(detections)
+    boxes = [det.box for det in detections]
+    is_3d = isinstance(boxes[0], Box3D) if boxes else mode is Mode.BOX_3D
+    return DetectionFrame(
+        box3d_array(boxes) if is_3d else box2d_array(boxes),
+        np.array([det.score for det in detections], dtype=float),
+        np.array([det.class_id for det in detections], dtype=np.int64),
+        np.array([det.velocity or (0.0, 0.0) for det in detections], dtype=float).reshape(-1, 2),
+        np.array([det.velocity is not None for det in detections], dtype=bool),
+    )
+
+
+def detection_columns(frames) -> list[tuple[list, ...]]:
+    """Each DetectionFrame's columns as lists, for comparing two streams."""
+    return [tuple(getattr(frame, name).tolist()
+                  for name in ("boxes", "scores", "class_ids", "velocities", "has_velocity"))
+            for frame in frames]
 
 
 def slice_frames(output, first: int, last: int):
@@ -681,7 +707,6 @@ def two_pass_step(pool, frame: int, detections, config):
     """association.step with every stage run once per pass."""
     from motrack import motion
     from motrack.association import (
-        DetectionFrame,
         FrameDiagnostics,
         FrameResult,
         Mode,
@@ -696,13 +721,13 @@ def two_pass_step(pool, frame: int, detections, config):
         raise ValueError(f"frame index must increase, got {frame} after {pool.last_frame}")
     is_3d = config.mode is Mode.BOX_3D
     raw = detections.boxes
-    if len(raw) and raw.shape[1] != box_width(config.mode):
+    if raw.shape[1] != box_width(config.mode):
         raise ValueError(f"{_box_type(raw).__name__} detection in {config.mode.value} mode")
     gap_removed = []
     for _ in range(min(frame - pool.last_frame - 1, config.track_buffer + 1)):
         if not len(pool.ids):
             break
-        empty = DetectionFrame.from_detections((), config.mode)
+        empty = detection_frame((), config.mode)
         gap_removed.append(
             two_pass_step(pool, pool.last_frame + 1, empty, config).diagnostics.removed_ids)
 
@@ -925,10 +950,9 @@ def parse_3d_detections_lines(text: str) -> list[list]:
     parsed = []
     for line_no, line in _iter_lines(text):
         frame, _, class_id, box, velocity, score = _parse_3d_line(line, line_no)
-        try:
-            parsed.append((frame, Detection(box, score, class_id, velocity)))
-        except ValueError as exc:
-            raise _fail(line_no, str(exc)) from None
+        if velocity is not None and not all(map(math.isfinite, velocity)):
+            raise _fail(line_no, f"detection velocity must be finite, got {velocity}")
+        parsed.append((frame, Detection(box, score, class_id, velocity)))
     return _dense_frames(parsed)
 
 

@@ -44,7 +44,7 @@ MEMBERS = {
     "Box3D": [],
     "ClearReport": ["to_dict"],
     "Detection": [],
-    "DetectionFrame": ["detections", "from_detections"],
+    "DetectionFrame": ["detections"],
     "FrameResult": ["tracks"],
     "Mode": ["BOX_2D", "BOX_3D"],
     "MotionStrategy": ["COMPLEMENTARY", "DETECTED_VELOCITY", "KALMAN"],

@@ -30,7 +30,7 @@ from motrack.simulate import (
     generate_scenario,
 )
 from motrack.tracker import CLASS_IDS, default_config
-from oracle_utils import giou_3d, giou_3d_pairs_clip, two_pass_step
+from oracle_utils import detection_frame, giou_3d, giou_3d_pairs_clip, two_pass_step
 
 
 def det2d(x, y, w=50.0, h=100.0, score=0.9, class_id=0):
@@ -42,9 +42,8 @@ def det3d(x, y, score=0.9, velocity=None, theta=0.0, class_id=2):
 
 
 def step(pool, frame, detections, config):
-    """association.step on a Detection list, turned into columns as Tracker.step does."""
-    return association.step(pool, frame, DetectionFrame.from_detections(detections, config.mode),
-                            config)
+    """association.step on the DetectionFrame of a Detection list."""
+    return association.step(pool, frame, detection_frame(detections, config.mode), config)
 
 
 def diagnostic_tuples(diagnostics):
@@ -72,67 +71,85 @@ def scored_detection_rows(monkeypatch, pool, frame, detections, config):
     return scored
 
 
+def frame_columns(**changes):
+    """The columns of a two-box 2D DetectionFrame, with the given ones replaced."""
+    columns = {"boxes": np.array([[2.0, 0.0, 62.0, 120.0], [500.0, 0.0, 560.0, 120.0]]),
+               "scores": np.array([0.9, 0.8]), "class_ids": np.zeros(2, dtype=np.int64),
+               "velocities": np.zeros((2, 2)), "has_velocity": np.zeros(2, dtype=bool)}
+    columns.update(changes)
+    return columns
+
+
 class TestDetection:
     def test_score_range_enforced(self):
-        with pytest.raises(ValueError):
-            Detection(Box2D(0, 0, 1, 1), 1.2)
+        with pytest.raises(ValueError, match=re.escape("scores must be in [0, 1], got 1.2")):
+            DetectionFrame(**frame_columns(scores=np.array([0.9, 1.2])))
 
     def test_velocity_must_be_finite(self):
-        with pytest.raises(ValueError):
-            Detection(Box3D(0, 0, 0, 0, 1, 1, 1), 0.5, velocity=(np.inf, 0.0))
+        with pytest.raises(ValueError, match=re.escape(
+                "velocities must be finite where has_velocity is set, got [inf, 0.0]")):
+            DetectionFrame(**frame_columns(velocities=np.array([[0.0, 0.0], [np.inf, 0.0]]),
+                                           has_velocity=np.ones(2, dtype=bool)))
+        # Rows without a velocity hold 0 by convention; what they hold is not read.
+        DetectionFrame(**frame_columns(velocities=np.array([[0.0, 0.0], [np.inf, 0.0]])))
 
     @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
     def test_step_rejects_column_scores_out_of_range(self, bad):
-        # A DetectionFrame built directly skips Detection's check: a NaN score
-        # would vanish from every list, and 1.5 would spawn a track emitting it.
-        # The step rejects the frame before the pool changes.
+        # A NaN score would vanish from every list, and 1.5 would spawn a
+        # track emitting it. The frame is rejected when it is built, so it
+        # never reaches the pool.
         config = TrackerConfig()
         pool = TrackPool()
         first = DetectionFrame(np.array([[0.0, 0.0, 60.0, 120.0]]), np.array([0.9]),
                                np.zeros(1, dtype=np.int64), np.zeros((1, 2)),
                                np.zeros(1, dtype=bool))
         association.step(pool, 1, first, config)
-        frame = DetectionFrame(np.array([[2.0, 0.0, 62.0, 120.0], [500.0, 0.0, 560.0, 120.0]]),
-                               np.array([0.9, bad]), np.zeros(2, dtype=np.int64),
-                               np.zeros((2, 2)), np.zeros(2, dtype=bool))
-        with pytest.raises(ValueError, match=re.escape(
-                f"detection score must be in [0, 1], got {bad}")):
-            association.step(pool, 3, frame, config)
+        with pytest.raises(ValueError, match=re.escape(f"scores must be in [0, 1], got {bad}")):
+            association.step(pool, 3, DetectionFrame(**frame_columns(
+                scores=np.array([0.9, bad]))), config)
         assert (pool.last_frame, pool.ids.tolist(), pool.next_id) == (1, [1], 2)
 
     @pytest.mark.parametrize("column, value, message", [
-        ("scores", np.array([0.9]), "detection scores must have shape (2,) for 2 boxes, got (1,)"),
+        ("scores", np.array([0.9]), "scores must have shape (2,) for 2 boxes, got (1,)"),
         ("class_ids", np.zeros(3, dtype=np.int64),
-         "detection class_ids must have shape (2,) for 2 boxes, got (3,)"),
+         "class_ids must have shape (2,) for 2 boxes, got (3,)"),
         ("has_velocity", np.zeros(1, dtype=bool),
-         "detection has_velocity must have shape (2,) for 2 boxes, got (1,)"),
-        ("velocities", np.zeros(2), "detection velocities must have shape (2, 2) for 2 boxes, "
-                                    "got (2,)"),
-        ("class_ids", np.array([0.5, 0.2]),
-         "detection class_ids must have an integer dtype, got float64"),
-        ("class_ids", np.array([True, False]),
-         "detection class_ids must have an integer dtype, got bool"),
-        ("boxes", np.zeros(8), "detection boxes must be rows, got shape (8,)"),
+         "has_velocity must have shape (2,) for 2 boxes, got (1,)"),
+        ("velocities", np.zeros(2), "velocities must have shape (2, 2) for 2 boxes, got (2,)"),
+        ("class_ids", np.array([0.5, 0.2]), "class_ids must have an integer dtype, got float64"),
+        ("class_ids", np.array([True, False]), "class_ids must have an integer dtype, got bool"),
+        ("boxes", np.zeros(8), "boxes must be rows of width 4 or 7, got shape (8,)"),
     ], ids=["one_score", "three_class_ids", "one_has_velocity", "flat_velocities",
             "float_class_ids", "bool_class_ids", "flat_boxes"])
     def test_step_rejects_columns_that_disagree(self, column, value, message):
-        # Built directly, a frame of two boxes and one score would spawn one
+        # Built as given, a frame of two boxes and one score would spawn one
         # track and drop the other box from every list; float class ids would
-        # be emitted as they are. The step rejects the frame before the pool
-        # changes.
+        # be emitted as they are. The frame is rejected when it is built, so
+        # it never reaches the pool.
         config = TrackerConfig()
         pool = TrackPool()
         first = DetectionFrame(np.array([[0.0, 0.0, 60.0, 120.0]]), np.array([0.9]),
                                np.zeros(1, dtype=np.int64), np.zeros((1, 2)),
                                np.zeros(1, dtype=bool))
         association.step(pool, 1, first, config)
-        columns = {"boxes": np.array([[2.0, 0.0, 62.0, 120.0], [500.0, 0.0, 560.0, 120.0]]),
-                   "scores": np.array([0.9, 0.8]), "class_ids": np.zeros(2, dtype=np.int64),
-                   "velocities": np.zeros((2, 2)), "has_velocity": np.zeros(2, dtype=bool)}
-        columns[column] = value
         with pytest.raises(ValueError, match=re.escape(message)):
-            association.step(pool, 2, DetectionFrame(**columns), config)
+            association.step(pool, 2, DetectionFrame(**frame_columns(**{column: value})), config)
         assert (pool.last_frame, pool.ids.tolist(), pool.next_id) == (1, [1], 2)
+
+
+@pytest.mark.parametrize("config, row", [
+    (CFG_2D, [np.nan, 0.0, 10.0, 10.0]),
+    (CFG_3D, [0.0, 0.0, 0.8, 0.0, -4.0, 1.9, 1.6]),
+], ids=["nan_2d", "negative_length_3d"])
+def test_bad_box_never_reaches_the_pool(config, row):
+    # Unchecked, the NaN row spawned a track with a NaN state before the
+    # output check raised, and the negative length was emitted as 1e-6.
+    pool = TrackPool()
+    with pytest.raises(ValueError, match="boxes"):
+        association.step(pool, 1, DetectionFrame(
+            np.array([row]), np.array([0.9]), np.array([2]), np.zeros((1, 2)),
+            np.zeros(1, dtype=bool)), config)
+    assert pool.ids.tolist() == [] and pool.last_frame == 0
 
 
 class TestConfig:
@@ -732,7 +749,7 @@ def oracle_streams(draw):
             else:
                 w, h = draw(st.floats(20.0, 60.0)), draw(st.floats(40.0, 120.0))
                 dets.append(Detection(Box2D(x, y, x + w, y + h), draw(score), class_id))
-        frames.append((frame, DetectionFrame.from_detections(dets, config.mode)))
+        frames.append((frame, detection_frame(dets, config.mode)))
     return config, frames
 
 
@@ -841,8 +858,10 @@ def test_in_place_frames_leave_earlier_outputs_unchanged(config):
             dets = [det2d(150.0 * o + 3.0 * f, 100.0, score=score) for o in range(5)]
             low = det2d(150.0 * 4 + 3.0 * f, 100.0, score=0.3)
         if 6 <= f <= 8:
-            return dets[:4]
-        return dets[:4] + [low] if f == 9 else dets
+            dets = dets[:4]
+        elif f == 9:
+            dets = dets[:4] + [low]
+        return detection_frame(dets, config.mode)
 
     tracker = Tracker(config)
     for f in range(1, 4):

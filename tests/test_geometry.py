@@ -265,21 +265,20 @@ class TestSimilarityMatrix:
                 assert sim[i, j] == giou_3d(det, trk)
 
     def test_dimension_mismatch_rejected(self):
-        from motrack.association import (Detection, DetectionFrame, Mode, TrackerConfig,
-                                         TrackPool, step)
+        from motrack.association import Detection, Mode, TrackerConfig, TrackPool, step
+        from oracle_utils import detection_frame
 
         box2d = Box2D(0, 0, 1, 1)
         box3d = Box3D(0, 0, 0, 0, 1, 1, 1)
         with pytest.raises(ValueError):
             giou_3d_pairs(box2d_array([box2d]), box2d_array([box2d]))
+        # Columns of 7-parameter rows stepped in 2D mode, and of corners in 3D.
         with pytest.raises(ValueError, match="Box3D detection in 2d mode"):
-            DetectionFrame.from_detections([Detection(box3d, 0.9)], Mode.BOX_2D)
+            step(TrackPool(), 1, detection_frame([Detection(box3d, 0.9)], Mode.BOX_3D),
+                 TrackerConfig())
         with pytest.raises(ValueError, match="Box2D detection in 3d mode"):
-            DetectionFrame.from_detections([Detection(box2d, 0.9)], Mode.BOX_3D)
-        # Columns of 7-parameter rows stepped in 2D mode.
-        frame = DetectionFrame.from_detections([Detection(box3d, 0.9)], Mode.BOX_3D)
-        with pytest.raises(ValueError, match="Box3D detection in 2d mode"):
-            step(TrackPool(), 1, frame, TrackerConfig())
+            step(TrackPool(), 1, detection_frame([Detection(box2d, 0.9)], Mode.BOX_2D),
+                 TrackerConfig(mode=Mode.BOX_3D))
 
     def test_box2d_array_rows_are_corners(self):
         boxes = [Box2D(0, 1, 2, 3), Box2D(5, 6, 12, 14)]

@@ -551,7 +551,8 @@ def sparse_table(gt_ids, pr_ids, scores, values, gate):
     rows, cols = np.divmod(at, n_pr)
     block = metrics._Block([0, n_gt], [0, n_pr], np.zeros(len(at), dtype=np.intp), rows, cols,
                            pair_values)
-    tables = metrics._block_tables(block, np.array(gt_ids, dtype=np.int64),
+    tables = metrics._block_tables(block, metrics._isolated(block),
+                                   np.array(gt_ids, dtype=np.int64),
                                    np.array(pr_ids, dtype=np.int64),
                                    np.array(scores, dtype=float))
     assert len(tables) == 1
@@ -703,6 +704,25 @@ def test_clear_steps_only_the_frames_that_are_not_isolated():
         assert steps(gt, pred) == isolated.count(False)
         kinds.update(isolated)
     assert kinds == {False, True}
+
+
+def test_isolated_runs_once_per_block():
+    # clear_mot computes a block's isolated flags once and hands them to the
+    # table builder, and AMOTA's tables take them once per block too. Frame 2
+    # conflicts: gt 1 is admissible to predictions 11 and 12.
+    gt = output_2d([(1, 1, 100.0, 100.0, 1.0), (1, 2, 600.0, 100.0, 1.0),
+                    (2, 1, 100.0, 100.0, 1.0),
+                    (3, 1, 100.0, 100.0, 1.0), (3, 2, 600.0, 100.0, 1.0)])
+    pred = output_2d([(1, 11, 110.0, 100.0, 0.9), (1, 13, 600.0, 100.0, 0.9),
+                      (2, 11, 110.0, 100.0, 0.9), (2, 12, 100.0, 100.0, 0.9),
+                      (3, 11, 110.0, 100.0, 0.9), (3, 14, 600.0, 100.0, 0.9)])
+    for cap, n_blocks in ((metrics._BLOCK_CELLS, 1), (1, 3)):
+        with mock.patch.object(metrics, "_BLOCK_CELLS", cap):
+            assert len(list(metrics._blocks(gt, pred, 0.5))) == n_blocks
+            for evaluate in (clear_mot, amota):
+                with mock.patch.object(metrics, "_isolated", wraps=metrics._isolated) as spy:
+                    evaluate(gt, pred)
+                assert spy.call_count == n_blocks, (evaluate.__name__, cap)
 
 
 def test_far_apart_3d_boxes_stay_unmatched():

@@ -23,7 +23,7 @@ from motrack.tracker import (
     run_sequence,
     validate_config,
 )
-from oracle_utils import output_of, records_by_frame, slice_frames
+from oracle_utils import detection_frame, output_of, records_by_frame, slice_frames
 from test_association import detection_streams, diagnostic_tuples, mixed_class_frames
 
 DATA = Path(__file__).parent / "data"
@@ -34,6 +34,10 @@ def det(x, y, score=0.9):
     return Detection(Box2D(x, y, x + 60, y + 120), score)
 
 
+def frame_2d(*detections):
+    return detection_frame(detections, Mode.BOX_2D)
+
+
 class TestRunSequence:
     def test_empty_stream(self):
         output = run_sequence([], {"mode": "2d"})
@@ -41,14 +45,14 @@ class TestRunSequence:
         assert output.n_frames == 0
 
     def test_single_frame_ids_count_up(self):
-        output = run_sequence([[det(0, 0), det(300, 0), det(600, 0)]], {"mode": "2d"})
+        output = run_sequence([frame_2d(det(0, 0), det(300, 0), det(600, 0))], {"mode": "2d"})
         assert [r.track_id for r in output.records] == [1, 2, 3]
         assert all(r.frame == 1 for r in output.records)
 
     def test_error_carries_frame_context(self):
         from motrack.geometry import Box3D
 
-        frames = [[det(0, 0)], [Detection(Box3D(0, 0, 0, 0, 1, 1, 1), 0.9)]]
+        frames = [frame_2d(det(0, 0)), frame_2d(Detection(Box3D(0, 0, 0, 0, 1, 1, 1), 0.9))]
         with pytest.raises(ValueError, match="frame 2"):
             run_sequence(frames, {"mode": "2d"})
 
@@ -57,7 +61,7 @@ class TestRunSequence:
         # the gap between them overflows to no overlap, without a warning
         # (RuntimeWarnings are errors under the test configuration).
         left, right = Box2D(-1.7e308, 0, -1.6e308, 1), Box2D(1.6e308, 0, 1.7e308, 1)
-        frames = [[Detection(left, 0.9), Detection(right, 0.9)]] * 3
+        frames = [frame_2d(Detection(left, 0.9), Detection(right, 0.9))] * 3
         output = run_sequence(frames, {"mode": "2d"})
         assert [(r.frame, r.track_id) for r in output.records] == [
             (f, i) for f in (1, 2, 3) for i in (1, 2)]
@@ -88,8 +92,8 @@ class TestRunSequence:
 
     def test_tracker_step_counts_frames(self):
         tracker = Tracker({"mode": "2d"})
-        tracker.step([det(0, 0)])
-        tracker.step([det(2, 0)])
+        tracker.step(frame_2d(det(0, 0)))
+        tracker.step(frame_2d(det(2, 0)))
         output = tracker.output()
         assert output.n_frames == 2
         assert output.mode is Mode.BOX_2D
@@ -112,10 +116,12 @@ class TestTrackOutput:
     def test_unequal_columns_rejected(self):
         # Two frames and ids but one class id and score: zip-based writers
         # would emit one line for the two rows.
-        with pytest.raises(ValueError, match="class_ids has 1 rows, frames has 2"):
+        with pytest.raises(ValueError, match=re.escape(
+                "class_ids must have shape (2,) for 2 boxes, got (1,)")):
             TrackOutput(np.array([1, 2]), np.array([1, 1]), np.array([0]), np.array([0.9]),
-                        np.zeros((2, 7)), Mode.BOX_2D, 2)
-        with pytest.raises(ValueError, match="scores has 3 rows, frames has 2"):
+                        np.zeros((2, 4)), Mode.BOX_2D, 2)
+        with pytest.raises(ValueError, match=re.escape(
+                "scores must have shape (2,) for 2 boxes, got (3,)")):
             TrackOutput(np.array([1, 2]), np.array([1, 1]), np.array([0, 0]), np.ones(3),
                         np.zeros((2, 4)), Mode.BOX_2D, 2)
 
@@ -123,7 +129,8 @@ class TestTrackOutput:
                                              (Mode.BOX_3D, (2, 4)), (Mode.BOX_3D, (14,))])
     def test_boxes_of_the_wrong_shape_rejected(self, mode, shape):
         width = 7 if mode is Mode.BOX_3D else 4
-        message = f"boxes must have shape (2, {width}) in {mode.value} mode, got {shape}"
+        message = (f"frames must have shape (1,) for 1 boxes, got (2,)" if shape == (1, 4)
+                   else f"boxes must be rows of width {width}, got shape {shape}")
         with pytest.raises(ValueError, match=re.escape(message)):
             TrackOutput(np.array([1, 2]), np.array([1, 1]), np.array([0, 0]), np.ones(2),
                         np.zeros(shape), mode, 2)
@@ -151,6 +158,15 @@ class TestTrackOutput:
         with pytest.raises(ValueError, match="track_ids must have an integer dtype, got float64"):
             TrackOutput(np.array([1]), np.array([1.5]), np.array([0]), np.ones(1),
                         np.zeros((1, 4)), Mode.BOX_2D, 1)
+
+    @pytest.mark.parametrize("row", [[np.nan, 0.0, 10.0, 10.0], [10.0, 0.0, 0.0, 10.0]],
+                             ids=["nan", "inverted"])
+    def test_bad_2d_boxes_rejected(self, row):
+        # clear_mot would score such a row against itself as an unmatched
+        # pair: FP 1, FN 1, MOTA -1.
+        with pytest.raises(ValueError, match="boxes"):
+            TrackOutput(np.array([1]), np.array([1]), np.array([0]), np.ones(1),
+                        np.array([row]), Mode.BOX_2D, 1)
 
     def test_grouping_helpers(self):
         box = Box2D(0, 0, 1, 1)
@@ -196,7 +212,9 @@ def test_frame_gap_equals_stepping_empty_frames(stream, data):
     for number, detections in zip(numbers, frames):
         skipped_removed = []
         for empty in range(explicit.pool.last_frame + 1, number):
-            skipped_removed += explicit.step([], frame=empty).diagnostics.removed_track_ids
+            skipped_removed += explicit.step(detection_frame((), config.mode),
+                                             frame=empty).diagnostics.removed_track_ids
+        detections = detection_frame(detections, config.mode)
         got, want = gapped.step(detections, frame=number), explicit.step(detections, frame=number)
         assert_same_result(got, want, skipped_removed)
         assert_same_pool(gapped.pool, explicit.pool)
@@ -223,7 +241,7 @@ def test_huge_frame_gap_is_bounded(monkeypatch):
     assert len(gapped.pool.ids) > 0
     removed = []
     for _ in range(config.track_buffer + 1):
-        removed += explicit.step([]).diagnostics.removed_track_ids
+        removed += explicit.step(detection_frame((), config.mode)).diagnostics.removed_track_ids
     assert len(explicit.pool.ids) == 0
 
     predicts = []
@@ -383,7 +401,8 @@ class TestValidateConfig:
         # The mode is coerced on TrackerConfig itself, so a 3D step works.
         config = TrackerConfig(mode="3D", tau=0.2, gate_first=-0.5, gate_second=-0.5)
         assert config.mode is Mode.BOX_3D
-        result = Tracker(config).step([Detection(Box3D(0, 0, 0, 0, 4, 2, 1.5), 0.9)])
+        result = Tracker(config).step(
+            detection_frame([Detection(Box3D(0, 0, 0, 0, 4, 2, 1.5), 0.9)], Mode.BOX_3D))
         assert result.track_ids.tolist() == [1]
         with pytest.raises(ValueError, match=re.escape("unknown mode '4d'; expected one of "
                                                        "['2d', '3d']")):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Collection, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral, Real
@@ -33,7 +33,8 @@ import numpy as np
 
 from . import motion
 from .assignment import solve_assignment
-from .geometry import MAX_BOX2D_AREA, Box, Box2D, Box3D, giou_3d_pairs, iou_matrix_2d
+from .geometry import (MAX_3D_MAGNITUDE, MAX_BOX2D_AREA, Box, Box2D, Box3D, giou_3d_pairs,
+                       iou_matrix_2d)
 
 # Fallback key in per-class gate maps.
 DEFAULT_GATE_KEY = -1
@@ -73,7 +74,7 @@ class Detection:
 
 
 def box_width(mode: Mode) -> int:
-    """Columns of a parameter row: box2d_array's 4 or box3d_array's 7."""
+    """Columns of a parameter row: x1, y1, x2, y2 or x, y, z, theta, l, w, h."""
     return 7 if mode is Mode.BOX_3D else 4
 
 
@@ -81,20 +82,17 @@ def _box_type(rows: np.ndarray) -> type:
     return Box3D if rows.shape[1] == 7 else Box2D
 
 
-def check_columns(
-    boxes: np.ndarray,
-    columns: Mapping[str, np.ndarray],
-    ids: Collection[str],
-    widths: Collection[int] = (4, 7),
-) -> None:
-    """Raise a ValueError naming the first bad column of a frame or an output.
+def check_mode(boxes: np.ndarray, mode: Mode) -> None:
+    """Raise a ValueError unless boxes are parameter rows of the mode's width."""
+    if boxes.shape[1] != box_width(mode):
+        raise ValueError(f"{_box_type(boxes).__name__} detection in {mode.value} mode")
 
-    boxes must be parameter rows of a width in widths (box2d_array's 4 or
-    box3d_array's 7) that Box2D / Box3D accept: finite, with 2D corners in
-    order and an area of at most MAX_BOX2D_AREA, or 3D sizes positive. Every
-    other column holds one value per box, and those named in ids have an
-    integer dtype.
-    """
+
+def check_columns(boxes: np.ndarray, columns: Mapping[str, np.ndarray], ids: Collection[str],
+                  widths: Collection[int] = (4, 7)) -> None:
+    """Raise a ValueError naming the first column of a frame or an output of
+    the wrong shape or dtype: boxes must be rows of a width in widths, every
+    other column one value per box, those named in ids of an integer dtype."""
     if boxes.ndim != 2 or boxes.shape[1] not in widths:
         raise ValueError(f"boxes must be rows of width {' or '.join(map(str, widths))}, "
                          f"got shape {boxes.shape}")
@@ -104,29 +102,68 @@ def check_columns(
             raise ValueError(f"{name} must have shape {(n,)} for {n} boxes, got {column.shape}")
         if name in ids and column.dtype.kind not in "iu":
             raise ValueError(f"{name} must have an integer dtype, got {column.dtype}")
-    if boxes.shape[1] == 4:
-        # A NaN fails the order test, an infinite corner the area test.
+
+
+def row_rules(boxes: np.ndarray, scores: np.ndarray | None = None,
+              velocities: np.ndarray | None = None, has_velocity: np.ndarray | None = None,
+              ) -> list[tuple[str, np.ndarray, Callable[[int], str]]]:
+    """The rules rows of the given columns keep, in order, each (the column it
+    checks, a mask of the rows breaking it, the message for row i): those of
+    Box2D / Box3D; with scores, a positive 2D size (the 2D Kalman measurement
+    divides by the height) and scores in [0, 1]; with velocities, 3D x, y, z,
+    l, w, h and set velocities of at most MAX_3D_MAGNITUDE in magnitude."""
+    finite = ~np.isfinite(boxes).all(axis=1)
+    if boxes.shape[1] == 7:
+        rules = [("boxes", ~(boxes[:, 4:] > 0.0).all(axis=1), lambda i: "Box3D dimensions must "
+                  "be positive, got l={}, w={}, h={}".format(*boxes[i, 4:].tolist())),
+                 ("boxes", finite, lambda i: "Box3D fields must be finite")]
+    else:
         x1, y1, x2, y2 = boxes.T
         with np.errstate(over="ignore", invalid="ignore"):
-            ok = (x1 <= x2) & (y1 <= y2) & ((x2 - x1) * (y2 - y1) <= MAX_BOX2D_AREA)
-        rule = f"finite 2D corners in order, of an area of at most {MAX_BOX2D_AREA!r}"
-    else:
-        ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 4:] > 0.0).all(axis=1)
-        rule = "finite, with positive 3D sizes"
-    if not ok.all():
-        row = int(ok.argmin())
-        raise ValueError(f"boxes must be {rule}, got row {row}: {boxes[row].tolist()}")
+            sizes = boxes[:, 2:] - boxes[:, :2]
+            area = sizes[:, 0] * sizes[:, 1]
+        rules = [("boxes", ~((x1 <= x2) & (y1 <= y2)), lambda i: "Box2D corners "
+                  "out of order: ({}, {}, {}, {})".format(*boxes[i].tolist())),
+                 ("boxes", finite, lambda i: "Box2D coordinates must be finite"),
+                 ("boxes", ~(area <= MAX_BOX2D_AREA), lambda i: "Box2D area must be finite and "
+                  "at most {!r}, got {} x {}".format(MAX_BOX2D_AREA, *sizes[i].tolist()))]
+        if scores is not None:
+            rules.append(("boxes", ~((x1 < x2) & (y1 < y2)), lambda i: "box size must be "
+                          "positive, got w={}, h={}".format(*sizes[i].tolist())))
+    if scores is not None:
+        rules.append(("scores", ~((scores >= 0.0) & (scores <= 1.0)),
+                      lambda i: f"score must be in [0, 1], got {float(scores[i])}"))
+    if velocities is not None:
+        bound = f"at most {MAX_3D_MAGNITUDE!r} in magnitude"
+        if boxes.shape[1] == 7:
+            fields = boxes[:, [0, 1, 2, 4, 5, 6]]
+            rules.append(("boxes", ~(np.abs(fields) <= MAX_3D_MAGNITUDE).all(axis=1), lambda i:
+                          f"detection x, y, z, l, w and h must be {bound}, "
+                          f"got {tuple(fields[i].tolist())}"))
+        too_large = ~(np.abs(velocities) <= MAX_3D_MAGNITUDE).all(axis=1)
+        rules.append(("velocities", has_velocity & too_large, lambda i: "detection velocity "
+                      f"must be finite and {bound}, got {tuple(velocities[i].tolist())}"))
+    return rules
+
+
+def check_rows(rules: list[tuple[str, np.ndarray, Callable[[int], str]]]) -> None:
+    """Raise a ValueError at the first row breaking a rule, with its column."""
+    bad = np.array([rule[1] for rule in rules])
+    if bad.any():
+        row = int(bad.any(axis=0).argmax())
+        column, _, describe = rules[int(bad[:, row].argmax())]
+        raise ValueError(f"{column} row {row}: {describe(row)}")
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionFrame:
     """One frame's detections as columns, row k being detection k.
 
-    boxes holds parameter rows in the box2d_array / box3d_array layout, scores
-    (in [0, 1]) and class_ids one value per row, and velocities the planar
-    (vx, vy) of the rows where has_velocity is set (finite; 0 elsewhere). The
-    columns are kept as given and checked once, here (see check_columns).
-    Iterating or indexing yields Detection objects, built on first use.
+    boxes holds parameter rows, (x1, y1, x2, y2) or (x, y, z, theta, l, w, h);
+    scores and class_ids one value per row, and velocities the planar (vx, vy)
+    of the rows where has_velocity is set (0 elsewhere). The columns are kept
+    as given and checked once, here (check_columns, row_rules). Iterating or
+    indexing yields Detection objects, built on first use.
     """
 
     boxes: np.ndarray
@@ -144,13 +181,7 @@ class DetectionFrame:
                              f"got {self.velocities.shape}")
         if self.has_velocity.dtype != bool:
             raise ValueError(f"has_velocity must have a bool dtype, got {self.has_velocity.dtype}")
-        in_range = (self.scores >= 0.0) & (self.scores <= 1.0)
-        if not in_range.all():
-            raise ValueError(f"scores must be in [0, 1], got {self.scores[~in_range][0]}")
-        finite = np.isfinite(self.velocities).all(axis=1) | ~self.has_velocity
-        if not finite.all():
-            raise ValueError(f"velocities must be finite where has_velocity is set, got "
-                             f"{self.velocities[~finite][0].tolist()}")
+        check_rows(row_rules(self.boxes, self.scores, self.velocities, self.has_velocity))
 
     @cached_property
     def detections(self) -> tuple[Detection, ...]:
@@ -465,8 +496,8 @@ def step(
     this frame's removed_track_ids, so each removed track is reported once.
 
     The frame's columns were checked when it was built; a frame whose boxes
-    are not rows of the mode's width raises ValueError before the pool
-    changes.
+    are not rows of the mode's width raises ValueError (check_mode) before
+    the pool changes.
     """
     if frame <= pool.last_frame:
         raise ValueError(
@@ -474,14 +505,12 @@ def step(
         )
     is_3d = config.mode is Mode.BOX_3D
     raw, scores = detections.boxes, detections.scores
-    width = box_width(config.mode)
-    if raw.shape[1] != width:
-        raise ValueError(f"{_box_type(raw).__name__} detection in {config.mode.value} mode")
+    check_mode(raw, config.mode)
     gap_removed = []
     for _ in range(min(frame - pool.last_frame - 1, config.track_buffer + 1)):
         if not len(pool.ids):
             break
-        empty = DetectionFrame(np.zeros((0, width)), np.zeros(0), np.zeros(0, dtype=np.int64),
+        empty = DetectionFrame(raw[:0], np.zeros(0), np.zeros(0, dtype=np.int64),
                                np.zeros((0, 2)), np.zeros(0, dtype=bool))
         gap_removed.append(step(pool, pool.last_frame + 1, empty, config).diagnostics.removed_ids)
 
@@ -593,8 +622,6 @@ def step(
     # wrapped by the update or the measurement.
     boxes = motion.box_rows(pool.means[out], is_3d)
     if not np.isfinite(boxes).all():
-        box_type = _box_type(boxes)
-        for row in boxes.tolist():
-            box_type(*row)  # raises for the first row that is not a box
+        check_rows(row_rules(boxes))
     return FrameResult(frame, pool.ids[out], pool.class_ids[out], pool.last_score[out],
                        boxes, diagnostics)

@@ -10,11 +10,11 @@ lossless.
 
 Records are read as columns. Each chunk of lines is split into fields at
 once, each field column is converted in bulk, and every row is validated with
-array masks. The first bad row is reported as ``line N: ...``, with the
-message of the first check it fails in field order. parse_*_detections return
-DetectionFrames, per-frame views over columns sorted by frame;
-parse_*_results return a TrackOutput. The writers format from the same
-columns.
+array masks: the field checks, then association.row_rules. The first bad row
+is reported as ``line N: ...``, with the message of the first check it fails
+in field order. parse_*_detections return DetectionFrames, per-frame views
+over columns sorted by frame; parse_*_results return a TrackOutput. The
+writers format from the same columns.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .association import DEFAULT_GATE_KEY, DetectionFrame, Mode
-from .geometry import MAX_BOX2D_AREA, wrap_angles
+from .association import DEFAULT_GATE_KEY, DetectionFrame, Mode, check_mode, row_rules
+from .geometry import wrap_angles
 from .tracker import CLASS_IDS, CLASS_NAMES, TrackOutput
 
 _MOT_FIELDS = 10
@@ -92,7 +92,13 @@ class _Rows:
         if hits.size:
             self.row, self.describe = int(hits[0]), describe
 
-    def raise_first(self) -> None:
+    def raise_first(self, frames: np.ndarray, ids: np.ndarray, rules: list, results: bool) -> None:
+        """Check frames >= 1, the row rules and result ids >= 1; raise the first error."""
+        self.check(frames < 1, lambda i: f"frame must be >= 1, got {int(frames[i])}")
+        for _, bad, describe in rules:
+            self.check(bad, describe)
+        if results:
+            self.check(ids < 1, lambda i: f"result id must be >= 1, got {int(ids[i])}")
         if self.describe is not None:
             raise _fail(self.line_nos[self.row], self.describe(self.row))
         if self.tail is not None:
@@ -139,10 +145,6 @@ def _convert(
         except (ValueError, OverflowError):
             bad[i] = True
     return values, bad
-
-
-def _id_check(rows: _Rows, ids: np.ndarray) -> None:
-    rows.check(ids < 1, lambda i: f"result id must be >= 1, got {int(ids[i])}")
 
 
 def _by_frame(frames: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -199,23 +201,8 @@ def _mot_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
         for k, name in enumerate(("u1", "u2", "u3"), start=7):
             rows.floats(k, name)
         with np.errstate(over="ignore", invalid="ignore"):
-            x2, y2 = x + w, y + h
-            width, height = x2 - x, y2 - y
-            area = width * height
-        rows.check(frames < 1, lambda i: f"frame must be >= 1, got {int(frames[i])}")
-        rows.check((w <= 0.0) | (h <= 0.0),
-                   lambda i: f"box size must be positive, got w={float(w[i])}, h={float(h[i])}")
-        rows.check(~((scores >= 0.0) & (scores <= 1.0)),
-                   lambda i: f"score must be in [0, 1], got {float(scores[i])}")
-        boxes = np.stack((x, y, x2, y2), axis=1)
-        rows.check(~((x <= x2) & (y <= y2)), lambda i: "Box2D corners out of order: ({}, {}, {}, {})"
-                   .format(*boxes[i].tolist()))
-        rows.check(~np.isfinite(boxes).all(axis=1), lambda i: "Box2D coordinates must be finite")
-        rows.check(~(area <= MAX_BOX2D_AREA), lambda i: "Box2D area must be finite and at most "
-                   f"{MAX_BOX2D_AREA!r}, got {float(width[i])} x {float(height[i])}")
-        if results:
-            _id_check(rows, ids)
-        rows.raise_first()
+            boxes = np.stack((x, y, x + w, y + h), axis=1)
+        rows.raise_first(frames, ids, row_rules(boxes, scores), results)  # MOT has no velocity
         chunks.append((frames, ids, scores, boxes))
     return _concat(chunks)
 
@@ -293,21 +280,8 @@ def _3d_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
                                for k, name, tokens in ((10, "vx", vx_tokens),
                                                        (11, "vy", vy_tokens))], axis=1)
         scores = rows.floats(12, "score")
-        rows.check(frames < 1, lambda i: f"frame must be >= 1, got {int(frames[i])}")
-        rows.check(~((scores >= 0.0) & (scores <= 1.0)),
-                   lambda i: f"score must be in [0, 1], got {float(scores[i])}")
-        sizes = boxes[:, 4:]
-        rows.check(~(sizes > 0.0).all(axis=1),
-                   lambda i: "Box3D dimensions must be positive, got l={}, w={}, h={}"
-                   .format(*sizes[i].tolist()))
-        rows.check(~np.isfinite(boxes).all(axis=1), lambda i: "Box3D fields must be finite")
-        if results:
-            _id_check(rows, ids)
-        else:
-            rows.check(has_vx & ~np.isfinite(velocities).all(axis=1),
-                       lambda i: f"detection velocity must be finite, got "
-                                 f"{tuple(velocities[i].tolist())}")
-        rows.raise_first()
+        rows.raise_first(frames, ids, row_rules(boxes, scores) if results
+                         else row_rules(boxes, scores, velocities, has_vx), results)
         boxes[:, 3] = wrap_angles(boxes[:, 3])
         chunks.append((frames, ids, class_ids, scores, boxes, velocities, has_vx))
     return _concat(chunks)
@@ -359,8 +333,9 @@ def write_3d_results(output: TrackOutput, sink: IO[str]) -> None:
 
 
 def write_detections(frames: Iterable[DetectionFrame], mode: Mode, sink: IO[str]) -> None:
-    """Write a detection stream in the matching per-mode format (id column -1)."""
+    """Write a detection stream in the mode's format (id column -1); see check_mode."""
     for index, detections in enumerate(frames, start=1):
+        check_mode(detections.boxes, mode)
         n = len(detections)
         numbers, ids = np.full(n, index), np.full(n, -1)
         if mode is Mode.BOX_2D:

@@ -5,10 +5,10 @@ cuboids in world coordinates (meters / radians). Overlap of rotated 3D boxes is
 computed in bird's-eye view (BEV): footprint intersection, the polygon a
 Sutherland-Hodgman clip of one footprint by the other gives, built in a fixed
 number of array operations, times the vertical interval overlap. Scoring runs
-on parameter rows (box2d_array, box3d_array): all 2D scoring goes through
-iou_matrix_2d and all 3D scoring through one array kernel, giou_3d_pairs, over
-flat arrays of box pairs. The box classes validate single boxes; record
-columns hold the same parameter rows.
+on parameter rows, (x1, y1, x2, y2) corners in 2D and (x, y, z, theta, l, w,
+h) in 3D: all 2D scoring goes through iou_matrix_2d and all 3D scoring through
+one array kernel, giou_3d_pairs, over flat arrays of box pairs. The box
+classes validate single boxes; record columns hold the same parameter rows.
 """
 
 from __future__ import annotations
@@ -16,13 +16,20 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 # Largest 2D box area: two such areas sum to a finite union, so every box
 # scores IoU 1 against itself.
 MAX_BOX2D_AREA = sys.float_info.max / 2
+
+# B, the largest |x|, |y|, |z|, l, w, h, |vx|, |vy| of a 3D detection. The GIoU
+# enclosure volume, 3D tracking's largest product, is finite while its spans are
+# below 5.6e102 = 560B. Shifted detections lie within 2B + B / sqrt(2) < 3B of the
+# origin; Kalman estimates within 2B, drifting at most B / 4 per lost frame (gains
+# do not depend on the values), so spans stay below 560B for tracks lost < 2000 frames.
+MAX_3D_MAGNITUDE = 1e100
 
 # On-edge classification tolerance of the footprint intersection.
 _CLIP_EPS = 1e-9
@@ -113,18 +120,6 @@ class Box3D:
 
 
 Box = Union[Box2D, Box3D]
-
-
-def box2d_array(boxes: Sequence[Box2D]) -> np.ndarray:
-    """Box corners as one (K, 4) array of (x1, y1, x2, y2) rows."""
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
-
-
-def box3d_array(boxes: Sequence[Box3D]) -> np.ndarray:
-    """Box parameters as one (K, 7) array of (x, y, z, theta, l, w, h) rows."""
-    return np.array(
-        [(b.x, b.y, b.z, b.theta, b.l, b.w, b.h) for b in boxes], dtype=float
-    ).reshape(-1, 7)
 
 
 def _bev_corners(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +228,7 @@ def giou_3d_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Generalized IoU of P box pairs given as (P, 7) parameter rows; returns
     (P,), each in (-1, 1].
 
-    Row layout is that of box3d_array. This is the one GIoU kernel. The
+    Rows are (x, y, z, theta, l, w, h). This is the one GIoU kernel. The
     overlap volume is the BEV footprint intersection (a fixed-shape
     rectangle-pair intersection, run only for pairs whose footprints can
     meet) times the vertical interval overlap. The enclosing region is the
@@ -284,7 +279,7 @@ def iou_matrix_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every (..., M, 4) corner row against every (..., N, 4) row of
     the same leading batch; returns (..., M, N).
 
-    Row layout is that of box2d_array. Disjoint pairs and zero-area unions
+    Rows are (x1, y1, x2, y2) corners. Disjoint pairs and zero-area unions
     score 0. A gap between boxes too far apart for a float overflows to
     -inf, which is no overlap.
     """

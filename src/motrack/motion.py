@@ -22,8 +22,8 @@ covs[:, 2] are each channel's position variance a, position-velocity
 covariance b and velocity variance c (b = c = 0 without a velocity). One
 association step predicts, updates or starts every track it touches at once.
 Boxes enter as measurement rows (_measurement_stack) and leave as box
-parameter rows (box_rows), in the layouts of geometry.box2d_array and
-geometry.box3d_array.
+parameter rows (box_rows): (x1, y1, x2, y2) corners in 2D, (x, y, z, theta,
+l, w, h) in 3D.
 """
 
 from __future__ import annotations
@@ -74,13 +74,11 @@ def _measurement_stack(rows: np.ndarray, is_3d: bool) -> np.ndarray:
     """Measurement rows (K, obs_dim) of box parameter rows.
 
     3D rows are measured as they are. 2D corner rows become (center x,
-    center y, w/h, h) and must have positive area.
+    center y, w/h, h); detections have positive sizes (association.row_rules).
     """
     if is_3d:
         return rows
     size = rows[:, 2:] - rows[:, :2]
-    if (size <= 0).any():
-        raise ValueError("2D Kalman measurements require a positive-area box")
     # Halved before the sum, so corners near +-1.7e308 do not overflow.
     half = rows / 2.0
     centers = half[:, :2] + half[:, 2:]

@@ -26,7 +26,9 @@ from .association import (
     _enum_member,
     box_width,
     check_columns,
+    check_rows,
     records_from_columns,
+    row_rules,
     step,
 )
 
@@ -56,13 +58,13 @@ class TrackOutput:
     """Whole-sequence tracking result as columns, plus the config that produced it.
 
     Row i is one confirmed box: frames[i] (the frame number), track_ids[i],
-    class_ids[i], scores[i] and boxes[i], a parameter row in the box2d_array
-    / box3d_array layout. The columns are kept as given, without copying, and
-    checked as a DetectionFrame's are (check_columns: boxes of width
-    box_width(mode), integer frames, track_ids and class_ids; scores are left
-    to the metrics). Rows are sorted by frame, each (frame, id) pair once, and
-    every frame lies in [1, n_frames]. records holds the same rows as
-    TrackRecords, built from the columns on first use.
+    class_ids[i], scores[i] and boxes[i], a parameter row (x1, y1, x2, y2 or
+    x, y, z, theta, l, w, h). The columns are kept as given, without copying,
+    and checked as a DetectionFrame's are (check_columns: boxes of width
+    box_width(mode), integer frames, track_ids and class_ids; row_rules of
+    the boxes alone, scores being left to the metrics). Rows are sorted by
+    frame, each (frame, id) pair once, and every frame lies in [1, n_frames].
+    records holds the same rows as TrackRecords, built on first use.
     """
 
     frames: np.ndarray
@@ -79,6 +81,7 @@ class TrackOutput:
         check_columns(self.boxes, {"frames": frames, "track_ids": track_ids,
                                    "class_ids": self.class_ids, "scores": self.scores},
                       ("frames", "track_ids", "class_ids"), (box_width(self.mode),))
+        check_rows(row_rules(self.boxes))
         if np.any(frames[1:] < frames[:-1]):
             raise ValueError("record frames must be non-decreasing")
         order = np.lexsort((track_ids, frames))

@@ -20,7 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from motrack import motion
-from motrack.geometry import Box2D, Box3D, box2d_array, box3d_array
+from motrack.geometry import Box2D, Box3D
+
+from oracle_utils import box2d_array, box3d_array
 
 
 class State(NamedTuple):

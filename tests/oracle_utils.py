@@ -9,7 +9,8 @@ the solver's conflict-free short path, the once-per-frame scoring and update,
 the padded blocks of frames the evaluators score at once, the sparse tables,
 the per-gt identity-switch sequences and the columnar parsers.
 
-A few helpers are thin wrappers the tests share rather than oracles: the
+A few helpers are thin wrappers the tests share rather than oracles:
+box2d_array and box3d_array (the parameter rows of Box2D / Box3D objects), the
 gate-taking solve_gated, the scalar giou_3d and bev_intersection_area over
 the array kernels, output_of (a TrackOutput over TrackRecords' columns),
 detection_frame (a DetectionFrame over Detections' columns) and slice_frames
@@ -22,7 +23,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from motrack.geometry import Box2D, Box3D, box2d_array, box3d_array
+from motrack.geometry import MAX_3D_MAGNITUDE, Box2D, Box3D
+
+
+def box2d_array(boxes) -> np.ndarray:
+    """Box2D corners as one (K, 4) array of (x1, y1, x2, y2) rows."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def box3d_array(boxes) -> np.ndarray:
+    """Box3D parameters as one (K, 7) array of (x, y, z, theta, l, w, h) rows."""
+    return np.array(
+        [(b.x, b.y, b.z, b.theta, b.l, b.w, b.h) for b in boxes], dtype=float
+    ).reshape(-1, 7)
 
 
 def iou_2d(a: Box2D, b: Box2D) -> float:
@@ -816,7 +829,8 @@ def two_pass_step(pool, frame: int, detections, config):
 # --- line-by-line record parsers and writers ------------------------------------
 #
 # The slow oracle of motrack.formats: one line at a time, one object per
-# record. Same formats, same checks in the same order, same messages.
+# record, each row checked by the Box2D / Box3D constructors and scalar
+# tests. Same formats, same checks in the same order, same messages.
 
 def _fail(line_no: int, message: str) -> ValueError:
     return ValueError(f"line {line_no}: {message}")
@@ -876,14 +890,15 @@ def _parse_mot_line(line: str, line_no: int):
         _parse_float(token, line_no, name)
     if frame < 1:
         raise _fail(line_no, f"frame must be >= 1, got {frame}")
-    if w <= 0 or h <= 0:
-        raise _fail(line_no, f"box size must be positive, got w={w}, h={h}")
-    if not 0.0 <= score <= 1.0:
-        raise _fail(line_no, f"score must be in [0, 1], got {score}")
     try:
         box = Box2D(x, y, x + w, y + h)
     except ValueError as exc:
         raise _fail(line_no, str(exc)) from None
+    if not (box.x1 < box.x2 and box.y1 < box.y2):
+        raise _fail(line_no, f"box size must be positive, got w={box.x2 - box.x1}, "
+                             f"h={box.y2 - box.y1}")
+    if not 0.0 <= score <= 1.0:
+        raise _fail(line_no, f"score must be in [0, 1], got {score}")
     return frame, track_id, box, score
 
 
@@ -935,12 +950,12 @@ def _parse_3d_line(line: str, line_no: int):
     score = _parse_float(fields[12], line_no, "score")
     if frame < 1:
         raise _fail(line_no, f"frame must be >= 1, got {frame}")
-    if not 0.0 <= score <= 1.0:
-        raise _fail(line_no, f"score must be in [0, 1], got {score}")
     try:
         box = Box3D(*numbers)
     except ValueError as exc:
         raise _fail(line_no, str(exc)) from None
+    if not 0.0 <= score <= 1.0:
+        raise _fail(line_no, f"score must be in [0, 1], got {score}")
     return frame, track_id, class_id, box, velocity, score
 
 
@@ -950,8 +965,13 @@ def parse_3d_detections_lines(text: str) -> list[list]:
     parsed = []
     for line_no, line in _iter_lines(text):
         frame, _, class_id, box, velocity, score = _parse_3d_line(line, line_no)
-        if velocity is not None and not all(map(math.isfinite, velocity)):
-            raise _fail(line_no, f"detection velocity must be finite, got {velocity}")
+        bound = f"at most {MAX_3D_MAGNITUDE!r} in magnitude"
+        fields = (box.x, box.y, box.z, box.l, box.w, box.h)
+        if not all(abs(value) <= MAX_3D_MAGNITUDE for value in fields):
+            raise _fail(line_no, f"detection x, y, z, l, w and h must be {bound}, got {fields}")
+        if velocity is not None and not all(abs(v) <= MAX_3D_MAGNITUDE for v in velocity):
+            raise _fail(line_no, f"detection velocity must be finite and {bound}, "
+                                 f"got {velocity}")
         parsed.append((frame, Detection(box, score, class_id, velocity)))
     return _dense_frames(parsed)
 

@@ -1,7 +1,12 @@
+import ast
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import motrack
+
+ROOT = Path(__file__).parent.parent
 
 # The package's public names. Adding or removing one is a deliberate edit of
 # this list.
@@ -110,3 +115,21 @@ def test_public_dataclass_fields_are_pinned():
                        if dataclasses.is_dataclass(getattr(motrack, name))}
     assert {name: [f.name for f in dataclasses.fields(cls)]
             for name, cls in dataclass_types.items()} == FIELDS
+
+
+def test_every_public_definition_is_used_exported_or_documented():
+    # A public module-level function or class that the package's own code
+    # never names (in code, not docstrings), that motrack does not export and
+    # that the README does not name exists only for the tests.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "motrack").glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    readme = (ROOT / "README.md").read_text()
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used
+              and node.name not in motrack.__all__
+              and not re.search(rf"\b{node.name}\b", readme)]
+    assert unused == []

@@ -19,7 +19,7 @@ from motrack.association import (
     predict_tracks,
     resolve_gate,
 )
-from motrack.geometry import Box2D, Box3D, box3d_array, giou_3d_pairs
+from motrack.geometry import MAX_3D_MAGNITUDE, Box2D, Box3D, giou_3d_pairs
 from motrack.motion import box_rows, inflate_arrays, predict_arrays
 from motrack.simulate import (
     DropoutSpan,
@@ -30,7 +30,13 @@ from motrack.simulate import (
     generate_scenario,
 )
 from motrack.tracker import CLASS_IDS, default_config
-from oracle_utils import detection_frame, giou_3d, giou_3d_pairs_clip, two_pass_step
+from oracle_utils import (
+    box3d_array,
+    detection_frame,
+    giou_3d,
+    giou_3d_pairs_clip,
+    two_pass_step,
+)
 
 
 def det2d(x, y, w=50.0, h=100.0, score=0.9, class_id=0):
@@ -82,12 +88,14 @@ def frame_columns(**changes):
 
 class TestDetection:
     def test_score_range_enforced(self):
-        with pytest.raises(ValueError, match=re.escape("scores must be in [0, 1], got 1.2")):
+        with pytest.raises(ValueError, match=re.escape(
+                "scores row 1: score must be in [0, 1], got 1.2")):
             DetectionFrame(**frame_columns(scores=np.array([0.9, 1.2])))
 
     def test_velocity_must_be_finite(self):
         with pytest.raises(ValueError, match=re.escape(
-                "velocities must be finite where has_velocity is set, got [inf, 0.0]")):
+                "velocities row 1: detection velocity must be finite and at most 1e+100 in "
+                "magnitude, got (inf, 0.0)")):
             DetectionFrame(**frame_columns(velocities=np.array([[0.0, 0.0], [np.inf, 0.0]]),
                                            has_velocity=np.ones(2, dtype=bool)))
         # Rows without a velocity hold 0 by convention; what they hold is not read.
@@ -104,7 +112,8 @@ class TestDetection:
                                np.zeros(1, dtype=np.int64), np.zeros((1, 2)),
                                np.zeros(1, dtype=bool))
         association.step(pool, 1, first, config)
-        with pytest.raises(ValueError, match=re.escape(f"scores must be in [0, 1], got {bad}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"scores row 1: score must be in [0, 1], got {bad}")):
             association.step(pool, 3, DetectionFrame(**frame_columns(
                 scores=np.array([0.9, bad]))), config)
         assert (pool.last_frame, pool.ids.tolist(), pool.next_id) == (1, [1], 2)
@@ -150,6 +159,58 @@ def test_bad_box_never_reaches_the_pool(config, row):
             np.array([row]), np.array([0.9]), np.array([2]), np.zeros((1, 2)),
             np.zeros(1, dtype=bool)), config)
     assert pool.ids.tolist() == [] and pool.last_frame == 0
+
+
+@pytest.mark.parametrize("row", [[5.0, 0.0, 5.0, 10.0], [0.0, 5.0, 10.0, 5.0],
+                                 [1e10, 0.0, 1e10 + 1e-10, 10.0]],
+                         ids=["zero_width", "zero_height", "width_lost_to_rounding"])
+def test_zero_size_2d_box_never_reaches_the_pool(row):
+    # Unchecked, a zero-size box failed only in the Kalman measurement of
+    # frame 5, after the skipped frames 2-4 had aged the pool.
+    pool = TrackPool()
+    association.step(pool, 1, detection_frame([det2d(0.0, 0.0)], Mode.BOX_2D), CFG_2D)
+    with pytest.raises(ValueError, match=re.escape("boxes row 0: box size must be positive")):
+        association.step(pool, 5, DetectionFrame(
+            np.array([row]), np.array([0.9]), np.zeros(1, dtype=np.int64), np.zeros((1, 2)),
+            np.zeros(1, dtype=bool)), CFG_2D)
+    assert pool.frames_since_match.tolist() == [0] and pool.last_frame == 1
+
+
+@pytest.mark.parametrize("config", [CFG_3D, CFG_DV, dataclasses.replace(
+    CFG_3D, motion_strategy=MotionStrategy.KALMAN)], ids=["complementary", "dv", "kf"])
+def test_3d_detections_at_the_magnitude_bound_step_cleanly(config):
+    # Two cars with every field at the bound swap sides each frame, then are
+    # lost through the whole rebirth buffer before one returns. Every
+    # similarity and Kalman step stays finite: RuntimeWarnings are errors here.
+    bound = MAX_3D_MAGNITUDE
+    pool = TrackPool()
+
+    def frame(sign):
+        x, size = sign * bound, [bound] * 3
+        return DetectionFrame(
+            np.array([[x, -x, x, 0.3, *size], [-x, x, -x, -0.3, *size]]), np.array([0.9, 0.3]),
+            np.array([2, 2]), np.array([[-x, bound], [x, -bound]]), np.ones(2, dtype=bool))
+
+    for index in range(1, 7):
+        association.step(pool, index, frame(1.0 if index % 2 else -1.0), config)
+    result = association.step(pool, 6 + config.track_buffer, frame(1.0), config)
+    assert np.isfinite(pool.means).all() and np.isfinite(result.boxes).all()
+
+
+@pytest.mark.parametrize("column, index", [("boxes", 0), ("boxes", 1), ("boxes", 2), ("boxes", 4),
+                                           ("boxes", 5), ("boxes", 6), ("velocities", 0),
+                                           ("velocities", 1)])
+def test_3d_detection_past_the_magnitude_bound_rejected(column, index):
+    # Unchecked, a car at x = 1e308 stepped twice, or one with velocity
+    # (1e308, 0) in a second frame, overflowed in the similarity kernel.
+    columns = {"boxes": np.array([[0.0, 0.0, 0.8, 0.0, 4.0, 2.0, 1.5]]), "scores": np.array([0.9]),
+               "class_ids": np.array([2]), "velocities": np.zeros((1, 2)),
+               "has_velocity": np.ones(1, dtype=bool)}
+    past = np.nextafter(MAX_3D_MAGNITUDE, np.inf)
+    columns[column][0, index] = -past if column == "boxes" and index == 1 else past
+    with pytest.raises(ValueError, match=f"^{column} row 0: detection .* must be (finite and )?"
+                                         "at most 1e\\+100 in magnitude"):
+        DetectionFrame(**columns)
 
 
 class TestConfig:

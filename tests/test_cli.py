@@ -223,3 +223,14 @@ def test_missing_input_file_reports_error(tmp_path, capsys):
                  "--output", str(out), "--mode", "2d"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_zero_size_detection_reports_its_line(tmp_path, capsys):
+    # x + w rounds back to x: the box has zero width, which the 2D Kalman
+    # measurement cannot take.
+    det = tmp_path / "det.txt"
+    det.write_text("1,-1,1e10,0,1e-10,10,0.9,-1,-1,-1\n")
+    code = main(["track", "--input", str(det), "--output", str(tmp_path / "out.txt"),
+                 "--mode", "2d"])
+    assert code == 1
+    assert "line 1: box size must be positive, got w=0.0, h=10.0" in capsys.readouterr().err

@@ -1,9 +1,12 @@
-"""Hostile columns: DetectionFrame and TrackOutput check their columns once,
-on construction, with one shared check (association.check_columns).
+"""Hostile columns and file lines: DetectionFrame and TrackOutput check their
+columns once, on construction, with the shared column check and row rules of
+association, and the parsers check file rows with the same rules.
 
 Each malformed draw breaks one column and must raise a ValueError naming it
 when the frame or output is built; each well-formed draw must step or
 evaluate cleanly, RuntimeWarnings being errors under the test configuration.
+Drawn frames written as file lines must fail at the broken row's line with
+the constructor's rule text, or parse back to the same columns.
 """
 
 import numpy as np
@@ -11,14 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motrack import association
+from motrack import association, formats
 from motrack.association import DetectionFrame, Mode, TrackerConfig, TrackPool
+from motrack.geometry import MAX_3D_MAGNITUDE
 from motrack.metrics import amota, clear_mot, idf1
 from motrack.tracker import TrackOutput, default_config
 
 _DEFECTS = ("unequal_length", "float_ids", "non_finite_box", "bad_box_extent")
-_DETECTION_DEFECTS = _DEFECTS + ("score_out_of_range", "velocity_shape", "non_finite_velocity")
+# The row defects a file line can carry; a MOT line has no velocity.
+_ROW_DEFECTS_2D = ("non_finite_box", "bad_box_extent", "zero_size", "score_out_of_range")
+_ROW_DEFECTS = _ROW_DEFECTS_2D + ("past_bound", "non_finite_velocity")
+_DETECTION_DEFECTS = _DEFECTS + ("zero_size", "past_bound", "score_out_of_range",
+                                 "velocity_shape", "non_finite_velocity")
 _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+_PAST_BOUND = np.nextafter(MAX_3D_MAGNITUDE, np.inf)
 
 
 def box_rows(draw, n: int, is_3d: bool) -> np.ndarray:
@@ -36,11 +45,11 @@ def box_rows(draw, n: int, is_3d: bool) -> np.ndarray:
     return np.array(rows).reshape(n, 4)
 
 
-def break_column(draw, columns: dict, defect: str, ids: tuple[str, ...]) -> str:
-    """Apply one defect to the columns in place; returns the column it breaks."""
+def break_column(draw, columns: dict, defect: str, ids: tuple[str, ...], row: int) -> str:
+    """Apply one defect to the columns in place, at the given row where it
+    breaks one; returns the column it breaks."""
     boxes = columns["boxes"]
-    n, width = boxes.shape
-    row = draw(st.integers(0, n - 1))
+    width = boxes.shape[1]
     if defect == "unequal_length":
         name = draw(st.sampled_from(sorted(columns)))
         column = columns[name]
@@ -55,6 +64,14 @@ def break_column(draw, columns: dict, defect: str, ids: tuple[str, ...]) -> str:
     columns["boxes"] = boxes
     if defect == "non_finite_box":
         boxes[row, draw(st.integers(0, width - 1))] = draw(_NON_FINITE)
+    elif defect == "zero_size" and width == 4:  # x1 == x2 or y1 == y2
+        axis = draw(st.integers(0, 1))
+        boxes[row, axis + 2] = boxes[row, axis]
+    elif defect == "zero_size":
+        boxes[row, draw(st.integers(4, 6))] = 0.0
+    elif defect == "past_bound":  # x, y, z (either sign), l, w or h
+        index = draw(st.sampled_from([0, 1, 2, 4, 5, 6]))
+        boxes[row, index] = -_PAST_BOUND if index < 3 and draw(st.booleans()) else _PAST_BOUND
     elif width == 4:  # corners swapped: x1 > x2 or y1 > y2
         axis = draw(st.integers(0, 1))
         boxes[row, [axis, axis + 2]] = boxes[row, [axis + 2, axis]]
@@ -64,10 +81,12 @@ def break_column(draw, columns: dict, defect: str, ids: tuple[str, ...]) -> str:
 
 
 @st.composite
-def detection_frames(draw, defects=_DETECTION_DEFECTS):
-    """(columns, defect, broken column name) of a frame of 1-5 rows; defect
-    None leaves the columns well formed."""
-    is_3d = draw(st.booleans())
+def detection_frames(draw, defects=_DETECTION_DEFECTS, is_3d=None):
+    """(columns, defect, broken column name, broken row) of a frame of 1-5
+    rows, 3D if is_3d (drawn if None); defect None leaves the columns well
+    formed."""
+    if is_3d is None:
+        is_3d = draw(st.booleans())
     n = draw(st.integers(1, 5))
     columns = {
         "boxes": box_rows(draw, n, is_3d),
@@ -79,7 +98,7 @@ def detection_frames(draw, defects=_DETECTION_DEFECTS):
         "has_velocity": np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
                                  dtype=bool),
     }
-    defect = draw(st.none() | st.sampled_from(defects)) if defects else None
+    defect = draw(st.sampled_from((None,) + defects))
     row = draw(st.integers(0, n - 1))
     if defect is None:
         name = None
@@ -90,13 +109,16 @@ def detection_frames(draw, defects=_DETECTION_DEFECTS):
         name = "velocities"
         columns[name] = draw(st.sampled_from([columns[name].ravel(), np.zeros((n, 3)),
                                               np.zeros((n + 1, 2))]))
-    elif defect == "non_finite_velocity":
+    elif defect == "non_finite_velocity" or (
+            defect == "past_bound" and (not is_3d or draw(st.booleans()))):
         name = "velocities"
-        columns[name][row, draw(st.integers(0, 1))] = draw(_NON_FINITE)
+        columns[name][row, draw(st.integers(0, 1))] = (
+            draw(_NON_FINITE) if defect == "non_finite_velocity"
+            else draw(st.sampled_from([_PAST_BOUND, -_PAST_BOUND])))
         columns["has_velocity"][row] = True
     else:
-        name = break_column(draw, columns, defect, ("class_ids",))
-    return columns, defect, name
+        name = break_column(draw, columns, defect, ("class_ids",), row)
+    return columns, defect, name, row
 
 
 @st.composite
@@ -117,7 +139,7 @@ def track_outputs(draw):
     }
     defect = draw(st.none() | st.sampled_from(_DEFECTS))
     name = None if defect is None else break_column(
-        draw, columns, defect, ("frames", "track_ids", "class_ids"))
+        draw, columns, defect, ("frames", "track_ids", "class_ids"), draw(st.integers(0, n - 1)))
     return columns, 3, defect, name
 
 
@@ -130,7 +152,7 @@ def build_output(columns, n_frames):
 @settings(max_examples=300, deadline=None)
 @given(detection_frames(), detection_frames(defects=()))
 def test_hostile_detection_columns(drawn, follow):
-    columns, defect, name = drawn
+    columns, defect, name, _ = drawn
     if defect is not None:
         with pytest.raises(ValueError, match=name):
             DetectionFrame(**columns)
@@ -161,3 +183,74 @@ def test_hostile_output_columns(drawn):
     idf1(output, output)
     amota(output, output)
     assert len(output.records) == len(output.frames)
+
+
+
+
+def file_text(columns: dict, results: bool) -> str:
+    """The rows as the writers format them: frame 1, ids -1 or 1..n."""
+    boxes, scores = columns["boxes"], columns["scores"]
+    n = len(scores)
+    frames, ids = np.ones(n, dtype=np.int64), np.arange(1, n + 1) if results else np.full(n, -1)
+    if boxes.shape[1] == 4:
+        return "".join(formats._mot_text(frames, ids, scores, boxes))
+    velocities = None if results else columns["velocities"]
+    return "".join(formats._3d_text(frames, ids, columns["class_ids"], scores, boxes,
+                                    velocities, columns["has_velocity"]))
+
+
+def read_back(columns: dict, results: bool) -> dict:
+    """The columns a file of the rows holds: MOT text stores w = x2 - x1 and
+    h = y2 - y1, and the parser adds them back; a MOT file has no classes or
+    velocities, and only a 3D detection file has velocities."""
+    boxes = columns["boxes"].copy()
+    n = len(boxes)
+    class_ids, velocities, has_velocity = columns["class_ids"], np.zeros((n, 2)), np.zeros(n, bool)
+    if boxes.shape[1] == 4:
+        with np.errstate(over="ignore", invalid="ignore"):
+            boxes[:, 2:] = boxes[:, :2] + (boxes[:, 2:] - boxes[:, :2])
+        class_ids = np.zeros(n, dtype=np.int64)
+    elif not results:
+        has_velocity = columns["has_velocity"]
+        velocities = np.where(has_velocity[:, None], columns["velocities"], 0.0)
+    return {"boxes": boxes, "scores": columns["scores"], "class_ids": class_ids,
+            "velocities": velocities, "has_velocity": has_velocity}
+
+
+_PARSERS = {(False, False): formats.parse_mot_detections, (False, True): formats.parse_mot_results,
+            (True, False): formats.parse_3d_detections, (True, True): formats.parse_3d_results}
+
+
+@pytest.mark.parametrize("is_3d, results", [(False, False), (False, True), (True, False),
+                                             (True, True)],
+                         ids=["mot_detections", "mot_results", "3d_detections", "3d_results"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hostile_file_lines(is_3d, results, data):
+    # Result files keep the rules of scored boxes, without the detection-only
+    # ones, and a MOT line has no velocity.
+    defects = _ROW_DEFECTS if is_3d and not results else _ROW_DEFECTS_2D
+    columns, defect, _, row = data.draw(detection_frames(defects, is_3d))
+    parse = _PARSERS[is_3d, results]
+    text = file_text(columns, results)
+    held = read_back(columns, results)
+    if defect is not None:
+        # A result row breaks the rule a detection row with its box and score
+        # breaks first: the detection-only rules are not drawn for it.
+        with pytest.raises(ValueError) as built:
+            DetectionFrame(**held)
+        column_row, rule = str(built.value).split(": ", 1)
+        assert column_row.endswith(f" row {row}")
+        with pytest.raises(ValueError) as parsed:
+            parse(text)
+        assert str(parsed.value) == f"line {row + 1}: {rule}"
+        return
+    parsed = parse(text)
+    if results:
+        got = {"boxes": parsed.boxes, "scores": parsed.scores, "class_ids": parsed.class_ids}
+        assert parsed.track_ids.tolist() == list(range(1, len(parsed.track_ids) + 1))
+    else:
+        frame = parsed[0]
+        got = {name: getattr(frame, name) for name in held}
+    for name, column in got.items():
+        assert column.dtype == held[name].dtype and np.array_equal(column, held[name]), name

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from motrack import formats
-from motrack.association import Mode
+from motrack.association import Detection, Mode
 from motrack.formats import (
     parse_3d_detections,
     parse_3d_results,
@@ -26,6 +26,7 @@ from motrack.simulate import clutter_suite, generate_scenario, motion_ablation_s
 from motrack.tracker import TrackOutput, run_sequence
 from oracle_utils import (
     box3d_line,
+    detection_frame,
     mot_line,
     parse_3d_detections_lines,
     parse_3d_results_lines,
@@ -59,6 +60,8 @@ class TestMotParsing:
             ("x,-1,10,20,30,40,0.9,-1,-1,-1", "frame"),  # non-integer frame
             ("1,-1,10,20,30,40,1.5,-1,-1,-1", "score"),  # score out of range
             ("1,-1,10,20,0,40,0.9,-1,-1,-1", "size"),  # zero width
+            # x + w rounds back to x, so the box has zero width.
+            ("1,-1,1e10,0,1e-10,10,0.9,-1,-1,-1", "box size must be positive, got w=0.0, h=10.0"),
             ("0,-1,10,20,30,40,0.9,-1,-1,-1", "frame"),  # frame below 1
             ("1,-1,nan,20,30,40,0.9,-1,-1,-1", "corners out of order"),  # NaN x
             ("1,-1,10,nan,30,40,0.9,-1,-1,-1", "corners out of order"),  # NaN y
@@ -181,6 +184,10 @@ class Test3DFormat:
             ("1,-1,car,0,0,0.8,0,4,2,1.5,nan,0.5,0.5", "velocity must be finite"),
             ("1,-1,car,0,0,0.8,0,4,2,1.5,0.5,inf,0.5", "velocity must be finite"),
             ("1,-1,car,0,0,0.8,0,4,2,1.5,1e400,0,0.5", "velocity must be finite"),
+            ("1,-1,car,0,0,0.8,0,4,2,1.5,0,-1.0000000000000002e+100,0.5",
+             "detection velocity must be finite and at most 1e+100 in magnitude"),
+            ("1,-1,car,0,1.0000000000000002e+100,0.8,0,4,2,1.5,,,0.5",
+             "detection x, y, z, l, w and h must be at most 1e+100 in magnitude"),
             ("1,-1,car,0,0,0.8,0,4,2,1.5,,0.5,0.5", "vx and vy"),
             ("1,-1,car,0,0,0.8,0,4,2,1.5,x,0.5,0.5", "vx is not a number"),
             ("1,-1,car,nan,0,0.8,0,4,2,1.5,,,0.5", "must be finite"),
@@ -232,6 +239,18 @@ class TestColumns:
         assert buf.getvalue() == "".join(
             box3d_line(f, -1, d.box, d.score, d.class_id, d.velocity) + "\n"
             for f, dets in enumerate(frames, start=1) for d in dets)
+
+    @pytest.mark.parametrize("mode", [Mode.BOX_2D, Mode.BOX_3D])
+    def test_write_detections_rejects_boxes_of_the_other_mode(self, mode):
+        # 3D rows written as MOT lines came out as 2D boxes; 2D rows failed
+        # to unpack as 3D ones.
+        other = Box3D(0, 0, 0.8, 0, 4, 2, 1.5) if mode is Mode.BOX_2D else Box2D(0, 0, 10, 20)
+        frame = detection_frame([Detection(other, 0.9)], mode)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(
+                f"{type(other).__name__} detection in {mode.value} mode")):
+            write_detections([frame], mode, buf)
+        assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("parse", [parse_mot_detections, parse_3d_detections])
     def test_huge_frame_index_in_bounded_memory(self, parse):

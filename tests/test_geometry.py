@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from motrack.geometry import (
     Box2D,
     Box3D,
-    box2d_array,
-    box3d_array,
     giou_3d_pairs,
     iou_matrix_2d,
     wrap_angle,
@@ -19,6 +17,8 @@ from motrack.geometry import (
 from oracle_utils import (
     bev_intersection_area,
     bev_intersection_area_clip,
+    box2d_array,
+    box3d_array,
     giou_3d,
     giou_3d_clip,
     giou_3d_voxel,

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import motion
 from .assignment import solve_assignment
-from .geometry import (MAX_3D_MAGNITUDE, MAX_BOX2D_AREA, Box, Box2D, Box3D, giou_3d_pairs,
-                       iou_matrix_2d)
+from .geometry import (MAX_2D_ASPECT, MAX_3D_MAGNITUDE, MAX_BOX2D_AREA, MAX_TRACK_BUFFER, Box,
+                       Box2D, Box3D, giou_3d_pairs, iou_matrix_2d, wrap_angles)
 
 # Fallback key in per-class gate maps.
 DEFAULT_GATE_KEY = -1
@@ -110,8 +110,9 @@ def row_rules(boxes: np.ndarray, scores: np.ndarray | None = None,
     """The rules rows of the given columns keep, in order, each (the column it
     checks, a mask of the rows breaking it, the message for row i): those of
     Box2D / Box3D; with scores, a positive 2D size (the 2D Kalman measurement
-    divides by the height) and scores in [0, 1]; with velocities, 3D x, y, z,
-    l, w, h and set velocities of at most MAX_3D_MAGNITUDE in magnitude."""
+    divides by the height) and scores in [0, 1]; with velocities (detections),
+    the bounds of geometry: 2D heights, 3D x, y, z, l, w, h and set velocities
+    within MAX_3D_MAGNITUDE in magnitude, 2D w/h and h/w within MAX_2D_ASPECT."""
     finite = ~np.isfinite(boxes).all(axis=1)
     if boxes.shape[1] == 7:
         rules = [("boxes", ~(boxes[:, 4:] > 0.0).all(axis=1), lambda i: "Box3D dimensions must "
@@ -140,10 +141,28 @@ def row_rules(boxes: np.ndarray, scores: np.ndarray | None = None,
             rules.append(("boxes", ~(np.abs(fields) <= MAX_3D_MAGNITUDE).all(axis=1), lambda i:
                           f"detection x, y, z, l, w and h must be {bound}, "
                           f"got {tuple(fields[i].tolist())}"))
+        else:
+            width, height = sizes.T
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                scale = ((height <= MAX_3D_MAGNITUDE) & (width / height <= MAX_2D_ASPECT)
+                         & (height / width <= MAX_2D_ASPECT))
+            rules.append(("boxes", ~scale, lambda i: "detection height must be at most "
+                          f"{MAX_3D_MAGNITUDE!r} and w/h, h/w at most {MAX_2D_ASPECT!r}, "
+                          "got w={}, h={}".format(*sizes[i].tolist())))
         too_large = ~(np.abs(velocities) <= MAX_3D_MAGNITUDE).all(axis=1)
         rules.append(("velocities", has_velocity & too_large, lambda i: "detection velocity "
                       f"must be finite and {bound}, got {tuple(velocities[i].tolist())}"))
     return rules
+
+
+def _wrap_yaw(boxes: np.ndarray) -> np.ndarray:
+    """3D parameter rows with their yaws wrapped (wrap_angles), copied only if one moves."""
+    if boxes.shape[1] != 7:
+        return boxes
+    yaws = wrap_angles(boxes[:, 3])
+    if np.may_share_memory(yaws, boxes):
+        return boxes
+    return np.concatenate((boxes[:, :3], yaws[:, None], boxes[:, 4:]), axis=1)
 
 
 def check_rows(rules: list[tuple[str, np.ndarray, Callable[[int], str]]]) -> None:
@@ -161,9 +180,10 @@ class DetectionFrame:
 
     boxes holds parameter rows, (x1, y1, x2, y2) or (x, y, z, theta, l, w, h);
     scores and class_ids one value per row, and velocities the planar (vx, vy)
-    of the rows where has_velocity is set (0 elsewhere). The columns are kept
-    as given and checked once, here (check_columns, row_rules). Iterating or
-    indexing yields Detection objects, built on first use.
+    of the rows where has_velocity is set. The columns are checked once, here
+    (check_columns, row_rules), and kept as given but for 3D yaws, wrapped to
+    (-pi, pi], and unset velocities, zeroed, each in a copy made only then.
+    Iterating or indexing yields Detection objects, built on first use.
     """
 
     boxes: np.ndarray
@@ -182,6 +202,10 @@ class DetectionFrame:
         if self.has_velocity.dtype != bool:
             raise ValueError(f"has_velocity must have a bool dtype, got {self.has_velocity.dtype}")
         check_rows(row_rules(self.boxes, self.scores, self.velocities, self.has_velocity))
+        object.__setattr__(self, "boxes", _wrap_yaw(self.boxes))
+        unset = ~self.has_velocity & (self.velocities != 0.0).any(axis=1)
+        if unset.any():
+            object.__setattr__(self, "velocities", np.where(unset[:, None], 0.0, self.velocities))
 
     @cached_property
     def detections(self) -> tuple[Detection, ...]:
@@ -242,8 +266,9 @@ class TrackerConfig:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if not isinstance(self.track_buffer, Integral) or isinstance(self.track_buffer, bool):
             raise ValueError(f"track_buffer must be an integer, got {self.track_buffer!r}")
-        if self.track_buffer < 1:
-            raise ValueError(f"track_buffer must be >= 1, got {self.track_buffer}")
+        if not 1 <= self.track_buffer <= MAX_TRACK_BUFFER:
+            raise ValueError(f"track_buffer must be in [1, {MAX_TRACK_BUFFER}], "
+                             f"got {self.track_buffer}")
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < 0:
@@ -619,7 +644,7 @@ def step(
 
     out = pool.active.nonzero()[0]
     # Output rows are matched or spawned this frame, so their yaw is already
-    # wrapped by the update or the measurement.
+    # wrapped by the update or the measurement (DetectionFrame wraps it).
     boxes = motion.box_rows(pool.means[out], is_3d)
     if not np.isfinite(boxes).all():
         check_rows(row_rules(boxes))

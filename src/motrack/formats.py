@@ -20,13 +20,15 @@ writers format from the same columns.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import fields
+from enum import Enum
 from itertools import repeat
 from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .association import DEFAULT_GATE_KEY, DetectionFrame, Mode, check_mode, row_rules
-from .geometry import wrap_angles
+from .association import (DEFAULT_GATE_KEY, DetectionFrame, Mode, TrackerConfig, check_mode,
+                          row_rules)
 from .tracker import CLASS_IDS, CLASS_NAMES, TrackOutput
 
 _MOT_FIELDS = 10
@@ -202,7 +204,10 @@ def _mot_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
             rows.floats(k, name)
         with np.errstate(over="ignore", invalid="ignore"):
             boxes = np.stack((x, y, x + w, y + h), axis=1)
-        rows.raise_first(frames, ids, row_rules(boxes, scores), results)  # MOT has no velocity
+        # MOT has no velocity; detection rows are checked as detections.
+        rules = (row_rules(boxes, scores) if results else
+                 row_rules(boxes, scores, np.zeros((len(boxes), 2)), np.zeros(len(boxes), bool)))
+        rows.raise_first(frames, ids, rules, results)
         chunks.append((frames, ids, scores, boxes))
     return _concat(chunks)
 
@@ -282,7 +287,6 @@ def _3d_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
         scores = rows.floats(12, "score")
         rows.raise_first(frames, ids, row_rules(boxes, scores) if results
                          else row_rules(boxes, scores, velocities, has_vx), results)
-        boxes[:, 3] = wrap_angles(boxes[:, 3])
         chunks.append((frames, ids, class_ids, scores, boxes, velocities, has_vx))
     return _concat(chunks)
 
@@ -349,41 +353,25 @@ def write_detections(frames: Iterable[DetectionFrame], mode: Mode, sink: IO[str]
 
 # --- config files -----------------------------------------------------------------
 
-_SCALAR_KEYS = {
-    "mode": str,
-    "modality": str,
-    "tau": float,
-    "gate_first": float,
-    "gate_second": float,
-    "track_buffer": int,
-    "alpha": float,
-    "adaptive_r": bool,
-    "second_pass": bool,
-    "motion_strategy": str,
-}
+# The type each scalar key is parsed as: a config field's default type (an
+# enum's value is read as a string), and modality.
+_SCALAR_KEYS = {field.name: str if isinstance(field.default, Enum) else type(field.default)
+                for field in fields(TrackerConfig)} | {"modality": str}
 
 
-def _parse_float(token: str, line_no: int, name: str) -> float:
+def _parse_scalar(kind: type, token: str, line_no: int, name: str) -> object:
+    """token read as kind, a type of _SCALAR_KEYS."""
+    if kind is bool:
+        if token.lower() in ("true", "1", "yes", "on"):
+            return True
+        if token.lower() in ("false", "0", "no", "off"):
+            return False
+        raise _fail(line_no, f"{name} must be a boolean, got {token!r}")
     try:
-        return float(token)
+        return kind(token)
     except ValueError:
-        raise _fail(line_no, f"{name} is not a number: {token!r}") from None
-
-
-def _parse_int(token: str, line_no: int, name: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise _fail(line_no, f"{name} is not an integer: {token!r}") from None
-
-
-def _parse_bool(token: str, line_no: int, name: str) -> bool:
-    lowered = token.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise _fail(line_no, f"{name} must be a boolean, got {token!r}")
+        article = "an integer" if kind is int else "a number"
+        raise _fail(line_no, f"{name} is not {article}: {token!r}") from None
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -412,21 +400,11 @@ def parse_config_text(text: str) -> dict[str, object]:
                 class_id = CLASS_IDS[label]
             else:
                 raise _fail(line_no, f"unknown class label {label!r}")
-            class_gates.setdefault(base, {})[class_id] = _parse_float(
-                value, line_no, key
-            )
+            class_gates.setdefault(base, {})[class_id] = _parse_scalar(float, value, line_no, key)
             continue
         if key not in _SCALAR_KEYS:
             raise _fail(line_no, f"unknown config key {key!r}")
-        kind = _SCALAR_KEYS[key]
-        if kind is bool:
-            options[key] = _parse_bool(value, line_no, key)
-        elif kind is float:
-            options[key] = _parse_float(value, line_no, key)
-        elif kind is int:
-            options[key] = _parse_int(value, line_no, key)
-        else:
-            options[key] = value
+        options[key] = _parse_scalar(_SCALAR_KEYS[key], value, line_no, key)
     for base, table in class_gates.items():
         if base in options:
             raise ValueError(f"{base} given both as a scalar and a per-class table")

@@ -28,8 +28,16 @@ MAX_BOX2D_AREA = sys.float_info.max / 2
 # enclosure volume, 3D tracking's largest product, is finite while its spans are
 # below 5.6e102 = 560B. Shifted detections lie within 2B + B / sqrt(2) < 3B of the
 # origin; Kalman estimates within 2B, drifting at most B / 4 per lost frame (gains
-# do not depend on the values), so spans stay below 560B for tracks lost < 2000 frames.
+# do not depend on the values), so spans stay below 560B for tracks lost < 2000
+# frames, and a track is lost at most track_buffer <= MAX_TRACK_BUFFER frames.
 MAX_3D_MAGNITUDE = 1e100
+MAX_TRACK_BUFFER = 1000
+# A 2D detection has a height of at most B and w/h, h/w of at most A. The 2D
+# filter divides w by h and squares height-scaled noise: over L < 2000 lost
+# frames a height variance grows to about L^2 (h / 16)^2 + L^3 (h / 160)^2 / 3
+# < 1.3e5 h^2, and aspect estimates, sums of w/h measurements whose coefficients
+# add up to less than 1.01 + 0.002 L (the aspect noise is fixed), stay within 5A.
+MAX_2D_ASPECT = 1e307
 
 # On-edge classification tolerance of the footprint intersection.
 _CLIP_EPS = 1e-9
@@ -45,22 +53,20 @@ _SLOT_INDEX = np.arange(20)[:, None]
 _NEXT_SLOT = np.roll(np.arange(20), -1)
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to the interval (-pi, pi]."""
-    wrapped = math.remainder(theta, math.tau)
-    if wrapped <= -math.pi:
-        wrapped += math.tau
-    return wrapped
-
-
 def wrap_angles(thetas: np.ndarray) -> np.ndarray:
-    """wrap_angle over an array: finite entries outside (-pi, pi] are wrapped
-    one by one with its exact remainder, the rest are returned as they are."""
-    outside = np.isfinite(thetas) & ~((thetas > -math.pi) & (thetas <= math.pi))
-    if not outside.any():
+    """Angles wrapped to (-pi, pi], exactly: this is the one yaw rule.
+
+    Each finite entry is reduced by fmod, which is exact, then moved by at
+    most one turn, exact by Sterbenz's lemma as the remainder lies within a
+    factor 2 of tau. The input itself is returned when every entry lies in
+    (-pi, pi]; non-finite entries are left as they are.
+    """
+    if ((thetas > -math.pi) & (thetas <= math.pi)).all():
         return thetas
-    wrapped = thetas.copy()
-    wrapped[outside] = [wrap_angle(t) for t in thetas[outside].tolist()]
+    wrapped = np.fmod(thetas, math.tau, out=thetas.astype(float), where=np.isfinite(thetas))
+    # Subtracting the step (0 for most entries) keeps the sign of a zero.
+    wrapped -= np.where(wrapped > math.pi, math.tau,
+                        np.where(wrapped <= -math.pi, -math.tau, 0.0))
     return wrapped
 
 
@@ -79,8 +85,7 @@ class Box2D:
             raise ValueError(
                 f"Box2D corners out of order: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
             )
-        if not (math.isfinite(self.x1) and math.isfinite(self.y1)
-                and math.isfinite(self.x2) and math.isfinite(self.y2)):
+        if not all(map(math.isfinite, vars(self).values())):
             raise ValueError("Box2D coordinates must be finite")
         width, height = self.x2 - self.x1, self.y2 - self.y1
         if not width * height <= MAX_BOX2D_AREA:
@@ -111,12 +116,10 @@ class Box3D:
             raise ValueError(
                 f"Box3D dimensions must be positive, got l={self.l}, w={self.w}, h={self.h}"
             )
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-                and math.isfinite(self.theta) and math.isfinite(self.l)
-                and math.isfinite(self.w) and math.isfinite(self.h)):
+        if not all(map(math.isfinite, vars(self).values())):
             raise ValueError("Box3D fields must be finite")
         if not -math.pi < self.theta <= math.pi:
-            object.__setattr__(self, "theta", wrap_angle(self.theta))
+            object.__setattr__(self, "theta", float(wrap_angles(np.array(self.theta))))
 
 
 Box = Union[Box2D, Box3D]

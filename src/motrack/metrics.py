@@ -308,8 +308,6 @@ def _frame_step(
     """
     start = 0 if min_score is None else bisect_left(table.pair_scores, min_score)
     kept = table.pairs[start:]
-    if table.isolated:
-        return dict(kept)
     matched = dict(persisting.items() & kept) if persisting else {}
     used = set(matched.values())
     free = [(gid, pid, value) for (gid, pid), value in zip(kept, table.values[start:])

@@ -28,9 +28,9 @@ l, w, h) in 3D.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .geometry import wrap_angles
 
 STATE_DIM_2D = 8
 OBS_DIM_2D = 4
@@ -133,14 +133,6 @@ def _r_diags(zs: np.ndarray, is_3d: bool) -> np.ndarray:
     return stds**2
 
 
-def _wrap_theta(rows: np.ndarray) -> None:
-    """Wrap the yaw column of 3D rows to (-pi, pi] in place."""
-    theta = rows[:, _THETA_INDEX]
-    theta = np.arctan2(np.sin(theta), np.cos(theta))
-    theta[theta <= -math.pi] += math.tau
-    rows[:, _THETA_INDEX] = theta
-
-
 def init_arrays(zs: np.ndarray, is_3d: bool) -> tuple[np.ndarray, np.ndarray]:
     """Start one track per measurement row: positions measured, velocities zero."""
     k, obs = zs.shape
@@ -225,7 +217,7 @@ def update_arrays(
 
     innovation = zs - means[:, :obs]
     if is_3d:
-        _wrap_theta(innovation)
+        innovation[:, _THETA_INDEX] = wrap_angles(innovation[:, _THETA_INDEX])
     # gain[:, 0] weights the innovation into positions, gain[:, 1] into velocities.
     gain = covs[:, :2] / (covs[:, 0] + r)[:, None]
     increment = gain * innovation[:, None]
@@ -233,7 +225,7 @@ def update_arrays(
     new_means[:, :obs] += increment[:, 0]
     new_means[:, obs:] += increment[:, 1, : means.shape[1] - obs]
     if is_3d:
-        _wrap_theta(new_means)
+        new_means[:, _THETA_INDEX] = wrap_angles(new_means[:, _THETA_INDEX])
     new_covs = np.empty_like(covs)
     new_covs[:, :2] = gain * r[:, None]
     new_covs[:, 2] = covs[:, 2] - gain[:, 1] * covs[:, 1]

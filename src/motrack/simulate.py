@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .association import DetectionFrame, Mode, box_width
-from .geometry import wrap_angle, wrap_angles
 from .tracker import CLASS_IDS, TrackOutput
 
 
@@ -150,14 +149,15 @@ def _positions(obj: ObjectSpec, duration: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _yaws(vel: np.ndarray) -> np.ndarray:
-    """Heading per frame, in (-pi, pi]; held through zero-velocity stretches."""
+    """Heading per frame, held through zero-velocity stretches; DetectionFrame
+    and TrackOutput wrap it."""
     yaw = np.zeros(len(vel))
     current = 0.0
     for i, (vx, vy) in enumerate(vel):
         if abs(vx) > 1e-12 or abs(vy) > 1e-12:
             current = math.atan2(vy, vx)
         yaw[i] = current
-    return wrap_angles(yaw)
+    return yaw
 
 
 def _box_row(spec: ScenarioSpec, obj: ObjectSpec, pos, yaw: float) -> tuple[float, ...]:
@@ -240,7 +240,7 @@ def generate_scenario(
                     box = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
                     detections.append((box, score, 0, None))
                 else:
-                    box = (cx, cy, 0.8, wrap_angle(rng.uniform(-math.pi, math.pi)),
+                    box = (cx, cy, 0.8, rng.uniform(-math.pi, math.pi),
                            rng.uniform(3.0, 5.0), rng.uniform(1.5, 2.1), rng.uniform(1.3, 1.9))
                     detections.append((box, score, CLASS_IDS["car"], None))
         boxes, scores, class_ids, velocities = zip(*detections) if detections else ((),) * 4

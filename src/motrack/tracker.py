@@ -24,6 +24,7 @@ from .association import (
     TrackPool,
     TrackRecord,
     _enum_member,
+    _wrap_yaw,
     box_width,
     check_columns,
     check_rows,
@@ -59,10 +60,11 @@ class TrackOutput:
 
     Row i is one confirmed box: frames[i] (the frame number), track_ids[i],
     class_ids[i], scores[i] and boxes[i], a parameter row (x1, y1, x2, y2 or
-    x, y, z, theta, l, w, h). The columns are kept as given, without copying,
-    and checked as a DetectionFrame's are (check_columns: boxes of width
-    box_width(mode), integer frames, track_ids and class_ids; row_rules of
-    the boxes alone, scores being left to the metrics). Rows are sorted by
+    x, y, z, theta, l, w, h). The columns are checked as a DetectionFrame's
+    are (check_columns: boxes of width box_width(mode), integer frames,
+    track_ids and class_ids; row_rules of the boxes alone, scores being left
+    to the metrics) and kept as given, without copying, except that a 3D yaw
+    outside (-pi, pi] is wrapped into it in a copy of boxes. Rows are sorted by
     frame, each (frame, id) pair once, and every frame lies in [1, n_frames].
     records holds the same rows as TrackRecords, built on first use.
     """
@@ -82,6 +84,7 @@ class TrackOutput:
                                    "class_ids": self.class_ids, "scores": self.scores},
                       ("frames", "track_ids", "class_ids"), (box_width(self.mode),))
         check_rows(row_rules(self.boxes))
+        object.__setattr__(self, "boxes", _wrap_yaw(self.boxes))
         if np.any(frames[1:] < frames[:-1]):
             raise ValueError("record frames must be non-decreasing")
         order = np.lexsort((track_ids, frames))

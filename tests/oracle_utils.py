@@ -9,7 +9,8 @@ the solver's conflict-free short path, the once-per-frame scoring and update,
 the padded blocks of frames the evaluators score at once, the sparse tables,
 the per-gt identity-switch sequences and the columnar parsers.
 
-A few helpers are thin wrappers the tests share rather than oracles:
+wrap_angle is the reference yaw wrap, an exact remainder taken one angle at a
+time. A few helpers are thin wrappers the tests share rather than oracles:
 box2d_array and box3d_array (the parameter rows of Box2D / Box3D objects), the
 gate-taking solve_gated, the scalar giou_3d and bev_intersection_area over
 the array kernels, output_of (a TrackOutput over TrackRecords' columns),
@@ -23,7 +24,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from motrack.geometry import MAX_3D_MAGNITUDE, Box2D, Box3D
+from motrack.geometry import MAX_2D_ASPECT, MAX_3D_MAGNITUDE, Box2D, Box3D
+
+
+def wrap_angle(theta: float) -> float:
+    """theta wrapped to (-pi, pi]: its exact remainder by tau, moved up a turn
+    at -pi."""
+    wrapped = math.remainder(theta, math.tau)
+    return wrapped + math.tau if wrapped <= -math.pi else wrapped
 
 
 def box2d_array(boxes) -> np.ndarray:
@@ -905,9 +913,15 @@ def _parse_mot_line(line: str, line_no: int):
 def parse_mot_detections_lines(text: str) -> list[list]:
     from motrack.association import Detection
 
-    return _dense_frames([(frame, Detection(box, score))
-                          for line_no, line in _iter_lines(text)
-                          for frame, _, box, score in [_parse_mot_line(line, line_no)]])
+    parsed = []
+    for line_no, line in _iter_lines(text):
+        frame, _, box, score = _parse_mot_line(line, line_no)
+        w, h = box.x2 - box.x1, box.y2 - box.y1
+        if not (h <= MAX_3D_MAGNITUDE and w / h <= MAX_2D_ASPECT and h / w <= MAX_2D_ASPECT):
+            raise _fail(line_no, f"detection height must be at most {MAX_3D_MAGNITUDE!r} and "
+                                 f"w/h, h/w at most {MAX_2D_ASPECT!r}, got w={w}, h={h}")
+        parsed.append((frame, Detection(box, score)))
+    return _dense_frames(parsed)
 
 
 def parse_mot_results_lines(text: str):

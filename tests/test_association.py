@@ -19,7 +19,8 @@ from motrack.association import (
     predict_tracks,
     resolve_gate,
 )
-from motrack.geometry import MAX_3D_MAGNITUDE, Box2D, Box3D, giou_3d_pairs
+from motrack.geometry import (MAX_2D_ASPECT, MAX_3D_MAGNITUDE, MAX_TRACK_BUFFER, Box2D, Box3D,
+                               giou_3d_pairs)
 from motrack.motion import box_rows, inflate_arrays, predict_arrays
 from motrack.simulate import (
     DropoutSpan,
@@ -98,8 +99,9 @@ class TestDetection:
                 "magnitude, got (inf, 0.0)")):
             DetectionFrame(**frame_columns(velocities=np.array([[0.0, 0.0], [np.inf, 0.0]]),
                                            has_velocity=np.ones(2, dtype=bool)))
-        # Rows without a velocity hold 0 by convention; what they hold is not read.
-        DetectionFrame(**frame_columns(velocities=np.array([[0.0, 0.0], [np.inf, 0.0]])))
+        # A row without a velocity may hold anything there: the frame zeroes it.
+        frame = DetectionFrame(**frame_columns(velocities=np.array([[0.0, 0.0], [np.inf, 0.0]])))
+        assert frame.velocities.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
     def test_step_rejects_column_scores_out_of_range(self, bad):
@@ -213,6 +215,62 @@ def test_3d_detection_past_the_magnitude_bound_rejected(column, index):
         DetectionFrame(**columns)
 
 
+@pytest.mark.parametrize("unset", [5.0, np.inf, np.nan], ids=["five", "inf", "nan"])
+def test_velocity_without_has_velocity_is_not_read(unset):
+    # The backward shift once subtracted what such a row held: 5 moved the
+    # static car out of its gate, so it spawned id 2; inf warned in the
+    # kernel, and NaN failed the similarity check.
+    pool = TrackPool()
+    row = np.array([[0.0, 0.0, 0.8, 0.0, 4.5, 1.9, 1.6]])
+    for index, velocity in ((1, 0.0), (2, unset)):
+        frame = DetectionFrame(row, np.array([0.9]), np.array([2]), np.array([[velocity, 0.0]]),
+                               np.zeros(1, dtype=bool))
+        result = association.step(pool, index, frame, CFG_3D)
+    assert frame.velocities.tolist() == [[0.0, 0.0]] and result.track_ids.tolist() == [1]
+    assert result.diagnostics.first_matches == ((0, 1),)
+
+
+def test_2d_detections_at_the_scale_bound_step_cleanly():
+    # Boxes at the largest height, w/h and h/w, each alternating with one
+    # half its height or width so that its track gains a velocity, then lost
+    # through the longest rebirth buffer before they return. Every Kalman
+    # step stays finite: RuntimeWarnings are errors here.
+    bound, aspect = MAX_3D_MAGNITUDE, MAX_2D_ASPECT
+    thin = np.nextafter(bound / aspect, np.inf)
+    config = TrackerConfig(track_buffer=MAX_TRACK_BUFFER)
+    pool = TrackPool()
+
+    def frame(half):
+        scale = 0.5 if half else 1.0
+        boxes = np.array([[0.0, 0.0, 1.0, bound * scale], [0.0, 0.0, aspect * scale, 1.0],
+                          [0.0, 0.0, thin * (2.0 - scale), bound]])
+        return DetectionFrame(boxes, np.full(3, 0.9), np.zeros(3, dtype=np.int64),
+                              np.zeros((3, 2)), np.zeros(3, dtype=bool))
+
+    for index in range(1, 7):
+        matched = association.step(pool, index, frame(index % 2 == 0), config).diagnostics
+    result = association.step(pool, 6 + MAX_TRACK_BUFFER, frame(False), config)
+    # The tracks matched last, drifted by their velocities, were scored again.
+    assert len(matched.first_matches) == 2 and np.isfinite(result.boxes).all()
+    assert {track for _, track in matched.first_matches} <= set(pool.ids.tolist())
+    assert np.isfinite(pool.means).all() and np.isfinite(pool.covs).all()
+
+
+@pytest.mark.parametrize("box", [[0.0, 0.0, 1e-10, 1e200], [0.0, 0.0, 1.0, 5e-324],
+                                 [0.0, 0.0, 1.0, 1.0000000000000002e100],
+                                 [0.0, 0.0, 2.0 * MAX_2D_ASPECT, 1.0],
+                                 [0.0, 0.0, 0.5 / MAX_2D_ASPECT, 1.0]],
+                         ids=["tall_and_thin", "flat", "tall", "wide", "narrow"])
+def test_2d_detection_past_the_scale_bound_rejected(box):
+    # Unchecked, stepping the first box twice overflowed in the square of the
+    # height-scaled noise, and the second in the division w / h.
+    with pytest.raises(ValueError, match=re.escape(
+            f"boxes row 0: detection height must be at most 1e+100 and w/h, h/w at most "
+            f"{MAX_2D_ASPECT!r}, got w={box[2]}, h={box[3]}")):
+        DetectionFrame(np.array([box]), np.array([0.9]), np.zeros(1, dtype=np.int64),
+                       np.zeros((1, 2)), np.zeros(1, dtype=bool))
+
+
 class TestConfig:
     def test_tau_range(self):
         with pytest.raises(ValueError):
@@ -223,6 +281,15 @@ class TestConfig:
     def test_buffer_positive(self):
         with pytest.raises(ValueError):
             TrackerConfig(track_buffer=0)
+
+    def test_buffer_bounded(self):
+        # The drift bounds of the 3D and 2D detection rules hold for tracks
+        # lost fewer than 2000 frames.
+        assert TrackerConfig(track_buffer=MAX_TRACK_BUFFER).track_buffer == 1000
+        for buffer in (MAX_TRACK_BUFFER + 1, 10**9):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"track_buffer must be in [1, 1000], got {buffer}")):
+                TrackerConfig(track_buffer=buffer)
 
     def test_velocity_strategies_need_3d(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ Drawn frames written as file lines must fail at the broken row's line with
 the constructor's rule text, or parse back to the same columns.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,15 +18,18 @@ from hypothesis import strategies as st
 
 from motrack import association, formats
 from motrack.association import DetectionFrame, Mode, TrackerConfig, TrackPool
-from motrack.geometry import MAX_3D_MAGNITUDE
+from motrack.geometry import MAX_2D_ASPECT, MAX_3D_MAGNITUDE
 from motrack.metrics import amota, clear_mot, idf1
 from motrack.tracker import TrackOutput, default_config
+from oracle_utils import wrap_angle
 
 _DEFECTS = ("unequal_length", "float_ids", "non_finite_box", "bad_box_extent")
-# The row defects a file line can carry; a MOT line has no velocity.
+# The row defects a result line can carry, and those a detection line of a
+# MOT (no velocity) or 3D file can carry.
 _ROW_DEFECTS_2D = ("non_finite_box", "bad_box_extent", "zero_size", "score_out_of_range")
-_ROW_DEFECTS = _ROW_DEFECTS_2D + ("past_bound", "non_finite_velocity")
-_DETECTION_DEFECTS = _DEFECTS + ("zero_size", "past_bound", "score_out_of_range",
+_DETECTION_ROW_DEFECTS = {False: _ROW_DEFECTS_2D + ("past_scale",),
+                          True: _ROW_DEFECTS_2D + ("past_bound", "non_finite_velocity")}
+_DETECTION_DEFECTS = _DEFECTS + ("zero_size", "past_bound", "past_scale", "score_out_of_range",
                                  "velocity_shape", "non_finite_velocity")
 _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 _PAST_BOUND = np.nextafter(MAX_3D_MAGNITUDE, np.inf)
@@ -69,7 +74,11 @@ def break_column(draw, columns: dict, defect: str, ids: tuple[str, ...], row: in
         boxes[row, axis + 2] = boxes[row, axis]
     elif defect == "zero_size":
         boxes[row, draw(st.integers(4, 6))] = 0.0
-    elif defect == "past_bound":  # x, y, z (either sign), l, w or h
+    elif defect == "past_scale" and width == 4:  # past the height, w/h or h/w bound
+        boxes[row] = draw(st.sampled_from([[0.0, 0.0, 1.0, _PAST_BOUND],
+                                           [0.0, 0.0, 2.0 * MAX_2D_ASPECT, 1.0],
+                                           [0.0, 0.0, 0.5 / MAX_2D_ASPECT, 1.0]]))
+    elif defect in ("past_bound", "past_scale"):  # x, y, z (either sign), l, w or h
         index = draw(st.sampled_from([0, 1, 2, 4, 5, 6]))
         boxes[row, index] = -_PAST_BOUND if index < 3 and draw(st.booleans()) else _PAST_BOUND
     elif width == 4:  # corners swapped: x1 > x2 or y1 > y2
@@ -185,6 +194,40 @@ def test_hostile_output_columns(drawn):
     assert len(output.records) == len(output.frames)
 
 
+_YAWS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-10.0, 10.0),
+                  st.sampled_from([math.pi, -math.pi, math.tau, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(detection_frames(defects=(), is_3d=True), st.data())
+def test_3d_rows_enter_with_wrapped_yaws_and_set_velocities(drawn, data):
+    # Any finite yaw is wrapped to (-pi, pi] where the rows enter, and a row
+    # without has_velocity enters with velocity 0, whatever it held; the
+    # columns given are not modified, and the object views read the columns.
+    columns = drawn[0]
+    n = len(columns["scores"])
+    yaws = data.draw(st.lists(_YAWS, min_size=n, max_size=n))
+    columns["boxes"][:, 3] = yaws
+    has = columns["has_velocity"]
+    unset = 2 * int((~has).sum())
+    columns["velocities"][~has] = np.reshape(
+        data.draw(st.lists(st.floats(), min_size=unset, max_size=unset)), (-1, 2))
+    given = {name: column.copy() for name, column in columns.items()}
+    frame = DetectionFrame(**columns)
+    output = TrackOutput(np.ones(n, dtype=np.int64), np.arange(1, n + 1), columns["class_ids"],
+                         columns["scores"], columns["boxes"], Mode.BOX_3D, 1)
+    wrapped = [t if -math.pi < t <= math.pi else wrap_angle(t) for t in yaws]
+    for boxes in (frame.boxes, output.boxes):
+        assert [t.hex() for t in boxes[:, 3].tolist()] == [t.hex() for t in wrapped]
+        assert np.array_equal(np.delete(boxes, 3, axis=1), np.delete(given["boxes"], 3, axis=1))
+        assert (boxes is columns["boxes"]) == (wrapped == yaws)
+    assert np.array_equal(frame.velocities, np.where(has[:, None], given["velocities"], 0.0))
+    for name, column in given.items():
+        assert np.array_equal(columns[name], column, equal_nan=True), name
+    assert [d.box.theta for d in frame.detections] == frame.boxes[:, 3].tolist()
+    assert [r.box.theta for r in output.records] == output.boxes[:, 3].tolist()
+    assert [d.velocity for d in frame.detections] == [
+        tuple(v) if h else None for v, h in zip(frame.velocities.tolist(), has.tolist())]
 
 
 def file_text(columns: dict, results: bool) -> str:
@@ -229,7 +272,7 @@ _PARSERS = {(False, False): formats.parse_mot_detections, (False, True): formats
 def test_hostile_file_lines(is_3d, results, data):
     # Result files keep the rules of scored boxes, without the detection-only
     # ones, and a MOT line has no velocity.
-    defects = _ROW_DEFECTS if is_3d and not results else _ROW_DEFECTS_2D
+    defects = _ROW_DEFECTS_2D if results else _DETECTION_ROW_DEFECTS[is_3d]
     columns, defect, _, row = data.draw(detection_frames(defects, is_3d))
     parse = _PARSERS[is_3d, results]
     text = file_text(columns, results)

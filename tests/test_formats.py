@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import re
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from motrack import formats
-from motrack.association import Detection, Mode
+from motrack.association import Detection, DetectionFrame, Mode, MotionStrategy
 from motrack.formats import (
     parse_3d_detections,
     parse_3d_results,
@@ -23,7 +24,7 @@ from motrack.formats import (
 )
 from motrack.geometry import Box2D, Box3D
 from motrack.simulate import clutter_suite, generate_scenario, motion_ablation_suite
-from motrack.tracker import TrackOutput, run_sequence
+from motrack.tracker import TrackOutput, default_config, run_sequence
 from oracle_utils import (
     box3d_line,
     detection_frame,
@@ -70,6 +71,10 @@ class TestMotParsing:
             ("1,-1,10,20,inf,40,0.9,-1,-1,-1", "must be finite"),  # infinite w
             ("1,-1,-8e307,0,1.6e308,1e308,0.9,-1,-1,-1", "area must be finite"),  # w * h overflows
             ("1,-1,-5e307,0,1e308,1,0.9,-1,-1,-1", "at most"),  # two such areas overflow
+            # Past the 2D scale bounds: the height, then w / h.
+            ("1,-1,0,0,1e-10,1e200,0.9,-1,-1,-1", "detection height must be at most 1e+100 "
+             "and w/h, h/w at most 1e+307, got w=1e-10, h=1e+200"),
+            ("1,-1,0,0,1,5e-324,0.9,-1,-1,-1", "got w=1.0, h=5e-324"),
         ],
     )
     def test_malformed_lines_report_position(self, line, message):
@@ -77,6 +82,10 @@ class TestMotParsing:
         with pytest.raises(ValueError, match="line 2") as err:
             parse_mot_detections(text)
         assert message in str(err.value)
+
+    def test_results_keep_boxes_past_the_detection_scale_bound(self):
+        output = parse_mot_results("1,1,0,0,1,5e-324,0.9,-1,-1,-1\n")
+        assert output.boxes.tolist() == [[0.0, 0.0, 1.0, 5e-324]]
 
     def test_results_require_positive_ids(self):
         with pytest.raises(ValueError, match="id"):
@@ -161,6 +170,28 @@ class Test3DFormat:
         write_3d_results(output, buf)
         parsed = parse_3d_results(buf.getvalue())
         assert parsed.records == output.records
+
+    @pytest.mark.parametrize("strategy", list(MotionStrategy), ids=lambda s: s.value)
+    def test_yaw_outside_the_range_is_wrapped_where_it_enters(self, strategy):
+        # A frame built with yaw 4.0 once spawned a track whose output column
+        # read 4.0 while its record read -2.2831853071795862, and writing and
+        # parsing the output changed it.
+        def frame(x):
+            return DetectionFrame(np.array([[x, 0.0, 0.8, 4.0, 4.5, 1.9, 1.6],
+                                            [x, 9.0, 0.8, -7.0, 4.5, 1.9, 1.6]]),
+                                  np.array([0.9, 0.9]), np.array([2, 2]),
+                                  np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([True, False]))
+
+        config = dataclasses.replace(default_config(Mode.BOX_3D), motion_strategy=strategy)
+        output = run_sequence([frame(0.0), frame(0.5), frame(1.0)], config)
+        yaws = output.boxes[:, 3]
+        assert len(yaws) == 6 and ((yaws > -math.pi) & (yaws <= math.pi)).all()
+        assert [record.box.theta for record in output.records] == yaws.tolist()
+        buf = io.StringIO()
+        write_3d_results(output, buf)
+        parsed = parse_3d_results(buf.getvalue())
+        for name in ("frames", "track_ids", "class_ids", "scores", "boxes"):
+            assert np.array_equal(getattr(parsed, name), getattr(output, name)), name
 
     def test_3d_detections_round_trip(self):
         spec, seed = motion_ablation_suite(1)[0]

@@ -11,7 +11,6 @@ from motrack.geometry import (
     Box3D,
     giou_3d_pairs,
     iou_matrix_2d,
-    wrap_angle,
     wrap_angles,
 )
 from oracle_utils import (
@@ -24,6 +23,7 @@ from oracle_utils import (
     giou_3d_voxel,
     iou_2d,
     iou_2d_monte_carlo,
+    wrap_angle,
 )
 
 
@@ -77,14 +77,22 @@ class TestBoxValidation:
         assert -math.pi < Box3D(0, 0, 0, -math.pi, 1, 1, 1).theta <= math.pi
 
     def test_wrap_angle_interval(self):
-        for theta in (-math.pi, math.pi, 0.0, 7.5, -9.1, math.tau):
-            wrapped = wrap_angle(theta)
+        thetas = np.array([-math.pi, math.pi, 0.0, 7.5, -9.1, math.tau, 5e-324])
+        for theta, wrapped in zip(thetas.tolist(), wrap_angles(thetas).tolist()):
             assert -math.pi < wrapped <= math.pi
             assert math.isclose(math.cos(wrapped), math.cos(theta), abs_tol=1e-12)
 
+    def test_wrap_angles_returns_its_input_in_range_and_keeps_non_finite(self):
+        thetas = np.array([-3.0, 0.0, math.pi])
+        assert wrap_angles(thetas) is thetas
+        wrapped = wrap_angles(np.array([np.inf, -np.inf, np.nan, 4.0, -0.0]))
+        assert wrapped[:2].tolist() == [np.inf, -np.inf] and np.isnan(wrapped[2])
+        assert [t.hex() for t in wrapped[3:].tolist()] == [wrap_angle(4.0).hex(), (-0.0).hex()]
+
     @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                               st.sampled_from([math.pi, -math.pi, 3 * math.pi, math.tau,
-                                               math.nextafter(math.pi, 4.0)]),
+                                               -math.tau, math.nextafter(math.pi, 4.0),
+                                               1e308, -1e308, 5e-324, -0.0]),
                               st.floats(-20.0, 20.0)), max_size=8))
     def test_wrap_angles_equals_wrap_angle_bitwise(self, thetas):
         wrapped = wrap_angles(np.array(thetas, dtype=float)).tolist()

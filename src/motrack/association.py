@@ -33,8 +33,9 @@ import numpy as np
 
 from . import motion
 from .assignment import solve_assignment
-from .geometry import (MAX_2D_ASPECT, MAX_3D_MAGNITUDE, MAX_BOX2D_AREA, MAX_TRACK_BUFFER, Box,
-                       Box2D, Box3D, giou_3d_pairs, iou_matrix_2d, wrap_angles)
+from .geometry import (MAX_2D_ASPECT, MAX_3D_MAGNITUDE, MAX_ALPHA, MAX_BOX2D_AREA,
+                       MAX_TRACK_BUFFER, Box, Box2D, Box3D, giou_3d_pairs, iou_matrix_2d,
+                       wrap_angles)
 
 # Fallback key in per-class gate maps.
 DEFAULT_GATE_KEY = -1
@@ -108,23 +109,25 @@ def row_rules(boxes: np.ndarray, scores: np.ndarray | None = None,
               velocities: np.ndarray | None = None, has_velocity: np.ndarray | None = None,
               ) -> list[tuple[str, np.ndarray, Callable[[int], str]]]:
     """The rules rows of the given columns keep, in order, each (the column it
-    checks, a mask of the rows breaking it, the message for row i): those of
-    Box2D / Box3D; with scores, a positive 2D size (the 2D Kalman measurement
-    divides by the height) and scores in [0, 1]; with velocities (detections),
-    the bounds of geometry: 2D heights, 3D x, y, z, l, w, h and set velocities
-    within MAX_3D_MAGNITUDE in magnitude, 2D w/h and h/w within MAX_2D_ASPECT."""
+    checks, a mask of the rows breaking it, the message for row i): the box
+    rules, which run nowhere else; with scores, a positive 2D size (the 2D
+    Kalman measurement divides by the height) and scores in [0, 1]; with
+    velocities (detections), the bounds of geometry: 2D heights, 3D x, y, z,
+    l, w, h and set velocities within MAX_3D_MAGNITUDE in magnitude, 2D w/h
+    and h/w within MAX_2D_ASPECT."""
     finite = ~np.isfinite(boxes).all(axis=1)
     if boxes.shape[1] == 7:
-        rules = [("boxes", ~(boxes[:, 4:] > 0.0).all(axis=1), lambda i: "Box3D dimensions must "
-                  "be positive, got l={}, w={}, h={}".format(*boxes[i, 4:].tolist())),
+        rules = [("boxes", ~(boxes[:, 4:] > 0.0).all(axis=1), lambda i:
+                  "Box3D dimensions must be positive, got l={}, w={}, h={}".format(
+                      *boxes[i, 4:].tolist())),
                  ("boxes", finite, lambda i: "Box3D fields must be finite")]
     else:
         x1, y1, x2, y2 = boxes.T
         with np.errstate(over="ignore", invalid="ignore"):
             sizes = boxes[:, 2:] - boxes[:, :2]
             area = sizes[:, 0] * sizes[:, 1]
-        rules = [("boxes", ~((x1 <= x2) & (y1 <= y2)), lambda i: "Box2D corners "
-                  "out of order: ({}, {}, {}, {})".format(*boxes[i].tolist())),
+        rules = [("boxes", ~((x1 <= x2) & (y1 <= y2)), lambda i:
+                  "Box2D corners out of order: ({}, {}, {}, {})".format(*boxes[i].tolist())),
                  ("boxes", finite, lambda i: "Box2D coordinates must be finite"),
                  ("boxes", ~(area <= MAX_BOX2D_AREA), lambda i: "Box2D area must be finite and "
                   "at most {!r}, got {} x {}".format(MAX_BOX2D_AREA, *sizes[i].tolist()))]
@@ -241,9 +244,9 @@ class TrackerConfig:
     Gates may be scalars or per-class maps keyed by class id (key -1 supplies
     the fallback). alpha and adaptive_r are the only noise settings: with
     adaptive_r set, a detection of score s is measured with noise
-    alpha * (1 - s)^2 * R (see motion.update_arrays); the noise scales
-    themselves are fixed. second_pass disables the low-score association for
-    the single-stage baseline.
+    alpha * (1 - s)^2 * R (see motion.update_arrays), alpha in
+    [0, MAX_ALPHA]; the noise scales themselves are fixed. second_pass
+    disables the low-score association for the single-stage baseline.
     """
 
     mode: Mode = Mode.BOX_2D
@@ -273,6 +276,8 @@ class TrackerConfig:
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if self.alpha > MAX_ALPHA:
+            raise ValueError(f"alpha must be at most {MAX_ALPHA!r}, got {self.alpha}")
         if self.mode is Mode.BOX_2D and self.motion_strategy is not MotionStrategy.KALMAN:
             raise ValueError("detected-velocity strategies require 3D mode")
         for name in ("adaptive_r", "second_pass"):
@@ -356,7 +361,7 @@ def records_from_columns(
     scores: np.ndarray,
     boxes: np.ndarray,
 ) -> tuple[TrackRecord, ...]:
-    """TrackRecords of output columns, one per row; boxes are checked on construction."""
+    """TrackRecords of output columns, one per row, their boxes unchecked views."""
     box_type = _box_type(boxes)
     return tuple(
         TrackRecord(frame, track_id, box_type(*row), score, class_id)

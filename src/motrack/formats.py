@@ -178,9 +178,7 @@ class DetectionFrames(Sequence):
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, index: int | slice) -> DetectionFrame | list[DetectionFrame]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(self._n)[index]]
+    def __getitem__(self, index: int) -> DetectionFrame:
         if index < 0:
             index += self._n
         if not 0 <= index < self._n:

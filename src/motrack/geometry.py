@@ -8,7 +8,8 @@ number of array operations, times the vertical interval overlap. Scoring runs
 on parameter rows, (x1, y1, x2, y2) corners in 2D and (x, y, z, theta, l, w,
 h) in 3D: all 2D scoring goes through iou_matrix_2d and all 3D scoring through
 one array kernel, giou_3d_pairs, over flat arrays of box pairs. The box
-classes validate single boxes; record columns hold the same parameter rows.
+classes are plain views of one such row each: rows are checked where they
+enter (association.row_rules), never the boxes built from them.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ MAX_TRACK_BUFFER = 1000
 # < 1.3e5 h^2, and aspect estimates, sums of w/h measurements whose coefficients
 # add up to less than 1.01 + 0.002 L (the aspect noise is fixed), stay within 5A.
 MAX_2D_ASPECT = 1e307
+# The largest alpha. With adaptive noise a 2D measurement of height h <= B has
+# position variance alpha (1 - s)^2 (h / 20)^2 <= 2.5e297, and the filter adds
+# it to a variance below 1.3e5 h^2 = 1.3e205 (above), so every sum and the gain
+# times it stay finite with a factor 1e10 to spare; 3D noise does not scale.
+MAX_ALPHA = 1e100
 
 # On-edge classification tolerance of the footprint intersection.
 _CLIP_EPS = 1e-9
@@ -72,34 +78,21 @@ def wrap_angles(thetas: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Box2D:
-    """Axis-aligned image box given by top-left and bottom-right corners."""
+    """Axis-aligned image box given by top-left and bottom-right corners; a
+    view of one checked (x1, y1, x2, y2) row."""
 
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self):
-        # The ordering test also rejects NaN corners.
-        if not (self.x1 <= self.x2 and self.y1 <= self.y2):
-            raise ValueError(
-                f"Box2D corners out of order: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ValueError("Box2D coordinates must be finite")
-        width, height = self.x2 - self.x1, self.y2 - self.y1
-        if not width * height <= MAX_BOX2D_AREA:
-            raise ValueError(f"Box2D area must be finite and at most {MAX_BOX2D_AREA!r}, "
-                             f"got {width} x {height}")
-
 
 @dataclass(frozen=True)
 class Box3D:
-    """Yaw-rotated cuboid: world-frame center, heading, and dimensions.
-
-    The yaw is normalized to (-pi, pi] on construction. Length runs along the
-    heading, width across it, height vertically; (x, y, z) is the volumetric
-    center.
+    """Yaw-rotated cuboid: world-frame center, heading, and dimensions; a view
+    of one checked (x, y, z, theta, l, w, h) row, whose yaw was wrapped to
+    (-pi, pi] where the row entered. Length runs along the heading, width
+    across it, height vertically; (x, y, z) is the volumetric center.
     """
 
     x: float
@@ -109,17 +102,6 @@ class Box3D:
     l: float
     w: float
     h: float
-
-    def __post_init__(self):
-        # The positivity test also rejects NaN dimensions.
-        if not (self.l > 0 and self.w > 0 and self.h > 0):
-            raise ValueError(
-                f"Box3D dimensions must be positive, got l={self.l}, w={self.w}, h={self.h}"
-            )
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ValueError("Box3D fields must be finite")
-        if not -math.pi < self.theta <= math.pi:
-            object.__setattr__(self, "theta", float(wrap_angles(np.array(self.theta))))
 
 
 Box = Union[Box2D, Box3D]

@@ -10,12 +10,14 @@ the padded blocks of frames the evaluators score at once, the sparse tables,
 the per-gt identity-switch sequences and the columnar parsers.
 
 wrap_angle is the reference yaw wrap, an exact remainder taken one angle at a
-time. A few helpers are thin wrappers the tests share rather than oracles:
-box2d_array and box3d_array (the parameter rows of Box2D / Box3D objects), the
-gate-taking solve_gated, the scalar giou_3d and bev_intersection_area over
-the array kernels, output_of (a TrackOutput over TrackRecords' columns),
-detection_frame (a DetectionFrame over Detections' columns) and slice_frames
-over the TrackOutput constructor."""
+time, and box2d and box3d the reference box rules, scalar tests of one box
+with the messages of motrack.association.row_rules. A few helpers are thin
+wrappers the tests share rather than oracles: box2d_array and box3d_array
+(the parameter rows of Box2D / Box3D objects), the gate-taking solve_gated,
+the scalar giou_3d and bev_intersection_area over the array kernels,
+output_of (a TrackOutput over TrackRecords' columns), detection_frame (a
+DetectionFrame over Detections' columns) and slice_frames over the
+TrackOutput constructor."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from motrack.geometry import MAX_2D_ASPECT, MAX_3D_MAGNITUDE, Box2D, Box3D
+from motrack.geometry import MAX_2D_ASPECT, MAX_3D_MAGNITUDE, MAX_BOX2D_AREA, Box2D, Box3D
 
 
 def wrap_angle(theta: float) -> float:
@@ -32,6 +34,33 @@ def wrap_angle(theta: float) -> float:
     at -pi."""
     wrapped = math.remainder(theta, math.tau)
     return wrapped + math.tau if wrapped <= -math.pi else wrapped
+
+
+def box2d(x1: float, y1: float, x2: float, y2: float) -> Box2D:
+    """The Box2D of corners that keep the box rules, checked one scalar at a
+    time; raises a ValueError with row_rules' message at the first broken."""
+    # The ordering test also rejects NaN corners.
+    if not (x1 <= x2 and y1 <= y2):
+        raise ValueError(f"Box2D corners out of order: ({x1}, {y1}, {x2}, {y2})")
+    if not all(map(math.isfinite, (x1, y1, x2, y2))):
+        raise ValueError("Box2D coordinates must be finite")
+    width, height = x2 - x1, y2 - y1
+    if not width * height <= MAX_BOX2D_AREA:
+        raise ValueError(f"Box2D area must be finite and at most {MAX_BOX2D_AREA!r}, "
+                         f"got {width} x {height}")
+    return Box2D(x1, y1, x2, y2)
+
+
+def box3d(x: float, y: float, z: float, theta: float, l: float, w: float, h: float) -> Box3D:
+    """The Box3D of parameters that keep the box rules, checked one scalar at
+    a time, with its yaw wrapped by wrap_angle; raises a ValueError with
+    row_rules' message at the first rule broken."""
+    # The positivity test also rejects NaN dimensions.
+    if not (l > 0 and w > 0 and h > 0):
+        raise ValueError(f"Box3D dimensions must be positive, got l={l}, w={w}, h={h}")
+    if not all(map(math.isfinite, (x, y, z, theta, l, w, h))):
+        raise ValueError("Box3D fields must be finite")
+    return Box3D(x, y, z, wrap_angle(theta), l, w, h)
 
 
 def box2d_array(boxes) -> np.ndarray:
@@ -827,9 +856,8 @@ def two_pass_step(pool, frame: int, detections, config):
     out = np.nonzero(pool.active)[0]
     boxes = motion.box_rows(pool.means[out], is_3d)
     if not np.isfinite(boxes).all():
-        box_type = _box_type(boxes)
         for row in boxes.tolist():
-            box_type(*row)
+            (box3d if is_3d else box2d)(*row)
     return FrameResult(frame, pool.ids[out], pool.class_ids[out], pool.last_score[out],
                        boxes, diagnostics)
 
@@ -837,8 +865,8 @@ def two_pass_step(pool, frame: int, detections, config):
 # --- line-by-line record parsers and writers ------------------------------------
 #
 # The slow oracle of motrack.formats: one line at a time, one object per
-# record, each row checked by the Box2D / Box3D constructors and scalar
-# tests. Same formats, same checks in the same order, same messages.
+# record, each row checked by box2d / box3d and scalar tests. Same formats,
+# same checks in the same order, same messages.
 
 def _fail(line_no: int, message: str) -> ValueError:
     return ValueError(f"line {line_no}: {message}")
@@ -899,7 +927,7 @@ def _parse_mot_line(line: str, line_no: int):
     if frame < 1:
         raise _fail(line_no, f"frame must be >= 1, got {frame}")
     try:
-        box = Box2D(x, y, x + w, y + h)
+        box = box2d(x, y, x + w, y + h)
     except ValueError as exc:
         raise _fail(line_no, str(exc)) from None
     if not (box.x1 < box.x2 and box.y1 < box.y2):
@@ -965,7 +993,7 @@ def _parse_3d_line(line: str, line_no: int):
     if frame < 1:
         raise _fail(line_no, f"frame must be >= 1, got {frame}")
     try:
-        box = Box3D(*numbers)
+        box = box3d(*numbers)
     except ValueError as exc:
         raise _fail(line_no, str(exc)) from None
     if not 0.0 <= score <= 1.0:

@@ -130,8 +130,9 @@ class TestDetection:
         ("class_ids", np.array([0.5, 0.2]), "class_ids must have an integer dtype, got float64"),
         ("class_ids", np.array([True, False]), "class_ids must have an integer dtype, got bool"),
         ("boxes", np.zeros(8), "boxes must be rows of width 4 or 7, got shape (8,)"),
+        ("has_velocity", np.array([1, 0]), "has_velocity must have a bool dtype, got int64"),
     ], ids=["one_score", "three_class_ids", "one_has_velocity", "flat_velocities",
-            "float_class_ids", "bool_class_ids", "flat_boxes"])
+            "float_class_ids", "bool_class_ids", "flat_boxes", "int_has_velocity"])
     def test_step_rejects_columns_that_disagree(self, column, value, message):
         # Built as given, a frame of two boxes and one score would spawn one
         # track and drop the other box from every list; float class ids would

@@ -36,7 +36,7 @@ _PAST_BOUND = np.nextafter(MAX_3D_MAGNITUDE, np.inf)
 
 
 def box_rows(draw, n: int, is_3d: bool) -> np.ndarray:
-    """n parameter rows that Box2D / Box3D accept, packed so that some overlap."""
+    """n parameter rows that keep the box rules, packed so that some overlap."""
     coord = st.floats(0.0, 100.0)
     if is_3d:
         return np.array([[draw(st.floats(0.0, 6.0)), draw(st.floats(0.0, 6.0)), 0.8,

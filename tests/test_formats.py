@@ -171,6 +171,11 @@ class Test3DFormat:
         parsed = parse_3d_results(buf.getvalue())
         assert parsed.records == output.records
 
+    def test_write_rejects_2d_output(self):
+        output = run_sequence([], {"mode": "2d"})
+        with pytest.raises(ValueError, match="3D result format needs a 3D output"):
+            write_3d_results(output, io.StringIO())
+
     @pytest.mark.parametrize("strategy", list(MotionStrategy), ids=lambda s: s.value)
     def test_yaw_outside_the_range_is_wrapped_where_it_enters(self, strategy):
         # A frame built with yaw 4.0 once spawned a track whose output column

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from motrack.association import check_rows, row_rules
 from motrack.geometry import (
     Box2D,
     Box3D,
@@ -39,42 +40,49 @@ def random_box3d(rng) -> Box3D:
     )
 
 
+def check_box(*row: float) -> None:
+    """Check one parameter row against the box rules, where rows enter."""
+    check_rows(row_rules(np.array([row], dtype=float)))
+
+
 class TestBoxValidation:
+    """The box rules run on rows (association.row_rules); Box2D and Box3D are
+    unchecked views of rows that passed them."""
+
     def test_corners_out_of_order_rejected(self):
-        with pytest.raises(ValueError):
-            Box2D(5.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="Box2D corners out of order"):
+            check_box(5.0, 0.0, 1.0, 1.0)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            Box2D(0.0, 0.0, math.inf, 1.0)
-        with pytest.raises(ValueError):
-            Box3D(0.0, math.nan, 0.0, 0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="Box2D coordinates must be finite"):
+            check_box(0.0, 0.0, math.inf, 1.0)
+        with pytest.raises(ValueError, match="Box3D fields must be finite"):
+            check_box(0.0, math.nan, 0.0, 0.0, 1.0, 1.0, 1.0)
 
     def test_area_overflow_rejected(self):
         with pytest.raises(ValueError, match="area must be finite"):
-            Box2D(-8e307, 0.0, 8e307, 1e308)
-        # An area of 8e307 is within the bound, so this box constructs.
-        Box2D(-4e307, 0.0, 4e307, 1.0)
+            check_box(-8e307, 0.0, 8e307, 1e308)
+        # An area of 8e307 is within the bound, so this row passes.
+        check_box(-4e307, 0.0, 4e307, 1.0)
 
     def test_area_whose_union_overflows_rejected(self):
         # Two areas above half the largest float overflow the union, and such
         # a box would score IoU 0 against itself.
         with pytest.raises(ValueError, match="area must be finite and at most"):
-            Box2D(-5e307, 0.0, 5e307, 1.0)
-        largest = box2d_array([Box2D(-4e307, 0.0, 4e307, 1.0), Box2D(0.0, 0.0, 4e307, 2.0)])
+            check_box(-5e307, 0.0, 5e307, 1.0)
+        largest = np.array([(-4e307, 0.0, 4e307, 1.0), (0.0, 0.0, 4e307, 2.0)])
         with np.errstate(all="raise"):
             iou = iou_matrix_2d(largest, largest)
         assert iou[0, 0] == iou[1, 1] == 1.0
         assert iou[0, 1] == iou[1, 0] == pytest.approx(1.0 / 3.0)
 
     def test_non_positive_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            Box3D(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="Box3D dimensions must be positive"):
+            check_box(0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
 
-    def test_theta_normalized_on_construction(self):
-        box = Box3D(0.0, 0.0, 0.0, 3.0 * math.pi, 1.0, 1.0, 1.0)
-        assert math.isclose(box.theta, math.pi)
-        assert -math.pi < Box3D(0, 0, 0, -math.pi, 1, 1, 1).theta <= math.pi
+    def test_boxes_are_unchecked_views(self):
+        assert Box2D(5.0, 0.0, 1.0, math.nan).x1 == 5.0
+        assert Box3D(0.0, 0.0, 0.0, 3.0 * math.pi, 0.0, 1.0, 1.0).theta == 3.0 * math.pi
 
     def test_wrap_angle_interval(self):
         thetas = np.array([-math.pi, math.pi, 0.0, 7.5, -9.1, math.tau, 5e-324])

@@ -24,19 +24,22 @@ before it. It counts a block's identity switches from one sort of the
 block's matches by (gt id, frame), checking each gt id's first match there
 against its last match in earlier blocks.
 
-AMOTA's confidence sweep hands only the persisting pairs from frame to frame.
-Identity switches are counted apart, from each gt id's matches in frame
-order, so a changed match moves the switch count without recounting later
-frames. An isolated frame is taken by its delta: lowering the threshold to a
-score it holds adds the pairs whose prediction carries that score as
-matches, and none leaves. The sweep finds the frames holding each score in
-an index keyed by score, and releases each entry as it passes it.
+AMOTA's confidence sweep counts the matches at every unique prediction
+score, as recall is not monotone in the threshold. An isolated frame's
+matches at a threshold are its pairs scored at least that high, so they stay
+in the block arrays. Only the other frames, each with the frames that hand it
+its persisting pairs, are stepped score by score, and every change of their
+matches is recorded. Each match then holds over a run of thresholds, a
+spell, and the matches at every score are two searchsorted counts over the
+spells' ends. Identity switches are counted only at the thresholds the
+recall grid reads, from the spells holding each, in (gt id, frame) order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -278,14 +281,6 @@ def _block_tables(
     return tables
 
 
-def _frame_tables(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Iterator[_FrameTable]:
-    """The table of each frame that has rows, in frame order. A list of them
-    takes memory in the number of admissible pairs, not of gt x predictions."""
-    for block in _blocks(gt, pred, threshold):
-        yield from _block_tables(block, _isolated(block), gt.track_ids, pred.track_ids,
-                                 pred.scores)
-
-
 def _frame_step(
     table: _FrameTable, min_score: float | None, persisting: dict[int, int]
 ) -> dict[int, int]:
@@ -334,16 +329,6 @@ def _frame_step(
     return matched
 
 
-def _delta_step(table: _FrameTable, score: float) -> list[tuple[int, int]]:
-    """The matches an isolated frame gains when its threshold is lowered to
-    ``score``, one of the scores it holds, from the next higher one.
-
-    Every kept pair of an isolated frame is a match, so the gain is the pairs
-    whose prediction is scored ``score``, and no match leaves."""
-    scores = table.pair_scores
-    return table.pairs[bisect_left(scores, score):bisect_right(scores, score)]
-
-
 def _block_switches(
     frames: np.ndarray, gt_ids: np.ndarray, pr_ids: np.ndarray, last_match: dict[int, int]
 ) -> int:
@@ -369,65 +354,9 @@ def _block_switches(
     return ids
 
 
-def _switch_delta(preds: list[int], k: int, pid: int) -> int:
-    """Identity switches gained by putting a match to ``pid`` between a gt
-    id's matches preds[k - 1] and preds[k], either of which may be absent."""
-    if 0 < k < len(preds):
-        left, right = preds[k - 1], preds[k]
-        return (left != pid) + (right != pid) - (left != right)
-    if k:
-        return int(preds[k - 1] != pid)
-    return int(bool(preds) and preds[0] != pid)
-
-
-def _relink(
-    sequences: dict[int, tuple[list[int], list[int]]],
-    frame: int,
-    old: dict[int, int],
-    new: dict[int, int],
-) -> int:
-    """Replace a frame's matches ``old`` by ``new`` in the per-gt match
-    sequences and return the change in identity switches.
-
-    Each gt id's sequence is its matched frames, ascending, and the pred ids
-    matched there; its switches are the neighbouring entries whose pred ids
-    differ. A removed or inserted pair only changes the switches with its
-    neighbours, found by one bisect. Removals go first, so a gt id matched
-    anew in this frame is never in its sequence twice.
-    """
-    delta = 0
-    inserted = []
-    for gid, pid in old.items() ^ new.items():
-        if old.get(gid) != pid:
-            inserted.append((gid, pid))
-            continue
-        frames, preds = sequences[gid]
-        k = bisect_left(frames, frame)
-        del frames[k], preds[k]
-        delta -= _switch_delta(preds, k, pid)
-    return delta + _insert(sequences, frame, inserted)
-
-
-def _insert(
-    sequences: dict[int, tuple[list[int], list[int]]],
-    frame: int,
-    pairs: list[tuple[int, int]],
-) -> int:
-    """Insert a frame's new matches ``pairs``, none of whose gt ids is in
-    its sequence at ``frame``, and return the change in identity switches."""
-    delta = 0
-    for gid, pid in pairs:
-        frames, preds = sequences.setdefault(gid, ([], []))
-        k = bisect_left(frames, frame)
-        delta += _switch_delta(preds, k, pid)
-        frames.insert(k, frame)
-        preds.insert(k, pid)
-    return delta
-
-
-def _frames_by_score(tables: list[_FrameTable]) -> Iterator[tuple[float, int, list[int]]]:
-    """Each unique prediction score, descending, with the number of
-    predictions scored at least it and the frames holding it, ascending.
+def _frames_by_score(tables: list[_FrameTable]) -> Iterator[tuple[float, list[int]]]:
+    """Each unique prediction score of the tables, descending, with the
+    frames holding it, ascending.
 
     The index is one dict from score to the frames holding it, filled in
     frame order: 0.0 and -0.0 are one key, named by the first seen, and a
@@ -442,46 +371,34 @@ def _frames_by_score(tables: list[_FrameTable]) -> Iterator[tuple[float, int, li
                 index[score] = [i]
             else:
                 frames.append(i)
-    kept = 0
     for score in sorted(index, reverse=True):
         frames = index.pop(score)
-        kept += len(frames)
-        yield score, kept, list(dict.fromkeys(frames)) if len(frames) > 1 else frames
+        yield score, list(dict.fromkeys(frames)) if len(frames) > 1 else frames
 
 
-def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
-    """CLEAR counts (score, fp, fn, ids) keeping the predictions scored at
-    least each unique score, in descending score order.
+def _match_changes(tables: list[_FrameTable], frames: list[int]) -> tuple[array, array]:
+    """The changes of the matches of the frames that are not isolated, as the
+    threshold falls through each unique score of ``tables``: the changes as
+    rows of (frame, gt id, prediction id, +1 entering or -1 leaving), and the
+    score of each.
 
-    One incremental pass. It starts from no prediction kept, where every frame
-    matches nothing. Lowering the threshold to a score changes the kept
-    columns only in the frames holding that score, read from an index keyed
-    by score whose entries are released as the sweep passes them
-    (_frames_by_score). The only state handed from frame to frame is the
-    persisting pairs, the previous counted frame's matches; a frame left with
-    neither gt nor kept predictions is skipped and hands on what entered it.
-    So a frame is recounted only if it holds the score or the pairs
-    persisting into it changed, and a cascade of recounts stops at the first
-    counted isolated frame, whose matches do not depend on what persists, or
-    at a frame entered with the pairs it was entered with before. Identity
-    switches are counted apart, from each gt id's matches in frame order (see
-    _relink), so a changed match moves the switch count without recounting
-    the frames after it. An isolated frame holding the score is not
-    recounted at all: its matches are its kept pairs, so the pairs whose
-    prediction carries the score (_delta_step) are inserted as new matches
-    and none is removed. FP and FN are the predictions kept and the gt, each
-    minus the total of matches.
+    ``tables`` are the stepped frames, in frame order, and ``frames`` their
+    frame numbers; each run of them opens on a frame whose matches do not
+    depend on what persists into it (see _sweep). The only state handed from
+    frame to frame is the persisting pairs, the previous counted frame's
+    matches; a frame left with neither gt nor kept predictions is skipped and
+    hands on what entered it. A lower score recounts the frames holding it,
+    and a cascade of recounts runs on only while the pairs persisting into a
+    frame differ from those it was last counted with. An isolated frame is
+    never stepped: its matches are its kept pairs, a suffix of its pairs.
     """
     n = len(tables)
     # Per frame: the pairs persisting into it (kept for frames that are not
     # isolated, the only ones that read them) and its matches.
     entering: list[dict[int, int]] = [{}] * n
     matches: list[dict[int, int]] = [{}] * n
-    sequences: dict[int, tuple[list[int], list[int]]] = {}
-    total_gt = sum(len(table.gt_ids) for table in tables)
-    matched_total = ids = 0
-
-    for score, kept, held in _frames_by_score(tables):
+    changes, change_scores = array("q"), array("d")
+    for score, held in _frames_by_score(tables):
         changed = held + [n]
         k, i = 0, changed[0]
         persisting = entering[i]
@@ -499,26 +416,143 @@ def _sweep(tables: list[_FrameTable]) -> Iterator[tuple[float, int, int, int]]:
                     persisting = entering[i]
                 continue
             if table.isolated:
-                added = _delta_step(table, score)
-                if added:
-                    matched_total += len(added)
-                    ids += _insert(sequences, i, added)
-                    # A new dict: the old one may be another frame's entering pairs.
-                    matched = matches[i].copy()
-                    matched.update(added)
-                    matches[i] = matched
+                start = bisect_left(table.pair_scores, score)
+                if len(table.pairs) - start != len(matches[i]):
+                    matches[i] = dict(table.pairs[start:])
                 persisting = matches[i]
                 i += 1
                 continue
             entering[i] = persisting
             matched = _frame_step(table, score, persisting)
-            if matched != matches[i]:
-                matched_total += len(matched) - len(matches[i])
-                ids += _relink(sequences, i, matches[i], matched)
+            old = matches[i]
+            if matched != old:
+                for gid, pid in old.items() ^ matched.items():
+                    changes.extend((frames[i], gid, pid, 1 if matched.get(gid) == pid else -1))
+                    change_scores.append(score)
                 matches[i] = matched
             persisting = matched
             i += 1
-        yield score, kept - matched_total, total_gt - matched_total, ids
+    return changes, change_scores
+
+
+class _Sweep(NamedTuple):
+    """The matches of AMOTA's confidence sweep.
+
+    Per unique prediction score, descending: the predictions scored at least
+    it and the matches when they are kept. Per spell of one match, one
+    (frame, gt id, prediction id) matched over a run of thresholds, sorted by
+    (gt id, frame, prediction id): the ids, the highest threshold where it is
+    matched and the highest lower one where it is not (-inf if none).
+    """
+
+    scores: np.ndarray
+    kept: np.ndarray
+    matched: np.ndarray
+    gt_ids: np.ndarray
+    pr_ids: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+
+
+def _sweep(gt: TrackOutput, pred: TrackOutput, threshold: float) -> _Sweep:
+    """The matches at every unique prediction score, keeping the predictions
+    scored at least that high.
+
+    An isolated frame's matches at a threshold are its pairs scored at least
+    that high, whatever persists into it, so its pairs stay in the block
+    arrays: each is one spell, from its prediction's score down. The other
+    frames are stepped (_match_changes), and with each the frames back to the
+    nearest earlier frame with gt, which hand it its persisting pairs: that
+    frame's matches do not depend on what persists, as it is isolated or
+    stepped itself, and the frames between have no gt and no pairs. Only
+    stepped frames get a table. One stable sort by (gt id, frame, prediction
+    id) lines up each stepped match's changes in sweep order, entering then
+    leaving, and pairs them into spells. The matches at every score are then
+    two searchsorted counts over the spells' ends.
+    """
+    gt_ids, pr_ids, scores = gt.track_ids, pred.track_ids, pred.scores
+    blocks, with_gt = [], [np.zeros(0, dtype=bool)]
+    frames, gids, pids, highs = [], [], [], []
+    n_frames = 0
+    for block in _blocks(gt, pred, threshold):
+        isolated = _isolated(block)
+        own = isolated[block.frame]
+        frames.append(block.frame[own] + n_frames)
+        gids.append(gt_ids[block.gt_at[own]])
+        pids.append(pr_ids[block.pr_at[own]])
+        highs.append(scores[block.pr_at[own]])
+        blocks.append((n_frames, block, isolated))
+        with_gt.append(np.diff(block.gt_bounds) > 0)
+        n_frames += len(isolated)
+
+    # A frame that is not isolated is stepped with the frames back to the
+    # nearest earlier frame with gt; without one, it enters with no pairs.
+    conflicting = np.flatnonzero(np.concatenate([~isolated for _, _, isolated in blocks]
+                                                + [np.zeros(0, dtype=bool)]))
+    gt_frames = np.flatnonzero(np.concatenate(with_gt))
+    before = np.searchsorted(gt_frames, conflicting) - 1
+    opens = np.where(before >= 0, gt_frames[before], conflicting)
+    depth = np.cumsum(np.bincount(opens, minlength=n_frames + 1)
+                      - np.bincount(conflicting + 1, minlength=n_frames + 1))
+    stepped = depth[:n_frames] > 0
+    tables = []
+    for first, block, isolated in blocks:
+        wanted = stepped[first:first + len(isolated)]
+        if wanted.any():
+            tables += _block_tables(block, isolated, gt_ids, pr_ids, scores, wanted)
+    changes, change_scores = _match_changes(tables, np.flatnonzero(stepped).tolist())
+    changes = np.frombuffer(changes, dtype=np.int64).reshape(-1, 4)
+
+    frames.append(changes[:, 0])
+    gids.append(changes[:, 1])
+    pids.append(changes[:, 2])
+    highs.append(np.frombuffer(change_scores))
+    frames, gids, pids, highs = (np.concatenate(c) for c in (frames, gids, pids, highs))
+    enters = np.ones(len(frames), dtype=bool)
+    enters[len(frames) - len(changes):] = changes[:, 3] > 0
+    # Stable, so a match's changes stay in sweep order: each entering one is
+    # followed by the change where it leaves, if any.
+    order = np.lexsort((pids, frames, gids))
+    frames, gids, pids, highs, enters = (
+        frames[order], gids[order], pids[order], highs[order], enters[order])
+    lows = np.full(len(highs), -math.inf)
+    left = (gids[1:] == gids[:-1]) & (frames[1:] == frames[:-1]) & (pids[1:] == pids[:-1])
+    lows[:-1][left] = highs[1:][left]
+    gids, pids, highs, lows = gids[enters], pids[enters], highs[enters], lows[enters]
+
+    # Unique scores named by the first seen: a stable sort keeps record order among equals.
+    ordered = scores[np.argsort(scores, kind="stable")]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    unique = ordered[first][::-1]
+    matched = np.searchsorted(np.sort(lows), unique) - np.searchsorted(np.sort(highs), unique)
+    return _Sweep(unique, len(ordered) - np.flatnonzero(first)[::-1], matched,
+                  gids, pids, highs, lows)
+
+
+# Cells (thresholds x spells) compared at once by the switch count.
+_SWITCH_CELLS = 1 << 16
+
+
+def _switches(sweep: _Sweep, thresholds: np.ndarray) -> np.ndarray:
+    """Identity switches at each of ``thresholds``, scores of the sweep.
+
+    The spells holding a threshold are its matches, one per (gt id, frame),
+    already in (gt id, frame) order; a switch is two neighbours of one gt id
+    matched to different predictions. Thresholds are taken a chunk at a time,
+    so memory follows the spells, not spells x thresholds.
+    """
+    gids, pids, high, low = sweep.gt_ids, sweep.pr_ids, sweep.high, sweep.low
+    rows = max(1, _SWITCH_CELLS // max(len(gids), 1))
+    counts = [np.zeros(0, dtype=np.intp)]
+    for a in range(0, len(thresholds), rows):
+        chunk = thresholds[a:a + rows, None]
+        held = (low < chunk) & (chunk <= high)
+        row, col = held.nonzero()
+        g, p = gids[col], pids[col]
+        switch = (row[1:] == row[:-1]) & (g[1:] == g[:-1]) & (p[1:] != p[:-1])
+        counts.append(np.bincount(row[1:][switch], minlength=len(chunk)))
+    return np.concatenate(counts)
 
 
 def clear_mot(
@@ -649,20 +683,20 @@ def amota(
     if not np.isfinite(pred.scores).all():
         raise ValueError("AMOTA requires finite prediction confidences")
 
-    tables = list(_frame_tables(gt, pred, threshold))
-    # Errors at the highest threshold with each recall: the sweep descends, so
-    # the first threshold seen with a recall is the highest.
-    errors_at: dict[float, int] = {}
-    for _, fp, fn, ids in _sweep(tables):
-        errors_at.setdefault((total_gt - fn) / total_gt, fp + fn + ids)
-    reached = sorted(errors_at)
-
+    sweep = _sweep(gt, pred, threshold)
+    # The highest threshold with each matched total, in ascending recall:
+    # np.unique gives the first of each total, and scores descend.
+    totals, first = np.unique(sweep.matched, return_index=True)
+    reached = totals / total_gt
     recalls = tuple(k / _RECALL_POINTS for k in range(1, _RECALL_POINTS + 1))
-    values = []
-    for r in recalls:
-        # The lowest recall that still reaches r; none means r is unreachable.
-        k = bisect_left(reached, r)
-        values.append(_smota(errors_at[reached[k]], total_gt, r) if k < len(reached) else 0.0)
+    # The lowest recall that still reaches each r; none means r is unreachable.
+    picks = np.searchsorted(reached, recalls)
+    read = np.unique(picks[picks < len(totals)])
+    at = first[read]
+    errors = sweep.kept[at] + total_gt - 2 * sweep.matched[at] + _switches(sweep, sweep.scores[at])
+    errors_at = dict(zip(read.tolist(), errors.tolist()))
+    values = [_smota(errors_at[k], total_gt, r) if k < len(totals) else 0.0
+              for k, r in zip(picks.tolist(), recalls)]
 
     return AmotaReport(
         amota=float(np.mean(values)),

@@ -7,13 +7,15 @@ state, and line-by-line record parsers and writers. Each deliberately avoids
 the code path it verifies: the batched clipping kernel, the Hungarian solver,
 the solver's conflict-free short path, the once-per-frame scoring and update,
 the padded blocks of frames the evaluators score at once, the sparse tables,
-the per-gt identity-switch sequences and the columnar parsers.
+AMOTA's count of identity switches over spells of matches and the columnar
+parsers.
 
 wrap_angle is the reference yaw wrap, an exact remainder taken one angle at a
 time, and box2d and box3d the reference box rules, scalar tests of one box
 with the messages of motrack.association.row_rules. A few helpers are thin
 wrappers the tests share rather than oracles: box2d_array and box3d_array
-(the parameter rows of Box2D / Box3D objects), the gate-taking solve_gated,
+(the parameter rows of Box2D / Box3D objects), block_tables (every frame's
+table from the evaluators' own block scorer), the gate-taking solve_gated,
 the scalar giou_3d and bev_intersection_area over the array kernels,
 output_of (a TrackOutput over TrackRecords' columns), detection_frame (a
 DetectionFrame over Detections' columns) and slice_frames over the
@@ -535,6 +537,17 @@ def frame_tables_reference(gt, pred, threshold):
     for gt_rows, pr_rows, rows, cols, values, _ in frame_pairs_reference(gt, pred, threshold):
         yield frame_table(gt.track_ids[gt_rows], pred.track_ids[pr_rows],
                           pred.scores[pr_rows], rows, cols, values)
+
+
+def block_tables(gt, pred, threshold):
+    """The table of each frame that has rows, in frame order, from the
+    evaluators' block scorer and table builder: the input the sweep oracle
+    shares with the program."""
+    from motrack import metrics
+
+    for block in metrics._blocks(gt, pred, threshold):
+        yield from metrics._block_tables(block, metrics._isolated(block), gt.track_ids,
+                                         pred.track_ids, pred.scores)
 
 
 def clear_from_frame_tables(gt, pred, threshold):

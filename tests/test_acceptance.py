@@ -6,6 +6,7 @@ the -v listing itself gives one pass/fail row per criterion.
 
 import io
 import math
+from bisect import bisect_left
 import time
 import tracemalloc
 from dataclasses import replace
@@ -32,9 +33,9 @@ from motrack.simulate import (
 )
 from motrack.tracker import TrackOutput, TrackRecord, run_sequence, validate_config
 from kalman_utils import kf_init, kf_predict, kf_update
-from oracle_utils import (amota_reference, best_gated_matching, clear_counts_reference,
-                          clear_from_frame_tables, detection_columns, frame_tables_reference,
-                          giou_3d,
+from oracle_utils import (amota_reference, best_gated_matching, block_tables,
+                          clear_counts_reference, clear_from_frame_tables, detection_columns,
+                          frame_tables_reference, giou_3d,
                           giou_3d_axis_aligned, giou_3d_voxel, idf1_from_frame_pairs,
                           output_of, slice_frames, solve_gated, sweep_reference)
 
@@ -339,11 +340,18 @@ def test_evaluation_on_tracker_output():
         finally:
             tracemalloc.stop()
 
-    tables = list(metrics._frame_tables(gt, pred, 0.5))
+    tables = list(block_tables(gt, pred, 0.5))
     assert tables == list(frame_tables_reference(gt, pred, 0.5))
-    assert list(metrics._sweep(tables)) == sweep_reference(tables)
+    want = sweep_reference(tables)
+    # FP and FN at every score; identity switches at the thresholds AMOTA
+    # reads and at the lowest score, where every prediction is kept.
+    sweep = metrics._sweep(gt, pred, 0.5)
+    assert _sweep_counts(gt, sweep) == [point[:3] for point in want]
+    at = sorted(set(_grid_points(want, len(gt.track_ids))) | {len(want) - 1})
+    assert metrics._switches(sweep, sweep.scores[at]).tolist() == [want[k][3] for k in at]
     report = reports["clear_mot"]
     assert (report.fp, report.fn, report.ids) == clear_from_frame_tables(gt, pred, 0.5)
+    assert want[-1][1:] == (report.fp, report.fn, report.ids)
     assert report.gt == len(gt.track_ids) == 50_000
     assert reports["idf1"] == idf1_from_frame_pairs(gt, pred, 0.5)
     assert 0.0 <= reports["amota"].amota <= 1.0
@@ -351,6 +359,25 @@ def test_evaluation_on_tracker_output():
           f"mota {report.mota:.4f}, idf1 {reports['idf1']:.4f}, "
           f"amota {reports['amota'].amota:.4f}; wall time / traced peak "
           + ", ".join(f"{name} {seconds[name]:.3f} s / {peaks[name]:.1f} MB" for name in seconds))
+
+
+def _sweep_counts(gt, sweep):
+    """(score, fp, fn) at every unique score of the program's AMOTA sweep."""
+    total_gt = len(gt.track_ids)
+    return list(zip(sweep.scores.tolist(), (sweep.kept - sweep.matched).tolist(),
+                    (total_gt - sweep.matched).tolist()))
+
+
+def _grid_points(points, total_gt, n_points=40):
+    """Indices of the (score, fp, fn, ids) sweep points, descending in score,
+    that AMOTA reads: per recall grid point, the highest score among those
+    with the lowest recall that still reaches it, as amota_reference picks."""
+    first: dict[float, int] = {}
+    for k, (_, _, fn, _) in enumerate(points):
+        first.setdefault((total_gt - fn) / total_gt, k)
+    reached = sorted(first)
+    picks = (bisect_left(reached, k / n_points) for k in range(1, n_points + 1))
+    return sorted({first[reached[j]] for j in picks if j < len(reached)})
 
 
 def _meeting_pairs_scenario():
@@ -412,8 +439,11 @@ def test_evaluation_with_switches_on_tracker_output():
     start = time.perf_counter()
     amota(gt, pred)
     seconds["amota"] = time.perf_counter() - start
-    tables = list(metrics._frame_tables(gt, pred, 0.5))
-    assert list(metrics._sweep(tables)) == sweep_reference(tables)
+    want = sweep_reference(list(block_tables(gt, pred, 0.5)))
+    sweep = metrics._sweep(gt, pred, 0.5)
+    ids = metrics._switches(sweep, sweep.scores).tolist()
+    assert [(*counts, n) for counts, n in zip(_sweep_counts(gt, sweep), ids)] == want
+    assert want[-1][1:] == (report.fp, report.fn, report.ids)
     rounded = TrackOutput(pred.frames, pred.track_ids, pred.class_ids, np.round(pred.scores, 1),
                           pred.boxes, pred.mode, pred.n_frames)
     report_rounded = amota(gt, rounded)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -14,9 +15,9 @@ from motrack.formats import write_mot_results
 from motrack.geometry import Box2D, Box3D
 from motrack.metrics import amota, clear_mot, idf1, smota_r
 from motrack.tracker import TrackOutput, TrackRecord
-from oracle_utils import (amota_reference, clear_counts_reference, clear_from_frame_tables,
-                          dense_frame_step, frame_tables_reference, idf1_from_frame_pairs,
-                          idf1_reference, output_of, sweep_reference)
+from oracle_utils import (amota_reference, block_tables, clear_counts_reference,
+                          clear_from_frame_tables, dense_frame_step, frame_tables_reference,
+                          idf1_from_frame_pairs, idf1_reference, output_of, sweep_reference)
 
 
 def output_2d(rows, n_frames=None):
@@ -227,23 +228,36 @@ def test_metrics_match_exhaustive_references(suite):
 
 
 def sweep_tables(gt, pred):
-    return list(metrics._frame_tables(gt, pred, metrics._threshold(gt.mode, None)))
+    return list(block_tables(gt, pred, metrics._threshold(gt.mode, None)))
 
 
 def sweep_points(gt, pred):
-    """(score, fp, fn, ids) at every unique score, from the incremental sweep."""
-    return list(metrics._sweep(sweep_tables(gt, pred)))
+    """(score, fp, fn, ids) at every unique score, from the sweep's match
+    totals and its switch count asked at every score."""
+    sweep = metrics._sweep(gt, pred, metrics._threshold(gt.mode, None))
+    ids = metrics._switches(sweep, sweep.scores)
+    total_gt = len(gt.track_ids)
+    return list(zip(sweep.scores.tolist(), (sweep.kept - sweep.matched).tolist(),
+                    (total_gt - sweep.matched).tolist(), ids.tolist()))
 
 
 def check_sweep_and_amota(gt, pred):
     """Every sweep point against an exhaustive recount of the filtered output,
-    and AMOTA against the exhaustive sweep."""
+    the lowest score's against clear_mot, and AMOTA against the exhaustive
+    sweep."""
     points = sweep_points(gt, pred)
     assert [p[0] for p in points] == sorted({r.score for r in pred.records}, reverse=True)
     for score, fp, fn, ids in points:
         kept = tuple(rec for rec in pred.records if rec.score >= score)
         _, *want = clear_counts_reference(gt, output_of(kept, pred.mode, pred.n_frames))
         assert (fp, fn, ids) == tuple(want), score
+    if points:
+        # Every prediction is kept at the lowest score.
+        report = clear_mot(gt, pred)
+        assert points[-1][1:] == (report.fp, report.fn, report.ids)
+        # The switch count taken a few thresholds x spells at a time.
+        with mock.patch.object(metrics, "_SWITCH_CELLS", 5):
+            assert sweep_points(gt, pred) == points
     if gt.records:
         got = amota(gt, pred)
         want, values, recalls = amota_reference(gt, pred)
@@ -310,19 +324,19 @@ def test_sweep_matches_exhaustive_references_on_long_suites(suite):
 def test_sweep_equals_incremental_oracle(suite):
     # The oracle carries every gt id's last match in the frame state, so its
     # recounts cascade until that id is matched again. The sweep must give
-    # the same points. It never recounts an isolated frame, and takes the
-    # delta of each one exactly once per score it holds.
+    # the same points. It never steps an isolated frame, and steps every
+    # other frame at each score it holds, at most once per score.
     tables = sweep_tables(*suite)
-    with mock.patch.object(metrics, "_frame_step", wraps=metrics._frame_step) as step, \
-            mock.patch.object(metrics, "_delta_step", wraps=metrics._delta_step) as delta:
-        points = list(metrics._sweep(tables))
+    with mock.patch.object(metrics, "_frame_step", wraps=metrics._frame_step) as step:
+        points = sweep_points(*suite)
     assert points == sweep_reference(tables)
     assert not any(call.args[0].isolated for call in step.call_args_list)
-    index = {id(table): i for i, table in enumerate(tables)}
-    calls = [(index[id(call.args[0])], call.args[1]) for call in delta.call_args_list]
-    held = [(i, score) for i, table in enumerate(tables) if table.isolated
-            for score in dict.fromkeys(table.scores)]
-    assert sorted(calls) == sorted(held)
+    calls = Counter((repr(call.args[0]), call.args[1]) for call in step.call_args_list)
+    held = Counter((repr(table), score) for table in tables if not table.isolated
+                   for score in dict.fromkeys(table.scores))
+    assert calls >= held
+    same = Counter(repr(table) for table in tables)
+    assert all(count <= same[key] for (key, _), count in calls.items())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -338,8 +352,8 @@ def test_sweep_merges_signed_zero_scores_as_the_oracle_does(seed):
             pid = o + 5 if f < 6 or o == 2 else 11 - o
             pred_rows.append((f, pid, x + rng.uniform(-5.0, 5.0), 101.0,
                               float(rng.choice([0.0, -0.0, 0.5, 0.9]))))
-    tables = sweep_tables(output_2d(gt_rows), output_2d(pred_rows))
-    points, want = list(metrics._sweep(tables)), sweep_reference(tables)
+    gt, pred = output_2d(gt_rows), output_2d(pred_rows)
+    points, want = sweep_points(gt, pred), sweep_reference(sweep_tables(gt, pred))
     assert points == want
     assert [math.copysign(1.0, p[0]) for p in points] == [
         math.copysign(1.0, p[0]) for p in want]
@@ -361,11 +375,18 @@ def frames_by_score_reference(tables):
 
 
 def check_frames_by_score(gt_rows, pred_rows, n_frames):
-    tables = sweep_tables(output_2d(gt_rows, n_frames), output_2d(pred_rows, n_frames))
+    """The frames holding each score against the brute-force index; the
+    sweep's scores, named alike, and its counts of predictions kept too."""
+    gt, pred = output_2d(gt_rows, n_frames), output_2d(pred_rows, n_frames)
+    tables = sweep_tables(gt, pred)
     index, want = list(metrics._frames_by_score(tables)), frames_by_score_reference(tables)
+    sweep = metrics._sweep(gt, pred, 0.5)
+    index = [(score, kept, frames) for (score, frames), kept in zip(index, sweep.kept.tolist())]
     assert index == want
-    assert [math.copysign(1.0, score) for score, _, _ in index] == [
-        math.copysign(1.0, score) for score, _, _ in want]
+    assert [score for score, _, _ in index] == sweep.scores.tolist()
+    for names in ([score for score, _, _ in index], sweep.scores.tolist()):
+        assert [math.copysign(1.0, score) for score in names] == [
+            math.copysign(1.0, score) for score, _, _ in want]
     return index
 
 
@@ -407,8 +428,8 @@ def test_conflict_free_sweep_recounts_each_frame_once_per_score():
     # Three objects far apart, each followed by one prediction whose score
     # cycles through a rounded pool, so scores repeat within and across
     # frames. Clutter overlaps nothing, and frame 6 has no gt. Every frame is
-    # isolated, so none is recounted: each takes its delta once per score it
-    # holds, and no other frame is touched.
+    # isolated, so its matches at each score are its pairs scored that high:
+    # no frame gets a table or is stepped.
     pool = (0.3, 0.5, 0.7, 0.9)
     gt_rows, pred_rows = [], []
     for f in range(1, 13):
@@ -422,13 +443,9 @@ def test_conflict_free_sweep_recounts_each_frame_once_per_score():
     tables = sweep_tables(gt, pred)
     assert all(table.isolated for table in tables)
     with mock.patch.object(metrics, "_frame_step", wraps=metrics._frame_step) as step, \
-            mock.patch.object(metrics, "_delta_step", wraps=metrics._delta_step) as delta:
-        points = list(metrics._sweep(tables))
-    assert step.call_count == 0
-    index = {id(table): i for i, table in enumerate(tables)}
-    calls = [(index[id(call.args[0])], call.args[1]) for call in delta.call_args_list]
-    held = [(i, score) for i, table in enumerate(tables) for score in set(table.scores)]
-    assert sorted(calls) == sorted(held)
+            mock.patch.object(metrics, "_block_tables", wraps=metrics._block_tables) as built:
+        points = sweep_points(gt, pred)
+    assert step.call_count == built.call_count == 0
     assert points == sweep_reference(tables)
     check_sweep_and_amota(gt, pred)
 
@@ -442,7 +459,8 @@ def test_pair_gained_by_isolated_frame_persists_into_conflicting_frame(zero, gt_
     # gt 1 and gt 2 (25 px right) and predictions 5 (on gt 1) and 7 (10 px
     # right of gt 1, admissible for both gt), all at 0.9. Prediction 5 then
     # follows gt 1 in the last frame. One variant puts a frame between with
-    # no gt and only prediction 9 (-0.5), so it is skipped until -0.5.
+    # no gt and only prediction 9 (-0.5), so it is skipped until -0.5. The
+    # conflicting frame is stepped with the pairs frame 1 hands on.
     gap = [(2, 9, 900.0, 900.0, -0.5)] if gt_free_between else []
     f = 2 + gt_free_between  # the conflicting frame
     gt = output_2d([(1, 1, 100.0, 100.0, 1.0), (1, 3, 1500.0, 100.0, 1.0),
@@ -454,26 +472,27 @@ def test_pair_gained_by_isolated_frame_persists_into_conflicting_frame(zero, gt_
                         (f + 1, 5, 100.0, 100.0, 0.9)])
     tables = sweep_tables(gt, pred)
     assert [table.isolated for table in tables] == [True] * (1 + gt_free_between) + [False, True]
-    delta_step, gained = metrics._delta_step, []
-
-    def spy(table, score):
-        added = delta_step(table, score)
-        if table is tables[0]:
-            gained.append((score, added))
-        return added
-
-    with mock.patch.object(metrics, "_delta_step", spy):
-        points = list(metrics._sweep(tables))
-    # 0.5 enters frame 1 with no admissible pair, so its matches stay (3, 6).
-    # At zero the pair (1, 7) enters, persists, and takes gt 1 in the
-    # conflicting frame from (1, 5), (2, 7): gt 2 is missed, 5 is a false
-    # positive, and gt 1 switches from 7 to 5 in the last frame.
-    assert gained == [(0.7, [(3, 6)]), (0.5, []), (zero, [(1, 7)])]
+    with mock.patch.object(metrics, "_frame_step", wraps=metrics._frame_step) as step:
+        points = sweep_points(gt, pred)
+    # The conflicting frame alone is stepped: once at 0.9, which it holds,
+    # and again at each score that changes what frame 1 hands on. 0.5 enters
+    # frame 1 with no admissible pair, so its matches stay (3, 6). At zero
+    # the pair (1, 7) enters, persists, and takes gt 1 in the conflicting
+    # frame from (1, 5), (2, 7): gt 2 is missed, 5 is a false positive, and
+    # gt 1 switches from 7 to 5 in the last frame.
+    assert all(call.args[0] == tables[-2] for call in step.call_args_list)
+    handed = [(score, persisting) for _, score, persisting in
+              (call.args for call in step.call_args_list)]
+    want_handed = [(0.9, {}), (0.7, {3: 6}), (zero, {3: 6, 1: 7})]
     want = [(0.9, 0, 2, 0), (0.7, 0, 1, 0), (0.5, 1, 1, 0), (zero, 2, 1, 1)]
     if gt_free_between:
         # Frame 2 is counted and hands on no pairs, so the conflicting frame
         # is matched afresh; gt 1 still switches, from 7 at frame 1 to 5.
+        want_handed.append((-0.5, {}))
         want.append((-0.5, 2, 0, 1))
+    assert handed == want_handed
+    assert [math.copysign(1.0, score) for score, _ in handed] == [
+        math.copysign(1.0, score) for score, _ in want_handed]
     assert points == want == sweep_reference(tables)
     assert [math.copysign(1.0, p[0]) for p in points] == [
         math.copysign(1.0, p[0]) for p in want]
@@ -847,7 +866,7 @@ def check_block_scorer(gt, pred, match_threshold, cap):
     scores."""
     threshold = metrics._threshold(gt.mode, match_threshold)
     with mock.patch.object(metrics, "_BLOCK_CELLS", cap):
-        got = list(metrics._frame_tables(gt, pred, threshold))
+        got = list(block_tables(gt, pred, threshold))
         report = clear_mot(gt, pred, match_threshold)
         score = idf1(gt, pred, match_threshold)
     want = list(frame_tables_reference(gt, pred, threshold))
@@ -948,7 +967,12 @@ def test_clear_and_idf1_memory_does_not_grow_with_frames():
 def test_amota_memory_follows_admissible_pairs():
     # 200 objects over 40 frames, each prediction admissible only to its own
     # gt. Dense tables of the whole sweep would hold 40 x 200 x 200
-    # similarities (12.8 MB); the admissible pairs are 8000.
+    # similarities (12.8 MB); the admissible pairs are 8000. With every
+    # score equal the sweep has one threshold. With 8000 distinct scores,
+    # and objects 1-100 swapping prediction ids in pairs from frame 21 on,
+    # identity switches are counted at up to 40 thresholds over 8000 spells
+    # of matches, which taken at once would be 320,000 cells: a chunk of
+    # them at a time costs well under 2 MB over the one-threshold peak.
     n_obj, n_frames = 200, 40
     frames = np.repeat(np.arange(1, n_frames + 1), n_obj)
     ids = np.tile(np.arange(1, n_obj + 1), n_frames)
@@ -957,16 +981,24 @@ def test_amota_memory_follows_admissible_pairs():
     boxes = np.stack([x, y, x + 60.0, y + 120.0], axis=1)
     zeros = np.zeros_like(ids)
     gt = TrackOutput(frames, ids, zeros, np.ones(len(ids)), boxes, Mode.BOX_2D, n_frames)
-    pred = TrackOutput(frames, ids + 1000, zeros, np.full(len(ids), 0.9), boxes + 3.0,
-                       Mode.BOX_2D, n_frames)
-    tracemalloc.start()
-    try:
-        report = amota(gt, pred)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.amota == 1.0
-    assert peak < 8e6, peak
+    swapped = np.where((frames > 20) & (ids <= 100), ((ids - 1) ^ 1) + 1, ids)
+    distinct = np.random.default_rng(3).permutation(len(ids)) / len(ids)
+    peaks = []
+    for pr_ids, scores, switches in ((ids, np.full(len(ids), 0.9), 0),
+                                     (swapped, distinct, 100)):
+        pred = TrackOutput(frames, pr_ids + 1000, zeros, scores, boxes + 3.0, Mode.BOX_2D,
+                           n_frames)
+        tracemalloc.start()
+        try:
+            report = amota(gt, pred)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert clear_mot(gt, pred).ids == switches
+        assert report.amota == 1.0 if not switches else 0.0 < report.amota < 1.0
+        assert peak < 8e6, (switches, peak)
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 2e6, peaks
 
 
 class TestIdf1:

@@ -38,13 +38,18 @@ def solve_assignment(values: np.ndarray, admissible: np.ndarray) -> Assignment:
 
     Returns:
         The optimal assignment. Leaving a pair unmatched contributes zero, so
-        only pairs that raise the total are matched: negative and inadmissible
-        pairs weigh 0 and are dropped from the solver's answer, and ties
-        resolve deterministically for fixed inputs. An empty table matches
-        nothing. A conflict-free table, where no row and no column holds two
+        no pair worth less than 0 is matched: the solver weighs negative and
+        inadmissible pairs 0, and they are dropped from its answer. An
+        admissible pair worth exactly 0 leaves the total as it is; it is
+        matched when the solver's answer holds it (values >= 0 are kept),
+        which among tied optima is the solver's choice, so such a pair may
+        stay unmatched even with its row and column free. Ties resolve
+        deterministically for fixed inputs. An empty table matches nothing.
+        A conflict-free table, where no row and no column holds two
         admissible pairs and every admissible value is > 0, is matched by
         exactly its admissible pairs without running the solver: each raises
-        the total and none excludes another.
+        the total and none excludes another. A conflict-free table with an
+        admissible value of 0 goes to the solver.
 
     Raises:
         ValueError: values are not 2-D, the mask has another shape, or an

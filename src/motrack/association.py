@@ -17,14 +17,17 @@ Tracks live in one struct-of-arrays pool, one row per track. A frame's
 detections arrive as columns (DetectionFrame: parameter rows, scores, class
 ids, velocities, checked when built), every stage runs on arrays, and the
 frame's output is the active rows as columns too (FrameResult). Detection and
-TrackRecord objects are built only when a caller asks for them.
+TrackRecord objects are views of those rows: a sequence over the columns
+(DetectionFrame.detections, FrameResult.tracks, TrackOutput.records) builds
+them on demand, a batch at a time when iterated, and caches none; its len
+builds nothing, and it is unhashable.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Collection, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral, Real
@@ -39,6 +42,8 @@ from .geometry import (MAX_2D_ASPECT, MAX_3D_MAGNITUDE, MAX_ALPHA, MAX_BOX2D_ARE
 
 # Fallback key in per-class gate maps.
 DEFAULT_GATE_KEY = -1
+
+_VIEW_ROWS = 1024  # row objects a view builds per batch when iterated
 
 
 class Mode(enum.Enum):
@@ -72,6 +77,46 @@ class Detection:
     score: float
     class_id: int = 0
     velocity: tuple[float, float] | None = None
+
+
+class _Rows(Sequence):
+    """A read-only sequence of row objects over columns, built on demand.
+
+    make(*values) builds row k from the k-th value of each column (boxes give
+    their rows as lists). len builds nothing; iterating builds _VIEW_ROWS rows
+    at a time, an int index one row and a slice a tuple of its rows. Nothing
+    is cached, so only the rows a caller keeps stay alive. A view equals a
+    tuple or another view whose rows are equal in order, and is unhashable.
+    """
+
+    __slots__ = ("_make", "_columns")
+
+    def __init__(self, make: Callable[..., object], *columns: np.ndarray):
+        self._make = make
+        self._columns = columns
+
+    def _build(self, part: slice) -> list:
+        return list(map(self._make, *(column[part].tolist() for column in self._columns)))
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator:
+        for start in range(0, len(self), _VIEW_ROWS):
+            yield from self._build(slice(start, start + _VIEW_ROWS))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._build(index))
+        row = range(len(self))[index]
+        return self._build(slice(row, row + 1))[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _Rows)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
 
 def box_width(mode: Mode) -> int:
@@ -186,7 +231,9 @@ class DetectionFrame:
     of the rows where has_velocity is set. The columns are checked once, here
     (check_columns, row_rules), and kept as given but for 3D yaws, wrapped to
     (-pi, pi], and unset velocities, zeroed, each in a copy made only then.
-    Iterating or indexing yields Detection objects, built on first use.
+    detections, and iterating or indexing the frame, yield the rows as
+    Detection objects, built on demand and never cached (a _Rows view: len
+    builds nothing, iteration builds a batch at a time, unhashable).
     """
 
     boxes: np.ndarray
@@ -210,15 +257,12 @@ class DetectionFrame:
         if unset.any():
             object.__setattr__(self, "velocities", np.where(unset[:, None], 0.0, self.velocities))
 
-    @cached_property
-    def detections(self) -> tuple[Detection, ...]:
+    @property
+    def detections(self) -> Sequence[Detection]:
         box_type = _box_type(self.boxes)
-        return tuple(
-            Detection(box_type(*row), score, class_id, (vx, vy) if has else None)
-            for row, score, class_id, (vx, vy), has in zip(
-                self.boxes.tolist(), self.scores.tolist(), self.class_ids.tolist(),
-                self.velocities.tolist(), self.has_velocity.tolist())
-        )
+        return _Rows(lambda row, score, class_id, velocity, has:
+                     Detection(box_type(*row), score, class_id, tuple(velocity) if has else None),
+                     self.boxes, self.scores, self.class_ids, self.velocities, self.has_velocity)
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -354,21 +398,14 @@ class TrackRecord:
     class_id: int = 0
 
 
-def records_from_columns(
-    frames: np.ndarray,
-    track_ids: np.ndarray,
-    class_ids: np.ndarray,
-    scores: np.ndarray,
-    boxes: np.ndarray,
-) -> tuple[TrackRecord, ...]:
-    """TrackRecords of output columns, one per row, their boxes unchecked views."""
+def _record_view(frames: np.ndarray, track_ids: np.ndarray, class_ids: np.ndarray,
+                 scores: np.ndarray, boxes: np.ndarray) -> Sequence[TrackRecord]:
+    """Output columns as a _Rows view of TrackRecords, one per row, their
+    boxes unchecked views."""
     box_type = _box_type(boxes)
-    return tuple(
-        TrackRecord(frame, track_id, box_type(*row), score, class_id)
-        for frame, track_id, row, score, class_id in zip(
-            frames.tolist(), track_ids.tolist(), boxes.tolist(), scores.tolist(),
-            class_ids.tolist())
-    )
+    return _Rows(lambda frame, track_id, class_id, score, row:
+                 TrackRecord(frame, track_id, box_type(*row), score, class_id),
+                 frames, track_ids, class_ids, scores, boxes)
 
 
 def _pairs(rows: np.ndarray, ids: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -427,8 +464,9 @@ class FrameResult:
     """Confirmed boxes and identities emitted for one frame, as columns.
 
     Row k is one active track: track_ids, class_ids, scores and the parameter
-    row boxes[k], in id order. tracks holds the same rows as TrackRecords,
-    built on first use.
+    row boxes[k], in id order. tracks yields the same rows as TrackRecords,
+    built on demand and never cached (a _Rows view: len builds nothing,
+    iteration builds a batch at a time, unhashable).
     """
 
     frame: int
@@ -438,10 +476,10 @@ class FrameResult:
     boxes: np.ndarray
     diagnostics: FrameDiagnostics
 
-    @cached_property
-    def tracks(self) -> tuple[TrackRecord, ...]:
-        return records_from_columns(np.full(len(self.track_ids), self.frame), self.track_ids,
-                                    self.class_ids, self.scores, self.boxes)
+    @property
+    def tracks(self) -> Sequence[TrackRecord]:
+        return _record_view(np.broadcast_to(self.frame, len(self.track_ids)), self.track_ids,
+                            self.class_ids, self.scores, self.boxes)
 
 
 def predict_tracks(

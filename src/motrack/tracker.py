@@ -8,9 +8,8 @@ and is built from nothing else.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -24,11 +23,11 @@ from .association import (
     TrackPool,
     TrackRecord,
     _enum_member,
+    _record_view,
     _wrap_yaw,
     box_width,
     check_columns,
     check_rows,
-    records_from_columns,
     row_rules,
     step,
 )
@@ -66,7 +65,9 @@ class TrackOutput:
     to the metrics) and kept as given, without copying, except that a 3D yaw
     outside (-pi, pi] is wrapped into it in a copy of boxes. Rows are sorted by
     frame, each (frame, id) pair once, and every frame lies in [1, n_frames].
-    records holds the same rows as TrackRecords, built on first use.
+    records yields the same rows as TrackRecords, built on demand and never
+    cached (a _Rows view: len builds nothing, iteration builds a batch at a
+    time, unhashable).
     """
 
     frames: np.ndarray
@@ -94,10 +95,9 @@ class TrackOutput:
             raise ValueError(f"frames must lie in [1, {self.n_frames}], got "
                              f"{frames[0] if frames[0] < 1 else frames[-1]}")
 
-    @cached_property
-    def records(self) -> tuple[TrackRecord, ...]:
-        return records_from_columns(self.frames, self.track_ids, self.class_ids, self.scores,
-                                    self.boxes)
+    @property
+    def records(self) -> Sequence[TrackRecord]:
+        return _record_view(self.frames, self.track_ids, self.class_ids, self.scores, self.boxes)
 
 
 def default_config(mode: Mode = Mode.BOX_2D, modality: str | None = None) -> TrackerConfig:

@@ -102,13 +102,8 @@ class TestRunSequence:
         assert [(r.frame, r.track_id) for r in output.records] == [(1, 1), (2, 1)]
 
 
-# Traced bytes per record of TrackOutput.records: about 376 (2D) and 480 (3D)
-# with plain box views, 440 and 544 when each box also builds a dict of its
-# fields. The bounds lie between.
-@pytest.mark.parametrize("mode, bound", [(Mode.BOX_2D, 408), (Mode.BOX_3D, 512)],
-                         ids=["2d", "3d"])
-def test_records_memory_per_row(mode, bound):
-    n = 20_000
+def random_output(mode, n):
+    """An n-row output of random boxes, one row per frame."""
     rng = np.random.default_rng(0)
     if mode is Mode.BOX_2D:
         corners = rng.uniform(0.0, 1000.0, (n, 2))
@@ -116,17 +111,118 @@ def test_records_memory_per_row(mode, bound):
     else:
         boxes = np.column_stack((rng.uniform(-50.0, 50.0, (n, 3)), rng.uniform(-3.0, 3.0, n),
                                  rng.uniform(0.5, 5.0, (n, 3))))
-    output = TrackOutput(np.arange(1, n + 1), np.ones(n, dtype=np.int64),
-                         np.zeros(n, dtype=np.int64), rng.uniform(0.0, 1.0, n), boxes, mode, n)
+    return TrackOutput(np.arange(1, n + 1), np.ones(n, dtype=np.int64),
+                       np.zeros(n, dtype=np.int64), rng.uniform(0.0, 1.0, n), boxes, mode, n)
+
+
+# Traced bytes per record when every record of an output is kept: about 376
+# (2D) and 480 (3D) with plain box views, 440 and 544 when each box also
+# builds a dict of its fields. The bounds lie between.
+@pytest.mark.parametrize("mode, bound", [(Mode.BOX_2D, 408), (Mode.BOX_3D, 512)],
+                         ids=["2d", "3d"])
+def test_records_memory_per_row(mode, bound):
+    n = 20_000
+    output = random_output(mode, n)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        records = output.records
+        records = tuple(output.records)
         per_row = (tracemalloc.get_traced_memory()[0] - before) / n
     finally:
         tracemalloc.stop()
     assert len(records) == n
     assert per_row < bound
+
+
+def test_records_iterate_in_bounded_memory():
+    """Iterating every record of a 20,000-row output, keeping none, holds one
+    batch of rows at a time: the traced peak stays under 1 MB, where building
+    all the rows at once peaks at about 10 MB."""
+    n = 20_000
+    output = random_output(Mode.BOX_2D, n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        count = sum(1 for _ in output.records)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    print(f"\niterating {count} records: traced peak {peak / 1e6:.3f} MB")
+    assert count == n
+    assert peak < 1_000_000
+
+
+def view_owner(name, mode, filled):
+    """What holds the view name: a frame of 5 detections (none if not
+    filled), the FrameResult of stepping it a second time, or the output of
+    those two steps."""
+    n = 5 if filled else 0
+    if mode is Mode.BOX_2D:
+        detections = [det(300 * k, 0) for k in range(n)]
+    else:
+        detections = [Detection(Box3D(10.0 * k, 0.0, 0.0, 0.5 * k, 4.0, 2.0, 1.5), 0.9, k % 3,
+                                (1.0, 0.5) if k % 2 else None) for k in range(n)]
+    frame = detection_frame(detections, mode)
+    if name == "detections":
+        return frame
+    tracker = Tracker(default_config(mode))
+    tracker.step(frame)
+    result = tracker.step(frame)
+    return result if name == "tracks" else tracker.output()
+
+
+def expected_rows(name, owner):
+    """The rows of owner's view name as a tuple, built from its columns."""
+    box = Box3D if owner.boxes.shape[1] == 7 else Box2D
+    rows = owner.boxes.tolist()
+    if name == "detections":
+        return tuple(Detection(box(*row), score, class_id, tuple(velocity) if has else None)
+                     for row, score, class_id, velocity, has in zip(
+                         rows, owner.scores.tolist(), owner.class_ids.tolist(),
+                         owner.velocities.tolist(), owner.has_velocity.tolist()))
+    frames = owner.frames.tolist() if name == "records" else [owner.frame] * len(rows)
+    return tuple(TrackRecord(frame, track_id, box(*row), score, class_id)
+                 for frame, track_id, row, score, class_id in zip(
+                     frames, owner.track_ids.tolist(), rows, owner.scores.tolist(),
+                     owner.class_ids.tolist()))
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
+@pytest.mark.parametrize("mode", [Mode.BOX_2D, Mode.BOX_3D], ids=["2d", "3d"])
+@pytest.mark.parametrize("name", ["records", "tracks", "detections"])
+def test_row_view_contract(monkeypatch, name, mode, filled):
+    """records, tracks and detections are read-only sequences of their rows:
+    batched iteration, indexing and slicing agree with the tuple of the rows,
+    and a view equals that tuple or another view of them, and hashes not."""
+    from motrack import association
+
+    monkeypatch.setattr(association, "_VIEW_ROWS", 2)  # iteration crosses batches
+    owner = view_owner(name, mode, filled)
+    view, expected = getattr(owner, name), expected_rows(name, owner)
+    n = len(expected)
+    assert n == ((10 if name == "records" else 5) if filled else 0)
+    assert len(view) == n
+    assert bool(view) is filled
+    assert tuple(view) == expected
+    assert [view[i] for i in range(-n, n)] == list(expected + expected)
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[index]
+    for part in (slice(None), slice(1, 4), slice(-3, None), slice(None, None, -2),
+                 slice(3, 1), slice(n + 2, n + 4)):
+        assert type(view[part]) is tuple
+        assert view[part] == expected[part]
+    assert view == expected and expected == view
+    other = getattr(owner, name)
+    assert other is not view and view == other
+    assert (view != ()) is filled and (() != view) is filled
+    if filled:
+        assert view != expected[:-1] and view != expected[1:] + expected[:1]
+        assert view != getattr(view_owner(name, mode, False), name)
+    assert view != list(expected)
+    with pytest.raises(TypeError):
+        hash(view)
 
 
 class TestTrackOutput:
@@ -287,7 +383,8 @@ def test_huge_frame_gap_is_bounded(monkeypatch):
 @pytest.mark.parametrize("mode", ["2d", "3d"])
 def test_columns_build_no_record_objects(monkeypatch, mode):
     """Parsing, stepping, output, writing and every metric run on columns:
-    no Detection, TrackRecord or box object is constructed on the way."""
+    no Detection, TrackRecord or box object is constructed on the way, nor by
+    the len of a view; listing the records builds one record and box each."""
     from motrack import association, geometry, metrics
 
     if mode == "2d":
@@ -310,8 +407,8 @@ def test_columns_build_no_record_objects(monkeypatch, mode):
         monkeypatch.setattr(cls, "__init__", spy)
 
     tracker = Tracker({"mode": mode})
-    for detections in parse(det_text.getvalue()):
-        tracker.step(detections)
+    for frame in parse(det_text.getvalue()):
+        result = tracker.step(frame)
     output = tracker.output()
     write(output, io.StringIO())
     truth = parse_results(gt_text.getvalue())
@@ -319,8 +416,14 @@ def test_columns_build_no_record_objects(monkeypatch, mode):
     metrics.idf1(truth, output)
     metrics.amota(truth, output)
     assert built == []
-    assert len(output.records) == len(output.track_ids) > 0  # built on demand
-    assert set(built) == {"TrackRecord", "Box2D" if mode == "2d" else "Box3D"}
+    # The views' len builds nothing; iterating one builds its rows.
+    assert [len(output.records), len(result.tracks), len(frame.detections)] == [
+        len(output.track_ids), len(result.track_ids), len(frame)]
+    assert built == []
+    n = len(list(output.records))
+    box = "Box2D" if mode == "2d" else "Box3D"
+    assert n == len(output.track_ids) > 0
+    assert sorted(built) == sorted(["TrackRecord", box] * n)
 
 
 class TestValidateConfig:

@@ -4,14 +4,48 @@ solve_assignment(values, admissible) is the one solver entry: callers gate
 their values into a mask of admissible pairs, values must be finite where
 admissible and are ignored elsewhere, and a table whose admissible pairs
 already form a matching of positive pairs is returned without the solver.
+
+The solver is scipy's linear_sum_assignment, Crouse's rectangular LSAP. It is
+the builtin of scipy's compiled module scipy.optimize._lsap, and only that
+module is loaded: importing the scipy.optimize package would cost most of
+motrack's import time and memory. The module is registered under its own
+name, so a later import of scipy.optimize uses the same module and function.
+A scipy without a compiled _lsap in its optimize directory is served by
+``from scipy.optimize import linear_sum_assignment`` instead.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+
+_LSAP = "scipy.optimize._lsap"
+
+
+def _load_solver(directory: str) -> Callable:
+    """linear_sum_assignment of the compiled _LSAP module in directory, loaded
+    alone unless it is loaded already; from the scipy.optimize package if
+    directory holds no such module."""
+    module = sys.modules.get(_LSAP)
+    if module is None:
+        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_LSAP)
+        if spec is None:
+            from scipy.optimize import linear_sum_assignment
+            return linear_sum_assignment
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_LSAP] = module
+    return module.linear_sum_assignment
+
+
+linear_sum_assignment = _load_solver(
+    os.path.join(os.path.dirname(find_spec("scipy").origin), "optimize"))
 
 
 @dataclass(frozen=True)

@@ -231,9 +231,11 @@ class DetectionFrame:
     of the rows where has_velocity is set. The columns are checked once, here
     (check_columns, row_rules), and kept as given but for 3D yaws, wrapped to
     (-pi, pi], and unset velocities, zeroed, each in a copy made only then.
-    detections, and iterating or indexing the frame, yield the rows as
-    Detection objects, built on demand and never cached (a _Rows view: len
-    builds nothing, iteration builds a batch at a time, unhashable).
+    The parsers' frames are views of rows checked as they were read, built by
+    _of_checked without a second check. detections, and iterating or
+    indexing the frame, yield the rows as Detection objects, built on demand
+    and never cached (a _Rows view: len builds nothing, iteration builds a
+    batch at a time, unhashable).
     """
 
     boxes: np.ndarray
@@ -256,6 +258,18 @@ class DetectionFrame:
         unset = ~self.has_velocity & (self.velocities != 0.0).any(axis=1)
         if unset.any():
             object.__setattr__(self, "velocities", np.where(unset[:, None], 0.0, self.velocities))
+
+    @classmethod
+    def _of_checked(cls, boxes: np.ndarray, scores: np.ndarray, class_ids: np.ndarray,
+                    velocities: np.ndarray, has_velocity: np.ndarray) -> DetectionFrame:
+        """The frame of columns that already pass the constructor's checks,
+        3D yaws wrapped and unset velocities zeroed, built without checking
+        them again: equal bit for bit to the frame the constructor builds."""
+        frame = object.__new__(cls)
+        for name, column in (("boxes", boxes), ("scores", scores), ("class_ids", class_ids),
+                             ("velocities", velocities), ("has_velocity", has_velocity)):
+            object.__setattr__(frame, name, column)
+        return frame
 
     @property
     def detections(self) -> Sequence[Detection]:

@@ -27,8 +27,8 @@ from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .association import (DEFAULT_GATE_KEY, DetectionFrame, Mode, TrackerConfig, check_mode,
-                          row_rules)
+from .association import (DEFAULT_GATE_KEY, DetectionFrame, Mode, TrackerConfig, _wrap_yaw,
+                          check_mode, row_rules)
 from .tracker import CLASS_IDS, CLASS_NAMES, TrackOutput
 
 _MOT_FIELDS = 10
@@ -166,7 +166,9 @@ class DetectionFrames(Sequence):
 
     The rows are held once, sorted by frame with file order kept within a
     frame, and a frame's rows are found by binary search. So memory follows
-    the number of rows, not the largest frame number.
+    the number of rows, not the largest frame number. The columns are the
+    parser's, every row checked, 3D yaws wrapped and unset velocities 0, so a
+    view is built without checking its rows again.
     """
 
     def __init__(self, frames: np.ndarray, boxes: np.ndarray, scores: np.ndarray,
@@ -184,7 +186,7 @@ class DetectionFrames(Sequence):
         if not 0 <= index < self._n:
             raise IndexError("frame index out of range")
         start, stop = np.searchsorted(self._frames, (index + 1, index + 2)).tolist()
-        return DetectionFrame(*(column[start:stop] for column in self._columns))
+        return DetectionFrame._of_checked(*(column[start:stop] for column in self._columns))
 
 
 # --- 2D MOT records --------------------------------------------------------------
@@ -293,7 +295,7 @@ def parse_3d_detections(text: str) -> DetectionFrames:
     """Read 3D detections (id column -1) as frames 1..n (the largest frame number)."""
     frames, _, class_ids, scores, boxes, velocities, has_velocity = _by_frame(
         *_3d_columns(text, results=False))
-    return DetectionFrames(frames, boxes, scores, class_ids, velocities, has_velocity)
+    return DetectionFrames(frames, _wrap_yaw(boxes), scores, class_ids, velocities, has_velocity)
 
 
 def parse_3d_results(text: str) -> TrackOutput:

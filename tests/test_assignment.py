@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -265,3 +270,58 @@ def test_conflict_free_tables_skip_the_solver():
         assert solve_gated(np.array([[0.9, 0.8]]), 0.5).matches.tolist() == [[0, 0]]
         assert solve_gated([[0.0]], 0.0).matches.tolist() == [[0, 0]]
         assert solver.call_count == 2
+
+
+# --- loading the solver: each case in a fresh interpreter ---------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_python(code: str) -> dict:
+    """The JSON object the last line of code prints, run in a new interpreter
+    that imports motrack from this checkout."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_leaves_scipy_optimize_out():
+    # Only the compiled solver module is loaded, not the scipy.optimize package.
+    got = fresh_python("""
+        import json, sys, time
+        start = time.perf_counter()
+        import motrack
+        seconds = time.perf_counter() - start
+        import motrack.cli
+        print(json.dumps({"seconds": seconds, "optimize": "scipy.optimize" in sys.modules,
+                          "lsap": "scipy.optimize._lsap" in sys.modules}))
+    """)
+    assert got["lsap"] and not got["optimize"]
+    print(f"\nimport motrack in a fresh interpreter: {got['seconds']:.3f} s wall, "
+          "scipy.optimize not imported")
+
+
+@pytest.mark.parametrize("first", ["motrack", "scipy"])
+def test_solver_is_scipys_function_in_either_import_order(first):
+    imports = ["import motrack.assignment", "import scipy.optimize"]
+    got = fresh_python(f"""
+        import json
+        {"; ".join(imports if first == "motrack" else imports[::-1])}
+        print(json.dumps(motrack.assignment.linear_sum_assignment
+                         is scipy.optimize.linear_sum_assignment))
+    """)
+    assert got is True
+
+
+def test_solver_falls_back_to_the_package_without_a_compiled_module(tmp_path):
+    got = fresh_python(f"""
+        import json, sys
+        from motrack import assignment
+        del sys.modules["scipy.optimize._lsap"]
+        before = "scipy.optimize" in sys.modules
+        solver = assignment._load_solver({str(tmp_path)!r})
+        import scipy.optimize
+        print(json.dumps([before, solver is scipy.optimize.linear_sum_assignment]))
+    """)
+    assert got == [False, True]

@@ -4,13 +4,14 @@ import math
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from motrack import formats
+from motrack import association, formats
 from motrack.association import Detection, DetectionFrame, Mode, MotionStrategy
 from motrack.formats import (
     parse_3d_detections,
@@ -311,6 +312,44 @@ class TestColumns:
         assert frames[1].scores.tolist() == [0.5, 0.6]
         assert not frames[1].has_velocity.any()
         assert [d.score for d in frames[1]] == [0.5, 0.6]  # built on demand, file order
+
+
+_DETECTION_FILES = {
+    "2d": (parse_mot_detections,
+           "3,-1,0,0,10,10,0.5,-1,-1,-1\n1,-1,-0.0,5,10,10,0.7,-1,-1,-1\n"
+           "3,-1,1,1,10,10,0.6,-1,-1,-1\n"),
+    # Yaws 4.0, -7.0 and -pi lie outside (-pi, pi]; vx/vy are empty or signed zeros.
+    "3d": (parse_3d_detections,
+           "1,-1,car,0,0,0.8,4.0,4,2,1.5,,,0.9\n"
+           "1,-1,car,5,0,0.8,-0.0,4,2,1.5,0.5,-0.0,0.8\n"
+           "4,-1,pedestrian,1,2,0.8,-7.0,1,1,1.8,,,0.7\n"
+           "2,-1,car,0,0,0.8,3.141592653589793,4,2,1.5,-0.0,0.0,0.6\n"
+           "4,-1,car,0,0,-0.0,-3.141592653589793,4,2,1.5,,,0.5\n"),
+}
+
+
+@pytest.mark.parametrize("mode", list(_DETECTION_FILES))
+def test_parsed_frames_are_not_checked_again(mode):
+    """The parser checks every row, wraps the 3D yaws and zeroes empty
+    velocities once, so its frame views run no row rules; each equals the
+    frame the constructor builds of its columns, bit for bit."""
+    parse, text = _DETECTION_FILES[mode]
+    frames = parse(text)
+    with mock.patch.object(association, "row_rules", wraps=association.row_rules) as rules:
+        views = list(frames)
+    assert not rules.called
+    assert [len(view) for view in views] == ([1, 0, 2] if mode == "2d" else [2, 1, 0, 2])
+    columns = [field.name for field in dataclasses.fields(DetectionFrame)]
+    for view in views:
+        built = DetectionFrame(*(getattr(view, name) for name in columns))
+        for name in columns:
+            got, want = getattr(view, name), getattr(built, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name
+    if mode == "3d":
+        assert [view.boxes[:, 3].tolist() for view in views] == [
+            [4.0 - math.tau, -0.0], [math.pi], [], [-7.0 + math.tau, math.pi]]
+        assert not views[3].has_velocity.any() and views[3].velocities.tolist() == [[0, 0]] * 2
 
 
 # --- columnar parsers against the line-by-line oracle ----------------------------

@@ -513,11 +513,9 @@ def predict_tracks(
     is_3d = config.mode is Mode.BOX_3D
     means, covs = pool.means, pool.covs
     if not len(means):
-        if is_3d:
-            dim, obs = motion.STATE_DIM_3D, motion.OBS_DIM_3D
-        else:
-            dim, obs = motion.STATE_DIM_2D, motion.OBS_DIM_2D
-        means, covs = np.zeros((0, dim)), np.zeros((0, 3, obs))
+        # A fresh pool's empty states: those of zero measurements, which are
+        # as wide as box rows in both modes.
+        means, covs = motion.init_arrays(np.zeros((0, box_width(config.mode))), is_3d)
 
     if strategy is MotionStrategy.DETECTED_VELOCITY:
         wants_backward = np.ones(len(means), dtype=bool)

@@ -246,10 +246,10 @@ def _block_tables(
     gt_ids: np.ndarray,
     pr_ids: np.ndarray,
     scores: np.ndarray,
-    wanted: np.ndarray | None = None,
+    wanted: np.ndarray,
 ) -> list[_FrameTable]:
-    """The tables of a block's frames, or of those flagged in ``wanted``, from
-    its _isolated flags and the id and score columns its record indices point into.
+    """The tables of a block's frames flagged in ``wanted``, from its
+    _isolated flags and the id and score columns its record indices point into.
 
     One stable sort by (frame, prediction score) orders every frame's pairs
     at once, and each column becomes one list that the frames slice.
@@ -257,9 +257,8 @@ def _block_tables(
     gt_bounds, pr_bounds, frame, gt_at, pr_at, values = block
     n_frames = len(gt_bounds) - 1
     isolated = isolated.tolist()
-    if wanted is not None:
-        keep = wanted[frame]
-        frame, gt_at, pr_at, values = frame[keep], gt_at[keep], pr_at[keep], values[keep]
+    keep = wanted[frame]
+    frame, gt_at, pr_at, values = frame[keep], gt_at[keep], pr_at[keep], values[keep]
     pair_scores = scores[pr_at]
     order = np.lexsort((pair_scores, frame))
     pair_bounds = np.searchsorted(frame, np.arange(n_frames + 1)).tolist()
@@ -270,7 +269,7 @@ def _block_tables(
     gt_list, pr_list = gt_ids[g0:g1].tolist(), pr_ids[p0:p1].tolist()
     score_list = scores[p0:p1].tolist()
     tables = []
-    for i in range(n_frames) if wanted is None else wanted.nonzero()[0].tolist():
+    for i in wanted.nonzero()[0].tolist():
         ga, gz = gt_bounds[i] - g0, gt_bounds[i + 1] - g0
         pa, pz = pr_bounds[i] - p0, pr_bounds[i + 1] - p0
         qa, qz = pair_bounds[i], pair_bounds[i + 1]

@@ -1,12 +1,13 @@
 """Constant-velocity Kalman filtering for 2D and 3D box tracking.
 
 2D tracks use an 8-dim state (center x, center y, aspect ratio w/h, height,
-plus their per-frame velocities) with noise scales proportional to the box
-height. 3D tracks use a 10-dim state (x, y, z, yaw, l, w, h plus world-frame
-center velocities) with fixed metric noise scales. The scales are module
-constants; the only noise setting is the confidence scaling of update_arrays,
-R_hat = alpha * (1 - score)^2 * R, floored elementwise to keep the innovation
-covariance invertible at score 1.
+plus their per-frame velocities), 3D tracks a 10-dim state (x, y, z, yaw, l,
+w, h plus world-frame center velocities). The noise scales are one module
+table per mode; every noise standard deviation is fixed + weight * h, h the
+box height: 2D scales with the height except for the aspect ratio, and all of
+3D is fixed (metric scales). The only noise setting is the confidence scaling
+of update_arrays, R_hat = alpha * (1 - score)^2 * R, floored elementwise to
+keep the innovation covariance invertible at score 1.
 
 The transition couples each observed channel only with its own velocity,
 the observation selects the observed channels, and every noise term is
@@ -57,12 +58,29 @@ _SIZE_STD = 0.3
 _VEL_STD = 0.5
 _OBS_STDS_3D = np.array([_POS_STD] * 3 + [_YAW_STD] + [_SIZE_STD] * 3)
 
-# Process-noise scales per observed channel: 3D variances, 2D multiples of the
-# box height (the aspect-ratio channel is set apart).
-_Q_POS_VARS_3D = _OBS_STDS_3D**2
-_Q_VEL_VARS_3D = np.array([_VEL_STD] * 3 + [0.0] * 4) ** 2
-_Q_POS_WEIGHTS_2D = np.array([_POS_WEIGHT, _POS_WEIGHT, 0.0, _POS_WEIGHT])
-_Q_VEL_WEIGHTS_2D = np.array([_VEL_WEIGHT, _VEL_WEIGHT, 0.0, _VEL_WEIGHT])
+
+def _table_2d(weight: float, aspect_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, fixed) of a 2D noise term: height-proportional except the aspect ratio."""
+    return np.array([weight, weight, 0.0, weight]), np.array([0.0, 0.0, aspect_std, 0.0])
+
+
+# The noise scales, one table per mode. Each term (process noise of the
+# positions and of the velocities, measurement noise, initial position and
+# velocity uncertainty) maps to per-channel weights and fixed standard
+# deviations, std = fixed + weight * h with h the box height, the last
+# observed channel. Channels without a velocity have zero velocity terms.
+_NOISE_2D = {
+    "q_pos": _table_2d(_POS_WEIGHT, _ASPECT_Q_STD),
+    "q_vel": _table_2d(_VEL_WEIGHT, _ASPECT_VEL_Q_STD),
+    "r": _table_2d(_POS_WEIGHT, _ASPECT_R_STD),
+    "init_pos": _table_2d(2.0 * _POS_WEIGHT, _ASPECT_INIT_STD),
+    "init_vel": _table_2d(10.0 * _VEL_WEIGHT, _ASPECT_VEL_INIT_STD),
+}
+_VEL_STDS_3D = np.array([_VEL_STD] * 3 + [0.0] * 4)
+_NOISE_3D = {term: (np.zeros(OBS_DIM_3D), fixed) for term, fixed in (
+    ("q_pos", _OBS_STDS_3D), ("q_vel", _VEL_STDS_3D), ("r", _OBS_STDS_3D),
+    ("init_pos", 2.0 * _OBS_STDS_3D), ("init_vel", 10.0 * _VEL_STDS_3D),
+)}
 
 # Floor of the measurement variances after confidence scaling.
 _MIN_NOISE_FLOOR = 1e-4
@@ -105,52 +123,22 @@ def box_rows(means: np.ndarray, is_3d: bool) -> np.ndarray:
     return rows
 
 
-def _q_blocks(means: np.ndarray, is_3d: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Process-noise variances of each channel's position and velocity.
-
-    Two arrays that broadcast against (K, obs_dim); velocity noise is zero on
-    the channels without a velocity.
-    """
-    if is_3d:
-        return _Q_POS_VARS_3D, _Q_VEL_VARS_3D
-    heights = means[:, 3:4]
-    pos = heights * _Q_POS_WEIGHTS_2D
-    pos[:, 2] = _ASPECT_Q_STD
-    vel = heights * _Q_VEL_WEIGHTS_2D
-    vel[:, 2] = _ASPECT_VEL_Q_STD
-    return pos**2, vel**2
-
-
-def _r_diags(zs: np.ndarray, is_3d: bool) -> np.ndarray:
-    """Per-measurement base noise variances, shape (K, obs_dim)."""
-    k = zs.shape[0]
-    if is_3d:
-        return np.broadcast_to(_OBS_STDS_3D**2, (k, OBS_DIM_3D)).copy()
-    heights = zs[:, 3]
-    stds = np.empty((k, OBS_DIM_2D))
-    stds[:, 0] = stds[:, 1] = stds[:, 3] = _POS_WEIGHT * heights
-    stds[:, 2] = _ASPECT_R_STD
-    return stds**2
+def _variances(term: str, rows: np.ndarray, is_3d: bool) -> np.ndarray:
+    """Variances (K, obs_dim) of one noise term for state or measurement rows:
+    std = fixed + weight * h per channel, h the row's last observed channel."""
+    weight, fixed = (_NOISE_3D if is_3d else _NOISE_2D)[term]
+    obs = len(weight)
+    return (fixed + weight * rows[:, obs - 1 : obs]) ** 2
 
 
 def init_arrays(zs: np.ndarray, is_3d: bool) -> tuple[np.ndarray, np.ndarray]:
     """Start one track per measurement row: positions measured, velocities zero."""
     k, obs = zs.shape
+    dim = STATE_DIM_3D if is_3d else STATE_DIM_2D
+    means = np.concatenate((zs, np.zeros((k, dim - obs))), axis=1)
     covs = np.zeros((k, 3, obs))
-    if is_3d:
-        means = np.concatenate((zs, np.zeros((k, 3))), axis=1)
-        covs[:, 0] = (2.0 * _OBS_STDS_3D) ** 2
-        covs[:, 2, :3] = np.array([10.0 * _VEL_STD] * 3) ** 2
-    else:
-        means = np.concatenate((zs, np.zeros((k, 4))), axis=1)
-        p = 2.0 * _POS_WEIGHT
-        v = 10.0 * _VEL_WEIGHT
-        pos = zs[:, 3:4] * np.array([p, p, 0.0, p])
-        pos[:, 2] = _ASPECT_INIT_STD
-        vel = zs[:, 3:4] * np.array([v, v, 0.0, v])
-        vel[:, 2] = _ASPECT_VEL_INIT_STD
-        covs[:, 0] = pos**2
-        covs[:, 2] = vel**2
+    covs[:, 0] = _variances("init_pos", zs, is_3d)
+    covs[:, 2] = _variances("init_vel", zs, is_3d)
     return means, covs
 
 
@@ -162,14 +150,13 @@ def predict_arrays(
     Per block: a' = (a + b) + (b + c) + q_pos, b' = b + c, c' = c + q_vel.
     """
     obs = covs.shape[2]
-    q_pos, q_vel = _q_blocks(means, is_3d)
     new_means = means.copy()
     new_means[:, : means.shape[1] - obs] += means[:, obs:]
     a, b, c = covs[:, 0], covs[:, 1], covs[:, 2]
     new_covs = np.empty_like(covs)
     new_covs[:, 1] = b + c
-    new_covs[:, 0] = (a + b) + new_covs[:, 1] + q_pos
-    new_covs[:, 2] = c + q_vel
+    new_covs[:, 0] = (a + b) + new_covs[:, 1] + _variances("q_pos", means, is_3d)
+    new_covs[:, 2] = c + _variances("q_vel", means, is_3d)
     return new_means, new_covs
 
 
@@ -177,10 +164,9 @@ def inflate_arrays(
     means: np.ndarray, covs: np.ndarray, is_3d: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random-walk step used when no motion model applies: means copied, variances grown."""
-    q_pos, q_vel = _q_blocks(means, is_3d)
     new_covs = covs.copy()
-    new_covs[:, 0] += q_pos
-    new_covs[:, 2] += q_vel
+    new_covs[:, 0] += _variances("q_pos", means, is_3d)
+    new_covs[:, 2] += _variances("q_vel", means, is_3d)
     return means.copy(), new_covs
 
 
@@ -210,7 +196,7 @@ def update_arrays(
     if ((scores < 0.0) | (scores > 1.0)).any():
         raise ValueError("scores must be in [0, 1]")
 
-    r = _r_diags(zs, is_3d)
+    r = _variances("r", zs, is_3d)
     if adaptive:
         r = alpha * (1.0 - scores[:, None]) ** 2 * r
     r = np.maximum(r, _MIN_NOISE_FLOOR)

@@ -11,11 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .association import DetectionFrame, Mode, box_width
 from .tracker import CLASS_IDS, TrackOutput
+
+
+def _check_integers(spec, *names: str) -> None:
+    """Reject a field named in names whose value is not an integer, bools and floats included."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -27,6 +36,7 @@ class MotionSegment:
     vy: float
 
     def __post_init__(self):
+        _check_integers(self, "frames")
         if self.frames < 1:
             raise ValueError("segment length must be at least one frame")
 
@@ -46,6 +56,7 @@ class ObjectSpec:
     class_id: int = 0
 
     def __post_init__(self):
+        _check_integers(self, "class_id")
         if not self.segments:
             raise ValueError("object needs at least one motion segment")
         if len(self.start) not in (2, 3) or len(self.size) != len(self.start):
@@ -63,6 +74,7 @@ class OcclusionEvent:
     score: float
 
     def __post_init__(self):
+        _check_integers(self, "object_index", "first_frame", "last_frame")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError("occlusion score must be in [0, 1]")
         if self.first_frame > self.last_frame:
@@ -78,6 +90,7 @@ class DropoutSpan:
     last_frame: int
 
     def __post_init__(self):
+        _check_integers(self, "object_index", "first_frame", "last_frame")
         if self.first_frame > self.last_frame:
             raise ValueError("dropout span is empty")
 
@@ -101,6 +114,7 @@ class ScenarioSpec:
     velocity_noise: float = 0.0
 
     def __post_init__(self):
+        _check_integers(self, "duration")
         if self.duration < 1:
             raise ValueError("duration must be at least one frame")
         for name in ("position_noise", "score_noise", "clutter_rate",

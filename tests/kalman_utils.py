@@ -124,6 +124,19 @@ def _dense_q(means: np.ndarray, is_3d: bool) -> np.ndarray:
     return stds**2
 
 
+def _dense_r(zs: np.ndarray, is_3d: bool) -> np.ndarray:
+    """Per-measurement base noise variances, shape (K, obs_dim)."""
+    k = zs.shape[0]
+    if is_3d:
+        stds = np.array([motion._POS_STD] * 3 + [motion._YAW_STD] + [motion._SIZE_STD] * 3)
+        return np.broadcast_to(stds**2, (k, motion.OBS_DIM_3D)).copy()
+    heights = zs[:, 3]
+    stds = np.empty((k, motion.OBS_DIM_2D))
+    stds[:, 0] = stds[:, 1] = stds[:, 3] = motion._POS_WEIGHT * heights
+    stds[:, 2] = motion._ASPECT_R_STD
+    return stds**2
+
+
 def dense_init(zs: np.ndarray, is_3d: bool):
     k = zs.shape[0]
     if is_3d:
@@ -172,7 +185,7 @@ def dense_update(means, covs, zs, scores, alpha: float, adaptive: bool, is_3d: b
     dim, obs = _dims(is_3d)
     k = means.shape[0]
     scores = np.asarray(scores, dtype=float)
-    r = motion._r_diags(zs, is_3d)
+    r = _dense_r(zs, is_3d)
     if adaptive:
         r = alpha * (1.0 - scores[:, None]) ** 2 * r
     r = np.maximum(r, motion._MIN_NOISE_FLOOR)

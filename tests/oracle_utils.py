@@ -546,8 +546,9 @@ def block_tables(gt, pred, threshold):
     from motrack import metrics
 
     for block in metrics._blocks(gt, pred, threshold):
-        yield from metrics._block_tables(block, metrics._isolated(block), gt.track_ids,
-                                         pred.track_ids, pred.scores)
+        isolated = metrics._isolated(block)
+        yield from metrics._block_tables(block, isolated, gt.track_ids, pred.track_ids,
+                                         pred.scores, np.ones(len(isolated), dtype=bool))
 
 
 def clear_from_frame_tables(gt, pred, threshold):

@@ -133,3 +133,33 @@ def test_every_public_definition_is_used_exported_or_documented():
               and node.name not in motrack.__all__
               and not re.search(rf"\b{node.name}\b", readme)]
     assert unused == []
+
+
+def test_every_private_definition_is_named_in_the_package():
+    # A private module-level function, class or constant that no code in the
+    # package loads, reads as an attribute or imports is dead, or left over
+    # for the tests.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "motrack").glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+
+    def defined(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [node.name]
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        return [name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)]
+
+    unused = [f"{module}.{name}" for module, tree in trees.items() for node in tree.body
+              for name in defined(node)
+              if name.startswith("_") and not name.startswith("__") and name not in named]
+    assert unused == []

@@ -177,6 +177,37 @@ def test_simulate_scenario_file(tmp_path):
     assert gt.read_text()
 
 
+
+@pytest.mark.parametrize("field, path, value", [
+    ("duration", (), 2.5),
+    ("duration", (), True),
+    ("class_id", ("objects", 0), 2.7),
+    ("frames", ("objects", 0, "segments", 0), 40.0),
+    ("first_frame", ("occlusions", 0), 1.5),
+    ("object_index", ("occlusions", 0), False),
+    ("last_frame", ("dropouts", 0), 3.0),
+], ids=["duration-float", "duration-bool", "class_id", "frames", "occlusion-first_frame",
+        "occlusion-object_index", "dropout-last_frame"])
+def test_simulate_scenario_rejects_non_integer_fields(tmp_path, capsys, field, path, value):
+    # Floats and bools in integer fields once crashed generate_scenario with a
+    # TypeError traceback, or (class_id) were truncated to an integer.
+    from motrack.simulate import scenario_to_dict
+
+    data = scenario_to_dict(canonical_occlusion_scenario()[0])
+    data["dropouts"] = [{"object_index": 0, "first_frame": 2, "last_frame": 3}]
+    owner = data
+    for key in path:
+        owner = owner[key]
+    owner[field] = value
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    gt, det = tmp_path / "gt.txt", tmp_path / "det.txt"
+    assert main(["simulate", "--scenario", str(scenario), "--out-gt", str(gt),
+                 "--out-det", str(det)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {field} must be an integer, got {value!r}\n")
+
+
 def test_sweep_prints_table(capsys):
     assert main(["sweep", "--taus", "0.4,0.6", "--scenarios", "2",
                  "--base-seed", "100"]) == 0

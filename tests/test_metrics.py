@@ -573,7 +573,7 @@ def sparse_table(gt_ids, pr_ids, scores, values, gate):
     tables = metrics._block_tables(block, metrics._isolated(block),
                                    np.array(gt_ids, dtype=np.int64),
                                    np.array(pr_ids, dtype=np.int64),
-                                   np.array(scores, dtype=float))
+                                   np.array(scores, dtype=float), np.ones(1, dtype=bool))
     assert len(tables) == 1
     return tables[0]
 

@@ -300,29 +300,26 @@ class TrackerConfig:
     """Tracking hyperparameters; defaults are the 2D ones.
 
     Gates may be scalars or per-class maps keyed by class id (key -1 supplies
-    the fallback). alpha and adaptive_r are the only noise settings: with
-    adaptive_r set, a detection of score s is measured with noise
-    alpha * (1 - s)^2 * R (see motion.update_arrays), alpha in
-    [0, MAX_ALPHA]; the noise scales themselves are fixed. second_pass
-    disables the low-score association for the single-stage baseline.
+    the fallback). alpha is the only noise setting: a detection of score s is
+    measured with noise alpha * (1 - s)^2 * R (see motion.update_arrays),
+    alpha in [0, MAX_ALPHA], or with R itself when alpha is None; the noise
+    scales themselves are fixed. gate_second None drops the low-score
+    association, the single-stage baseline.
     """
 
     mode: Mode = Mode.BOX_2D
     tau: float = 0.6
     gate_first: float | Mapping[int, float] = 0.2
-    gate_second: float | Mapping[int, float] = 0.2
+    gate_second: float | Mapping[int, float] | None = 0.2
     track_buffer: int = 30
     motion_strategy: MotionStrategy = MotionStrategy.KALMAN
-    alpha: float = 100.0
-    adaptive_r: bool = False
-    second_pass: bool = True
+    alpha: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "mode", _enum_member(Mode, self.mode, "mode"))
         object.__setattr__(self, "motion_strategy", _enum_member(
             MotionStrategy, self.motion_strategy, "motion strategy"))
         _require_real("tau", self.tau)
-        _require_real("alpha", self.alpha)
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if not isinstance(self.track_buffer, Integral) or isinstance(self.track_buffer, bool):
@@ -330,19 +327,18 @@ class TrackerConfig:
         if not 1 <= self.track_buffer <= MAX_TRACK_BUFFER:
             raise ValueError(f"track_buffer must be in [1, {MAX_TRACK_BUFFER}], "
                              f"got {self.track_buffer}")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.alpha > MAX_ALPHA:
-            raise ValueError(f"alpha must be at most {MAX_ALPHA!r}, got {self.alpha}")
+        if self.alpha is not None:
+            _require_real("alpha", self.alpha)
+            if not math.isfinite(self.alpha):
+                raise ValueError(f"alpha must be finite, got {self.alpha}")
+            if self.alpha < 0:
+                raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+            if self.alpha > MAX_ALPHA:
+                raise ValueError(f"alpha must be at most {MAX_ALPHA!r}, got {self.alpha}")
         if self.mode is Mode.BOX_2D and self.motion_strategy is not MotionStrategy.KALMAN:
             raise ValueError("detected-velocity strategies require 3D mode")
-        for name in ("adaptive_r", "second_pass"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {value!r}")
-        for name in ("gate_first", "gate_second"):
+        gates = ("gate_first",) if self.gate_second is None else ("gate_first", "gate_second")
+        for name in gates:
             gate = getattr(self, name)
             if isinstance(gate, Mapping):
                 gate = dict(gate)
@@ -550,8 +546,8 @@ def step(
 ) -> FrameResult:
     """Run one frame of the two-stage association over the track pool.
 
-    The frame is scored once: the high rows, and the low rows too when
-    second_pass is on, against every predicted track, in one kernel call. That
+    The frame is scored once: the high rows, and the low rows too unless
+    gate_second is None, against every predicted track, in one kernel call. That
     table is checked for finite values once and gated by one admission mask,
     each row under its own gate (gate_first for the high rows, gate_second
     for the low ones) on its same-class pairs. The first pass matches the high
@@ -600,7 +596,8 @@ def step(
 
     means, covs, match_rows, wants_backward = predict_tracks(pool, config)
     n_high = len(high_idx)
-    scored = np.concatenate((high_idx, low_idx)) if config.second_pass else high_idx
+    second_pass = config.gate_second is not None
+    scored = np.concatenate((high_idx, low_idx)) if second_pass else high_idx
     same_class = det_classes[scored][:, None] == pool.class_ids[None, :]
     if is_3d:
         # Each same-class pair is scored once, against the backward-shifted
@@ -625,7 +622,7 @@ def step(
     # the high rows, gate_second for the low ones) on its same-class pairs.
     row_gates = np.empty((len(scored), 1))
     row_gates[:n_high, 0] = _row_gates(det_classes[high_idx], config.gate_first)
-    if config.second_pass:
+    if second_pass:
         row_gates[n_high:, 0] = _row_gates(det_classes[low_idx], config.gate_second)
     if is_3d:
         # GIoU gates may be negative, so values and gates are shifted until
@@ -642,7 +639,7 @@ def step(
     first_trk = first.matches[:, 1]
     high_left = high_idx[first.unmatched_detections]
     cols_left = first.unmatched_tracklets
-    if config.second_pass:
+    if second_pass:
         second = solve_assignment(values[n_high:, cols_left], admissible[n_high:, cols_left])
         second_det = low_idx[second.matches[:, 0]]
         second_trk = cols_left[second.matches[:, 1]]
@@ -663,7 +660,7 @@ def step(
     if n_matched:
         means[matched_trk], covs[matched_trk] = motion.update_arrays(
             means[matched_trk], covs[matched_trk], zs[:n_matched], scores[matched_det],
-            config.alpha, config.adaptive_r, is_3d
+            config.alpha, is_3d
         )
 
     lost = np.zeros(len(means), dtype=bool)

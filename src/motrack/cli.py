@@ -11,7 +11,7 @@ from statistics import mean
 
 from . import formats, metrics, simulate
 from .association import Mode, MotionStrategy
-from .tracker import TrackOutput, run_sequence, validate_config
+from .tracker import Tracker, TrackOutput, run_sequence, validate_config
 
 _PRESETS = {
     "occlusion": simulate.canonical_occlusion_scenario,
@@ -50,12 +50,13 @@ def _build_parser() -> argparse.ArgumentParser:
     track.add_argument("--config", help="key/value config file (flags override it)")
     track.add_argument("--tau", type=float, default=None, help="detection score split")
     track.add_argument("--gate-first", type=float, default=None)
-    track.add_argument("--gate-second", type=float, default=None)
+    second = track.add_mutually_exclusive_group()
+    second.add_argument("--gate-second", type=float, default=None)
+    second.add_argument("--single-stage", action="store_true",
+                        help="disable the low-score association pass")
     track.add_argument("--track-buffer", type=int, default=None)
     track.add_argument("--alpha", type=float, default=None)
     track.add_argument("--motion", choices=[m.value for m in MotionStrategy], default=None)
-    track.add_argument("--single-stage", action="store_true",
-                       help="disable the low-score association pass")
 
     ev = sub.add_parser("eval", help="score a result file against ground truth")
     ev.add_argument("--gt", required=True)
@@ -107,7 +108,7 @@ def _load_tracker_inputs(args):
     }
     options.update({k: v for k, v in overrides.items() if v is not None})
     if args.single_stage:
-        options["second_pass"] = False
+        options["gate_second"] = None
     return validate_config(options)
 
 
@@ -119,7 +120,14 @@ def _cmd_track(args) -> int:
         frames = formats.parse_mot_detections(text)
     else:
         frames = formats.parse_3d_detections(text)
-    output = run_sequence(frames, config)
+    # Only the frames holding rows are stepped: a skipped frame is an empty one.
+    tracker = Tracker(config)
+    for number, detections in frames.nonempty():
+        try:
+            tracker.step(detections, frame=number)
+        except ValueError as exc:
+            raise ValueError(f"frame {number}: {exc}") from exc
+    output = tracker.output()
     with open(args.output, "w", encoding="utf-8") as fh:
         if config.mode is Mode.BOX_2D:
             formats.write_mot_results(output, fh)
@@ -191,8 +199,8 @@ def _cmd_sweep(args) -> int:
     spreads: dict[str, list[float]] = {"two": [], "single": []}
     for tau in args.taus:
         row: dict[str, tuple[float, float]] = {}
-        for label, second in (("two", True), ("single", False)):
-            config = replace(base, tau=tau, second_pass=second)
+        for label, gate_second in (("two", base.gate_second), ("single", None)):
+            config = replace(base, tau=tau, gate_second=gate_second)
             motas, idf1s = [], []
             for gt, frames in realized:
                 pred = run_sequence(frames, config)

@@ -80,7 +80,9 @@ class _Rows:
             n = next(i for i, count in enumerate(commas) if count != n_fields - 1)
             self.tail = (line_nos[n],
                          f"expected {n_fields} comma-separated fields, got {commas[n] + 1}")
-        tokens = ",".join(lines[:n]).split(",") if n else []
+        joined = ",".join(lines[:n])
+        self.separated = "_" in joined  # see convert
+        tokens = joined.split(",") if n else []
         self.columns = [tokens[k::n_fields] for k in range(n_fields)]
         self.line_nos = line_nos
         self.row, self.describe = n, None
@@ -106,47 +108,53 @@ class _Rows:
         if self.tail is not None:
             raise _fail(*self.tail)
 
+    def convert(self, tokens: list[str], kind: Callable[[str], float],
+                dtype) -> tuple[np.ndarray, np.ndarray | None]:
+        """Tokens converted by kind (float, int, ...) in one pass, plus a mask
+        of the tokens it rejects, dtype cannot hold or that hold a digit
+        separator '_', which int and float accept (None if there are none; 0
+        there). Only a chunk holding a '_' looks for one in each token."""
+        if not self.separated:
+            try:
+                return np.fromiter(map(kind, tokens), dtype=dtype, count=len(tokens)), None
+            except (ValueError, OverflowError):
+                pass
+        values = np.zeros(len(tokens), dtype=dtype)
+        bad = np.zeros(len(tokens), dtype=bool)
+        for i, token in enumerate(tokens):
+            if "_" in token:
+                bad[i] = True
+                continue
+            try:
+                values[i] = kind(token)
+            except (ValueError, OverflowError):
+                bad[i] = True
+        return values, bad
+
     def floats(self, k: int, name: str, tokens: list[str] | None = None) -> np.ndarray:
         """Field k (or the given tokens) as floats, with its number check."""
         tokens = self.columns[k] if tokens is None else tokens
-        values, bad = _convert(tokens, float, np.float64)
+        values, bad = self.convert(tokens, float, np.float64)
         self.check(bad, lambda i: f"{name} is not a number: {tokens[i].strip()!r}")
         return values
 
     def ints(self, k: int, name: str) -> np.ndarray:
         """Field k as int64, with its integer check."""
         tokens = self.columns[k]
-        values, bad = _convert(tokens, int, np.int64)
+        values, bad = self.convert(tokens, int, np.int64)
 
         def describe(i: int) -> str:
             token = tokens[i].strip()
-            try:
-                int(token)
-            except ValueError:
-                return f"{name} is not an integer: {token!r}"
-            return f"{name} is out of range: {token!r}"
+            if "_" not in token:
+                try:
+                    int(token)
+                    return f"{name} is out of range: {token!r}"
+                except ValueError:
+                    pass
+            return f"{name} is not an integer: {token!r}"
 
         self.check(bad, describe)
         return values
-
-
-def _convert(
-    tokens: list[str], kind: Callable[[str], float], dtype
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Tokens converted by kind (float, int, ...) in one pass, plus a mask of
-    the tokens it rejects or dtype cannot hold (None if there are none; 0 there)."""
-    try:
-        return np.fromiter(map(kind, tokens), dtype=dtype, count=len(tokens)), None
-    except (ValueError, OverflowError):
-        pass
-    values = np.zeros(len(tokens), dtype=dtype)
-    bad = np.zeros(len(tokens), dtype=bool)
-    for i, token in enumerate(tokens):
-        try:
-            values[i] = kind(token)
-        except (ValueError, OverflowError):
-            bad[i] = True
-    return values, bad
 
 
 def _by_frame(frames: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -186,7 +194,20 @@ class DetectionFrames(Sequence):
         if not 0 <= index < self._n:
             raise IndexError("frame index out of range")
         start, stop = np.searchsorted(self._frames, (index + 1, index + 2)).tolist()
+        return self._view(start, stop)
+
+    def _view(self, start: int, stop: int) -> DetectionFrame:
         return DetectionFrame._of_checked(*(column[start:stop] for column in self._columns))
+
+    def nonempty(self) -> Iterator[tuple[int, DetectionFrame]]:
+        """(frame number, view) of each frame holding rows, in frame order:
+        the frames a tracker must step, since skipping a frame number is
+        stepping it empty (Tracker.step). Its cost follows the rows, not the
+        largest frame number."""
+        numbers, starts = np.unique(self._frames, return_index=True)
+        stops = starts[1:].tolist() + [len(self._frames)]
+        for number, start, stop in zip(numbers.tolist(), starts.tolist(), stops):
+            yield number, self._view(start, stop)
 
 
 # --- 2D MOT records --------------------------------------------------------------
@@ -272,7 +293,7 @@ def _3d_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
         rows = _Rows(first_line_no, lines, _3D_FIELDS)
         frames, ids = rows.ints(0, "frame"), rows.ints(1, "id")
         labels = [token.strip() for token in rows.columns[2]]
-        class_ids, bad = _convert(labels, _class_id, np.int64)
+        class_ids, bad = rows.convert(labels, _class_id, np.int64)
         rows.check(bad, lambda i: f"unknown class label {labels[i]!r}")
         boxes = np.stack([rows.floats(k, name) for k, name in
                           enumerate(("x", "y", "z", "theta", "l", "w", "h"), start=3)], axis=1)
@@ -354,32 +375,33 @@ def write_detections(frames: Iterable[DetectionFrame], mode: Mode, sink: IO[str]
 # --- config files -----------------------------------------------------------------
 
 # The type each scalar key is parsed as: a config field's default type (an
-# enum's value is read as a string), and modality.
+# enum's value is read as a string), alpha's (None by default) float, and
+# modality.
 _SCALAR_KEYS = {field.name: str if isinstance(field.default, Enum) else type(field.default)
-                for field in fields(TrackerConfig)} | {"modality": str}
+                for field in fields(TrackerConfig)} | {"alpha": float, "modality": str}
+# The keys that may be written `none`: a stage switched off.
+_NONE_KEYS = ("alpha", "gate_second")
 
 
 def _parse_scalar(kind: type, token: str, line_no: int, name: str) -> object:
-    """token read as kind, a type of _SCALAR_KEYS."""
-    if kind is bool:
-        if token.lower() in ("true", "1", "yes", "on"):
-            return True
-        if token.lower() in ("false", "0", "no", "off"):
-            return False
-        raise _fail(line_no, f"{name} must be a boolean, got {token!r}")
-    try:
-        return kind(token)
-    except ValueError:
-        article = "an integer" if kind is int else "a number"
-        raise _fail(line_no, f"{name} is not {article}: {token!r}") from None
+    """token read as kind, a type of _SCALAR_KEYS; a number holding a digit
+    separator '_' (which int and float accept) is rejected."""
+    if kind is str or "_" not in token:
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    article = "an integer" if kind is int else "a number"
+    raise _fail(line_no, f"{name} is not {article}: {token!r}")
 
 
 def parse_config_text(text: str) -> dict[str, object]:
     """Parse ``key = value`` lines into a raw options mapping.
 
     Per-class gates use dotted keys, e.g. ``gate_first.car = -0.1`` or
-    ``gate_first.default = -0.5``; '#' starts a comment. The result feeds
-    validate_config, which applies per-mode defaults.
+    ``gate_first.default = -0.5``; ``alpha = none`` and ``gate_second = none``
+    switch confidence scaling and the low-score pass off; '#' starts a
+    comment. The result feeds validate_config, which applies per-mode defaults.
     """
     options: dict[str, object] = {}
     class_gates: dict[str, dict[int, float]] = {}
@@ -404,7 +426,8 @@ def parse_config_text(text: str) -> dict[str, object]:
             continue
         if key not in _SCALAR_KEYS:
             raise _fail(line_no, f"unknown config key {key!r}")
-        options[key] = _parse_scalar(_SCALAR_KEYS[key], value, line_no, key)
+        off = key in _NONE_KEYS and value.lower() == "none"
+        options[key] = None if off else _parse_scalar(_SCALAR_KEYS[key], value, line_no, key)
     for base, table in class_gates.items():
         if base in options:
             raise ValueError(f"{base} given both as a scalar and a per-class table")

@@ -6,8 +6,9 @@ w, h plus world-frame center velocities). The noise scales are one module
 table per mode; every noise standard deviation is fixed + weight * h, h the
 box height: 2D scales with the height except for the aspect ratio, and all of
 3D is fixed (metric scales). The only noise setting is the confidence scaling
-of update_arrays, R_hat = alpha * (1 - score)^2 * R, floored elementwise to
-keep the innovation covariance invertible at score 1.
+of update_arrays, R_hat = alpha * (1 - score)^2 * R (none when alpha is
+None), floored elementwise to keep the innovation covariance invertible at
+score 1.
 
 The transition couples each observed channel only with its own velocity,
 the observation selects the observed channels, and every noise term is
@@ -175,13 +176,12 @@ def update_arrays(
     covs: np.ndarray,
     zs: np.ndarray,
     scores: np.ndarray,
-    alpha: float,
-    adaptive: bool,
+    alpha: float | None,
     is_3d: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kalman measurement update of K states by K measurement rows.
 
-    When adaptive is set the base measurement covariance R becomes
+    Unless alpha is None the base measurement covariance R becomes
     alpha * (1 - score)^2 * R; either way R is floored elementwise at 1e-4.
     The yaw innovation (3D) is wrapped to (-pi, pi] before applying the gain,
     and the updated yaw after. Per block, with s = a + r, the gain is
@@ -197,7 +197,7 @@ def update_arrays(
         raise ValueError("scores must be in [0, 1]")
 
     r = _variances("r", zs, is_3d)
-    if adaptive:
+    if alpha is not None:
         r = alpha * (1.0 - scores[:, None]) ** 2 * r
     r = np.maximum(r, _MIN_NOISE_FLOOR)
 

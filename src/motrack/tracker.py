@@ -121,7 +121,6 @@ def default_config(mode: Mode = Mode.BOX_2D, modality: str | None = None) -> Tra
         gate_second=dict(gates),
         motion_strategy=MotionStrategy.COMPLEMENTARY,
         alpha=_ALPHA_DEFAULTS[modality],
-        adaptive_r=True,
     )
 
 
@@ -133,9 +132,8 @@ def validate_config(raw: Mapping[str, object] | TrackerConfig) -> TrackerConfig:
     """Normalize a raw config mapping: apply defaults, coerce enums, check ranges.
 
     Accepts an already-built TrackerConfig unchanged (its invariants were
-    checked on construction). Unknown keys, out-of-range values and an alpha
-    set while adaptive_r is off (where alpha has no effect) raise ValueError
-    with a descriptive message.
+    checked on construction). Unknown keys and out-of-range values raise
+    ValueError with a descriptive message.
     """
     if isinstance(raw, TrackerConfig):
         return raw
@@ -150,9 +148,6 @@ def validate_config(raw: Mapping[str, object] | TrackerConfig) -> TrackerConfig:
         config = replace(base, **options)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid tracker config: {exc}") from exc
-    if "alpha" in options and not config.adaptive_r:
-        raise ValueError("alpha only scales the measurement noise when adaptive_r is on, "
-                         "and it is off here: drop alpha or set adaptive_r")
     return config
 
 

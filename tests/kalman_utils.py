@@ -87,12 +87,12 @@ def kf_predict(state: State) -> State:
 
 
 def kf_update(
-    state: State, box: Box2D | Box3D, score: float, alpha: float, adaptive: bool
+    state: State, box: Box2D | Box3D, score: float, alpha: float | None
 ) -> State:
     is_3d = _is_3d(state)
     means, covs = motion.update_arrays(
         state.mean[None], blocks_of(state.covariance[None], is_3d), measure(box), [score],
-        alpha, adaptive, is_3d,
+        alpha, is_3d,
     )
     return State(means[0], dense_covariance(covs, is_3d)[0])
 
@@ -180,13 +180,13 @@ def _dense_wrap(rows: np.ndarray) -> None:
     rows[:, 3] = theta
 
 
-def dense_update(means, covs, zs, scores, alpha: float, adaptive: bool, is_3d: bool):
+def dense_update(means, covs, zs, scores, alpha: float | None, is_3d: bool):
     """Gain by a batched solve, posterior in Joseph form."""
     dim, obs = _dims(is_3d)
     k = means.shape[0]
     scores = np.asarray(scores, dtype=float)
     r = _dense_r(zs, is_3d)
-    if adaptive:
+    if alpha is not None:
         r = alpha * (1.0 - scores[:, None]) ** 2 * r
     r = np.maximum(r, motion._MIN_NOISE_FLOOR)
 

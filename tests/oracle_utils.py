@@ -823,14 +823,14 @@ def two_pass_step(pool, frame: int, detections, config):
         if len(det):
             zs = motion._measurement_stack(raw[det], is_3d)
             means[trk], covs[trk] = motion.update_arrays(
-                means[trk], covs[trk], zs, scores[det], config.alpha, config.adaptive_r, is_3d
+                means[trk], covs[trk], zs, scores[det], config.alpha, is_3d
             )
         return det, trk, rows[assign.unmatched_detections], cols[assign.unmatched_tracklets]
 
     first_det, first_trk, high_left, cols_left = run_pass(
         high_idx, np.arange(len(means)), config.gate_first
     )
-    if config.second_pass:
+    if config.gate_second is not None:
         second_det, second_trk, low_left, cols_left = run_pass(
             low_idx, cols_left, config.gate_second
         )
@@ -886,16 +886,23 @@ def _fail(line_no: int, message: str) -> ValueError:
     return ValueError(f"line {line_no}: {message}")
 
 
+def _strict(kind, token: str):
+    """kind(token), rejecting the digit separator '_' that int and float accept."""
+    if "_" in token:
+        raise ValueError(token)
+    return kind(token)
+
+
 def _parse_float(token: str, line_no: int, name: str) -> float:
     try:
-        return float(token)
+        return _strict(float, token)
     except ValueError:
         raise _fail(line_no, f"{name} is not a number: {token!r}") from None
 
 
 def _parse_int(token: str, line_no: int, name: str) -> int:
     try:
-        return int(token)
+        return _strict(int, token)
     except ValueError:
         raise _fail(line_no, f"{name} is not an integer: {token!r}") from None
 
@@ -984,7 +991,7 @@ def _class_id(token: str, line_no: int) -> int:
     if token in CLASS_IDS:
         return CLASS_IDS[token]
     try:
-        return int(token)
+        return _strict(int, token)
     except ValueError:
         raise _fail(line_no, f"unknown class label {token!r}") from None
 

@@ -54,8 +54,8 @@ def sweep_table(realized_suite):
     table = {}
     base = validate_config({"mode": "2d"})
     for tau in TAUS:
-        for label, second in (("two", True), ("single", False)):
-            config = replace(base, tau=tau, second_pass=second)
+        for label, gate_second in (("two", base.gate_second), ("single", None)):
+            config = replace(base, tau=tau, gate_second=gate_second)
             motas, ids = [], 0
             for gt, frames in realized_suite:
                 report = clear_mot(gt, run_sequence(frames, config))
@@ -111,7 +111,7 @@ def test_criterion_03_kalman_convergence():
         position = position + velocity
         state = kf_predict(state)
         state = kf_update(state, Box3D(*position, 0.2, 4.5, 1.9, 1.6), 0.9,
-                          alpha=10.0, adaptive=True)
+                          alpha=10.0)
         errors.append(float(np.linalg.norm(state.mean[:3] - position)))
         eigenvalues = np.linalg.eigvalsh(state.covariance)
         assert eigenvalues.min() >= -1e-8
@@ -130,7 +130,7 @@ def test_criterion_04_confidence_scaled_update():
     target = np.array([1.5, -1.0, 0.4])
     distances = []
     for score in (0.0, 0.25, 0.5, 0.75, 1.0):
-        posterior = kf_update(prior, measured, score, alpha=10.0, adaptive=True)
+        posterior = kf_update(prior, measured, score, alpha=10.0)
         distances.append(float(np.linalg.norm(posterior.mean[:3] - target)))
     assert all(b < a for a, b in zip(distances, distances[1:]))
     print(f"\nPASS criterion 4: posterior-to-measurement distance strictly "
@@ -144,7 +144,7 @@ def test_criterion_05_occlusion_recovery():
 
     two_stage = run_sequence(frames, config)
     assert run_sequence(frames, config).records == two_stage.records  # deterministic
-    single = run_sequence(frames, replace(config, second_pass=False))
+    single = run_sequence(frames, replace(config, gate_second=None))
 
     full = clear_mot(gt, two_stage)
     assert full.ids == 0

@@ -82,7 +82,7 @@ FIELDS = {
                   "next_id", "last_frame"],
     "TrackRecord": ["frame", "track_id", "box", "score", "class_id"],
     "TrackerConfig": ["mode", "tau", "gate_first", "gate_second", "track_buffer",
-                      "motion_strategy", "alpha", "adaptive_r", "second_pass"],
+                      "motion_strategy", "alpha"],
 }
 
 

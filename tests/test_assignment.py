@@ -314,6 +314,15 @@ def test_solver_is_scipys_function_in_either_import_order(first):
     assert got is True
 
 
+def test_solver_fallback_returns_the_package_function(tmp_path, monkeypatch):
+    """The fallback import, run in this interpreter: with no _lsap loaded and
+    none in the directory, the solver is scipy.optimize's function."""
+    import scipy.optimize
+
+    monkeypatch.delitem(sys.modules, assignment._LSAP)
+    assert assignment._load_solver(str(tmp_path)) is scipy.optimize.linear_sum_assignment
+
+
 def test_solver_falls_back_to_the_package_without_a_compiled_module(tmp_path):
     got = fresh_python(f"""
         import json, sys

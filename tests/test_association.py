@@ -465,7 +465,7 @@ class TestStepLifecycle:
         assert result.diagnostics.new_tracks == ((0, 2),)
 
     def test_second_pass_disabled_discards_low(self):
-        config = dataclasses.replace(CFG_2D, second_pass=False)
+        config = dataclasses.replace(CFG_2D, gate_second=None)
         pool = TrackPool()
         step(pool, 1, [det2d(100, 100)], config)
         result = step(pool, 2, [det2d(100, 100, score=0.3)], config)
@@ -831,7 +831,8 @@ def assert_bit_identical(a, b):
 @st.composite
 def oracle_streams(draw):
     """A config plus frames of 2D or 3D detection columns with their frame
-    numbers: every motion strategy, both second_pass settings, scalar and
+    numbers: every motion strategy, with and without the second pass
+    (gate_second None), confidence scaling on and off (alpha None), scalar and
     per-class gates (possibly without a fallback), scores exactly at tau,
     empty frames and frame gaps."""
     is_3d = draw(st.booleans())
@@ -849,13 +850,11 @@ def oracle_streams(draw):
         mode=Mode.BOX_3D if is_3d else Mode.BOX_2D,
         tau=tau,
         gate_first=gate(),
-        gate_second=gate(),
+        gate_second=gate() if draw(st.booleans()) else None,
         track_buffer=draw(st.integers(1, 3)),
         motion_strategy=draw(st.sampled_from(list(MotionStrategy))) if is_3d
         else MotionStrategy.KALMAN,
-        alpha=draw(st.sampled_from([0.0, 10.0, 100.0])),
-        adaptive_r=draw(st.booleans()),
-        second_pass=draw(st.booleans()),
+        alpha=draw(st.sampled_from([None, 0.0, 10.0, 100.0])),
     )
     # Detections scatter around a few anchors, so most frames match tracks.
     spread = 6.0 if is_3d else 120.0
@@ -910,10 +909,25 @@ def test_step_matches_two_pass_oracle(stream):
                                                              slow_pool.last_frame)
 
 
+def test_non_finite_output_boxes_rejected(monkeypatch):
+    """The output rows' boxes are checked: a state whose box is not finite
+    raises, naming its row, rather than reaching the output."""
+    original = motion.box_rows
+
+    def nan_rows(means, is_3d):
+        rows = original(means, is_3d)
+        rows[:] = np.nan
+        return rows
+
+    monkeypatch.setattr(motion, "box_rows", nan_rows)
+    with pytest.raises(ValueError, match=re.escape("boxes row 0: ")):
+        step(TrackPool(), 1, [det2d(100, 100)], CFG_2D)
+
+
 @pytest.mark.parametrize(
     "config",
-    [CFG_2D, dataclasses.replace(CFG_2D, second_pass=False), CFG_3D,
-     dataclasses.replace(CFG_3D, second_pass=False)],
+    [CFG_2D, dataclasses.replace(CFG_2D, gate_second=None), CFG_3D,
+     dataclasses.replace(CFG_3D, gate_second=None)],
     ids=["2d", "2d-single-pass", "3d", "3d-single-pass"],
 )
 def test_each_stage_runs_once_per_frame(config, monkeypatch):
@@ -953,7 +967,8 @@ def test_each_stage_runs_once_per_frame(config, monkeypatch):
     for frame, dets in enumerate(frames, 1):
         calls.clear()
         kernel_rows.clear()
-        scored = [det for det in dets if config.second_pass or det.score > config.tau]
+        scored = [det for det in dets
+                  if config.gate_second is not None or det.score > config.tau]
         if is_3d:
             expected_rows = sum(int(np.sum(pool.class_ids == det.class_id)) for det in scored)
         else:
@@ -964,7 +979,7 @@ def test_each_stage_runs_once_per_frame(config, monkeypatch):
         assert calls[kernel] == 1 and kernel_rows == [expected_rows]
         assert calls["_measurement_stack"] == 1
         assert calls["update_arrays"] == (1 if matched else 0)
-    assert second_matches > 0 or not config.second_pass
+    assert second_matches > 0 or config.gate_second is None
 
 
 @pytest.mark.parametrize("config", [CFG_2D, CFG_3D], ids=["2d", "3d"])

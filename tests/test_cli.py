@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
+from motrack import tracker as tracker_module
 from motrack.cli import main
 from motrack.formats import parse_mot_results
 from motrack.metrics import clear_mot
@@ -121,20 +123,29 @@ def test_config_file_with_flag_override(tmp_path, occlusion_files):
     assert out_flag.read_text() != ""
 
 
-def test_alpha_without_adaptive_scaling_rejected(tmp_path, occlusion_files, capsys):
-    # 2D runs with adaptive_r off, where alpha has no effect: the flag is an error.
+def test_alpha_flag_scales_2d_noise(tmp_path, occlusion_files, capsys):
+    # 2D runs without confidence scaling; --alpha turns it on, which moves the
+    # boxes updated by the occluded (low-score) detections.
     _, det = occlusion_files
-    out = tmp_path / "out.txt"
-    code = main(["track", "--input", str(det), "--output", str(out), "--mode", "2d",
-                 "--alpha", "10"])
-    assert code == 1
-    assert "error: alpha only scales the measurement noise when adaptive_r is on" in (
-        capsys.readouterr().err)
-    assert not out.exists()
+    plain, scaled = tmp_path / "plain.txt", tmp_path / "scaled.txt"
+    assert main(["track", "--input", str(det), "--output", str(plain), "--mode", "2d"]) == 0
+    assert main(["track", "--input", str(det), "--output", str(scaled), "--mode", "2d",
+                 "--alpha", "50"]) == 0
+    assert scaled.read_text() != plain.read_text()
     config = tmp_path / "adaptive.cfg"
     config.write_text("adaptive_r = true\n")
+    assert main(["track", "--input", str(det), "--output", str(tmp_path / "out.txt"),
+                 "--mode", "2d", "--config", str(config)]) == 1
+    assert "error: line 1: unknown config key 'adaptive_r'" in capsys.readouterr().err
+
+
+def test_single_stage_and_gate_second_exclude_each_other(tmp_path, occlusion_files, capsys):
+    _, det = occlusion_files
+    out = tmp_path / "out.txt"
     assert main(["track", "--input", str(det), "--output", str(out), "--mode", "2d",
-                 "--config", str(config), "--alpha", "10"]) == 0
+                 "--single-stage", "--gate-second", "0.9"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_modality_in_config_file_rejected_in_2d(tmp_path, occlusion_files, capsys):
@@ -162,6 +173,46 @@ def test_single_stage_flag_drops_occluded_frames(tmp_path, occlusion_files):
     pred = parse(out.read_text())
     gt_out = parse(gt.read_text())
     assert clear_mot(gt_out, pred).fn >= 5
+
+
+def test_track_steps_only_frames_holding_rows(tmp_path, monkeypatch, capsys):
+    """A one-line file at frame 10^9 is one step, in bounded memory: a skipped
+    frame number is an empty frame, so it needs no step of its own."""
+    det, out = tmp_path / "det.txt", tmp_path / "out.txt"
+    det.write_text("1000000000,-1,100,100,60,120,0.9,-1,-1,-1\n")
+    steps = []
+    original = tracker_module.step
+
+    def counted(pool, frame, detections, config):
+        steps.append(frame)
+        if len(steps) > 100:
+            raise AssertionError("stepped more than 100 frames")
+        return original(pool, frame, detections, config)
+
+    monkeypatch.setattr(tracker_module, "step", counted)
+    tracemalloc.start()
+    try:
+        assert main(["track", "--input", str(det), "--output", str(out), "--mode", "2d"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steps == [10**9]
+    assert peak < 5 * 2**20
+    assert out.read_text() == "1000000000,1,100.0,100.0,60.0,120.0,0.9,-1,-1,-1\n"
+    assert capsys.readouterr().out == "tracked 1000000000 frames, 1 boxes\n"
+
+
+def test_track_errors_name_the_file_frame(tmp_path, monkeypatch, capsys):
+    det = tmp_path / "det.txt"
+    det.write_text("3,-1,100,100,60,120,0.9,-1,-1,-1\n7,-1,100,100,60,120,0.9,-1,-1,-1\n")
+
+    def failing(pool, frame, detections, config):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(tracker_module, "step", failing)
+    assert main(["track", "--input", str(det), "--output", str(tmp_path / "out.txt"),
+                 "--mode", "2d"]) == 1
+    assert capsys.readouterr().err == "error: frame 3: boom\n"
 
 
 def test_simulate_scenario_file(tmp_path):

@@ -25,7 +25,7 @@ from motrack.formats import (
 )
 from motrack.geometry import Box2D, Box3D
 from motrack.simulate import clutter_suite, generate_scenario, motion_ablation_suite
-from motrack.tracker import TrackOutput, default_config, run_sequence
+from motrack.tracker import TrackOutput, default_config, run_sequence, validate_config
 from oracle_utils import (
     box3d_line,
     detection_frame,
@@ -76,6 +76,12 @@ class TestMotParsing:
             ("1,-1,0,0,1e-10,1e200,0.9,-1,-1,-1", "detection height must be at most 1e+100 "
              "and w/h, h/w at most 1e+307, got w=1e-10, h=1e+200"),
             ("1,-1,0,0,1,5e-324,0.9,-1,-1,-1", "got w=1.0, h=5e-324"),
+            # int and float accept digit separators; record fields do not.
+            ("1_0,-1,100,100,60,120,0.95,-1,-1,-1", "frame is not an integer: '1_0'"),
+            ("1,1_1,100,100,60,120,0.95,-1,-1,-1", "id is not an integer: '1_1'"),
+            ("1,-1,1_00,100,60,120,0.95,-1,-1,-1", "x is not a number: '1_00'"),
+            ("1,-1,100,100,60,120,0.9_5,-1,-1,-1", "score is not a number: '0.9_5'"),
+            ("1,-1,100,100,60,120,0.95,-1,-1,-1_0", "u3 is not a number: '-1_0'"),
         ],
     )
     def test_malformed_lines_report_position(self, line, message):
@@ -87,6 +93,12 @@ class TestMotParsing:
     def test_results_keep_boxes_past_the_detection_scale_bound(self):
         output = parse_mot_results("1,1,0,0,1,5e-324,0.9,-1,-1,-1\n")
         assert output.boxes.tolist() == [[0.0, 0.0, 1.0, 5e-324]]
+
+    def test_results_reject_digit_separators(self):
+        with pytest.raises(ValueError, match=re.escape("line 1: id is not an integer: '1_1'")):
+            parse_mot_results("1,1_1,100,100,60,120,0.95,-1,-1,-1\n")
+        with pytest.raises(ValueError, match=re.escape("line 1: id is not an integer: '1_1'")):
+            parse_3d_results("1,1_1,car,0,0,0.8,0,4,2,1.5,,,0.5\n")
 
     def test_results_require_positive_ids(self):
         with pytest.raises(ValueError, match="id"):
@@ -234,6 +246,11 @@ class Test3DFormat:
             ("1,-1,car,0,0,0.8,0,4,2,1.5,,", "expected 13"),
             ("1.0,-1,car,0,0,0.8,0,4,2,1.5,,,0.5", "frame is not an integer"),
             ("99999999999999999999,-1,car,0,0,0.8,0,4,2,1.5,,,0.5", "frame is out of range"),
+            ("1_0,-1,car,0,0,0.8,0,4,2,1.5,,,0.5", "frame is not an integer: '1_0'"),
+            ("1,-1,1_0,0,0,0.8,0,4,2,1.5,,,0.5", "unknown class label '1_0'"),
+            ("1,-1,car,0,0,0.8,0,4,2,1_5,,,0.5", "h is not a number: '1_5'"),
+            ("1,-1,car,0,0,0.8,0,4,2,1.5,0_5,0,0.5", "vx is not a number: '0_5'"),
+            ("1,-1,car,0,0,0.8,0,4,2,1.5,,,0.5_0", "score is not a number: '0.5_0'"),
         ],
     )
     def test_malformed_lines_report_position(self, line, message):
@@ -540,7 +557,7 @@ class TestConfigFile:
         mode = 2d
         tau = 0.45          # split threshold
         track_buffer = 12
-        adaptive_r = true
+        alpha = 10
         motion_strategy = kf
         """
         options = parse_config_text(text)
@@ -548,7 +565,7 @@ class TestConfigFile:
             "mode": "2d",
             "tau": 0.45,
             "track_buffer": 12,
-            "adaptive_r": True,
+            "alpha": 10.0,
             "motion_strategy": "kf",
         }
 
@@ -573,19 +590,30 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="gate_first"):
             parse_config_text("gate_first = 0.2\ngate_first.car = -0.1\n")
 
-    def test_bad_bool_rejected(self):
-        with pytest.raises(ValueError, match="adaptive_r"):
-            parse_config_text("adaptive_r = maybe\n")
+    @pytest.mark.parametrize("key", ["adaptive_r", "second_pass"])
+    def test_removed_switch_keys_rejected(self, key):
+        with pytest.raises(ValueError, match=re.escape(f"line 1: unknown config key {key!r}")):
+            parse_config_text(f"{key} = true\n")
 
     @pytest.mark.parametrize(("text", "message"), [
         ("tau = abc\n", "line 1: tau is not a number: 'abc'"),
         ("mode = 3d\ntrack_buffer = 2.5\n", "line 2: track_buffer is not an integer: '2.5'"),
         ("tau.car = 1\n", "line 1: unknown per-class key 'tau.car'"),
+        # int and float accept digit separators; config values do not.
+        ("track_buffer = 3_0\n", "line 1: track_buffer is not an integer: '3_0'"),
+        ("tau = 0.4_5\n", "line 1: tau is not a number: '0.4_5'"),
+        ("mode = 3d\ngate_first.car = -0_1\n", "line 2: gate_first.car is not a number: '-0_1'"),
+        # Only the stages that can be off take none.
+        ("tau = none\n", "line 1: tau is not a number: 'none'"),
+        ("gate_first = none\n", "line 1: gate_first is not a number: 'none'"),
+        ("gate_second.car = none\n", "line 1: gate_second.car is not a number: 'none'"),
     ])
     def test_bad_values_report_line(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config_text(text)
 
-    def test_false_bools(self):
-        assert parse_config_text("adaptive_r = off\nsecond_pass = No\n") == {
-            "adaptive_r": False, "second_pass": False}
+    def test_none_switches_stages_off(self):
+        options = parse_config_text("mode = 3d\nalpha = none\ngate_second = None\n")
+        assert options == {"mode": "3d", "alpha": None, "gate_second": None}
+        config = validate_config(options)
+        assert config.alpha is None and config.gate_second is None

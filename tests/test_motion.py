@@ -95,14 +95,14 @@ class TestUpdate:
         # alpha * (1 - s)^2 == 1 at s=0, alpha=1: identical to the base noise.
         state = kf_predict(kf_init(Box2D(0, 0, 40, 80)))
         measured = Box2D(4, 4, 46, 88)
-        posterior_a = kf_update(state, measured, 0.0, 1.0, True)
-        posterior_b = kf_update(state, measured, 0.5, ALPHA, False)
+        posterior_a = kf_update(state, measured, 0.0, 1.0)
+        posterior_b = kf_update(state, measured, 0.5, None)
         assert np.allclose(posterior_a.mean, posterior_b.mean, atol=1e-12)
 
     def test_score_one_pins_posterior_to_measurement(self):
         state = kf_predict(kf_init(Box3D(0, 0, 0, 0, 4, 2, 1.5)))
         measured = Box3D(0.8, -0.4, 0.2, 0.1, 4.1, 2.1, 1.4)
-        posterior = kf_update(state, measured, 1.0, ALPHA, True)
+        posterior = kf_update(state, measured, 1.0, ALPHA)
         assert np.allclose(posterior.mean[:3], [0.8, -0.4, 0.2], atol=1e-6)
 
     def test_posterior_distance_decreases_with_score(self):
@@ -111,7 +111,7 @@ class TestUpdate:
         target = np.array([1.0, 1.0, 0.5])
         distances = []
         for score in (0.0, 0.25, 0.5, 0.75, 1.0):
-            posterior = kf_update(state, measured, score, ALPHA, True)
+            posterior = kf_update(state, measured, score, ALPHA)
             distances.append(np.abs(posterior.mean[:3] - target))
         for lo, hi in zip(distances[1:], distances[:-1]):
             assert np.all(lo < hi)
@@ -123,7 +123,7 @@ class TestUpdate:
             x, y, z = rng.uniform(-2, 2, 3)
             measured = Box3D(x, y, z, 0.0, 4, 2, 1.5)
             score = rng.uniform(0.0, 1.0)
-            posterior = kf_update(state, measured, score, ALPHA, True)
+            posterior = kf_update(state, measured, score, ALPHA)
             for axis, target in zip(range(3), (x, y, z)):
                 lo, hi = sorted((state.mean[axis], target))
                 assert lo - 1e-9 <= posterior.mean[axis] <= hi + 1e-9
@@ -135,7 +135,7 @@ class TestUpdate:
         state = State(mean, state.covariance)
         predicted = kf_predict(state)
         predicted_box = Box2D(*box_rows(predicted.mean[None], False)[0])
-        posterior = kf_update(predicted, predicted_box, 0.9, ALPHA, False)
+        posterior = kf_update(predicted, predicted_box, 0.9, None)
         assert np.allclose(posterior.mean[:4], predicted.mean[:4], atol=1e-9)
 
     def test_noiseless_track_error_vanishes(self):
@@ -146,7 +146,7 @@ class TestUpdate:
         for _ in range(50):
             position = position + velocity
             state = kf_predict(state)
-            state = kf_update(state, Box3D(*position, 0.0, 4, 2, 1.5), 0.9, ALPHA, True)
+            state = kf_update(state, Box3D(*position, 0.0, 4, 2, 1.5), 0.9, ALPHA)
             errors.append(float(np.linalg.norm(state.mean[:3] - position)))
             assert_valid_covariance(state)
         assert errors[-1] < 1e-6
@@ -162,14 +162,14 @@ class TestUpdate:
             else:
                 x, y = rng.uniform(-5, 5, 2)
                 state = kf_update(
-                    state, Box2D(x, y, x + 60, y + 120), rng.uniform(0, 1), ALPHA, False
+                    state, Box2D(x, y, x + 60, y + 120), rng.uniform(0, 1), None
                 )
             assert_valid_covariance(state)
 
     def test_theta_innovation_wraps(self):
         state = kf_init(Box3D(0, 0, 0, 3.1, 4, 2, 1.5))
         measured = Box3D(0, 0, 0, -3.1, 4, 2, 1.5)
-        posterior = kf_update(state, measured, 0.9, ALPHA, True)
+        posterior = kf_update(state, measured, 0.9, ALPHA)
         # A wrapped residual pulls theta across the pi boundary instead of
         # spinning it the long way through zero.
         assert abs(posterior.mean[3]) > 3.1 - 1e-9
@@ -177,16 +177,16 @@ class TestUpdate:
     def test_dimension_mismatch_rejected(self):
         state = kf_init(Box2D(0, 0, 10, 10))
         with pytest.raises(ValueError):
-            kf_update(state, Box3D(0, 0, 0, 0, 1, 1, 1), 0.5, ALPHA, True)
+            kf_update(state, Box3D(0, 0, 0, 0, 1, 1, 1), 0.5, ALPHA)
         means, covs = init_arrays(measure(Box2D(0, 0, 10, 10)), False)
         with pytest.raises(ValueError):  # one measurement row for two states
             update_arrays(np.repeat(means, 2, axis=0), np.repeat(covs, 2, axis=0),
-                          measure(Box2D(0, 0, 10, 10)), [0.5, 0.5], ALPHA, True, False)
+                          measure(Box2D(0, 0, 10, 10)), [0.5, 0.5], ALPHA, False)
 
     def test_score_out_of_range_rejected(self):
         state = kf_init(Box2D(0, 0, 10, 10))
         with pytest.raises(ValueError):
-            kf_update(state, Box2D(0, 0, 10, 10), 1.5, ALPHA, True)
+            kf_update(state, Box2D(0, 0, 10, 10), 1.5, ALPHA)
 
 
 class TestBatchConsistency:
@@ -206,10 +206,10 @@ class TestBatchConsistency:
         boxes = [Box3D(*rng.uniform(-5, 5, 3), 0.1, 4, 2, 1.5) for _ in range(7)]
         scores = rng.uniform(0, 1, 7).tolist()
         zs = np.concatenate([measure(b) for b in boxes])
-        new_means, _ = update_arrays(means, covs, zs, scores, ALPHA, True, True)
+        new_means, _ = update_arrays(means, covs, zs, scores, ALPHA, True)
         dense = dense_covariance(covs, True)
         for mean, cov, box, score, batched in zip(means, dense, boxes, scores, new_means):
-            expect = kf_update(State(mean, cov), box, score, ALPHA, True)
+            expect = kf_update(State(mean, cov), box, score, ALPHA)
             assert np.array_equal(expect.mean, batched)
 
 
@@ -353,10 +353,10 @@ _CANCELLATION_OPS = [
 
 @pytest.mark.parametrize("is_3d", [False, True], ids=["2d", "3d"])
 @settings(max_examples=200, deadline=None)
-@given(k=st.integers(1, 4), alpha=st.sampled_from((0.0, 1.0, 10.0, 100.0)),
-       adaptive=st.booleans(), ops=st.lists(_OPS, min_size=50, max_size=60))
-@example(k=4, alpha=10.0, adaptive=True, ops=_CANCELLATION_OPS)
-def test_block_filter_matches_dense_oracle(is_3d, k, alpha, adaptive, ops):
+@given(k=st.integers(1, 4), alpha=st.sampled_from((None, 0.0, 1.0, 10.0, 100.0)),
+       ops=st.lists(_OPS, min_size=50, max_size=60))
+@example(k=4, alpha=10.0, ops=_CANCELLATION_OPS)
+def test_block_filter_matches_dense_oracle(is_3d, k, alpha, ops):
     """At least 200 x 50 = 10^4 operations per dimension, each run on
     identical input states by the block closed forms and by the dense filter."""
     rng = np.random.default_rng(0)
@@ -380,8 +380,8 @@ def test_block_filter_matches_dense_oracle(is_3d, k, alpha, adaptive, ops):
         else:
             zs = _measurements(rng, means, covs, is_3d, spread, yaw_near_pi)
             scores = _scores(rng, regime, k)
-            new = update_arrays(means, covs, zs, scores, alpha, adaptive, is_3d)
-            want = dense_update(means, dense, zs, scores, alpha, adaptive, is_3d)
+            new = update_arrays(means, covs, zs, scores, alpha, is_3d)
+            want = dense_update(means, dense, zs, scores, alpha, is_3d)
             _assert_matches_dense(*new, *want, means, dense, is_3d)
         means, covs = new
         _assert_blocks_psd(covs)

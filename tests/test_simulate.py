@@ -26,7 +26,7 @@ from oracle_utils import detection_columns, iou_2d, records_by_frame, trajectori
 
 # The tracker with the low-score association disabled: only boxes above tau
 # are associated, and low-score boxes are dropped.
-SINGLE_STAGE = replace(validate_config({"mode": "2d"}), second_pass=False)
+SINGLE_STAGE = replace(validate_config({"mode": "2d"}), gate_second=None)
 
 
 def simple_spec(**overrides):

@@ -434,13 +434,12 @@ class TestValidateConfig:
         assert config.gate_second == 0.2
         assert config.track_buffer == 30
         assert config.motion_strategy is MotionStrategy.KALMAN
-        assert config.adaptive_r is False
+        assert config.alpha is None
 
     def test_3d_lidar_defaults(self):
         config = validate_config({"mode": "3d"})
         assert config.tau == 0.2
         assert config.alpha == 10.0
-        assert config.adaptive_r is True
         assert config.motion_strategy is MotionStrategy.COMPLEMENTARY
         for name, gate in DEFAULT_CLASS_GATES.items():
             assert config.gate_first[CLASS_IDS[name]] == gate
@@ -493,12 +492,12 @@ class TestValidateConfig:
         # At the bound's parent this config overflowed in the Kalman update of
         # a 100 x 100 track matched by a score-0.3 detection.
         with pytest.raises(ValueError, match=re.escape(f"alpha must be at most {MAX_ALPHA!r}")):
-            TrackerConfig(alpha=1e308, adaptive_r=True)
+            TrackerConfig(alpha=1e308)
 
     def test_alpha_at_bound_updates_largest_box_cleanly(self):
         """The noise of a height-MAX_3D_MAGNITUDE box scored 0 at alpha =
         MAX_ALPHA stays finite through the second-pass update."""
-        tracker = Tracker(TrackerConfig(alpha=MAX_ALPHA, adaptive_r=True))
+        tracker = Tracker(TrackerConfig(alpha=MAX_ALPHA))
         box = Box2D(0.0, 0.0, MAX_3D_MAGNITUDE, MAX_3D_MAGNITUDE)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -526,8 +525,8 @@ class TestValidateConfig:
 
     def test_string_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha must be a real number, got '5'"):
-            validate_config({"mode": "2d", "alpha": "5", "adaptive_r": True})
-        assert validate_config({"mode": "2d", "alpha": 5, "adaptive_r": True}).alpha == 5
+            validate_config({"mode": "2d", "alpha": "5"})
+        assert validate_config({"mode": "2d", "alpha": 5}).alpha == 5
 
     def test_string_gates_rejected(self):
         with pytest.raises(ValueError, match="gate_first must be a real number, got '0.1'"):
@@ -570,14 +569,15 @@ class TestValidateConfig:
         with pytest.raises(ValueError, match="unknown motion strategy 'warp'"):
             validate_config({"mode": "3d", "motion_strategy": "warp"})
 
-    @pytest.mark.parametrize("name", ["second_pass", "adaptive_r"])
-    def test_non_bool_switches_rejected(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be a bool, got 'false'"):
-            validate_config({"mode": "3d", name: "false"})
-        with pytest.raises(ValueError, match=f"{name} must be a bool, got 0"):
-            validate_config({"mode": "3d", name: 0})
-        assert getattr(validate_config({"mode": "3d", name: np.bool_(False)}), name) is (
-            np.False_)
+    @pytest.mark.parametrize("name", ["alpha", "gate_second"])
+    def test_none_switches_a_stage_off(self, name):
+        assert getattr(validate_config({"mode": "3d", name: None}), name) is None
+        assert getattr(TrackerConfig(**{name: None}), name) is None
+
+    @pytest.mark.parametrize("name", ["tau", "gate_first"])
+    def test_none_is_no_value_of_other_fields(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be a real number, got None"):
+            TrackerConfig(**{name: None})
 
     def test_gate_keys_must_be_class_ids(self):
         with pytest.raises(ValueError, match="gate_first keys must be integer class ids"):
@@ -585,18 +585,28 @@ class TestValidateConfig:
         config = validate_config({"mode": "3d", "gate_first": {np.int64(2): 0.1, -1: -0.5}})
         assert config.gate_first == {2: 0.1, -1: -0.5}
 
-    def test_alpha_needs_adaptive_scaling(self):
-        with pytest.raises(ValueError, match="adaptive_r"):
-            validate_config({"mode": "2d", "alpha": 10.0})
-        with pytest.raises(ValueError, match="adaptive_r"):
-            validate_config({"mode": "3d", "alpha": 5.0, "adaptive_r": False})
-        assert validate_config({"mode": "2d", "alpha": 10.0, "adaptive_r": True}).alpha == 10.0
+    def test_alpha_is_taken_in_every_mode(self):
+        assert validate_config({"mode": "2d", "alpha": 10.0}).alpha == 10.0
         assert validate_config({"mode": "3d", "alpha": 5.0}).alpha == 5.0
-        # Turning scaling off without naming alpha keeps the profile's value.
-        assert validate_config({"mode": "3d", "adaptive_r": False}).alpha == 10.0
+        for name in ("adaptive_r", "second_pass"):
+            with pytest.raises(ValueError, match=f"unknown config keys: \\['{name}'\\]"):
+                validate_config({"mode": "3d", name: False})
+
+    def test_2d_alpha_changes_the_update(self):
+        """Every alpha a config holds takes effect: a 2D track updated by a
+        low-score detection moves differently with scaling on and off."""
+        box, moved = Box2D(0.0, 0.0, 60.0, 120.0), Box2D(8.0, 0.0, 68.0, 120.0)
+        means = {}
+        for alpha in (None, 5.0):
+            tracker = Tracker(TrackerConfig(alpha=alpha))
+            tracker.step(detection_frame([Detection(box, 0.9)], Mode.BOX_2D))
+            result = tracker.step(detection_frame([Detection(moved, 0.3)], Mode.BOX_2D))
+            assert result.diagnostics.second_matches == ((0, 1),)
+            means[alpha] = tracker.pool.means[0]
+        assert not np.allclose(means[None], means[5.0])
 
     def test_noise_key_rejected(self):
-        # The noise scales are constants; alpha and adaptive_r are the only knobs.
+        # The noise scales are constants; alpha is the only knob.
         with pytest.raises(ValueError, match="unknown config keys: \\['noise'\\]"):
             validate_config({"mode": "3d", "noise": {"alpha": 5.0, "adaptive": False}})
 

@@ -37,7 +37,7 @@ import numpy as np
 from . import motion
 from .assignment import solve_assignment
 from .geometry import (MAX_2D_ASPECT, MAX_3D_MAGNITUDE, MAX_ALPHA, MAX_BOX2D_AREA,
-                       MAX_TRACK_BUFFER, Box, Box2D, Box3D, giou_3d_pairs, iou_matrix_2d,
+                       MAX_TRACK_BUFFER, Box, Box2D, Box3D, giou_3d_pairs, iou_2d_pairs,
                        wrap_angles)
 
 # Fallback key in per-class gate maps.
@@ -613,7 +613,9 @@ def step(
         sim = np.zeros(same_class.shape)
         sim[r, c] = giou_3d_pairs(source, match_rows[c])
     else:
-        sim = iou_matrix_2d(raw[scored], match_rows)
+        # The dense table: tables of ~50 x 50 cost more to cull by x extents
+        # (as evaluation does) than to score whole.
+        sim = iou_2d_pairs(raw[scored][:, None], match_rows[None])
 
     if not np.isfinite(sim).all():
         raise ValueError("similarity matrix entries must be finite")

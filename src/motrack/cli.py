@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from statistics import mean
 
@@ -19,9 +20,25 @@ _PRESETS = {
 }
 
 
+def _strict(kind: type) -> Callable[[str], object]:
+    """kind (int or float) as an argparse type that rejects the digit
+    separator '_', which int and float accept and the record and config
+    files reject."""
+    def convert(text: str):
+        if "_" in text:
+            raise ValueError(text)
+        return kind(text)
+
+    convert.__name__ = kind.__name__  # argparse's usage error names it
+    return convert
+
+
+_int, _float = _strict(int), _strict(float)
+
+
 def _count(text: str) -> int:
     """A scenario count: an integer of at least 1."""
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -29,7 +46,7 @@ def _count(text: str) -> int:
 
 def _taus(text: str) -> list[float]:
     """A comma-separated list of at least one score threshold."""
-    taus = [float(t) for t in text.split(",") if t.strip()]
+    taus = [_float(t) for t in text.split(",") if t.strip()]
     if not taus:
         raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
     return taus
@@ -48,14 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
     track.add_argument("--mode", choices=["2d", "3d"], default="2d")
     track.add_argument("--modality", choices=["camera", "lidar"], default=None)
     track.add_argument("--config", help="key/value config file (flags override it)")
-    track.add_argument("--tau", type=float, default=None, help="detection score split")
-    track.add_argument("--gate-first", type=float, default=None)
+    track.add_argument("--tau", type=_float, default=None, help="detection score split")
+    track.add_argument("--gate-first", type=_float, default=None)
     second = track.add_mutually_exclusive_group()
-    second.add_argument("--gate-second", type=float, default=None)
+    second.add_argument("--gate-second", type=_float, default=None)
     second.add_argument("--single-stage", action="store_true",
                         help="disable the low-score association pass")
-    track.add_argument("--track-buffer", type=int, default=None)
-    track.add_argument("--alpha", type=float, default=None)
+    track.add_argument("--track-buffer", type=_int, default=None)
+    track.add_argument("--alpha", type=_float, default=None)
     track.add_argument("--motion", choices=[m.value for m in MotionStrategy], default=None)
 
     ev = sub.add_parser("eval", help="score a result file against ground truth")
@@ -63,14 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--pred", required=True)
     ev.add_argument("--mode", choices=["2d", "3d"], default="2d")
     ev.add_argument("--metric", choices=["clear", "idf1", "amota", "all"], default="all")
-    ev.add_argument("--match-threshold", type=float, default=None)
+    ev.add_argument("--match-threshold", type=_float, default=None)
     ev.add_argument("--json", help="also write the report as JSON")
 
     sim = sub.add_parser("simulate", help="generate a synthetic gt + detection pair")
     source = sim.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=sorted(_PRESETS))
     source.add_argument("--scenario", help="scenario description file (JSON)")
-    sim.add_argument("--seed", type=int, default=None,
+    sim.add_argument("--seed", type=_int, default=None,
                      help="defaults to the preset's canonical seed, else 0")
     sim.add_argument("--out-gt", required=True)
     sim.add_argument("--out-det", required=True)
@@ -80,13 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--taus", type=_taus, default="0.3,0.4,0.5,0.6,0.7")
     sweep.add_argument("--scenarios", type=_count, default=20)
-    sweep.add_argument("--base-seed", type=int, default=100)
+    sweep.add_argument("--base-seed", type=_int, default=100)
 
     ablate = sub.add_parser(
         "ablate-motion", help="compare motion strategies on turn/dropout 3D scenarios"
     )
     ablate.add_argument("--scenarios", type=_count, default=5)
-    ablate.add_argument("--base-seed", type=int, default=500)
+    ablate.add_argument("--base-seed", type=_int, default=500)
 
     return parser
 
@@ -190,17 +207,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # Every config is built, and so checked, before any suite work or output.
+    base = validate_config({"mode": "2d"})
+    configs = [{label: replace(base, tau=tau, gate_second=gate_second)
+                for label, gate_second in (("two", base.gate_second), ("single", None))}
+               for tau in args.taus]
     suite = simulate.clutter_suite(args.scenarios, args.base_seed)
     realized = [simulate.generate_scenario(spec, seed) for spec, seed in suite]
-    base = validate_config({"mode": "2d"})
 
     print(f"{'tau':>5} | {'two-stage MOTA':>15} {'IDF1':>7} | "
           f"{'single-stage MOTA':>18} {'IDF1':>7}")
     spreads: dict[str, list[float]] = {"two": [], "single": []}
-    for tau in args.taus:
+    for tau, by_label in zip(args.taus, configs):
         row: dict[str, tuple[float, float]] = {}
-        for label, gate_second in (("two", base.gate_second), ("single", None)):
-            config = replace(base, tau=tau, gate_second=gate_second)
+        for label, config in by_label.items():
             motas, idf1s = [], []
             for gt, frames in realized:
                 pred = run_sequence(frames, config)

@@ -6,10 +6,12 @@ computed in bird's-eye view (BEV): footprint intersection, the polygon a
 Sutherland-Hodgman clip of one footprint by the other gives, built in a fixed
 number of array operations, times the vertical interval overlap. Scoring runs
 on parameter rows, (x1, y1, x2, y2) corners in 2D and (x, y, z, theta, l, w,
-h) in 3D: all 2D scoring goes through iou_matrix_2d and all 3D scoring through
-one array kernel, giou_3d_pairs, over flat arrays of box pairs. The box
-classes are plain views of one such row each: rows are checked where they
-enter (association.row_rules), never the boxes built from them.
+h) in 3D: all 2D scoring goes through iou_2d_pairs, over rows paired by
+broadcasting (association's dense detections x tracks table, evaluation's
+candidate pairs), and all 3D scoring through one array kernel, giou_3d_pairs,
+over flat arrays of box pairs. The box classes are plain views of one such
+row each: rows are checked where they enter (association.row_rules), never
+the boxes built from them.
 """
 
 from __future__ import annotations
@@ -260,15 +262,16 @@ def giou_3d_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / union - (enclosing - union) / enclosing
 
 
-def iou_matrix_2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every (..., M, 4) corner row against every (..., N, 4) row of
-    the same leading batch; returns (..., M, N).
+def iou_2d_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of (..., 4) corner rows a and b, paired by broadcasting; returns
+    the broadcast leading shape.
 
-    Rows are (x1, y1, x2, y2) corners. Disjoint pairs and zero-area unions
+    Rows are (x1, y1, x2, y2) corners. Every pair is scored on its own:
+    ``a[:, None]`` against ``b[None]`` gives the (M, N) table of all pairs,
+    and two (P, 4) arrays give P pairs. Disjoint pairs and zero-area unions
     score 0. A gap between boxes too far apart for a float overflows to
     -inf, which is no overlap.
     """
-    a, b = a[..., :, None, :], b[..., None, :, :]
     ax1, ay1, ax2, ay2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bx1, by1, bx2, by2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     with np.errstate(over="ignore"):

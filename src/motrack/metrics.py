@@ -6,13 +6,16 @@ distance <= 2 m) with CLEAR persistence: a gt-prediction pair from the
 previous frame is kept while it still clears the gate, and only the remainder
 is re-matched optimally.
 
-Frames are scored in blocks of consecutive frames, each padded to its
-largest frame and scored by one similarity call; a mask of each frame's own
-cells keeps padding from being admitted or checked. Only the admissible
-pairs, those that clear the gate, are kept, so memory follows those pairs
-plus one block rather than gt x predictions. The assignment solver runs only
-on a frame whose free pairs conflict (a row or column in two of them, or a
-pair worth zero); otherwise they are the matches.
+Frames are taken in blocks of consecutive frames, each padded to its
+largest frame; a mask of each frame's own cells keeps the padding out. In 2D
+at a positive IoU gate only the own cells whose x extents overlap can be
+admitted, as a cell without an intersection scores 0, so only those are
+candidates; otherwise every own cell is. Only the candidates are scored,
+pair by pair, each exactly as a dense table would hold it. Only the
+admissible pairs, those that clear the gate, are kept, so memory follows
+those pairs plus one block rather than gt x predictions. The assignment
+solver runs only on a frame whose free pairs conflict (a row or column in two
+of them, or a pair worth zero); otherwise they are the matches.
 
 A frame's matches are the only count kept per frame. Over a sequence, FP is
 the predictions kept minus the matches and FN the gt minus the matches, so
@@ -46,7 +49,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .assignment import solve_assignment
-from .geometry import iou_matrix_2d
+from .geometry import iou_2d_pairs
 from .tracker import Mode, TrackOutput
 
 DEFAULT_IOU_MATCH = 0.5
@@ -129,8 +132,8 @@ class _Block(NamedTuple):
     values: np.ndarray
 
 
-# Padded cells (frames x gt rows x prediction columns) scored by one
-# similarity call; a frame with more cells than this is scored alone.
+# Padded cells (frames x gt rows x prediction columns) of one run; a frame
+# with more cells than this is a run alone.
 _BLOCK_CELLS = 16384
 
 
@@ -147,42 +150,6 @@ def _block_spans(n_gt: list[int], n_pr: list[int]) -> Iterator[tuple[int, int, i
         most_gt, most_pr = grown_gt, grown_pr
     if n_gt:
         yield start, len(n_gt), most_gt, most_pr
-
-
-def _similarity(
-    gt_boxes: np.ndarray, pr_boxes: np.ndarray, mode: Mode, threshold: float
-) -> tuple[np.ndarray, float]:
-    """Similarity of every gt row to every prediction row of each frame of a
-    block, (frames, gt rows, box columns) against (frames, prediction rows,
-    box columns), plus the admission gate.
-
-    A gap between boxes too far apart for a float overflows: in 2D to no
-    overlap (see iou_matrix_2d), and in 3D to a center distance of inf, so a
-    closeness of -inf, which no gate admits.
-    """
-    if mode is Mode.BOX_2D:
-        return iou_matrix_2d(gt_boxes, pr_boxes), threshold
-    with np.errstate(over="ignore"):
-        dx = gt_boxes[..., :, None, 0] - pr_boxes[..., None, :, 0]
-        dy = gt_boxes[..., :, None, 1] - pr_boxes[..., None, :, 1]
-        dist = np.sqrt(dx * dx + dy * dy)
-    return threshold - dist, 0.0
-
-
-def _admitted(
-    similarity: np.ndarray, valid: np.ndarray, gate: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions and similarities of the valid cells of a block whose
-    similarity reaches the gate, in row-major order. A valid NaN or +inf is
-    rejected; -inf reaches no gate. Cells outside ``valid`` are never
-    admitted or checked."""
-    finite = similarity < np.inf
-    if not finite.all() and (valid & ~finite).any():
-        raise ValueError("similarity matrix entries must be finite")
-    admitted = similarity >= gate
-    admitted &= valid
-    at = admitted.ravel().nonzero()[0]
-    return at, similarity.ravel()[at]
 
 
 def _slots(starts: np.ndarray, counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,28 +169,53 @@ def _blocks(gt: TrackOutput, pred: TrackOutput, threshold: float) -> Iterator[_B
     """The admissible pairs of every frame that has rows, in frame order, in
     runs of consecutive frames (see _block_spans).
 
-    A run is scored by one similarity call, with every frame given as many
-    gt and prediction slots as the run's largest. A slot past a frame's own
-    records reads a later record of the run, so it scores like a real pair,
-    and the mask of own slots keeps it from being admitted or checked.
-    Memory follows one run plus its admissible pairs.
+    Every frame of a run is given as many gt and prediction slots as the
+    run's largest; a slot past a frame's own records reads a later record of
+    the run, and the mask of own cells keeps it out. The candidates are the
+    own cells, kept in 2D at a positive gate only where the x extents
+    overlap: the gate then admits no cell without an intersection, and such
+    a cell scores IoU 0 (see iou_2d_pairs). Only the candidates' record rows
+    are scored, pair by pair; a NaN or +inf similarity is rejected, and -inf
+    (a 3D center distance that overflows) reaches no gate. Memory follows
+    one run's cells plus its candidates.
     """
     frames = np.union1d(_distinct(gt.frames), _distinct(pred.frames))
     gt_bounds = np.append(np.searchsorted(gt.frames, frames), len(gt.frames))
     pr_bounds = np.append(np.searchsorted(pred.frames, frames), len(pred.frames))
     n_gt, n_pr = np.diff(gt_bounds), np.diff(pr_bounds)
+    is_2d = gt.mode is Mode.BOX_2D
+    cull = is_2d and threshold > 0.0
+    # Column views: a 2D cell is culled on x1, x2 (columns 0, 2), and a 3D
+    # pair is scored on the center's x, y (columns 0, 1).
+    gt_col, pr_col = gt.boxes.T, pred.boxes.T
     for start, stop, width_gt, width_pr in _block_spans(n_gt.tolist(), n_pr.tolist()):
         gt_rec, gt_own = _slots(gt_bounds[start:stop], n_gt[start:stop], width_gt)
         pr_rec, pr_own = _slots(pr_bounds[start:stop], n_pr[start:stop], width_pr)
-        similarity, gate = _similarity(gt.boxes[np.minimum(gt_rec, gt_bounds[stop] - 1)],
-                                       pred.boxes[np.minimum(pr_rec, pr_bounds[stop] - 1)],
-                                       gt.mode, threshold)
-        at, values = _admitted(similarity, gt_own[:, :, None] & pr_own[:, None, :], gate)
-        gt_slot, pr_slot = np.divmod(at, width_pr)
+        candidate = gt_own[:, :, None] & pr_own[:, None, :]
+        if cull:
+            at_gt = np.minimum(gt_rec, gt_bounds[stop] - 1)[:, :, None]
+            at_pr = np.minimum(pr_rec, pr_bounds[stop] - 1)[:, None, :]
+            # The cells where the kernel's x overlap, min(x2) - max(x1), is
+            # positive: a float difference is positive exactly when its first
+            # term is the larger (or it overflows to +inf).
+            candidate &= (np.minimum(gt_col[2][at_gt], pr_col[2][at_pr])
+                          > np.maximum(gt_col[0][at_gt], pr_col[0][at_pr]))
+        gt_slot, pr_slot = np.divmod(candidate.ravel().nonzero()[0], width_pr)
         frame = gt_slot // width_gt
+        gt_at = gt_rec.ravel()[gt_slot]
+        pr_at = pr_bounds[start:stop][frame] + pr_slot
+        if is_2d:
+            values, gate = iou_2d_pairs(gt.boxes[gt_at], pred.boxes[pr_at]), threshold
+        else:
+            with np.errstate(over="ignore"):
+                dx = gt_col[0][gt_at] - pr_col[0][pr_at]
+                dy = gt_col[1][gt_at] - pr_col[1][pr_at]
+                values, gate = threshold - np.sqrt(dx * dx + dy * dy), 0.0
+        if not (values < np.inf).all():
+            raise ValueError("similarity entries must be finite")
+        admitted = (values >= gate).nonzero()[0]
         yield _Block(gt_bounds[start:stop + 1].tolist(), pr_bounds[start:stop + 1].tolist(),
-                     frame, gt_rec.ravel()[gt_slot], pr_bounds[start:stop][frame] + pr_slot,
-                     values)
+                     frame[admitted], gt_at[admitted], pr_at[admitted], values[admitted])
 
 
 def _isolated(block: _Block) -> np.ndarray:

@@ -161,7 +161,8 @@ class Tracker:
     def __init__(self, config: TrackerConfig | Mapping[str, object] | None = None):
         self.config = validate_config(config if config is not None else {})
         self.pool = TrackPool()
-        # Per emitted frame: (frame, track ids, class ids, scores, boxes).
+        # Per frame that emitted rows: (frame, track ids, class ids, scores,
+        # boxes).
         self._rows: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def step(self, detections: DetectionFrame, frame: int | None = None) -> FrameResult:
@@ -177,8 +178,9 @@ class Tracker:
         if frame is None:
             frame = self.pool.last_frame + 1
         result = step(self.pool, frame, detections, self.config)
-        self._rows.append((frame, result.track_ids, result.class_ids, result.scores,
-                           result.boxes))
+        if len(result.track_ids):
+            self._rows.append((frame, result.track_ids, result.class_ids, result.scores,
+                               result.boxes))
         return result
 
     def output(self) -> TrackOutput:

@@ -481,11 +481,11 @@ def frame_similarity(gt_boxes, pr_boxes, mode, threshold):
     A gap too large for a float overflows: to no overlap in 2D, and in 3D to
     a center distance of inf, so a closeness of -inf, which no gate admits."""
     from motrack.association import Mode
-    from motrack.geometry import iou_matrix_2d
+    from motrack.geometry import iou_2d_pairs
 
     with np.errstate(over="ignore"):
         if mode is Mode.BOX_2D:
-            return iou_matrix_2d(gt_boxes, pr_boxes), threshold
+            return iou_2d_pairs(gt_boxes[:, None], pr_boxes[None]), threshold
         dx = gt_boxes[:, None, 0] - pr_boxes[None, :, 0]
         dy = gt_boxes[:, None, 1] - pr_boxes[None, :, 1]
         dist = np.sqrt(dx * dx + dy * dy)
@@ -779,7 +779,7 @@ def two_pass_step(pool, frame: int, detections, config):
         predict_tracks,
         resolve_gate,
     )
-    from motrack.geometry import giou_3d_pairs, iou_matrix_2d
+    from motrack.geometry import giou_3d_pairs, iou_2d_pairs
 
     if frame <= pool.last_frame:
         raise ValueError(f"frame index must increase, got {frame} after {pool.last_frame}")
@@ -818,7 +818,7 @@ def two_pass_step(pool, frame: int, detections, config):
             values[r, c] = giou_3d_pairs(source, match_rows[trk])
             assign = solve_gated(values + 1.0, gates + 1.0)
         else:
-            assign = solve_gated(iou_matrix_2d(raw[rows], match_rows[cols]), gates)
+            assign = solve_gated(iou_2d_pairs(raw[rows][:, None], match_rows[cols][None]), gates)
         det, trk = rows[assign.matches[:, 0]], cols[assign.matches[:, 1]]
         if len(det):
             zs = motion._measurement_stack(raw[det], is_3d)

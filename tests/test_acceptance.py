@@ -326,6 +326,8 @@ def test_evaluation_on_tracker_output():
     # truth. The evaluation tables, CLEAR and IDF1 must equal those scored
     # frame by frame. The times and traced memory peaks are printed, not
     # gated; each peak comes from a second call, so the timed one is untraced.
+    # So is the share of the gt x prediction cells of each frame, its own
+    # cells, that one scan hands the IoU kernel.
     gt, frames = _perf_scenario(1000)
     pred = run_sequence(frames, validate_config({"mode": "2d"}))
     reports, seconds, peaks = {}, {}, {}
@@ -340,8 +342,13 @@ def test_evaluation_on_tracker_output():
         finally:
             tracemalloc.stop()
 
-    tables = list(block_tables(gt, pred, 0.5))
+    kernel, scored = metrics.iou_2d_pairs, []
+    with mock.patch.object(metrics, "iou_2d_pairs",
+                           lambda a, b: scored.append(len(a)) or kernel(a, b)):
+        tables = list(block_tables(gt, pred, 0.5))
     assert tables == list(frame_tables_reference(gt, pred, 0.5))
+    slots = max(gt.n_frames, pred.n_frames) + 1
+    own = int(np.bincount(gt.frames, minlength=slots) @ np.bincount(pred.frames, minlength=slots))
     want = sweep_reference(tables)
     # FP and FN at every score; identity switches at the thresholds AMOTA
     # reads and at the lowest score, where every prediction is kept.
@@ -358,7 +365,9 @@ def test_evaluation_on_tracker_output():
     print(f"\nPASS evaluation on tracker output: 1000 frames x 50 objects scored "
           f"mota {report.mota:.4f}, idf1 {reports['idf1']:.4f}, "
           f"amota {reports['amota'].amota:.4f}; wall time / traced peak "
-          + ", ".join(f"{name} {seconds[name]:.3f} s / {peaks[name]:.1f} MB" for name in seconds))
+          + ", ".join(f"{name} {seconds[name]:.3f} s / {peaks[name]:.1f} MB" for name in seconds)
+          + f"; one scan scored {sum(scored):,} of {own:,} own cells "
+            f"({sum(scored) / own:.1%})")
 
 
 def _sweep_counts(gt, sweep):

@@ -522,7 +522,7 @@ class TestStepLifecycle:
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("config, kernel", [(CFG_2D, "iou_matrix_2d"), (CFG_3D, "giou_3d_pairs")])
+@pytest.mark.parametrize("config, kernel", [(CFG_2D, "iou_2d_pairs"), (CFG_3D, "giou_3d_pairs")])
 def test_non_finite_similarity_rejected(config, kernel, bad, monkeypatch):
     # One non-finite score stops the frame, even on a pair far apart that no
     # gate admits: step checks its whole table before the solver reads it.
@@ -950,7 +950,7 @@ def test_each_stage_runs_once_per_frame(config, monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     is_3d = config.mode is Mode.BOX_3D
-    kernel = "giou_3d_pairs" if is_3d else "iou_matrix_2d"
+    kernel = "giou_3d_pairs" if is_3d else "iou_2d_pairs"
     spy(association, kernel)
     spy(motion, "_measurement_stack")
     spy(motion, "update_arrays")

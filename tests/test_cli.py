@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from motrack import simulate
 from motrack import tracker as tracker_module
 from motrack.cli import main
 from motrack.formats import parse_mot_results
@@ -316,3 +317,45 @@ def test_zero_size_detection_reports_its_line(tmp_path, capsys):
                  "--mode", "2d"])
     assert code == 1
     assert "line 1: box size must be positive, got w=0.0, h=10.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["track", "--tau", "0_6"], "--tau"),
+    (["track", "--gate-first", "0_3"], "--gate-first"),
+    (["track", "--gate-second", "0_3"], "--gate-second"),
+    (["track", "--track-buffer", "3_0"], "--track-buffer"),
+    (["track", "--alpha", "1_0"], "--alpha"),
+    (["eval", "--match-threshold", "0_5"], "--match-threshold"),
+    (["simulate", "--preset", "occlusion", "--seed", "1_0"], "--seed"),
+    (["sweep", "--scenarios", "1", "--taus", "0.3,0_4"], "--taus"),
+    (["sweep", "--scenarios", "1_0"], "--scenarios"),
+    (["sweep", "--scenarios", "1", "--base-seed", "1_00"], "--base-seed"),
+    (["ablate-motion", "--scenarios", "1_0"], "--scenarios"),
+    (["ablate-motion", "--scenarios", "1", "--base-seed", "5_00"], "--base-seed"),
+])
+def test_numeric_flags_reject_digit_separators(tmp_path, argv, flag, capsys):
+    # int and float read '1_0' as 10; the flags, like the record and config
+    # files, reject it as a usage error naming the flag.
+    paths = {"track": ["--input", "det.txt", "--output", "out.txt"],
+             "eval": ["--gt", "gt.txt", "--pred", "pred.txt"],
+             "simulate": ["--out-gt", "gt.txt", "--out-det", "det.txt"]}
+    extra = [str(tmp_path / arg) if arg.endswith(".txt") else arg
+             for arg in paths.get(argv[0], [])]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: invalid" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_checks_every_config_before_any_work(monkeypatch, capsys):
+    # A threshold out of range fails before the suite is generated and
+    # before the table header is printed.
+    def generate(*args):
+        raise AssertionError("the suite was generated")
+
+    monkeypatch.setattr(simulate, "generate_scenario", generate)
+    assert main(["sweep", "--taus", "0.5,1.5", "--scenarios", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tau must be in (0, 1), got 1.5\n"

@@ -11,7 +11,7 @@ from motrack.geometry import (
     Box2D,
     Box3D,
     giou_3d_pairs,
-    iou_matrix_2d,
+    iou_2d_pairs,
     wrap_angles,
 )
 from oracle_utils import (
@@ -72,7 +72,7 @@ class TestBoxValidation:
             check_box(-5e307, 0.0, 5e307, 1.0)
         largest = np.array([(-4e307, 0.0, 4e307, 1.0), (0.0, 0.0, 4e307, 2.0)])
         with np.errstate(all="raise"):
-            iou = iou_matrix_2d(largest, largest)
+            iou = iou_2d_pairs(largest[:, None], largest[None])
         assert iou[0, 0] == iou[1, 1] == 1.0
         assert iou[0, 1] == iou[1, 0] == pytest.approx(1.0 / 3.0)
 
@@ -233,6 +233,10 @@ class TestSimilarityMatrix:
     """All-pairs scores over parameter rows, as association and metrics use them."""
 
     @staticmethod
+    def iou_matrix(dets, trks):
+        return iou_2d_pairs(box2d_array(dets)[:, None], box2d_array(trks)[None])
+
+    @staticmethod
     def giou_matrix(dets, trks):
         rows, cols = box3d_array(dets), box3d_array(trks)
         return giou_3d_pairs(np.repeat(rows, len(cols), axis=0),
@@ -240,14 +244,14 @@ class TestSimilarityMatrix:
 
     def test_single_identical_pair(self):
         box = Box2D(0, 0, 10, 10)
-        sim = iou_matrix_2d(box2d_array([box]), box2d_array([box]))
+        sim = self.iou_matrix([box], [box])
         assert sim.shape == (1, 1)
         assert sim[0, 0] == 1.0
 
     def test_empty_rows(self):
         boxes = [Box2D(0, 0, 1, 1), Box2D(1, 1, 2, 2), Box2D(2, 2, 3, 3)]
-        assert iou_matrix_2d(box2d_array([]), box2d_array(boxes)).shape == (0, 3)
-        assert iou_matrix_2d(box2d_array(boxes), box2d_array([])).shape == (3, 0)
+        assert self.iou_matrix([], boxes).shape == (0, 3)
+        assert self.iou_matrix(boxes, []).shape == (3, 0)
         assert self.giou_matrix([], [Box3D(0, 0, 0, 0, 1, 1, 1)]).shape == (0, 1)
 
     def test_matches_elementwise_iou(self):
@@ -256,7 +260,7 @@ class TestSimilarityMatrix:
                 for x, y, w, h in rng.uniform(1, 30, (4, 4))]
         trks = [Box2D(x, y, x + w, y + h)
                 for x, y, w, h in rng.uniform(1, 30, (3, 4))]
-        sim = iou_matrix_2d(box2d_array(dets), box2d_array(trks))
+        sim = self.iou_matrix(dets, trks)
         for i, det in enumerate(dets):
             for j, trk in enumerate(trks):
                 assert sim[i, j] == pytest.approx(iou_2d(det, trk), abs=1e-12)
@@ -266,10 +270,13 @@ class TestSimilarityMatrix:
         corners = rng.uniform(0, 30, (2, 3, 9, 2))
         boxes = np.concatenate([corners, corners + rng.uniform(0, 20, (2, 3, 9, 2))], axis=-1)
         a, b = boxes[0, :, :4], boxes[1, :, 4:]
-        sim = iou_matrix_2d(a, b)
+        sim = iou_2d_pairs(a[:, :, None], b[:, None])
         assert sim.shape == (3, 4, 5)
         for k in range(3):
-            assert np.array_equal(sim[k], iou_matrix_2d(a[k], b[k]))
+            assert np.array_equal(sim[k], iou_2d_pairs(a[k][:, None], b[k][None]))
+        # Flat pairs score exactly as the table's cells do.
+        k, i, j = np.indices(sim.shape).reshape(3, -1)
+        assert np.array_equal(iou_2d_pairs(a[k, i], b[k, j]), sim.ravel())
 
     def test_matches_elementwise_giou(self):
         rng = np.random.default_rng(2)

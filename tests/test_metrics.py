@@ -565,11 +565,9 @@ def sparse_table(gt_ids, pr_ids, scores, values, gate):
     """The sparse table of a frame given by its dense similarity, built by
     the evaluators' table builder from a one-frame block."""
     n_gt, n_pr = values.shape
-    at, pair_values = metrics._admitted(values[None], np.ones((1, n_gt, n_pr), dtype=bool),
-                                        gate)
-    rows, cols = np.divmod(at, n_pr)
-    block = metrics._Block([0, n_gt], [0, n_pr], np.zeros(len(at), dtype=np.intp), rows, cols,
-                           pair_values)
+    rows, cols = (values >= gate).nonzero()
+    block = metrics._Block([0, n_gt], [0, n_pr], np.zeros(len(rows), dtype=np.intp), rows, cols,
+                           values[rows, cols])
     tables = metrics._block_tables(block, metrics._isolated(block),
                                    np.array(gt_ids, dtype=np.int64),
                                    np.array(pr_ids, dtype=np.int64),
@@ -773,16 +771,28 @@ def test_far_apart_huge_2d_boxes_stay_unmatched():
     assert [report.fp, report.fn, report.ids] == want
 
 
-def test_nan_and_positive_infinite_similarities_rejected():
-    at, values = metrics._admitted(np.array([[[-np.inf, 0.3], [0.0, -0.1]]]),
-                                   np.ones((1, 2, 2), dtype=bool), 0.0)
-    assert (at.tolist(), values.tolist()) == ([1, 2], [0.3, 0.0])
+def test_nan_and_positive_infinite_similarities_rejected(monkeypatch):
+    # Frame 1 pads its one prediction column against frame 2's two. The
+    # kernel scores the three own cells, in row-major order, and the last is
+    # poisoned. Otherwise -inf reaches no gate and 0.0 reaches the gate 0.
+    gt = output_2d(steady(1, (1, 2)))
+    pred = output_2d(steady(11, (1, 2), x=110.0) + steady(12, (2,), x=300.0))
+    scored = []
+
+    def poisoned(last):
+        def scores(a, b):
+            scored.append(len(a))
+            return np.array([-np.inf, 0.0, last])
+        return scores
+
     for bad in (np.nan, np.inf):
+        monkeypatch.setattr(metrics, "iou_2d_pairs", poisoned(bad))
         with pytest.raises(ValueError, match="finite"):
-            metrics._admitted(np.array([[[0.3, bad]]]), np.ones((1, 1, 2), dtype=bool), 0.0)
-        # A padded cell is neither admitted nor checked.
-        at, _ = metrics._admitted(np.array([[[0.3, bad]]]), np.array([[[True, False]]]), 0.0)
-        assert at.tolist() == [0]
+            list(metrics._blocks(gt, pred, 0.0))
+    monkeypatch.setattr(metrics, "iou_2d_pairs", poisoned(0.7))
+    (block,) = metrics._blocks(gt, pred, 0.0)
+    assert scored == [3, 3, 3]
+    assert (block.frame.tolist(), block.values.tolist()) == ([1, 1], [0.0, 0.7])
     # An infinite 3D threshold would make every closeness +inf.
     gt = output_3d(steady(1, (1, 2), x=0.0, y=0.0))
     with pytest.raises(ValueError, match="finite"):
@@ -820,7 +830,8 @@ def block_suites(draw):
     gaps overflow: to no overlap in 2D, to a closeness of -inf in 3D.
     """
     is_3d = draw(st.booleans())
-    threshold = draw(st.sampled_from([None, 0.0, 1.0] if is_3d else [None, 0.0, 0.5]))
+    threshold = draw(st.sampled_from([None, 0.0, 1.0] if is_3d
+                                     else [None, 0.0, 0.5, 5e-324, -0.5]))
     cap = draw(st.sampled_from([1, 4, 9, 16, 36, metrics._BLOCK_CELLS]))
     coords = st.sampled_from([-1e308, 0.0, 1.0, 2.0, 1e308] if is_3d
                              else [-1.7e308, 0.0, 10.0, 20.0, 1.6e308])
@@ -905,6 +916,49 @@ def test_block_scorer_at_the_module_cap():
             np.vstack(boxes), Mode.BOX_2D, len(sizes)))
     spans = check_block_scorer(*outputs, None, metrics._BLOCK_CELLS)
     assert spans == [(0, 1), (1, 2), (2, 3), (3, 7), (7, 10)]
+
+
+def module_cap_outputs():
+    """The gt and prediction of test_block_scorer_at_the_module_cap."""
+    sizes = [(128, 128), (1, 1), (129, 128)] + [(64, 64)] * 5 + [(0, 5), (5, 0)]
+    rng = np.random.default_rng(5)
+    columns = {side: ([], [], []) for side in ("gt", "pred")}
+    for f, counts in enumerate(sizes, start=1):
+        for side, n, offset in zip(("gt", "pred"), counts, (0, 1000)):
+            frames, ids, boxes = columns[side]
+            frames += [f] * n
+            ids += (offset + rng.permutation(200)[:n]).tolist()
+            corner = rng.uniform(0.0, 400.0, (n, 2))
+            boxes.append(np.hstack([corner, corner + rng.uniform(20.0, 120.0, (n, 2))]))
+    return [TrackOutput(np.array(frames), np.array(ids), np.zeros(len(ids), dtype=np.int64),
+                        rng.choice([0.3, 0.6, 0.9], len(ids)), np.vstack(boxes), Mode.BOX_2D,
+                        len(sizes))
+            for frames, ids, boxes in columns.values()]
+
+
+def test_iou_kernel_scores_only_the_x_overlapping_own_cells(monkeypatch):
+    # At a positive IoU gate the scan hands the kernel each frame's gt x
+    # prediction cells whose x extents overlap, once each, and no padded
+    # cell: 16,564 of the 53,377 own cells here, which the blocks pad to
+    # 61,569 cells.
+    gt, pred = module_cap_outputs()
+    want = Counter()
+    for f in range(1, gt.n_frames + 1):
+        g, p = gt.boxes[gt.frames == f], pred.boxes[pred.frames == f]
+        overlap = (np.minimum(g[:, None, 2], p[None, :, 2])
+                   - np.maximum(g[:, None, 0], p[None, :, 0])) > 0.0
+        for i, j in zip(*overlap.nonzero()):
+            want[tuple(g[i]), tuple(p[j])] += 1
+    kernel, got = metrics.iou_2d_pairs, Counter()
+
+    def spy(a, b):
+        got.update(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
+        return kernel(a, b)
+
+    monkeypatch.setattr(metrics, "iou_2d_pairs", spy)
+    clear_mot(gt, pred)
+    assert got == want
+    assert sum(got.values()) == 16_564
 
 
 def test_clear_carries_matches_and_switches_across_one_frame_blocks():

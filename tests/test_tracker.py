@@ -380,6 +380,25 @@ def test_huge_frame_gap_is_bounded(monkeypatch):
     assert_same_pool(gapped.pool, explicit.pool)
 
 
+def test_empty_frames_keep_no_rows():
+    """Only frames that emit rows keep any: 1000 empty frames after a tracked
+    sequence leave the rows, and so the output's columns, as they were."""
+    spec, seed = crossing_scenario()
+    _, frames = generate_scenario(spec, seed)
+    tracker = Tracker({"mode": "2d"})
+    for detections in frames:
+        tracker.step(detections)
+    before, kept = tracker.output(), len(tracker._rows)
+    assert 0 < kept <= len(frames)
+    for _ in range(1000):
+        tracker.step(detection_frame((), Mode.BOX_2D))
+    assert len(tracker._rows) == kept
+    after = tracker.output()
+    for name in ("frames", "track_ids", "class_ids", "scores", "boxes"):
+        assert np.array_equal(getattr(after, name), getattr(before, name)), name
+    assert after.n_frames == before.n_frames + 1000
+
+
 @pytest.mark.parametrize("mode", ["2d", "3d"])
 def test_columns_build_no_record_objects(monkeypatch, mode):
     """Parsing, stepping, output, writing and every metric run on columns:

@@ -128,6 +128,11 @@ def _box_type(rows: np.ndarray) -> type:
     return Box3D if rows.shape[1] == 7 else Box2D
 
 
+def _mode_of(rows: np.ndarray) -> Mode:
+    """The mode of parameter rows: 3D if they are 7 wide, else 2D."""
+    return Mode.BOX_3D if rows.shape[1] == 7 else Mode.BOX_2D
+
+
 def check_mode(boxes: np.ndarray, mode: Mode) -> None:
     """Raise a ValueError unless boxes are parameter rows of the mode's width."""
     if boxes.shape[1] != box_width(mode):
@@ -506,23 +511,22 @@ def predict_tracks(
     active tracks and forward-predicts lost tracks for rebirth.
     """
     strategy = config.motion_strategy
-    is_3d = config.mode is Mode.BOX_3D
     means, covs = pool.means, pool.covs
     if not len(means):
         # A fresh pool's empty states: those of zero measurements, which are
         # as wide as box rows in both modes.
-        means, covs = motion.init_arrays(np.zeros((0, box_width(config.mode))), is_3d)
+        means, covs = motion.init_arrays(np.zeros((0, box_width(config.mode))))
 
     if strategy is MotionStrategy.DETECTED_VELOCITY:
         wants_backward = np.ones(len(means), dtype=bool)
-        new_means, new_covs = motion.inflate_arrays(means, covs, is_3d)
+        new_means, new_covs = motion.inflate_arrays(means, covs)
     else:
         wants_backward = (pool.active if strategy is MotionStrategy.COMPLEMENTARY
                           else np.zeros(len(means), dtype=bool))
-        new_means, new_covs = motion.predict_arrays(means, covs, is_3d)
+        new_means, new_covs = motion.predict_arrays(means, covs)
     match_means = (np.where(wants_backward[:, None], means, new_means) if wants_backward.any()
                    else new_means)
-    return new_means, new_covs, motion.box_rows(match_means, is_3d), wants_backward
+    return new_means, new_covs, motion.box_rows(match_means), wants_backward
 
 
 def _row_gates(class_ids: np.ndarray, gate: float | Mapping[int, float]) -> np.ndarray:
@@ -658,12 +662,11 @@ def step(
     matched_trk = np.concatenate((first_trk, second_trk))
     n_matched, n_new = len(matched_det), len(high_left)
     measured = np.concatenate((matched_det, high_left)) if n_new else matched_det
-    zs = motion._measurement_stack(raw[measured], is_3d)
+    zs = motion._measurement_stack(raw[measured])
     if n_matched:
         means[matched_trk], covs[matched_trk] = motion.update_arrays(
             means[matched_trk], covs[matched_trk], zs[:n_matched], scores[matched_det],
-            config.alpha, is_3d
-        )
+            config.alpha)
 
     lost = np.zeros(len(means), dtype=bool)
     lost[cols_left] = True
@@ -679,7 +682,7 @@ def step(
 
     if n_new or not keep.all():
         # The rows change: drop the removed tracks and append the spawns.
-        spawn_means, spawn_covs = motion.init_arrays(zs[n_matched:], is_3d)
+        spawn_means, spawn_covs = motion.init_arrays(zs[n_matched:])
         pool.means = np.concatenate((means[keep], spawn_means))
         pool.covs = np.concatenate((covs[keep], spawn_covs))
         pool.ids = np.concatenate((pool.ids[keep], spawn_ids))
@@ -699,7 +702,7 @@ def step(
     out = pool.active.nonzero()[0]
     # Output rows are matched or spawned this frame, so their yaw is already
     # wrapped by the update or the measurement (DetectionFrame wraps it).
-    boxes = motion.box_rows(pool.means[out], is_3d)
+    boxes = motion.box_rows(pool.means[out])
     if not np.isfinite(boxes).all():
         check_rows(row_rules(boxes))
     return FrameResult(frame, pool.ids[out], pool.class_ids[out], pool.last_score[out],

@@ -23,13 +23,16 @@ _PRESETS = {
 def _strict(kind: type) -> Callable[[str], object]:
     """kind (int or float) as an argparse type that rejects the digit
     separator '_', which int and float accept and the record and config
-    files reject."""
+    files reject. Its usage error names the kind and the rejected text, also
+    where _count and _taus call it."""
     def convert(text: str):
-        if "_" in text:
-            raise ValueError(text)
-        return kind(text)
+        if "_" not in text:
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
 
-    convert.__name__ = kind.__name__  # argparse's usage error names it
     return convert
 
 
@@ -46,7 +49,7 @@ def _count(text: str) -> int:
 
 def _taus(text: str) -> list[float]:
     """A comma-separated list of at least one score threshold."""
-    taus = [_float(t) for t in text.split(",") if t.strip()]
+    taus = [_float(t.strip()) for t in text.split(",") if t.strip()]
     if not taus:
         raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
     return taus
@@ -201,7 +204,7 @@ def _cmd_simulate(args) -> int:
         else:
             formats.write_3d_results(gt, fh)
     with open(args.out_det, "w", encoding="utf-8") as fh:
-        formats.write_detections(frames, spec.mode, fh)
+        formats.write_detections(frames, fh)
     print(f"wrote {len(gt.track_ids)} gt boxes over {gt.n_frames} frames (seed {seed})")
     return 0
 

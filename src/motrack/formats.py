@@ -14,7 +14,8 @@ array masks: the field checks, then association.row_rules. The first bad row
 is reported as ``line N: ...``, with the message of the first check it fails
 in field order. parse_*_detections return DetectionFrames, per-frame views
 over columns sorted by frame; parse_*_results return a TrackOutput. The
-writers format from the same columns.
+writers format from the same columns, and take the format from the rows:
+write_detections writes MOT lines for 2D boxes and 3D lines for 3D ones.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .association import (DEFAULT_GATE_KEY, DetectionFrame, Mode, TrackerConfig, _wrap_yaw,
-                          check_mode, row_rules)
+from .association import (DEFAULT_GATE_KEY, DetectionFrame, Mode, TrackerConfig, _box_type,
+                          _mode_of, _wrap_yaw, row_rules)
 from .tracker import CLASS_IDS, CLASS_NAMES, TrackOutput
 
 _MOT_FIELDS = 10
@@ -245,8 +246,7 @@ def parse_mot_results(text: str) -> TrackOutput:
     """Read a tracked-results file (ids >= 1) back into a TrackOutput."""
     frames, ids, scores, boxes = _by_frame(*_mot_columns(text, results=True))
     n_frames = int(frames[-1]) if len(frames) else 0
-    return TrackOutput(frames, ids, np.zeros(len(ids), dtype=np.int64), scores, boxes,
-                       Mode.BOX_2D, n_frames)
+    return TrackOutput(frames, ids, np.zeros(len(ids), dtype=np.int64), scores, boxes, n_frames)
 
 
 def _mot_text(frames: np.ndarray, track_ids: np.ndarray, scores: np.ndarray,
@@ -323,7 +323,7 @@ def parse_3d_results(text: str) -> TrackOutput:
     """Read a 3D results file (ids >= 1) back into a TrackOutput."""
     frames, ids, class_ids, scores, boxes, _, _ = _by_frame(*_3d_columns(text, results=True))
     n_frames = int(frames[-1]) if len(frames) else 0
-    return TrackOutput(frames, ids, class_ids, scores, boxes, Mode.BOX_3D, n_frames)
+    return TrackOutput(frames, ids, class_ids, scores, boxes, n_frames)
 
 
 def _3d_text(frames: np.ndarray, track_ids: np.ndarray, class_ids: np.ndarray,
@@ -357,10 +357,18 @@ def write_3d_results(output: TrackOutput, sink: IO[str]) -> None:
         sink.write(text)
 
 
-def write_detections(frames: Iterable[DetectionFrame], mode: Mode, sink: IO[str]) -> None:
-    """Write a detection stream in the mode's format (id column -1); see check_mode."""
+def write_detections(frames: Iterable[DetectionFrame], sink: IO[str]) -> None:
+    """Write a detection stream (id column -1) in its rows' format: MOT lines
+    for 2D boxes, 3D lines for 3D ones. A frame whose boxes are not as wide as
+    the first frame's raises ValueError naming it; the frames before it are
+    written."""
+    mode = None
     for index, detections in enumerate(frames, start=1):
-        check_mode(detections.boxes, mode)
+        if mode is None:
+            mode = _mode_of(detections.boxes)
+        elif _mode_of(detections.boxes) is not mode:
+            raise ValueError(f"frame {index}: {_box_type(detections.boxes).__name__} detection "
+                             f"in a {mode.value} stream")
         n = len(detections)
         numbers, ids = np.full(n, index), np.full(n, -1)
         if mode is Mode.BOX_2D:

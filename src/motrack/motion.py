@@ -25,7 +25,8 @@ covariance b and velocity variance c (b = c = 0 without a velocity). One
 association step predicts, updates or starts every track it touches at once.
 Boxes enter as measurement rows (_measurement_stack) and leave as box
 parameter rows (box_rows): (x1, y1, x2, y2) corners in 2D, (x, y, z, theta,
-l, w, h) in 3D.
+l, w, h) in 3D. No operation takes a mode: every array says its own by its
+width (_is_3d), 4 and 8 columns being 2D rows and states, 7 and 10 3D ones.
 """
 
 from __future__ import annotations
@@ -89,13 +90,24 @@ _MIN_NOISE_FLOOR = 1e-4
 _THETA_INDEX = 3  # yaw position in the 3D state and measurement vectors
 
 
-def _measurement_stack(rows: np.ndarray, is_3d: bool) -> np.ndarray:
+def _is_3d(rows: np.ndarray) -> bool:
+    """Whether rows are 3D: box or measurement rows of width 7 or states of
+    width 10; 2D ones have width 4 or 8."""
+    width = rows.shape[1]
+    if width in (OBS_DIM_3D, STATE_DIM_3D):
+        return True
+    if width in (OBS_DIM_2D, STATE_DIM_2D):
+        return False
+    raise ValueError(f"rows of width {width} are neither 2D nor 3D rows or states")
+
+
+def _measurement_stack(rows: np.ndarray) -> np.ndarray:
     """Measurement rows (K, obs_dim) of box parameter rows.
 
     3D rows are measured as they are. 2D corner rows become (center x,
     center y, w/h, h); detections have positive sizes (association.row_rules).
     """
-    if is_3d:
+    if _is_3d(rows):
         return rows
     size = rows[:, 2:] - rows[:, :2]
     # Halved before the sum, so corners near +-1.7e308 do not overflow.
@@ -104,9 +116,9 @@ def _measurement_stack(rows: np.ndarray, is_3d: bool) -> np.ndarray:
     return np.concatenate((centers, size[:, :1] / size[:, 1:], size[:, 1:]), axis=1)
 
 
-def box_rows(means: np.ndarray, is_3d: bool) -> np.ndarray:
+def box_rows(means: np.ndarray) -> np.ndarray:
     """Box parameter rows of the states' estimates; degenerate sizes are clamped tiny."""
-    if is_3d:
+    if _is_3d(means):
         rows = means[:, :7].copy()
         size = rows[:, 4:]
         rows[:, 4:] = np.where(size > 1e-6, size, 1e-6)
@@ -124,28 +136,26 @@ def box_rows(means: np.ndarray, is_3d: bool) -> np.ndarray:
     return rows
 
 
-def _variances(term: str, rows: np.ndarray, is_3d: bool) -> np.ndarray:
+def _variances(term: str, rows: np.ndarray) -> np.ndarray:
     """Variances (K, obs_dim) of one noise term for state or measurement rows:
     std = fixed + weight * h per channel, h the row's last observed channel."""
-    weight, fixed = (_NOISE_3D if is_3d else _NOISE_2D)[term]
+    weight, fixed = (_NOISE_3D if _is_3d(rows) else _NOISE_2D)[term]
     obs = len(weight)
     return (fixed + weight * rows[:, obs - 1 : obs]) ** 2
 
 
-def init_arrays(zs: np.ndarray, is_3d: bool) -> tuple[np.ndarray, np.ndarray]:
+def init_arrays(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start one track per measurement row: positions measured, velocities zero."""
     k, obs = zs.shape
-    dim = STATE_DIM_3D if is_3d else STATE_DIM_2D
+    dim = STATE_DIM_3D if _is_3d(zs) else STATE_DIM_2D
     means = np.concatenate((zs, np.zeros((k, dim - obs))), axis=1)
     covs = np.zeros((k, 3, obs))
-    covs[:, 0] = _variances("init_pos", zs, is_3d)
-    covs[:, 2] = _variances("init_vel", zs, is_3d)
+    covs[:, 0] = _variances("init_pos", zs)
+    covs[:, 2] = _variances("init_vel", zs)
     return means, covs
 
 
-def predict_arrays(
-    means: np.ndarray, covs: np.ndarray, is_3d: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def predict_arrays(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One constant-velocity step: positions advance by velocities, covariances grow.
 
     Per block: a' = (a + b) + (b + c) + q_pos, b' = b + c, c' = c + q_vel.
@@ -156,18 +166,16 @@ def predict_arrays(
     a, b, c = covs[:, 0], covs[:, 1], covs[:, 2]
     new_covs = np.empty_like(covs)
     new_covs[:, 1] = b + c
-    new_covs[:, 0] = (a + b) + new_covs[:, 1] + _variances("q_pos", means, is_3d)
-    new_covs[:, 2] = c + _variances("q_vel", means, is_3d)
+    new_covs[:, 0] = (a + b) + new_covs[:, 1] + _variances("q_pos", means)
+    new_covs[:, 2] = c + _variances("q_vel", means)
     return new_means, new_covs
 
 
-def inflate_arrays(
-    means: np.ndarray, covs: np.ndarray, is_3d: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def inflate_arrays(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Random-walk step used when no motion model applies: means copied, variances grown."""
     new_covs = covs.copy()
-    new_covs[:, 0] += _variances("q_pos", means, is_3d)
-    new_covs[:, 2] += _variances("q_vel", means, is_3d)
+    new_covs[:, 0] += _variances("q_pos", means)
+    new_covs[:, 2] += _variances("q_vel", means)
     return means.copy(), new_covs
 
 
@@ -177,7 +185,6 @@ def update_arrays(
     zs: np.ndarray,
     scores: np.ndarray,
     alpha: float | None,
-    is_3d: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kalman measurement update of K states by K measurement rows.
 
@@ -189,6 +196,7 @@ def update_arrays(
     measured alone, so the innovation covariance is diagonal and no solve is
     needed.
     """
+    is_3d = _is_3d(means)
     obs = OBS_DIM_3D if is_3d else OBS_DIM_2D
     if zs.shape != (means.shape[0], obs):
         raise ValueError("measurement dimensionality does not match the states")
@@ -196,7 +204,7 @@ def update_arrays(
     if ((scores < 0.0) | (scores > 1.0)).any():
         raise ValueError("scores must be in [0, 1]")
 
-    r = _variances("r", zs, is_3d)
+    r = _variances("r", zs)
     if alpha is not None:
         r = alpha * (1.0 - scores[:, None]) ** 2 * r
     r = np.maximum(r, _MIN_NOISE_FLOOR)

@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .association import DetectionFrame, Mode, box_width
+from .association import DetectionFrame, Mode, _enum_member, box_width
 from .tracker import CLASS_IDS, TrackOutput
 
 
@@ -97,7 +97,8 @@ class DropoutSpan:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Full description of a synthetic sequence."""
+    """Full description of a synthetic sequence; mode is a Mode or its value
+    in any case."""
 
     mode: Mode
     duration: int
@@ -114,6 +115,7 @@ class ScenarioSpec:
     velocity_noise: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", _enum_member(Mode, self.mode, "mode"))
         _check_integers(self, "duration")
         if self.duration < 1:
             raise ValueError("duration must be at least one frame")
@@ -271,7 +273,7 @@ def generate_scenario(
         np.tile(np.array([obj.class_id for obj in spec.objects], dtype=np.int64), duration),
         np.ones(duration * n_objects),
         np.array(gt_rows, dtype=float).reshape(-1, width),
-        spec.mode, duration,
+        duration,
     )
     return gt, frames
 
@@ -408,7 +410,6 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     """Inverse of scenario_to_dict; raises ValueError on malformed input."""
     payload = dict(data)
     try:
-        mode = Mode(payload.pop("mode"))
         objects = tuple(
             ObjectSpec(
                 start=tuple(o["start"]),
@@ -422,7 +423,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         dropouts = tuple(DropoutSpan(**e) for e in payload.pop("dropouts", ()))
         payload["world"] = tuple(payload["world"])
         payload["clutter_scores"] = tuple(payload.get("clutter_scores", (0.1, 0.4)))
-        return ScenarioSpec(mode=mode, objects=objects, occlusions=occlusions,
-                            dropouts=dropouts, **payload)
+        return ScenarioSpec(objects=objects, occlusions=occlusions, dropouts=dropouts,
+                            **payload)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scenario description: {exc}") from exc

@@ -3,13 +3,15 @@
 Tracker.step takes a frame's detections as a DetectionFrame, the columns the
 parsers and the simulator build. Each frame's output rows are kept as columns
 and concatenated once by output() into a TrackOutput, which is those columns
-and is built from nothing else.
+and the sequence length, and is built from nothing else: its mode is its
+boxes' width, and the config that produced it stays on the Tracker.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .association import (
     TrackPool,
     TrackRecord,
     _enum_member,
+    _mode_of,
     _record_view,
     _wrap_yaw,
     box_width,
@@ -55,19 +58,20 @@ _ALPHA_DEFAULTS = {"lidar": 10.0, "camera": 100.0}
 
 @dataclass(frozen=True, eq=False)
 class TrackOutput:
-    """Whole-sequence tracking result as columns, plus the config that produced it.
+    """Whole-sequence tracking result as columns over frames 1..n_frames.
 
     Row i is one confirmed box: frames[i] (the frame number), track_ids[i],
     class_ids[i], scores[i] and boxes[i], a parameter row (x1, y1, x2, y2 or
-    x, y, z, theta, l, w, h). The columns are checked as a DetectionFrame's
-    are (check_columns: boxes of width box_width(mode), integer frames,
-    track_ids and class_ids; row_rules of the boxes alone, scores being left
-    to the metrics) and kept as given, without copying, except that a 3D yaw
-    outside (-pi, pi] is wrapped into it in a copy of boxes. Rows are sorted by
-    frame, each (frame, id) pair once, and every frame lies in [1, n_frames].
-    records yields the same rows as TrackRecords, built on demand and never
-    cached (a _Rows view: len builds nothing, iteration builds a batch at a
-    time, unhashable).
+    x, y, z, theta, l, w, h); mode is Mode.BOX_3D if boxes are 7 wide, else
+    Mode.BOX_2D. The columns are checked as a DetectionFrame's are
+    (check_columns: boxes of width 4 or 7, integer frames, track_ids and
+    class_ids; row_rules of the boxes alone, scores being left to the
+    metrics) and kept as given, without copying, except that a 3D yaw outside
+    (-pi, pi] is wrapped into it in a copy of boxes. n_frames is an integer
+    >= 0 (not a bool). Rows are sorted by frame, each (frame, id) pair once,
+    and every frame lies in [1, n_frames]. records yields the same rows as
+    TrackRecords, built on demand and never cached (a _Rows view: len builds
+    nothing, iteration builds a batch at a time, unhashable).
     """
 
     frames: np.ndarray
@@ -75,15 +79,15 @@ class TrackOutput:
     class_ids: np.ndarray
     scores: np.ndarray
     boxes: np.ndarray
-    mode: Mode
     n_frames: int
-    config: TrackerConfig | None = None
 
     def __post_init__(self):
-        frames, track_ids = self.frames, self.track_ids
+        frames, track_ids, n_frames = self.frames, self.track_ids, self.n_frames
+        if not isinstance(n_frames, Integral) or isinstance(n_frames, bool) or n_frames < 0:
+            raise ValueError(f"n_frames must be an integer >= 0, got {n_frames!r}")
         check_columns(self.boxes, {"frames": frames, "track_ids": track_ids,
                                    "class_ids": self.class_ids, "scores": self.scores},
-                      ("frames", "track_ids", "class_ids"), (box_width(self.mode),))
+                      ("frames", "track_ids", "class_ids"))
         check_rows(row_rules(self.boxes))
         object.__setattr__(self, "boxes", _wrap_yaw(self.boxes))
         if np.any(frames[1:] < frames[:-1]):
@@ -91,9 +95,13 @@ class TrackOutput:
         order = np.lexsort((track_ids, frames))
         if np.any((np.diff(frames[order]) == 0) & (np.diff(track_ids[order]) == 0)):
             raise ValueError("duplicate (frame, id) pair in records")
-        if len(frames) and (frames[0] < 1 or frames[-1] > self.n_frames):
-            raise ValueError(f"frames must lie in [1, {self.n_frames}], got "
+        if len(frames) and (frames[0] < 1 or frames[-1] > n_frames):
+            raise ValueError(f"frames must lie in [1, {n_frames}], got "
                              f"{frames[0] if frames[0] < 1 else frames[-1]}")
+
+    @property
+    def mode(self) -> Mode:
+        return _mode_of(self.boxes)
 
     @property
     def records(self) -> Sequence[TrackRecord]:
@@ -101,12 +109,13 @@ class TrackOutput:
 
 
 def default_config(mode: Mode = Mode.BOX_2D, modality: str | None = None) -> TrackerConfig:
-    """Reference configuration for a mode.
+    """Reference configuration for a mode, a Mode or its value in any case.
 
     modality picks the 3D profile (lidar when None). 2D has one profile but
     still rejects an unknown modality; a known one is accepted, so a 3D
     config file can be run with its mode overridden to 2D.
     """
+    mode = _enum_member(Mode, mode, "mode")
     modality = modality or "lidar"
     if modality not in _TAU_3D_DEFAULTS:
         raise ValueError(f"unknown modality {modality!r}; expected 'camera' or 'lidar'")
@@ -142,8 +151,7 @@ def validate_config(raw: Mapping[str, object] | TrackerConfig) -> TrackerConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    mode = _enum_member(Mode, options.pop("mode", Mode.BOX_2D), "mode")
-    base = default_config(mode, options.pop("modality", None))
+    base = default_config(options.pop("mode", Mode.BOX_2D), options.pop("modality", None))
     try:
         config = replace(base, **options)
     except (TypeError, ValueError) as exc:
@@ -193,7 +201,7 @@ class Tracker:
             np.concatenate([np.zeros(0, dtype=np.int64)] + [r[2] for r in rows]),
             np.concatenate([np.zeros(0)] + [r[3] for r in rows]),
             np.concatenate([np.zeros((0, width))] + [r[4] for r in rows]),
-            self.config.mode, self.pool.last_frame, self.config,
+            self.pool.last_frame,
         )
 
 

@@ -32,9 +32,8 @@ class State(NamedTuple):
 
 def measure(box: Box2D | Box3D) -> np.ndarray:
     """The (1, obs_dim) measurement row of one box."""
-    if isinstance(box, Box3D):
-        return motion._measurement_stack(box3d_array([box]), True)
-    return motion._measurement_stack(box2d_array([box]), False)
+    return motion._measurement_stack(
+        box3d_array([box]) if isinstance(box, Box3D) else box2d_array([box]))
 
 
 def _is_3d(state: State) -> bool:
@@ -74,15 +73,14 @@ def blocks_of(dense: np.ndarray, is_3d: bool) -> np.ndarray:
 
 def kf_init(box: Box2D | Box3D) -> State:
     is_3d = isinstance(box, Box3D)
-    means, covs = motion.init_arrays(measure(box), is_3d)
+    means, covs = motion.init_arrays(measure(box))
     return State(means[0], dense_covariance(covs, is_3d)[0])
 
 
 def kf_predict(state: State) -> State:
     is_3d = _is_3d(state)
-    means, covs = motion.predict_arrays(
-        state.mean[None], blocks_of(state.covariance[None], is_3d), is_3d
-    )
+    means, covs = motion.predict_arrays(state.mean[None],
+                                        blocks_of(state.covariance[None], is_3d))
     return State(means[0], dense_covariance(covs, is_3d)[0])
 
 
@@ -91,8 +89,7 @@ def kf_update(
 ) -> State:
     is_3d = _is_3d(state)
     means, covs = motion.update_arrays(
-        state.mean[None], blocks_of(state.covariance[None], is_3d), measure(box), [score],
-        alpha, is_3d,
+        state.mean[None], blocks_of(state.covariance[None], is_3d), measure(box), [score], alpha
     )
     return State(means[0], dense_covariance(covs, is_3d)[0])
 

@@ -343,8 +343,9 @@ def clear_counts_reference(gt, pred, threshold: float | None = None):
     return mota, fp, fn, ids
 
 
-def output_of(records, mode, n_frames: int, config=None):
-    """A TrackOutput over the columns of the given TrackRecords, in their order."""
+def output_of(records, mode, n_frames: int):
+    """A TrackOutput over the columns of the given TrackRecords, in their
+    order; mode picks the box width when there are none."""
     from motrack.association import Mode
     from motrack.tracker import TrackOutput
 
@@ -356,7 +357,7 @@ def output_of(records, mode, n_frames: int, config=None):
         np.array([rec.class_id for rec in records], dtype=np.int64),
         np.array([rec.score for rec in records], dtype=float),
         box3d_array(boxes) if mode is Mode.BOX_3D else box2d_array(boxes),
-        mode, n_frames, config,
+        n_frames,
     )
 
 
@@ -393,8 +394,7 @@ def slice_frames(output, first: int, last: int):
     stop = np.searchsorted(output.frames, last, side="right")
     return TrackOutput(
         output.frames[start:stop], output.track_ids[start:stop], output.class_ids[start:stop],
-        output.scores[start:stop], output.boxes[start:stop], output.mode, output.n_frames,
-        output.config,
+        output.scores[start:stop], output.boxes[start:stop], output.n_frames,
     )
 
 
@@ -452,7 +452,7 @@ def amota_reference(gt, pred, threshold: float | None = None, n_points: int = 40
     sweeps = []
     for score in sorted({rec.score for rec in pred.records}, reverse=True):
         kept = tuple(rec for rec in pred.records if rec.score >= score)
-        subset = output_of(kept, pred.mode, pred.n_frames, pred.config)
+        subset = output_of(kept, pred.mode, pred.n_frames)
         _, fp, fn, ids = clear_counts_reference(gt, subset, threshold)
         sweeps.append((score, (total_gt - fn) / total_gt, fp + fn + ids))
 
@@ -821,9 +821,9 @@ def two_pass_step(pool, frame: int, detections, config):
             assign = solve_gated(iou_2d_pairs(raw[rows][:, None], match_rows[cols][None]), gates)
         det, trk = rows[assign.matches[:, 0]], cols[assign.matches[:, 1]]
         if len(det):
-            zs = motion._measurement_stack(raw[det], is_3d)
+            zs = motion._measurement_stack(raw[det])
             means[trk], covs[trk] = motion.update_arrays(
-                means[trk], covs[trk], zs, scores[det], config.alpha, is_3d
+                means[trk], covs[trk], zs, scores[det], config.alpha
             )
         return det, trk, rows[assign.unmatched_detections], cols[assign.unmatched_tracklets]
 
@@ -847,9 +847,7 @@ def two_pass_step(pool, frame: int, detections, config):
     last_score[first_trk] = scores[first_det]
     last_score[second_trk] = scores[second_det]
 
-    spawn_means, spawn_covs = motion.init_arrays(
-        motion._measurement_stack(raw[high_left], is_3d), is_3d
-    )
+    spawn_means, spawn_covs = motion.init_arrays(motion._measurement_stack(raw[high_left]))
     spawn_ids = np.arange(pool.next_id, pool.next_id + len(high_left))
     diagnostics = FrameDiagnostics(
         first_det, pool.ids[first_trk], second_det, pool.ids[second_trk], high_left, spawn_ids,
@@ -868,7 +866,7 @@ def two_pass_step(pool, frame: int, detections, config):
     pool.last_frame = frame
 
     out = np.nonzero(pool.active)[0]
-    boxes = motion.box_rows(pool.means[out], is_3d)
+    boxes = motion.box_rows(pool.means[out])
     if not np.isfinite(boxes).all():
         for row in boxes.tolist():
             (box3d if is_3d else box2d)(*row)

@@ -288,6 +288,7 @@ def _perf_scenario(n_frames: int, n_objects: int = 50):
     return generate_scenario(spec, 1)
 
 
+@pytest.mark.ci_gate
 def test_criterion_11_throughput_and_scaling():
     import gc
 
@@ -321,6 +322,7 @@ def test_criterion_11_throughput_and_scaling():
           f"per-frame time ratio across sizes {slope_ratio:.2f} (<= 2)")
 
 
+@pytest.mark.ci_gate
 def test_evaluation_on_tracker_output():
     # The criterion 11 scene tracked, then evaluated against its ground
     # truth. The evaluation tables, CLEAR and IDF1 must equal those scored
@@ -422,6 +424,7 @@ def _meeting_pairs_scenario():
     return generate_scenario(spec, 7)
 
 
+@pytest.mark.ci_gate
 def test_evaluation_with_switches_on_tracker_output():
     # A tracked scene with errors of every kind, so that CLEAR reaches the
     # solver and counts identity switches. CLEAR and AMOTA must equal their
@@ -454,7 +457,7 @@ def test_evaluation_with_switches_on_tracker_output():
     assert [(*counts, n) for counts, n in zip(_sweep_counts(gt, sweep), ids)] == want
     assert want[-1][1:] == (report.fp, report.fn, report.ids)
     rounded = TrackOutput(pred.frames, pred.track_ids, pred.class_ids, np.round(pred.scores, 1),
-                          pred.boxes, pred.mode, pred.n_frames)
+                          pred.boxes, pred.n_frames)
     report_rounded = amota(gt, rounded)
     assert (report_rounded.amota, report_rounded.smota_values, report_rounded.recalls) == \
         amota_reference(gt, rounded)

@@ -54,7 +54,7 @@ MEMBERS = {
     "Mode": ["BOX_2D", "BOX_3D"],
     "MotionStrategy": ["COMPLEMENTARY", "DETECTED_VELOCITY", "KALMAN"],
     "ScenarioSpec": [],
-    "TrackOutput": ["records"],
+    "TrackOutput": ["mode", "records"],
     "TrackPool": ["active"],
     "TrackRecord": [],
     "Tracker": ["output", "step"],
@@ -76,8 +76,7 @@ FIELDS = {
     "ScenarioSpec": ["mode", "duration", "world", "objects", "occlusions", "dropouts",
                      "base_score", "position_noise", "score_noise", "clutter_rate",
                      "clutter_scores", "miss_rate", "velocity_noise"],
-    "TrackOutput": ["frames", "track_ids", "class_ids", "scores", "boxes", "mode", "n_frames",
-                    "config"],
+    "TrackOutput": ["frames", "track_ids", "class_ids", "scores", "boxes", "n_frames"],
     "TrackPool": ["means", "covs", "ids", "class_ids", "frames_since_match", "last_score",
                   "next_id", "last_frame"],
     "TrackRecord": ["frame", "track_id", "box", "score", "class_id"],

@@ -286,6 +286,7 @@ def fresh_python(code: str) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+@pytest.mark.ci_gate
 def test_import_leaves_scipy_optimize_out():
     # Only the compiled solver module is loaded, not the scipy.optimize package.
     got = fresh_python("""

@@ -478,7 +478,7 @@ class TestStepLifecycle:
         step(pool, 1, [det3d(0.0, 0.0, velocity=(0.0, 0.0))], CFG_3D)
         # Offset enough that GIoU is negative but above the car gate of -0.1.
         shifted = det3d(0.0, 2.0, velocity=(0.0, 0.0))
-        track_box = Box3D(*box_rows(pool.means, True)[0])
+        track_box = Box3D(*box_rows(pool.means)[0])
         assert -0.1 < giou_3d(shifted.box, track_box) < 0.0
         result = step(pool, 2, [shifted], CFG_3D)
         assert result.diagnostics.first_matches == ((0, 1),)
@@ -507,8 +507,8 @@ class TestStepLifecycle:
             assert result.tracks == ()
         reappeared = det3d(speed * 16, 0.0, velocity=(speed, 0.0))
         means, _, match_rows, _ = predict_tracks(pool, CFG_3D)
-        forward_box = Box3D(*box_rows(means, True)[0])
-        assert np.array_equal(match_rows[0], box_rows(means, True)[0])
+        forward_box = Box3D(*box_rows(means)[0])
+        assert np.array_equal(match_rows[0], box_rows(means)[0])
         gate = resolve_gate(CFG_3D.gate_first, reappeared.class_id)
         assert giou_3d(reappeared.box, forward_box) > gate
         result = step(pool, 16, [reappeared], CFG_3D)
@@ -627,18 +627,18 @@ class TestPredictTracks:
         pool = self._pool_with_track(CFG_2D, det2d(100, 100))
         means, covs, match_rows, wants_backward = predict_tracks(pool, CFG_2D)
         assert wants_backward.tolist() == [False]
-        forward = predict_arrays(pool.means, pool.covs, False)
+        forward = predict_arrays(pool.means, pool.covs)
         assert np.array_equal(means, forward[0]) and np.array_equal(covs, forward[1])
-        assert np.array_equal(match_rows, box_rows(means, False))
+        assert np.array_equal(match_rows, box_rows(means))
 
     def test_detected_velocity_holds_last_box(self, monkeypatch):
         pool = self._pool_with_track(CFG_DV, det3d(0, 0, velocity=(1.0, 0.0)))
-        last_rows = box_rows(pool.means, True)
+        last_rows = box_rows(pool.means)
         means, covs, match_rows, wants_backward = predict_tracks(pool, CFG_DV)
         assert wants_backward.tolist() == [True]
         assert np.array_equal(match_rows, last_rows)
         assert np.array_equal(means, pool.means)
-        inflated = inflate_arrays(pool.means, pool.covs, True)
+        inflated = inflate_arrays(pool.means, pool.covs)
         assert np.array_equal(covs, inflated[1])
         detection = det3d(3.0, 0.0, velocity=(1.0, 0.0))
         (row,) = scored_detection_rows(monkeypatch, pool, 4, [detection], CFG_DV)
@@ -652,7 +652,7 @@ class TestPredictTracks:
         # prediction against last boxes, exactly like detected-velocity-only.
         assert predict_tracks(pool_a, CFG_3D)[3].tolist() == [True]
         assert predict_tracks(pool_b, CFG_DV)[3].tolist() == [True]
-        assert np.array_equal(predict_tracks(pool_a, CFG_3D)[2], box_rows(pool_a.means, True))
+        assert np.array_equal(predict_tracks(pool_a, CFG_3D)[2], box_rows(pool_a.means))
         next_det = det3d(2.0, 0.0, velocity=(1.0, 0.0))
         rows_comp = scored_detection_rows(monkeypatch, pool_a, 4, [next_det], CFG_3D)
         rows_dv = scored_detection_rows(monkeypatch, pool_b, 4, [next_det], CFG_DV)
@@ -664,7 +664,7 @@ class TestPredictTracks:
         means, _, match_rows, wants_backward = predict_tracks(pool, CFG_3D)
         assert pool.active.tolist() == [False]
         assert wants_backward.tolist() == [False]
-        assert np.array_equal(match_rows, box_rows(means, True))
+        assert np.array_equal(match_rows, box_rows(means))
 
     def test_missing_velocity_falls_back_to_raw_box(self, monkeypatch):
         pool = self._pool_with_track(CFG_3D, det3d(0, 0, velocity=(0.0, 0.0)))
@@ -914,8 +914,8 @@ def test_non_finite_output_boxes_rejected(monkeypatch):
     raises, naming its row, rather than reaching the output."""
     original = motion.box_rows
 
-    def nan_rows(means, is_3d):
-        rows = original(means, is_3d)
+    def nan_rows(means):
+        rows = original(means)
         rows[:] = np.nan
         return rows
 

@@ -348,6 +348,22 @@ def test_numeric_flags_reject_digit_separators(tmp_path, argv, flag, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--scenarios", "x"], "argument --scenarios: invalid int value: 'x'"),
+    (["ablate-motion", "--scenarios", "2.5"], "argument --scenarios: invalid int value: '2.5'"),
+    (["sweep", "--taus", "0.3,abc"], "argument --taus: invalid float value: 'abc'"),
+    (["sweep", "--taus", "0.3, 0_4 ,0.5"], "argument --taus: invalid float value: '0_4'"),
+])
+def test_usage_errors_name_the_bad_token(argv, message, capsys):
+    # argparse names a type that raises ValueError by its function name,
+    # which printed `invalid _count value` and `invalid _taus value`.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+    assert "_count" not in captured.err and "_taus" not in captured.err
+
+
 def test_sweep_checks_every_config_before_any_work(monkeypatch, capsys):
     # A threshold out of range fails before the suite is generated and
     # before the table header is printed.

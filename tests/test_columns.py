@@ -153,9 +153,8 @@ def track_outputs(draw):
 
 
 def build_output(columns, n_frames):
-    mode = Mode.BOX_3D if columns["boxes"].shape[-1] == 7 else Mode.BOX_2D
     return TrackOutput(columns["frames"], columns["track_ids"], columns["class_ids"],
-                       columns["scores"], columns["boxes"], mode, n_frames)
+                       columns["scores"], columns["boxes"], n_frames)
 
 
 @settings(max_examples=300, deadline=None)
@@ -215,7 +214,7 @@ def test_3d_rows_enter_with_wrapped_yaws_and_set_velocities(drawn, data):
     given = {name: column.copy() for name, column in columns.items()}
     frame = DetectionFrame(**columns)
     output = TrackOutput(np.ones(n, dtype=np.int64), np.arange(1, n + 1), columns["class_ids"],
-                         columns["scores"], columns["boxes"], Mode.BOX_3D, 1)
+                         columns["scores"], columns["boxes"], 1)
     wrapped = [t if -math.pi < t <= math.pi else wrap_angle(t) for t in yaws]
     for boxes in (frame.boxes, output.boxes):
         assert [t.hex() for t in boxes[:, 3].tolist()] == [t.hex() for t in wrapped]

@@ -128,7 +128,7 @@ class TestMotRoundTrip:
         spec, seed = clutter_suite(1)[0]
         _, frames = generate_scenario(spec, seed)
         buf = io.StringIO()
-        write_detections(frames, Mode.BOX_2D, buf)
+        write_detections(frames, buf)
         parsed = parse_mot_detections(buf.getvalue())
         assert len(parsed) == len(frames)
         for orig, back in zip(frames, parsed):
@@ -215,7 +215,7 @@ class Test3DFormat:
         spec, seed = motion_ablation_suite(1)[0]
         _, frames = generate_scenario(spec, seed)
         buf = io.StringIO()
-        write_detections(frames, Mode.BOX_3D, buf)
+        write_detections(frames, buf)
         parsed = parse_3d_detections(buf.getvalue())
         for orig, back in zip(frames, parsed):
             assert [(d.box, d.score, d.velocity) for d in orig] == [
@@ -289,22 +289,27 @@ class TestColumns:
             box3d_line(r.frame, r.track_id, r.box, r.score, r.class_id) + "\n"
             for r in output.records)
         buf = io.StringIO()
-        write_detections(frames, Mode.BOX_3D, buf)
+        write_detections(frames, buf)
         assert buf.getvalue() == "".join(
             box3d_line(f, -1, d.box, d.score, d.class_id, d.velocity) + "\n"
             for f, dets in enumerate(frames, start=1) for d in dets)
 
     @pytest.mark.parametrize("mode", [Mode.BOX_2D, Mode.BOX_3D])
     def test_write_detections_rejects_boxes_of_the_other_mode(self, mode):
-        # 3D rows written as MOT lines came out as 2D boxes; 2D rows failed
-        # to unpack as 3D ones.
-        other = Box3D(0, 0, 0.8, 0, 4, 2, 1.5) if mode is Mode.BOX_2D else Box2D(0, 0, 10, 20)
-        frame = detection_frame([Detection(other, 0.9)], mode)
-        buf = io.StringIO()
-        with pytest.raises(ValueError, match=re.escape(
-                f"{type(other).__name__} detection in {mode.value} mode")):
-            write_detections([frame], mode, buf)
-        assert buf.getvalue() == ""
+        # The first frame sets the format; 3D rows written as MOT lines would
+        # come out as 2D boxes, and 2D rows fail to unpack as 3D ones. An
+        # empty first frame sets it too.
+        box_2d, box_3d = Box2D(0, 0, 10, 20), Box3D(0, 0, 0.8, 0, 4, 2, 1.5)
+        own, other = (box_2d, box_3d) if mode is Mode.BOX_2D else (box_3d, box_2d)
+        other_frame = detection_frame([Detection(other, 0.9)], None)
+        for first in ([Detection(own, 0.9)], []):
+            buf = io.StringIO()
+            with pytest.raises(ValueError, match=re.escape(
+                    f"frame 2: {type(other).__name__} detection in a {mode.value} stream")):
+                write_detections([detection_frame(first, mode), other_frame], buf)
+            written = io.StringIO()
+            write_detections([detection_frame(first, mode)], written)
+            assert buf.getvalue() == written.getvalue()
 
     @pytest.mark.parametrize("parse", [parse_mot_detections, parse_3d_detections])
     def test_huge_frame_index_in_bounded_memory(self, parse):
@@ -491,14 +496,13 @@ def track_outputs(draw, three_d):
         classes = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
                            dtype=np.int64)
         boxes = np.array(rows, dtype=float).reshape(n, 7)
-        return TrackOutput(frames, ids, classes, scores, boxes, Mode.BOX_3D,
-                           int(frames.max(initial=0)))
+        return TrackOutput(frames, ids, classes, scores, boxes, int(frames.max(initial=0)))
     rows = draw(st.lists(st.tuples(coord, coord, size, size), min_size=n, max_size=n))
     corners = np.array(rows, dtype=float).reshape(n, 4)
     corners[:, 2:] += corners[:, :2]  # x2 = x1 + w, rounded as a tracker's box would be
     keep = (corners[:, 2:] > corners[:, :2]).all(axis=1)
     return TrackOutput(frames[keep], ids[keep], np.zeros(int(keep.sum()), dtype=np.int64),
-                       scores[keep], corners[keep], Mode.BOX_2D, int(frames.max(initial=0)))
+                       scores[keep], corners[keep], int(frames.max(initial=0)))
 
 
 def _hex(column: np.ndarray) -> list[str]:
@@ -539,7 +543,7 @@ def test_mot_writer_corner_drift_example():
     x2 = 7.7 are written as w = 6.6 and read back as x2 = 7.699999999999999,
     and a parsed x = 0.1, w = 0.2 is rewritten as w = 0.20000000000000004."""
     output = TrackOutput(np.array([1]), np.array([1]), np.array([0]), np.array([0.5]),
-                         np.array([[1.1, 1.1, 7.7, 7.7]]), Mode.BOX_2D, 1)
+                         np.array([[1.1, 1.1, 7.7, 7.7]]), 1)
     buf = io.StringIO()
     write_mot_results(output, buf)
     assert buf.getvalue() == "1,1,1.1,1.1,6.6,6.6,0.5,-1,-1,-1\n"

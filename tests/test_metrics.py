@@ -154,6 +154,19 @@ def _random_tracking_case(rng, n_frames=12):
     return gt, pred
 
 
+def test_4_wide_rows_are_scored_by_2d_iou():
+    # The mode is the rows' width, so 2D corners cannot be scored with the 3D
+    # 2 m centre-distance gate: an output once built with the mode "2d" (a
+    # string, so not Mode.BOX_2D) read MOTA 1.0 and IDF1 1.0 on this pair,
+    # whose IoU is 1/7.
+    one = np.ones(1, dtype=np.int64)
+    gt = TrackOutput(one, one, 0 * one, np.ones(1), np.array([[0.0, 0.0, 2.0, 2.0]]), 1)
+    pred = TrackOutput(one, one, 0 * one, np.ones(1), np.array([[1.0, 1.0, 3.0, 3.0]]), 1)
+    assert pred.mode is Mode.BOX_2D
+    assert clear_mot(gt, pred).mota == -1.0
+    assert idf1(gt, pred) == 0.0
+
+
 def test_clear_against_exhaustive_reference():
     rng = np.random.default_rng(123)
     for _ in range(25):
@@ -913,7 +926,7 @@ def test_block_scorer_at_the_module_cap():
         frames, ids = np.array(frames), np.array(ids)
         outputs.append(TrackOutput(
             frames, ids, np.zeros_like(ids), rng.choice([0.3, 0.6, 0.9], len(ids)),
-            np.vstack(boxes), Mode.BOX_2D, len(sizes)))
+            np.vstack(boxes), len(sizes)))
     spans = check_block_scorer(*outputs, None, metrics._BLOCK_CELLS)
     assert spans == [(0, 1), (1, 2), (2, 3), (3, 7), (7, 10)]
 
@@ -931,8 +944,7 @@ def module_cap_outputs():
             corner = rng.uniform(0.0, 400.0, (n, 2))
             boxes.append(np.hstack([corner, corner + rng.uniform(20.0, 120.0, (n, 2))]))
     return [TrackOutput(np.array(frames), np.array(ids), np.zeros(len(ids), dtype=np.int64),
-                        rng.choice([0.3, 0.6, 0.9], len(ids)), np.vstack(boxes), Mode.BOX_2D,
-                        len(sizes))
+                        rng.choice([0.3, 0.6, 0.9], len(ids)), np.vstack(boxes), len(sizes))
             for frames, ids, boxes in columns.values()]
 
 
@@ -997,9 +1009,9 @@ def test_clear_and_idf1_memory_does_not_grow_with_frames():
         y = (ids // 5) * 150.0
         boxes = np.stack([x, y, x + 60.0, y + 120.0], axis=1)
         zeros = np.zeros_like(ids)
-        gt = TrackOutput(frames, ids, zeros, np.ones(len(ids)), boxes, Mode.BOX_2D, n_frames)
+        gt = TrackOutput(frames, ids, zeros, np.ones(len(ids)), boxes, n_frames)
         pred = TrackOutput(frames, ids + 1000, zeros, np.full(len(ids), 0.9), boxes + 3.0,
-                           Mode.BOX_2D, n_frames)
+                           n_frames)
         return gt, pred
 
     def peak(call, gt, pred):
@@ -1034,14 +1046,13 @@ def test_amota_memory_follows_admissible_pairs():
     y = (ids // 20) * 150.0
     boxes = np.stack([x, y, x + 60.0, y + 120.0], axis=1)
     zeros = np.zeros_like(ids)
-    gt = TrackOutput(frames, ids, zeros, np.ones(len(ids)), boxes, Mode.BOX_2D, n_frames)
+    gt = TrackOutput(frames, ids, zeros, np.ones(len(ids)), boxes, n_frames)
     swapped = np.where((frames > 20) & (ids <= 100), ((ids - 1) ^ 1) + 1, ids)
     distinct = np.random.default_rng(3).permutation(len(ids)) / len(ids)
     peaks = []
     for pr_ids, scores, switches in ((ids, np.full(len(ids), 0.9), 0),
                                      (swapped, distinct, 100)):
-        pred = TrackOutput(frames, pr_ids + 1000, zeros, scores, boxes + 3.0, Mode.BOX_2D,
-                           n_frames)
+        pred = TrackOutput(frames, pr_ids + 1000, zeros, scores, boxes + 3.0, n_frames)
         tracemalloc.start()
         try:
             report = amota(gt, pred)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,8 +83,8 @@ class TestPredict:
             assert state.mean[0] == float(k)
 
     def test_inflate_holds_mean(self):
-        means, covs = init_arrays(measure(Box2D(0, 0, 50, 100)), False)
-        held_means, held_covs = inflate_arrays(means, covs, False)
+        means, covs = init_arrays(measure(Box2D(0, 0, 50, 100)))
+        held_means, held_covs = inflate_arrays(means, covs)
         assert np.array_equal(held_means, means)
         # Position and velocity variances grow on every channel; b stays put.
         assert np.all(held_covs[0, [0, 2]] > covs[0, [0, 2]])
@@ -134,7 +135,7 @@ class TestUpdate:
         mean[4:6] = [2.0, 1.0]
         state = State(mean, state.covariance)
         predicted = kf_predict(state)
-        predicted_box = Box2D(*box_rows(predicted.mean[None], False)[0])
+        predicted_box = Box2D(*box_rows(predicted.mean[None])[0])
         posterior = kf_update(predicted, predicted_box, 0.9, None)
         assert np.allclose(posterior.mean[:4], predicted.mean[:4], atol=1e-9)
 
@@ -178,10 +179,21 @@ class TestUpdate:
         state = kf_init(Box2D(0, 0, 10, 10))
         with pytest.raises(ValueError):
             kf_update(state, Box3D(0, 0, 0, 0, 1, 1, 1), 0.5, ALPHA)
-        means, covs = init_arrays(measure(Box2D(0, 0, 10, 10)), False)
+        means, covs = init_arrays(measure(Box2D(0, 0, 10, 10)))
         with pytest.raises(ValueError):  # one measurement row for two states
             update_arrays(np.repeat(means, 2, axis=0), np.repeat(covs, 2, axis=0),
-                          measure(Box2D(0, 0, 10, 10)), [0.5, 0.5], ALPHA, False)
+                          measure(Box2D(0, 0, 10, 10)), [0.5, 0.5], ALPHA)
+
+    @pytest.mark.parametrize("width", [0, 3, 5, 9, 11])
+    def test_rows_of_neither_mode_rejected(self, width):
+        # Every function reads the mode from its arrays: widths 4 and 8 are
+        # 2D rows and states, 7 and 10 3D ones, and no other width is either.
+        rows = np.ones((2, width))
+        message = f"rows of width {width} are neither 2D nor 3D rows or states"
+        for call in (lambda: init_arrays(rows), lambda: box_rows(rows),
+                     lambda: predict_arrays(rows, np.ones((2, 3, width)))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
 
     def test_score_out_of_range_rejected(self):
         state = kf_init(Box2D(0, 0, 10, 10))
@@ -194,11 +206,11 @@ class TestBatchConsistency:
         rng = np.random.default_rng(8)
         starts = [Box3D(*rng.uniform(-5, 5, 3), 0.2, 4, 2, 1.5) for _ in range(7)]
         states = [kf_init(box) for box in starts]
-        means, covs = init_arrays(np.concatenate([measure(b) for b in starts]), True)
+        means, covs = init_arrays(np.concatenate([measure(b) for b in starts]))
         for single, mean, cov in zip(states, means, dense_covariance(covs, True)):
             assert np.array_equal(single.mean, mean)
             assert np.array_equal(single.covariance, cov)
-        means, covs = predict_arrays(means, covs, True)
+        means, covs = predict_arrays(means, covs)
         for single, mean, cov in zip(states, means, dense_covariance(covs, True)):
             expect = kf_predict(single)
             assert np.array_equal(expect.mean, mean)
@@ -206,7 +218,7 @@ class TestBatchConsistency:
         boxes = [Box3D(*rng.uniform(-5, 5, 3), 0.1, 4, 2, 1.5) for _ in range(7)]
         scores = rng.uniform(0, 1, 7).tolist()
         zs = np.concatenate([measure(b) for b in boxes])
-        new_means, _ = update_arrays(means, covs, zs, scores, ALPHA, True)
+        new_means, _ = update_arrays(means, covs, zs, scores, ALPHA)
         dense = dense_covariance(covs, True)
         for mean, cov, box, score, batched in zip(means, dense, boxes, scores, new_means):
             expect = kf_update(State(mean, cov), box, score, ALPHA)
@@ -360,27 +372,27 @@ def test_block_filter_matches_dense_oracle(is_3d, k, alpha, ops):
     """At least 200 x 50 = 10^4 operations per dimension, each run on
     identical input states by the block closed forms and by the dense filter."""
     rng = np.random.default_rng(0)
-    means, covs = init_arrays(_fresh_measurements(rng, k, is_3d, False), is_3d)
+    means, covs = init_arrays(_fresh_measurements(rng, k, is_3d, False))
     for kind, seed, regime, spread, yaw_near_pi in ops:
         rng = np.random.default_rng(seed)
         dense = dense_covariance(covs, is_3d)
         if kind == "init":
             zs = _fresh_measurements(rng, k, is_3d, yaw_near_pi)
-            new = init_arrays(zs, is_3d)
+            new = init_arrays(zs)
             want = dense_init(zs, is_3d)
             _assert_matches_dense(*new, *want, *want, is_3d)
             # Start the fresh tracks moving, so predicts carry positions along.
             new[0][:, covs.shape[2]:] = rng.normal(0.0, spread, (k, means.shape[1] - covs.shape[2]))
         elif kind == "predict":
-            new = predict_arrays(means, covs, is_3d)
+            new = predict_arrays(means, covs)
             _assert_matches_dense(*new, *dense_predict(means, dense, is_3d), means, dense, is_3d)
         elif kind == "inflate":
-            new = inflate_arrays(means, covs, is_3d)
+            new = inflate_arrays(means, covs)
             _assert_matches_dense(*new, *dense_inflate(means, dense, is_3d), means, dense, is_3d)
         else:
             zs = _measurements(rng, means, covs, is_3d, spread, yaw_near_pi)
             scores = _scores(rng, regime, k)
-            new = update_arrays(means, covs, zs, scores, alpha, is_3d)
+            new = update_arrays(means, covs, zs, scores, alpha)
             want = dense_update(means, dense, zs, scores, alpha, is_3d)
             _assert_matches_dense(*new, *want, means, dense, is_3d)
         means, covs = new

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -140,6 +141,21 @@ class TestValidation:
     def test_mode_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             simple_spec(mode=Mode.BOX_3D)
+
+    def test_mode_taken_by_value(self):
+        # "2d" raised AttributeError: the check read the value of the string.
+        for mode in ("2d", "2D"):
+            spec = simple_spec(mode=mode)
+            assert spec.mode is Mode.BOX_2D
+            assert spec == simple_spec()
+        with pytest.raises(ValueError, match=re.escape("3d scenario needs 3-D objects")):
+            simple_spec(mode="3d")
+
+    @pytest.mark.parametrize("mode", ["4d", None])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown mode {mode!r}; expected one of ['2d', '3d']")):
+            simple_spec(mode=mode)
 
     def test_empty_segments_rejected(self):
         with pytest.raises(ValueError):

@@ -88,9 +88,11 @@ class TestRunSequence:
     def test_config_snapshot_replays_exactly(self):
         spec, seed = crossing_scenario()
         _, frames = generate_scenario(spec, seed)
-        output = run_sequence(frames, {"mode": "2d", "tau": 0.5})
-        replayed = run_sequence(frames, output.config)
-        assert replayed.records == output.records
+        tracker = Tracker({"mode": "2d", "tau": 0.5})
+        for frame in frames:
+            tracker.step(frame)
+        replayed = run_sequence(frames, tracker.config)
+        assert replayed.records == tracker.output().records
 
     def test_tracker_step_counts_frames(self):
         tracker = Tracker({"mode": "2d"})
@@ -112,7 +114,7 @@ def random_output(mode, n):
         boxes = np.column_stack((rng.uniform(-50.0, 50.0, (n, 3)), rng.uniform(-3.0, 3.0, n),
                                  rng.uniform(0.5, 5.0, (n, 3))))
     return TrackOutput(np.arange(1, n + 1), np.ones(n, dtype=np.int64),
-                       np.zeros(n, dtype=np.int64), rng.uniform(0.0, 1.0, n), boxes, mode, n)
+                       np.zeros(n, dtype=np.int64), rng.uniform(0.0, 1.0, n), boxes, n)
 
 
 # Traced bytes per record when every record of an output is kept: about 376
@@ -134,6 +136,7 @@ def test_records_memory_per_row(mode, bound):
     assert per_row < bound
 
 
+@pytest.mark.ci_gate
 def test_records_iterate_in_bounded_memory():
     """Iterating every record of a 20,000-row output, keeping none, holds one
     batch of rows at a time: the traced peak stays under 1 MB, where building
@@ -244,28 +247,65 @@ class TestTrackOutput:
         with pytest.raises(ValueError, match=re.escape(
                 "class_ids must have shape (2,) for 2 boxes, got (1,)")):
             TrackOutput(np.array([1, 2]), np.array([1, 1]), np.array([0]), np.array([0.9]),
-                        np.zeros((2, 4)), Mode.BOX_2D, 2)
+                        np.zeros((2, 4)), 2)
         with pytest.raises(ValueError, match=re.escape(
                 "scores must have shape (2,) for 2 boxes, got (3,)")):
             TrackOutput(np.array([1, 2]), np.array([1, 1]), np.array([0, 0]), np.ones(3),
-                        np.zeros((2, 4)), Mode.BOX_2D, 2)
+                        np.zeros((2, 4)), 2)
 
-    @pytest.mark.parametrize("mode, shape", [(Mode.BOX_2D, (2, 7)), (Mode.BOX_2D, (1, 4)),
-                                             (Mode.BOX_3D, (2, 4)), (Mode.BOX_3D, (14,))])
+    # Each shape is a mode's rows broken: a column too many, one row too few,
+    # flattened.
+    @pytest.mark.parametrize("mode, shape", [(Mode.BOX_2D, (2, 5)), (Mode.BOX_2D, (1, 4)),
+                                             (Mode.BOX_3D, (2, 8)), (Mode.BOX_3D, (14,))])
     def test_boxes_of_the_wrong_shape_rejected(self, mode, shape):
-        width = 7 if mode is Mode.BOX_3D else 4
         message = (f"frames must have shape (1,) for 1 boxes, got (2,)" if shape == (1, 4)
-                   else f"boxes must be rows of width {width}, got shape {shape}")
+                   else f"boxes must be rows of width 4 or 7, got shape {shape}")
         with pytest.raises(ValueError, match=re.escape(message)):
             TrackOutput(np.array([1, 2]), np.array([1, 1]), np.array([0, 0]), np.ones(2),
-                        np.zeros(shape), mode, 2)
+                        np.zeros(shape), 2)
+
+    @pytest.mark.parametrize("width, mode", [(4, Mode.BOX_2D), (7, Mode.BOX_3D)])
+    def test_mode_is_the_width_of_the_boxes(self, width, mode):
+        # Also with no rows: an empty output keeps its width.
+        for n in (0, 1):
+            boxes = np.tile([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0][:width], (n, 1))
+            output = TrackOutput(np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64),
+                                 np.zeros(n, dtype=np.int64), np.ones(n), boxes, 1)
+            assert output.mode is mode
+
+    def test_a_mode_is_no_constructor_argument(self):
+        # The mode is read from the boxes; one given beside them, which could
+        # disagree with them, is refused.
+        columns = (np.array([1]), np.array([1]), np.array([0]), np.ones(1), np.zeros((1, 4)))
+        with pytest.raises(TypeError):
+            TrackOutput(*columns, Mode.BOX_2D, 1)
+        with pytest.raises(TypeError):
+            TrackOutput(*columns, 1, mode="2d")
+        with pytest.raises(TypeError):
+            TrackOutput(*columns, 1, config=TrackerConfig())
+
+    @pytest.mark.parametrize("n_frames", [-3, 2.5, True, "7", None, np.float64(3.0)],
+                             ids=["negative", "fraction", "bool", "str", "none", "float64"])
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_n_frames_must_be_a_non_negative_integer(self, n_frames, rows):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_frames must be an integer >= 0, got {n_frames!r}")):
+            TrackOutput(np.ones(rows, dtype=np.int64), np.ones(rows, dtype=np.int64),
+                        np.zeros(rows, dtype=np.int64), np.ones(rows), np.zeros((rows, 4)),
+                        n_frames)
+
+    @pytest.mark.parametrize("n_frames", [0, 3, np.int64(3)])
+    def test_integer_n_frames_accepted(self, n_frames):
+        output = TrackOutput(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                             np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, 4)), n_frames)
+        assert output.n_frames == n_frames
 
     @pytest.mark.parametrize("frames, message", [([1, 5], "frames must lie in [1, 2], got 5"),
                                                  ([0, 1], "frames must lie in [1, 2], got 0")])
     def test_frames_outside_the_sequence_rejected(self, frames, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             TrackOutput(np.array(frames), np.array([1, 1]), np.array([0, 0]), np.ones(2),
-                        np.zeros((2, 4)), Mode.BOX_2D, 2)
+                        np.zeros((2, 4)), 2)
 
     @pytest.mark.parametrize("name", ["frames", "track_ids", "class_ids"])
     @pytest.mark.parametrize("dtype", [float, bool])
@@ -275,14 +315,14 @@ class TestTrackOutput:
         columns[name] = columns[name].astype(dtype)
         with pytest.raises(ValueError, match=f"{name} must have an integer dtype"):
             TrackOutput(columns["frames"], columns["track_ids"], columns["class_ids"],
-                        np.ones(1), np.zeros((1, 4)), Mode.BOX_2D, 1)
+                        np.ones(1), np.zeros((1, 4)), 1)
 
     def test_fractional_track_id_rejected(self):
         # The evaluators would score an id of 1.5 against itself as a
         # perfect match.
         with pytest.raises(ValueError, match="track_ids must have an integer dtype, got float64"):
             TrackOutput(np.array([1]), np.array([1.5]), np.array([0]), np.ones(1),
-                        np.zeros((1, 4)), Mode.BOX_2D, 1)
+                        np.zeros((1, 4)), 1)
 
     @pytest.mark.parametrize("row", [[np.nan, 0.0, 10.0, 10.0], [10.0, 0.0, 0.0, 10.0]],
                              ids=["nan", "inverted"])
@@ -291,7 +331,7 @@ class TestTrackOutput:
         # pair: FP 1, FN 1, MOTA -1.
         with pytest.raises(ValueError, match="boxes"):
             TrackOutput(np.array([1]), np.array([1]), np.array([0]), np.ones(1),
-                        np.array([row]), Mode.BOX_2D, 1)
+                        np.array([row]), 1)
 
     def test_grouping_helpers(self):
         box = Box2D(0, 0, 1, 1)
@@ -415,7 +455,7 @@ def test_columns_build_no_record_objects(monkeypatch, mode):
         write, parse, parse_results = (formats.write_3d_results, formats.parse_3d_detections,
                                        formats.parse_3d_results)
     det_text, gt_text = io.StringIO(), io.StringIO()
-    formats.write_detections(frames, Mode(mode), det_text)
+    formats.write_detections(frames, det_text)
     write(gt, gt_text)
 
     built = []
@@ -497,6 +537,20 @@ class TestValidateConfig:
     def test_default_config_modality(self):
         assert default_config(Mode.BOX_3D, "camera").tau == 0.25
         assert default_config(Mode.BOX_3D) == default_config(Mode.BOX_3D, "lidar")
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_default_config_takes_a_mode_by_value(self, mode):
+        # A mode's value gave the 3D config for either mode: its
+        # `is Mode.BOX_2D` test is false for a string.
+        for name in (mode.value, mode.value.upper()):
+            assert default_config(name) == default_config(mode)
+        assert default_config(mode).mode is mode
+
+    @pytest.mark.parametrize("mode", ["4d", None, 2])
+    def test_default_config_rejects_an_unknown_mode(self, mode):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown mode {mode!r}; expected one of ['2d', '3d']")):
+            default_config(mode)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError, match="alpha must be non-negative"):

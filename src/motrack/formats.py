@@ -8,18 +8,22 @@ per-frame velocities; vx/vy are left empty when the detector supplies none.
 Floats are written with full round-trip precision so write-then-parse is
 lossless.
 
-Records are read as columns. Each chunk of lines is split into fields at
-once, each field column is converted in bulk, and every row is validated with
-array masks: the field checks, then association.row_rules. The first bad row
-is reported as ``line N: ...``, with the message of the first check it fails
-in field order. parse_*_detections return DetectionFrames, per-frame views
-over columns sorted by frame; parse_*_results return a TrackOutput. The
+Records are read as columns. numpy's C text reader (np.loadtxt) converts
+each chunk of lines into typed fields in one call, and every row is validated
+with array masks: the field checks, then association.row_rules. A chunk the
+reader rejects, or that fails a check, is read again by _Rows, one Python
+string per field. _Rows accepts what int() and float() accept of a stripped
+field and the reader may not (a non-ASCII digit or space), and reports the
+first bad row as ``line N: ...``, with the message of the first check it
+fails in field order. parse_*_detections return DetectionFrames, per-frame
+views over columns sorted by frame; parse_*_results return a TrackOutput. The
 writers format from the same columns, and take the format from the rows:
 write_detections writes MOT lines for 2D boxes and 3D lines for 3D ones.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Sequence
 from dataclasses import fields
 from enum import Enum
@@ -32,9 +36,7 @@ from .association import (DEFAULT_GATE_KEY, DetectionFrame, Mode, TrackerConfig,
                           _mode_of, _wrap_yaw, row_rules)
 from .tracker import CLASS_IDS, CLASS_NAMES, TrackOutput
 
-_MOT_FIELDS = 10
-_3D_FIELDS = 13
-_CHUNK_CHARS = 1 << 14  # text parsed per chunk, cut at a line break
+_CHUNK_CHARS = 1 << 16  # text parsed per chunk, cut at a line break
 _WRITE_ROWS = 1024  # lines formatted per write
 
 
@@ -45,24 +47,123 @@ def _fail(line_no: int, message: str) -> ValueError:
 # --- columnar parsing -------------------------------------------------------------
 
 
-def _line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(number of the first line, lines) per chunk of about _CHUNK_CHARS
-    characters, at least one. Chunks end after a newline, so their lines are
-    those of text.splitlines()."""
+def _line_chunks(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(number of the first line, chunk, its lines) per chunk of about
+    _CHUNK_CHARS characters, at least one. Chunks end after a newline, so
+    their lines are those of text.splitlines()."""
     start, line_no = 0, 1
     while True:
         cut = text.find("\n", start + _CHUNK_CHARS)
         stop = len(text) if cut < 0 else cut + 1
-        lines = text[start:stop].splitlines()
-        yield line_no, lines
+        chunk = text[start:stop]
+        lines = chunk.splitlines()
+        yield line_no, chunk, lines
         if stop == len(text):
             return
         line_no += len(lines)
         start = stop
 
 
-class _Rows:
-    """One chunk's non-blank lines as field columns, and the first error among them.
+class _Rejected(Exception):
+    """The C reader does not take a chunk as int() and float() would, or a
+    row of it fails a check."""
+
+
+class _Fields:
+    """One chunk's field columns, and the checks on its rows: each is
+    registered with check(bad, describe), bad marking the rows failing it
+    (None: no row) and describe(i) giving row i's message."""
+
+    def check(self, bad: np.ndarray | None, describe: Callable[[int], str]) -> None:
+        raise NotImplementedError
+
+    def raise_first(self, frames: np.ndarray, ids: np.ndarray, rules: list, results: bool) -> None:
+        """Check frames >= 1, the row rules and result ids >= 1; raise the first error."""
+        self.check(frames < 1, lambda i: f"frame must be >= 1, got {int(frames[i])}")
+        for _, bad, describe in rules:
+            self.check(bad, describe)
+        if results:
+            self.check(ids < 1, lambda i: f"result id must be >= 1, got {int(ids[i])}")
+
+
+class _Table(_Fields):
+    """A chunk converted by numpy's C reader in one call, with no Python
+    string or float per field. A chunk the reader rejects, and a failing
+    check, raise _Rejected.
+
+    The reader gets only ASCII chunks holding no '_' or NUL. On those it
+    accepts a subset of what int() and float() accept of a stripped field,
+    with the same values. Elsewhere they differ: the reader takes some
+    non-ASCII characters for digits, int() and float() take '_' for a digit
+    separator (which the format rejects), and a NUL ends a string field. A
+    warning is a rejection too: numpy 1.24-1.26 read '1.0' as an int64 with a
+    DeprecationWarning.
+    """
+
+    def __init__(self, chunk: str, lines: list[str], dtype: np.dtype):
+        if not chunk.isascii() or "_" in chunk or "\x00" in chunk:
+            raise _Rejected
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                self.table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                        ndmin=1)
+        except Exception:  # whatever the reader fails on, _Rows reads and names
+            raise _Rejected from None
+
+    def check(self, bad: np.ndarray | None, describe: Callable[[int], str]) -> None:
+        if bad is not None and bad.any():
+            raise _Rejected
+
+    def _field(self, k: int) -> np.ndarray:
+        """Field k, a contiguous copy: the chunk's table is not kept."""
+        return np.ascontiguousarray(self.table[self.table.dtype.names[k]])
+
+    def floats(self, k: int, name: str) -> np.ndarray:
+        return self._field(k)
+
+    ints = floats
+
+    def class_ids(self, k: int) -> np.ndarray:
+        """Field k's class labels as ids, each distinct label looked up once."""
+        labels, inverse = np.unique(self._field(k), return_inverse=True)
+        _check_uncut(labels)
+        try:
+            class_ids = np.array([_class_id(label.strip()) for label in labels.tolist()],
+                                 dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise _Rejected from None
+        return class_ids[inverse]
+
+    def velocities(self, kx: int, ky: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fields kx, ky as (vx, vy) rows, 0 where both are empty, and the
+        mask of the rows holding them."""
+        vx, vy = self._field(kx), self._field(ky)
+        if vx.dtype.kind == "f":  # read as numbers: every row holds a velocity
+            return np.stack((vx, vy), axis=1), np.ones(len(vx), dtype=bool)
+        has_velocity = vx != ""
+        if (has_velocity != (vy != "")).any():
+            raise _Rejected
+        tokens = np.stack((vx[has_velocity], vy[has_velocity]), axis=1)
+        _check_uncut(tokens)
+        velocities = np.zeros((len(vx), 2))
+        try:
+            velocities[has_velocity] = tokens.astype(np.float64)  # as float() reads them
+        except ValueError:
+            raise _Rejected from None
+        return velocities, has_velocity
+
+
+def _check_uncut(strings: np.ndarray) -> None:
+    """Raise _Rejected if a string fills its field: the reader may have cut it."""
+    width = strings.dtype.itemsize // 4
+    if strings.ravel().view(np.uint32)[width - 1::width].any():
+        raise _Rejected
+
+
+class _Rows(_Fields):
+    """One chunk's non-blank lines as field columns of strings, and the first
+    error among them: the conversion that names a chunk's first bad line.
 
     Only the lines before the first one with the wrong field count become
     rows; that line's error is raised if no row before it fails. Checks are
@@ -83,14 +184,14 @@ class _Rows:
                          f"expected {n_fields} comma-separated fields, got {commas[n] + 1}")
         joined = ",".join(lines[:n])
         self.separated = "_" in joined  # see convert
-        tokens = joined.split(",") if n else []
+        # Fields are stripped as str.strip does: int() and float() do not
+        # strip '\x1f'.
+        tokens = [token.strip() for token in joined.split(",")] if n else []
         self.columns = [tokens[k::n_fields] for k in range(n_fields)]
         self.line_nos = line_nos
         self.row, self.describe = n, None
 
     def check(self, bad: np.ndarray | None, describe: Callable[[int], str]) -> None:
-        """Register a check: bad marks the rows failing it (None: no row),
-        describe(i) gives row i's message."""
         if bad is None:
             return
         hits = np.flatnonzero(bad[:self.row])
@@ -98,12 +199,7 @@ class _Rows:
             self.row, self.describe = int(hits[0]), describe
 
     def raise_first(self, frames: np.ndarray, ids: np.ndarray, rules: list, results: bool) -> None:
-        """Check frames >= 1, the row rules and result ids >= 1; raise the first error."""
-        self.check(frames < 1, lambda i: f"frame must be >= 1, got {int(frames[i])}")
-        for _, bad, describe in rules:
-            self.check(bad, describe)
-        if results:
-            self.check(ids < 1, lambda i: f"result id must be >= 1, got {int(ids[i])}")
+        super().raise_first(frames, ids, rules, results)
         if self.describe is not None:
             raise _fail(self.line_nos[self.row], self.describe(self.row))
         if self.tail is not None:
@@ -136,7 +232,7 @@ class _Rows:
         """Field k (or the given tokens) as floats, with its number check."""
         tokens = self.columns[k] if tokens is None else tokens
         values, bad = self.convert(tokens, float, np.float64)
-        self.check(bad, lambda i: f"{name} is not a number: {tokens[i].strip()!r}")
+        self.check(bad, lambda i: f"{name} is not a number: {tokens[i]!r}")
         return values
 
     def ints(self, k: int, name: str) -> np.ndarray:
@@ -145,7 +241,7 @@ class _Rows:
         values, bad = self.convert(tokens, int, np.int64)
 
         def describe(i: int) -> str:
-            token = tokens[i].strip()
+            token = tokens[i]
             if "_" not in token:
                 try:
                     int(token)
@@ -157,6 +253,41 @@ class _Rows:
         self.check(bad, describe)
         return values
 
+    def class_ids(self, k: int) -> np.ndarray:
+        """Field k's class labels as ids, with their check."""
+        labels = self.columns[k]
+        class_ids, bad = self.convert(labels, _class_id, np.int64)
+        self.check(bad, lambda i: f"unknown class label {labels[i]!r}")
+        return class_ids
+
+    def velocities(self, kx: int, ky: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fields kx, ky as (vx, vy) rows, 0 where both are empty, and the
+        mask of the rows holding them, with their checks."""
+        vx_tokens, vy_tokens = self.columns[kx], self.columns[ky]
+        has_vx = np.array([token != "" for token in vx_tokens], dtype=bool)
+        has_vy = np.array([token != "" for token in vy_tokens], dtype=bool)
+        self.check(has_vx != has_vy, lambda i: "vx and vy must both be present or both empty")
+        velocities = np.stack([self.floats(k, name, [token or "0" for token in tokens])
+                               for k, name, tokens in ((kx, "vx", vx_tokens),
+                                                       (ky, "vy", vy_tokens))], axis=1)
+        return velocities, has_vx
+
+
+def _columns(convert: Callable[[_Fields, bool], tuple[np.ndarray, ...]], text: str,
+             dtype_of: Callable[[str], np.dtype], results: bool) -> tuple[np.ndarray, ...]:
+    """The columns convert(fields, results) gives each chunk, joined in file
+    order. A chunk is read by the C reader (_Table) as the fields of
+    dtype_of(chunk); one it rejects, or that fails a check, is read again by
+    _Rows, which names the first bad line."""
+    chunks = []
+    for first_line_no, chunk, lines in _line_chunks(text):
+        dtype = dtype_of(chunk)
+        try:
+            chunks.append(convert(_Table(chunk, lines, dtype), results))
+        except _Rejected:
+            chunks.append(convert(_Rows(first_line_no, lines, len(dtype)), results))
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
 
 def _by_frame(frames: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
     """Columns ordered by frame, keeping file order within a frame."""
@@ -164,10 +295,6 @@ def _by_frame(frames: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...
         return (frames, *columns)
     order = np.argsort(frames, kind="stable")
     return tuple(column[order] for column in (frames, *columns))
-
-
-def _concat(chunks: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
 class DetectionFrames(Sequence):
@@ -214,29 +341,33 @@ class DetectionFrames(Sequence):
 # --- 2D MOT records --------------------------------------------------------------
 
 
-def _mot_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
-    """(frames, ids, scores, boxes) of MOT lines, in file order."""
-    chunks = []
-    for first_line_no, lines in _line_chunks(text):
-        rows = _Rows(first_line_no, lines, _MOT_FIELDS)
-        frames, ids = rows.ints(0, "frame"), rows.ints(1, "id")
-        x, y, w, h, scores = (rows.floats(k, name)
-                              for k, name in enumerate(("x", "y", "w", "h", "score"), start=2))
-        for k, name in enumerate(("u1", "u2", "u3"), start=7):
-            rows.floats(k, name)
-        with np.errstate(over="ignore", invalid="ignore"):
-            boxes = np.stack((x, y, x + w, y + h), axis=1)
-        # MOT has no velocity; detection rows are checked as detections.
-        rules = (row_rules(boxes, scores) if results else
-                 row_rules(boxes, scores, np.zeros((len(boxes), 2)), np.zeros(len(boxes), bool)))
-        rows.raise_first(frames, ids, rules, results)
-        chunks.append((frames, ids, scores, boxes))
-    return _concat(chunks)
+_MOT_DTYPE = np.dtype([("frame", np.int64), ("id", np.int64)] + [
+    (name, np.float64) for name in ("x", "y", "w", "h", "score", "u1", "u2", "u3")])
+
+
+def _mot_chunk_dtype(chunk: str) -> np.dtype:
+    return _MOT_DTYPE
+
+
+def _mot_chunk(rows: _Fields, results: bool) -> tuple[np.ndarray, ...]:
+    """(frames, ids, scores, boxes) of one chunk of MOT lines."""
+    frames, ids = rows.ints(0, "frame"), rows.ints(1, "id")
+    x, y, w, h, scores = (rows.floats(k, name)
+                          for k, name in enumerate(("x", "y", "w", "h", "score"), start=2))
+    for k, name in enumerate(("u1", "u2", "u3"), start=7):
+        rows.floats(k, name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = np.stack((x, y, x + w, y + h), axis=1)
+    # MOT has no velocity; detection rows are checked as detections.
+    rules = (row_rules(boxes, scores) if results else
+             row_rules(boxes, scores, np.zeros((len(boxes), 2)), np.zeros(len(boxes), bool)))
+    rows.raise_first(frames, ids, rules, results)
+    return frames, ids, scores, boxes
 
 
 def parse_mot_detections(text: str) -> DetectionFrames:
     """Read raw detections as frames 1..n (the largest frame number)."""
-    frames, _, scores, boxes = _by_frame(*_mot_columns(text, results=False))
+    frames, _, scores, boxes = _by_frame(*_columns(_mot_chunk, text, _mot_chunk_dtype, False))
     n = len(frames)
     return DetectionFrames(frames, boxes, scores, np.zeros(n, dtype=np.int64),
                            np.zeros((n, 2)), np.zeros(n, dtype=bool))
@@ -244,7 +375,7 @@ def parse_mot_detections(text: str) -> DetectionFrames:
 
 def parse_mot_results(text: str) -> TrackOutput:
     """Read a tracked-results file (ids >= 1) back into a TrackOutput."""
-    frames, ids, scores, boxes = _by_frame(*_mot_columns(text, results=True))
+    frames, ids, scores, boxes = _by_frame(*_columns(_mot_chunk, text, _mot_chunk_dtype, True))
     n_frames = int(frames[-1]) if len(frames) else 0
     return TrackOutput(frames, ids, np.zeros(len(ids), dtype=np.int64), scores, boxes, n_frames)
 
@@ -285,43 +416,47 @@ def _class_id(label: str) -> int:
     return CLASS_IDS[label] if label in CLASS_IDS else int(label)
 
 
-def _3d_columns(text: str, results: bool) -> tuple[np.ndarray, ...]:
-    """(frames, ids, class ids, scores, boxes, velocities, has_velocity) of 3D
-    lines, in file order."""
-    chunks = []
-    for first_line_no, lines in _line_chunks(text):
-        rows = _Rows(first_line_no, lines, _3D_FIELDS)
-        frames, ids = rows.ints(0, "frame"), rows.ints(1, "id")
-        labels = [token.strip() for token in rows.columns[2]]
-        class_ids, bad = rows.convert(labels, _class_id, np.int64)
-        rows.check(bad, lambda i: f"unknown class label {labels[i]!r}")
-        boxes = np.stack([rows.floats(k, name) for k, name in
-                          enumerate(("x", "y", "z", "theta", "l", "w", "h"), start=3)], axis=1)
-        vx_tokens = [token.strip() for token in rows.columns[10]]
-        vy_tokens = [token.strip() for token in rows.columns[11]]
-        has_vx = np.array([token != "" for token in vx_tokens], dtype=bool)
-        has_vy = np.array([token != "" for token in vy_tokens], dtype=bool)
-        rows.check(has_vx != has_vy, lambda i: "vx and vy must both be present or both empty")
-        velocities = np.stack([rows.floats(k, name, [token or "0" for token in tokens])
-                               for k, name, tokens in ((10, "vx", vx_tokens),
-                                                       (11, "vy", vy_tokens))], axis=1)
-        scores = rows.floats(12, "score")
-        rows.raise_first(frames, ids, row_rules(boxes, scores) if results
-                         else row_rules(boxes, scores, velocities, has_vx), results)
-        chunks.append((frames, ids, class_ids, scores, boxes, velocities, has_vx))
-    return _concat(chunks)
+def _3d_dtype(velocity: str | type) -> np.dtype:
+    """The C reader's 3D fields: the label as a string (a name or an integer),
+    vx/vy as velocity (a string type where they may be empty)."""
+    return np.dtype([("frame", np.int64), ("id", np.int64), ("class", "U32")] + [
+        (name, np.float64) for name in ("x", "y", "z", "theta", "l", "w", "h")] + [
+        ("vx", velocity), ("vy", velocity), ("score", np.float64)])
+
+
+_3D_DTYPES = {False: _3d_dtype(np.float64), True: _3d_dtype("U32")}
+
+
+def _3d_chunk_dtype(chunk: str) -> np.dtype:
+    """vx/vy as strings if a field of the chunk is empty (',,'), else as floats."""
+    return _3D_DTYPES[",," in chunk]
+
+
+def _3d_chunk(rows: _Fields, results: bool) -> tuple[np.ndarray, ...]:
+    """(frames, ids, class ids, scores, boxes, velocities, has_velocity) of
+    one chunk of 3D lines."""
+    frames, ids = rows.ints(0, "frame"), rows.ints(1, "id")
+    class_ids = rows.class_ids(2)
+    boxes = np.stack([rows.floats(k, name) for k, name in
+                      enumerate(("x", "y", "z", "theta", "l", "w", "h"), start=3)], axis=1)
+    velocities, has_velocity = rows.velocities(10, 11)
+    scores = rows.floats(12, "score")
+    rows.raise_first(frames, ids, row_rules(boxes, scores) if results
+                     else row_rules(boxes, scores, velocities, has_velocity), results)
+    return frames, ids, class_ids, scores, boxes, velocities, has_velocity
 
 
 def parse_3d_detections(text: str) -> DetectionFrames:
     """Read 3D detections (id column -1) as frames 1..n (the largest frame number)."""
     frames, _, class_ids, scores, boxes, velocities, has_velocity = _by_frame(
-        *_3d_columns(text, results=False))
+        *_columns(_3d_chunk, text, _3d_chunk_dtype, False))
     return DetectionFrames(frames, _wrap_yaw(boxes), scores, class_ids, velocities, has_velocity)
 
 
 def parse_3d_results(text: str) -> TrackOutput:
     """Read a 3D results file (ids >= 1) back into a TrackOutput."""
-    frames, ids, class_ids, scores, boxes, _, _ = _by_frame(*_3d_columns(text, results=True))
+    frames, ids, class_ids, scores, boxes, _, _ = _by_frame(
+        *_columns(_3d_chunk, text, _3d_chunk_dtype, True))
     n_frames = int(frames[-1]) if len(frames) else 0
     return TrackOutput(frames, ids, class_ids, scores, boxes, n_frames)
 

@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import io
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -379,8 +381,29 @@ def test_parsed_frames_are_not_checked_again(mode):
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
                    0.1, 1 / 3, 123456.78901234567, 1e16, 1.7976931348623157e308]
 _ANGLES = [math.pi, -math.pi, 3 * math.pi, -7.0, 2 * math.tau + 0.1, math.nextafter(math.pi, 4)]
+# Tokens on which numpy's C reader and int()/float() may disagree: syntaxes
+# int() and float() accept and the reader may not ('+5', a non-ASCII digit or
+# space), characters the reader would misread (the non-ASCII '\u2427' it takes
+# for a digit, a NUL), '\x1f', which str.strip strips and int() does not, and
+# strings longer than the reader's string fields (a velocity of 43 characters,
+# a label whose first 32 characters strip to 'car').
+_SYNTAX = ["+5", "٣", "\u30005\u3000", " 5 ", "1.0", "1e3", "infinity", "NaN", "1e-400", ".5",
+           "5.", "0x1p3", "5\x1f", "\u24275", "5\x00", "0." + "0" * 40 + "1", "car" + " " * 29 + "x"]
 _CORRUPT = ["", " ", "abc", "nan", "inf", "-inf", "1e400", "-1e400", "0", "-0.0", "-5", "1.0",
-            "1_0", "0x10", "1,2", "car", "99", "-1"]
+            "1_0", "0x10", "1,2", "car", "99", "-1"] + _SYNTAX
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _spelled(draw, text: str) -> str:
+    """text as int() and float() read it, in one of the spellings numpy's C
+    reader may reject: a '+' sign, Arabic-Indic digits, padding that is not
+    ASCII."""
+    if not text.startswith("-") and draw(st.booleans()):
+        text = "+" + text
+    if draw(st.integers(0, 9)) == 0:
+        text = text.translate(_ARABIC_INDIC)
+    return draw(st.sampled_from(["", " ", "\t", "\u3000"])) + text + draw(
+        st.sampled_from(["", "  ", "\u3000"]))
 
 
 def _number(draw, values, positive=False) -> str:
@@ -388,8 +411,7 @@ def _number(draw, values, positive=False) -> str:
         min_value=1e-3 if positive else -1e4, max_value=1e4, allow_subnormal=False)))
     value = (abs(value) or 1.0) if positive else value
     formats = [repr(value), f"{value:.17g}"] + ([] if positive else [f"{value:.3f}"])
-    text = draw(st.sampled_from(formats))
-    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", "  "]))
+    return _spelled(draw, draw(st.sampled_from(formats)))
 
 
 @st.composite
@@ -400,8 +422,8 @@ def record_files(draw, three_d: bool):
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(["", "   ", "\t"])))
             continue
-        frame = str(draw(st.integers(1, 6)))
-        track_id = str(draw(ids))
+        frame = _spelled(draw, str(draw(st.integers(1, 6))))
+        track_id = _spelled(draw, str(draw(ids)))
         score = _number(draw, [0.0, -0.0, 1.0, 5e-324, 0.5], positive=False)
         score = score if 0.0 <= float(score) <= 1.0 else "0.5"
         if three_d:
@@ -453,26 +475,237 @@ def _record_bits(output) -> list:
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_columnar_parsers_equal_line_oracle(three_d, data):
-    """Same frames, records and bits, or the same error line and message. Part
+    """Same frames, records and bits, or the same error line and message, on
+    both paths: each file is parsed as it comes (numpy's C reader, and _Rows
+    where it rejects a chunk) and with the reader rejecting every chunk. Part
     of the examples parse in chunks of a few lines, so rows and line numbers
     also cross chunk boundaries."""
     text = data.draw(record_files(three_d))
     chunk_chars = data.draw(st.sampled_from([formats._CHUNK_CHARS, 1, 40, 100]))
-    pairs = ((parse_3d_detections, parse_3d_detections_lines, _detection_bits),
-             (parse_3d_results, parse_3d_results_lines, _record_bits)) if three_d else (
-        (parse_mot_detections, parse_mot_detections_lines, _detection_bits),
-        (parse_mot_results, parse_mot_results_lines, _record_bits))
     default, formats._CHUNK_CHARS = formats._CHUNK_CHARS, chunk_chars
     try:
-        for columnar, oracle, bits in pairs:
-            got, want = _outcome(columnar, text), _outcome(oracle, text)
+        _assert_parsers_equal_line_oracle(three_d, text)
+    finally:
+        formats._CHUNK_CHARS = default
+
+
+def _parser_pairs(three_d: bool):
+    """(parser, line oracle, bits of a result) for each parser of a mode."""
+    if three_d:
+        return ((parse_3d_detections, parse_3d_detections_lines, _detection_bits),
+                (parse_3d_results, parse_3d_results_lines, _record_bits))
+    return ((parse_mot_detections, parse_mot_detections_lines, _detection_bits),
+            (parse_mot_results, parse_mot_results_lines, _record_bits))
+
+
+def _reader_rejecting():
+    """numpy's C reader raising on every chunk: the parsers convert each with _Rows."""
+    return mock.patch.object(np, "loadtxt", side_effect=ValueError("reader off"))
+
+
+def _assert_parsers_equal_line_oracle(three_d: bool, text: str) -> None:
+    for columnar, oracle, bits in _parser_pairs(three_d):
+        want = _outcome(oracle, text)
+        for reader in (contextlib.nullcontext(), _reader_rejecting()):
+            with reader:
+                got = _outcome(columnar, text)
             assert got[0] == want[0], (got, want)
             if got[0] == "error":
                 assert got[1] == want[1]
             else:
                 assert bits(got[1]) == bits(want[1])
+
+
+@pytest.mark.parametrize("three_d", [False, True], ids=["2d", "3d"])
+def test_number_syntax_equals_line_oracle(three_d):
+    """Each of _SYNTAX in each kind of field (an integer, the class label, a
+    number, a 3D velocity) parses as the line oracle does, on both paths. A
+    3D file is read with vx/vy as numbers, and as strings when a line of its
+    chunk leaves them empty."""
+    if three_d:
+        line = "1,-1,car,0,0,0.8,0,4,2,1.5,0.5,0.5,0.5".split(",")
+        fields = (0, 1, 2, 3, 9, 10, 11)
+        tails = ("", "1,1,car,0,0,0.8,0,4,2,1.5,,,0.5\n")
+    else:
+        line = "1,1,10,20,30,40,0.9,-1,-1,-1".split(",")
+        fields = (0, 1, 2, 5, 6, 9)
+        tails = ("",)
+    for token in _SYNTAX:
+        for k in fields:
+            bad = line[:k] + [token] + line[k + 1:]
+            for tail in tails:
+                text = ",".join(line) + "\n" + ",".join(bad) + "\n" + tail
+                # ids >= 1, so that the result parsers read the file too
+                _assert_parsers_equal_line_oracle(three_d, text)
+
+
+def _sample_files() -> dict:
+    """Valid files of each parser: simulated 2D and 3D detections (the 3D
+    ones with and without velocities) and the tracker's results on them."""
+    files = {}
+    for (spec, seed), mode in ((clutter_suite(1)[0], "2d"), (motion_ablation_suite(1)[0], "3d")):
+        _, frames = generate_scenario(spec, seed)
+        detections, results = io.StringIO(), io.StringIO()
+        write_detections(frames, detections)
+        output = run_sequence(frames, {"mode": mode})
+        (write_mot_results if mode == "2d" else write_3d_results)(output, results)
+        files[mode] = (detections.getvalue(), results.getvalue())
+    return files
+
+
+def _columns_of(parsed) -> list:
+    """Every column of a parse, as (dtype, shape, bytes)."""
+    if isinstance(parsed, TrackOutput):
+        columns = [parsed.frames, parsed.track_ids, parsed.class_ids, parsed.scores, parsed.boxes]
+    else:
+        columns = [getattr(frame, field.name) for frame in parsed
+                   for field in dataclasses.fields(DetectionFrame)]
+    return [(column.dtype, column.shape, column.tobytes()) for column in columns]
+
+
+def _warning_reader(monkeypatch):
+    """numpy's C reader returning its table with a warning."""
+    loadtxt = np.loadtxt
+
+    def reader(*args, **kwargs):
+        table = loadtxt(*args, **kwargs)
+        warnings.warn("reader warning", UserWarning, stacklevel=2)
+        return table
+
+    monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=reader))
+
+
+def _raising_reader(monkeypatch):
+    monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=ValueError("reader off")))
+
+
+@pytest.mark.parametrize("reader", [_raising_reader, _warning_reader], ids=["raise", "warn"])
+def test_a_rejected_chunk_is_read_by_rows(reader, monkeypatch):
+    """With numpy's C reader raising, or warning, on every chunk, each parser
+    returns the same columns bit for bit on valid files, and the same error
+    on malformed ones: the chunks are read by _Rows. A warning is a
+    rejection, and the process's warning filters are left as they were."""
+    files = _sample_files()
+    bad_lines = {"2d": "1,1,10,20,30,40,1.5,-1,-1,-1\n", "3d": "1,1,car,0,0,0.8,0,4,2,1.5,,0.5,0.5\n"}
+    cases = []
+    for mode, (detections, results) in files.items():
+        for (parse, _, _), text in zip(_parser_pairs(mode == "3d"), (detections, results)):
+            cases += [(parse, text), (parse, text + bad_lines[mode])]
+    want = [_outcome(parse, text) for parse, text in cases]
+    filters = list(warnings.filters)
+    reader(monkeypatch)
+    for (parse, text), (kind, value) in zip(cases, want):
+        got = _outcome(parse, text)
+        assert got[0] == kind
+        assert (got[1] if kind == "error" else _columns_of(got[1])) == (
+            value if kind == "error" else _columns_of(value))
+    assert np.loadtxt.call_count >= len(cases)
+    assert warnings.filters == filters
+
+
+def test_valid_files_are_read_by_the_c_reader():
+    """Every chunk of a valid file written by the writers, 2D or 3D, with or
+    without velocities, is converted by numpy's C reader alone."""
+    texts = [(parse, text) for mode, pair in _sample_files().items()
+             for (parse, _, _), text in zip(_parser_pairs(mode == "3d"), pair)]
+    texts += [(parse_mot_detections, _crowd_file(False, 40, 50)),
+              (parse_3d_detections, _crowd_file(True, 40, 50)),
+              (parse_3d_detections, _crowd_file(True, 40, 50, moving=1.0))]
+    with mock.patch.object(formats, "_Rows", wraps=formats._Rows) as rows:
+        for parse, text in texts:
+            parse(text)
+    assert not rows.called
+
+
+def _old_numpy_reader(monkeypatch):
+    """np.loadtxt as numpy 1.23-1.26 have it: an integer field it cannot
+    read as an integer is read as a float and cast, with a DeprecationWarning."""
+    loadtxt = np.loadtxt
+
+    def reader(lines, dtype, **kwargs):
+        try:
+            return loadtxt(lines, dtype=dtype, **kwargs)
+        except ValueError:
+            loose = np.dtype([(name, np.float64 if dtype[name].kind == "i" else dtype[name])
+                              for name in dtype.names])
+            table = loadtxt(lines, dtype=loose, **kwargs)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return table.astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", reader)
+
+
+@pytest.mark.parametrize("action", ["ignore", "default", "error"])
+@pytest.mark.parametrize(("parse", "line", "message"), [
+    (parse_mot_detections, "1.0,-1,10,20,30,40,0.9,-1,-1,-1", "frame is not an integer: '1.0'"),
+    (parse_mot_results, "1,1e3,10,20,30,40,0.9,-1,-1,-1", "id is not an integer: '1e3'"),
+    (parse_3d_detections, "1e3,-1,car,0,0,0.8,0,4,2,1.5,,,0.5", "frame is not an integer: '1e3'"),
+    (parse_3d_results, "1,1.0,car,0,0,0.8,0,4,2,1.5,,,0.5", "id is not an integer: '1.0'"),
+], ids=["2d-detections", "2d-results", "3d-detections", "3d-results"])
+def test_float_syntax_frame_or_id_rejected_on_old_numpy(parse, line, message, action, monkeypatch):
+    """numpy 1.23-1.26 read '1.0' and '1e3' as int64 fields, with a
+    DeprecationWarning that Python ignores by default outside __main__; the
+    parsers take the warning as a rejection whatever the filters say, name the
+    line as int() would, and leave the filters as they were."""
+    _old_numpy_reader(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        filters = list(warnings.filters)
+        with pytest.raises(ValueError, match=re.escape(f"line 2: {message}")):
+            parse(line.replace("1e3", "2").replace("1.0", "1") + "\n" + line + "\n")
+        assert warnings.filters == filters
+
+
+def _crowd_file(three_d: bool, n_frames: int, per_frame: int, moving: float = 0.8) -> str:
+    """A detection file of n_frames frames of per_frame random rows; the
+    share moving of the 3D rows hold a velocity."""
+    rng = np.random.default_rng(0)
+    frames = []
+    for _ in range(n_frames):
+        if three_d:
+            boxes = np.column_stack((rng.uniform(-50.0, 50.0, (per_frame, 2)),
+                                     rng.uniform(0.0, 2.0, per_frame),
+                                     rng.uniform(-3.0, 3.0, per_frame),
+                                     rng.uniform(0.5, 10.0, (per_frame, 3))))
+            has_velocity = rng.random(per_frame) < moving
+            velocities = np.where(has_velocity[:, None], rng.normal(0.0, 2.0, (per_frame, 2)), 0.0)
+            class_ids = rng.integers(0, 7, per_frame)
+        else:
+            corners = rng.uniform(0.0, 1800.0, (per_frame, 2))
+            boxes = np.hstack((corners, corners + rng.uniform(20.0, 120.0, (per_frame, 2))))
+            has_velocity = np.zeros(per_frame, dtype=bool)
+            velocities, class_ids = np.zeros((per_frame, 2)), np.zeros(per_frame, dtype=np.int64)
+        frames.append(DetectionFrame(boxes, rng.random(per_frame), class_ids, velocities,
+                                     has_velocity))
+    buf = io.StringIO()
+    write_detections(frames, buf)
+    return buf.getvalue()
+
+
+# Traced parse peaks with 64 KiB chunks, numpy 2.4 on Python 3.11: 5.6 MiB for
+# the 2D file (7.1 MiB with 1 MiB chunks), 4.2 MiB for the 3D one (9.5 MiB
+# with 1 MiB chunks). Most of it is the columns, held twice while the chunks'
+# columns are joined.
+@pytest.mark.ci_gate
+@pytest.mark.parametrize(("three_d", "n_frames", "per_frame", "bound_mib"),
+                         [(False, 1032, 50, 6.5), (True, 500, 40, 4.8)], ids=["2d", "3d"])
+def test_parse_peak_memory_is_bounded(three_d, n_frames, per_frame, bound_mib):
+    """Parsing a 51,600-line 2D file (as large as the crowd benchmark's
+    detections) or a 20,000-line 3D file holds its columns and the transients
+    of one chunk: a larger chunk shows up as a higher traced peak."""
+    text = _crowd_file(three_d, n_frames, per_frame)
+    parse = parse_3d_detections if three_d else parse_mot_detections
+    tracemalloc.start()
+    try:
+        frames = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        formats._CHUNK_CHARS = default
+        tracemalloc.stop()
+    print(f"\nparsing {n_frames * per_frame} {'3D' if three_d else '2D'} lines "
+          f"({len(text) / 2**20:.1f} MiB): traced peak {peak / 2**20:.2f} MiB")
+    assert sum(len(frame) for frame in frames) == n_frames * per_frame
+    assert peak < bound_mib * 2**20
 
 
 @st.composite

@@ -8,8 +8,9 @@ passes turn Lost and are dropped once they exceed the rebirth buffer; leftover
 high-score boxes start new tracks.
 
 Each stage runs once per frame. One similarity kernel call scores every
-same-class (detection, track) pair either pass can use; one admission mask
-gates that table, each row under its own pass's gate, and the two passes
+same-class (detection, track) pair, the low rows always included; one
+admission mask gates that table, each row under its own pass's gate (a
+switched-off second pass, gate_second None, admits none), and the two passes
 solve blocks of it; one Kalman update applies the matches of both, and the
 spawns share its measurement call.
 
@@ -139,14 +140,13 @@ def check_mode(boxes: np.ndarray, mode: Mode) -> None:
         raise ValueError(f"{_box_type(boxes).__name__} detection in {mode.value} mode")
 
 
-def check_columns(boxes: np.ndarray, columns: Mapping[str, np.ndarray], ids: Collection[str],
-                  widths: Collection[int] = (4, 7)) -> None:
+def check_columns(boxes: np.ndarray, columns: Mapping[str, np.ndarray],
+                  ids: Collection[str]) -> None:
     """Raise a ValueError naming the first column of a frame or an output of
-    the wrong shape or dtype: boxes must be rows of a width in widths, every
-    other column one value per box, those named in ids of an integer dtype."""
-    if boxes.ndim != 2 or boxes.shape[1] not in widths:
-        raise ValueError(f"boxes must be rows of width {' or '.join(map(str, widths))}, "
-                         f"got shape {boxes.shape}")
+    the wrong shape or dtype: boxes must be rows of width 4 or 7, every other
+    column one value per box, those named in ids of an integer dtype."""
+    if boxes.ndim != 2 or boxes.shape[1] not in (4, 7):
+        raise ValueError(f"boxes must be rows of width 4 or 7, got shape {boxes.shape}")
     n = len(boxes)
     for name, column in columns.items():
         if column.shape != (n,):
@@ -529,12 +529,15 @@ def predict_tracks(
     return new_means, new_covs, motion.box_rows(match_means), wants_backward
 
 
-def _row_gates(class_ids: np.ndarray, gate: float | Mapping[int, float]) -> np.ndarray:
-    """Admission threshold of each detection row, resolved once per class.
+def _row_gates(class_ids: np.ndarray, gate: float | Mapping[int, float] | None) -> np.ndarray:
+    """Admission threshold of each detection row, resolved once per class;
+    +inf for every row when gate is None (a pass switched off admits nothing).
 
     Classes are resolved in the order their first rows come, so a class with
     no gate raises exactly where resolving row by row would.
     """
+    if gate is None:
+        return np.full(len(class_ids), np.inf)
     if isinstance(gate, Mapping):
         rows = class_ids.tolist()
         by_class = {c: resolve_gate(gate, c) for c in dict.fromkeys(rows)}
@@ -550,17 +553,18 @@ def step(
 ) -> FrameResult:
     """Run one frame of the two-stage association over the track pool.
 
-    The frame is scored once: the high rows, and the low rows too unless
-    gate_second is None, against every predicted track, in one kernel call. That
-    table is checked for finite values once and gated by one admission mask,
-    each row under its own gate (gate_first for the high rows, gate_second
-    for the low ones) on its same-class pairs. The first pass matches the high
-    rows against all tracks, the second the low rows against the tracks still
-    unmatched, each on its block of the table and mask; a block whose
-    admissible pairs already form a matching is matched without the solver
-    (see solve_assignment). Both passes read the predicted boxes, and a track
-    is matched at most once, so one Kalman update afterwards applies the
-    matches of both.
+    The frame is scored once: every row, high and low, against every
+    predicted track, in one kernel call. That table is checked for finite
+    values once and gated by one admission mask, each row under its own gate
+    (gate_first for the high rows, gate_second for the low ones) on its
+    same-class pairs. The first pass matches the high rows against all
+    tracks, the second the low rows against the tracks still unmatched, each
+    on its block of the table and mask; a block whose admissible pairs
+    already form a matching is matched without the solver (see
+    solve_assignment). Both passes read the predicted boxes, and a track is
+    matched at most once, so one Kalman update afterwards applies the matches
+    of both. Both passes run for every config: gate_second None (single
+    stage) gives the low rows a +inf gate, so the second pass matches none.
 
     The pool advances exactly once per frame: matched tracks are updated and
     set active, leftover tracks turn lost (and are removed past the buffer),
@@ -600,8 +604,7 @@ def step(
 
     means, covs, match_rows, wants_backward = predict_tracks(pool, config)
     n_high = len(high_idx)
-    second_pass = config.gate_second is not None
-    scored = np.concatenate((high_idx, low_idx)) if second_pass else high_idx
+    scored = np.concatenate((high_idx, low_idx))
     same_class = det_classes[scored][:, None] == pool.class_ids[None, :]
     if is_3d:
         # Each same-class pair is scored once, against the backward-shifted
@@ -626,10 +629,8 @@ def step(
 
     # One admission mask for the whole table: each row's gate (gate_first for
     # the high rows, gate_second for the low ones) on its same-class pairs.
-    row_gates = np.empty((len(scored), 1))
-    row_gates[:n_high, 0] = _row_gates(det_classes[high_idx], config.gate_first)
-    if second_pass:
-        row_gates[n_high:, 0] = _row_gates(det_classes[low_idx], config.gate_second)
+    row_gates = np.concatenate((_row_gates(det_classes[high_idx], config.gate_first),
+                                _row_gates(det_classes[low_idx], config.gate_second)))[:, None]
     if is_3d:
         # GIoU gates may be negative, so values and gates are shifted until
         # every admissible pair is worth matching over leaving both sides
@@ -645,15 +646,11 @@ def step(
     first_trk = first.matches[:, 1]
     high_left = high_idx[first.unmatched_detections]
     cols_left = first.unmatched_tracklets
-    if second_pass:
-        second = solve_assignment(values[n_high:, cols_left], admissible[n_high:, cols_left])
-        second_det = low_idx[second.matches[:, 0]]
-        second_trk = cols_left[second.matches[:, 1]]
-        low_left = low_idx[second.unmatched_detections]
-        cols_left = cols_left[second.unmatched_tracklets]
-    else:
-        second_det = second_trk = np.zeros(0, dtype=np.intp)
-        low_left = low_idx
+    second = solve_assignment(values[n_high:, cols_left], admissible[n_high:, cols_left])
+    second_det = low_idx[second.matches[:, 0]]
+    second_trk = cols_left[second.matches[:, 1]]
+    low_left = low_idx[second.unmatched_detections]
+    cols_left = cols_left[second.unmatched_tracklets]
 
     # One measurement call for both passes' matches and the spawns, and one
     # update of the matched rows: the update works row by row and each track

@@ -8,6 +8,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import replace
+from functools import partial
 from statistics import mean
 
 from . import formats, metrics, simulate
@@ -20,23 +21,22 @@ _PRESETS = {
 }
 
 
-def _strict(kind: type) -> Callable[[str], object]:
-    """kind (int or float) as an argparse type that rejects the digit
-    separator '_', which int and float accept and the record and config
-    files reject. Its usage error names the kind and the rejected text, also
-    where _count and _taus call it."""
+def _usage_type(read: Callable[[str], object], kind: str) -> Callable[[str], object]:
+    """read as an argparse type: a ValueError it raises is a usage error
+    naming kind and the rejected text, also where _count and _taus call it."""
     def convert(text: str):
-        if "_" not in text:
-            try:
-                return kind(text)
-            except ValueError:
-                pass
-        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        try:
+            return read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}") from None
 
     return convert
 
 
-_int, _float = _strict(int), _strict(float)
+# Numbers as the record and config files write them (formats.read_number):
+# '1_0' is no number.
+_int = _usage_type(partial(formats.read_number, int), "int")
+_float = _usage_type(partial(formats.read_number, float), "float")
 
 
 def _count(text: str) -> int:
@@ -65,18 +65,22 @@ def _build_parser() -> argparse.ArgumentParser:
     track = sub.add_parser("track", help="associate a detection file into tracks")
     track.add_argument("--input", required=True, help="detection file")
     track.add_argument("--output", required=True, help="result file to write")
-    track.add_argument("--mode", choices=["2d", "3d"], default="2d")
-    track.add_argument("--modality", choices=["camera", "lidar"], default=None)
-    track.add_argument("--config", help="key/value config file (flags override it)")
-    track.add_argument("--tau", type=_float, default=None, help="detection score split")
-    track.add_argument("--gate-first", type=_float, default=None)
-    second = track.add_mutually_exclusive_group()
-    second.add_argument("--gate-second", type=_float, default=None)
-    second.add_argument("--single-stage", action="store_true",
-                        help="disable the low-score association pass")
-    track.add_argument("--track-buffer", type=_int, default=None)
-    track.add_argument("--alpha", type=_float, default=None)
-    track.add_argument("--motion", choices=[m.value for m in MotionStrategy], default=None)
+    track.add_argument("--config", help="key/value config file (given flags override it)")
+
+    def setting(flag: str, key: str, **extra) -> None:
+        """A flag setting key only when given, read as a config file reads it."""
+        kind = formats._SCALAR_KEYS[key].__name__
+        track.add_argument(flag, dest=key, default=argparse.SUPPRESS, **extra,
+                           type=_usage_type(partial(formats.read_setting, key), kind))
+
+    setting("--mode", "mode", choices=["2d", "3d"])
+    setting("--modality", "modality", choices=["camera", "lidar"])
+    setting("--tau", "tau", help="detection score split")
+    setting("--gate-first", "gate_first")
+    setting("--gate-second", "gate_second", help="'none' drops the low-score association pass")
+    setting("--track-buffer", "track_buffer")
+    setting("--alpha", "alpha", help="'none' turns confidence scaling off")
+    setting("--motion", "motion_strategy", choices=[m.value for m in MotionStrategy])
 
     ev = sub.add_parser("eval", help="score a result file against ground truth")
     ev.add_argument("--gt", required=True)
@@ -111,29 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_tracker_inputs(args):
-    options: dict[str, object] = {}
-    if args.config:
-        options.update(formats.load_config_file(args.config))
-    options["mode"] = args.mode
-    if args.modality:
-        options["modality"] = args.modality
-    overrides = {
-        "tau": args.tau,
-        "gate_first": args.gate_first,
-        "gate_second": args.gate_second,
-        "track_buffer": args.track_buffer,
-        "alpha": args.alpha,
-        "motion_strategy": args.motion,
-    }
-    options.update({k: v for k, v in overrides.items() if v is not None})
-    if args.single_stage:
-        options["gate_second"] = None
-    return validate_config(options)
-
-
 def _cmd_track(args) -> int:
-    config = _load_tracker_inputs(args)
+    options = formats.load_config_file(args.config) if args.config else {}
+    # An absent setting flag leaves no attribute, so it overrides nothing.
+    options.update((k, v) for k, v in vars(args).items() if k in formats._SCALAR_KEYS)
+    config = validate_config(options)
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     if config.mode is Mode.BOX_2D:

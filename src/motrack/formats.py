@@ -12,21 +12,30 @@ Records are read as columns. numpy's C text reader (np.loadtxt) converts
 each chunk of lines into typed fields in one call, and every row is validated
 with array masks: the field checks, then association.row_rules. A chunk the
 reader rejects, or that fails a check, is read again by _Rows, one Python
-string per field. _Rows accepts what int() and float() accept of a stripped
-field and the reader may not (a non-ASCII digit or space), and reports the
-first bad row as ``line N: ...``, with the message of the first check it
-fails in field order. parse_*_detections return DetectionFrames, per-frame
-views over columns sorted by frame; parse_*_results return a TrackOutput. The
-writers format from the same columns, and take the format from the rows:
+string per field. _Rows accepts what read_number accepts of a stripped field
+and the reader may not (a non-ASCII digit or space), and reports the first
+bad row as ``line N: ...``, with the message of the first check it fails in
+field order. parse_*_detections return DetectionFrames, per-frame views over
+columns sorted by frame; parse_*_results return a TrackOutput. The writers
+format from the same columns, and take the format from the rows:
 write_detections writes MOT lines for 2D boxes and 3D lines for 3D ones.
+
+The reader runs with warnings as errors under a module lock, so concurrent
+parses leave the warning filters as they were; before Python 3.14 those are
+one list per process, so a warning another thread raises meanwhile is raised
+as an error. read_number is the one rule for numbers in records, config files
+and flags (a digit separator '_' is no number), and read_setting reads a
+setting's value as a config line gives it, for ``motrack track``'s flags too.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from collections.abc import Sequence
 from dataclasses import fields
 from enum import Enum
+from functools import partial
 from itertools import repeat
 from typing import IO, Callable, Iterable, Iterator
 
@@ -42,6 +51,17 @@ _WRITE_ROWS = 1024  # lines formatted per write
 
 def _fail(line_no: int, message: str) -> ValueError:
     return ValueError(f"line {line_no}: {message}")
+
+
+def read_number(kind: type, token: str) -> int | float:
+    """token as kind (int or float) reads it, but a digit separator '_',
+    which int() and float() accept, makes it no number: ValueError."""
+    if "_" in token:
+        raise ValueError(f"digit separator in {token!r}")
+    return kind(token)
+
+
+_read_int, _read_float = partial(read_number, int), partial(read_number, float)
 
 
 # --- columnar parsing -------------------------------------------------------------
@@ -86,6 +106,9 @@ class _Fields:
             self.check(ids < 1, lambda i: f"result id must be >= 1, got {int(ids[i])}")
 
 
+_WARNINGS_LOCK = threading.Lock()  # see the module docstring
+
+
 class _Table(_Fields):
     """A chunk converted by numpy's C reader in one call, with no Python
     string or float per field. A chunk the reader rejects, and a failing
@@ -104,7 +127,7 @@ class _Table(_Fields):
         if not chunk.isascii() or "_" in chunk or "\x00" in chunk:
             raise _Rejected
         try:
-            with warnings.catch_warnings():
+            with _WARNINGS_LOCK, warnings.catch_warnings():
                 warnings.simplefilter("error")
                 self.table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
                                         ndmin=1)
@@ -183,7 +206,6 @@ class _Rows(_Fields):
             self.tail = (line_nos[n],
                          f"expected {n_fields} comma-separated fields, got {commas[n] + 1}")
         joined = ",".join(lines[:n])
-        self.separated = "_" in joined  # see convert
         # Fields are stripped as str.strip does: int() and float() do not
         # strip '\x1f'.
         tokens = [token.strip() for token in joined.split(",")] if n else []
@@ -205,25 +227,15 @@ class _Rows(_Fields):
         if self.tail is not None:
             raise _fail(*self.tail)
 
-    def convert(self, tokens: list[str], kind: Callable[[str], float],
-                dtype) -> tuple[np.ndarray, np.ndarray | None]:
-        """Tokens converted by kind (float, int, ...) in one pass, plus a mask
-        of the tokens it rejects, dtype cannot hold or that hold a digit
-        separator '_', which int and float accept (None if there are none; 0
-        there). Only a chunk holding a '_' looks for one in each token."""
-        if not self.separated:
-            try:
-                return np.fromiter(map(kind, tokens), dtype=dtype, count=len(tokens)), None
-            except (ValueError, OverflowError):
-                pass
+    def convert(self, tokens: list[str], read: Callable[[str], float],
+                dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Tokens converted by read (_read_float, _read_int or _class_id),
+        and the mask of the tokens it rejects or dtype cannot hold (0 there)."""
         values = np.zeros(len(tokens), dtype=dtype)
         bad = np.zeros(len(tokens), dtype=bool)
         for i, token in enumerate(tokens):
-            if "_" in token:
-                bad[i] = True
-                continue
             try:
-                values[i] = kind(token)
+                values[i] = read(token)
             except (ValueError, OverflowError):
                 bad[i] = True
         return values, bad
@@ -231,24 +243,21 @@ class _Rows(_Fields):
     def floats(self, k: int, name: str, tokens: list[str] | None = None) -> np.ndarray:
         """Field k (or the given tokens) as floats, with its number check."""
         tokens = self.columns[k] if tokens is None else tokens
-        values, bad = self.convert(tokens, float, np.float64)
+        values, bad = self.convert(tokens, _read_float, np.float64)
         self.check(bad, lambda i: f"{name} is not a number: {tokens[i]!r}")
         return values
 
     def ints(self, k: int, name: str) -> np.ndarray:
         """Field k as int64, with its integer check."""
         tokens = self.columns[k]
-        values, bad = self.convert(tokens, int, np.int64)
+        values, bad = self.convert(tokens, _read_int, np.int64)
 
         def describe(i: int) -> str:
-            token = tokens[i]
-            if "_" not in token:
-                try:
-                    int(token)
-                    return f"{name} is out of range: {token!r}"
-                except ValueError:
-                    pass
-            return f"{name} is not an integer: {token!r}"
+            try:
+                _read_int(tokens[i])
+            except ValueError:
+                return f"{name} is not an integer: {tokens[i]!r}"
+            return f"{name} is out of range: {tokens[i]!r}"
 
         self.check(bad, describe)
         return values
@@ -413,7 +422,7 @@ def _class_name(class_id: int) -> str:
 
 
 def _class_id(label: str) -> int:
-    return CLASS_IDS[label] if label in CLASS_IDS else int(label)
+    return CLASS_IDS[label] if label in CLASS_IDS else _read_int(label)
 
 
 def _3d_dtype(velocity: str | type) -> np.dtype:
@@ -526,16 +535,21 @@ _SCALAR_KEYS = {field.name: str if isinstance(field.default, Enum) else type(fie
 _NONE_KEYS = ("alpha", "gate_second")
 
 
-def _parse_scalar(kind: type, token: str, line_no: int, name: str) -> object:
-    """token read as kind, a type of _SCALAR_KEYS; a number holding a digit
-    separator '_' (which int and float accept) is rejected."""
-    if kind is str or "_" not in token:
-        try:
-            return kind(token)
-        except ValueError:
-            pass
-    article = "an integer" if kind is int else "a number"
-    raise _fail(line_no, f"{name} is not {article}: {token!r}")
+def read_setting(key: str, text: str) -> object:
+    """text as the value of the setting key (or of a per-class gate, as
+    ``gate_first.car``), read as a config line gives it: None for ``none`` in
+    any case on alpha and gate_second, else a number or, for a text key, text.
+    A ValueError names the key."""
+    kind = _SCALAR_KEYS[key.partition(".")[0]]
+    if key in _NONE_KEYS and text.lower() == "none":
+        return None
+    if kind is str:
+        return text
+    try:
+        return read_number(kind, text)
+    except ValueError:
+        article = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} is not {article}: {text!r}") from None
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -552,25 +566,24 @@ def parse_config_text(text: str) -> dict[str, object]:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise _fail(line_no, f"expected 'key = value', got {raw_line.strip()!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if "." in key:
-            base, _, label = key.partition(".")
-            if base not in ("gate_first", "gate_second"):
-                raise _fail(line_no, f"unknown per-class key {key!r}")
-            if label == "default":
-                class_id = DEFAULT_GATE_KEY
-            elif label in CLASS_IDS:
-                class_id = CLASS_IDS[label]
+        key, equals, value = (part.strip() for part in line.partition("="))
+        base, dotted, label = key.partition(".")
+        try:  # one error path: each message below is this line's
+            if not equals:
+                raise ValueError(f"expected 'key = value', got {raw_line.strip()!r}")
+            if not dotted:
+                if key not in _SCALAR_KEYS:
+                    raise ValueError(f"unknown config key {key!r}")
+                options[key] = read_setting(key, value)
+            elif base not in ("gate_first", "gate_second"):
+                raise ValueError(f"unknown per-class key {key!r}")
+            elif label != "default" and label not in CLASS_IDS:
+                raise ValueError(f"unknown class label {label!r}")
             else:
-                raise _fail(line_no, f"unknown class label {label!r}")
-            class_gates.setdefault(base, {})[class_id] = _parse_scalar(float, value, line_no, key)
-            continue
-        if key not in _SCALAR_KEYS:
-            raise _fail(line_no, f"unknown config key {key!r}")
-        off = key in _NONE_KEYS and value.lower() == "none"
-        options[key] = None if off else _parse_scalar(_SCALAR_KEYS[key], value, line_no, key)
+                class_id = CLASS_IDS.get(label, DEFAULT_GATE_KEY)
+                class_gates.setdefault(base, {})[class_id] = read_setting(key, value)
+        except ValueError as exc:
+            raise _fail(line_no, str(exc)) from None
     for base, table in class_gates.items():
         if base in options:
             raise ValueError(f"{base} given both as a scalar and a per-class table")

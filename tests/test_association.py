@@ -933,8 +933,8 @@ def test_non_finite_output_boxes_rejected(monkeypatch):
 def test_each_stage_runs_once_per_frame(config, monkeypatch):
     """Both passes share one similarity kernel call, one measurement call and
     one Kalman update per frame. The kernel scores every detection against
-    every track in 2D and every same-class pair in 3D; the low rows are scored
-    only when the second pass is on."""
+    every track in 2D and every same-class pair in 3D, the low rows included
+    when the second pass is off (gate_second None), which then matches none."""
     calls = collections.Counter()
     kernel_rows = []
 
@@ -967,19 +967,17 @@ def test_each_stage_runs_once_per_frame(config, monkeypatch):
     for frame, dets in enumerate(frames, 1):
         calls.clear()
         kernel_rows.clear()
-        scored = [det for det in dets
-                  if config.gate_second is not None or det.score > config.tau]
         if is_3d:
-            expected_rows = sum(int(np.sum(pool.class_ids == det.class_id)) for det in scored)
+            expected_rows = sum(int(np.sum(pool.class_ids == det.class_id)) for det in dets)
         else:
-            expected_rows = len(scored)
+            expected_rows = len(dets)
         diag = step(pool, frame, dets, config).diagnostics
         second_matches += len(diag.second_matches)
         matched = len(diag.first_matches) + len(diag.second_matches)
         assert calls[kernel] == 1 and kernel_rows == [expected_rows]
         assert calls["_measurement_stack"] == 1
         assert calls["update_arrays"] == (1 if matched else 0)
-    assert second_matches > 0 or config.gate_second is None
+    assert (second_matches > 0) == (config.gate_second is not None)
 
 
 @pytest.mark.parametrize("config", [CFG_2D, CFG_3D], ids=["2d", "3d"])

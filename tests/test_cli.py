@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 
@@ -6,9 +7,11 @@ import pytest
 from motrack import simulate
 from motrack import tracker as tracker_module
 from motrack.cli import main
-from motrack.formats import parse_mot_results
+from motrack.association import TrackerConfig
+from motrack.formats import parse_mot_results, write_detections, write_mot_results
 from motrack.metrics import clear_mot
-from motrack.simulate import canonical_occlusion_scenario, generate_scenario
+from motrack.simulate import (canonical_occlusion_scenario, generate_scenario,
+                              motion_ablation_suite)
 from motrack.tracker import run_sequence
 
 
@@ -140,15 +143,6 @@ def test_alpha_flag_scales_2d_noise(tmp_path, occlusion_files, capsys):
     assert "error: line 1: unknown config key 'adaptive_r'" in capsys.readouterr().err
 
 
-def test_single_stage_and_gate_second_exclude_each_other(tmp_path, occlusion_files, capsys):
-    _, det = occlusion_files
-    out = tmp_path / "out.txt"
-    assert main(["track", "--input", str(det), "--output", str(out), "--mode", "2d",
-                 "--single-stage", "--gate-second", "0.9"]) == 2
-    assert "not allowed with argument" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_unknown_modality_in_config_file_rejected_in_2d(tmp_path, occlusion_files, capsys):
     _, det = occlusion_files
     out = tmp_path / "out.txt"
@@ -165,15 +159,54 @@ def test_unknown_modality_in_config_file_rejected_in_2d(tmp_path, occlusion_file
                  "--config", str(config)]) == 0
 
 
-def test_single_stage_flag_drops_occluded_frames(tmp_path, occlusion_files):
+def test_gate_second_none_drops_occluded_frames(tmp_path, occlusion_files):
+    # The single-stage baseline is one value, written alike as a flag (in any
+    # case), in a config file and in a TrackerConfig.
     gt, det = occlusion_files
-    out = tmp_path / "single.txt"
-    assert main(["track", "--input", str(det), "--output", str(out),
-                 "--mode", "2d", "--single-stage"]) == 0
-    from motrack.formats import parse_mot_results as parse
-    pred = parse(out.read_text())
-    gt_out = parse(gt.read_text())
-    assert clear_mot(gt_out, pred).fn >= 5
+    config = tmp_path / "single.cfg"
+    config.write_text("gate_second = none\n")
+    runs = {"flag": ["--gate-second", "none"], "upper": ["--gate-second", "NONE"],
+            "file": ["--config", str(config)]}
+    for name, extra in runs.items():
+        assert main(["track", "--input", str(det), "--output", str(tmp_path / f"{name}.txt"),
+                     "--mode", "2d", *extra]) == 0
+    library = io.StringIO()
+    write_mot_results(run_sequence(generate_scenario(*canonical_occlusion_scenario())[1],
+                                   TrackerConfig(gate_second=None)), library)
+    texts = {(tmp_path / f"{name}.txt").read_text() for name in runs}
+    assert texts == {library.getvalue()}
+    pred = parse_mot_results(library.getvalue())
+    assert clear_mot(parse_mot_results(gt.read_text()), pred).fn >= 5
+
+
+def test_alpha_none_flag_equals_config_file(tmp_path):
+    # On 3D lidar, whose default alpha is 10, `--alpha none` (in any case)
+    # measures every detection alike, as `alpha = none` in a file does.
+    det = tmp_path / "det3d.txt"
+    with det.open("w", encoding="utf-8") as fh:
+        write_detections(generate_scenario(*motion_ablation_suite(1)[0])[1], fh)
+    config = tmp_path / "plain.cfg"
+    config.write_text("alpha = none\n")
+    runs = {"default": [], "flag": ["--alpha", "none"], "title": ["--alpha", "None"],
+            "file": ["--config", str(config)]}
+    texts = {}
+    for name, extra in runs.items():
+        out = tmp_path / f"{name}.txt"
+        assert main(["track", "--input", str(det), "--output", str(out), "--mode", "3d",
+                     *extra]) == 0
+        texts[name] = out.read_text()
+    assert texts["flag"] == texts["title"] == texts["file"] != texts["default"]
+
+
+@pytest.mark.parametrize("flag", ["--tau", "--gate-first", "--track-buffer"])
+def test_none_is_no_value_of_other_settings(tmp_path, flag, capsys):
+    # As in a config file, only alpha and gate_second take `none`.
+    kind = "int" if flag == "--track-buffer" else "float"
+    assert main(["track", "--input", str(tmp_path / "det.txt"), "--output",
+                 str(tmp_path / "out.txt"), flag, "none"]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: invalid {kind} value: 'none'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_track_steps_only_frames_holding_rows(tmp_path, monkeypatch, capsys):

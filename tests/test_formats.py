@@ -3,8 +3,10 @@ import dataclasses
 import io
 import math
 import re
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -655,6 +657,42 @@ def test_float_syntax_frame_or_id_rejected_on_old_numpy(parse, line, message, ac
         with pytest.raises(ValueError, match=re.escape(f"line 2: {message}")):
             parse(line.replace("1e3", "2").replace("1.0", "1") + "\n" + line + "\n")
         assert warnings.filters == filters
+
+
+def test_concurrent_parses_leave_the_warning_filters(monkeypatch):
+    """Two threads parse at once. The first's reader waits, inside the window
+    that turns warnings into errors, until the second calls the reader, and
+    the second's until the first parse has returned. Overlapping windows
+    would each put back the filters saved on entry, the second last, leaving
+    every warning an error; serialized windows leave the filters as they
+    were, and both parses read the file."""
+    loadtxt = np.loadtxt
+    entered, second_in, first_done = [], threading.Event(), threading.Event()
+
+    def reader(*args, **kwargs):
+        entered.append(threading.get_ident())
+        if len(entered) == 1:
+            second_in.wait(0.5)  # times out: the second waits for the window
+        else:
+            second_in.set()
+            first_done.wait(10)
+        return loadtxt(*args, **kwargs)
+
+    def parse(text):
+        try:
+            return parse_mot_detections(text)
+        finally:
+            first_done.set()
+
+    monkeypatch.setattr(np, "loadtxt", reader)
+    text = "1,-1,10,20,30,40,0.9,-1,-1,-1\n2,-1,12,20,30,40,0.4,-1,-1,-1\n"
+    filters = list(warnings.filters)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        parsed = list(pool.map(parse, [text, text]))
+    assert len(set(entered)) == 2
+    assert warnings.filters == filters
+    assert _columns_of(parsed[0]) == _columns_of(parsed[1])
+    assert len(parsed[0]) == 2
 
 
 def _crowd_file(three_d: bool, n_frames: int, per_frame: int, moving: float = 0.8) -> str:

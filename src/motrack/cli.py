@@ -13,7 +13,7 @@ from statistics import mean
 
 from . import formats, metrics, simulate
 from .association import Mode, MotionStrategy
-from .tracker import Tracker, TrackOutput, run_sequence, validate_config
+from .tracker import Tracker, run_sequence, validate_config
 
 _PRESETS = {
     "occlusion": simulate.canonical_occlusion_scenario,
@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         track.add_argument(flag, dest=key, default=argparse.SUPPRESS, **extra,
                            type=_usage_type(partial(formats.read_setting, key), kind))
 
-    setting("--mode", "mode", choices=["2d", "3d"])
     setting("--modality", "modality", choices=["camera", "lidar"])
     setting("--tau", "tau", help="detection score split")
     setting("--gate-first", "gate_first")
@@ -85,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score a result file against ground truth")
     ev.add_argument("--gt", required=True)
     ev.add_argument("--pred", required=True)
-    ev.add_argument("--mode", choices=["2d", "3d"], default="2d")
     ev.add_argument("--metric", choices=["clear", "idf1", "amota", "all"], default="all")
     ev.add_argument("--match-threshold", type=_float, default=None)
     ev.add_argument("--json", help="also write the report as JSON")
@@ -115,17 +113,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _cmd_track(args) -> int:
     options = formats.load_config_file(args.config) if args.config else {}
     # An absent setting flag leaves no attribute, so it overrides nothing.
     options.update((k, v) for k, v in vars(args).items() if k in formats._SCALAR_KEYS)
-    config = validate_config(options)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if config.mode is Mode.BOX_2D:
-        frames = formats.parse_mot_detections(text)
-    else:
-        frames = formats.parse_3d_detections(text)
+    text = _read(args.input)
+    # The file's records say the mode, and so the defaults.
+    config = validate_config({**options, "mode": formats.record_mode(text) or Mode.BOX_2D})
+    frames = formats.parse_detections(text)
     # Only the frames holding rows are stepped: a skipped frame is an empty one.
     tracker = Tracker(config)
     for number, detections in frames.nonempty():
@@ -135,26 +135,16 @@ def _cmd_track(args) -> int:
             raise ValueError(f"frame {number}: {exc}") from exc
     output = tracker.output()
     with open(args.output, "w", encoding="utf-8") as fh:
-        if config.mode is Mode.BOX_2D:
-            formats.write_mot_results(output, fh)
-        else:
-            formats.write_3d_results(output, fh)
+        formats.write_results(output, fh)
     print(f"tracked {output.n_frames} frames, {len(output.track_ids)} boxes")
     return 0
 
 
-def _load_output(path: str, mode: Mode) -> TrackOutput:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if mode is Mode.BOX_2D:
-        return formats.parse_mot_results(text)
-    return formats.parse_3d_results(text)
-
-
 def _cmd_eval(args) -> int:
-    mode = Mode(args.mode)
-    gt = _load_output(args.gt, mode)
-    pred = _load_output(args.pred, mode)
+    gt_text, pred_text = _read(args.gt), _read(args.pred)
+    # A file whose lines are all blank takes the other file's mode.
+    gt = formats.parse_results(gt_text, formats.record_mode(pred_text))
+    pred = formats.parse_results(pred_text, gt.mode)
     report: dict[str, object] = {}
     if args.metric in ("clear", "all"):
         clear = metrics.clear_mot(gt, pred, args.match_threshold)
@@ -185,10 +175,7 @@ def _cmd_simulate(args) -> int:
         seed = args.seed if args.seed is not None else 0
     gt, frames = simulate.generate_scenario(spec, seed)
     with open(args.out_gt, "w", encoding="utf-8") as fh:
-        if spec.mode is Mode.BOX_2D:
-            formats.write_mot_results(gt, fh)
-        else:
-            formats.write_3d_results(gt, fh)
+        formats.write_results(gt, fh)
     with open(args.out_det, "w", encoding="utf-8") as fh:
         formats.write_detections(frames, fh)
     print(f"wrote {len(gt.track_ids)} gt boxes over {gt.n_frames} frames (seed {seed})")

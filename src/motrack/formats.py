@@ -18,7 +18,11 @@ bad row as ``line N: ...``, with the message of the first check it fails in
 field order. parse_*_detections return DetectionFrames, per-frame views over
 columns sorted by frame; parse_*_results return a TrackOutput. The writers
 format from the same columns, and take the format from the rows:
-write_detections writes MOT lines for 2D boxes and 3D lines for 3D ones.
+write_detections and write_results write MOT lines for 2D boxes and 3D lines
+for 3D ones. A text says its mode too: record_mode reads it from the first
+non-blank line, 3D for a line of 13 fields and 2D for any other, and
+parse_detections and parse_results read a text in it. A text of blank lines
+has no mode; the parsers of both modes read it as no rows.
 
 The reader runs with warnings as errors under a module lock, so concurrent
 parses leave the warning filters as they were; before Python 3.14 those are
@@ -287,15 +291,30 @@ def _columns(convert: Callable[[_Fields, bool], tuple[np.ndarray, ...]], text: s
     """The columns convert(fields, results) gives each chunk, joined in file
     order. A chunk is read by the C reader (_Table) as the fields of
     dtype_of(chunk); one it rejects, or that fails a check, is read again by
-    _Rows, which names the first bad line."""
-    chunks = []
+    _Rows, which names the first bad line.
+
+    The columns are allocated once for the text's '\\n' count and each
+    chunk's rows are copied into place, so a parse holds its columns and one
+    chunk. Lines split at another line break (a lone '\\r') can outnumber
+    that count; the columns then grow."""
+    columns, n = [], 0
     for first_line_no, chunk, lines in _line_chunks(text):
         dtype = dtype_of(chunk)
         try:
-            chunks.append(convert(_Table(chunk, lines, dtype), results))
+            parts = convert(_Table(chunk, lines, dtype), results)
         except _Rejected:
-            chunks.append(convert(_Rows(first_line_no, lines, len(dtype)), results))
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+            parts = convert(_Rows(first_line_no, lines, len(dtype)), results)
+        stop = n + len(parts[0])
+        if not columns or stop > len(columns[0]):
+            size = max(stop, 2 * n if columns else text.count("\n") + 1)
+            grown = [np.empty((size, *part.shape[1:]), part.dtype) for part in parts]
+            for column, old in zip(grown, columns):
+                column[:n] = old[:n]
+            columns = grown
+        for column, part in zip(columns, parts):
+            column[n:stop] = part
+        n = stop
+    return tuple(column[:n] for column in columns)
 
 
 def _by_frame(frames: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -524,13 +543,57 @@ def write_detections(frames: Iterable[DetectionFrame], sink: IO[str]) -> None:
             sink.write(text)
 
 
+# --- records of either mode -------------------------------------------------------
+
+
+def record_mode(text: str) -> Mode | None:
+    """The mode of a record text, read from its first non-blank line (blank as
+    the parsers skip it: empty or whitespace): Mode.BOX_3D if the line has the
+    13 fields of a 3D line, else Mode.BOX_2D, whose parser names a wrong field
+    count. None if every line is blank. Only the text up to that line is read."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start)
+        stop = len(text) if cut < 0 else cut + 1
+        for line in text[start:stop].splitlines():
+            if line and not line.isspace():
+                return Mode.BOX_3D if line.count(",") == 12 else Mode.BOX_2D
+        start = stop
+    return None
+
+
+def parse_detections(text: str) -> DetectionFrames:
+    """Read detections in their record_mode, 2D if every line is blank."""
+    if record_mode(text) is Mode.BOX_3D:
+        return parse_3d_detections(text)
+    return parse_mot_detections(text)
+
+
+def parse_results(text: str, mode: Mode | None = None) -> TrackOutput:
+    """Read a result file in its record_mode; if every line is blank, as an
+    empty output of mode (2D when None)."""
+    if (record_mode(text) or mode) is Mode.BOX_3D:
+        return parse_3d_results(text)
+    return parse_mot_results(text)
+
+
+def write_results(output: TrackOutput, sink: IO[str]) -> None:
+    """Write a TrackOutput in its rows' format: MOT lines for 2D boxes, 3D
+    lines for 3D ones."""
+    if output.mode is Mode.BOX_3D:
+        write_3d_results(output, sink)
+    else:
+        write_mot_results(output, sink)
+
+
 # --- config files -----------------------------------------------------------------
 
-# The type each scalar key is parsed as: a config field's default type (an
-# enum's value is read as a string), alpha's (None by default) float, and
-# modality.
-_SCALAR_KEYS = {field.name: str if isinstance(field.default, Enum) else type(field.default)
-                for field in fields(TrackerConfig)} | {"alpha": float, "modality": str}
+# The type each scalar key is parsed as: a config field's default type (its
+# enum, for an enum field), alpha's (None by default) float, and modality. The
+# mode is no key: the detection file's records say it (record_mode).
+_SCALAR_KEYS = {field.name: type(field.default)
+                for field in fields(TrackerConfig) if field.name != "mode"} | {
+    "alpha": float, "modality": str}
 # The keys that may be written `none`: a stage switched off.
 _NONE_KEYS = ("alpha", "gate_second")
 
@@ -538,11 +601,14 @@ _NONE_KEYS = ("alpha", "gate_second")
 def read_setting(key: str, text: str) -> object:
     """text as the value of the setting key (or of a per-class gate, as
     ``gate_first.car``), read as a config line gives it: None for ``none`` in
-    any case on alpha and gate_second, else a number or, for a text key, text.
-    A ValueError names the key."""
+    any case on alpha and gate_second, else a number or, for a text key, text,
+    lowered for an enum field, which takes its values in any case. A
+    ValueError names the key."""
     kind = _SCALAR_KEYS[key.partition(".")[0]]
     if key in _NONE_KEYS and text.lower() == "none":
         return None
+    if issubclass(kind, Enum):
+        return text.lower()
     if kind is str:
         return text
     try:

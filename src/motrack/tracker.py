@@ -112,8 +112,8 @@ def default_config(mode: Mode = Mode.BOX_2D, modality: str | None = None) -> Tra
     """Reference configuration for a mode, a Mode or its value in any case.
 
     modality picks the 3D profile (lidar when None). 2D has one profile but
-    still rejects an unknown modality; a known one is accepted, so a 3D
-    config file can be run with its mode overridden to 2D.
+    still rejects an unknown modality; a known one is accepted, so one config
+    file runs on a 2D or a 3D detection file, which says the mode.
     """
     mode = _enum_member(Mode, mode, "mode")
     modality = modality or "lidar"

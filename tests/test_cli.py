@@ -8,7 +8,8 @@ from motrack import simulate
 from motrack import tracker as tracker_module
 from motrack.cli import main
 from motrack.association import TrackerConfig
-from motrack.formats import parse_mot_results, write_detections, write_mot_results
+from motrack.formats import (parse_mot_results, write_detections, write_mot_results,
+                             write_results)
 from motrack.metrics import clear_mot
 from motrack.simulate import (canonical_occlusion_scenario, generate_scenario,
                               motion_ablation_suite)
@@ -30,11 +31,10 @@ def occlusion_files(tmp_path):
 def test_simulate_track_eval_round_trip(tmp_path, occlusion_files, capsys):
     gt, det = occlusion_files
     out = tmp_path / "tracks.txt"
-    assert main(["track", "--input", str(det), "--output", str(out),
-                 "--mode", "2d"]) == 0
+    assert main(["track", "--input", str(det), "--output", str(out)]) == 0
     capsys.readouterr()
     assert main(["eval", "--gt", str(gt), "--pred", str(out),
-                 "--metric", "clear", "--mode", "2d"]) == 0
+                 "--metric", "clear"]) == 0
     printed = capsys.readouterr().out
     assert "mota=1.000000" in printed
     assert "fp=0" in printed
@@ -44,7 +44,7 @@ def test_simulate_track_eval_round_trip(tmp_path, occlusion_files, capsys):
 def test_track_matches_library_run(tmp_path, occlusion_files):
     _, det = occlusion_files
     out = tmp_path / "tracks.txt"
-    main(["track", "--input", str(det), "--output", str(out), "--mode", "2d"])
+    main(["track", "--input", str(det), "--output", str(out)])
     spec, seed = canonical_occlusion_scenario()
     _, frames = generate_scenario(spec, seed)
     expected = run_sequence(frames, {"mode": "2d"})
@@ -54,7 +54,7 @@ def test_track_matches_library_run(tmp_path, occlusion_files):
 def test_eval_perfect_on_gt_vs_gt(tmp_path, occlusion_files, capsys):
     gt, _ = occlusion_files
     assert main(["eval", "--gt", str(gt), "--pred", str(gt),
-                 "--metric", "all", "--mode", "2d"]) == 0
+                 "--metric", "all"]) == 0
     printed = capsys.readouterr().out
     assert "mota=1.000000" in printed
     assert "idf1=1.000000" in printed
@@ -64,8 +64,8 @@ def test_eval_perfect_on_gt_vs_gt(tmp_path, occlusion_files, capsys):
 def test_eval_writes_json_report(tmp_path, occlusion_files, capsys):
     gt, _ = occlusion_files
     report = tmp_path / "report.json"
-    assert main(["eval", "--gt", str(gt), "--pred", str(gt), "--mode", "2d",
-                 "--metric", "clear", "--json", str(report)]) == 0
+    assert main(["eval", "--gt", str(gt), "--pred", str(gt), "--metric", "clear",
+                 "--json", str(report)]) == 0
     data = json.loads(report.read_text())
     assert data["mota"] == 1.0
     assert data["gt"] == 24
@@ -76,8 +76,8 @@ def test_eval_json_writes_undefined_mota_as_null(tmp_path, capsys):
     gt, pred, report = tmp_path / "gt.txt", tmp_path / "pred.txt", tmp_path / "report.json"
     gt.write_text("")
     pred.write_text("1,1,0,0,10,10,0.9,-1,-1,-1\n")
-    assert main(["eval", "--gt", str(gt), "--pred", str(pred), "--mode", "2d",
-                 "--metric", "clear", "--json", str(report)]) == 0
+    assert main(["eval", "--gt", str(gt), "--pred", str(pred), "--metric", "clear",
+                 "--json", str(report)]) == 0
     assert "mota=nan" in capsys.readouterr().out
     text = report.read_text()
     assert "NaN" not in text
@@ -93,10 +93,9 @@ def test_3d_simulate_track_eval_round_trip(tmp_path, capsys):
     out, report = tmp_path / "tracks.txt", tmp_path / "report.json"
     assert main(["simulate", "--scenario", str(scenario), "--out-gt", str(gt),
                  "--out-det", str(det)]) == 0
-    assert main(["track", "--input", str(det), "--output", str(out), "--mode", "3d",
-                 "--modality", "camera"]) == 0
-    assert main(["eval", "--gt", str(gt), "--pred", str(out), "--mode", "3d",
-                 "--metric", "all", "--json", str(report)]) == 0
+    assert main(["track", "--input", str(det), "--output", str(out), "--modality", "camera"]) == 0
+    assert main(["eval", "--gt", str(gt), "--pred", str(out), "--metric", "all",
+                 "--json", str(report)]) == 0
     data = json.loads(report.read_text())
     assert list(data) == ["mota", "fp", "fn", "ids", "gt", "idf1", "amota"]
     assert data["gt"] > 0 and 0.0 < data["idf1"] <= 1.0
@@ -105,8 +104,7 @@ def test_3d_simulate_track_eval_round_trip(tmp_path, capsys):
 
 def test_eval_rejects_nan_match_threshold(occlusion_files, capsys):
     gt, _ = occlusion_files
-    code = main(["eval", "--gt", str(gt), "--pred", str(gt), "--mode", "2d",
-                 "--match-threshold", "nan"])
+    code = main(["eval", "--gt", str(gt), "--pred", str(gt), "--match-threshold", "nan"])
     assert code == 1
     assert "error: match_threshold must be finite, got nan" in capsys.readouterr().err
 
@@ -118,9 +116,9 @@ def test_config_file_with_flag_override(tmp_path, occlusion_files):
     out_cfg = tmp_path / "a.txt"
     out_flag = tmp_path / "b.txt"
     assert main(["track", "--input", str(det), "--output", str(out_cfg),
-                 "--mode", "2d", "--config", str(config)]) == 0
+                 "--config", str(config)]) == 0
     assert main(["track", "--input", str(det), "--output", str(out_flag),
-                 "--mode", "2d", "--config", str(config), "--tau", "0.6"]) == 0
+                 "--config", str(config), "--tau", "0.6"]) == 0
     # tau=0.96 sends every 0.95-score detection to the low pass, so no track
     # ever spawns; the flag restores the default split.
     assert out_cfg.read_text() == ""
@@ -132,14 +130,13 @@ def test_alpha_flag_scales_2d_noise(tmp_path, occlusion_files, capsys):
     # boxes updated by the occluded (low-score) detections.
     _, det = occlusion_files
     plain, scaled = tmp_path / "plain.txt", tmp_path / "scaled.txt"
-    assert main(["track", "--input", str(det), "--output", str(plain), "--mode", "2d"]) == 0
-    assert main(["track", "--input", str(det), "--output", str(scaled), "--mode", "2d",
-                 "--alpha", "50"]) == 0
+    assert main(["track", "--input", str(det), "--output", str(plain)]) == 0
+    assert main(["track", "--input", str(det), "--output", str(scaled), "--alpha", "50"]) == 0
     assert scaled.read_text() != plain.read_text()
     config = tmp_path / "adaptive.cfg"
     config.write_text("adaptive_r = true\n")
     assert main(["track", "--input", str(det), "--output", str(tmp_path / "out.txt"),
-                 "--mode", "2d", "--config", str(config)]) == 1
+                 "--config", str(config)]) == 1
     assert "error: line 1: unknown config key 'adaptive_r'" in capsys.readouterr().err
 
 
@@ -148,15 +145,13 @@ def test_unknown_modality_in_config_file_rejected_in_2d(tmp_path, occlusion_file
     out = tmp_path / "out.txt"
     config = tmp_path / "radar.cfg"
     config.write_text("modality = radar\n")
-    code = main(["track", "--input", str(det), "--output", str(out), "--mode", "2d",
-                 "--config", str(config)])
+    code = main(["track", "--input", str(det), "--output", str(out), "--config", str(config)])
     assert code == 1
     assert "error: unknown modality 'radar'; expected 'camera' or 'lidar'" in (
         capsys.readouterr().err)
     assert not out.exists()
     config.write_text("modality = camera\n")
-    assert main(["track", "--input", str(det), "--output", str(out), "--mode", "2d",
-                 "--config", str(config)]) == 0
+    assert main(["track", "--input", str(det), "--output", str(out), "--config", str(config)]) == 0
 
 
 def test_gate_second_none_drops_occluded_frames(tmp_path, occlusion_files):
@@ -169,7 +164,7 @@ def test_gate_second_none_drops_occluded_frames(tmp_path, occlusion_files):
             "file": ["--config", str(config)]}
     for name, extra in runs.items():
         assert main(["track", "--input", str(det), "--output", str(tmp_path / f"{name}.txt"),
-                     "--mode", "2d", *extra]) == 0
+                     *extra]) == 0
     library = io.StringIO()
     write_mot_results(run_sequence(generate_scenario(*canonical_occlusion_scenario())[1],
                                    TrackerConfig(gate_second=None)), library)
@@ -192,8 +187,7 @@ def test_alpha_none_flag_equals_config_file(tmp_path):
     texts = {}
     for name, extra in runs.items():
         out = tmp_path / f"{name}.txt"
-        assert main(["track", "--input", str(det), "--output", str(out), "--mode", "3d",
-                     *extra]) == 0
+        assert main(["track", "--input", str(det), "--output", str(out), *extra]) == 0
         texts[name] = out.read_text()
     assert texts["flag"] == texts["title"] == texts["file"] != texts["default"]
 
@@ -226,7 +220,7 @@ def test_track_steps_only_frames_holding_rows(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tracker_module, "step", counted)
     tracemalloc.start()
     try:
-        assert main(["track", "--input", str(det), "--output", str(out), "--mode", "2d"]) == 0
+        assert main(["track", "--input", str(det), "--output", str(out)]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -244,8 +238,7 @@ def test_track_errors_name_the_file_frame(tmp_path, monkeypatch, capsys):
         raise ValueError("boom")
 
     monkeypatch.setattr(tracker_module, "step", failing)
-    assert main(["track", "--input", str(det), "--output", str(tmp_path / "out.txt"),
-                 "--mode", "2d"]) == 1
+    assert main(["track", "--input", str(det), "--output", str(tmp_path / "out.txt")]) == 1
     assert capsys.readouterr().err == "error: frame 3: boom\n"
 
 
@@ -336,7 +329,7 @@ def test_unknown_flag_fails(capsys):
 def test_missing_input_file_reports_error(tmp_path, capsys):
     out = tmp_path / "out.txt"
     code = main(["track", "--input", str(tmp_path / "absent.txt"),
-                 "--output", str(out), "--mode", "2d"])
+                 "--output", str(out)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
@@ -346,8 +339,7 @@ def test_zero_size_detection_reports_its_line(tmp_path, capsys):
     # measurement cannot take.
     det = tmp_path / "det.txt"
     det.write_text("1,-1,1e10,0,1e-10,10,0.9,-1,-1,-1\n")
-    code = main(["track", "--input", str(det), "--output", str(tmp_path / "out.txt"),
-                 "--mode", "2d"])
+    code = main(["track", "--input", str(det), "--output", str(tmp_path / "out.txt")])
     assert code == 1
     assert "line 1: box size must be positive, got w=0.0, h=10.0" in capsys.readouterr().err
 
@@ -408,3 +400,104 @@ def test_sweep_checks_every_config_before_any_work(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: tau must be in (0, 1), got 1.5\n"
+
+
+@pytest.fixture()
+def files_3d(tmp_path):
+    gt_output, frames = generate_scenario(*motion_ablation_suite(1)[0])
+    gt, det = tmp_path / "gt3d.txt", tmp_path / "det3d.txt"
+    with gt.open("w", encoding="utf-8") as fh:
+        write_results(gt_output, fh)
+    with det.open("w", encoding="utf-8") as fh:
+        write_detections(frames, fh)
+    return gt, det
+
+
+@pytest.mark.parametrize("argv", [["track", "--input", "det.txt", "--output", "out.txt"],
+                                  ["eval", "--gt", "gt.txt", "--pred", "pred.txt"]],
+                         ids=["track", "eval"])
+def test_no_command_takes_a_mode(argv, capsys):
+    assert main([argv[0], "--help"]) == 0
+    assert "--mode" not in capsys.readouterr().out
+    assert main(argv + ["--mode", "2d"]) == 2
+    assert "unrecognized arguments: --mode 2d" in capsys.readouterr().err
+
+
+def test_leading_blank_lines_do_not_set_the_mode(tmp_path, occlusion_files, files_3d):
+    # The mode is read from the first line that is not empty or whitespace.
+    for det in (occlusion_files[1], files_3d[1]):
+        padded, plain, out = (tmp_path / name for name in ("padded.txt", "a.txt", "b.txt"))
+        padded.write_text("\n   \n\t\n" + det.read_text())
+        assert main(["track", "--input", str(det), "--output", str(plain)]) == 0
+        assert main(["track", "--input", str(padded), "--output", str(out)]) == 0
+        assert plain.read_text() and out.read_text() == plain.read_text()
+
+
+@pytest.mark.parametrize("text, message", [
+    # 11 fields is no 3D line, so the MOT parser names it.
+    ("1,-1,100,100,60,120,0.9,-1,-1,-1,7\n", "line 1: expected 10 comma-separated fields, got 11"),
+    # The first line says 3D, so a MOT line after it is a 3D line of 10 fields.
+    ("1,-1,car,0,0,0,0,4,2,1.5,,,0.9\n1,-1,100,100,60,120,0.9,-1,-1,-1\n",
+     "line 2: expected 13 comma-separated fields, got 10"),
+])
+def test_lines_of_the_wrong_width_name_the_first_line_mode(tmp_path, text, message, capsys):
+    det, out = tmp_path / "det.txt", tmp_path / "out.txt"
+    det.write_text(text)
+    assert main(["track", "--input", str(det), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n \n"])
+def test_track_of_a_file_without_records_writes_nothing(tmp_path, text, capsys):
+    det, out = tmp_path / "det.txt", tmp_path / "out.txt"
+    det.write_text(text)
+    assert main(["track", "--input", str(det), "--output", str(out)]) == 0
+    assert out.read_text() == ""
+    assert capsys.readouterr().out == "tracked 0 frames, 0 boxes\n"
+
+
+def test_eval_of_an_empty_file_takes_the_other_file_mode(tmp_path, files_3d, capsys):
+    gt, _ = files_3d
+    rows = len(gt.read_text().splitlines())
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert main(["eval", "--gt", str(empty), "--pred", str(gt), "--metric", "clear"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "mota=nan" in printed and f"fp={rows}" in printed
+    assert main(["eval", "--gt", str(gt), "--pred", str(empty), "--metric", "clear"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "mota=0.000000" in printed and f"fn={rows}" in printed
+
+
+def test_eval_of_files_of_two_modes_is_a_mode_mismatch(occlusion_files, files_3d, capsys):
+    assert main(["eval", "--gt", str(occlusion_files[0]), "--pred", str(files_3d[0])]) == 1
+    assert capsys.readouterr().err == "error: mode mismatch: gt is 2d, pred is 3d\n"
+
+
+def test_mode_is_no_config_key(tmp_path, files_3d, capsys):
+    config = tmp_path / "mode.cfg"
+    config.write_text("mode = 3d\n")
+    assert main(["track", "--input", str(files_3d[1]), "--output", str(tmp_path / "out.txt"),
+                 "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: line 1: unknown config key 'mode'\n"
+
+
+def test_motion_flag_takes_any_case(tmp_path, files_3d, capsys):
+    # As TrackerConfig and a config file take an enum value in any case.
+    _, det = files_3d
+    config = tmp_path / "dv.cfg"
+    config.write_text("motion_strategy = DV\n")
+    runs = {"upper": ["--motion", "DV"], "lower": ["--motion", "dv"],
+            "file": ["--config", str(config)], "default": []}
+    texts = {}
+    for name, extra in runs.items():
+        out = tmp_path / f"{name}.txt"
+        assert main(["track", "--input", str(det), "--output", str(out), *extra]) == 0
+        texts[name] = out.read_text()
+    assert texts["upper"] == texts["lower"] == texts["file"] != texts["default"]
+    assert main(["track", "--input", str(det), "--output", str(tmp_path / "x.txt"),
+                 "--motion", "warp"]) == 2
+    assert "argument --motion: invalid choice: 'warp'" in capsys.readouterr().err
+    assert main(["track", "--help"]) == 0
+    assert "--motion {kf,dv,complementary}" in capsys.readouterr().out

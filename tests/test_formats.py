@@ -721,13 +721,13 @@ def _crowd_file(three_d: bool, n_frames: int, per_frame: int, moving: float = 0.
     return buf.getvalue()
 
 
-# Traced parse peaks with 64 KiB chunks, numpy 2.4 on Python 3.11: 5.6 MiB for
-# the 2D file (7.1 MiB with 1 MiB chunks), 4.2 MiB for the 3D one (9.5 MiB
-# with 1 MiB chunks). Most of it is the columns, held twice while the chunks'
-# columns are joined.
+# Traced parse peaks with 64 KiB chunks, numpy 2.4 on Python 3.11: 3.99 MiB
+# for the 2D file (3.59 MiB of columns), 2.58 MiB for the 3D one (1.85 MiB).
+# The columns are allocated once and each chunk is copied into place; joining
+# every chunk's columns at the end held them twice, 5.63 and 4.17 MiB.
 @pytest.mark.ci_gate
 @pytest.mark.parametrize(("three_d", "n_frames", "per_frame", "bound_mib"),
-                         [(False, 1032, 50, 6.5), (True, 500, 40, 4.8)], ids=["2d", "3d"])
+                         [(False, 1032, 50, 4.6), (True, 500, 40, 3.0)], ids=["2d", "3d"])
 def test_parse_peak_memory_is_bounded(three_d, n_frames, per_frame, bound_mib):
     """Parsing a 51,600-line 2D file (as large as the crowd benchmark's
     detections) or a 20,000-line 3D file holds its columns and the transients
@@ -744,6 +744,22 @@ def test_parse_peak_memory_is_bounded(three_d, n_frames, per_frame, bound_mib):
           f"({len(text) / 2**20:.1f} MiB): traced peak {peak / 2**20:.2f} MiB")
     assert sum(len(frame) for frame in frames) == n_frames * per_frame
     assert peak < bound_mib * 2**20
+
+
+@pytest.mark.parametrize("three_d", [False, True], ids=["2d", "3d"])
+def test_lines_broken_at_a_lone_carriage_return_grow_the_columns(three_d, monkeypatch):
+    """The columns are allocated for the text's '\\n' count. Lines broken at
+    a lone '\\r' outnumber it, so later chunks grow the columns; the file
+    parses as the same lines broken at '\\n' do."""
+    text = _crowd_file(three_d, 40, 5)
+    mixed = "".join(line + ("\n" if i % 50 == 49 else "\r")
+                    for i, line in enumerate(text.splitlines()))
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", 100)
+    parse = parse_3d_detections if three_d else parse_mot_detections
+    want, got = parse(text), parse(mixed)
+    assert len(got) == len(want)
+    assert ([(number, _detection_bits([view])) for number, view in got.nonempty()]
+            == [(number, _detection_bits([view])) for number, view in want.nonempty()])
 
 
 @st.composite
@@ -829,7 +845,6 @@ class TestConfigFile:
     def test_scalars_and_comments(self):
         text = """
         # tracker settings
-        mode = 2d
         tau = 0.45          # split threshold
         track_buffer = 12
         alpha = 10
@@ -837,7 +852,6 @@ class TestConfigFile:
         """
         options = parse_config_text(text)
         assert options == {
-            "mode": "2d",
             "tau": 0.45,
             "track_buffer": 12,
             "alpha": 10.0,
@@ -845,7 +859,7 @@ class TestConfigFile:
         }
 
     def test_per_class_gates(self):
-        text = "mode = 3d\ngate_first.car = -0.1\ngate_first.default = -0.5\n"
+        text = "gate_first.car = -0.1\ngate_first.default = -0.5\n"
         options = parse_config_text(text)
         assert options["gate_first"] == {2: -0.1, -1: -0.5}
 
@@ -872,12 +886,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(("text", "message"), [
         ("tau = abc\n", "line 1: tau is not a number: 'abc'"),
-        ("mode = 3d\ntrack_buffer = 2.5\n", "line 2: track_buffer is not an integer: '2.5'"),
+        ("tau = 0.5\ntrack_buffer = 2.5\n", "line 2: track_buffer is not an integer: '2.5'"),
         ("tau.car = 1\n", "line 1: unknown per-class key 'tau.car'"),
         # int and float accept digit separators; config values do not.
         ("track_buffer = 3_0\n", "line 1: track_buffer is not an integer: '3_0'"),
         ("tau = 0.4_5\n", "line 1: tau is not a number: '0.4_5'"),
-        ("mode = 3d\ngate_first.car = -0_1\n", "line 2: gate_first.car is not a number: '-0_1'"),
+        ("tau = 0.5\ngate_first.car = -0_1\n", "line 2: gate_first.car is not a number: '-0_1'"),
         # Only the stages that can be off take none.
         ("tau = none\n", "line 1: tau is not a number: 'none'"),
         ("gate_first = none\n", "line 1: gate_first is not a number: 'none'"),
@@ -888,7 +902,7 @@ class TestConfigFile:
             parse_config_text(text)
 
     def test_none_switches_stages_off(self):
-        options = parse_config_text("mode = 3d\nalpha = none\ngate_second = None\n")
-        assert options == {"mode": "3d", "alpha": None, "gate_second": None}
-        config = validate_config(options)
+        options = parse_config_text("alpha = none\ngate_second = None\n")
+        assert options == {"alpha": None, "gate_second": None}
+        config = validate_config({**options, "mode": "3d"})
         assert config.alpha is None and config.gate_second is None

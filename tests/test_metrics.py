@@ -1188,7 +1188,7 @@ class TestAmota:
         with open(path, "w", encoding="utf-8") as fh:
             write_mot_results(output_2d(steady(1, range(1, 6))), fh)
         assert main(["eval", "--gt", str(path), "--pred", str(path),
-                     "--metric", "all", "--mode", "2d"]) == 0
+                     "--metric", "all"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "mota=1.000000" in lines
         assert "fp=0" in lines

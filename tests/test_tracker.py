@@ -619,7 +619,7 @@ class TestValidateConfig:
     def test_nan_per_class_gate_rejected(self):
         with pytest.raises(ValueError, match="gate_first values must be finite"):
             validate_config({"mode": "3d", "gate_first": {0: math.nan}})
-        options = formats.parse_config_text("mode = 3d\ngate_second.car = nan\n")
+        options = {**formats.parse_config_text("gate_second.car = nan\n"), "mode": "3d"}
         with pytest.raises(ValueError, match="gate_second values must be finite"):
             validate_config(options)
 
@@ -691,7 +691,7 @@ class TestValidateConfig:
     def test_unknown_modality_rejected_in_2d(self):
         with pytest.raises(ValueError, match="unknown modality 'radar'"):
             validate_config({"mode": "2d", "modality": "radar"})
-        # A known modality is accepted in 2D, where it picks nothing: --mode 2d
-        # may override the mode of a 3D config file.
+        # A known modality is accepted in 2D, where it picks nothing: one
+        # config file runs on a 2D or a 3D detection file.
         for modality in ("camera", "lidar"):
             assert validate_config({"mode": "2d", "modality": modality}) == TrackerConfig()
